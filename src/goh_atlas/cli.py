@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -86,15 +87,28 @@ def _emit(args, data):
     serialize.write_output(text, args.out)
 
 
-def _default_tol(args, fallback: float) -> float:
+def _parse_tol(text: str) -> float:
+    """A tolerance must be a finite, positive number (type of --tol)."""
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = math.nan
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise argparse.ArgumentTypeError(
+            f"tolerance must be a finite positive number, got {text!r}")
+    return tol
+
+
+def _default_tol(args, fallback: float | None) -> float | None:
+    """--tol, else GOH_ATLAS_TOL, else fallback; a bad value exits with 2."""
     if getattr(args, "tol", None) is not None:
         return args.tol
     env = os.environ.get("GOH_ATLAS_TOL")
     if env:
         try:
-            return float(env)
-        except ValueError:
-            _usage(f"bad GOH_ATLAS_TOL value {env!r}")
+            return _parse_tol(env)
+        except argparse.ArgumentTypeError as exc:
+            _usage(f"bad GOH_ATLAS_TOL value: {exc}")
             raise SystemExit(2) from None
     return fallback
 
@@ -223,9 +237,9 @@ def cmd_residuals(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    threshold = _default_tol(args, 1e-6)
     frame = _frame_from_args(args)
     control = _control_from_args(args)
-    threshold = _default_tol(args, 1e-6)
     result = recover_abnormal_covector(
         frame, control, _x0_from_args(args, frame), threshold=threshold)
     _log(f"{len(result.candidates)} candidate(s); "
@@ -245,6 +259,7 @@ def cmd_spiral(args) -> int:
 
 
 def cmd_contain(args) -> int:
+    threshold = _default_tol(args, 1e-8)
     if not args.curve:
         _usage("--curve FILE is required")
         raise SystemExit(2)
@@ -252,7 +267,6 @@ def cmd_contain(args) -> int:
     if curve.m != 2:
         _usage("containment needs a planar curve")
         raise SystemExit(2)
-    threshold = _default_tol(args, 1e-8)
     results = []
     for degree in range(1, args.degree + 1):
         out = polynomial_containment(
@@ -265,9 +279,7 @@ def cmd_contain(args) -> int:
 
 
 def cmd_demo(args) -> int:
-    tol = args.tol
-    if tol is None and os.environ.get("GOH_ATLAS_TOL"):
-        tol = float(os.environ["GOH_ATLAS_TOL"])
+    tol = _default_tol(args, None)
     rep = run_scenario(args.scenario, seed=args.seed, tol=tol, eps=args.eps,
                        samples=args.samples, res=args.res)
     outdir = args.out or os.path.join("goh-atlas-artifacts", args.scenario)
@@ -344,13 +356,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--control")
     p.add_argument("--lambda", dest="lam")
     p.add_argument("--x0")
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=_parse_tol)
 
     p = add("recover", cmd_recover, help="null covectors of the lift")
     _add_frame_flags(p)
     p.add_argument("--control")
     p.add_argument("--x0")
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=_parse_tol)
 
     p = add("spiral", cmd_spiral, help="log-phase spiral samples")
     p.add_argument("--eps", type=float, default=1e-2)
@@ -359,11 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("contain", cmd_contain, help="polynomial containment probe")
     p.add_argument("--curve")
     p.add_argument("--degree", type=int, default=6)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=_parse_tol)
 
     p = add("demo", cmd_demo, help="run an end-to-end scenario")
     p.add_argument("scenario", choices=SCENARIO_NAMES)
-    p.add_argument("--tol", type=float)
+    p.add_argument("--tol", type=_parse_tol)
     p.add_argument("--eps", type=float)
     p.add_argument("--samples", type=int)
     p.add_argument("--res", type=int)

@@ -48,11 +48,6 @@ def lyndon_words(rank: int, max_len: int) -> list[Word]:
     return sorted(words)
 
 
-def is_lyndon(w: Word) -> bool:
-    """True if w is strictly smaller than all of its proper suffixes."""
-    return len(w) > 0 and all(w < w[i:] for i in range(1, len(w)))
-
-
 def standard_factorization(w: Word) -> tuple[Word, Word]:
     """Split a Lyndon word (length >= 2) as u v, v the lex-least proper suffix."""
     if len(w) < 2:
@@ -328,10 +323,6 @@ def _frac_str(c: Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-def _parse_frac(s) -> Fraction:
-    return Fraction(s)
-
-
 @dataclass(frozen=True)
 class StructureTable:
     basis: LyndonBasis
@@ -374,7 +365,7 @@ class StructureTable:
         table = [[{} for _ in range(n)] for _ in range(n)]
         for key, entry in data["brackets"].items():
             i, j = (int(p) - 1 for p in key.split(","))
-            e = {int(k) - 1: _parse_frac(c) for k, c in entry.items()}
+            e = {int(k) - 1: Fraction(c) for k, c in entry.items()}
             table[i][j] = e
             table[j][i] = {k: -c for k, c in e.items()}
         return StructureTable(basis, tuple(tuple(row) for row in table))
@@ -408,7 +399,7 @@ def random_lie_element(basis: LyndonBasis, rng, den: int = 7) -> LieElement:
 
 __all__ = [
     "Word", "LyndonBasis", "StructureTable", "LieElement",
-    "lyndon_words", "is_lyndon", "standard_factorization",
+    "lyndon_words", "standard_factorization",
     "witt_dimension", "generate_basis", "structure_table",
     "bracket", "iterated_bracket_index", "bch",
     "lie_single", "lie_add", "lie_scale", "lie_to_tensor", "tensor_to_lie",

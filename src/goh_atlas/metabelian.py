@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .freelie import StructureTable
-from .polyfield import Frame, PolyVec, lie_bracket_fields
+from .polyfield import Frame, _nested_brackets, lie_bracket_fields
 from .normalform import verify_normal_form
 
 
@@ -56,17 +56,7 @@ def is_metabelian(frame: Frame, depth: int) -> MetabelianVerdict:
     if depth < 4:
         raise ValueError("depth must be at least 4 (shortest candidate pair)")
     r = frame.r
-    cache: dict[tuple, PolyVec] = {}
-
-    def nested(J: tuple) -> PolyVec:
-        got = cache.get(J)
-        if got is None:
-            if len(J) == 1:
-                got = frame.fields[J[0] - 1]
-            else:
-                got = lie_bracket_fields(frame.fields[J[0] - 1], nested(J[1:]))
-            cache[J] = got
-        return got
+    nested = _nested_brackets(frame)
 
     for a in range(2, depth // 2 + 1):
         for b in range(a, depth - a + 1):

@@ -38,9 +38,9 @@ from .polyfield import (
     Frame,
     Poly,
     PolyVec,
-    compile_polyvec,
     exact_flow,
     lie_bracket_fields,
+    rk4_flow,
 )
 
 ONE = Fraction(1)
@@ -372,14 +372,7 @@ def verify_second_kind(fields, x, tol: float | None = None,
             ti = float(x[i])
             if ti == 0.0:
                 continue
-            ev = compile_polyvec(fields[i])
-            h = ti / steps
-            for _ in range(steps):
-                k1 = ev(cur)
-                k2 = ev(cur + 0.5 * h * k1)
-                k3 = ev(cur + 0.5 * h * k2)
-                k4 = ev(cur + h * k3)
-                cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            cur = rk4_flow(fields[i], cur, ti, steps=steps)
         if not np.all(np.isfinite(cur)):
             raise NumericsError("flow composition diverged")
         residual = float(max(abs(c - float(xi)) for c, xi in zip(cur, x)))

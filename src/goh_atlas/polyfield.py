@@ -421,10 +421,28 @@ def iterated_bracket_fields(frame: Frame, J) -> PolyVec:
         raise ValueError("multi-index must be nonempty")
     if any(j < 1 or j > frame.r for j in J):
         raise ValueError("multi-index entries must lie in 1..r")
-    out = frame.fields[J[-1] - 1]
-    for j in reversed(J[:-1]):
-        out = lie_bracket_fields(frame.fields[j - 1], out)
-    return out
+    return _nested_brackets(frame)(J)
+
+
+def _nested_brackets(frame: Frame):
+    """Memoized J -> [X_{j1}, [X_{j2}, ... X_{jk}]] (1-based entries).
+
+    The memo lives as long as the returned function, so each caller keeps
+    its own and nothing is stored on the frame.
+    """
+    cache: dict[tuple, PolyVec] = {}
+
+    def nested(J: tuple) -> PolyVec:
+        got = cache.get(J)
+        if got is None:
+            if len(J) == 1:
+                got = frame.fields[J[0] - 1]
+            else:
+                got = lie_bracket_fields(frame.fields[J[0] - 1], nested(J[1:]))
+            cache[J] = got
+        return got
+
+    return nested
 
 
 # ---------------------------------------------------------------------------
@@ -458,19 +476,38 @@ def exact_flow(x_field: PolyVec, x0, t, bound: int = 10):
     return [p.eval(pt) for p in phi]
 
 
+def rk4_nodes(rhs, grid, state, substeps: int = 1):
+    """Classical RK4 on a list of state arrays, yielded at every grid node.
+
+    rhs(t, state) returns one derivative array per state array.  Each grid
+    interval is split into `substeps` equal steps.  The first yield is the
+    initial state.  No array is modified in place, so callers may keep the
+    yielded arrays without copying.
+    """
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
+    state = list(state)
+    yield state
+    for i in range(len(grid) - 1):
+        h = (grid[i + 1] - grid[i]) / substeps
+        t = grid[i]
+        for _ in range(substeps):
+            k1 = rhs(t, state)
+            k2 = rhs(t + 0.5 * h, [s + 0.5 * h * k for s, k in zip(state, k1)])
+            k3 = rhs(t + 0.5 * h, [s + 0.5 * h * k for s, k in zip(state, k2)])
+            k4 = rhs(t + h, [s + h * k for s, k in zip(state, k3)])
+            state = [s + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
+                     for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
+            t += h
+        yield state
+
+
 def rk4_flow(x_field: PolyVec, x0, t: float, steps: int = 256) -> np.ndarray:
     """Numeric time-t flow of an autonomous polynomial field (RK4)."""
     x = np.array([float(v) for v in x0], dtype=float)
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    h = t / steps
     ev = compile_polyvec(x_field)
-    for _ in range(steps):
-        k1 = ev(x)
-        k2 = ev(x + 0.5 * h * k1)
-        k3 = ev(x + 0.5 * h * k2)
-        k4 = ev(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    *_, (x,) = rk4_nodes(lambda _, s: [ev(s[0])], (0.0, t), [x],
+                         substeps=steps)
     return x
 
 
@@ -506,19 +543,7 @@ def growth_vector(frame: Frame, p, depth: int) -> list[int]:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     point = [_as_frac(v) for v in p]
-    cache: dict[tuple, PolyVec] = {}
-
-    def bracket_field(J) -> PolyVec:
-        got = cache.get(J)
-        if got is None:
-            if len(J) == 1:
-                got = frame.fields[J[0] - 1]
-            else:
-                got = lie_bracket_fields(frame.fields[J[0] - 1],
-                                         bracket_field(J[1:]))
-            cache[J] = got
-        return got
-
+    bracket_field = _nested_brackets(frame)
     dims = []
     rows: list[list[Fraction]] = []
     indices = [()]
@@ -597,7 +622,7 @@ def compile_jacobian(field: PolyVec):
 __all__ = [
     "Poly", "PolyVec", "Frame",
     "lie_bracket_fields", "iterated_bracket_fields",
-    "flow_map", "exact_flow", "rk4_flow", "growth_vector",
+    "flow_map", "exact_flow", "rk4_nodes", "rk4_flow", "growth_vector",
     "heisenberg_frame", "martinet_frame",
     "CompiledPolys", "compile_polyvec", "compile_jacobian",
 ]

@@ -4,9 +4,11 @@ log-phase spiral, and the polynomial non-containment probe.
 
 Controls are piecewise linear on a uniform grid (callables are accepted
 wherever a control is, for convergence studies with exact derivatives).
-All integrators are classical RK4 with configurable sub-stepping; the
-covector is always propagated by the adjoint equation rather than by
-inverting Jacobians.
+All four integrators step with the shared classical RK4 generator
+`polyfield.rk4_nodes` (configurable sub-stepping) on the drift
+sum_k u_k X_k and, where needed, its Jacobian; each checks its state for
+non-finite values at every grid node.  The covector is always propagated
+by the adjoint equation rather than by inverting Jacobians.
 """
 
 from __future__ import annotations
@@ -16,7 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConditioningError, NumericsError
-from .polyfield import Frame, compile_jacobian, compile_polyvec, lie_bracket_fields
+from .polyfield import (
+    Frame,
+    compile_jacobian,
+    compile_polyvec,
+    lie_bracket_fields,
+    rk4_nodes,
+)
 
 
 def _float_list(xs):
@@ -77,6 +85,8 @@ class SampledCurve:
         self.points = np.asarray(self.points, dtype=float)
         if self.points.ndim != 2 or len(self.points) != len(self.ts):
             raise ValueError("one point per grid node required")
+        if not np.all(np.isfinite(self.ts)) or not np.all(np.isfinite(self.points)):
+            raise ValueError("curve data must be finite")
         if np.any(np.diff(self.ts) <= 0):
             raise ValueError("grid must be strictly increasing")
 
@@ -125,46 +135,50 @@ def _control_callable(u, ts=None):
     raise TypeError("control must be a Control or a callable t -> values")
 
 
-def _check_finite(arr, what: str):
+def _check_finite(arr, what: str, grid, i: int, error=NumericsError):
     if not np.all(np.isfinite(arr)):
-        raise NumericsError(f"{what} produced non-finite values")
+        raise error(f"{what} produced non-finite values at node {i} "
+                    f"(t = {float(grid[i]):.6g})")
+
+
+def _drift(frame: Frame, ufn, jacobian: bool):
+    """(drift, evs): drift(t, x) = (sum_k u_k X_k(x), sum_k u_k DX_k(x)).
+
+    Terms with u_k(t) = 0 are skipped; the matrix is None unless
+    `jacobian`.  evs are the compiled frame fields, for per-node pairings.
+    """
+    evs = [compile_polyvec(f) for f in frame.fields]
+    jevs = [compile_jacobian(f) for f in frame.fields] if jacobian else None
+    n = frame.n
+
+    def drift(t, x):
+        uv = ufn(t)
+        dx = np.zeros(n)
+        amat = np.zeros((n, n)) if jacobian else None
+        for k, ev in enumerate(evs):
+            c = float(uv[k])
+            if c:
+                dx += c * ev(x)
+                if jacobian:
+                    amat += c * jevs[k](x)
+        return dx, amat
+
+    return drift, evs
 
 
 def flow_control(frame: Frame, u, x0, substeps: int = 1, ts=None) -> SampledCurve:
     """RK4 trajectory of xdot = sum_k u_k(t) X_k(x) on the control grid."""
     grid, ufn = _control_callable(u, ts)
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    evs = [compile_polyvec(f) for f in frame.fields]
-    r = frame.r
-
-    def rhs(t, x):
-        uv = ufn(t)
-        acc = float(uv[0]) * evs[0](x)
-        for k in range(1, r):
-            c = float(uv[k])
-            if c:
-                acc = acc + c * evs[k](x)
-        return acc
-
+    drift, _ = _drift(frame, ufn, jacobian=False)
     x = np.array(_float_list(x0), dtype=float)
     if len(x) != frame.n:
         raise ValueError("x0 must live in the frame's ambient space")
-    out = [x.copy()]
-    for i in range(len(grid) - 1):
-        h = (grid[i + 1] - grid[i]) / substeps
-        t = grid[i]
-        for _ in range(substeps):
-            k1 = rhs(t, x)
-            k2 = rhs(t + 0.5 * h, x + 0.5 * h * k1)
-            k3 = rhs(t + 0.5 * h, x + 0.5 * h * k2)
-            k4 = rhs(t + h, x + h * k3)
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            t += h
-        out.append(x.copy())
-    curve = np.array(out)
-    _check_finite(curve, "control flow")
-    return SampledCurve(grid, curve)
+    out = []
+    nodes = rk4_nodes(lambda t, s: [drift(t, s[0])[0]], grid, [x], substeps)
+    for i, (x,) in enumerate(nodes):
+        _check_finite(x, "control flow", grid, i)
+        out.append(x)
+    return SampledCurve(grid, np.array(out))
 
 
 def lift_control(kappa: SampledCurve) -> Control:
@@ -200,37 +214,18 @@ def jacobian_flow(frame: Frame, u, x0, substeps: int = 1,
                   ts=None) -> JacobianPath:
     """J(t_i) of the flow, by RK4 on Jdot = DX_u(t, gamma(t)) J."""
     grid, ufn = _control_callable(u, ts)
-    evs = [compile_polyvec(f) for f in frame.fields]
-    jevs = [compile_jacobian(f) for f in frame.fields]
-    r, n = frame.r, frame.n
+    drift, _ = _drift(frame, ufn, jacobian=True)
 
-    def rhs(t, x, jmat):
-        uv = ufn(t)
-        dx = np.zeros(n)
-        amat = np.zeros((n, n))
-        for k in range(r):
-            c = float(uv[k])
-            if c:
-                dx += c * evs[k](x)
-                amat += c * jevs[k](x)
-        return dx, amat @ jmat
+    def rhs(t, state):
+        dx, amat = drift(t, state[0])
+        return [dx, amat @ state[1]]
 
     x = np.array(_float_list(x0), dtype=float)
-    jmat = np.eye(n)
-    mats = [jmat.copy()]
-    for i in range(len(grid) - 1):
-        h = (grid[i + 1] - grid[i]) / substeps
-        t = grid[i]
-        for _ in range(substeps):
-            k1x, k1j = rhs(t, x, jmat)
-            k2x, k2j = rhs(t + 0.5 * h, x + 0.5 * h * k1x, jmat + 0.5 * h * k1j)
-            k3x, k3j = rhs(t + 0.5 * h, x + 0.5 * h * k2x, jmat + 0.5 * h * k2j)
-            k4x, k4j = rhs(t + h, x + h * k3x, jmat + h * k3j)
-            x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            jmat = jmat + (h / 6.0) * (k1j + 2.0 * k2j + 2.0 * k3j + k4j)
-            t += h
-        _check_finite(jmat, "variational flow")
-        mats.append(jmat.copy())
+    mats = []
+    for i, (_, jmat) in enumerate(
+            rk4_nodes(rhs, grid, [x, np.eye(frame.n)], substeps)):
+        _check_finite(jmat, "variational flow", grid, i)
+        mats.append(jmat)
     dets = np.array([np.linalg.det(m) for m in mats])
     return JacobianPath(grid, mats, dets)
 
@@ -286,48 +281,22 @@ def extremal_residuals(frame: Frame, u, x0, lam, substeps: int = 1,
     if len(lam) != frame.n or not np.any(lam):
         raise ValueError("covector must be nonzero with n entries")
     grid, ufn = _control_callable(u, ts)
-    evs = [compile_polyvec(f) for f in frame.fields]
-    jevs = [compile_jacobian(f) for f in frame.fields]
+    drift, evs = _drift(frame, ufn, jacobian=True)
     pairs = _pair_list(frame.r)
     bevs = [compile_polyvec(
         lie_bracket_fields(frame.fields[h - 1], frame.fields[k - 1]))
         for h, k in pairs]
-    r, n = frame.r, frame.n
 
-    def rhs(t, x, row):
-        uv = ufn(t)
-        dx = np.zeros(n)
-        amat = np.zeros((n, n))
-        for k in range(r):
-            c = float(uv[k])
-            if c:
-                dx += c * evs[k](x)
-                amat += c * jevs[k](x)
-        return dx, -(row @ amat)
+    def rhs(t, state):
+        dx, amat = drift(t, state[0])
+        return [dx, -(state[1] @ amat)]
 
     x = np.array(_float_list(x0), dtype=float)
-    row = lam.copy()
     rho_rows, sigma_rows = [], []
-
-    def record():
-        rho_rows.append([float(row @ evs[k](x)) for k in range(r)])
+    for i, (x, row) in enumerate(rk4_nodes(rhs, grid, [x, lam], substeps)):
+        _check_finite(row, "adjoint propagation", grid, i, ConditioningError)
+        rho_rows.append([float(row @ ev(x)) for ev in evs])
         sigma_rows.append([float(row @ bev(x)) for bev in bevs])
-
-    record()
-    for i in range(len(grid) - 1):
-        h = (grid[i + 1] - grid[i]) / substeps
-        t = grid[i]
-        for _ in range(substeps):
-            k1x, k1l = rhs(t, x, row)
-            k2x, k2l = rhs(t + 0.5 * h, x + 0.5 * h * k1x, row + 0.5 * h * k1l)
-            k3x, k3l = rhs(t + 0.5 * h, x + 0.5 * h * k2x, row + 0.5 * h * k2l)
-            k4x, k4l = rhs(t + h, x + h * k3x, row + h * k3l)
-            x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            row = row + (h / 6.0) * (k1l + 2.0 * k2l + 2.0 * k3l + k4l)
-            t += h
-        if not np.all(np.isfinite(row)):
-            raise ConditioningError("adjoint propagation diverged")
-        record()
     rho = np.array(rho_rows)
     sigma = np.array(sigma_rows) if pairs else np.zeros((len(grid), 0))
     return ExtremalReport(
@@ -366,44 +335,19 @@ def recover_abnormal_covector(frame: Frame, u, x0, substeps: int = 1,
     no abnormal covector is visible at this grid resolution.
     """
     grid, ufn = _control_callable(u, ts)
-    evs = [compile_polyvec(f) for f in frame.fields]
-    jevs = [compile_jacobian(f) for f in frame.fields]
-    r, n = frame.r, frame.n
+    drift, evs = _drift(frame, ufn, jacobian=True)
+    n = frame.n
 
-    def rhs(t, x, kmat):
-        uv = ufn(t)
-        dx = np.zeros(n)
-        amat = np.zeros((n, n))
-        for k in range(r):
-            c = float(uv[k])
-            if c:
-                dx += c * evs[k](x)
-                amat += c * jevs[k](x)
-        return dx, -(kmat @ amat)
+    def rhs(t, state):
+        dx, amat = drift(t, state[0])
+        return [dx, -(state[1] @ amat)]
 
     x = np.array(_float_list(x0), dtype=float)
-    kmat = np.eye(n)
     rows = []
-
-    def record():
-        for k in range(r):
-            rows.append(kmat @ evs[k](x))
-
-    record()
-    for i in range(len(grid) - 1):
-        h = (grid[i + 1] - grid[i]) / substeps
-        t = grid[i]
-        for _ in range(substeps):
-            k1x, k1k = rhs(t, x, kmat)
-            k2x, k2k = rhs(t + 0.5 * h, x + 0.5 * h * k1x, kmat + 0.5 * h * k1k)
-            k3x, k3k = rhs(t + 0.5 * h, x + 0.5 * h * k2x, kmat + 0.5 * h * k2k)
-            k4x, k4k = rhs(t + h, x + h * k3x, kmat + h * k3k)
-            x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
-            kmat = kmat + (h / 6.0) * (k1k + 2.0 * k2k + 2.0 * k3k + k4k)
-            t += h
-        if not np.all(np.isfinite(kmat)):
-            raise ConditioningError("inverse-Jacobian propagation diverged")
-        record()
+    for i, (x, kmat) in enumerate(rk4_nodes(rhs, grid, [x, np.eye(n)], substeps)):
+        _check_finite(kmat, "inverse-Jacobian propagation", grid, i,
+                      ConditioningError)
+        rows.extend(kmat @ ev(x) for ev in evs)
 
     stack = np.array(rows)
     if stack.shape[0] < n:

@@ -41,6 +41,7 @@ from goh_atlas.polyfield import (
     heisenberg_frame,
     martinet_frame,
 )
+from goh_atlas.scenarios import _rational_samples
 from goh_atlas.trajectories import (
     Control,
     SampledCurve,
@@ -197,16 +198,6 @@ def test_criterion_03_realization_and_chart():
 
 # --- criterion 4: commuting-bracket verdicts, four routes ----------------
 
-def _rational_samples(frame, rng, count=6):
-    n, r = frame.n, frame.r
-    out = []
-    for _ in range(count):
-        x = [Fraction(int(v), 7) for v in rng.integers(-9, 10, size=n)]
-        tau = [Fraction(int(v), 5) for v in rng.integers(-9, 10, size=n - r)]
-        out.append((x, tau))
-    return out
-
-
 def test_criterion_04_metabelian_verdicts(f27):
     rng = np.random.default_rng(4)
     expected = {2: True, 3: True, 4: True, 5: False, 7: False}
@@ -222,7 +213,8 @@ def test_criterion_04_metabelian_verdicts(f27):
             assert verdict.witness == witness
         assert is_metabelian_algebra(structure_table(basis)) == want
         assert coefficient_dependence(frame) == want
-        gap = translation_invariance(frame, _rational_samples(frame, rng))
+        gap = translation_invariance(
+            frame, _rational_samples(frame, rng, count=6))
         assert (gap == 0) == want
     print("criterion 4: verdicts T,T,T,F,F with witness ((1,2),(1,1,2)); "
           "all four routes agree on all five algebras")

@@ -184,6 +184,54 @@ class TestTolerancePlumbing:
         assert code == 0
         assert [r["null_space_dim"] for r in data["results"]] == [0, 1]
 
+    @staticmethod
+    def _circle(tmp_path):
+        curve = SampledCurve.from_function(
+            lambda t: (math.cos(t), math.sin(t)), 0.0, 2.0 * math.pi, 200)
+        path = tmp_path / "circle.json"
+        path.write_text(serialize.dumps(curve.to_json()))
+        return str(path)
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1", "0"])
+    def test_bad_env_tolerance_is_a_usage_error(self, capsys, tmp_path,
+                                                monkeypatch, value):
+        # every command that reads the variable rejects the value before
+        # doing any work: no scenario runs, no artifact is written
+        monkeypatch.setenv("GOH_ATLAS_TOL", value)
+        outdir = tmp_path / "art"
+        code, out, err = run(capsys, "demo", "heisenberg", "--out",
+                             str(outdir))
+        assert code == 2
+        assert "bad GOH_ATLAS_TOL value" in err
+        assert not outdir.exists() and out == ""
+        code, out, err = run(capsys, "contain", "--curve",
+                             self._circle(tmp_path), "--degree", "2")
+        assert (code, out) == (2, "")
+        assert "bad GOH_ATLAS_TOL value" in err
+        code, out, err = run(capsys, "recover", "--rank", "2", "--step", "3")
+        assert (code, out) == (2, "")
+        assert "bad GOH_ATLAS_TOL value" in err
+
+    @pytest.mark.parametrize("value", ["abc", "nan", "-inf", "-1e-8", "0"])
+    def test_bad_tol_flag_is_a_usage_error(self, capsys, tmp_path, value):
+        outdir = tmp_path / "art"
+        code, out, err = run(capsys, "demo", "heisenberg", "--out",
+                             str(outdir), f"--tol={value}")
+        assert (code, out) == (2, "")
+        assert not outdir.exists()
+        code, out, err = run(capsys, "contain", "--curve",
+                             self._circle(tmp_path), f"--tol={value}")
+        assert (code, out) == (2, "")
+        assert "finite positive" in err
+
+    def test_non_finite_curve_file_is_rejected(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text('{"schema": "goh-atlas/1", "type": "curve", '
+                        '"t": [0, 1, 2], "values": [[0, NaN], [1, 1], [2, 2]]}')
+        code, out, err = run(capsys, "contain", "--curve", str(path))
+        assert (code, out) == (2, "")
+        assert "finite" in err
+
 
 class TestDemo:
     def test_heisenberg_demo(self, capsys, tmp_path):

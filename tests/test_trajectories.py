@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -11,8 +12,12 @@ from goh_atlas.polyfield import (
     Frame,
     Poly,
     PolyVec,
+    compile_jacobian,
+    compile_polyvec,
     exact_flow,
     heisenberg_frame,
+    lie_bracket_fields,
+    martinet_frame,
 )
 from goh_atlas.trajectories import (
     Control,
@@ -47,6 +52,46 @@ def realized(step: int) -> Frame:
 def random_pl_control(rng, t1=1.0, n_steps=20, r=2) -> Control:
     ts = np.linspace(0.0, t1, n_steps + 1)
     return Control(ts, rng.uniform(-1.0, 1.0, size=(n_steps + 1, r)))
+
+
+def reference_rk4(frame, u, grid, x0, m0, product, substeps):
+    """Textbook RK4 on xdot = sum u_k X_k(x), Mdot = product(M, sum u_k DX_k(x)).
+
+    Returns the (x, M) pair at every grid node; the oracle for the
+    integrators, which must match it bit for bit.
+    """
+    evs = [compile_polyvec(f) for f in frame.fields]
+    jevs = [compile_jacobian(f) for f in frame.fields]
+
+    def rhs(t, x, m):
+        dx, a = np.zeros(frame.n), np.zeros((frame.n, frame.n))
+        for c, ev, jev in zip(map(float, u(t)), evs, jevs):
+            if c:
+                dx += c * ev(x)
+                a += c * jev(x)
+        return dx, product(m, a)
+
+    x, m = np.array(x0, dtype=float), np.array(m0, dtype=float)
+    nodes = [(x, m)]
+    for t0, t1 in zip(grid[:-1], grid[1:]):
+        h, t = (t1 - t0) / substeps, t0
+        for _ in range(substeps):
+            k1x, k1m = rhs(t, x, m)
+            k2x, k2m = rhs(t + 0.5 * h, x + 0.5 * h * k1x, m + 0.5 * h * k1m)
+            k3x, k3m = rhs(t + 0.5 * h, x + 0.5 * h * k2x, m + 0.5 * h * k2m)
+            k4x, k4m = rhs(t + h, x + h * k3x, m + h * k3m)
+            x = x + (h / 6.0) * (k1x + 2.0 * k2x + 2.0 * k3x + k4x)
+            m = m + (h / 6.0) * (k1m + 2.0 * k2m + 2.0 * k3m + k4m)
+            t += h
+        nodes.append((x, m))
+    return nodes
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestControl:
@@ -92,6 +137,10 @@ class TestSampledCurve:
             SampledCurve(np.array([0.0, 0.0]), np.zeros((2, 2)))
         with pytest.raises(ValueError):
             SampledCurve(np.array([0.0, 1.0]), np.zeros((3, 2)))
+        with pytest.raises(ValueError):
+            SampledCurve([0, 1, 2], [[0, np.nan], [1, 1], [2, np.inf]])
+        with pytest.raises(ValueError):
+            SampledCurve([0.0, np.nan, 2.0], np.zeros((3, 2)))
 
     def test_json_roundtrip(self):
         c = SampledCurve.from_function(lambda t: (t, 2 * t), 0.0, 1.0, 4)
@@ -162,6 +211,86 @@ class TestFlowControl:
         u = Control(np.array([0.0, 3.0]), np.array([[1.0], [1.0]]))
         with pytest.raises(NumericsError):
             flow_control(frame, u, [1.0], substeps=512)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("integrate", [
+    lambda fr, u: flow_control(fr, u, [1.0]),
+    lambda fr, u: jacobian_flow(fr, u, [1.0]),
+    lambda fr, u: extremal_residuals(fr, u, [1.0], [1.0]),
+    lambda fr, u: recover_abnormal_covector(fr, u, [1.0]),
+], ids=["flow", "jacobian", "adjoint", "inverse"])
+def test_blowup_names_the_first_bad_node(integrate):
+    # x' = x^2 from x = 1 escapes at t = 1, a third of the way in: the
+    # integrators must stop there, not at the end of the grid
+    x = Poly.var(1, 0)
+    frame = Frame([PolyVec([x * x])])
+    ts = np.linspace(0.0, 3.0, 301)
+    u = Control(ts, np.ones((301, 1)))
+    with pytest.raises(NumericsError) as info:
+        integrate(frame, u)
+    found = re.search(r"at node (\d+) \(t = ([^)]+)\)", str(info.value))
+    assert found, str(info.value)
+    node = int(found.group(1))
+    assert 100 <= node < 300
+    assert float(found.group(2)) == pytest.approx(ts[node])
+
+
+ORACLE_FRAMES = {
+    "heisenberg": heisenberg_frame,
+    "martinet": martinet_frame,
+    "f24": lambda: realized(4),
+}
+
+
+@pytest.mark.parametrize("substeps", [1, 2])
+@pytest.mark.parametrize("name", sorted(ORACLE_FRAMES))
+def test_integrators_match_textbook_rk4_bitwise(name, substeps):
+    frame = ORACLE_FRAMES[name]()
+    n = frame.n
+    rng = np.random.default_rng(29)
+    u = random_pl_control(rng, n_steps=12)
+    u.values[5] = 0.0  # a zero-control row: every term is skipped there
+    x0 = rng.uniform(-0.5, 0.5, size=n)
+    lam = rng.uniform(-1.0, 1.0, size=n)
+    grid = u.ts
+
+    def smooth(t):
+        return (math.cos(3.0 * t), 0.0 if t > 0.5 else math.sin(t))
+
+    def forward(m, a):
+        return a @ m
+
+    def adjoint(m, a):
+        return -(m @ a)
+
+    for control, kwargs in ((u, {}), (smooth, {"ts": grid})):
+        ref = reference_rk4(frame, control, grid, x0, np.eye(n), forward,
+                            substeps)
+        got = flow_control(frame, control, x0, substeps=substeps, **kwargs)
+        assert_bitwise(got.points, [x for x, _ in ref])
+    path = jacobian_flow(frame, u, x0, substeps=substeps)
+    assert_bitwise(path.mats, [m for _, m in reference_rk4(
+        frame, u, grid, x0, np.eye(n), forward, substeps)])
+
+    ref = reference_rk4(frame, u, grid, x0, lam, adjoint, substeps)
+    rep = extremal_residuals(frame, u, x0, lam, substeps=substeps)
+    evs = [compile_polyvec(f) for f in frame.fields]
+    bev = compile_polyvec(lie_bracket_fields(*frame.fields))
+    assert_bitwise(rep.rho, [[float(row @ ev(x)) for ev in evs]
+                             for x, row in ref])
+    assert_bitwise(rep.sigma, [[float(row @ bev(x))] for x, row in ref])
+
+    ref = reference_rk4(frame, u, grid, x0, np.eye(n), adjoint, substeps)
+    stack = np.array([kmat @ ev(x) for x, kmat in ref for ev in evs])
+    _, svals, vt = np.linalg.svd(stack, full_matrices=False)
+    res = recover_abnormal_covector(frame, u, x0, substeps=substeps,
+                                    threshold=1e-3)
+    assert res.stack_rows == len(stack)
+    assert_bitwise(res.singular_values, svals)
+    want = [v for s, v in zip(svals, vt) if s / svals[0] < 1e-3]
+    assert_bitwise(np.reshape(res.candidates, (-1, n)),
+                   np.reshape(want, (-1, n)))
 
 
 class TestCircleLift:
