@@ -3,7 +3,8 @@ step-7 frame on R^41, then probe whether any low-degree algebraic curve
 could contain the spiral.
 
 The full resolution (20000 samples plus an 80000-sample re-validation)
-takes about a minute; pass --fast for a quick pass at reduced resolution.
+takes about 15 s on a 2-vCPU VM; pass --fast for a quick pass at reduced
+resolution.
 
 Run:  python3 demos/spiral_recovery.py [--fast]
 """

@@ -356,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--control")
     p.add_argument("--lambda", dest="lam")
     p.add_argument("--x0")
-    p.add_argument("--tol", type=_parse_tol)
 
     p = add("recover", cmd_recover, help="null covectors of the lift")
     _add_frame_flags(p)

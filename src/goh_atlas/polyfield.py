@@ -560,11 +560,17 @@ def growth_vector(frame: Frame, p, depth: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # compiled float evaluators (hot loops in the trajectory code)
 
+EVAL_ROWS = 128  # points per block of a batched evaluation (bounds temporaries)
+
+
 class CompiledPolys:
-    """Batch float evaluator for a list of polynomials at a point.
+    """Batch float evaluator for a list of polynomials.
 
     Flattens every term into index arrays so evaluating all polynomials is
-    a handful of vectorized numpy ops; used by RK4/variational loops.
+    a handful of vectorized numpy ops; used by RK4/variational loops.  A
+    point x of shape (n,) gives shape (count,); an (M, n) array of points
+    gives (M, count), each row bit for bit what the single-point call gives
+    (same power recurrence and products, terms summed in the same order).
     """
 
     def __init__(self, polys: list[Poly]):
@@ -598,13 +604,22 @@ class CompiledPolys:
             self.coefs = np.zeros(0)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        if x.ndim == 2 and len(x) > EVAL_ROWS:
+            return np.concatenate([self(x[lo:lo + EVAL_ROWS])
+                                   for lo in range(0, len(x), EVAL_ROWS)])
         if not len(self.rows):
-            return np.zeros(self.count)
-        pows = np.ones((len(x), self.max_exp + 1))
+            return np.zeros(x.shape[:-1] + (self.count,))
+        pows = np.ones(x.shape + (self.max_exp + 1,))
         for k in range(1, self.max_exp + 1):
-            pows[:, k] = pows[:, k - 1] * x
-        vals = self.coefs * np.prod(pows[self.vars, self.exps], axis=1)
-        return np.bincount(self.rows, weights=vals, minlength=self.count)
+            pows[..., k] = pows[..., k - 1] * x
+        vals = self.coefs * np.prod(pows[..., self.vars, self.exps], axis=-1)
+        if x.ndim == 1:
+            return np.bincount(self.rows, weights=vals, minlength=self.count)
+        m = len(x)
+        bins = (np.arange(m)[:, None] * self.count + self.rows).ravel()
+        return np.bincount(bins, weights=vals.ravel(),
+                           minlength=m * self.count).reshape(m, self.count)
 
 
 def compile_polyvec(field: PolyVec):

@@ -4,11 +4,24 @@ log-phase spiral, and the polynomial non-containment probe.
 
 Controls are piecewise linear on a uniform grid (callables are accepted
 wherever a control is, for convergence studies with exact derivatives).
-All four integrators step with the shared classical RK4 generator
-`polyfield.rk4_nodes` (configurable sub-stepping) on the drift
-sum_k u_k X_k and, where needed, its Jacobian; each checks its state for
-non-finite values at every grid node.  The covector is always propagated
-by the adjoint equation rather than by inverting Jacobians.
+The four integrators share one classical RK4 scheme (configurable
+sub-stepping) on the drift sum_k u_k X_k and its Jacobian
+A = sum_k u_k DX_k, and give the bits of the plain step loop.
+
+Component j of a field reads some coordinates.  When that graph has no
+cycle (realized and normal-form frames are triangular, weights or not),
+the coordinates split into levels that read only lower ones, and x is
+integrated one level at a time over all steps of a window of the grid:
+the level's four stage derivatives from the known lower-level stage
+states, its node values by np.add.accumulate (the loop's own order of
+additions), then its stage states.  A frame with a cycle steps x through
+`polyfield.rk4_nodes` instead.  The matrix states (J, the adjoint row,
+K) then step through `rk4_nodes` with their per-step products, reading A
+batch-evaluated at the recorded stage states.  Windows end at grid
+nodes, where the step loop restarts anyway, and bound the memory on long
+grids.  Each integrator checks its state for non-finite values at every
+grid node.  The covector is always propagated by the adjoint equation
+rather than by inverting Jacobians.
 """
 
 from __future__ import annotations
@@ -19,8 +32,8 @@ import numpy as np
 
 from .errors import ConditioningError, NumericsError
 from .polyfield import (
+    CompiledPolys,
     Frame,
-    compile_jacobian,
     compile_polyvec,
     lie_bracket_fields,
     rk4_nodes,
@@ -124,61 +137,243 @@ class JacobianPath:
                 "mats": [m.tolist() for m in self.mats]}
 
 
-def _control_callable(u, ts=None):
-    """(time grid, u(t) function) from a Control or a plain callable."""
+def _check_finite(arr, what: str, node: int, t, error=NumericsError):
+    if not np.all(np.isfinite(arr)):
+        raise error(f"{what} produced non-finite values at node {node} "
+                    f"(t = {float(t):.6g})")
+
+
+WINDOW_STEPS = 512   # RK4 steps integrated together (bounds the stage arrays)
+A_CHUNK_STEPS = 16   # RK4 steps whose stage matrices are evaluated together
+
+
+def _drift(evs, uk, pts):
+    """Rows sum_k uk[:, k] * ev_k(pts): the drift at a batch of points.
+
+    evs are compiled per field (all on the same component list), so this is
+    sum_k u_k X_k, or sum_k u_k DX_k on a Jacobian pattern.  Terms with
+    u_k = 0 are skipped, and the sum starts from zeros.
+    """
+    out = np.zeros((len(pts), evs[0].count))
+    for k, ev in enumerate(evs):
+        c = uk[:, k]
+        live = c != 0.0
+        if live.all():
+            out += c[:, None] * ev(pts)
+        elif live.any():
+            out[live] += c[live, None] * ev(pts[live])
+    return out
+
+
+def _dependencies(frame: Frame) -> list[list[int]]:
+    """The coordinates that component j of some frame field reads, per j."""
+    return [sorted(set().union(*(f.comps[j].variables() for f in frame.fields)))
+            for j in range(frame.n)]
+
+
+def _levels(deps: list[list[int]]) -> list[np.ndarray] | None:
+    """Coordinates grouped by dependency level, or None on a cycle.
+
+    Level 0 reads no coordinate; level L reads only levels below L, so in
+    a weight-graded frame a coordinate's level is below its weight.
+    """
+    level: dict[int, int] = {}
+    todo = set(range(len(deps)))
+    while todo:
+        ready = {j for j in todo if all(i in level for i in deps[j])}
+        if not ready:
+            return None
+        for j in ready:
+            level[j] = max((level[i] + 1 for i in deps[j]), default=0)
+        todo -= ready
+    return [np.array(sorted(j for j in level if level[j] == lv))
+            for lv in range(max(level.values()) + 1)]
+
+
+@dataclass
+class _Window:
+    """RK4 data of the grid intervals lo..hi-1 (nodes lo..hi)."""
+
+    lo: int
+    grid: np.ndarray      # the grid nodes lo..hi
+    substeps: int
+    nodes: np.ndarray     # (hi - lo + 1, n) states at those nodes
+    stages: np.ndarray    # (S, 4, n) stage states of the window's S steps
+    controls: np.ndarray  # (S, 4, r) control values at the stage times
+    at_nodes: list        # the at_nodes evaluators' values at the nodes
+
+    @property
+    def first(self) -> int:
+        """Index of the first node the previous window has not given."""
+        return 1 if self.lo else 0
+
+
+def _stage_controls(u, r: int, grid, substeps: int):
+    """Step sizes (S,) and control values (S, 4, r) at the stage times.
+
+    Stage times are built as rk4_nodes builds them: t += h per step, and
+    t + 0.5*h, t + h inside a step.  A Control is interpolated once per
+    column over all of them; a callable is called once per stage, in order.
+    """
+    h = (grid[1:] - grid[:-1]) / substeps
+    t = grid[:-1]
+    times = np.empty((len(h), substeps, 4))
+    for j in range(substeps):
+        times[:, j] = np.stack([t, t + 0.5 * h, t + 0.5 * h, t + h], axis=1)
+        t = t + h
+    times = times.reshape(-1, 4)
     if isinstance(u, Control):
-        return u.ts, u
-    if callable(u):
+        vals = np.stack([np.interp(times, u.ts, u.values[:, k])
+                         for k in range(r)], axis=-1)
+    else:
+        vals = np.empty(times.shape + (r,))
+        for idx, t in np.ndenumerate(times):
+            row = _float_list(u(t))
+            if len(row) != r:
+                raise ValueError(f"control returned {len(row)} values at "
+                                 f"t = {t:.6g}, but the frame has r = {r} "
+                                 f"fields")
+            vals[idx] = row
+    return np.repeat(h, substeps), vals
+
+
+def _windows(frame: Frame, u, x0, substeps: int, ts, at_nodes=()):
+    """(grid, iterator of _Window): RK4 of xdot = sum_k u_k X_k(x).
+
+    The grid is cut into windows of about WINDOW_STEPS steps; a window
+    starts from its predecessor's last node, as the step loop does at
+    every grid node.  When the frame's coordinates have dependency levels,
+    each level is integrated over the window's steps at once (see the
+    module docstring); a frame with a dependency cycle steps through
+    rk4_nodes instead.  Both give the bits of the plain loop.  Each
+    at_nodes evaluator is batch-evaluated at every window's nodes.
+    """
+    x0 = np.array(_float_list(x0), dtype=float)
+    n, r = frame.n, frame.r
+    if len(x0) != n:
+        raise ValueError(f"x0 has {len(x0)} entries, but the frame lives in "
+                         f"R^{n}")
+    if substeps < 1:
+        raise ValueError("substeps must be >= 1")
+    if isinstance(u, Control):
+        grid = u.ts
+        if u.r != r:
+            raise ValueError(f"control has {u.r} columns, but the frame has "
+                             f"r = {r} fields")
+    elif callable(u):
         if ts is None:
             raise ValueError("callable controls need an explicit time grid")
-        return np.asarray(ts, dtype=float), u
-    raise TypeError("control must be a Control or a callable t -> values")
+        grid = np.asarray(ts, dtype=float)
+    else:
+        raise TypeError("control must be a Control or a callable t -> values")
+    levels = _levels(_dependencies(frame))
+    if levels is None:
+        evs = [CompiledPolys(f.comps) for f in frame.fields]
+    else:
+        evs = [[CompiledPolys([f.comps[j] for j in cols])
+                for f in frame.fields] for cols in levels]
+    span = max(1, WINDOW_STEPS // substeps)
+
+    def windows():
+        x = x0
+        for lo in range(0, max(len(grid) - 1, 1), span):
+            g = grid[lo:lo + span + 1]
+            h, controls = _stage_controls(u, r, g, substeps)
+            uk = controls.reshape(-1, r)
+            if levels is None:
+                feed = iter(uk[:, None])
+                stages = []
+
+                def rhs(t, s):
+                    stages.append(s[0])
+                    return [_drift(evs, next(feed), s[0][None])[0]]
+
+                nodes = np.array([y for (y,) in rk4_nodes(rhs, g, [x],
+                                                          substeps)])
+                stages = np.reshape(stages, (len(h), 4, n))
+            else:
+                stages = np.zeros((len(h), 4, n))
+                states = np.empty((len(h) + 1, n))
+                half = (0.5 * h)[:, None]
+                for cols, level_evs in zip(levels, evs):
+                    k = _drift(level_evs, uk, stages.reshape(-1, n))
+                    k = k.reshape(len(h), 4, len(cols))
+                    incr = (h / 6.0)[:, None] * (
+                        k[:, 0] + 2.0 * k[:, 1] + 2.0 * k[:, 2] + k[:, 3])
+                    y = np.add.accumulate(np.vstack([x[cols][None], incr]),
+                                          axis=0)
+                    states[:, cols] = y
+                    start = y[:-1]
+                    stages[:, 0, cols] = start
+                    stages[:, 1, cols] = start + half * k[:, 0]
+                    stages[:, 2, cols] = start + half * k[:, 1]
+                    stages[:, 3, cols] = start + h[:, None] * k[:, 2]
+                nodes = states[::substeps]
+            yield _Window(lo, g, substeps, nodes, stages, controls,
+                          [ev(nodes) for ev in at_nodes])
+            x = nodes[-1]
+
+    return grid, windows()
 
 
-def _check_finite(arr, what: str, grid, i: int, error=NumericsError):
-    if not np.all(np.isfinite(arr)):
-        raise error(f"{what} produced non-finite values at node {i} "
-                    f"(t = {float(grid[i]):.6g})")
+def _stage_matrices(jevs, flat, n: int, w: _Window):
+    """A = sum_k u_k DX_k at every stage of w, in the order rk4_nodes asks.
 
-
-def _drift(frame: Frame, ufn, jacobian: bool):
-    """(drift, evs): drift(t, x) = (sum_k u_k X_k(x), sum_k u_k DX_k(x)).
-
-    Terms with u_k(t) = 0 are skipped; the matrix is None unless
-    `jacobian`.  evs are the compiled frame fields, for per-node pairings.
+    jevs evaluate the Jacobians on their union nonzero pattern (flat
+    indices into n x n); A is scattered into zeros, A_CHUNK_STEPS steps at
+    a time.
     """
-    evs = [compile_polyvec(f) for f in frame.fields]
-    jevs = [compile_jacobian(f) for f in frame.fields] if jacobian else None
+    pts = w.stages.reshape(-1, n)
+    uk = w.controls.reshape(len(pts), -1)
+    chunk = 4 * A_CHUNK_STEPS
+    for lo in range(0, len(pts), chunk):
+        amat = np.zeros((len(pts[lo:lo + chunk]), n * n))
+        amat[:, flat] = _drift(jevs, uk[lo:lo + chunk], pts[lo:lo + chunk])
+        yield from amat.reshape(-1, n, n)
+
+
+def _propagate(frame: Frame, windows, m0, product, what: str, error):
+    """RK4 of Mdot = product(A, M) along the windows.
+
+    Yields (window, i, M) at each new node i of each window; M is checked
+    there, so propagation stops at the first non-finite one.
+    """
     n = frame.n
+    pattern = [(j, i) for j, deps in enumerate(_dependencies(frame))
+               for i in deps]
+    flat = [j * n + i for j, i in pattern]
+    jevs = [CompiledPolys([f.comps[j].diff(i) for j, i in pattern])
+            for f in frame.fields]
+    m = m0
+    for w in windows:
+        amats = _stage_matrices(jevs, flat, n, w)
+        for i, (m,) in enumerate(rk4_nodes(
+                lambda t, s, a=amats: [product(next(a), s[0])], w.grid, [m],
+                w.substeps)):
+            if i >= w.first:
+                _check_finite(m, what, w.lo + i, w.grid[i], error)
+                yield w, i, m
 
-    def drift(t, x):
-        uv = ufn(t)
-        dx = np.zeros(n)
-        amat = np.zeros((n, n)) if jacobian else None
-        for k, ev in enumerate(evs):
-            c = float(uv[k])
-            if c:
-                dx += c * ev(x)
-                if jacobian:
-                    amat += c * jevs[k](x)
-        return dx, amat
 
-    return drift, evs
+def _forward(amat, m):
+    return amat @ m
+
+
+def _adjoint(amat, m):
+    return -(m @ amat)
 
 
 def flow_control(frame: Frame, u, x0, substeps: int = 1, ts=None) -> SampledCurve:
     """RK4 trajectory of xdot = sum_k u_k(t) X_k(x) on the control grid."""
-    grid, ufn = _control_callable(u, ts)
-    drift, _ = _drift(frame, ufn, jacobian=False)
-    x = np.array(_float_list(x0), dtype=float)
-    if len(x) != frame.n:
-        raise ValueError("x0 must live in the frame's ambient space")
+    grid, windows = _windows(frame, u, x0, substeps, ts)
     out = []
-    nodes = rk4_nodes(lambda t, s: [drift(t, s[0])[0]], grid, [x], substeps)
-    for i, (x,) in enumerate(nodes):
-        _check_finite(x, "control flow", grid, i)
-        out.append(x)
-    return SampledCurve(grid, np.array(out))
+    for w in windows:
+        bad = ~np.isfinite(w.nodes).all(axis=1)
+        if bad.any():
+            i = int(bad.argmax())
+            _check_finite(w.nodes[i], "control flow", w.lo + i, w.grid[i])
+        out.append(w.nodes[w.first:])
+    return SampledCurve(grid, np.concatenate(out))
 
 
 def lift_control(kappa: SampledCurve) -> Control:
@@ -213,19 +408,10 @@ def horizontal_lift(frame: Frame, kappa: SampledCurve, x0,
 def jacobian_flow(frame: Frame, u, x0, substeps: int = 1,
                   ts=None) -> JacobianPath:
     """J(t_i) of the flow, by RK4 on Jdot = DX_u(t, gamma(t)) J."""
-    grid, ufn = _control_callable(u, ts)
-    drift, _ = _drift(frame, ufn, jacobian=True)
-
-    def rhs(t, state):
-        dx, amat = drift(t, state[0])
-        return [dx, amat @ state[1]]
-
-    x = np.array(_float_list(x0), dtype=float)
-    mats = []
-    for i, (_, jmat) in enumerate(
-            rk4_nodes(rhs, grid, [x, np.eye(frame.n)], substeps)):
-        _check_finite(jmat, "variational flow", grid, i)
-        mats.append(jmat)
+    grid, windows = _windows(frame, u, x0, substeps, ts)
+    mats = [m for _, _, m in _propagate(frame, windows, np.eye(frame.n),
+                                        _forward, "variational flow",
+                                        NumericsError)]
     dets = np.array([np.linalg.det(m) for m in mats])
     return JacobianPath(grid, mats, dets)
 
@@ -280,23 +466,18 @@ def extremal_residuals(frame: Frame, u, x0, lam, substeps: int = 1,
     lam = np.array(_float_list(lam))
     if len(lam) != frame.n or not np.any(lam):
         raise ValueError("covector must be nonzero with n entries")
-    grid, ufn = _control_callable(u, ts)
-    drift, evs = _drift(frame, ufn, jacobian=True)
     pairs = _pair_list(frame.r)
-    bevs = [compile_polyvec(
-        lie_bracket_fields(frame.fields[h - 1], frame.fields[k - 1]))
+    pairings = [compile_polyvec(f) for f in frame.fields] + [
+        compile_polyvec(lie_bracket_fields(frame.fields[h - 1],
+                                           frame.fields[k - 1]))
         for h, k in pairs]
-
-    def rhs(t, state):
-        dx, amat = drift(t, state[0])
-        return [dx, -(state[1] @ amat)]
-
-    x = np.array(_float_list(x0), dtype=float)
+    grid, windows = _windows(frame, u, x0, substeps, ts, pairings)
     rho_rows, sigma_rows = [], []
-    for i, (x, row) in enumerate(rk4_nodes(rhs, grid, [x, lam], substeps)):
-        _check_finite(row, "adjoint propagation", grid, i, ConditioningError)
-        rho_rows.append([float(row @ ev(x)) for ev in evs])
-        sigma_rows.append([float(row @ bev(x)) for bev in bevs])
+    for w, i, row in _propagate(frame, windows, lam, _adjoint,
+                                "adjoint propagation", ConditioningError):
+        vals = [float(row @ v[i]) for v in w.at_nodes]
+        rho_rows.append(vals[:frame.r])
+        sigma_rows.append(vals[frame.r:])
     rho = np.array(rho_rows)
     sigma = np.array(sigma_rows) if pairs else np.zeros((len(grid), 0))
     return ExtremalReport(
@@ -334,20 +515,12 @@ def recover_abnormal_covector(frame: Frame, u, x0, substeps: int = 1,
     singular vectors below the sigma ratio threshold; an empty list means
     no abnormal covector is visible at this grid resolution.
     """
-    grid, ufn = _control_callable(u, ts)
-    drift, evs = _drift(frame, ufn, jacobian=True)
     n = frame.n
-
-    def rhs(t, state):
-        dx, amat = drift(t, state[0])
-        return [dx, -(state[1] @ amat)]
-
-    x = np.array(_float_list(x0), dtype=float)
-    rows = []
-    for i, (x, kmat) in enumerate(rk4_nodes(rhs, grid, [x, np.eye(n)], substeps)):
-        _check_finite(kmat, "inverse-Jacobian propagation", grid, i,
-                      ConditioningError)
-        rows.extend(kmat @ ev(x) for ev in evs)
+    _, windows = _windows(frame, u, x0, substeps, ts,
+                          [compile_polyvec(f) for f in frame.fields])
+    rows = [kmat @ v[i] for w, i, kmat in _propagate(
+        frame, windows, np.eye(n), _adjoint, "inverse-Jacobian propagation",
+        ConditioningError) for v in w.at_nodes]
 
     stack = np.array(rows)
     if stack.shape[0] < n:

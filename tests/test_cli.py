@@ -136,6 +136,27 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert run(capsys, "nonsense")[0] == 2
 
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_control_of_the_wrong_width(self, capsys, tmp_path, width):
+        control = {"schema": "goh-atlas/1", "type": "control",
+                   "t": [0.0, 1.0], "values": [[1.0] * width] * 2}
+        path = tmp_path / "u.json"
+        path.write_text(serialize.dumps(control))
+        code, out, err = run(capsys, "flow", "--rank", "2", "--step", "2",
+                             "--control", str(path))
+        assert (code, out) == (2, "")
+        assert f"control has {width} columns" in err
+
+    def test_residuals_takes_no_tolerance(self, capsys, tmp_path):
+        control = {"schema": "goh-atlas/1", "type": "control",
+                   "t": [0.0, 1.0], "values": [[0.0, 1.0], [0.0, 1.0]]}
+        path = tmp_path / "u.json"
+        path.write_text(serialize.dumps(control))
+        code, out, _ = run(capsys, "residuals", "--rank", "2", "--step", "2",
+                           "--control", str(path), "--lambda", "0,0,1",
+                           "--tol", "1e-3")
+        assert (code, out) == (2, "")
+
     def test_unknown_scenario(self, capsys):
         assert run(capsys, "demo", "not-a-scenario")[0] == 2
 

@@ -276,6 +276,21 @@ class TestCompiledEvaluators:
             want = np.array([p.eval_float(x) for p in polys])
             assert np.max(np.abs(ev(x) - want)) < 1e-10
 
+    @pytest.mark.parametrize("count", [0, 1, 5])
+    def test_batch_rows_are_the_single_point_bits(self, count):
+        # more rows than one evaluation block, signed zeros among the points
+        rng = random.Random(41)
+        polys = [random_poly(rng, 4, deg=3, nterms=6) for _ in range(count)]
+        ev = CompiledPolys(polys)
+        pts = np.random.default_rng(41).uniform(-2.0, 2.0, size=(300, 4))
+        pts[::7, 1] = -0.0
+        got = ev(pts)
+        want = np.array([ev(x) for x in pts])
+        assert got.shape == (300, count) == want.shape
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+        assert ev(pts[:0]).shape == (0, count)
+
     def test_constants_and_zero(self):
         ev = CompiledPolys([Poly.const(3, F(7, 2)), Poly.zero(3)])
         out = ev(np.zeros(3))

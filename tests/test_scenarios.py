@@ -15,6 +15,12 @@ def test_fast_scenarios_pass(name):
     assert rep.ok, f"failed checks: {failed}"
 
 
+def test_f27_spiral_scenario_at_500_samples():
+    rep = run_scenario("f27-spiral", samples=500)
+    failed = [c for c in rep.checks if c["ok"] is False]
+    assert rep.ok, f"failed checks: {failed}"
+
+
 def test_unknown_scenario():
     with pytest.raises(KeyError):
         run_scenario("nope")

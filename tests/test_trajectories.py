@@ -4,7 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from goh_atlas import polyfield, trajectories
 from goh_atlas.errors import NumericsError
 from goh_atlas.freelie import generate_basis
 from goh_atlas.normalform import realize_frame
@@ -18,10 +21,13 @@ from goh_atlas.polyfield import (
     heisenberg_frame,
     lie_bracket_fields,
     martinet_frame,
+    rk4_nodes,
 )
 from goh_atlas.trajectories import (
     Control,
     SampledCurve,
+    _dependencies,
+    _levels,
     extremal_residuals,
     flow_control,
     horizontal_lift,
@@ -236,14 +242,76 @@ def test_blowup_names_the_first_bad_node(integrate):
     assert float(found.group(2)) == pytest.approx(ts[node])
 
 
+def cyclic_frame() -> Frame:
+    # X_1 = d_1 - x3 d_2 + x2 d_3, X_2 = x2 x3 d_1 + d_2 + x1 d_3: x2 and x3
+    # read each other, so the coordinates have no dependency levels
+    n = 3
+    x1, x2, x3 = (Poly.var(n, i) for i in range(n))
+    f1 = PolyVec([Poly.one(n), -x3, x2])
+    f2 = PolyVec([x2 * x3, Poly.one(n), x1])
+    return Frame([f1, f2])
+
+
+def weightless(frame: Frame) -> Frame:
+    data = frame.to_json()
+    del data["weights"]
+    return Frame.from_json(data)
+
+
 ORACLE_FRAMES = {
     "heisenberg": heisenberg_frame,
     "martinet": martinet_frame,
     "f24": lambda: realized(4),
+    "f25": lambda: realized(5),
+    "cyclic": cyclic_frame,
 }
 
 
-@pytest.mark.parametrize("substeps", [1, 2])
+def forward(m, a):
+    return a @ m
+
+
+def adjoint(m, a):
+    return -(m @ a)
+
+
+def assert_integrators_match_textbook(frame, u, x0, lam, substeps, ts=None):
+    """All four integrators against reference_rk4, bit for bit."""
+    n = frame.n
+    grid = u.ts if ts is None else ts
+    kwargs = {} if ts is None else {"ts": ts}
+    ref = reference_rk4(frame, u, grid, x0, np.eye(n), forward, substeps)
+    got = flow_control(frame, u, x0, substeps=substeps, **kwargs)
+    assert_bitwise(got.points, [x for x, _ in ref])
+    path = jacobian_flow(frame, u, x0, substeps=substeps, **kwargs)
+    assert_bitwise(path.mats, [m for _, m in ref])
+
+    ref = reference_rk4(frame, u, grid, x0, lam, adjoint, substeps)
+    rep = extremal_residuals(frame, u, x0, lam, substeps=substeps, **kwargs)
+    evs = [compile_polyvec(f) for f in frame.fields]
+    bevs = [compile_polyvec(lie_bracket_fields(frame.fields[h - 1],
+                                               frame.fields[k - 1]))
+            for h, k in rep.pairs]
+    assert_bitwise(rep.rho, [[float(row @ ev(x)) for ev in evs]
+                             for x, row in ref])
+    assert_bitwise(rep.sigma, np.reshape(
+        [[float(row @ bev(x)) for bev in bevs] for x, row in ref],
+        (len(ref), len(bevs))))
+
+    ref = reference_rk4(frame, u, grid, x0, np.eye(n), adjoint, substeps)
+    stack = np.array([kmat @ ev(x) for x, kmat in ref for ev in evs])
+    _, svals, vt = np.linalg.svd(stack, full_matrices=False)
+    res = recover_abnormal_covector(frame, u, x0, substeps=substeps,
+                                    threshold=1e-3, **kwargs)
+    assert res.stack_rows == len(stack)
+    assert_bitwise(res.singular_values, svals)
+    want = [v for s, v in zip(svals, vt)
+            if svals[0] == 0.0 or s / svals[0] < 1e-3]
+    assert_bitwise(np.reshape(res.candidates, (-1, n)),
+                   np.reshape(want, (-1, n)))
+
+
+@pytest.mark.parametrize("substeps", [1, 2, 3])
 @pytest.mark.parametrize("name", sorted(ORACLE_FRAMES))
 def test_integrators_match_textbook_rk4_bitwise(name, substeps):
     frame = ORACLE_FRAMES[name]()
@@ -253,44 +321,156 @@ def test_integrators_match_textbook_rk4_bitwise(name, substeps):
     u.values[5] = 0.0  # a zero-control row: every term is skipped there
     x0 = rng.uniform(-0.5, 0.5, size=n)
     lam = rng.uniform(-1.0, 1.0, size=n)
-    grid = u.ts
 
     def smooth(t):
         return (math.cos(3.0 * t), 0.0 if t > 0.5 else math.sin(t))
 
-    def forward(m, a):
-        return a @ m
+    assert_integrators_match_textbook(frame, u, x0, lam, substeps)
+    assert_integrators_match_textbook(frame, smooth, x0, lam, substeps,
+                                      ts=u.ts)
 
-    def adjoint(m, a):
-        return -(m @ a)
 
-    for control, kwargs in ((u, {}), (smooth, {"ts": grid})):
-        ref = reference_rk4(frame, control, grid, x0, np.eye(n), forward,
-                            substeps)
-        got = flow_control(frame, control, x0, substeps=substeps, **kwargs)
-        assert_bitwise(got.points, [x for x, _ in ref])
-    path = jacobian_flow(frame, u, x0, substeps=substeps)
-    assert_bitwise(path.mats, [m for _, m in reference_rk4(
-        frame, u, grid, x0, np.eye(n), forward, substeps)])
+@pytest.mark.parametrize("name", ["heisenberg", "f25", "cyclic"])
+def test_windows_chunks_and_blocks_keep_the_bits(monkeypatch, name):
+    # tiny windows, stage-matrix chunks and evaluation blocks, so the
+    # 12-interval grid crosses every boundary, none of them aligned
+    monkeypatch.setattr(trajectories, "WINDOW_STEPS", 5)
+    monkeypatch.setattr(trajectories, "A_CHUNK_STEPS", 3)
+    monkeypatch.setattr(polyfield, "EVAL_ROWS", 7)
+    frame = ORACLE_FRAMES[name]()
+    rng = np.random.default_rng(31)
+    u = random_pl_control(rng, n_steps=12)
+    u.values[4] = 0.0
+    x0 = rng.uniform(-0.5, 0.5, size=frame.n)
+    lam = rng.uniform(-1.0, 1.0, size=frame.n)
+    for substeps in (1, 2, 3):
+        assert_integrators_match_textbook(frame, u, x0, lam, substeps)
 
-    ref = reference_rk4(frame, u, grid, x0, lam, adjoint, substeps)
-    rep = extremal_residuals(frame, u, x0, lam, substeps=substeps)
-    evs = [compile_polyvec(f) for f in frame.fields]
-    bev = compile_polyvec(lie_bracket_fields(*frame.fields))
-    assert_bitwise(rep.rho, [[float(row @ ev(x)) for ev in evs]
-                             for x, row in ref])
-    assert_bitwise(rep.sigma, [[float(row @ bev(x))] for x, row in ref])
 
-    ref = reference_rk4(frame, u, grid, x0, np.eye(n), adjoint, substeps)
-    stack = np.array([kmat @ ev(x) for x, kmat in ref for ev in evs])
-    _, svals, vt = np.linalg.svd(stack, full_matrices=False)
-    res = recover_abnormal_covector(frame, u, x0, substeps=substeps,
-                                    threshold=1e-3)
-    assert res.stack_rows == len(stack)
-    assert_bitwise(res.singular_values, svals)
-    want = [v for s, v in zip(svals, vt) if s / svals[0] < 1e-3]
-    assert_bitwise(np.reshape(res.candidates, (-1, n)),
-                   np.reshape(want, (-1, n)))
+def test_single_node_grid():
+    frame = heisenberg_frame()
+    calls = []
+
+    def u(t):
+        calls.append(t)
+        return (1.0, 0.0)
+
+    curve = flow_control(frame, u, [0.5, 0.0, -0.0], ts=[2.0])
+    assert_bitwise(curve.points, [[0.5, 0.0, -0.0]])
+    assert calls == []
+    path = jacobian_flow(frame, u, [0.5, 0.0, 0.0], ts=[2.0])
+    assert_bitwise(path.mats, [np.eye(3)])
+
+
+@st.composite
+def triangular_frames(draw):
+    """Random polynomial frames whose coordinates have dependency levels.
+
+    Coordinate order[j] reads only coordinates order[i] with i < j, so the
+    levels are not contiguous index blocks.
+    """
+    n = draw(st.integers(1, 5))
+    r = draw(st.integers(1, 3))
+    order = draw(st.permutations(range(n)))
+    coefs = st.fractions(-2, 2, max_denominator=4)
+    fields = []
+    for _ in range(r):
+        comps = [Poly.zero(n)] * n
+        for j in range(n):
+            lower = order[:j]
+            terms = {}
+            for _ in range(draw(st.integers(0, 3))):
+                e = [0] * n
+                for i in lower:
+                    e[i] = draw(st.integers(0, 2))
+                terms[tuple(e)] = draw(coefs)
+            comps[order[j]] = Poly(n, terms)
+        fields.append(PolyVec(comps))
+    return Frame(fields)
+
+
+signed_values = st.one_of(st.sampled_from([0.0, -0.0]),
+                          st.floats(-1.0, 1.0, allow_subnormal=False))
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), frame=triangular_frames(), substeps=st.integers(1, 3))
+def test_level_scheme_matches_textbook_rk4_on_random_frames(data, frame,
+                                                           substeps):
+    n, r = frame.n, frame.r
+    assert _levels(_dependencies(frame)) is not None
+    nodes = data.draw(st.integers(max(n, 2), 9))
+    ts = np.linspace(0.0, data.draw(st.floats(0.1, 1.5)), nodes)
+    values = data.draw(st.lists(st.lists(signed_values, min_size=r,
+                                         max_size=r),
+                                min_size=nodes, max_size=nodes))
+    x0 = data.draw(st.lists(st.one_of(st.just(-0.0), st.floats(-0.5, 0.5)),
+                            min_size=n, max_size=n))
+    lam = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=n, max_size=n)
+                    .filter(any))
+    assert_integrators_match_textbook(frame, Control(ts, values), x0,
+                                      np.array(lam), substeps)
+
+
+@pytest.mark.parametrize("make, leveled", [
+    (heisenberg_frame, True),
+    (martinet_frame, True),
+    (f23_frame, True),
+    (lambda: realized(5), True),
+    (lambda: weightless(realized(4)), True),
+    (cyclic_frame, False),
+    (lambda: Frame([PolyVec([Poly.var(1, 0) * Poly.var(1, 0)])]), False),
+], ids=["heisenberg", "martinet", "f23", "f25", "f24-weightless",
+        "cyclic", "blowup"])
+def test_level_scheme_selection(monkeypatch, make, leveled):
+    # the fast path needs only the coordinate dependency graph: weights
+    # play no part, and a cycle (x' = x^2 included) falls back to stepping
+    # x through rk4_nodes
+    frame = make()
+    levels = _levels(_dependencies(frame))
+    assert (levels is not None) == leveled
+    if leveled:
+        assert sorted(np.concatenate(levels).tolist()) == list(range(frame.n))
+        if frame.weights is not None:
+            for level, cols in enumerate(levels):
+                assert all(frame.weights[j] > level for j in cols)
+    stepped = []
+
+    def spy(*args, **kwargs):
+        stepped.append(args[1])
+        return rk4_nodes(*args, **kwargs)
+
+    monkeypatch.setattr(trajectories, "rk4_nodes", spy)
+    u = Control(np.linspace(0.0, 1.0, 5), np.full((5, frame.r), 0.1))
+    flow_control(frame, u, np.zeros(frame.n))
+    assert bool(stepped) != leveled
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda fr, u, **kw: flow_control(fr, u, [0.0] * 3, **kw),
+    lambda fr, u, **kw: jacobian_flow(fr, u, [0.0] * 3, **kw),
+    lambda fr, u, **kw: extremal_residuals(fr, u, [0.0] * 3, [0, 0, 1], **kw),
+    lambda fr, u, **kw: recover_abnormal_covector(fr, u, [0.0] * 3, **kw),
+], ids=["flow", "jacobian", "adjoint", "inverse"])
+@pytest.mark.parametrize("width", [1, 3])
+def test_control_width_must_match_the_frame(integrate, width):
+    frame = heisenberg_frame()
+    u = Control(np.array([0.0, 1.0]), np.ones((2, width)))
+    with pytest.raises(ValueError, match=f"control has {width} columns"):
+        integrate(frame, u)
+    with pytest.raises(ValueError, match=f"control returned {width} values"):
+        integrate(frame, lambda t: (1.0,) * width, ts=[0.0, 1.0])
+
+
+@pytest.mark.parametrize("integrate", [
+    lambda fr, u: jacobian_flow(fr, u, [0.0, 0.0]),
+    lambda fr, u: extremal_residuals(fr, u, [0.0, 0.0], [0, 0, 1]),
+    lambda fr, u: recover_abnormal_covector(fr, u, [0.0, 0.0]),
+], ids=["jacobian", "adjoint", "inverse"])
+def test_x0_length_is_checked(integrate):
+    u = Control(np.array([0.0, 1.0]), np.ones((2, 2)))
+    with pytest.raises(ValueError, match="x0 has 2 entries"):
+        integrate(heisenberg_frame(), u)
 
 
 class TestCircleLift:
