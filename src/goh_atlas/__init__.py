@@ -1,18 +1,12 @@
 """Exact free-nilpotent Lie algebra models, polynomial frames in normal form,
-Goh varieties, and numeric abnormal-extremal diagnostics."""
+Goh varieties, and numeric abnormal-extremal diagnostics.
 
-from . import (
-    cli,
-    errors,
-    freelie,
-    goh,
-    metabelian,
-    normalform,
-    polyfield,
-    scenarios,
-    serialize,
-    trajectories,
-)
+Submodules load on first attribute access (PEP 562), so importing the exact
+kernel pulls in neither numpy nor the CLI, and ``python -m goh_atlas.cli``
+runs the CLI module once.
+"""
+
+import importlib
 
 __all__ = [
     "cli",
@@ -27,3 +21,9 @@ __all__ = [
     "trajectories",
 ]
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    if name in __all__:
+        return importlib.import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -135,10 +135,12 @@ def generate_basis(rank: int, step: int) -> LyndonBasis:
 # Truncated tensor algebra.  A tensor element is a dict word -> coefficient.
 # Coefficients may be Fraction or any exact ring element supporting
 # +, -, *, bool() (polynomials in normalform use this with no changes here).
+# Sums accumulate in place.  The insertion order of the keys is part of the
+# result: with Poly coefficients it becomes the term order of realized frames.
 
-def t_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for w, c in b.items():
+def _accumulate(out: dict, items) -> dict:
+    """Add (key, coefficient) pairs into out in place, dropping zero sums."""
+    for w, c in items:
         s = out.get(w)
         s = c if s is None else s + c
         if s:
@@ -146,6 +148,17 @@ def t_add(a: dict, b: dict) -> dict:
         else:
             out.pop(w, None)
     return out
+
+
+def _axpy(out: dict, a: dict, c) -> dict:
+    """out += c * a in place."""
+    if c:
+        _accumulate(out, ((w, cw * c) for w, cw in a.items()))
+    return out
+
+
+def t_add(a: dict, b: dict) -> dict:
+    return _accumulate(dict(a), b.items())
 
 
 def t_scale(a: dict, c) -> dict:
@@ -156,11 +169,14 @@ def t_scale(a: dict, c) -> dict:
 
 def t_mul(a: dict, b: dict, step: int) -> dict:
     out: dict = {}
+    fits: dict[int, list] = {}  # room -> the items of b that fit, in order
     for wa, ca in a.items():
         room = step - len(wa)
-        for wb, cb in b.items():
-            if len(wb) > room:
-                continue
+        bs = fits.get(room)
+        if bs is None:
+            bs = fits[room] = [(wb, cb) for wb, cb in b.items()
+                               if len(wb) <= room]
+        for wb, cb in bs:
             w = wa + wb
             c = ca * cb
             s = out.get(w)
@@ -173,7 +189,7 @@ def t_mul(a: dict, b: dict, step: int) -> dict:
 
 
 def t_bracket(a: dict, b: dict, step: int) -> dict:
-    return t_add(t_mul(a, b, step), t_scale(t_mul(b, a, step), Fraction(-1)))
+    return _axpy(t_mul(a, b, step), t_mul(b, a, step), Fraction(-1))
 
 
 def t_exp(a: dict, step: int, one=ONE) -> dict:
@@ -186,7 +202,7 @@ def t_exp(a: dict, step: int, one=ONE) -> dict:
         term = t_scale(t_mul(term, a, step), Fraction(1, k))
         if not term:
             break
-        out = t_add(out, term)
+        _accumulate(out, term.items())
     return out
 
 
@@ -202,7 +218,7 @@ def t_log(g: dict, step: int, one=ONE) -> dict:
         term = t_mul(term, x, step)
         if not term:
             break
-        out = t_add(out, t_scale(term, Fraction((-1) ** (k + 1), k)))
+        _axpy(out, term, Fraction((-1) ** (k + 1), k))
     return out
 
 
@@ -217,15 +233,7 @@ def lie_single(basis: LyndonBasis, word: Word, coeff=ONE) -> LieElement:
 
 
 def lie_add(a: LieElement, b: LieElement) -> LieElement:
-    out = dict(a)
-    for i, c in b.items():
-        s = out.get(i)
-        s = c if s is None else s + c
-        if s:
-            out[i] = s
-        else:
-            out.pop(i, None)
-    return out
+    return _accumulate(dict(a), b.items())
 
 
 def lie_scale(a: LieElement, c) -> LieElement:
@@ -261,7 +269,7 @@ def lie_to_tensor(a: LieElement, basis: LyndonBasis) -> dict:
     exps = word_expansions(basis)
     out: dict = {}
     for i, c in a.items():
-        out = t_add(out, t_scale(exps[i], c))
+        _axpy(out, exps[i], c)
     return out
 
 
@@ -280,7 +288,7 @@ def tensor_to_lie(t: dict, basis: LyndonBasis) -> dict:
         if c is None or not c:
             continue
         out[i] = c
-        rest = t_add(rest, t_scale(exps[i], -c))
+        _axpy(rest, exps[i], -c)
     if rest:
         raise ValueError("tensor element is not in the Lie algebra")
     return out
@@ -332,11 +340,10 @@ class StructureTable:
         """Bilinear bracket through the table (no tensor work)."""
         out: LieElement = {}
         for i, ci in a.items():
+            row = self.table[i]
             for j, cj in b.items():
-                cij = ci * cj
-                if not cij:
-                    continue
-                out = lie_add(out, lie_scale(self.table[i][j], cij))
+                if row[j]:
+                    _axpy(out, row[j], ci * cj)
         return out
 
     def to_json(self) -> dict:

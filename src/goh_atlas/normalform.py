@@ -23,6 +23,7 @@ from math import comb
 
 from .errors import NumericsError
 from .freelie import (
+    _axpy,
     LyndonBasis,
     StructureTable,
     standard_factorization,
@@ -142,19 +143,6 @@ def _bracket_poly(stb: list[dict], a: dict, b: dict) -> dict:
     return out
 
 
-def _axpy(acc: dict, el: dict, c: Fraction) -> None:
-    for k, p in el.items():
-        q = p * c
-        if not q:
-            continue
-        got = acc.get(k)
-        s = q if got is None else got + q
-        if s:
-            acc[k] = s
-        else:
-            acc.pop(k, None)
-
-
 def _ad_series(stb, y_el: dict, k: int, step: int, n: int,
                bern: list[Fraction]) -> dict:
     """sum_m (b_m/m!) ad_y^m (B_k) with Poly coefficients."""
@@ -242,7 +230,9 @@ def realize_frame(basis: LyndonBasis) -> tuple[Frame, CoordinateMaps]:
     psi_el = {j: psi[j] for j in range(n) if psi[j]}
     cols = [_ad_series(stb, psi_el, k, step, n, bern) for k in range(n)]
 
-    # transport through (D psi)^{-1}; N = D psi - I is nilpotent by weight
+    # transport through (D psi)^{-1}.  N = D psi - I couples a coordinate
+    # only to coordinates of lower weight, which come first in the basis,
+    # so z = c - N z is solved by forward substitution, one row at a time.
     nmat: list[dict] = []
     for i in range(n):
         row = {}
@@ -252,35 +242,28 @@ def realize_frame(basis: LyndonBasis) -> tuple[Frame, CoordinateMaps]:
                 d = d - 1
             if d:
                 row[j] = d
+        if row and max(row) >= i:
+            raise NumericsError(
+                f"D psi - I is not strictly lower triangular in row {i}")
         nmat.append(row)
 
     fields: list[PolyVec] = []
-    for k in range(n):
-        z = dict(cols[k])
-        for _ in range(step):
-            nz: dict = {}
-            for i, row in enumerate(nmat):
-                acc = None
-                for j, nij in row.items():
-                    zj = z.get(j)
-                    if zj is None:
-                        continue
-                    t = nij * zj
-                    if t:
-                        acc = t if acc is None else acc + t
-                if acc is not None and acc:
-                    nz[i] = acc
-            new = dict(cols[k])
-            for i, v in nz.items():
-                got = new.get(i)
-                s = -v if got is None else got - v
-                if s:
-                    new[i] = s
-                else:
-                    new.pop(i, None)
-            if new == z:
-                break
-            z = new
+    for col in cols:
+        z: dict = {}
+        for i, row in enumerate(nmat):
+            acc = None
+            for j, nij in row.items():
+                zj = z.get(j)
+                if zj is None:
+                    continue
+                t = nij * zj
+                if t:
+                    acc = t if acc is None else acc + t
+            got = col.get(i)
+            if acc is not None and acc:
+                got = -acc if got is None else got - acc
+            if got:
+                z[i] = got
         fields.append(PolyVec([z.get(j, Poly.zero(n)) for j in range(n)]))
 
     weights = tuple(len(w) for w in basis.words)

@@ -1,16 +1,27 @@
 """Exact multivariate polynomials, polynomial vector fields, and frames.
 
 Poly stores a sparse map exponent-tuple -> Fraction over a fixed ambient
-dimension.  PolyVec is one polynomial per coordinate; Frame is r fields on
-R^n.  Exact flows come from Picard iteration on the polynomial flow map,
-which stabilizes exactly when the field is nilpotent in the iteration
-sense; everything else raises NotNilpotentError.
+dimension.  A product packs every exponent tuple into one int (a field per
+variable, wide enough that no sum carries), so a monomial product is one
+integer addition, and accumulates integer numerators over a common
+denominator (packed exponent vectors: Monagan & Pearce, CASC 2007).  The
+insertion order of the terms is part of the result: float evaluators sum
+terms in dict order.  PolyVec is one polynomial per coordinate; Frame is r
+fields on R^n.  Exact flows come from Picard iteration on the polynomial
+flow map, which stabilizes exactly when the field is nilpotent in the
+iteration sense; everything else raises NotNilpotentError.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial, reduce
+from itertools import chain, compress
+from math import lcm
+from operator import or_
 
 import numpy as np
 
@@ -30,6 +41,40 @@ def _as_frac(c) -> Fraction:
     if isinstance(c, float):
         return Fraction(c)  # exact binary value
     raise TypeError(f"cannot coerce {type(c).__name__} to Fraction")
+
+
+# (field width in bytes, array typecode), narrowest first
+_WIDTHS = sorted({array(code).itemsize: code for code in "QLIHB"}.items())
+
+
+def _packed_keys(a: dict, b: dict, n: int):
+    """(conv, key bytes, keys of a, keys of b) for the product a * b.
+
+    Each exponent gets a field of the narrowest width that holds
+    max_a + max_b, the largest entry of any product exponent, so the sum of
+    two keys never carries from one field into the next.  conv turns an
+    exponent tuple into the native bytes of its fields, and the bytes of a
+    key back into the tuple (bytes itself for one-byte fields).  One-byte
+    fields are tried first: they hold every sum when no entry has its top
+    bit set, which is cheaper to test than the largest entries.  Negative
+    exponents raise OverflowError or ValueError.
+    """
+    order, from_bytes = sys.byteorder, int.from_bytes
+    try:
+        ka = [from_bytes(bytes(e), order) for e in a]
+        kb = [from_bytes(bytes(e), order) for e in b]
+        top_bits = from_bytes(b"\x80" * n, order)
+        if not (reduce(or_, ka) | reduce(or_, kb)) & top_bits:
+            return bytes, n, ka, kb
+    except ValueError:  # an entry outside 0..255
+        pass
+    top = max(map(max, a)) + max(map(max, b))
+    for size, code in _WIDTHS:
+        if top < 1 << (8 * size):
+            conv = bytes if size == 1 else partial(array, code)
+            return (conv, n * size, [from_bytes(conv(e), order) for e in a],
+                    [from_bytes(conv(e), order) for e in b])
+    raise OverflowError(f"exponent sum {top} does not fit in 64 bits")
 
 
 class Poly:
@@ -89,11 +134,15 @@ class Poly:
             other = Poly.const(self.n, other)
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
-            if s:
-                out[e] = s
+            s = out.get(e)
+            if s is None:
+                out[e] = c
             else:
-                out.pop(e, None)
+                s += c
+                if s:
+                    out[e] = s
+                else:
+                    del out[e]
         p = Poly.__new__(Poly)
         p.n, p.terms = self.n, out
         return p
@@ -125,17 +174,32 @@ class Poly:
             return p
         if self.n != other.n:
             raise ValueError("ambient dimension mismatch")
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                s = out.get(e, ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
         p = Poly.__new__(Poly)
-        p.n, p.terms = self.n, out
+        p.n, p.terms = self.n, {}
+        a, b = self.terms, other.terms
+        if not a or not b:
+            return p
+        conv, nbytes, ka, kb = _packed_keys(a, b, self.n)
+        da = lcm(*[c.denominator for c in a.values()])
+        db = lcm(*[c.denominator for c in b.values()])
+        ib = [(k, c.numerator * (db // c.denominator))
+              for k, c in zip(kb, b.values())]
+        # running integer sums in the order of the pairs; a key whose sum
+        # hits zero is dropped, so it re-enters at the end if it comes back
+        out: dict[int, int] = {}
+        get = out.get
+        for k1, c in zip(ka, a.values()):
+            c1 = c.numerator * (da // c.denominator)
+            for k2, c2 in ib:
+                k = k1 + k2
+                s = get(k, 0) + c1 * c2
+                if s:
+                    out[k] = s
+                else:
+                    del out[k]
+        d, order = da * db, sys.byteorder
+        p.terms = {tuple(conv(k.to_bytes(nbytes, order))): Fraction(s, d)
+                   for k, s in out.items()}
         return p
 
     __rmul__ = __mul__
@@ -218,7 +282,8 @@ class Poly:
                    default=0)
 
     def variables(self) -> set[int]:
-        return {i for e in self.terms for i, k in enumerate(e) if k}
+        return set(chain.from_iterable(compress(range(self.n), e)
+                                       for e in self.terms))
 
     def restrict(self, m: int) -> "Poly":
         """Reduce ambient dimension to m (requires support in first m vars)."""
@@ -253,7 +318,19 @@ class Poly:
 
     @staticmethod
     def from_json(n: int, data: list) -> "Poly":
-        return Poly(n, {tuple(t["exp"]): Fraction(t["coef"]) for t in data})
+        terms = {}
+        for t, term in enumerate(data, 1):
+            e = term["exp"]
+            if (not isinstance(e, list) or len(e) != n
+                    or any(type(k) is not int or k < 0 for k in e)):
+                raise ValueError(f"term {t}: exponent {e!r} is not a list of "
+                                 f"{n} non-negative integers")
+            try:
+                terms[tuple(e)] = Fraction(term["coef"])
+            except (TypeError, ValueError, ZeroDivisionError):
+                raise ValueError(f"term {t}: coefficient {term['coef']!r} is "
+                                 f"not a rational number") from None
+        return Poly(n, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -312,7 +389,13 @@ class PolyVec:
 
     @staticmethod
     def from_json(n: int, data: list) -> "PolyVec":
-        return PolyVec([Poly.from_json(n, comp) for comp in data])
+        comps = []
+        for j, comp in enumerate(data, 1):
+            try:
+                comps.append(Poly.from_json(n, comp))
+            except ValueError as exc:
+                raise ValueError(f"component {j}, {exc}") from None
+        return PolyVec(comps)
 
 
 def lie_bracket_fields(x: PolyVec, y: PolyVec) -> PolyVec:
@@ -320,19 +403,18 @@ def lie_bracket_fields(x: PolyVec, y: PolyVec) -> PolyVec:
     if x.n != y.n:
         raise ValueError("fields live on different spaces")
     n = x.n
+    xvars = [p.variables() for p in x.comps]
+    yvars = [p.variables() for p in y.comps]
     out = []
     for j in range(n):
         acc = Poly.zero(n)
         yj, xj = y.comps[j], x.comps[j]
-        for i in range(n):
-            if x.comps[i]:
-                d = yj.diff(i)
-                if d:
-                    acc = acc + x.comps[i] * d
-            if y.comps[i]:
-                d = xj.diff(i)
-                if d:
-                    acc = acc - y.comps[i] * d
+        # d_i of a component vanishes unless it contains x_i
+        for i in sorted(xvars[j] | yvars[j]):
+            if x.comps[i] and i in yvars[j]:
+                acc = acc + x.comps[i] * yj.diff(i)
+            if y.comps[i] and i in xvars[j]:
+                acc = acc - y.comps[i] * xj.diff(i)
         out.append(acc)
     return PolyVec(out)
 
@@ -386,7 +468,12 @@ class Frame:
     @staticmethod
     def from_json(data: dict) -> "Frame":
         n = data["n"]
-        fields = [PolyVec.from_json(n, f) for f in data["fields"]]
+        fields = []
+        for k, f in enumerate(data["fields"], 1):
+            try:
+                fields.append(PolyVec.from_json(n, f))
+            except ValueError as exc:
+                raise ValueError(f"field {k}, {exc}") from None
         labels = data.get("labels")
         if labels is not None:
             labels = tuple(tuple(int(c) for c in w) for w in labels)

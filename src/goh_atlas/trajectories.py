@@ -418,12 +418,17 @@ def jacobian_flow(frame: Frame, u, x0, substeps: int = 1,
 
 def pushforward_identity_residual(frame: Frame, u, x0, substeps: int = 1,
                                   ts=None) -> float:
-    """sup_t max_{i>r} |J(t) e_i - e_i|_inf (exact zero iff metabelian shape)."""
-    path = jacobian_flow(frame, u, x0, substeps=substeps, ts=ts)
+    """sup_t max_{i>r} |J(t) e_i - e_i|_inf (exact zero iff metabelian shape).
+
+    A running max over the Jacobians as they are integrated, so no path of
+    N+1 matrices is kept.
+    """
+    _, windows = _windows(frame, u, x0, substeps, ts)
     r, n = frame.r, frame.n
     worst = 0.0
     eye = np.eye(n)
-    for m in path.mats:
+    for _, _, m in _propagate(frame, windows, eye, _forward,
+                              "variational flow", NumericsError):
         d = np.max(np.abs(m[:, r:] - eye[:, r:]))
         worst = max(worst, float(d))
     return worst

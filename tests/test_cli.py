@@ -1,10 +1,14 @@
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import goh_atlas
 from goh_atlas import serialize
 from goh_atlas.cli import main
 from goh_atlas.trajectories import SampledCurve
@@ -183,6 +187,20 @@ class TestExitCodes:
         code, _, _ = run(capsys, "metabelian", "--frame", "/no/such/file")
         assert code == 2
 
+    @pytest.mark.parametrize("exp, coef, what", [
+        ([-1, 0], "1/1", "exponent"), ([1], "1/1", "exponent"),
+        ([0.5, 0], "1/1", "exponent"), ([True, 0], "1/1", "exponent"),
+        ([1, 0], "1/0", "coefficient")])
+    def test_frame_with_a_bad_term(self, capsys, tmp_path, exp, coef, what):
+        frame = {"schema": "goh-atlas/1", "type": "frame", "n": 2, "r": 1,
+                 "fields": [[[{"exp": [0, 0], "coef": "1/1"}],
+                             [{"exp": exp, "coef": coef}]]]}
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(frame))
+        code, out, err = run(capsys, "metabelian", "--frame", str(path))
+        assert (code, out) == (2, "")
+        assert f"field 1, component 2, term 1: {what}" in err
+
 
 class TestTolerancePlumbing:
     def test_env_tolerance_overridden_by_flag(self, capsys, tmp_path,
@@ -296,3 +314,33 @@ class TestSerialize:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             serialize.dumps({"x": float("nan")})
+
+
+class TestFreshProcess:
+    """Package import behaviour, seen from a new interpreter."""
+
+    def python(self, *args):
+        env = dict(os.environ)
+        src = str(Path(goh_atlas.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+        return subprocess.run([sys.executable, *args], env=env,
+                              capture_output=True, text=True, timeout=60)
+
+    def test_module_cli_runs_once_without_warnings(self):
+        proc = self.python("-W", "error::RuntimeWarning", "-m", "goh_atlas.cli",
+                           "basis", "--rank", "2", "--step", "2")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["dim"] == 3
+        assert "RuntimeWarning" not in proc.stderr
+
+    def test_exact_kernel_imports_without_numpy(self):
+        proc = self.python("-c", "import sys, goh_atlas.freelie; "
+                           "print('numpy' in sys.modules)")
+        assert (proc.returncode, proc.stdout.strip()) == (0, "False")
+
+    def test_submodules_load_on_attribute_access(self):
+        proc = self.python("-c", "import goh_atlas; "
+                           "print(goh_atlas.polyfield.Poly.__name__, "
+                           "goh_atlas.__version__)")
+        assert proc.stdout.split() == ["Poly", "0.1.0"]

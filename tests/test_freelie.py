@@ -11,6 +11,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goh_atlas import freelie as fl
 
@@ -338,3 +340,135 @@ def test_tensor_to_lie_rejects_non_lie():
     basis = fl.generate_basis(2, 2)
     with pytest.raises(ValueError):
         fl.tensor_to_lie({(1, 1): Fraction(1)}, basis)  # symmetric square
+
+
+# ---------------------------------------------------------------------------
+# In-place sums against the dict-copying forms they replace.  Key order is
+# compared too: with Poly coefficients it becomes the term order of
+# realized frames.  Unlike o_add above, these drop a key as soon as its sum
+# is zero, so a key that comes back re-enters at the end.
+
+def copying_add(a, b):
+    out = dict(a)
+    for w, c in b.items():
+        s = out.get(w)
+        s = c if s is None else s + c
+        if s:
+            out[w] = s
+        else:
+            out.pop(w, None)
+    return out
+
+
+def copying_scale(a, c):
+    return {w: cw * c for w, cw in a.items()} if c else {}
+
+
+def textbook_t_mul(a, b, step):
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            if len(wa) + len(wb) <= step:
+                out = copying_add(out, {wa + wb: ca * cb})
+    return out
+
+
+def copying_bracket_elements(table, a, b):
+    out = {}
+    for i, ci in a.items():
+        for j, cj in b.items():
+            cij = ci * cj
+            if cij:
+                out = copying_add(out, copying_scale(table.table[i][j], cij))
+    return out
+
+
+def copying_exp(a, step):
+    out, term = {(): Fraction(1)}, {(): Fraction(1)}
+    for k in range(1, step + 1):
+        term = copying_scale(textbook_t_mul(term, a, step), Fraction(1, k))
+        if not term:
+            break
+        out = copying_add(out, term)
+    return out
+
+
+def copying_log(g, step):
+    x = dict(g)
+    x.pop(())
+    out, term = {}, {(): Fraction(1)}
+    for k in range(1, step + 1):
+        term = textbook_t_mul(term, x, step)
+        if not term:
+            break
+        out = copying_add(out, copying_scale(term, Fraction((-1) ** (k + 1), k)))
+    return out
+
+
+def copying_lie_to_tensor(a, basis):
+    out = {}
+    for i, c in a.items():
+        out = copying_add(out, copying_scale(fl.word_expansions(basis)[i], c))
+    return out
+
+
+def copying_tensor_to_lie(t, basis):
+    rest, out = dict(t), {}
+    for i, w in enumerate(basis.words):
+        c = rest.get(w)
+        if c:
+            out[i] = c
+            rest = copying_add(rest, copying_scale(fl.word_expansions(basis)[i], -c))
+    assert not rest
+    return out
+
+
+SHAPES = [(2, 5), (3, 3)]
+BASES = {shape: fl.generate_basis(*shape) for shape in SHAPES}
+TABLES = {shape: fl.structure_table(BASES[shape]) for shape in SHAPES}
+RATIONALS = st.builds(Fraction, st.integers(-4, 4).filter(bool),
+                      st.integers(1, 6))
+
+
+def lie_elements(dim):
+    return st.dictionaries(st.integers(0, dim - 1), RATIONALS, max_size=dim)
+
+
+@st.composite
+def shaped_pairs(draw):
+    shape = draw(st.sampled_from(SHAPES))
+    dim = BASES[shape].dim
+    return shape, draw(lie_elements(dim)), draw(lie_elements(dim))
+
+
+def items(d):
+    return list(d.items())
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=shaped_pairs())
+def test_bracket_elements_match_copying_loop_and_tensor_bracket(case):
+    shape, a, b = case
+    basis, table = BASES[shape], TABLES[shape]
+    got = table.bracket_elements(a, b)
+    assert items(got) == items(copying_bracket_elements(table, a, b))
+    assert got == fl.bracket(a, b, basis)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=shaped_pairs())
+def test_exp_log_and_projections_match_copying_forms(case):
+    shape, a, b = case
+    basis = BASES[shape]
+    ta = fl.lie_to_tensor(a, basis)
+    assert items(ta) == items(copying_lie_to_tensor(a, basis))
+    ea = fl.t_exp(ta, basis.step)
+    assert items(ea) == items(copying_exp(ta, basis.step))
+    eb = fl.t_exp(fl.lie_to_tensor(b, basis), basis.step)
+    g = fl.t_mul(ea, eb, basis.step)
+    assert items(g) == items(textbook_t_mul(ea, eb, basis.step))
+    log = fl.t_log(g, basis.step)
+    assert items(log) == items(copying_log(g, basis.step))
+    assert items(fl.tensor_to_lie(log, basis)) == \
+        items(copying_tensor_to_lie(log, basis))
+    assert fl.tensor_to_lie(fl.t_log(ea, basis.step), basis) == a

@@ -1,5 +1,6 @@
 """Tests for the second-kind realization and its coordinate maps."""
 
+import hashlib
 import random
 from fractions import Fraction
 
@@ -239,3 +240,21 @@ class TestVerifySecondKind:
         frame, _ = realize_frame(generate_basis(2, 3))
         with pytest.raises(ValueError):
             verify_second_kind(frame.fields, [0.0] * 5)
+
+
+@pytest.mark.parametrize("shape, digest", [
+    ((2, 3), "ff073661936087dc"), ((2, 4), "552b2dc605d8e556"),
+    ((2, 5), "4dec28534b78f0c1"), ((2, 6), "901843e358d7c55f"),
+    ((3, 3), "5490b2f2a2dfc174"), ((3, 4), "94ad216d63af99a2"),
+    ((4, 3), "2c76c916331368f1")])
+def test_realization_term_order_is_pinned(shape, digest):
+    """psi, psi_inv and the coordinate fields, values and term order.
+
+    Float evaluators sum terms in dict order, so the order is part of the
+    result; the digests were taken from the tuple-keyed Fraction kernel.
+    """
+    _, maps = realize_frame(generate_basis(*shape))
+    h = hashlib.sha256()
+    for p in maps.psi + maps.psi_inv + [q for f in maps.fields for q in f.comps]:
+        h.update(repr(list(p.terms.items())).encode())
+    assert h.hexdigest()[:16] == digest

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goh_atlas.errors import NotNilpotentError
 from goh_atlas.freelie import t_exp, t_log, t_mul
@@ -334,3 +336,173 @@ class TestFrameJson:
         )
         back = Frame.from_json(fr.to_json())
         assert back.labels == ((1,), (2,))
+
+
+# ---------------------------------------------------------------------------
+# Poly * and + against the textbook tuple-and-Fraction loops, term order
+# included: float evaluators sum terms in dict order.
+
+def textbook_mul(p, q):
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = out.get(e, F(0)) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return list(out.items())
+
+
+def textbook_add(p, q):
+    out = dict(p.terms)
+    for e, c in q.terms.items():
+        s = out.get(e, F(0)) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return list(out.items())
+
+
+# exponents on both sides of every field width, so a wrong width carries
+WIDE_EXPONENTS = st.one_of(
+    st.integers(0, 3), st.integers(100, 160), st.integers(250, 260),
+    st.integers(65530, 65540), st.integers(2**32 - 3, 2**32 + 3),
+    st.integers(2**62 - 3, 2**62 + 3))
+WIDE_COEFS = st.builds(
+    F, st.integers(-3, 3),
+    st.one_of(st.integers(1, 4), st.integers(-4, -1),
+              st.integers(10**20, 10**30), st.integers(-10**30, -10**20)))
+
+
+@st.composite
+def poly_pairs(draw):
+    """Two polys on R^n, n = 0..3; small ones cancel often."""
+    n = draw(st.integers(0, 3))
+    small = draw(st.booleans())
+    exps = st.integers(0, 2) if small else WIDE_EXPONENTS
+    coefs = st.sampled_from([F(1), F(-1), F(1, 2)]) if small else WIDE_COEFS
+
+    def poly():
+        terms = draw(st.lists(st.tuples(st.tuples(*[exps] * n), coefs),
+                              max_size=6))
+        return Poly(n, dict(terms))
+
+    return poly(), poly()
+
+
+@settings(max_examples=400, deadline=None)
+@given(pair=poly_pairs())
+def test_product_and_sum_match_textbook_term_for_term(pair):
+    p, q = pair
+    for a, b in ((p, q), (q, p), (p, p)):
+        prod = list((a * b).terms.items())
+        assert prod == textbook_mul(a, b)
+        assert all(type(k) is int for e, _ in prod for k in e)
+        assert all(type(c) is Fraction for _, c in prod)
+        assert list((a + b).terms.items()) == textbook_add(a, b)
+        assert list((a - b).terms.items()) == textbook_add(a, -b)
+
+
+def test_product_cancelling_mid_loop_reinserts_at_the_end():
+    # (1 + x + x^2)(x^2 - x + 1): the x^2 sum hits zero at the fifth pair
+    # and comes back at the ninth, after x^0 and x^4
+    p = Poly(1, {(0,): 1, (1,): 1, (2,): 1})
+    q = Poly(1, {(2,): 1, (1,): -1, (0,): 1})
+    got = list((p * q).terms.items())
+    assert got == [((0,), 1), ((4,), 1), ((2,), 1)]
+    assert got == textbook_mul(p, q)
+
+
+@pytest.mark.parametrize("top", [255, 256, 65535, 65536, 2**32 - 1, 2**32,
+                                 2**63 - 1])
+def test_product_exponents_at_field_boundaries(top):
+    # x0^top * x0 crosses into the next width; a carry would bump x1
+    p = Poly(2, {(top, 0): F(3, 7), (1, 2): F(-1, 2)})
+    q = Poly(2, {(1, 0): F(5, 3), (0, 1): F(1, 10**30)})
+    assert list((p * q).terms.items()) == textbook_mul(p, q)
+    assert list((q * p).terms.items()) == textbook_mul(q, p)
+
+
+def test_product_edge_shapes():
+    zero, one0 = Poly.zero(3), Poly.const(0, F(-2, 3))
+    assert (zero * Poly.var(3, 1)).terms == {}
+    assert (Poly.var(3, 1) * zero).terms == {}
+    assert list((one0 * one0).terms.items()) == [((), F(4, 9))]
+    x = Poly(1, {(1,): F(1, -6)})
+    assert list((x * x).terms.items()) == [((2,), F(1, 36))]
+
+
+def test_product_rejects_exponents_it_cannot_pack():
+    big = Poly(1, {(2**63,): 1})
+    with pytest.raises(OverflowError):
+        big * big
+    with pytest.raises((OverflowError, ValueError)):
+        Poly(2, {(-1, 0): 1}) * Poly.var(2, 0)
+
+
+def textbook_bracket_fields(x, y):
+    """[X, Y] differentiating every component by every variable."""
+    n = x.n
+    out = []
+    for j in range(n):
+        acc = Poly.zero(n)
+        for i in range(n):
+            if x.comps[i]:
+                d = y.comps[j].diff(i)
+                if d:
+                    acc = acc + x.comps[i] * d
+            if y.comps[i]:
+                d = x.comps[j].diff(i)
+                if d:
+                    acc = acc - y.comps[i] * d
+        out.append(acc)
+    return out
+
+
+def test_bracket_fields_keep_the_textbook_term_order():
+    rng = random.Random(17)
+    for n in (1, 3, 5):
+        for _ in range(10):
+            x, y = random_field(rng, n), random_field(rng, n)
+            want = textbook_bracket_fields(x, y)
+            got = lie_bracket_fields(x, y)
+            assert [list(p.terms.items()) for p in got.comps] == \
+                [list(p.terms.items()) for p in want]
+
+
+class TestJsonExponents:
+    def frame_data(self, exp):
+        fr = heisenberg_frame().to_json()
+        fr["fields"][1][2][0]["exp"] = exp
+        return fr
+
+    @pytest.mark.parametrize("exp", [
+        [-1, 0, 0], [1, 0], [1, 0, 0, 0], [1.5, 0, 0], [1.0, 0, 0],
+        [True, 0, 0], ["1", 0, 0], None, 3])
+    def test_bad_exponents_are_located(self, exp):
+        with pytest.raises(ValueError, match=r"^field 2, component 3, term 1: "
+                           r"exponent .* is not a list of 3 non-negative "
+                           r"integers$"):
+            Frame.from_json(self.frame_data(exp))
+
+    def test_poly_and_polyvec_name_term_and_component(self):
+        with pytest.raises(ValueError, match="^term 2: exponent"):
+            Poly.from_json(2, [{"exp": [0, 1], "coef": "1"},
+                               {"exp": [0, -2], "coef": "1"}])
+        with pytest.raises(ValueError, match="^component 1, term 1: "):
+            PolyVec.from_json(1, [[{"exp": [False], "coef": "1"}]])
+
+    @pytest.mark.parametrize("coef", ["1/0", "x", None])
+    def test_bad_coefficients_are_located(self, coef):
+        fr = self.frame_data([1, 0, 0])
+        fr["fields"][1][2][0]["coef"] = coef
+        with pytest.raises(ValueError, match=r"^field 2, component 3, term 1: "
+                           r"coefficient .* is not a rational number$"):
+            Frame.from_json(fr)
+
+    def test_good_exponents_still_load(self):
+        back = Frame.from_json(self.frame_data([1, 0, 0]))
+        assert back.fields == heisenberg_frame().fields

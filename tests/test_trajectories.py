@@ -572,6 +572,21 @@ class TestJacobianFlow:
                 res = pushforward_identity_residual(frame, u, x0, substeps=2)
                 assert res < 1e-10
 
+    @pytest.mark.parametrize("make, steps", [
+        (heisenberg_frame, 40), (lambda: realized(4), 40),
+        (lambda: realized(7), 12)], ids=["heisenberg", "f24", "f27"])
+    def test_pushforward_residual_is_the_max_over_the_path(self, make, steps):
+        frame = make()
+        rng = np.random.default_rng(5)
+        u = random_pl_control(rng, n_steps=steps)
+        x0 = rng.uniform(-0.5, 0.5, size=frame.n)
+        eye = np.eye(frame.n)
+        want = 0.0
+        for m in jacobian_flow(frame, u, x0, substeps=2).mats:
+            want = max(want, float(np.max(np.abs(m[:, frame.r:]
+                                                  - eye[:, frame.r:]))))
+        assert pushforward_identity_residual(frame, u, x0, substeps=2) == want
+
     def test_pushforward_identity_fails_at_step_five(self):
         frame = realized(5)
         ts = np.linspace(0.0, 2.0, 81)
