@@ -99,6 +99,21 @@ def _parse_tol(text: str) -> float:
     return tol
 
 
+RES_MAX = 4096  # a grid of (RES_MAX + 1)^2 nodes takes about 1 GB
+
+
+def _parse_res(text: str) -> int:
+    """A grid resolution is an integer from 2 to RES_MAX (type of --res)."""
+    try:
+        res = int(text)
+    except ValueError:
+        res = 0
+    if not 2 <= res <= RES_MAX:
+        raise argparse.ArgumentTypeError(
+            f"resolution must be an integer from 2 to {RES_MAX}, got {text!r}")
+    return res
+
+
 def _default_tol(args, fallback: float | None) -> float | None:
     """--tol, else GOH_ATLAS_TOL, else fallback; a bad value exits with 2."""
     if getattr(args, "tol", None) is not None:
@@ -171,7 +186,8 @@ def cmd_trace(args) -> int:
     sysm = _goh_system(args)
     window = _parse_window(args.window) if args.window else (-2.0, 2.0,
                                                              -2.0, 2.0)
-    trace = trace_variety(sysm, window=window, resolution=args.res or 512)
+    res = 512 if args.res is None else args.res
+    trace = trace_variety(sysm, window=window, resolution=res)
     _log(f"trace: {len(trace.polylines)} polylines, "
          f"{len(trace.singular_candidates)} singular candidates")
     if args.out and args.out.endswith(".csv"):
@@ -340,7 +356,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_frame_flags(p)
     p.add_argument("--lambda", dest="lam")
     p.add_argument("--window", help="x0,x1,y0,y1")
-    p.add_argument("--res", type=int)
+    p.add_argument("--res", type=_parse_res)
 
     p = add("lift", cmd_lift, help="horizontal lift of a base curve")
     _add_frame_flags(p)
@@ -377,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_parse_tol)
     p.add_argument("--eps", type=float)
     p.add_argument("--samples", type=int)
-    p.add_argument("--res", type=int)
+    p.add_argument("--res", type=_parse_res)
 
     return parser
 

@@ -10,6 +10,7 @@ vertices and a singular-candidate scan.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,7 +19,7 @@ import numpy as np
 from .errors import PreconditionError
 from .metabelian import coefficient_dependence
 from .normalform import verify_normal_form
-from .polyfield import Frame, Poly
+from .polyfield import Frame, Poly, _float_evaluator
 
 ZERO = Fraction(0)
 
@@ -103,12 +104,14 @@ def goh_polynomials(frame: Frame, lam) -> GohSystem:
 def variety_membership(sys: GohSystem, curve) -> float:
     """sup over curve samples and pairs (h,k) of |F^{h,k}(point)|."""
     points = getattr(curve, "points", curve)
+    evaluators = [_float_evaluator(p) for p in sys.polys.values()]
     worst = 0.0
     for pt in points:
         if len(pt) != sys.r:
             raise ValueError("curve points must live in R^r")
-        for p in sys.polys.values():
-            v = abs(float(p.eval_float([float(c) for c in pt])))
+        x = [float(c) for c in pt]
+        for f in evaluators:
+            v = abs(float(f(x)))
             if v > worst:
                 worst = v
     return worst
@@ -178,6 +181,21 @@ def _bisect_edge(f, pa, pb, va, vb, tol: float):
     return (0.5 * (ax + bx), 0.5 * (ay + by))
 
 
+def _crossed_cells(vals: np.ndarray):
+    """(j, i, code) of every cell the zero set crosses, in row-major order.
+
+    Bits of the marching-squares code mark the corners with F >= 0 (zeros
+    count as positive): 1 bottom-left, 2 bottom-right, 4 top-right, 8 top-left.
+    Codes 0 and 15 are left out.  The grids of codes die with the call, so
+    they are gone before the singular-candidate scan allocates its own.
+    """
+    pos = (vals >= 0.0).view(np.uint8)
+    codes = pos[:-1, :-1] | pos[:-1, 1:] << 1 | pos[1:, 1:] << 2 \
+        | pos[1:, :-1] << 3
+    rows, cols = np.nonzero((codes != 0) & (codes != 15))
+    return zip(rows.tolist(), cols.tolist(), codes[rows, cols].tolist())
+
+
 _SEGMENT_TABLE = {
     1: [("left", "bottom")],
     2: [("bottom", "right")],
@@ -226,13 +244,10 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
     trace.tolerance = tol
     trace.f_scale = scale
 
-    feval = F.eval_float
+    feval = _float_evaluator(F)
 
     def f(px, py):
         return feval((px, py))
-
-    # sign matrix with zeros counted positive
-    pos = vals >= 0.0
 
     # crossing vertices keyed by grid edge
     verts: dict[tuple, tuple] = {}
@@ -267,35 +282,26 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
         links.setdefault(ka, []).append(kb)
         links.setdefault(kb, []).append(ka)
 
-    for j in range(res):
-        for i in range(res):
-            code = (
-                (1 if pos[j, i] else 0)
-                | (2 if pos[j, i + 1] else 0)
-                | (4 if pos[j + 1, i + 1] else 0)
-                | (8 if pos[j + 1, i] else 0)
-            )
-            if code in (0, 15):
-                continue
-            if code in (5, 10):
-                center = f(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
-                center_pos = center >= 0.0
-                if code == 5:  # corners BL,TR negative? no: 5 = BL+TR positive
-                    pairs = ([("left", "top"), ("bottom", "right")]
-                             if center_pos
-                             else [("left", "bottom"), ("top", "right")])
-                else:  # code 10: BR+TL positive
-                    pairs = ([("left", "bottom"), ("top", "right")]
-                             if center_pos
-                             else [("left", "top"), ("bottom", "right")])
-            else:
-                pairs = _SEGMENT_TABLE[code]
-            for ea, eb in pairs:
-                ka = edges_of_cell[ea](i, j)
-                kb = edges_of_cell[eb](i, j)
-                edge_vertex(*ka)
-                edge_vertex(*kb)
-                link(ka, kb)
+    for j, i, code in _crossed_cells(vals):
+        if code in (5, 10):
+            center = f(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
+            center_pos = center >= 0.0
+            if code == 5:  # BL+TR positive
+                pairs = ([("left", "top"), ("bottom", "right")]
+                         if center_pos
+                         else [("left", "bottom"), ("top", "right")])
+            else:  # code 10: BR+TL positive
+                pairs = ([("left", "bottom"), ("top", "right")]
+                         if center_pos
+                         else [("left", "top"), ("bottom", "right")])
+        else:
+            pairs = _SEGMENT_TABLE[code]
+        for ea, eb in pairs:
+            ka = edges_of_cell[ea](i, j)
+            kb = edges_of_cell[eb](i, j)
+            edge_vertex(*ka)
+            edge_vertex(*kb)
+            link(ka, kb)
 
     # chain the segment graph into polylines (open paths first, then loops)
     used = set()
@@ -350,30 +356,33 @@ def _singular_candidates(F: Poly, xs, ys, vals, tol) -> list:
     if cand_idx.size == 0:
         return []
 
-    fxx, fxy = fx.diff(0), fx.diff(1)
-    fyx, fyy = fy.diff(0), fy.diff(1)
+    # one evaluator per polynomial; fxy and fyx may order their terms
+    # differently, so each keeps its own
+    f, dfx, dfy, dfxx, dfxy, dfyx, dfyy = map(_float_evaluator, (
+        F, fx, fy, fx.diff(0), fx.diff(1), fy.diff(0), fy.diff(1)))
 
     def newton(p, q, jac_rows, x, y):
-        # damped Newton for the 2x2 system (p, q)
+        # damped Newton for the 2x2 system (p, q); an accepted step carries
+        # its residuals into the next iteration
+        (a, b), (c, d) = jac_rows
+        r0, r1 = p((x, y)), q((x, y))
         for _ in range(60):
-            r0, r1 = p.eval_float((x, y)), q.eval_float((x, y))
             res = abs(r0) + abs(r1)
             if res == 0.0:
                 return x, y
-            (a, b), (c, d) = jac_rows
-            j00, j01 = a.eval_float((x, y)), b.eval_float((x, y))
-            j10, j11 = c.eval_float((x, y)), d.eval_float((x, y))
+            j00, j01 = a((x, y)), b((x, y))
+            j10, j11 = c((x, y)), d((x, y))
             det = j00 * j11 - j01 * j10
-            if det == 0.0 or not np.isfinite(det):
+            if det == 0.0 or not math.isfinite(det):
                 return None
             dx = (r0 * j11 - r1 * j01) / det
             dy = (j00 * r1 - j10 * r0) / det
             step = 1.0
             while step > 1e-6:
                 nx, ny = x - step * dx, y - step * dy
-                nres = abs(p.eval_float((nx, ny))) + abs(q.eval_float((nx, ny)))
-                if nres < res:
-                    x, y = nx, ny
+                n0, n1 = p((nx, ny)), q((nx, ny))
+                if abs(n0) + abs(n1) < res:
+                    x, y, r0, r1 = nx, ny, n0, n1
                     break
                 step *= 0.5
             else:
@@ -381,9 +390,9 @@ def _singular_candidates(F: Poly, xs, ys, vals, tol) -> list:
         return x, y
 
     systems = [
-        (F, fx, ((fx, fy), (fxx, fxy))),
-        (F, fy, ((fx, fy), (fyx, fyy))),
-        (fx, fy, ((fxx, fxy), (fyx, fyy))),
+        (f, dfx, ((dfx, dfy), (dfxx, dfxy))),
+        (f, dfy, ((dfx, dfy), (dfyx, dfyy))),
+        (dfx, dfy, ((dfxx, dfxy), (dfyx, dfyy))),
     ]
 
     gtol = 1e-7 * (1.0 + gscale)
@@ -396,11 +405,9 @@ def _singular_candidates(F: Poly, xs, ys, vals, tol) -> list:
             if got is None:
                 continue
             x, y = got
-            if abs(F.eval_float((x, y))) <= tol \
-                    and np.hypot(fx.eval_float((x, y)),
-                                 fy.eval_float((x, y))) <= gtol:
-                score = np.hypot(fx.eval_float((x, y)), fy.eval_float((x, y)))
-                if best is None or score < best[0]:
+            if abs(f((x, y))) <= tol:
+                score = np.hypot(dfx((x, y)), dfy((x, y)))
+                if score <= gtol and (best is None or score < best[0]):
                     best = (score, x, y)
         if best is None:
             continue
@@ -410,29 +417,10 @@ def _singular_candidates(F: Poly, xs, ys, vals, tol) -> list:
     return found
 
 
-def hausdorff_distance(points_a, points_b) -> float:
-    """Symmetric Hausdorff distance between two finite point sets."""
-    a = np.asarray(list(points_a), dtype=float)
-    b = np.asarray(list(points_b), dtype=float)
-    if a.size == 0 or b.size == 0:
-        return float("inf") if a.size != b.size else 0.0
-
-    def directed(p, q):
-        worst = 0.0
-        for lo in range(0, len(p), 512):
-            block = p[lo:lo + 512]
-            d = np.sqrt(((block[:, None, :] - q[None, :, :]) ** 2).sum(axis=2))
-            worst = max(worst, float(d.min(axis=1).max()))
-        return worst
-
-    return max(directed(a, b), directed(b, a))
-
-
 __all__ = [
     "GohSystem",
     "VarietyTrace",
     "goh_polynomials",
-    "hausdorff_distance",
     "trace_variety",
     "variety_membership",
 ]

@@ -21,7 +21,7 @@ from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, compress
 from math import lcm
-from operator import or_
+from operator import index, or_
 
 import numpy as np
 
@@ -56,8 +56,9 @@ def _packed_keys(a: dict, b: dict, n: int):
     exponent tuple into the native bytes of its fields, and the bytes of a
     key back into the tuple (bytes itself for one-byte fields).  One-byte
     fields are tried first: they hold every sum when no entry has its top
-    bit set, which is cheaper to test than the largest entries.  Negative
-    exponents raise OverflowError or ValueError.
+    bit set, which is cheaper to test than the largest entries.  An entry
+    that is negative or not an integer raises a ValueError naming its
+    exponent tuple; a sum that needs more than 64 bits, OverflowError.
     """
     order, from_bytes = sys.byteorder, int.from_bytes
     try:
@@ -68,13 +69,55 @@ def _packed_keys(a: dict, b: dict, n: int):
             return bytes, n, ka, kb
     except ValueError:  # an entry outside 0..255
         pass
+    except TypeError as exc:
+        raise _bad_exponent(a, b, exc) from None
     top = max(map(max, a)) + max(map(max, b))
     for size, code in _WIDTHS:
         if top < 1 << (8 * size):
             conv = bytes if size == 1 else partial(array, code)
-            return (conv, n * size, [from_bytes(conv(e), order) for e in a],
-                    [from_bytes(conv(e), order) for e in b])
+            try:
+                return (conv, n * size,
+                        [from_bytes(conv(e), order) for e in a],
+                        [from_bytes(conv(e), order) for e in b])
+            except (ValueError, OverflowError, TypeError) as exc:
+                raise _bad_exponent(a, b, exc) from None
     raise OverflowError(f"exponent sum {top} does not fit in 64 bits")
+
+
+def _bad_exponent(a: dict, b: dict, exc: Exception) -> Exception:
+    """ValueError naming the first exponent tuple with an entry that is not
+    a non-negative integer; exc itself if there is none."""
+    for e in chain(a, b):
+        for k in e:
+            try:
+                if index(k) >= 0:
+                    continue
+            except TypeError:
+                pass
+            return ValueError(f"exponent {e!r} has entry {k!r}; exponents "
+                              "must be non-negative integers")
+    return exc
+
+
+def _float_evaluator(p: "Poly"):
+    """x -> p at x in float arithmetic, the coefficients converted once.
+
+    Terms are summed in dict order from 0.0, each as its coefficient times
+    x[i] ** k for every nonzero exponent k in variable order.  The evaluator
+    holds a copy of the terms: build a new one after p changes.
+    """
+    terms = [(float(c), [(i, k) for i, k in enumerate(e) if k])
+             for e, c in p.terms.items()]
+
+    def evaluate(x):
+        total = 0.0
+        for v, powers in terms:
+            for i, k in powers:
+                v *= x[i] ** k
+            total += v
+        return total
+
+    return evaluate
 
 
 class Poly:
@@ -240,14 +283,7 @@ class Poly:
         return total
 
     def eval_float(self, x) -> float:
-        total = 0.0
-        for e, c in self.terms.items():
-            v = float(c)
-            for i, k in enumerate(e):
-                if k:
-                    v *= x[i] ** k
-            total += v
-        return total
+        return _float_evaluator(self)(x)
 
     def compose(self, values: list["Poly"]) -> "Poly":
         """Substitute values[i] for variable i."""

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import goh_atlas
-from goh_atlas import serialize
+from goh_atlas import cli, serialize
 from goh_atlas.cli import main
 from goh_atlas.trajectories import SampledCurve
 
@@ -270,6 +270,35 @@ class TestTolerancePlumbing:
         code, out, err = run(capsys, "contain", "--curve", str(path))
         assert (code, out) == (2, "")
         assert "finite" in err
+
+
+class TestResolution:
+    @pytest.mark.parametrize("value", ["0", "1", "-3", "100000", "7.5"])
+    def test_bad_res_is_a_usage_error(self, capsys, tmp_path, monkeypatch,
+                                      value):
+        # rejected while the arguments are parsed: no command runs, so no
+        # grid is allocated and no artifact is written
+        def ran(args):
+            raise AssertionError("command ran with a bad --res")
+
+        monkeypatch.setattr(cli, "cmd_trace", ran)
+        monkeypatch.setattr(cli, "cmd_demo", ran)
+        outdir = tmp_path / "art"
+        for argv in (["trace", "--rank", "2", "--step", "3",
+                      "--lambda", "0,0,0,1,0"],
+                     ["demo", "heisenberg", "--out", str(outdir)]):
+            code, out, err = run(capsys, *argv, f"--res={value}")
+            assert (code, out) == (2, "")
+            assert "argument --res" in err and repr(value) in err
+        assert not outdir.exists()
+
+    def test_res_bounds_and_default(self, capsys):
+        base = ["trace", "--rank", "2", "--step", "3", "--lambda", "0,0,0,1,0"]
+        args = cli.build_parser().parse_args([*base, f"--res={cli.RES_MAX}"])
+        assert args.res == cli.RES_MAX
+        for argv, res in ((["--res", "2"], 2), ([], 512)):
+            code, data, _ = run_json(capsys, *base, *argv)
+            assert code == 0 and data["resolution"] == res
 
 
 class TestDemo:

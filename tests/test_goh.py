@@ -4,18 +4,30 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goh_atlas.errors import PreconditionError
 from goh_atlas.freelie import generate_basis
 from goh_atlas.goh import (
+    _SEGMENT_TABLE,
     GohSystem,
+    VarietyTrace,
+    _bisect_edge,
+    _poly_grid_eval,
     goh_polynomials,
-    hausdorff_distance,
     trace_variety,
     variety_membership,
 )
 from goh_atlas.normalform import realize_frame
-from goh_atlas.polyfield import Frame, Poly, PolyVec, heisenberg_frame, martinet_frame
+from goh_atlas.polyfield import (
+    Frame,
+    Poly,
+    PolyVec,
+    _float_evaluator,
+    heisenberg_frame,
+    martinet_frame,
+)
 
 F = Fraction
 
@@ -178,8 +190,8 @@ class TestTraceVariety:
                       for r in (32, 64, 128)]
             pts = [[v for chain in t.polylines for v in chain]
                    for t in traces]
-            d1 = hausdorff_distance(pts[0], pts[1])
-            d2 = hausdorff_distance(pts[1], pts[2])
+            d1 = _hausdorff_distance(pts[0], pts[1])
+            d2 = _hausdorff_distance(pts[1], pts[2])
             assert d2 <= d1
 
     def test_csv_format(self):
@@ -195,5 +207,323 @@ class TestTraceVariety:
 def test_hausdorff_basics():
     a = [(0.0, 0.0), (1.0, 0.0)]
     b = [(0.0, 0.5), (1.0, 0.0)]
-    assert hausdorff_distance(a, a) == 0.0
-    assert hausdorff_distance(a, b) == pytest.approx(0.5)
+    assert _hausdorff_distance(a, a) == 0.0
+    assert _hausdorff_distance(a, b) == pytest.approx(0.5)
+
+
+def _hausdorff_distance(points_a, points_b) -> float:
+    """Symmetric Hausdorff distance between two finite point sets."""
+    a = np.asarray(list(points_a), dtype=float)
+    b = np.asarray(list(points_b), dtype=float)
+    if a.size == 0 or b.size == 0:
+        return float("inf") if a.size != b.size else 0.0
+
+    def directed(p, q):
+        worst = 0.0
+        for lo in range(0, len(p), 512):
+            block = p[lo:lo + 512]
+            d = np.sqrt(((block[:, None, :] - q[None, :, :]) ** 2).sum(axis=2))
+            worst = max(worst, float(d.min(axis=1).max()))
+        return worst
+
+    return max(directed(a, b), directed(b, a))
+
+
+# ---------------------------------------------------------------------------
+# textbook tracer: a loop over every cell and a float evaluation of every
+# term at every point
+
+
+def textbook_eval(p: Poly, x) -> float:
+    total = 0.0
+    for e, c in p.terms.items():
+        v = float(c)
+        for i, k in enumerate(e):
+            if k:
+                v *= x[i] ** k
+        total += v
+    return total
+
+
+def reference_trace(sys, window, resolution) -> VarietyTrace:
+    F = sys.poly(1, 2)
+    x0, x1, y0, y1 = (float(v) for v in window)
+    res = int(resolution)
+
+    trace = VarietyTrace(window=(x0, x1, y0, y1), resolution=res)
+    if F.is_zero():
+        trace.whole_plane = True
+        return trace
+
+    xs = np.linspace(x0, x1, res + 1)
+    ys = np.linspace(y0, y1, res + 1)
+    vals = _poly_grid_eval(F, xs, ys)
+    scale = float(np.max(np.abs(vals)))
+    tol = 1e-9 * (1.0 + scale)
+    trace.tolerance = tol
+    trace.f_scale = scale
+
+    def f(px, py):
+        return textbook_eval(F, (px, py))
+
+    # sign matrix with zeros counted positive
+    pos = vals >= 0.0
+
+    # crossing vertices keyed by grid edge
+    verts: dict[tuple, tuple] = {}
+
+    def edge_vertex(kind, i, j):
+        # horizontal edge: (i, j) -> (i+1, j); vertical: (i, j) -> (i, j+1)
+        key = (kind, i, j)
+        got = verts.get(key)
+        if got is not None:
+            return got
+        if kind == "h":
+            pa, pb = (xs[i], ys[j]), (xs[i + 1], ys[j])
+            va, vb = vals[j, i], vals[j, i + 1]
+        else:
+            pa, pb = (xs[i], ys[j]), (xs[i], ys[j + 1])
+            va, vb = vals[j, i], vals[j + 1, i]
+        v = _bisect_edge(f, pa, pb, va, vb, tol)
+        verts[key] = v
+        return v
+
+    edges_of_cell = {
+        "bottom": lambda i, j: ("h", i, j),
+        "top": lambda i, j: ("h", i, j + 1),
+        "left": lambda i, j: ("v", i, j),
+        "right": lambda i, j: ("v", i + 1, j),
+    }
+
+    # adjacency between edge keys, built cell by cell
+    links: dict[tuple, list] = {}
+
+    def link(ka, kb):
+        links.setdefault(ka, []).append(kb)
+        links.setdefault(kb, []).append(ka)
+
+    for j in range(res):
+        for i in range(res):
+            code = (
+                (1 if pos[j, i] else 0)
+                | (2 if pos[j, i + 1] else 0)
+                | (4 if pos[j + 1, i + 1] else 0)
+                | (8 if pos[j + 1, i] else 0)
+            )
+            if code in (0, 15):
+                continue
+            if code in (5, 10):
+                center = f(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
+                center_pos = center >= 0.0
+                if code == 5:  # corners BL,TR negative? no: 5 = BL+TR positive
+                    pairs = ([("left", "top"), ("bottom", "right")]
+                             if center_pos
+                             else [("left", "bottom"), ("top", "right")])
+                else:  # code 10: BR+TL positive
+                    pairs = ([("left", "bottom"), ("top", "right")]
+                             if center_pos
+                             else [("left", "top"), ("bottom", "right")])
+            else:
+                pairs = _SEGMENT_TABLE[code]
+            for ea, eb in pairs:
+                ka = edges_of_cell[ea](i, j)
+                kb = edges_of_cell[eb](i, j)
+                edge_vertex(*ka)
+                edge_vertex(*kb)
+                link(ka, kb)
+
+    # chain the segment graph into polylines (open paths first, then loops)
+    used = set()
+
+    def walk(start):
+        chain = [start]
+        used.add(start)
+        cur = start
+        prev = None
+        while True:
+            nxt = None
+            for cand in links[cur]:
+                if cand != prev and cand not in used:
+                    nxt = cand
+                    break
+            if nxt is None:
+                # close a loop if the start is adjacent
+                if len(chain) > 2 and start in links[cur]:
+                    chain.append(start)
+                break
+            chain.append(nxt)
+            used.add(nxt)
+            prev, cur = cur, nxt
+        return chain
+
+    endpoints = [k for k, adj in links.items() if len(adj) == 1]
+    chains = []
+    for k in endpoints:
+        if k not in used:
+            chains.append(walk(k))
+    for k in links:
+        if k not in used:
+            chains.append(walk(k))
+
+    trace.polylines = [[verts[k] for k in chain] for chain in chains]
+    trace.singular_candidates = reference_singular(F, xs, ys, vals, tol)
+    return trace
+
+
+def reference_singular(F: Poly, xs, ys, vals, tol) -> list:
+    fx, fy = F.diff(0), F.diff(1)
+    gx = _poly_grid_eval(fx, xs, ys)
+    gy = _poly_grid_eval(fy, xs, ys)
+    grad = np.hypot(gx, gy)
+    gscale = float(np.max(grad)) if grad.size else 0.0
+    cell = max(xs[1] - xs[0], ys[1] - ys[0])
+
+    # grid pre-candidates: both F and its gradient small at the node scale
+    mask = (np.abs(vals) <= (1.0 + float(np.max(np.abs(vals)))) * cell) \
+        & (grad <= (1.0 + gscale) * cell * 4.0)
+    cand_idx = np.argwhere(mask)
+    if cand_idx.size == 0:
+        return []
+
+    fxx, fxy = fx.diff(0), fx.diff(1)
+    fyx, fyy = fy.diff(0), fy.diff(1)
+
+    def newton(p, q, jac_rows, x, y):
+        # damped Newton for the 2x2 system (p, q)
+        for _ in range(60):
+            r0, r1 = textbook_eval(p, (x, y)), textbook_eval(q, (x, y))
+            res = abs(r0) + abs(r1)
+            if res == 0.0:
+                return x, y
+            (a, b), (c, d) = jac_rows
+            j00, j01 = textbook_eval(a, (x, y)), textbook_eval(b, (x, y))
+            j10, j11 = textbook_eval(c, (x, y)), textbook_eval(d, (x, y))
+            det = j00 * j11 - j01 * j10
+            if det == 0.0 or not np.isfinite(det):
+                return None
+            dx = (r0 * j11 - r1 * j01) / det
+            dy = (j00 * r1 - j10 * r0) / det
+            step = 1.0
+            while step > 1e-6:
+                nx, ny = x - step * dx, y - step * dy
+                nres = (abs(textbook_eval(p, (nx, ny)))
+                        + abs(textbook_eval(q, (nx, ny))))
+                if nres < res:
+                    x, y = nx, ny
+                    break
+                step *= 0.5
+            else:
+                return x, y
+        return x, y
+
+    systems = [
+        (F, fx, ((fx, fy), (fxx, fxy))),
+        (F, fy, ((fx, fy), (fyx, fyy))),
+        (fx, fy, ((fxx, fxy), (fyx, fyy))),
+    ]
+
+    gtol = 1e-7 * (1.0 + gscale)
+    found: list = []
+    for j, i in cand_idx:
+        x0, y0 = float(xs[i]), float(ys[j])
+        best = None
+        for p, q, jac in systems:
+            got = newton(p, q, jac, x0, y0)
+            if got is None:
+                continue
+            x, y = got
+            if abs(textbook_eval(F, (x, y))) <= tol \
+                    and np.hypot(textbook_eval(fx, (x, y)),
+                                 textbook_eval(fy, (x, y))) <= gtol:
+                score = np.hypot(textbook_eval(fx, (x, y)),
+                                 textbook_eval(fy, (x, y)))
+                if best is None or score < best[0]:
+                    best = (score, x, y)
+        if best is None:
+            continue
+        _, x, y = best
+        if all(np.hypot(x - u, y - v) > cell for u, v in found):
+            found.append((x, y))
+    return found
+
+
+def cell_codes(p: Poly, window, res) -> set:
+    """Marching-squares codes of the cells, counted as the tracer does."""
+    xs = np.linspace(window[0], window[1], res + 1)
+    ys = np.linspace(window[2], window[3], res + 1)
+    pos = _poly_grid_eval(p, xs, ys) >= 0.0
+    return {int(pos[j, i]) | 2 * int(pos[j, i + 1])
+            | 4 * int(pos[j + 1, i + 1]) | 8 * int(pos[j + 1, i])
+            for j in range(res) for i in range(res)}
+
+
+X1, X2 = Poly.var(2, 0), Poly.var(2, 1)
+# The mixed second difference of a conic over a cell is B h^2 for its x1 x2
+# coefficient B, and a saddle cell of code 5 needs it positive, of code 10
+# negative: no one conic has both.  So saddles come from x1 x2 -+ delta and
+# its negative, with the origin at a cell centre (odd resolution), delta
+# below h^2 / 4 and the centre value of either sign.
+DELTA = F(1, 10**4)
+SADDLES = [(s * (X1 * X2) + d, (-1, 1, -1, 1), 63)
+           for s in (1, -1) for d in (DELTA, -DELTA)]
+THROUGH_NODES = [(X1, (-1, 1, -1, 1), 64),
+                 (X1 * X1 + X2 * X2 - 1, (-2, 2, -2, 2), 64)]
+NODAL_CUBIC = [(X2 * X2 - X1 * X1 - X1 * X1 * X1, (-2, 2, -2, 2), 48)]
+
+
+class TestTraceMatchesTextbook:
+    @pytest.mark.parametrize("p, window, res",
+                             SADDLES + THROUGH_NODES + NODAL_CUBIC
+                             + [(Poly.zero(2), (-2, 2, -2, 2), 16)])
+    def test_bitwise_equal(self, p, window, res):
+        sys = system_of(p)
+        got = trace_variety(sys, window=window, resolution=res)
+        want = reference_trace(sys, window, res)
+        assert got.to_json() == want.to_json()
+        assert got.to_csv() == want.to_csv()
+        assert (got.f_scale, got.tolerance) == (want.f_scale, want.tolerance)
+        verts = [v for line in got.polylines for v in line]
+        assert variety_membership(sys, verts) == max(
+            (abs(textbook_eval(p, v)) for v in verts), default=0.0)
+
+    def test_the_cases_reach_what_they_claim(self):
+        codes = set()
+        for p, window, res in SADDLES:
+            codes |= cell_codes(p, window, res)
+            xs = np.linspace(window[0], window[1], res + 1)
+            assert 0.0 not in xs  # the saddle cell is centred on the origin
+        assert {5, 10} <= codes
+        for p, window, res in THROUGH_NODES:
+            xs = np.linspace(window[0], window[1], res + 1)
+            ys = np.linspace(window[2], window[3], res + 1)
+            assert (_poly_grid_eval(p, xs, ys) == 0.0).any()
+        p, window, res = NODAL_CUBIC[0]
+        tr = trace_variety(system_of(p), window=window, resolution=res)
+        assert len(tr.singular_candidates) == 1
+        assert trace_variety(system_of(Poly.zero(2))).whole_plane
+
+
+@st.composite
+def polys_and_points(draw):
+    """A polynomial of degree <= 4 with small rational coefficients, in 1..3
+    variables, and a point whose entries may be +0.0 or -0.0."""
+    n = draw(st.integers(1, 3))
+    exponent = st.tuples(*[st.integers(0, 4)] * n).filter(
+        lambda e: sum(e) <= 4)
+    coef = st.builds(F, st.integers(-9, 9), st.integers(1, 8))
+    terms = draw(st.dictionaries(exponent, coef, max_size=8))
+    entry = st.one_of(st.sampled_from([0.0, -0.0]),
+                      st.floats(-1e3, 1e3, allow_nan=False))
+    return Poly(n, terms), draw(st.lists(entry, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=polys_and_points())
+def test_float_evaluator_matches_textbook_bitwise(case):
+    p, x = case
+    evaluate = _float_evaluator(p)
+    for point in (tuple(x), [np.float64(v) for v in x]):
+        want = textbook_eval(p, point)
+        for got in (evaluate(point), p.eval_float(point)):
+            assert type(got) is type(want)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()

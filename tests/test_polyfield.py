@@ -1,6 +1,7 @@
 """Tests for exact polynomials, vector fields, flows, and growth vectors."""
 
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -441,6 +442,14 @@ def test_product_rejects_exponents_it_cannot_pack():
         big * big
     with pytest.raises((OverflowError, ValueError)):
         Poly(2, {(-1, 0): 1}) * Poly.var(2, 0)
+
+
+@pytest.mark.parametrize("bad", [(-1, 0), (1.5, 0), (300, -2), (0, 2.0)])
+def test_product_names_a_bad_exponent(bad):
+    p, x = Poly(2, {bad: 1, (1, 1): 2}), Poly.var(2, 0)
+    for product in (lambda: p * x, lambda: x * p):
+        with pytest.raises(ValueError, match=re.escape(f"exponent {bad!r}")):
+            product()
 
 
 def textbook_bracket_fields(x, y):
