@@ -23,7 +23,7 @@ from .errors import (
     PreconditionError,
 )
 from .freelie import generate_basis, witt_dimension
-from .goh import goh_polynomials, trace_variety
+from .goh import RES_MAX, goh_polynomials, trace_variety
 from .metabelian import is_metabelian
 from .normalform import realize_frame
 from .polyfield import Frame
@@ -97,9 +97,6 @@ def _parse_tol(text: str) -> float:
         raise argparse.ArgumentTypeError(
             f"tolerance must be a finite positive number, got {text!r}")
     return tol
-
-
-RES_MAX = 4096  # a grid of (RES_MAX + 1)^2 nodes takes about 1 GB
 
 
 def _parse_res(text: str) -> int:
@@ -332,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, **kwargs)
         p.set_defaults(fn=fn)
         p.add_argument("--out", help="output file (default stdout)")
-        p.add_argument("--seed", type=int, default=0)
         return p
 
     p = add("basis", cmd_basis, help="Lyndon-word basis and dimensions")
@@ -390,6 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("demo", cmd_demo, help="run an end-to-end scenario")
     p.add_argument("scenario", choices=SCENARIO_NAMES)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_parse_tol)
     p.add_argument("--eps", type=float)
     p.add_argument("--samples", type=int)

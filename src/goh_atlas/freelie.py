@@ -157,10 +157,6 @@ def _axpy(out: dict, a: dict, c) -> dict:
     return out
 
 
-def t_add(a: dict, b: dict) -> dict:
-    return _accumulate(dict(a), b.items())
-
-
 def t_scale(a: dict, c) -> dict:
     if not c:
         return {}
@@ -394,13 +390,14 @@ def structure_table(basis: LyndonBasis) -> StructureTable:
     return StructureTable(basis, tuple(tuple(row) for row in table))
 
 
-def random_lie_element(basis: LyndonBasis, rng, den: int = 7) -> LieElement:
-    """Small random rational element (for tests and demos)."""
+def random_lie_element(basis: LyndonBasis, rng) -> LieElement:
+    """Small random rational element (for tests and demos): numerators in
+    -4..4, denominators in 1..6."""
     out: LieElement = {}
     for i in range(basis.dim):
         num = rng.randrange(-4, 5)
         if num:
-            out[i] = Fraction(num, rng.randrange(1, den))
+            out[i] = Fraction(num, rng.randrange(1, 7))
     return out
 
 
@@ -410,6 +407,6 @@ __all__ = [
     "witt_dimension", "generate_basis", "structure_table",
     "bracket", "iterated_bracket_index", "bch",
     "lie_single", "lie_add", "lie_scale", "lie_to_tensor", "tensor_to_lie",
-    "t_add", "t_scale", "t_mul", "t_bracket", "t_exp", "t_log",
+    "t_scale", "t_mul", "t_bracket", "t_exp", "t_log",
     "word_expansions", "random_lie_element",
 ]

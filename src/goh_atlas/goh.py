@@ -22,6 +22,7 @@ from .normalform import verify_normal_form
 from .polyfield import Frame, Poly, _float_evaluator
 
 ZERO = Fraction(0)
+RES_MAX = 4096  # a trace at RES_MAX peaks at about 0.6 GB (33 B per node)
 
 
 def _as_exact(c):
@@ -106,10 +107,12 @@ def variety_membership(sys: GohSystem, curve) -> float:
     points = getattr(curve, "points", curve)
     evaluators = [_float_evaluator(p) for p in sys.polys.values()]
     worst = 0.0
-    for pt in points:
+    for idx, pt in enumerate(points):
         if len(pt) != sys.r:
             raise ValueError("curve points must live in R^r")
         x = [float(c) for c in pt]
+        if not all(map(math.isfinite, x)):
+            raise ValueError(f"curve point {idx} is not finite: {x}")
         for f in evaluators:
             v = abs(float(f(x)))
             if v > worst:
@@ -150,15 +153,6 @@ class VarietyTrace:
             for x, y in chain:
                 lines.append(f"{format(x, '.17g')},{format(y, '.17g')},{bid}")
         return "\n".join(lines) + "\n"
-
-
-def _poly_grid_eval(p: Poly, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Values on the grid (len(ys), len(xs)), rows indexed by y."""
-    gx, gy = np.meshgrid(xs, ys)
-    out = np.zeros_like(gx)
-    for e, c in p.terms.items():
-        out += float(c) * gx ** e[0] * gy ** e[1]
-    return out
 
 
 def _bisect_edge(f, pa, pb, va, vb, tol: float):
@@ -228,8 +222,9 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
     if not (x0 < x1 and y0 < y1):
         raise ValueError("window must satisfy x_min < x_max, y_min < y_max")
     res = int(resolution)
-    if res < 2:
-        raise ValueError("resolution must be at least 2")
+    if not 2 <= res <= RES_MAX:
+        raise ValueError(
+            f"resolution must be from 2 to {RES_MAX}, got {resolution!r}")
 
     trace = VarietyTrace(window=(x0, x1, y0, y1), resolution=res)
     if F.is_zero():
@@ -238,13 +233,14 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
 
     xs = np.linspace(x0, x1, res + 1)
     ys = np.linspace(y0, y1, res + 1)
-    vals = _poly_grid_eval(F, xs, ys)
+    feval = _float_evaluator(F)
+    # per-axis grid, rows indexed by y; F's values broadcast to every node
+    vals = np.broadcast_to(feval((xs[None, :], ys[:, None])),
+                           (res + 1, res + 1))
     scale = float(np.max(np.abs(vals)))
     tol = 1e-9 * (1.0 + scale)
     trace.tolerance = tol
     trace.f_scale = scale
-
-    feval = _float_evaluator(F)
 
     def f(px, py):
         return feval((px, py))
@@ -337,16 +333,17 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
             chains.append(walk(k))
 
     trace.polylines = [[verts[k] for k in chain] for chain in chains]
-    trace.singular_candidates = _singular_candidates(F, xs, ys, vals, tol)
+    trace.singular_candidates = _singular_candidates(F, feval, xs, ys, vals,
+                                                     tol)
     return trace
 
 
-def _singular_candidates(F: Poly, xs, ys, vals, tol) -> list:
+def _singular_candidates(F: Poly, f, xs, ys, vals, tol) -> list:
     fx, fy = F.diff(0), F.diff(1)
-    gx = _poly_grid_eval(fx, xs, ys)
-    gy = _poly_grid_eval(fy, xs, ys)
-    grad = np.hypot(gx, gy)
-    gscale = float(np.max(grad)) if grad.size else 0.0
+    dfx, dfy = _float_evaluator(fx), _float_evaluator(fy)
+    grid = (xs[None, :], ys[:, None])
+    grad = np.hypot(dfx(grid), dfy(grid))  # broadcasts against vals
+    gscale = float(np.max(grad))
     cell = max(xs[1] - xs[0], ys[1] - ys[0])
 
     # grid pre-candidates: both F and its gradient small at the node scale
@@ -358,8 +355,8 @@ def _singular_candidates(F: Poly, xs, ys, vals, tol) -> list:
 
     # one evaluator per polynomial; fxy and fyx may order their terms
     # differently, so each keeps its own
-    f, dfx, dfy, dfxx, dfxy, dfyx, dfyy = map(_float_evaluator, (
-        F, fx, fy, fx.diff(0), fx.diff(1), fy.diff(0), fy.diff(1)))
+    dfxx, dfxy, dfyx, dfyy = map(_float_evaluator, (
+        fx.diff(0), fx.diff(1), fy.diff(0), fy.diff(1)))
 
     def newton(p, q, jac_rows, x, y):
         # damped Newton for the 2x2 system (p, q); an accepted step carries

@@ -103,8 +103,13 @@ def _float_evaluator(p: "Poly"):
     """x -> p at x in float arithmetic, the coefficients converted once.
 
     Terms are summed in dict order from 0.0, each as its coefficient times
-    x[i] ** k for every nonzero exponent k in variable order.  The evaluator
-    holds a copy of the terms: build a new one after p changes.
+    x[i] ** k for every nonzero exponent k in variable order.  No update is
+    in place, so x may hold arrays that broadcast against each other, such
+    as the per-axis grid (xs[None, :], ys[:, None]) of a plane polynomial;
+    the result then broadcasts to the (len(ys), len(xs)) grid.  Array ``**``
+    can round differently from scalar ``**``, so a grid node and the same
+    point given as floats need not agree bit for bit.  The evaluator holds
+    a copy of the terms: build a new one after p changes.
     """
     terms = [(float(c), [(i, k) for i, k in enumerate(e) if k])
              for e, c in p.terms.items()]
@@ -113,8 +118,8 @@ def _float_evaluator(p: "Poly"):
         total = 0.0
         for v, powers in terms:
             for i, k in powers:
-                v *= x[i] ** k
-            total += v
+                v = v * x[i] ** k
+            total = total + v
         return total
 
     return evaluate
@@ -313,10 +318,6 @@ class Poly:
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def weighted_degree(self, weights) -> int:
-        return max((sum(w * k for w, k in zip(weights, e)) for e in self.terms),
-                   default=0)
-
     def variables(self) -> set[int]:
         return set(chain.from_iterable(compress(range(self.n), e)
                                        for e in self.terms))
@@ -413,9 +414,6 @@ class PolyVec:
 
     def eval(self, x):
         return [p.eval(x) for p in self.comps]
-
-    def eval_float(self, x):
-        return np.array([p.eval_float(x) for p in self.comps])
 
     def __repr__(self):
         return "PolyVec[" + ", ".join(repr(p) for p in self.comps) + "]"
@@ -571,30 +569,33 @@ def _nested_brackets(frame: Frame):
 # ---------------------------------------------------------------------------
 # exact flows
 
-def flow_map(x_field: PolyVec, bound: int = 10) -> list[Poly]:
+PICARD_ROUNDS = 10
+
+
+def flow_map(x_field: PolyVec) -> list[Poly]:
     """Polynomial flow map Phi(x, t) of an exactly-integrable field.
 
     Returned as n polynomials in n+1 variables (time last).  Picard
     iteration from the identity; raises NotNilpotentError if it has not
-    stabilized after `bound` rounds.
+    stabilized after PICARD_ROUNDS rounds.
     """
     n = x_field.n
     m = n + 1
     lifted = [p.extend(m) for p in x_field.comps]
     phi = [Poly.var(m, j) for j in range(n)]
-    for _ in range(bound + 1):
+    for _ in range(PICARD_ROUNDS + 1):
         nxt = [Poly.var(m, j) + lifted[j].compose(phi + [Poly.var(m, n)]).integrate(n)
                for j in range(n)]
         if nxt == phi:
             return phi
         phi = nxt
     raise NotNilpotentError(
-        f"flow did not stabilize within {bound} Picard iterations")
+        f"flow did not stabilize within {PICARD_ROUNDS} Picard iterations")
 
 
-def exact_flow(x_field: PolyVec, x0, t, bound: int = 10):
+def exact_flow(x_field: PolyVec, x0, t):
     """Exact time-t flow point from x0 (rational in, rational out)."""
-    phi = flow_map(x_field, bound)
+    phi = flow_map(x_field)
     pt = [_as_frac(v) for v in x0] + [_as_frac(t)]
     return [p.eval(pt) for p in phi]
 

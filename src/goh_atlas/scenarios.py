@@ -133,7 +133,7 @@ def scenario_heisenberg(cfg: dict) -> _Report:
     sysm = goh_polynomials(frame, lam)
     rep.artifact("goh.json", sysm)
     rep.check("goh_constant_one", sysm.poly(1, 2) == Poly.one(2))
-    trace = trace_variety(sysm, resolution=cfg["res"] or 128)
+    trace = trace_variety(sysm, resolution=cfg["res"])
     rep.artifact("trace.json", trace)
     rep.check("variety_empty",
               not trace.whole_plane and not trace.polylines,
@@ -198,7 +198,7 @@ def scenario_f23_line(cfg: dict) -> _Report:
     rep.artifact("goh.json", sysm)
     rep.check("variety_polynomial_is_x1",
               sysm.poly(1, 2) == Poly.var(2, 0))
-    trace = trace_variety(sysm, resolution=cfg["res"] or 128)
+    trace = trace_variety(sysm, resolution=cfg["res"])
     rep.artifact("trace.json", trace)
     on_axis = bool(trace.polylines) and all(
         abs(p[0]) <= trace.tolerance
@@ -286,7 +286,7 @@ def scenario_martinet(cfg: dict) -> _Report:
     rep.artifact("goh.json", sysm)
     rep.check("variety_polynomial_is_x1",
               sysm.poly(1, 2) == Poly.var(2, 0))
-    trace = trace_variety(sysm, resolution=cfg["res"] or 128)
+    trace = trace_variety(sysm, resolution=cfg["res"])
     rep.artifact("trace.json", trace)
     on_axis = bool(trace.polylines) and all(
         abs(p[0]) <= trace.tolerance
@@ -390,5 +390,5 @@ def run_scenario(name: str, seed: int = 0, tol: float | None = None,
     if name not in _PIPELINES:
         raise KeyError(name)
     cfg = {"seed": seed, "tol": tol, "eps": eps, "samples": samples,
-           "res": res}
+           "res": 128 if res is None else res}
     return _PIPELINES[name](cfg)

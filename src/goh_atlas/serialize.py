@@ -9,6 +9,8 @@ from __future__ import annotations
 import sys
 from fractions import Fraction
 
+INDENT = "  "  # per nesting level of a JSON object or list
+
 
 def _render_float(x: float) -> str:
     if x != x or x in (float("inf"), float("-inf")):
@@ -38,7 +40,7 @@ def _escape(s: str) -> str:
     return "".join(out)
 
 
-def _emit(obj, parts: list, indent: int, pad: str):
+def _emit(obj, parts: list, pad: str):
     if obj is None:
         parts.append("null")
     elif obj is True:
@@ -58,12 +60,12 @@ def _emit(obj, parts: list, indent: int, pad: str):
             parts.append("{}")
             return
         parts.append("{\n")
-        inner = pad + " " * indent
+        inner = pad + INDENT
         for i, (k, v) in enumerate(obj.items()):
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be strings, got {k!r}")
             parts.append(f'{inner}"{_escape(k)}": ')
-            _emit(v, parts, indent, inner)
+            _emit(v, parts, inner)
             parts.append(",\n" if i + 1 < len(obj) else "\n")
         parts.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -75,29 +77,29 @@ def _emit(obj, parts: list, indent: int, pad: str):
         if scalars and len(seq) <= 16:
             parts.append("[")
             for i, v in enumerate(seq):
-                _emit(v, parts, indent, pad)
+                _emit(v, parts, pad)
                 if i + 1 < len(seq):
                     parts.append(", ")
             parts.append("]")
             return
         parts.append("[\n")
-        inner = pad + " " * indent
+        inner = pad + INDENT
         for i, v in enumerate(seq):
             parts.append(inner)
-            _emit(v, parts, indent, inner)
+            _emit(v, parts, inner)
             parts.append(",\n" if i + 1 < len(seq) else "\n")
         parts.append(pad + "]")
     elif hasattr(obj, "tolist"):  # numpy scalars and arrays
-        _emit(obj.tolist(), parts, indent, pad)
+        _emit(obj.tolist(), parts, pad)
     elif hasattr(obj, "to_json"):
-        _emit(obj.to_json(), parts, indent, pad)
+        _emit(obj.to_json(), parts, pad)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
-def dumps(obj, indent: int = 2) -> str:
+def dumps(obj) -> str:
     parts: list = []
-    _emit(obj, parts, indent, "")
+    _emit(obj, parts, "")
     parts.append("\n")
     return "".join(parts)
 
@@ -111,10 +113,9 @@ def write_output(text: str, out: str | None):
             fh.write(text)
 
 
-def curve_csv(ts, points, header: str | None = None) -> str:
+def curve_csv(ts, points) -> str:
     m = len(points[0])
-    head = header or ("t," + ",".join(f"x{j + 1}" for j in range(m)))
-    lines = [head]
+    lines = ["t," + ",".join(f"x{j + 1}" for j in range(m))]
     for t, row in zip(ts, points):
         lines.append(",".join([format(float(t), ".17g")]
                               + [format(float(v), ".17g") for v in row]))

@@ -112,9 +112,6 @@ class SampledCurve:
         ts = np.linspace(t0, t1, n_steps + 1)
         return SampledCurve(ts, np.array([_float_list(f(t)) for t in ts]))
 
-    def projection(self, m: int) -> "SampledCurve":
-        return SampledCurve(self.ts, self.points[:, :m])
-
     def to_json(self) -> dict:
         return {"schema": "goh-atlas/1", "type": "curve",
                 "t": self.ts.tolist(), "values": self.points.tolist()}

@@ -33,6 +33,12 @@ class TestBasicCommands:
         assert data["dims_by_length"] == [2, 1, 2]
         assert data["schema"] == "goh-atlas/1"
 
+    def test_seed_is_a_demo_option_only(self, capsys):
+        code, out, err = run(capsys, "basis", "--rank", "2", "--step", "2",
+                             "--seed", "1")
+        assert (code, out) == (2, "")
+        assert "--seed" in err
+
     def test_realize_and_frame_file(self, capsys, tmp_path):
         path = tmp_path / "frame.json"
         code, _, _ = run(capsys, "realize", "--rank", "2", "--step", "3",

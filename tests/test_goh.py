@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goh_atlas import goh
 from goh_atlas.errors import PreconditionError
 from goh_atlas.freelie import generate_basis
 from goh_atlas.goh import (
     _SEGMENT_TABLE,
+    RES_MAX,
     GohSystem,
     VarietyTrace,
     _bisect_edge,
-    _poly_grid_eval,
     goh_polynomials,
     trace_variety,
     variety_membership,
@@ -130,6 +131,13 @@ class TestVarietyMembership:
         with pytest.raises(ValueError):
             variety_membership(sys, [(1.0, 2.0, 3.0)])
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_point_is_named(self, bad):
+        # a NaN value never beats the sup, so it used to read as on the variety
+        sys = goh_polynomials(martinet_frame(), [0, 0, 1])  # F = x_1
+        with pytest.raises(ValueError, match="point 1 is not finite"):
+            variety_membership(sys, [(0.0, 0.0), (bad, 0.0)])
+
 
 class TestTraceVariety:
     def test_line(self):
@@ -181,6 +189,15 @@ class TestTraceVariety:
     def test_window_validation(self):
         with pytest.raises(ValueError):
             trace_variety(system_of(Poly.var(2, 0)), window=(1, -1, 0, 1))
+
+    @pytest.mark.parametrize("res", [0, 1, RES_MAX + 1])
+    def test_resolution_bounds(self, res, monkeypatch):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("a grid was allocated")
+
+        monkeypatch.setattr(goh.np, "linspace", no_grid)
+        with pytest.raises(ValueError, match="resolution"):
+            trace_variety(system_of(Poly.var(2, 0)), resolution=res)
 
     def test_hausdorff_refinement_monotone(self):
         x1, x2 = Poly.var(2, 0), Poly.var(2, 1)
@@ -234,6 +251,15 @@ def _hausdorff_distance(points_a, points_b) -> float:
 # term at every point
 
 
+def textbook_grid_eval(p: Poly, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """Values on the grid (len(ys), len(xs)), rows indexed by y."""
+    gx, gy = np.meshgrid(xs, ys)
+    out = np.zeros_like(gx)
+    for e, c in p.terms.items():
+        out += float(c) * gx ** e[0] * gy ** e[1]
+    return out
+
+
 def textbook_eval(p: Poly, x) -> float:
     total = 0.0
     for e, c in p.terms.items():
@@ -257,7 +283,7 @@ def reference_trace(sys, window, resolution) -> VarietyTrace:
 
     xs = np.linspace(x0, x1, res + 1)
     ys = np.linspace(y0, y1, res + 1)
-    vals = _poly_grid_eval(F, xs, ys)
+    vals = textbook_grid_eval(F, xs, ys)
     scale = float(np.max(np.abs(vals)))
     tol = 1e-9 * (1.0 + scale)
     trace.tolerance = tol
@@ -372,8 +398,8 @@ def reference_trace(sys, window, resolution) -> VarietyTrace:
 
 def reference_singular(F: Poly, xs, ys, vals, tol) -> list:
     fx, fy = F.diff(0), F.diff(1)
-    gx = _poly_grid_eval(fx, xs, ys)
-    gy = _poly_grid_eval(fy, xs, ys)
+    gx = textbook_grid_eval(fx, xs, ys)
+    gy = textbook_grid_eval(fy, xs, ys)
     grad = np.hypot(gx, gy)
     gscale = float(np.max(grad)) if grad.size else 0.0
     cell = max(xs[1] - xs[0], ys[1] - ys[0])
@@ -451,7 +477,7 @@ def cell_codes(p: Poly, window, res) -> set:
     """Marching-squares codes of the cells, counted as the tracer does."""
     xs = np.linspace(window[0], window[1], res + 1)
     ys = np.linspace(window[2], window[3], res + 1)
-    pos = _poly_grid_eval(p, xs, ys) >= 0.0
+    pos = textbook_grid_eval(p, xs, ys) >= 0.0
     return {int(pos[j, i]) | 2 * int(pos[j, i + 1])
             | 4 * int(pos[j + 1, i + 1]) | 8 * int(pos[j + 1, i])
             for j in range(res) for i in range(res)}
@@ -496,7 +522,7 @@ class TestTraceMatchesTextbook:
         for p, window, res in THROUGH_NODES:
             xs = np.linspace(window[0], window[1], res + 1)
             ys = np.linspace(window[2], window[3], res + 1)
-            assert (_poly_grid_eval(p, xs, ys) == 0.0).any()
+            assert (textbook_grid_eval(p, xs, ys) == 0.0).any()
         p, window, res = NODAL_CUBIC[0]
         tr = trace_variety(system_of(p), window=window, resolution=res)
         assert len(tr.singular_candidates) == 1
@@ -506,24 +532,40 @@ class TestTraceMatchesTextbook:
 @st.composite
 def polys_and_points(draw):
     """A polynomial of degree <= 4 with small rational coefficients, in 1..3
-    variables, and a point whose entries may be +0.0 or -0.0."""
+    variables of which it may leave any out (for two: x-only, y-only and
+    constant ones), a point whose entries may be +0.0 or -0.0, and for two
+    variables a pair of grid axes with such entries."""
     n = draw(st.integers(1, 3))
-    exponent = st.tuples(*[st.integers(0, 4)] * n).filter(
-        lambda e: sum(e) <= 4)
+    used = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    exponent = st.tuples(*[st.integers(0, 4) if u else st.just(0)
+                           for u in used]).filter(lambda e: sum(e) <= 4)
     coef = st.builds(F, st.integers(-9, 9), st.integers(1, 8))
     terms = draw(st.dictionaries(exponent, coef, max_size=8))
     entry = st.one_of(st.sampled_from([0.0, -0.0]),
                       st.floats(-1e3, 1e3, allow_nan=False))
-    return Poly(n, terms), draw(st.lists(entry, min_size=n, max_size=n))
+    point = draw(st.lists(entry, min_size=n, max_size=n))
+    axes = None
+    if n == 2:
+        axis = st.lists(entry, min_size=1, max_size=6)
+        axes = (np.array(draw(axis)), np.array(draw(axis)))
+    return Poly(n, terms), point, axes
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=polys_and_points())
 def test_float_evaluator_matches_textbook_bitwise(case):
-    p, x = case
+    p, x, axes = case
     evaluate = _float_evaluator(p)
     for point in (tuple(x), [np.float64(v) for v in x]):
         want = textbook_eval(p, point)
         for got in (evaluate(point), p.eval_float(point)):
             assert type(got) is type(want)
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
+    if axes is not None:
+        # per-axis grid: the result broadcasts to the meshgrid's values
+        xs, ys = axes
+        want = textbook_grid_eval(p, xs, ys)
+        got = np.broadcast_to(evaluate((xs[None, :], ys[:, None])),
+                              want.shape)
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()

@@ -105,7 +105,6 @@ class TestPoly:
         x, y = Poly.var(2, 0), Poly.var(2, 1)
         p = x * x * y + y
         assert p.degree() == 3
-        assert p.weighted_degree((1, 2)) == 4
         assert Poly.zero(2).degree() == 0
 
     def test_extend_restrict(self):

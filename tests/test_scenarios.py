@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from goh_atlas import serialize
+from goh_atlas import goh, serialize
 from goh_atlas.scenarios import SCENARIO_NAMES, run_scenario
 
 FAST = ("heisenberg", "f23-line", "f24", "f25", "martinet")
@@ -48,3 +48,13 @@ def test_verdicts_independent_of_seed():
     assert a.ok and b.ok
     assert [c["name"] for c in a.checks] == [c["name"] for c in b.checks]
     assert [c["ok"] for c in a.checks] == [c["ok"] for c in b.checks]
+
+
+def test_bad_res_raises_before_any_grid(monkeypatch):
+    # None means the default 128; any other value reaches the tracer as given
+    def no_grid(p):
+        raise AssertionError("a grid was evaluated")
+
+    monkeypatch.setattr(goh, "_float_evaluator", no_grid)
+    with pytest.raises(ValueError, match="resolution"):
+        run_scenario("f23-line", res=0)

@@ -133,10 +133,10 @@ class TestControl:
 
 
 class TestSampledCurve:
-    def test_from_function_and_projection(self):
+    def test_from_function(self):
         c = SampledCurve.from_function(lambda t: (t, t * t, 1.0), 0.0, 1.0, 10)
         assert c.m == 3
-        assert c.projection(2).points.shape == (11, 2)
+        assert c.points.shape == (11, 3)
 
     def test_validation(self):
         with pytest.raises(ValueError):
