@@ -23,7 +23,7 @@ from .errors import (
     PreconditionError,
 )
 from .freelie import generate_basis, witt_dimension
-from .goh import RES_MAX, goh_polynomials, trace_variety
+from .goh import RES_MAX, check_resolution, goh_polynomials, trace_variety
 from .metabelian import is_metabelian
 from .normalform import realize_frame
 from .polyfield import Frame
@@ -44,23 +44,17 @@ def _log(msg: str):
     print(msg, file=sys.stderr)
 
 
-def _usage(msg: str):
-    _log(f"error: {msg}")
-
-
 def _parse_lambda(text: str) -> list[Fraction]:
     try:
         return [Fraction(part.strip()) for part in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
-        _usage(f"bad --lambda value: {exc}")
-        raise SystemExit(2) from None
+        raise ValueError(f"bad --lambda value: {exc}") from None
 
 
 def _parse_window(text: str):
     parts = text.split(",")
     if len(parts) != 4:
-        _usage("--window needs x0,x1,y0,y1")
-        raise SystemExit(2)
+        raise ValueError("--window needs x0,x1,y0,y1")
     return tuple(float(p) for p in parts)
 
 
@@ -72,12 +66,11 @@ def _load_json(path: str) -> dict:
 def _frame_from_args(args) -> Frame:
     if getattr(args, "frame", None):
         data = _load_json(args.frame)
-        if data.get("type") == "realization_report":
+        if isinstance(data, dict) and data.get("type") == "realization_report":
             data = data["frame"]
         return Frame.from_json(data)
     if args.rank is None or args.step is None:
-        _usage("need --rank and --step, or --frame FILE")
-        raise SystemExit(2)
+        raise ValueError("need --rank and --step, or --frame FILE")
     frame, _ = realize_frame(generate_basis(args.rank, args.step))
     return frame
 
@@ -100,19 +93,17 @@ def _parse_tol(text: str) -> float:
 
 
 def _parse_res(text: str) -> int:
-    """A grid resolution is an integer from 2 to RES_MAX (type of --res)."""
+    """A grid resolution by goh.check_resolution's rule (type of --res)."""
     try:
-        res = int(text)
+        return check_resolution(int(text))
     except ValueError:
-        res = 0
-    if not 2 <= res <= RES_MAX:
         raise argparse.ArgumentTypeError(
-            f"resolution must be an integer from 2 to {RES_MAX}, got {text!r}")
-    return res
+            f"resolution must be an integer from 2 to {RES_MAX}, "
+            f"got {text!r}") from None
 
 
 def _default_tol(args, fallback: float | None) -> float | None:
-    """--tol, else GOH_ATLAS_TOL, else fallback; a bad value exits with 2."""
+    """--tol, else GOH_ATLAS_TOL, else fallback; a bad value is a usage error."""
     if getattr(args, "tol", None) is not None:
         return args.tol
     env = os.environ.get("GOH_ATLAS_TOL")
@@ -120,8 +111,7 @@ def _default_tol(args, fallback: float | None) -> float | None:
         try:
             return _parse_tol(env)
         except argparse.ArgumentTypeError as exc:
-            _usage(f"bad GOH_ATLAS_TOL value: {exc}")
-            raise SystemExit(2) from None
+            raise ValueError(f"bad GOH_ATLAS_TOL value: {exc}") from None
     return fallback
 
 
@@ -168,8 +158,7 @@ def cmd_metabelian(args) -> int:
 def _goh_system(args):
     frame = _frame_from_args(args)
     if not args.lam:
-        _usage("--lambda is required")
-        raise SystemExit(2)
+        raise ValueError("--lambda is required")
     lam = _parse_lambda(args.lam)
     return goh_polynomials(frame, lam)
 
@@ -197,8 +186,7 @@ def cmd_trace(args) -> int:
 def cmd_lift(args) -> int:
     frame = _frame_from_args(args)
     if not args.curve:
-        _usage("--curve FILE is required")
-        raise SystemExit(2)
+        raise ValueError("--curve FILE is required")
     kappa = SampledCurve.from_json(_load_json(args.curve))
     x0 = list(kappa.points[0]) + [0.0] * (frame.n - frame.r)
     curve, control = horizontal_lift(frame, kappa, x0)
@@ -213,8 +201,7 @@ def cmd_lift(args) -> int:
 
 def _control_from_args(args) -> Control:
     if not args.control:
-        _usage("--control FILE is required")
-        raise SystemExit(2)
+        raise ValueError("--control FILE is required")
     return Control.from_json(_load_json(args.control))
 
 
@@ -222,8 +209,7 @@ def _x0_from_args(args, frame) -> list:
     if args.x0:
         vals = [float(Fraction(p)) for p in args.x0.split(",")]
         if len(vals) != frame.n:
-            _usage(f"--x0 needs {frame.n} components")
-            raise SystemExit(2)
+            raise ValueError(f"--x0 needs {frame.n} components")
         return vals
     return [0.0] * frame.n
 
@@ -240,8 +226,7 @@ def cmd_residuals(args) -> int:
     frame = _frame_from_args(args)
     control = _control_from_args(args)
     if not args.lam:
-        _usage("--lambda is required")
-        raise SystemExit(2)
+        raise ValueError("--lambda is required")
     lam = [float(v) for v in _parse_lambda(args.lam)]
     rep = extremal_residuals(frame, control, _x0_from_args(args, frame), lam)
     _log(f"sup abnormal {rep.sup_abnormal:.3e}, sup bracket {rep.sup_goh:.3e}")
@@ -274,12 +259,10 @@ def cmd_spiral(args) -> int:
 def cmd_contain(args) -> int:
     threshold = _default_tol(args, 1e-8)
     if not args.curve:
-        _usage("--curve FILE is required")
-        raise SystemExit(2)
+        raise ValueError("--curve FILE is required")
     curve = SampledCurve.from_json(_load_json(args.curve))
     if curve.m != 2:
-        _usage("containment needs a planar curve")
-        raise SystemExit(2)
+        raise ValueError("containment needs a planar curve")
     results = []
     for degree in range(1, args.degree + 1):
         out = polynomial_containment(
@@ -403,8 +386,6 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     except (PreconditionError, NumericsError, ConditioningError,
             NotNilpotentError) as exc:
         serialize.write_output(serialize.dumps({

@@ -19,6 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product
 
+from .serialize import check_artifact
+
 Word = tuple[int, ...]
 
 ZERO = Fraction(0)
@@ -118,6 +120,7 @@ class LyndonBasis:
 
     @staticmethod
     def from_json(data: dict) -> "LyndonBasis":
+        check_artifact(data, "lyndon_basis")
         words = tuple(tuple(int(c) for c in w) for w in data["words"])
         basis = LyndonBasis(data["rank"], data["step"], words)
         if words != generate_basis(basis.rank, basis.step).words:
@@ -363,6 +366,7 @@ class StructureTable:
 
     @staticmethod
     def from_json(data: dict) -> "StructureTable":
+        check_artifact(data, "structure_table")
         basis = generate_basis(data["rank"], data["step"])
         n = basis.dim
         table = [[{} for _ in range(n)] for _ in range(n)]

@@ -25,6 +25,22 @@ ZERO = Fraction(0)
 RES_MAX = 4096  # a trace at RES_MAX peaks at about 0.6 GB (33 B per node)
 
 
+def check_resolution(resolution) -> int:
+    """resolution as an int, if it is an integer from 2 to RES_MAX.
+
+    The one rule for a trace's grid resolution (`trace_variety`, the CLI's
+    --res, `run_scenario`); any other value is a ValueError naming it.
+    """
+    try:
+        res = int(resolution)
+    except (TypeError, ValueError, OverflowError):
+        res = None
+    if res is None or res != resolution or not 2 <= res <= RES_MAX:
+        raise ValueError(f"resolution must be an integer from 2 to "
+                         f"{RES_MAX}, got {resolution!r}")
+    return res
+
+
 def _as_exact(c):
     if isinstance(c, (Fraction, int)):
         return Fraction(c)
@@ -221,10 +237,7 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
     x0, x1, y0, y1 = (float(v) for v in window)
     if not (x0 < x1 and y0 < y1):
         raise ValueError("window must satisfy x_min < x_max, y_min < y_max")
-    res = int(resolution)
-    if not 2 <= res <= RES_MAX:
-        raise ValueError(
-            f"resolution must be from 2 to {RES_MAX}, got {resolution!r}")
+    res = check_resolution(resolution)
 
     trace = VarietyTrace(window=(x0, x1, y0, y1), resolution=res)
     if F.is_zero():
@@ -417,6 +430,7 @@ def _singular_candidates(F: Poly, f, xs, ys, vals, tol) -> list:
 __all__ = [
     "GohSystem",
     "VarietyTrace",
+    "check_resolution",
     "goh_polynomials",
     "trace_variety",
     "variety_membership",

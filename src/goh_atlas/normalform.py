@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
+from math import comb, copysign
 
 from .errors import NumericsError
 from .freelie import (
@@ -41,7 +41,6 @@ from .polyfield import (
     PolyVec,
     exact_flow,
     lie_bracket_fields,
-    rk4_flow,
 )
 
 ONE = Fraction(1)
@@ -329,7 +328,9 @@ def verify_second_kind(fields, x, tol: float | None = None,
     from 0 (highest index first) must land on x.
 
     fields: all n stratified fields, basis order (a Frame with r = n works).
-    Returns |endpoint - x|_inf; raises if a tolerance is given and missed.
+    The float path flows each field by `trajectories.flow_control` in
+    `steps` RK4 steps.  Returns |endpoint - x|_inf; raises if a tolerance
+    is given and missed.
     """
     if isinstance(fields, Frame):
         fields = fields.fields
@@ -348,16 +349,18 @@ def verify_second_kind(fields, x, tol: float | None = None,
         residual = max(abs(float(c - Fraction(xi)))
                        for c, xi in zip(cur, x))
     else:
-        import numpy as np
+        from .trajectories import Control, flow_control
 
-        cur = np.zeros(n)
+        cur = [0.0] * n
         for i in range(n - 1, -1, -1):
             ti = float(x[i])
             if ti == 0.0:
                 continue
-            cur = rk4_flow(fields[i], cur, ti, steps=steps)
-        if not np.all(np.isfinite(cur)):
-            raise NumericsError("flow composition diverged")
+            # the time-t_i flow of X_i is the time-|t_i| flow of sign(t_i) X_i
+            sign = [copysign(1.0, ti)]
+            cur = flow_control(Frame([fields[i]]),
+                               Control((0.0, abs(ti)), [sign, sign]), cur,
+                               substeps=steps).points[-1]
         residual = float(max(abs(c - float(xi)) for c, xi in zip(cur, x)))
 
     if tol is not None and residual > tol:

@@ -26,6 +26,7 @@ from operator import index, or_
 import numpy as np
 
 from .errors import NotNilpotentError
+from .serialize import check_artifact
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -501,6 +502,7 @@ class Frame:
 
     @staticmethod
     def from_json(data: dict) -> "Frame":
+        check_artifact(data, "frame")
         n = data["n"]
         fields = []
         for k, f in enumerate(data["fields"], 1):
@@ -598,41 +600,6 @@ def exact_flow(x_field: PolyVec, x0, t):
     phi = flow_map(x_field)
     pt = [_as_frac(v) for v in x0] + [_as_frac(t)]
     return [p.eval(pt) for p in phi]
-
-
-def rk4_nodes(rhs, grid, state, substeps: int = 1):
-    """Classical RK4 on a list of state arrays, yielded at every grid node.
-
-    rhs(t, state) returns one derivative array per state array.  Each grid
-    interval is split into `substeps` equal steps.  The first yield is the
-    initial state.  No array is modified in place, so callers may keep the
-    yielded arrays without copying.
-    """
-    if substeps < 1:
-        raise ValueError("substeps must be >= 1")
-    state = list(state)
-    yield state
-    for i in range(len(grid) - 1):
-        h = (grid[i + 1] - grid[i]) / substeps
-        t = grid[i]
-        for _ in range(substeps):
-            k1 = rhs(t, state)
-            k2 = rhs(t + 0.5 * h, [s + 0.5 * h * k for s, k in zip(state, k1)])
-            k3 = rhs(t + 0.5 * h, [s + 0.5 * h * k for s, k in zip(state, k2)])
-            k4 = rhs(t + h, [s + h * k for s, k in zip(state, k3)])
-            state = [s + (h / 6.0) * (a + 2.0 * b + 2.0 * c + d)
-                     for s, a, b, c, d in zip(state, k1, k2, k3, k4)]
-            t += h
-        yield state
-
-
-def rk4_flow(x_field: PolyVec, x0, t: float, steps: int = 256) -> np.ndarray:
-    """Numeric time-t flow of an autonomous polynomial field (RK4)."""
-    x = np.array([float(v) for v in x0], dtype=float)
-    ev = compile_polyvec(x_field)
-    *_, (x,) = rk4_nodes(lambda _, s: [ev(s[0])], (0.0, t), [x],
-                         substeps=steps)
-    return x
 
 
 # ---------------------------------------------------------------------------
@@ -761,7 +728,7 @@ def compile_jacobian(field: PolyVec):
 __all__ = [
     "Poly", "PolyVec", "Frame",
     "lie_bracket_fields", "iterated_bracket_fields",
-    "flow_map", "exact_flow", "rk4_nodes", "rk4_flow", "growth_vector",
+    "flow_map", "exact_flow", "growth_vector",
     "heisenberg_frame", "martinet_frame",
     "CompiledPolys", "compile_polyvec", "compile_jacobian",
 ]

@@ -14,7 +14,12 @@ import numpy as np
 
 from .errors import PreconditionError
 from .freelie import generate_basis, structure_table
-from .goh import goh_polynomials, trace_variety, variety_membership
+from .goh import (
+    check_resolution,
+    goh_polynomials,
+    trace_variety,
+    variety_membership,
+)
 from .metabelian import (
     coefficient_dependence,
     is_metabelian,
@@ -390,5 +395,5 @@ def run_scenario(name: str, seed: int = 0, tol: float | None = None,
     if name not in _PIPELINES:
         raise KeyError(name)
     cfg = {"seed": seed, "tol": tol, "eps": eps, "samples": samples,
-           "res": 128 if res is None else res}
+           "res": check_resolution(128 if res is None else res)}
     return _PIPELINES[name](cfg)

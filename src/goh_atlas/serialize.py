@@ -1,4 +1,4 @@
-"""Deterministic JSON/CSV emission.
+"""Deterministic JSON/CSV emission, and the artifact check of the loaders.
 
 Floats are rendered with 17 significant digits so that reruns with the
 same flags and seed produce byte-identical artifacts.
@@ -10,6 +10,16 @@ import sys
 from fractions import Fraction
 
 INDENT = "  "  # per nesting level of a JSON object or list
+SCHEMA = "goh-atlas/1"
+
+
+def check_artifact(data, kind: str) -> None:
+    """ValueError unless data is a SCHEMA JSON object of type kind."""
+    found = (data.get("schema"), data.get("type")) \
+        if isinstance(data, dict) else (None, type(data).__name__)
+    if found != (SCHEMA, kind):
+        raise ValueError(f"expected a {SCHEMA} {kind!r} artifact, found "
+                         f"schema {found[0]!r}, type {found[1]!r}")
 
 
 def _render_float(x: float) -> str:

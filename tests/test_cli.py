@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +12,10 @@ import pytest
 import goh_atlas
 from goh_atlas import cli, serialize
 from goh_atlas.cli import main
-from goh_atlas.trajectories import SampledCurve
+from goh_atlas.freelie import LyndonBasis, StructureTable, generate_basis, \
+    structure_table
+from goh_atlas.polyfield import Frame, heisenberg_frame
+from goh_atlas.trajectories import Control, SampledCurve
 
 
 def run(capsys, *argv):
@@ -142,6 +146,14 @@ class TestPipelineThroughFiles:
         assert abs(end[2] - 1.0) < 1e-12
 
 
+def fraction_error(text: str) -> str:
+    try:
+        Fraction(text)
+    except ValueError as exc:
+        return str(exc)
+    raise AssertionError(f"{text!r} is a fraction")
+
+
 class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert run(capsys, "nonsense")[0] == 2
@@ -206,6 +218,70 @@ class TestExitCodes:
         code, out, err = run(capsys, "metabelian", "--frame", str(path))
         assert (code, out) == (2, "")
         assert f"field 1, component 2, term 1: {what}" in err
+
+    @pytest.mark.parametrize("argv, flag, want, found", [
+        (["metabelian"], "--frame", "frame", "curve"),
+        (["lift", "--rank", "2", "--step", "2"], "--curve", "curve",
+         "control"),
+        (["flow", "--rank", "2", "--step", "2"], "--control", "control",
+         "curve"),
+        (["contain"], "--curve", "curve", "control")],
+        ids=["metabelian", "lift", "flow", "contain"])
+    def test_artifact_of_the_wrong_type(self, capsys, tmp_path, argv, flag,
+                                        want, found):
+        # a control and a curve share their "t" and "values" keys
+        data = {"schema": "goh-atlas/1", "type": found,
+                "t": [0.0, 1.0], "values": [[0.0, 1.0], [0.0, 1.0]]}
+        path = tmp_path / "artifact.json"
+        path.write_text(serialize.dumps(data))
+        code, out, err = run(capsys, *argv, flag, str(path))
+        assert (code, out) == (2, "")
+        assert err == (f"error: expected a goh-atlas/1 {want!r} artifact, "
+                       f"found schema 'goh-atlas/1', type {found!r}\n")
+        path.write_text("[1, 2]")
+        code, out, err = run(capsys, *argv, flag, str(path))
+        assert (code, out) == (2, "")
+        assert err.endswith("found schema None, type 'list'\n")
+
+    @pytest.mark.parametrize("argv, env, msg", [
+        (["goh", "--rank", "2", "--step", "2", "--lambda", "1,zebra"], None,
+         f"bad --lambda value: {fraction_error('zebra')}"),
+        (["trace", "--rank", "2", "--step", "2", "--lambda", "0,0,1",
+          "--window", "0,1"], None, "--window needs x0,x1,y0,y1"),
+        (["metabelian"], None, "need --rank and --step, or --frame FILE"),
+        (["recover", "--rank", "2", "--step", "2"], "abc",
+         "bad GOH_ATLAS_TOL value: tolerance must be a finite positive "
+         "number, got 'abc'"),
+        (["goh", "--rank", "2", "--step", "2"], None, "--lambda is required"),
+        (["lift", "--rank", "2", "--step", "2"], None,
+         "--curve FILE is required"),
+        (["flow", "--rank", "2", "--step", "2"], None,
+         "--control FILE is required"),
+        (["flow", "--rank", "2", "--step", "2", "--control", "CONTROL",
+          "--x0", "1,0"], None, "--x0 needs 3 components"),
+        (["residuals", "--rank", "2", "--step", "2", "--control", "CONTROL"],
+         None, "--lambda is required"),
+        (["contain"], None, "--curve FILE is required"),
+        (["contain", "--curve", "CURVE3"], None,
+         "containment needs a planar curve")],
+        ids=["lambda-value", "window", "frame-flags", "env-tol",
+             "goh-lambda", "lift-curve", "control", "x0",
+             "residuals-lambda", "contain-curve", "planar"])
+    def test_usage_errors(self, capsys, tmp_path, monkeypatch, argv, env,
+                          msg):
+        control = tmp_path / "u.json"
+        control.write_text(serialize.dumps(Control(
+            [0.0, 1.0], [[0.0, 1.0], [0.0, 1.0]]).to_json()))
+        curve3 = tmp_path / "c.json"
+        curve3.write_text(serialize.dumps(SampledCurve(
+            [0.0, 1.0], [[0.0] * 3, [1.0] * 3]).to_json()))
+        files = {"CONTROL": str(control), "CURVE3": str(curve3)}
+        if env is None:
+            monkeypatch.delenv("GOH_ATLAS_TOL", raising=False)
+        else:
+            monkeypatch.setenv("GOH_ATLAS_TOL", env)
+        code, out, err = run(capsys, *[files.get(a, a) for a in argv])
+        assert (code, out, err) == (2, "", f"error: {msg}\n")
 
 
 class TestTolerancePlumbing:
@@ -349,6 +425,27 @@ class TestSerialize:
     def test_nonfinite_rejected(self):
         with pytest.raises(ValueError):
             serialize.dumps({"x": float("nan")})
+
+    @pytest.mark.parametrize("load, obj", [
+        (Frame.from_json, heisenberg_frame()),
+        (Control.from_json, Control([0.0, 1.0], [[1.0], [2.0]])),
+        (SampledCurve.from_json, SampledCurve([0.0, 1.0], [[1.0], [2.0]])),
+        (LyndonBasis.from_json, generate_basis(2, 3)),
+        (StructureTable.from_json, structure_table(generate_basis(2, 3)))],
+        ids=["frame", "control", "curve", "lyndon_basis", "structure_table"])
+    def test_loaders_check_schema_and_type(self, load, obj):
+        data = obj.to_json()
+        kind = data["type"]
+        assert load(data).to_json() == data
+        other = "curve" if kind == "control" else "control"
+        for key, value, found in (("type", other, f"type {other!r}"),
+                                  ("schema", "goh-atlas/0",
+                                   "schema 'goh-atlas/0'")):
+            with pytest.raises(ValueError, match=f"expected a goh-atlas/1 "
+                               f"'{kind}' artifact, found .*{found}"):
+                load({**data, key: value})
+        with pytest.raises(ValueError, match="type 'list'"):
+            load([data])
 
 
 class TestFreshProcess:

@@ -15,7 +15,6 @@ from goh_atlas.goh import (
     RES_MAX,
     GohSystem,
     VarietyTrace,
-    _bisect_edge,
     goh_polynomials,
     trace_variety,
     variety_membership,
@@ -190,7 +189,7 @@ class TestTraceVariety:
         with pytest.raises(ValueError):
             trace_variety(system_of(Poly.var(2, 0)), window=(1, -1, 0, 1))
 
-    @pytest.mark.parametrize("res", [0, 1, RES_MAX + 1])
+    @pytest.mark.parametrize("res", [0, 1, RES_MAX + 1, 7.5, "8", None])
     def test_resolution_bounds(self, res, monkeypatch):
         def no_grid(*args, **kwargs):
             raise AssertionError("a grid was allocated")
@@ -198,6 +197,11 @@ class TestTraceVariety:
         monkeypatch.setattr(goh.np, "linspace", no_grid)
         with pytest.raises(ValueError, match="resolution"):
             trace_variety(system_of(Poly.var(2, 0)), resolution=res)
+
+    @pytest.mark.parametrize("res", [np.int64(16), np.int32(2), 16.0])
+    def test_integral_resolution_is_accepted(self, res):
+        tr = trace_variety(system_of(Poly.var(2, 0)), resolution=res)
+        assert tr.resolution == res and type(tr.resolution) is int
 
     def test_hausdorff_refinement_monotone(self):
         x1, x2 = Poly.var(2, 0), Poly.var(2, 1)
@@ -271,6 +275,26 @@ def textbook_eval(p: Poly, x) -> float:
     return total
 
 
+def textbook_bisect_edge(f, pa, pb, va, vb, tol: float):
+    """Zero of f on the segment [pa, pb] given a sign change, |f| <= tol."""
+    if abs(va) <= tol:
+        return pa
+    if abs(vb) <= tol:
+        return pb
+    ax, ay = pa
+    bx, by = pb
+    for _ in range(200):
+        mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
+        vm = f(mx, my)
+        if abs(vm) <= tol:
+            return (mx, my)
+        if (vm > 0) == (va > 0):
+            ax, ay, va = mx, my, vm
+        else:
+            bx, by = mx, my
+    return (0.5 * (ax + bx), 0.5 * (ay + by))
+
+
 def reference_trace(sys, window, resolution) -> VarietyTrace:
     F = sys.poly(1, 2)
     x0, x1, y0, y1 = (float(v) for v in window)
@@ -310,7 +334,7 @@ def reference_trace(sys, window, resolution) -> VarietyTrace:
         else:
             pa, pb = (xs[i], ys[j]), (xs[i], ys[j + 1])
             va, vb = vals[j, i], vals[j + 1, i]
-        v = _bisect_edge(f, pa, pb, va, vb, tol)
+        v = textbook_bisect_edge(f, pa, pb, va, vb, tol)
         verts[key] = v
         return v
 

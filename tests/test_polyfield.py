@@ -25,8 +25,8 @@ from goh_atlas.polyfield import (
     iterated_bracket_fields,
     lie_bracket_fields,
     martinet_frame,
-    rk4_flow,
 )
+from goh_atlas.trajectories import flow_control
 
 F = Fraction
 
@@ -241,7 +241,9 @@ class TestExactFlow:
         x0 = [F(1, 3), F(0), F(1)]
         t = F(7, 8)
         want = np.array([float(c) for c in exact_flow(v, x0, t)])
-        got = rk4_flow(v, [float(c) for c in x0], float(t), steps=64)
+        # v is the martinet drift of the constant control (1/2, 1)
+        got = flow_control(fr, lambda _: (0.5, 1.0), [float(c) for c in x0],
+                           substeps=64, ts=(0.0, float(t))).points[-1]
         assert np.max(np.abs(got - want)) < 1e-12
 
 

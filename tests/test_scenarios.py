@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from goh_atlas import goh, serialize
+from goh_atlas import goh, scenarios, serialize
 from goh_atlas.scenarios import SCENARIO_NAMES, run_scenario
 
 FAST = ("heisenberg", "f23-line", "f24", "f25", "martinet")
@@ -51,10 +51,12 @@ def test_verdicts_independent_of_seed():
 
 
 def test_bad_res_raises_before_any_grid(monkeypatch):
-    # None means the default 128; any other value reaches the tracer as given
-    def no_grid(p):
-        raise AssertionError("a grid was evaluated")
+    # the resolution is checked before the scenario does any work
+    def no_work(*args):
+        raise AssertionError("the scenario ran")
 
-    monkeypatch.setattr(goh, "_float_evaluator", no_grid)
-    with pytest.raises(ValueError, match="resolution"):
-        run_scenario("f23-line", res=0)
+    monkeypatch.setattr(goh, "_float_evaluator", no_work)
+    monkeypatch.setattr(scenarios, "realize_frame", no_work)
+    for res in (0, 7.5):
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            run_scenario("f23-line", res=res)

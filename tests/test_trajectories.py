@@ -21,7 +21,6 @@ from goh_atlas.polyfield import (
     heisenberg_frame,
     lie_bracket_fields,
     martinet_frame,
-    rk4_nodes,
 )
 from goh_atlas.trajectories import (
     Control,
@@ -332,10 +331,10 @@ def test_integrators_match_textbook_rk4_bitwise(name, substeps):
 
 @pytest.mark.parametrize("name", ["heisenberg", "f25", "cyclic"])
 def test_windows_chunks_and_blocks_keep_the_bits(monkeypatch, name):
-    # tiny windows, stage-matrix chunks and evaluation blocks, so the
-    # 12-interval grid crosses every boundary, none of them aligned
+    # tiny windows and evaluation blocks (stage matrices are built in
+    # half blocks), so the 12-interval grid crosses every boundary, none of
+    # them aligned, and blocks end inside an RK4 step
     monkeypatch.setattr(trajectories, "WINDOW_STEPS", 5)
-    monkeypatch.setattr(trajectories, "A_CHUNK_STEPS", 3)
     monkeypatch.setattr(polyfield, "EVAL_ROWS", 7)
     frame = ORACLE_FRAMES[name]()
     rng = np.random.default_rng(31)
@@ -425,7 +424,7 @@ def test_level_scheme_matches_textbook_rk4_on_random_frames(data, frame,
 def test_level_scheme_selection(monkeypatch, make, leveled):
     # the fast path needs only the coordinate dependency graph: weights
     # play no part, and a cycle (x' = x^2 included) falls back to stepping
-    # x through rk4_nodes
+    # x through the sequential stepper
     frame = make()
     levels = _levels(_dependencies(frame))
     assert (levels is not None) == leveled
@@ -435,12 +434,13 @@ def test_level_scheme_selection(monkeypatch, make, leveled):
             for level, cols in enumerate(levels):
                 assert all(frame.weights[j] > level for j in cols)
     stepped = []
+    stepper = trajectories._rk4
 
     def spy(*args, **kwargs):
         stepped.append(args[1])
-        return rk4_nodes(*args, **kwargs)
+        return stepper(*args, **kwargs)
 
-    monkeypatch.setattr(trajectories, "rk4_nodes", spy)
+    monkeypatch.setattr(trajectories, "_rk4", spy)
     u = Control(np.linspace(0.0, 1.0, 5), np.full((5, frame.r), 0.1))
     flow_control(frame, u, np.zeros(frame.n))
     assert bool(stepped) != leveled
