@@ -11,7 +11,6 @@ from goh_atlas import goh
 from goh_atlas.errors import PreconditionError
 from goh_atlas.freelie import generate_basis
 from goh_atlas.goh import (
-    _SEGMENT_TABLE,
     RES_MAX,
     GohSystem,
     VarietyTrace,
@@ -295,6 +294,23 @@ def textbook_bisect_edge(f, pa, pb, va, vb, tol: float):
     return (0.5 * (ax + bx), 0.5 * (ay + by))
 
 
+TEXTBOOK_SEGMENT_TABLE = {
+    1: [("left", "bottom")],
+    2: [("bottom", "right")],
+    3: [("left", "right")],
+    4: [("top", "right")],
+    6: [("bottom", "top")],
+    7: [("left", "top")],
+    8: [("left", "top")],
+    9: [("bottom", "top")],
+    11: [("top", "right")],
+    12: [("left", "right")],
+    13: [("bottom", "right")],
+    14: [("left", "bottom")],
+}
+# cases 5 and 10 are saddles, resolved by the cell-center sign
+
+
 def reference_trace(sys, window, resolution) -> VarietyTrace:
     F = sys.poly(1, 2)
     x0, x1, y0, y1 = (float(v) for v in window)
@@ -374,7 +390,7 @@ def reference_trace(sys, window, resolution) -> VarietyTrace:
                              if center_pos
                              else [("left", "top"), ("bottom", "right")])
             else:
-                pairs = _SEGMENT_TABLE[code]
+                pairs = TEXTBOOK_SEGMENT_TABLE[code]
             for ea, eb in pairs:
                 ka = edges_of_cell[ea](i, j)
                 kb = edges_of_cell[eb](i, j)
@@ -551,6 +567,72 @@ class TestTraceMatchesTextbook:
         tr = trace_variety(system_of(p), window=window, resolution=res)
         assert len(tr.singular_candidates) == 1
         assert trace_variety(system_of(Poly.zero(2))).whole_plane
+
+
+@st.composite
+def plane_traces(draw):
+    """A polynomial in two variables of degree 2 to 4 with small rational
+    coefficients, a window of any centre and aspect, and an odd resolution.
+
+    A third of the polynomials are arbitrary.  A third are ellipses inside
+    the window, which close into loops.  A third are two lines crossing at
+    the centre of a cell, each less than 15 degrees off an axis, plus a
+    constant below the cell's corner values: that cell is a saddle of code
+    5 or 10, and the constant's sign picks its resolution.
+    """
+    small = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 8))
+    x, y = (draw(st.floats(-0.5, 0.5)) for _ in "xy")
+    wx, wy = (draw(st.floats(1.5, 2.5)) for _ in "xy")
+    window = (x - wx, x + wx, y - wy, y + wy)
+    res = 2 * draw(st.integers(2, 7)) + 1
+    kind = draw(st.sampled_from(["any", "ellipse", "crossing"]))
+    if kind == "any":
+        degree = draw(st.integers(2, 4))
+        power = st.integers(0, degree)
+        exponent = st.tuples(power, power).filter(lambda e: sum(e) <= degree)
+        terms = draw(st.dictionaries(exponent, small, max_size=8))
+        top = draw(st.integers(0, degree))
+        terms.setdefault((top, degree - top), draw(small))
+        return Poly(2, terms), window, res
+    if kind == "ellipse":
+        # semi-axes from 0.8 to 1.4, centred in the window
+        u, v = X1 - F(x), X2 - F(y)
+        scale = st.builds(F, st.integers(1, 3), st.just(2))
+        return u * u * draw(scale) + v * v * draw(scale) - 1, window, res
+    xs = np.linspace(window[0], window[1], res + 1)
+    ys = np.linspace(window[2], window[3], res + 1)
+    i, j = draw(st.integers(0, res - 1)), draw(st.integers(0, res - 1))
+    u = X1 - F(0.5 * (xs[i] + xs[i + 1]))
+    v = X2 - F(0.5 * (ys[j] + ys[j + 1]))
+    tilt = st.builds(F, st.integers(-2, 2), st.just(8))
+    # corner values exceed |a| hx hy / 12; the constant is below |a| hx hy / 16
+    a, c = draw(small), draw(st.builds(F, st.integers(-8, 8).filter(bool),
+                                       st.just(128)))
+    p = (u + v * draw(tilt)) * (v + u * draw(tilt)) * a \
+        + a * F((xs[1] - xs[0]) * (ys[1] - ys[0])) * c
+    return p, window, res
+
+
+def test_random_traces_match_textbook_bitwise():
+    reached = set()
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(case=plane_traces())
+    def check(case):
+        p, window, res = case
+        sys = system_of(p)
+        got = trace_variety(sys, window=window, resolution=res)
+        want = reference_trace(sys, window, res)
+        assert got.to_json() == want.to_json()
+        assert got.to_csv() == want.to_csv()
+        assert (got.f_scale, got.tolerance) == (want.f_scale, want.tolerance)
+        reached.update(cell_codes(p, window, res) & {5, 10})
+        if any(len(line) > 2 and line[0] == line[-1]
+               for line in got.polylines):
+            reached.add("loop")
+
+    check()
+    assert reached == {5, 10, "loop"}
 
 
 @st.composite
