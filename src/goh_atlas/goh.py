@@ -172,7 +172,7 @@ class VarietyTrace:
 
 
 def _bisect_edge(f, pa, pb, va, vb, tol: float):
-    """Zero of f on the segment [pa, pb] given a sign change, |f| <= tol."""
+    """Zero of f((x, y)) on [pa, pb] given a sign change, |f| <= tol."""
     if abs(va) <= tol:
         return pa
     if abs(vb) <= tol:
@@ -181,7 +181,7 @@ def _bisect_edge(f, pa, pb, va, vb, tol: float):
     bx, by = pb
     for _ in range(200):
         mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
-        vm = f(mx, my)
+        vm = f((mx, my))
         if abs(vm) <= tol:
             return (mx, my)
         if (vm > 0) == (va > 0):
@@ -206,21 +206,29 @@ def _crossed_cells(vals: np.ndarray):
     return zip(rows.tolist(), cols.tolist(), codes[rows, cols].tolist())
 
 
-_SEGMENT_TABLE = {
-    1: [("left", "bottom")],
-    2: [("bottom", "right")],
-    3: [("left", "right")],
-    4: [("top", "right")],
-    6: [("bottom", "top")],
-    7: [("left", "top")],
-    8: [("left", "top")],
-    9: [("bottom", "top")],
-    11: [("top", "right")],
-    12: [("left", "right")],
-    13: [("bottom", "right")],
-    14: [("left", "bottom")],
+# The segments of a crossed cell, by its code, as pairs of edges (kind, di,
+# dj) of the cell whose lower-left node is (i, j): kind 0 runs from node
+# (i + di, j + dj) to the right, kind 1 upwards.  So bottom is (0, 0, 0),
+# top (0, 0, 1), left (1, 0, 0) and right (1, 1, 0).  The saddle codes 5
+# and 10 are keyed with F(centre) >= 0.
+_SEGMENTS = {
+    1: (((1, 0, 0), (0, 0, 0)),),
+    2: (((0, 0, 0), (1, 1, 0)),),
+    3: (((1, 0, 0), (1, 1, 0)),),
+    4: (((0, 0, 1), (1, 1, 0)),),
+    6: (((0, 0, 0), (0, 0, 1)),),
+    7: (((1, 0, 0), (0, 0, 1)),),
+    8: (((1, 0, 0), (0, 0, 1)),),
+    9: (((0, 0, 0), (0, 0, 1)),),
+    11: (((0, 0, 1), (1, 1, 0)),),
+    12: (((1, 0, 0), (1, 1, 0)),),
+    13: (((0, 0, 0), (1, 1, 0)),),
+    14: (((1, 0, 0), (0, 0, 0)),),
+    (5, True): (((1, 0, 0), (0, 0, 1)), ((0, 0, 0), (1, 1, 0))),
+    (5, False): (((1, 0, 0), (0, 0, 0)), ((0, 0, 1), (1, 1, 0))),
+    (10, True): (((1, 0, 0), (0, 0, 0)), ((0, 0, 1), (1, 1, 0))),
+    (10, False): (((1, 0, 0), (0, 0, 1)), ((0, 0, 0), (1, 1, 0))),
 }
-# cases 5 and 10 are saddles, resolved by the cell-center sign
 
 
 def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
@@ -255,97 +263,39 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
     trace.tolerance = tol
     trace.f_scale = scale
 
-    def f(px, py):
-        return feval((px, py))
-
-    # crossing vertices keyed by grid edge
-    verts: dict[tuple, tuple] = {}
-
-    def edge_vertex(kind, i, j):
-        # horizontal edge: (i, j) -> (i+1, j); vertical: (i, j) -> (i, j+1)
-        key = (kind, i, j)
-        got = verts.get(key)
-        if got is not None:
-            return got
-        if kind == "h":
-            pa, pb = (xs[i], ys[j]), (xs[i + 1], ys[j])
-            va, vb = vals[j, i], vals[j, i + 1]
-        else:
-            pa, pb = (xs[i], ys[j]), (xs[i], ys[j + 1])
-            va, vb = vals[j, i], vals[j + 1, i]
-        v = _bisect_edge(f, pa, pb, va, vb, tol)
-        verts[key] = v
-        return v
-
-    edges_of_cell = {
-        "bottom": lambda i, j: ("h", i, j),
-        "top": lambda i, j: ("h", i, j + 1),
-        "left": lambda i, j: ("v", i, j),
-        "right": lambda i, j: ("v", i + 1, j),
-    }
-
-    # adjacency between edge keys, built cell by cell
+    # the segment graph: each crossed edge (kind, i, j) and its neighbours
     links: dict[tuple, list] = {}
-
-    def link(ka, kb):
-        links.setdefault(ka, []).append(kb)
-        links.setdefault(kb, []).append(ka)
-
     for j, i, code in _crossed_cells(vals):
         if code in (5, 10):
-            center = f(0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
-            center_pos = center >= 0.0
-            if code == 5:  # BL+TR positive
-                pairs = ([("left", "top"), ("bottom", "right")]
-                         if center_pos
-                         else [("left", "bottom"), ("top", "right")])
-            else:  # code 10: BR+TL positive
-                pairs = ([("left", "bottom"), ("top", "right")]
-                         if center_pos
-                         else [("left", "top"), ("bottom", "right")])
-        else:
-            pairs = _SEGMENT_TABLE[code]
-        for ea, eb in pairs:
-            ka = edges_of_cell[ea](i, j)
-            kb = edges_of_cell[eb](i, j)
-            edge_vertex(*ka)
-            edge_vertex(*kb)
-            link(ka, kb)
+            centre = (0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
+            code = (code, feval(centre) >= 0.0)
+        for (ka, da, ea), (kb, db, eb) in _SEGMENTS[code]:
+            a, b = (ka, i + da, j + ea), (kb, i + db, j + eb)
+            links.setdefault(a, []).append(b)
+            links.setdefault(b, []).append(a)
 
-    # chain the segment graph into polylines (open paths first, then loops)
+    # one bisection per crossed edge, from node (i, j) to the edge's far end
+    verts = {(k, i, j): _bisect_edge(feval, (xs[i], ys[j]),
+                                     (xs[i + 1 - k], ys[j + k]), vals[j, i],
+                                     vals[j + k, i + 1 - k], tol)
+             for k, i, j in links}
+
+    # chain the graph into polylines, open paths first, then loops.  An edge
+    # has at most two neighbours and the one a walk came from is used, so
+    # the walk goes on to the unused one.
+    ends = [k for k, adj in links.items() if len(adj) == 1]
     used = set()
+    for start in ends + list(links):
+        chain, key = [], start
+        while key not in used:
+            used.add(key)
+            chain.append(key)
+            key = next((k for k in links[key] if k not in used), key)
+        if len(chain) > 2 and start in links[key]:
+            chain.append(start)
+        if chain:
+            trace.polylines.append([verts[k] for k in chain])
 
-    def walk(start):
-        chain = [start]
-        used.add(start)
-        cur = start
-        prev = None
-        while True:
-            nxt = None
-            for cand in links[cur]:
-                if cand != prev and cand not in used:
-                    nxt = cand
-                    break
-            if nxt is None:
-                # close a loop if the start is adjacent
-                if len(chain) > 2 and start in links[cur]:
-                    chain.append(start)
-                break
-            chain.append(nxt)
-            used.add(nxt)
-            prev, cur = cur, nxt
-        return chain
-
-    endpoints = [k for k, adj in links.items() if len(adj) == 1]
-    chains = []
-    for k in endpoints:
-        if k not in used:
-            chains.append(walk(k))
-    for k in links:
-        if k not in used:
-            chains.append(walk(k))
-
-    trace.polylines = [[verts[k] for k in chain] for chain in chains]
     trace.singular_candidates = _singular_candidates(F, feval, xs, ys, vals,
                                                      tol)
     return trace
