@@ -67,6 +67,7 @@ def _frame_from_args(args) -> Frame:
     if getattr(args, "frame", None):
         data = _load_json(args.frame)
         if isinstance(data, dict) and data.get("type") == "realization_report":
+            serialize.check_artifact(data, "realization_report", "frame")
             data = data["frame"]
         return Frame.from_json(data)
     if args.rank is None or args.step is None:

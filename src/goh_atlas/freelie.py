@@ -120,7 +120,7 @@ class LyndonBasis:
 
     @staticmethod
     def from_json(data: dict) -> "LyndonBasis":
-        check_artifact(data, "lyndon_basis")
+        check_artifact(data, "lyndon_basis", "words", "rank", "step")
         words = tuple(tuple(int(c) for c in w) for w in data["words"])
         basis = LyndonBasis(data["rank"], data["step"], words)
         if words != generate_basis(basis.rank, basis.step).words:
@@ -366,7 +366,7 @@ class StructureTable:
 
     @staticmethod
     def from_json(data: dict) -> "StructureTable":
-        check_artifact(data, "structure_table")
+        check_artifact(data, "structure_table", "rank", "step", "brackets")
         basis = generate_basis(data["rank"], data["step"])
         n = basis.dim
         table = [[{} for _ in range(n)] for _ in range(n)]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, copysign
+from math import comb, copysign, inf
 
 from .errors import NumericsError
 from .freelie import (
@@ -104,74 +104,46 @@ def signed_attachment(table: StructureTable):
     return tuple(signs), trees
 
 
-def _signed_table(table: StructureTable, signs) -> list[dict]:
-    """Sparse rows of [B_i, B_j] expressed in the B basis."""
-    n = table.basis.dim
-    rows: list[dict] = []
-    for i in range(n):
-        row = {}
-        for j in range(n):
-            e = table.table[i][j]
-            if e:
-                row[j] = {k: signs[i] * signs[j] * signs[k] * c
-                          for k, c in e.items()}
-        rows.append(row)
-    return rows
+def _signed_table(table: StructureTable, signs) -> StructureTable:
+    """The structure table of the B basis: [B_i, B_j] in B coordinates.
+
+    Empty entries stay the given table's own dicts, not n^2 new ones.
+    """
+    return StructureTable(table.basis, tuple(
+        tuple({k: signs[i] * signs[j] * signs[k] * c for k, c in e.items()}
+              if e else e for j, e in enumerate(row))
+        for i, row in enumerate(table.table)))
 
 
-def _bracket_poly(stb: list[dict], a: dict, b: dict) -> dict:
-    """[a, b] for elements with Poly coefficients over the B basis."""
-    out: dict = {}
-    for i, ci in a.items():
-        row = stb[i]
-        for j, cj in b.items():
-            e = row.get(j)
-            if not e:
-                continue
-            p = ci * cj
-            if not p:
-                continue
-            for k, c in e.items():
-                t = p * c
-                got = out.get(k)
-                s = t if got is None else got + t
-                if s:
-                    out[k] = s
-                else:
-                    out.pop(k, None)
-    return out
-
-
-def _ad_series(stb, y_el: dict, k: int, step: int, n: int,
-               bern: list[Fraction]) -> dict:
-    """sum_m (b_m/m!) ad_y^m (B_k) with Poly coefficients."""
-    acc = {k: Poly.one(n)}
-    cur = {k: Poly.one(n)}
-    fact = 1
-    for m in range(1, step):
-        cur = _bracket_poly(stb, y_el, cur)
-        if not cur:
-            break
-        fact *= m
-        if bern[m]:
-            _axpy(acc, cur, Fraction(bern[m], fact))
-    return acc
+def _ad_series(table: StructureTable, signs, y_el: dict) -> list[dict]:
+    """sum_m (b_m/m!) ad_y^m (B_k) for every k, with Poly coefficients."""
+    stb = _signed_table(table, signs)
+    n, step = table.basis.dim, table.basis.step
+    bern = bernoulli_numbers(max(step, 2))
+    cols = []
+    for k in range(n):
+        acc = {k: Poly.one(n)}
+        cur = {k: Poly.one(n)}
+        fact = 1
+        for m in range(1, step):
+            cur = stb.bracket_elements(y_el, cur)
+            if not cur:
+                break
+            fact *= m
+            if bern[m]:
+                _axpy(acc, cur, Fraction(bern[m], fact))
+        cols.append(acc)
+    return cols
 
 
 def first_kind_fields(table: StructureTable, signs=None) -> list[PolyVec]:
     """All n left-invariant fields in first-kind coordinates (internal chart)."""
-    basis = table.basis
     if signs is None:
         signs, _ = signed_attachment(table)
-    n = basis.dim
-    stb = _signed_table(table, signs)
-    bern = bernoulli_numbers(max(basis.step, 2))
+    n = table.basis.dim
     y_el = {j: Poly.var(n, j) for j in range(n)}
-    out = []
-    for k in range(n):
-        acc = _ad_series(stb, y_el, k, basis.step, n, bern)
-        out.append(PolyVec([acc.get(j, Poly.zero(n)) for j in range(n)]))
-    return out
+    return [PolyVec([acc.get(j, Poly.zero(n)) for j in range(n)])
+            for acc in _ad_series(table, signs, y_el)]
 
 
 @dataclass
@@ -224,10 +196,7 @@ def realize_frame(basis: LyndonBasis) -> tuple[Frame, CoordinateMaps]:
     psi = [lie.get(j, Poly.zero(n)) * signs[j] for j in range(n)]
 
     # left-invariant fields evaluated at y = psi(x), still exact
-    stb = _signed_table(table, signs)
-    bern = bernoulli_numbers(max(step, 2))
-    psi_el = {j: psi[j] for j in range(n) if psi[j]}
-    cols = [_ad_series(stb, psi_el, k, step, n, bern) for k in range(n)]
+    cols = _ad_series(table, signs, {j: psi[j] for j in range(n) if psi[j]})
 
     # transport through (D psi)^{-1}.  N = D psi - I couples a coordinate
     # only to coordinates of lower weight, which come first in the basis,
@@ -339,6 +308,9 @@ def verify_second_kind(fields, x, tol: float | None = None,
         raise ValueError("need all n stratified fields (one per coordinate)")
     if len(x) != n:
         raise ValueError("point dimension mismatch")
+    for i, xi in enumerate(x):
+        if xi != xi or xi in (inf, -inf):
+            raise ValueError(f"point coordinate {i} is not finite: {xi!r}")
 
     if exact:
         cur = [Fraction(0)] * n

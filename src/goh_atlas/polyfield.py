@@ -358,6 +358,9 @@ class Poly:
     def from_json(n: int, data: list) -> "Poly":
         terms = {}
         for t, term in enumerate(data, 1):
+            for key in ("exp", "coef"):
+                if not isinstance(term, dict) or key not in term:
+                    raise ValueError(f"term {t}: missing key {key!r}")
             e = term["exp"]
             if (not isinstance(e, list) or len(e) != n
                     or any(type(k) is not int or k < 0 for k in e)):
@@ -502,7 +505,7 @@ class Frame:
 
     @staticmethod
     def from_json(data: dict) -> "Frame":
-        check_artifact(data, "frame")
+        check_artifact(data, "frame", "n", "fields")
         n = data["n"]
         fields = []
         for k, f in enumerate(data["fields"], 1):

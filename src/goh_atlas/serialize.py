@@ -13,13 +13,17 @@ INDENT = "  "  # per nesting level of a JSON object or list
 SCHEMA = "goh-atlas/1"
 
 
-def check_artifact(data, kind: str) -> None:
-    """ValueError unless data is a SCHEMA JSON object of type kind."""
+def check_artifact(data, kind: str, *keys: str) -> None:
+    """ValueError unless data is a SCHEMA JSON object of type kind that has
+    every one of keys (those its loader reads)."""
     found = (data.get("schema"), data.get("type")) \
         if isinstance(data, dict) else (None, type(data).__name__)
     if found != (SCHEMA, kind):
         raise ValueError(f"expected a {SCHEMA} {kind!r} artifact, found "
                          f"schema {found[0]!r}, type {found[1]!r}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{kind!r} artifact is missing key {key!r}")
 
 
 def _render_float(x: float) -> str:

@@ -82,7 +82,7 @@ class Control:
 
     @staticmethod
     def from_json(data: dict) -> "Control":
-        check_artifact(data, "control")
+        check_artifact(data, "control", "t", "values")
         return Control(np.array(data["t"]), np.array(data["values"]))
 
 
@@ -116,7 +116,7 @@ class SampledCurve:
 
     @staticmethod
     def from_json(data: dict) -> "SampledCurve":
-        check_artifact(data, "curve")
+        check_artifact(data, "curve", "t", "values")
         return SampledCurve(np.array(data["t"]), np.array(data["values"]))
 
 

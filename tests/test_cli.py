@@ -243,6 +243,31 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert err.endswith("found schema None, type 'list'\n")
 
+    @pytest.mark.parametrize("argv, flag, data, msg", [
+        (["contain"], "--curve", {"type": "curve"},
+         "'curve' artifact is missing key 't'"),
+        (["lift", "--rank", "2", "--step", "2"], "--curve",
+         {"type": "curve", "t": [0.0, 1.0]},
+         "'curve' artifact is missing key 'values'"),
+        (["flow", "--rank", "2", "--step", "2"], "--control",
+         {"type": "control", "values": [[0.0, 1.0], [0.0, 1.0]]},
+         "'control' artifact is missing key 't'"),
+        (["metabelian"], "--frame", {"type": "frame", "fields": []},
+         "'frame' artifact is missing key 'n'"),
+        (["metabelian"], "--frame", {"type": "realization_report"},
+         "'realization_report' artifact is missing key 'frame'"),
+        (["metabelian"], "--frame",
+         {"type": "frame", "n": 2, "fields": [[[{"exp": [0, 0]}], []]]},
+         "field 1, component 1, term 1: missing key 'coef'")],
+        ids=["contain", "lift", "flow", "metabelian", "metabelian-report",
+             "metabelian-term"])
+    def test_artifact_without_a_key(self, capsys, tmp_path, argv, flag, data,
+                                    msg):
+        path = tmp_path / "artifact.json"
+        path.write_text(serialize.dumps({"schema": "goh-atlas/1", **data}))
+        code, out, err = run(capsys, *argv, flag, str(path))
+        assert (code, out, err) == (2, "", f"error: {msg}\n")
+
     @pytest.mark.parametrize("argv, env, msg", [
         (["goh", "--rank", "2", "--step", "2", "--lambda", "1,zebra"], None,
          f"bad --lambda value: {fraction_error('zebra')}"),
@@ -446,6 +471,39 @@ class TestSerialize:
                 load({**data, key: value})
         with pytest.raises(ValueError, match="type 'list'"):
             load([data])
+
+
+    @pytest.mark.parametrize("load, obj", [
+        (Frame.from_json, heisenberg_frame()),
+        (Control.from_json, Control([0.0, 1.0], [[1.0], [2.0]])),
+        (SampledCurve.from_json, SampledCurve([0.0, 1.0], [[1.0], [2.0]])),
+        (LyndonBasis.from_json, generate_basis(2, 3)),
+        (StructureTable.from_json, structure_table(generate_basis(2, 3)))],
+        ids=["frame", "control", "curve", "lyndon_basis", "structure_table"])
+    def test_loaders_name_a_missing_key(self, load, obj):
+        data = obj.to_json()
+        kind = data["type"]
+        read = {"frame": ["n", "fields"], "control": ["t", "values"],
+                "curve": ["t", "values"],
+                "lyndon_basis": ["words", "rank", "step"],
+                "structure_table": ["rank", "step", "brackets"]}[kind]
+        for key in read:
+            short = {k: v for k, v in data.items() if k != key}
+            with pytest.raises(ValueError, match=f"^'{kind}' artifact is "
+                               f"missing key '{key}'$"):
+                load(short)
+
+    @pytest.mark.parametrize("key", ["exp", "coef"])
+    def test_term_without_a_key_is_located(self, key):
+        data = heisenberg_frame().to_json()
+        del data["fields"][1][2][0][key]
+        with pytest.raises(ValueError, match=f"^field 2, component 3, term "
+                           f"1: missing key '{key}'$"):
+            Frame.from_json(data)
+        data["fields"][1][2][0] = 5  # a term that is not an object
+        with pytest.raises(ValueError, match="^field 2, component 3, term "
+                           "1: missing key 'exp'$"):
+            Frame.from_json(data)
 
 
 class TestFreshProcess:

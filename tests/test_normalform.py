@@ -1,6 +1,7 @@
 """Tests for the second-kind realization and its coordinate maps."""
 
 import hashlib
+import math
 import random
 from fractions import Fraction
 
@@ -240,6 +241,17 @@ class TestVerifySecondKind:
         frame, _ = realize_frame(generate_basis(2, 3))
         with pytest.raises(ValueError):
             verify_second_kind(frame.fields, [0.0] * 5)
+
+    @pytest.mark.parametrize("exact", [False, True])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_is_named(self, bad, exact):
+        _, maps = realize_frame(generate_basis(2, 2))
+        for i in range(3):
+            x = [0.5, 0.0, 0.25]
+            x[i] = bad
+            with pytest.raises(ValueError, match=f"point coordinate {i} is "
+                               f"not finite: {bad!r}"):
+                verify_second_kind(maps.fields, x, exact=exact)
 
 
 @pytest.mark.parametrize("shape, digest", [
