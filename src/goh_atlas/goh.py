@@ -263,11 +263,14 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
     trace.tolerance = tol
     trace.f_scale = scale
 
-    # the segment graph: each crossed edge (kind, i, j) and its neighbours
+    # the segment graph: each crossed edge (kind, i, j) and its neighbours.
+    # Saddle centres and bisections run on Python floats: the same IEEE
+    # operations as on np.float64 scalars, at less cost per operation.
+    px, py = xs.tolist(), ys.tolist()
     links: dict[tuple, list] = {}
     for j, i, code in _crossed_cells(vals):
         if code in (5, 10):
-            centre = (0.5 * (xs[i] + xs[i + 1]), 0.5 * (ys[j] + ys[j + 1]))
+            centre = (0.5 * (px[i] + px[i + 1]), 0.5 * (py[j] + py[j + 1]))
             code = (code, feval(centre) >= 0.0)
         for (ka, da, ea), (kb, db, eb) in _SEGMENTS[code]:
             a, b = (ka, i + da, j + ea), (kb, i + db, j + eb)
@@ -275,9 +278,10 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
             links.setdefault(b, []).append(a)
 
     # one bisection per crossed edge, from node (i, j) to the edge's far end
-    verts = {(k, i, j): _bisect_edge(feval, (xs[i], ys[j]),
-                                     (xs[i + 1 - k], ys[j + k]), vals[j, i],
-                                     vals[j + k, i + 1 - k], tol)
+    verts = {(k, i, j): _bisect_edge(feval, (px[i], py[j]),
+                                     (px[i + 1 - k], py[j + k]),
+                                     float(vals[j, i]),
+                                     float(vals[j + k, i + 1 - k]), tol)
              for k, i, j in links}
 
     # chain the graph into polylines, open paths first, then loops.  An edge
@@ -303,9 +307,9 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
 
 def _singular_candidates(F: Poly, f, xs, ys, vals, tol) -> list:
     fx, fy = F.diff(0), F.diff(1)
-    dfx, dfy = _float_evaluator(fx), _float_evaluator(fy)
-    grid = (xs[None, :], ys[:, None])
-    grad = np.hypot(dfx(grid), dfy(grid))  # broadcasts against vals
+    gradient = _float_evaluator(fx, fy)
+    # per-axis grid, so grad broadcasts against vals
+    grad = np.hypot(*gradient((xs[None, :], ys[:, None])))
     gscale = float(np.max(grad))
     cell = max(xs[1] - xs[0], ys[1] - ys[0])
 
@@ -316,22 +320,15 @@ def _singular_candidates(F: Poly, f, xs, ys, vals, tol) -> list:
     if cand_idx.size == 0:
         return []
 
-    # one evaluator per polynomial; fxy and fyx may order their terms
-    # differently, so each keeps its own
-    dfxx, dfxy, dfyx, dfyy = map(_float_evaluator, (
-        fx.diff(0), fx.diff(1), fy.diff(0), fy.diff(1)))
-
-    def newton(p, q, jac_rows, x, y):
-        # damped Newton for the 2x2 system (p, q); an accepted step carries
-        # its residuals into the next iteration
-        (a, b), (c, d) = jac_rows
-        r0, r1 = p((x, y)), q((x, y))
+    def newton(pq, jac, x, y):
+        # damped Newton for the 2x2 system pq, its Jacobian rows read from
+        # jac; an accepted step carries its residuals into the next iteration
+        r0, r1 = pq((x, y))
         for _ in range(60):
             res = abs(r0) + abs(r1)
             if res == 0.0:
                 return x, y
-            j00, j01 = a((x, y)), b((x, y))
-            j10, j11 = c((x, y)), d((x, y))
+            j00, j01, j10, j11 = jac((x, y))
             det = j00 * j11 - j01 * j10
             if det == 0.0 or not math.isfinite(det):
                 return None
@@ -340,7 +337,7 @@ def _singular_candidates(F: Poly, f, xs, ys, vals, tol) -> list:
             step = 1.0
             while step > 1e-6:
                 nx, ny = x - step * dx, y - step * dy
-                n0, n1 = p((nx, ny)), q((nx, ny))
+                n0, n1 = pq((nx, ny))
                 if abs(n0) + abs(n1) < res:
                     x, y, r0, r1 = nx, ny, n0, n1
                     break
@@ -349,24 +346,26 @@ def _singular_candidates(F: Poly, f, xs, ys, vals, tol) -> list:
                 return x, y
         return x, y
 
-    systems = [
-        (f, dfx, ((dfx, dfy), (dfxx, dfxy))),
-        (f, dfy, ((dfx, dfy), (dfyx, dfyy))),
-        (dfx, dfy, ((dfxx, dfxy), (dfyx, dfyy))),
-    ]
+    # each system's residual pair and Jacobian come from one evaluator each;
+    # fxy and fyx may order their terms differently, so each keeps its own
+    fxx, fxy, fyx, fyy = fx.diff(0), fx.diff(1), fy.diff(0), fy.diff(1)
+    systems = [(_float_evaluator(*pq), _float_evaluator(*jac)) for pq, jac in (
+        ((F, fx), (fx, fy, fxx, fxy)),
+        ((F, fy), (fx, fy, fyx, fyy)),
+        ((fx, fy), (fxx, fxy, fyx, fyy)))]
 
     gtol = 1e-7 * (1.0 + gscale)
     found: list = []
     for j, i in cand_idx:
         x0, y0 = float(xs[i]), float(ys[j])
         best = None
-        for p, q, jac in systems:
-            got = newton(p, q, jac, x0, y0)
+        for pq, jac in systems:
+            got = newton(pq, jac, x0, y0)
             if got is None:
                 continue
             x, y = got
             if abs(f((x, y))) <= tol:
-                score = np.hypot(dfx((x, y)), dfy((x, y)))
+                score = np.hypot(*gradient((x, y)))
                 if score <= gtol and (best is None or score < best[0]):
                     best = (score, x, y)
         if best is None:

@@ -100,30 +100,36 @@ def _bad_exponent(a: dict, b: dict, exc: Exception) -> Exception:
     return exc
 
 
-def _float_evaluator(p: "Poly"):
-    """x -> p at x in float arithmetic, the coefficients converted once.
+def _float_evaluator(*polys: "Poly"):
+    """x -> p(x) in float arithmetic for one polynomial, x -> (p1(x), ...,
+    pm(x)) for several, as one generated straight-line function.
 
-    Terms are summed in dict order from 0.0, each as its coefficient times
-    x[i] ** k for every nonzero exponent k in variable order.  No update is
-    in place, so x may hold arrays that broadcast against each other, such
-    as the per-axis grid (xs[None, :], ys[:, None]) of a plane polynomial;
-    the result then broadcasts to the (len(ys), len(xs)) grid.  Array ``**``
-    can round differently from scalar ``**``, so a grid node and the same
-    point given as floats need not agree bit for bit.  The evaluator holds
-    a copy of the terms: build a new one after p changes.
+    Each value is summed in dict order from 0.0, one statement per term
+    (one long expression overflows the compiler's recursion limit), each
+    term its coefficient, converted once, times x[i] ** k for every nonzero
+    exponent k in variable order.  No update is in place, so x may hold
+    arrays that broadcast against each other, such as the per-axis grid
+    (xs[None, :], ys[:, None]) of a plane polynomial; the result then
+    broadcasts to the (len(ys), len(xs)) grid.  Array ``**`` can round
+    differently from scalar ``**``, so a grid node and the same point given
+    as floats need not agree bit for bit.  An exponent that is not an
+    integer is a TypeError, so only int literals enter the source.  Building
+    costs about 0.1 ms, so build once per polynomial, not once per point;
+    the evaluator holds a copy of the terms: rebuild after a change.
     """
-    terms = [(float(c), [(i, k) for i, k in enumerate(e) if k])
-             for e, c in p.terms.items()]
-
-    def evaluate(x):
-        total = 0.0
-        for v, powers in terms:
-            for i, k in powers:
-                v = v * x[i] ** k
-            total = total + v
-        return total
-
-    return evaluate
+    lines, coefs = [], []
+    for out, p in enumerate(polys):
+        lines.append(f"    t{out} = 0.0")
+        for e, c in p.terms.items():
+            powers = "".join(f" * x[{i}] ** {index(k)}"
+                             for i, k in enumerate(e) if k)
+            lines.append(f"    t{out} = t{out} + c[{len(coefs)}]{powers}")
+            coefs.append(float(c))
+    totals = ", ".join(f"t{out}" for out in range(len(polys)))
+    scope = {"c": coefs}
+    exec("def evaluate(x):\n" + "\n".join(lines) + f"\n    return {totals}\n",
+         scope)
+    return scope["evaluate"]
 
 
 class Poly:
@@ -289,6 +295,7 @@ class Poly:
         return total
 
     def eval_float(self, x) -> float:
+        # builds an evaluator per call: for many points, build one and reuse
         return _float_evaluator(self)(x)
 
     def compose(self, values: list["Poly"]) -> "Poly":

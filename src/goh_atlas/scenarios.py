@@ -30,6 +30,7 @@ from .normalform import realize_frame, verify_normal_form
 from .polyfield import (
     Poly,
     PolyVec,
+    _float_evaluator,
     growth_vector,
     heisenberg_frame,
     martinet_frame,
@@ -240,7 +241,8 @@ def scenario_f24(cfg: dict) -> _Report:
         sysm = goh_polynomials(frame, lam)
         res = extremal_residuals(frame, u, x0, lam)
         curve = flow_control(frame, u, x0)
-        fvals = [sysm.poly(1, 2).eval_float(p[:2]) for p in curve.points]
+        plane = _float_evaluator(sysm.poly(1, 2))
+        fvals = [plane(p[:2]) for p in curve.points]
         worst_dyn = max(worst_dyn, float(np.max(np.abs(
             res.sigma[:, 0] - np.array(fvals)))))
     rep.check("pushforward_identity", worst_push <= tol, sup=worst_push,

@@ -180,6 +180,17 @@ class TestTraceVariety:
         sx, sy = tr.singular_candidates[0]
         assert abs(sx) < 1e-7 and abs(sy) < 1e-7
 
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
+        "the candidate scan misses a line of singular points: x1^4 does not "
+        "depend on x2, so every Newton system's Jacobian is singular and "
+        "each solve gives up"))
+    def test_singular_line_of_quartic_has_candidates(self):
+        # F and its gradient vanish on all of {x1 = 0}
+        x1 = Poly.var(2, 0)
+        tr = trace_variety(system_of(x1 * x1 * x1 * x1), resolution=261)
+        cell = 4.0 / 261
+        assert any(abs(x) <= cell for x, _ in tr.singular_candidates)
+
     def test_rank_requirement(self):
         with pytest.raises(ValueError):
             trace_variety(GohSystem(3, [1, 0, 0], {}), resolution=8)
@@ -637,14 +648,16 @@ def test_random_traces_match_textbook_bitwise():
 
 @st.composite
 def polys_and_points(draw):
-    """A polynomial of degree <= 4 with small rational coefficients, in 1..3
+    """A polynomial of degree <= 4 with small rational coefficients, in 1..5
     variables of which it may leave any out (for two: x-only, y-only and
     constant ones), a point whose entries may be +0.0 or -0.0, and for two
     variables a pair of grid axes with such entries."""
-    n = draw(st.integers(1, 3))
-    used = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    exponent = st.tuples(*[st.integers(0, 4) if u else st.just(0)
-                           for u in used]).filter(lambda e: sum(e) <= 4)
+    n = draw(st.integers(1, 5))
+    used = [i for i in range(n) if draw(st.booleans())]
+    # a monomial as the list of its variables, repeats allowed
+    monomial = st.lists(st.sampled_from(used), max_size=4) if used \
+        else st.just([])
+    exponent = monomial.map(lambda vs: tuple(map(vs.count, range(n))))
     coef = st.builds(F, st.integers(-9, 9), st.integers(1, 8))
     terms = draw(st.dictionaries(exponent, coef, max_size=8))
     entry = st.one_of(st.sampled_from([0.0, -0.0]),
@@ -675,3 +688,39 @@ def test_float_evaluator_matches_textbook_bitwise(case):
                               want.shape)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+def test_long_polynomial_evaluator_matches_textbook_bitwise():
+    # one statement per term: a single sum of this many terms would exceed
+    # the compiler's recursion limit
+    rng = np.random.default_rng(5)
+    terms = {e: F(int(rng.integers(1, 10)) * int(rng.choice([-1, 1])),
+                  int(rng.integers(1, 9)))
+             for e in np.ndindex(18, 18, 18)}
+    p = Poly(3, terms)
+    assert len(p.terms) >= 5000
+    evaluate = _float_evaluator(p)
+    for point in ((0.9, -1.1, 0.75), [np.float64(v) for v in (-0.3, 1.2, 0.5)]):
+        want = textbook_eval(p, point)
+        got = evaluate(point)
+        assert type(got) is type(want)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@pytest.mark.parametrize("k", ["2", 1.5, "1\nimport os"])
+def test_evaluator_rejects_a_non_integer_exponent(k):
+    # exponents become literals of the generated source
+    with pytest.raises(TypeError):
+        _float_evaluator(Poly(2, {(k, 0): 1}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=polys_and_points())
+def test_several_polynomials_evaluate_as_each_alone(case):
+    p, x, axes = case
+    polys = (p, p.diff(0), Poly.const(p.n, F(-3, 7)), p)
+    got = _float_evaluator(*polys)(tuple(x))
+    assert type(got) is tuple and len(got) == len(polys)
+    for q, v in zip(polys, got):
+        want = _float_evaluator(q)(tuple(x))
+        assert np.float64(v).tobytes() == np.float64(want).tobytes()
