@@ -9,8 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from goh_atlas import polyfield, trajectories
 from goh_atlas.errors import NotNilpotentError
-from goh_atlas.freelie import t_exp, t_log, t_mul
+from goh_atlas.freelie import generate_basis, t_exp, t_log, t_mul
+from goh_atlas.normalform import realize_frame
 from goh_atlas.polyfield import (
     CompiledPolys,
     Frame,
@@ -26,7 +28,7 @@ from goh_atlas.polyfield import (
     lie_bracket_fields,
     martinet_frame,
 )
-from goh_atlas.trajectories import flow_control
+from goh_atlas.trajectories import flow_control, lift_control, spiral_curve
 
 F = Fraction
 
@@ -516,3 +518,141 @@ class TestJsonExponents:
     def test_good_exponents_still_load(self):
         back = Frame.from_json(self.frame_data([1, 0, 0]))
         assert back.fields == heisenberg_frame().fields
+
+
+# ---------------------------------------------------------------------------
+# CompiledPolys against the term-by-term evaluator it replaced, bit for bit
+
+
+class TextbookCompiledPolys:
+    """The batched evaluator as first written: powers of every variable, a
+    (rows, terms, width) gather multiplied out by np.prod, and np.bincount
+    summing each output's terms in term order from 0.0.  The only change is
+    that the block size is read from polyfield.EVAL_ROWS."""
+
+    def __init__(self, polys: list[Poly]):
+        self.count = len(polys)
+        rows, var_cols, exp_cols, coefs = [], [], [], []
+        width = 1
+        for p in polys:
+            for e in p.terms:
+                width = max(width, sum(1 for k in e if k))
+        self.max_exp = 0
+        for idx, p in enumerate(polys):
+            for e, c in p.terms.items():
+                vs = [i for i, k in enumerate(e) if k]
+                ks = [e[i] for i in vs]
+                self.max_exp = max(self.max_exp, max(ks, default=0))
+                vs += [0] * (width - len(vs))
+                ks += [0] * (width - len(ks))
+                rows.append(idx)
+                var_cols.append(vs)
+                exp_cols.append(ks)
+                coefs.append(float(c))
+        if rows:
+            self.rows = np.array(rows, dtype=np.intp)
+            self.vars = np.array(var_cols, dtype=np.intp)
+            self.exps = np.array(exp_cols, dtype=np.intp)
+            self.coefs = np.array(coefs)
+        else:
+            self.rows = np.zeros(0, dtype=np.intp)
+            self.vars = np.zeros((0, 1), dtype=np.intp)
+            self.exps = np.zeros((0, 1), dtype=np.intp)
+            self.coefs = np.zeros(0)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        rows_per_block = polyfield.EVAL_ROWS
+        if x.ndim == 2 and len(x) > rows_per_block:
+            return np.concatenate([self(x[lo:lo + rows_per_block])
+                                   for lo in range(0, len(x), rows_per_block)])
+        if not len(self.rows):
+            return np.zeros(x.shape[:-1] + (self.count,))
+        pows = np.ones(x.shape + (self.max_exp + 1,))
+        for k in range(1, self.max_exp + 1):
+            pows[..., k] = pows[..., k - 1] * x
+        vals = self.coefs * np.prod(pows[..., self.vars, self.exps], axis=-1)
+        if x.ndim == 1:
+            return np.bincount(self.rows, weights=vals, minlength=self.count)
+        m = len(x)
+        bins = (np.arange(m)[:, None] * self.count + self.rows).ravel()
+        return np.bincount(bins, weights=vals.ravel(),
+                           minlength=m * self.count).reshape(m, self.count)
+
+
+def assert_same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # signed zeros count
+
+
+COORDS = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, -1.0]))
+EVAL_COEFS = st.one_of(st.fractions(-9, 9, max_denominator=7),
+                       st.builds(F, st.floats(-1e3, 1e3)))
+
+
+@st.composite
+def evaluator_cases(draw):
+    """Polynomials on R^n (n = 1..6) drawn from one small monomial pool,
+    so monomials repeat across outputs, with zero and constant ones among
+    them; and a single point or a batch of 0..20 rows."""
+    n = draw(st.integers(1, 6))
+    pool = draw(st.lists(st.tuples(*[st.integers(0, 7)] * n),
+                         min_size=1, max_size=8)) + [(0,) * n]
+    polys = [Poly(n, terms) for terms in draw(st.lists(
+        st.dictionaries(st.sampled_from(pool), EVAL_COEFS, max_size=6),
+        max_size=6))]
+    point = st.lists(COORDS, min_size=n, max_size=n)
+    if draw(st.booleans()):
+        return polys, np.array(draw(point))
+    return polys, np.array(draw(st.lists(point, max_size=20))).reshape(-1, n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=evaluator_cases())
+def test_compiled_polys_match_textbook_bitwise(case):
+    polys, pts = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polyfield, "EVAL_ROWS", 7)  # a 20-row batch is 3 blocks
+        assert_same_bits(CompiledPolys(polys)(pts),
+                         TextbookCompiledPolys(polys)(pts))
+
+
+def test_compiled_polys_edge_shapes_match_textbook_bitwise():
+    n = 3
+    polys = [Poly.zero(n), Poly.const(n, F(-1, 3)),
+             Poly(n, {(2, 0, 7): F(1, 3), (0, 0, 0): F(5)})]
+    for pts in (np.array([-0.0, 0.0, -0.0]), np.zeros((0, n)),
+                np.full((9, n), -0.0)):
+        assert_same_bits(CompiledPolys(polys)(pts),
+                         TextbookCompiledPolys(polys)(pts))
+        assert_same_bits(CompiledPolys([])(pts), TextbookCompiledPolys([])(pts))
+
+
+@pytest.fixture(scope="module")
+def f27_stage_states():
+    """The f27 frame and the 1 996 RK4 stage states of a 500-node spiral."""
+    frame, _ = realize_frame(generate_basis(2, 7))
+    spiral = spiral_curve(0.05, 499)
+    x0 = [*spiral.points[0], *[0.0] * (frame.n - 2)]
+    _, windows = trajectories._windows(frame, lift_control(spiral), x0, 1,
+                                       None)
+    return frame, np.concatenate([w.stages.reshape(-1, frame.n)
+                                  for w in windows])
+
+
+def test_f27_trajectory_evaluators_match_textbook_bitwise(f27_stage_states):
+    # the Jacobian pattern and the dependency levels, as the integrators
+    # compile them, at every stage state and at single points
+    frame, pts = f27_stage_states
+    assert pts.shape == (1996, 41)
+    deps = trajectories._dependencies(frame)
+    pattern = [(j, i) for j, d in enumerate(deps) for i in d]
+    groups = [[f.comps[j].diff(i) for j, i in pattern] for f in frame.fields]
+    groups += [[f.comps[j] for j in cols] for f in frame.fields
+               for cols in trajectories._levels(deps)]
+    for polys in groups:
+        ev, ref = CompiledPolys(polys), TextbookCompiledPolys(polys)
+        assert_same_bits(ev(pts), ref(pts))
+        for x in pts[::401]:
+            assert_same_bits(ev(x), ref(x))
