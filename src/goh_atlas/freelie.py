@@ -303,19 +303,6 @@ def bracket(a: LieElement, b: LieElement, basis: LyndonBasis) -> LieElement:
     return tensor_to_lie(t_bracket(ta, tb, basis.step), basis)
 
 
-def iterated_bracket_index(basis: LyndonBasis, J) -> LieElement:
-    """Right-nested bracket [X_{j1},[X_{j2},[...,X_{jk}]]] of generators."""
-    J = tuple(J)
-    if not J:
-        raise ValueError("multi-index must be nonempty")
-    if any(j < 1 or j > basis.rank for j in J):
-        raise ValueError("multi-index entries must lie in 1..rank")
-    out = lie_single(basis, (J[-1],))
-    for j in reversed(J[:-1]):
-        out = bracket(lie_single(basis, (j,)), out, basis)
-    return out
-
-
 def bch(a: LieElement, b: LieElement, basis: LyndonBasis) -> LieElement:
     """log(exp(a) exp(b)) truncated at the basis step, exact."""
     ta, tb = lie_to_tensor(a, basis), lie_to_tensor(b, basis)
@@ -394,23 +381,12 @@ def structure_table(basis: LyndonBasis) -> StructureTable:
     return StructureTable(basis, tuple(tuple(row) for row in table))
 
 
-def random_lie_element(basis: LyndonBasis, rng) -> LieElement:
-    """Small random rational element (for tests and demos): numerators in
-    -4..4, denominators in 1..6."""
-    out: LieElement = {}
-    for i in range(basis.dim):
-        num = rng.randrange(-4, 5)
-        if num:
-            out[i] = Fraction(num, rng.randrange(1, 7))
-    return out
-
-
 __all__ = [
     "Word", "LyndonBasis", "StructureTable", "LieElement",
     "lyndon_words", "standard_factorization",
     "witt_dimension", "generate_basis", "structure_table",
-    "bracket", "iterated_bracket_index", "bch",
+    "bracket", "bch",
     "lie_single", "lie_add", "lie_scale", "lie_to_tensor", "tensor_to_lie",
     "t_scale", "t_mul", "t_bracket", "t_exp", "t_log",
-    "word_expansions", "random_lie_element",
+    "word_expansions",
 ]

@@ -468,7 +468,11 @@ def lie_bracket_fields(x: PolyVec, y: PolyVec) -> PolyVec:
 
 @dataclass
 class Frame:
-    """r polynomial vector fields on R^n, optionally weight-graded."""
+    """r polynomial vector fields on R^n, optionally weight-graded.
+
+    A frame is not mutated after construction: the trajectory layer
+    compiles its float evaluators once per frame and keeps them on it.
+    """
 
     fields: list[PolyVec]
     weights: tuple[int, ...] | None = None
@@ -476,6 +480,7 @@ class Frame:
     labels: tuple | None = None  # e.g. basis words for realized frames
 
     def __post_init__(self):
+        self._evaluators: dict = {}  # see trajectories._compiled
         if not self.fields:
             raise ValueError("frame needs at least one field")
         n = self.fields[0].n
@@ -545,16 +550,6 @@ def martinet_frame() -> Frame:
     f1 = PolyVec.coordinate(n, 0)
     f2 = PolyVec([Poly.zero(n), Poly.one(n), x1 * x1 * Fraction(1, 2)])
     return Frame([f1, f2], weights=(1, 1, 3), normal_form=True)
-
-
-def iterated_bracket_fields(frame: Frame, J) -> PolyVec:
-    """Right-nested bracket of frame fields over the multi-index J."""
-    J = tuple(J)
-    if not J:
-        raise ValueError("multi-index must be nonempty")
-    if any(j < 1 or j > frame.r for j in J):
-        raise ValueError("multi-index entries must lie in 1..r")
-    return _nested_brackets(frame)(J)
 
 
 def _nested_brackets(frame: Frame):
@@ -661,66 +656,83 @@ def growth_vector(frame: Frame, p, depth: int) -> list[int]:
 # ---------------------------------------------------------------------------
 # compiled float evaluators (hot loops in the trajectory code)
 
-EVAL_ROWS = 128  # points per block of a batched evaluation (bounds temporaries)
+EVAL_ROWS = 256  # points per block of a batched evaluation (bounds temporaries)
 
 
 class CompiledPolys:
     """Batch float evaluator for a list of polynomials.
 
-    Flattens every term into index arrays so evaluating all polynomials is
-    a handful of vectorized numpy ops; used by RK4/variational loops.  A
-    point x of shape (n,) gives shape (count,); an (M, n) array of points
-    gives (M, count), each row bit for bit what the single-point call gives
-    (same power recurrence and products, terms summed in the same order).
+    A point x of shape (n,) gives shape (count,); an (M, n) array of points
+    gives (M, count), each row bit for bit what the single-point call gives.
+    Only the variables that occur are raised to powers, by x^k = x^(k-1) * x
+    from 1.0; each distinct monomial is multiplied out once, left to right
+    over its factors in variable order; a term is its coefficient times its
+    monomial; and each output sums its terms in term order from 0.0, one
+    add per term rank (so a zero sum is +0.0).  Intermediates hold one row
+    per power, monomial or term and one column per point of a block.
     """
 
     def __init__(self, polys: list[Poly]):
         self.count = len(polys)
-        rows, var_cols, exp_cols, coefs = [], [], [], []
-        width = 1
-        for p in polys:
-            for e in p.terms:
-                width = max(width, sum(1 for k in e if k))
-        self.max_exp = 0
-        for idx, p in enumerate(polys):
-            for e, c in p.terms.items():
-                vs = [i for i, k in enumerate(e) if k]
-                ks = [e[i] for i in vs]
-                self.max_exp = max(self.max_exp, max(ks, default=0))
-                vs += [0] * (width - len(vs))
-                ks += [0] * (width - len(ks))
-                rows.append(idx)
-                var_cols.append(vs)
-                exp_cols.append(ks)
-                coefs.append(float(c))
-        if rows:
-            self.rows = np.array(rows, dtype=np.intp)
-            self.vars = np.array(var_cols, dtype=np.intp)
-            self.exps = np.array(exp_cols, dtype=np.intp)
-            self.coefs = np.array(coefs)
-        else:
-            self.rows = np.zeros(0, dtype=np.intp)
-            self.vars = np.zeros((0, 1), dtype=np.intp)
-            self.exps = np.zeros((0, 1), dtype=np.intp)
-            self.coefs = np.zeros(0)
+        monos: dict = {}  # exponent tuple -> index, first seen first
+        terms = [[(monos.setdefault(e, len(monos)), float(c))
+                  for e, c in p.terms.items()] for p in polys]
+        self.used = sorted({i for e in monos for i, k in enumerate(e) if k})
+        self.top = max((k for e in monos for k in e), default=0)
+        # row 0 of the power table is 1.0; row 1 + (k - 1) * len(used) + s
+        # is x^k of the s-th used variable
+        slot = {v: 1 + s for s, v in enumerate(self.used)}
+        factors = [[(k - 1) * len(self.used) + slot[i]
+                    for i, k in enumerate(e) if k] or [0] for e in monos]
+        # monomials widest first, so factor c multiplies a prefix of them
+        wide = sorted(range(len(monos)), key=lambda m: -len(factors[m]))
+        self.factors = [np.array([factors[m][c] for m in wide
+                                  if len(factors[m]) > c], dtype=np.intp)
+                        for c in range(max(map(len, factors), default=0))]
+        # outputs with the most terms first, so term k adds onto a prefix
+        outs = sorted(range(self.count), key=lambda o: -len(terms[o]))
+        self.order = np.argsort(np.array(outs, dtype=np.intp))
+        self.ranks = [sum(len(terms[o]) > k for o in outs)
+                      for k in range(max(map(len, terms), default=0))]
+        ranked = [terms[o][k] for k, size in enumerate(self.ranks)
+                  for o in outs[:size]]
+        row = {m: r for r, m in enumerate(wide)}
+        self.mono_of = np.array([row[m] for m, _ in ranked], dtype=np.intp)
+        self.coefs = np.array([c for _, c in ranked])[:, None]
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
-        if x.ndim == 2 and len(x) > EVAL_ROWS:
-            return np.concatenate([self(x[lo:lo + EVAL_ROWS])
-                                   for lo in range(0, len(x), EVAL_ROWS)])
-        if not len(self.rows):
-            return np.zeros(x.shape[:-1] + (self.count,))
-        pows = np.ones(x.shape + (self.max_exp + 1,))
-        for k in range(1, self.max_exp + 1):
-            pows[..., k] = pows[..., k - 1] * x
-        vals = self.coefs * np.prod(pows[..., self.vars, self.exps], axis=-1)
         if x.ndim == 1:
-            return np.bincount(self.rows, weights=vals, minlength=self.count)
-        m = len(x)
-        bins = (np.arange(m)[:, None] * self.count + self.rows).ravel()
-        return np.bincount(bins, weights=vals.ravel(),
-                           minlength=m * self.count).reshape(m, self.count)
+            return self(x[None])[0]
+        out = np.empty((len(x), self.count))
+        for lo in range(0, len(x), EVAL_ROWS):
+            out[lo:lo + EVAL_ROWS] = self._block(
+                x[lo:lo + EVAL_ROWS]).take(self.order, axis=0).T
+        return out
+
+    def _block(self, x: np.ndarray) -> np.ndarray:
+        """(count, M) sums at an (M, n) block, outputs most terms first."""
+        total = np.zeros((self.count, len(x)))
+        if not self.ranks:
+            return total
+        xs = x[:, self.used].T
+        width = len(xs)
+        pows = np.empty((1 + self.top * width, len(x)))
+        pows[0] = 1.0
+        prev = pows[:1]
+        for k in range(self.top):
+            prev = np.multiply(prev, xs,
+                               out=pows[1 + k * width:1 + (k + 1) * width])
+        monos = pows.take(self.factors[0], axis=0)
+        for rows in self.factors[1:]:
+            monos[:len(rows)] *= pows.take(rows, axis=0)
+        terms = monos.take(self.mono_of, axis=0)
+        terms *= self.coefs
+        lo = 0
+        for size in self.ranks:
+            total[:size] += terms[lo:lo + size]
+            lo += size
+        return total
 
 
 def compile_polyvec(field: PolyVec):
@@ -737,7 +749,7 @@ def compile_jacobian(field: PolyVec):
 
 __all__ = [
     "Poly", "PolyVec", "Frame",
-    "lie_bracket_fields", "iterated_bracket_fields",
+    "lie_bracket_fields",
     "flow_map", "exact_flow", "growth_vector",
     "heisenberg_frame", "martinet_frame",
     "CompiledPolys", "compile_polyvec", "compile_jacobian",

@@ -21,7 +21,8 @@ stage times.  The matrix states (J, the adjoint row, K) then step through
 grid nodes, where the step loop restarts anyway, and bound the memory on
 long grids.  Each integrator checks its state for non-finite values at
 every grid node.  The covector is always propagated by the adjoint
-equation rather than by inverting Jacobians.
+equation rather than by inverting Jacobians.  A frame's evaluators are
+compiled on its first use and kept on the frame (see `_compiled`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,8 @@ import numpy as np
 
 from . import polyfield
 from .errors import ConditioningError, NumericsError
-from .polyfield import CompiledPolys, Frame, compile_polyvec, lie_bracket_fields
+from .polyfield import CompiledPolys, Frame, lie_bracket_fields
+from .polyfield import compile_polyvec  # noqa: F401  (perfbench traces it here)
 from .serialize import check_artifact
 
 
@@ -205,6 +207,51 @@ def _levels(deps: list[list[int]]) -> list[np.ndarray] | None:
             for lv in range(max(level.values()) + 1)]
 
 
+def _compiled(frame: Frame, what: str):
+    """The float evaluators `what` of frame, compiled on its first use.
+
+    They are kept on the frame, which is not mutated after construction,
+    so every integrator call on one frame shares them:
+    - "fields": one evaluator per field;
+    - "levels": (levels, evaluators), with one evaluator per field on each
+      level's components, or (None, the "fields" evaluators) on a cycle;
+    - "jacobian": (flat indices into n x n of the union pattern of the
+      fields' Jacobians, one evaluator per field on that pattern);
+    - "brackets": one evaluator of [X_h, X_k] per pair h < k.
+    """
+    got = frame._evaluators.get(what)
+    if got is None:
+        got = frame._evaluators[what] = _COMPILE[what](frame)
+    return got
+
+
+def _compile_levels(frame: Frame):
+    levels = _levels(_dependencies(frame))
+    if levels is None:
+        return None, _compiled(frame, "fields")
+    return levels, [[CompiledPolys([f.comps[j] for j in cols])
+                     for f in frame.fields] for cols in levels]
+
+
+def _compile_jacobian(frame: Frame):
+    pattern = [(j, i) for j, deps in enumerate(_dependencies(frame))
+               for i in deps]
+    return ([j * frame.n + i for j, i in pattern],
+            [CompiledPolys([f.comps[j].diff(i) for j, i in pattern])
+             for f in frame.fields])
+
+
+_COMPILE = {
+    "fields": lambda frame: [CompiledPolys(f.comps) for f in frame.fields],
+    "levels": _compile_levels,
+    "jacobian": _compile_jacobian,
+    "brackets": lambda frame: [
+        CompiledPolys(lie_bracket_fields(frame.fields[h - 1],
+                                         frame.fields[k - 1]).comps)
+        for h, k in _pair_list(frame.r)],
+}
+
+
 @dataclass
 class _Window:
     """RK4 data of the grid intervals lo..hi-1 (nodes lo..hi)."""
@@ -282,12 +329,7 @@ def _windows(frame: Frame, u, x0, substeps: int, ts, at_nodes=()):
         grid = np.asarray(ts, dtype=float)
     else:
         raise TypeError("control must be a Control or a callable t -> values")
-    levels = _levels(_dependencies(frame))
-    if levels is None:
-        evs = [CompiledPolys(f.comps) for f in frame.fields]
-    else:
-        evs = [[CompiledPolys([f.comps[j] for j in cols])
-                for f in frame.fields] for cols in levels]
+    levels, evs = _compiled(frame, "levels")
     span = max(1, WINDOW_STEPS // substeps)
 
     def windows():
@@ -330,12 +372,13 @@ def _stage_matrices(jevs, flat, n: int, w: _Window):
     """A = sum_k u_k DX_k at every stage of w, in step order.
 
     jevs evaluate the Jacobians on their union nonzero pattern (flat
-    indices into n x n); A is scattered into zeros, half an evaluator
-    block at a time (whole blocks: 5 % more peak RSS at n = 41, no faster).
+    indices into n x n); A is scattered into zeros, a quarter evaluator
+    block at a time (64 rows; 128 read 5 % more peak RSS on spiral-f27 at
+    n = 41 and gained little).
     """
     pts = w.stages.reshape(-1, n)
     uk = w.controls.reshape(len(pts), -1)
-    rows = polyfield.EVAL_ROWS // 2
+    rows = max(1, polyfield.EVAL_ROWS // 4)
     for lo in range(0, len(pts), rows):
         amat = np.zeros((len(pts[lo:lo + rows]), n * n))
         amat[:, flat] = _drift(jevs, uk[lo:lo + rows], pts[lo:lo + rows])
@@ -349,11 +392,7 @@ def _propagate(frame: Frame, windows, m0, product, what: str, error):
     there, so propagation stops at the first non-finite one.
     """
     n = frame.n
-    pattern = [(j, i) for j, deps in enumerate(_dependencies(frame))
-               for i in deps]
-    flat = [j * n + i for j, i in pattern]
-    jevs = [CompiledPolys([f.comps[j].diff(i) for j, i in pattern])
-            for f in frame.fields]
+    flat, jevs = _compiled(frame, "jacobian")
     m = m0
     for w in windows:
         amats = _stage_matrices(jevs, flat, n, w)
@@ -484,11 +523,9 @@ def extremal_residuals(frame: Frame, u, x0, lam, substeps: int = 1,
     if len(lam) != frame.n or not np.any(lam):
         raise ValueError("covector must be nonzero with n entries")
     pairs = _pair_list(frame.r)
-    pairings = [compile_polyvec(f) for f in frame.fields] + [
-        compile_polyvec(lie_bracket_fields(frame.fields[h - 1],
-                                           frame.fields[k - 1]))
-        for h, k in pairs]
-    grid, windows = _windows(frame, u, x0, substeps, ts, pairings)
+    grid, windows = _windows(frame, u, x0, substeps, ts,
+                             _compiled(frame, "fields")
+                             + _compiled(frame, "brackets"))
     rho_rows, sigma_rows = [], []
     for w, i, row in _propagate(frame, windows, lam, _adjoint,
                                 "adjoint propagation", ConditioningError):
@@ -534,7 +571,7 @@ def recover_abnormal_covector(frame: Frame, u, x0, substeps: int = 1,
     """
     n = frame.n
     _, windows = _windows(frame, u, x0, substeps, ts,
-                          [compile_polyvec(f) for f in frame.fields])
+                          _compiled(frame, "fields"))
     rows = [kmat @ v[i] for w, i, kmat in _propagate(
         frame, windows, np.eye(n), _adjoint, "inverse-Jacobian propagation",
         ConditioningError) for v in w.at_nodes]

@@ -22,7 +22,6 @@ from goh_atlas.freelie import (
     lie_add,
     lie_scale,
     lie_single,
-    random_lie_element,
     structure_table,
     witt_dimension,
 )
@@ -37,6 +36,7 @@ from goh_atlas.normalform import realize_frame, verify_second_kind
 from goh_atlas.polyfield import (
     Poly,
     PolyVec,
+    _float_evaluator,
     growth_vector,
     heisenberg_frame,
     martinet_frame,
@@ -55,6 +55,7 @@ from goh_atlas.trajectories import (
     recover_abnormal_covector,
     spiral_curve,
 )
+from lie_helpers import random_lie_element
 
 
 @pytest.fixture(scope="module")
@@ -283,8 +284,8 @@ def test_criterion_07_goh_variety_equivalence():
             x0 = rng.uniform(-0.5, 0.5, size=frame.n)
             rep = extremal_residuals(frame, u, x0, lam, substeps=2)
             curve = flow_control(frame, u, x0, substeps=2)
-            fvals = np.array([sysm.poly(1, 2).eval_float(p[:2])
-                              for p in curve.points])
+            plane = _float_evaluator(sysm.poly(1, 2))
+            fvals = np.array([plane(p[:2]) for p in curve.points])
             worst = max(worst, float(np.max(np.abs(rep.sigma[:, 0] - fvals))))
     assert worst <= 1e-8
 
@@ -411,10 +412,10 @@ def test_criterion_10_numerical_hygiene():
     sysm = goh_polynomials(f23, [0.0, 0.0, -1.0, 0.0, 1.0])
     trace = trace_variety(sysm, resolution=128)
     worst_vertex = 0.0
+    plane = _float_evaluator(sysm.poly(1, 2))
     for line in trace.polylines:
         for x, y in line:
-            worst_vertex = max(worst_vertex,
-                               abs(sysm.poly(1, 2).eval_float((x, y))))
+            worst_vertex = max(worst_vertex, abs(plane((x, y))))
     assert trace.polylines
     assert worst_vertex <= 1e-9 * (1.0 + trace.f_scale)
     print(f"criterion 10: RK4 ratios {[f'{q:.1f}' for q in ratios]}, "

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goh_atlas import freelie as fl
+from lie_helpers import iterated_bracket_index, random_lie_element
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +192,8 @@ def test_bracket_matches_local_tensor_oracle():
     basis = fl.generate_basis(2, 4)
     rng = random.Random(7)
     for _ in range(25):
-        a = fl.random_lie_element(basis, rng)
-        b = fl.random_lie_element(basis, rng)
+        a = random_lie_element(basis, rng)
+        b = random_lie_element(basis, rng)
         got = fl.bracket(a, b, basis)
         want = o_bracket(lie_as_tensor(a, basis), lie_as_tensor(b, basis), basis.step)
         assert lie_as_tensor(got, basis) == want
@@ -200,16 +201,16 @@ def test_bracket_matches_local_tensor_oracle():
 
 def test_iterated_bracket_index():
     basis = fl.generate_basis(2, 3)
-    assert fl.iterated_bracket_index(basis, (2, 1, 2)) == \
+    assert iterated_bracket_index(basis, (2, 1, 2)) == \
         {basis.index[(1, 2, 2)]: Fraction(-1)}
-    assert fl.iterated_bracket_index(basis, (1, 1, 2)) == \
+    assert iterated_bracket_index(basis, (1, 1, 2)) == \
         {basis.index[(1, 1, 2)]: Fraction(1)}
-    assert fl.iterated_bracket_index(basis, (1,)) == {0: Fraction(1)}
-    assert fl.iterated_bracket_index(basis, (1, 2, 2)) == {}  # [X2,X2]=0 inside
+    assert iterated_bracket_index(basis, (1,)) == {0: Fraction(1)}
+    assert iterated_bracket_index(basis, (1, 2, 2)) == {}  # [X2,X2]=0 inside
     with pytest.raises(ValueError):
-        fl.iterated_bracket_index(basis, ())
+        iterated_bracket_index(basis, ())
     with pytest.raises(ValueError):
-        fl.iterated_bracket_index(basis, (1, 3))
+        iterated_bracket_index(basis, (1, 3))
 
 
 def test_jacobi_all_triples_small_steps():
@@ -251,8 +252,8 @@ def test_structure_table_agrees_with_tensor_bracket():
     table = fl.structure_table(basis)
     rng = random.Random(11)
     for _ in range(20):
-        a = fl.random_lie_element(basis, rng)
-        b = fl.random_lie_element(basis, rng)
+        a = random_lie_element(basis, rng)
+        b = random_lie_element(basis, rng)
         assert table.bracket_elements(a, b) == fl.bracket(a, b, basis)
 
 
@@ -289,7 +290,7 @@ def test_bch_classical_coefficients():
     assert idx[(1, 1, 1, 2)] not in z
     assert idx[(1, 2, 2, 2)] not in z
     # same data in nested-bracket form
-    b = lambda J: fl.iterated_bracket_index(basis, J)
+    b = lambda J: iterated_bracket_index(basis, J)
     recon = fl.lie_add(x1, x2)
     recon = fl.lie_add(recon, fl.lie_scale(b((1, 2)), Fraction(1, 2)))
     recon = fl.lie_add(recon, fl.lie_scale(b((1, 1, 2)), Fraction(1, 12)))
@@ -303,9 +304,9 @@ def test_bch_group_laws():
     rng = random.Random(3)
     zero = {}
     for _ in range(10):
-        a = fl.random_lie_element(basis, rng)
-        b = fl.random_lie_element(basis, rng)
-        c = fl.random_lie_element(basis, rng)
+        a = random_lie_element(basis, rng)
+        b = random_lie_element(basis, rng)
+        c = random_lie_element(basis, rng)
         assert fl.bch(a, zero, basis) == a
         assert fl.bch(zero, a, basis) == a
         neg = fl.lie_scale(a, Fraction(-1))

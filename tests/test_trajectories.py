@@ -446,6 +446,48 @@ def test_level_scheme_selection(monkeypatch, make, leveled):
     assert bool(stepped) != leveled
 
 
+@pytest.mark.parametrize("make", [lambda: realized(5), cyclic_frame],
+                         ids=["f25", "cyclic"])
+def test_evaluators_are_compiled_once_per_frame(monkeypatch, make):
+    # three integrators, twice, on one frame build each evaluator once:
+    # per level and field (the field evaluators on a cycle), the Jacobian
+    # pattern per field, each field and each bracket; a freshly loaded
+    # copy of the frame builds its own and gives the same bits
+    built = []
+
+    class Counting(polyfield.CompiledPolys):
+        def __init__(self, polys):
+            built.append(len(polys))
+            super().__init__(polys)
+
+    monkeypatch.setattr(trajectories, "CompiledPolys", Counting)
+
+    def run(frame):
+        rng = np.random.default_rng(43)
+        u = random_pl_control(rng, n_steps=9)
+        x0 = rng.uniform(-0.5, 0.5, size=frame.n)
+        lam = rng.uniform(-1.0, 1.0, size=frame.n)
+        curve = flow_control(frame, u, x0, substeps=2)
+        rec = recover_abnormal_covector(frame, u, x0, threshold=1e-3)
+        rep = extremal_residuals(frame, u, x0, lam)
+        return [curve.points, rec.singular_values,
+                np.reshape(rec.candidates, (-1, frame.n)), rep.rho, rep.sigma]
+
+    frame = make()
+    levels = _levels(_dependencies(frame))
+    r, pairs = frame.r, frame.r * (frame.r - 1) // 2
+    once = (len(levels) * r if levels else 0) + r + r + pairs
+    first = run(frame)
+    assert len(built) == once
+    again = run(frame)
+    assert len(built) == once
+    fresh = run(Frame.from_json(frame.to_json()))
+    assert len(built) == 2 * once
+    for a, b, c in zip(first, again, fresh):
+        assert_bitwise(a, b)
+        assert_bitwise(a, c)
+
+
 @pytest.mark.parametrize("integrate", [
     lambda fr, u, **kw: flow_control(fr, u, [0.0] * 3, **kw),
     lambda fr, u, **kw: jacobian_flow(fr, u, [0.0] * 3, **kw),
