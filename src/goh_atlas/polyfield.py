@@ -471,7 +471,7 @@ class Frame:
     """r polynomial vector fields on R^n, optionally weight-graded.
 
     A frame is not mutated after construction: the trajectory layer
-    compiles its float evaluators once per frame and keeps them on it.
+    compiles its stepping evaluators once per frame and keeps them on it.
     """
 
     fields: list[PolyVec]

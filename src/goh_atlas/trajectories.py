@@ -21,8 +21,9 @@ stage times.  The matrix states (J, the adjoint row, K) then step through
 grid nodes, where the step loop restarts anyway, and bound the memory on
 long grids.  Each integrator checks its state for non-finite values at
 every grid node.  The covector is always propagated by the adjoint
-equation rather than by inverting Jacobians.  A frame's evaluators are
-compiled on its first use and kept on the frame (see `_compiled`).
+equation rather than by inverting Jacobians.  A frame's stepping
+evaluators (per level, and on the Jacobian pattern) are compiled on its
+first use and kept on the frame (see `_compiled`).
 """
 
 from __future__ import annotations
@@ -34,8 +35,7 @@ import numpy as np
 
 from . import polyfield
 from .errors import ConditioningError, NumericsError
-from .polyfield import CompiledPolys, Frame, lie_bracket_fields
-from .polyfield import compile_polyvec  # noqa: F401  (perfbench traces it here)
+from .polyfield import CompiledPolys, Frame, compile_polyvec, lie_bracket_fields
 from .serialize import check_artifact
 
 
@@ -208,16 +208,15 @@ def _levels(deps: list[list[int]]) -> list[np.ndarray] | None:
 
 
 def _compiled(frame: Frame, what: str):
-    """The float evaluators `what` of frame, compiled on its first use.
+    """The stepping evaluators `what` of frame, compiled on its first use.
 
     They are kept on the frame, which is not mutated after construction,
     so every integrator call on one frame shares them:
-    - "fields": one evaluator per field;
     - "levels": (levels, evaluators), with one evaluator per field on each
-      level's components, or (None, the "fields" evaluators) on a cycle;
+      level's components, or (None, one evaluator per field) on a cycle;
     - "jacobian": (flat indices into n x n of the union pattern of the
-      fields' Jacobians, one evaluator per field on that pattern);
-    - "brackets": one evaluator of [X_h, X_k] per pair h < k.
+      fields' Jacobians, one evaluator per field on that pattern).
+    The pairings evaluated at grid nodes are compiled per call.
     """
     got = frame._evaluators.get(what)
     if got is None:
@@ -228,7 +227,7 @@ def _compiled(frame: Frame, what: str):
 def _compile_levels(frame: Frame):
     levels = _levels(_dependencies(frame))
     if levels is None:
-        return None, _compiled(frame, "fields")
+        return None, [CompiledPolys(f.comps) for f in frame.fields]
     return levels, [[CompiledPolys([f.comps[j] for j in cols])
                      for f in frame.fields] for cols in levels]
 
@@ -241,15 +240,7 @@ def _compile_jacobian(frame: Frame):
              for f in frame.fields])
 
 
-_COMPILE = {
-    "fields": lambda frame: [CompiledPolys(f.comps) for f in frame.fields],
-    "levels": _compile_levels,
-    "jacobian": _compile_jacobian,
-    "brackets": lambda frame: [
-        CompiledPolys(lie_bracket_fields(frame.fields[h - 1],
-                                         frame.fields[k - 1]).comps)
-        for h, k in _pair_list(frame.r)],
-}
+_COMPILE = {"levels": _compile_levels, "jacobian": _compile_jacobian}
 
 
 @dataclass
@@ -373,12 +364,14 @@ def _stage_matrices(jevs, flat, n: int, w: _Window):
 
     jevs evaluate the Jacobians on their union nonzero pattern (flat
     indices into n x n); A is scattered into zeros, a quarter evaluator
-    block at a time (64 rows; 128 read 5 % more peak RSS on spiral-f27 at
-    n = 41 and gained little).
+    block at a time.  These dense blocks set the peak RSS, so they are
+    smaller than the evaluator's: 64 rows at EVAL_ROWS = 256, since 128
+    read 5 % more peak RSS on spiral-f27 at n = 41 and gained little.  A
+    smaller EVAL_ROWS (at least 4) makes them smaller too.
     """
     pts = w.stages.reshape(-1, n)
     uk = w.controls.reshape(len(pts), -1)
-    rows = max(1, polyfield.EVAL_ROWS // 4)
+    rows = polyfield.EVAL_ROWS // 4
     for lo in range(0, len(pts), rows):
         amat = np.zeros((len(pts[lo:lo + rows]), n * n))
         amat[:, flat] = _drift(jevs, uk[lo:lo + rows], pts[lo:lo + rows])
@@ -523,9 +516,11 @@ def extremal_residuals(frame: Frame, u, x0, lam, substeps: int = 1,
     if len(lam) != frame.n or not np.any(lam):
         raise ValueError("covector must be nonzero with n entries")
     pairs = _pair_list(frame.r)
-    grid, windows = _windows(frame, u, x0, substeps, ts,
-                             _compiled(frame, "fields")
-                             + _compiled(frame, "brackets"))
+    pairings = [compile_polyvec(f) for f in frame.fields] + [
+        compile_polyvec(lie_bracket_fields(frame.fields[h - 1],
+                                           frame.fields[k - 1]))
+        for h, k in pairs]
+    grid, windows = _windows(frame, u, x0, substeps, ts, pairings)
     rho_rows, sigma_rows = [], []
     for w, i, row in _propagate(frame, windows, lam, _adjoint,
                                 "adjoint propagation", ConditioningError):
@@ -571,7 +566,7 @@ def recover_abnormal_covector(frame: Frame, u, x0, substeps: int = 1,
     """
     n = frame.n
     _, windows = _windows(frame, u, x0, substeps, ts,
-                          _compiled(frame, "fields"))
+                          [compile_polyvec(f) for f in frame.fields])
     rows = [kmat @ v[i] for w, i, kmat in _propagate(
         frame, windows, np.eye(n), _adjoint, "inverse-Jacobian propagation",
         ConditioningError) for v in w.at_nodes]

@@ -449,18 +449,22 @@ def test_level_scheme_selection(monkeypatch, make, leveled):
 @pytest.mark.parametrize("make", [lambda: realized(5), cyclic_frame],
                          ids=["f25", "cyclic"])
 def test_evaluators_are_compiled_once_per_frame(monkeypatch, make):
-    # three integrators, twice, on one frame build each evaluator once:
-    # per level and field (the field evaluators on a cycle), the Jacobian
-    # pattern per field, each field and each bracket; a freshly loaded
-    # copy of the frame builds its own and gives the same bits
-    built = []
+    # three integrators, twice, on one frame build each stepping evaluator
+    # once: per level and field (per field on a cycle) and the Jacobian
+    # pattern per field; the pairings (each field, each bracket) are
+    # compiled per call; a freshly loaded copy of the frame builds its own
+    # and gives the same bits
+    stepping, pairing = [], []
 
-    class Counting(polyfield.CompiledPolys):
-        def __init__(self, polys):
-            built.append(len(polys))
-            super().__init__(polys)
+    def counting(built):
+        class Counting(polyfield.CompiledPolys):
+            def __init__(self, polys):
+                built.append(len(polys))
+                super().__init__(polys)
+        return Counting
 
-    monkeypatch.setattr(trajectories, "CompiledPolys", Counting)
+    monkeypatch.setattr(trajectories, "CompiledPolys", counting(stepping))
+    monkeypatch.setattr(polyfield, "CompiledPolys", counting(pairing))
 
     def run(frame):
         rng = np.random.default_rng(43)
@@ -476,13 +480,14 @@ def test_evaluators_are_compiled_once_per_frame(monkeypatch, make):
     frame = make()
     levels = _levels(_dependencies(frame))
     r, pairs = frame.r, frame.r * (frame.r - 1) // 2
-    once = (len(levels) * r if levels else 0) + r + r + pairs
+    once = (len(levels) if levels else 1) * r + r
+    per_run = r + r + pairs
     first = run(frame)
-    assert len(built) == once
+    assert (len(stepping), len(pairing)) == (once, per_run)
     again = run(frame)
-    assert len(built) == once
+    assert (len(stepping), len(pairing)) == (once, 2 * per_run)
     fresh = run(Frame.from_json(frame.to_json()))
-    assert len(built) == 2 * once
+    assert (len(stepping), len(pairing)) == (2 * once, 3 * per_run)
     for a, b, c in zip(first, again, fresh):
         assert_bitwise(a, b)
         assert_bitwise(a, c)
