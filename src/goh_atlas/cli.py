@@ -13,8 +13,6 @@ import os
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import serialize
 from .errors import (
     ConditioningError,

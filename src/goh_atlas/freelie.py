@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import product
 
 from .serialize import check_artifact
 
@@ -138,8 +137,10 @@ def generate_basis(rank: int, step: int) -> LyndonBasis:
 # Truncated tensor algebra.  A tensor element is a dict word -> coefficient.
 # Coefficients may be Fraction or any exact ring element supporting
 # +, -, *, bool() (polynomials in normalform use this with no changes here).
-# Sums accumulate in place.  The insertion order of the keys is part of the
-# result: with Poly coefficients it becomes the term order of realized frames.
+# Sums accumulate in place; polyfield.Poly adds its terms with _accumulate
+# and scales them with lie_scale.  The insertion order of the keys is part
+# of the result: with Poly coefficients it becomes the term order of
+# realized frames.
 
 def _accumulate(out: dict, items) -> dict:
     """Add (key, coefficient) pairs into out in place, dropping zero sums."""
@@ -160,7 +161,8 @@ def _axpy(out: dict, a: dict, c) -> dict:
     return out
 
 
-def t_scale(a: dict, c) -> dict:
+def lie_scale(a: dict, c) -> dict:
+    """c * a as a new dict: a Lie element, a tensor or the terms of a Poly."""
     if not c:
         return {}
     return {w: cw * c for w, cw in a.items()}
@@ -198,7 +200,7 @@ def t_exp(a: dict, step: int, one=ONE) -> dict:
     out = {(): one}
     term = {(): one}
     for k in range(1, step + 1):
-        term = t_scale(t_mul(term, a, step), Fraction(1, k))
+        term = lie_scale(t_mul(term, a, step), Fraction(1, k))
         if not term:
             break
         _accumulate(out, term.items())
@@ -233,12 +235,6 @@ def lie_single(basis: LyndonBasis, word: Word, coeff=ONE) -> LieElement:
 
 def lie_add(a: LieElement, b: LieElement) -> LieElement:
     return _accumulate(dict(a), b.items())
-
-
-def lie_scale(a: LieElement, c) -> LieElement:
-    if not c:
-        return {}
-    return {i: ci * c for i, ci in a.items()}
 
 
 _EXPANSION_CACHE: dict[tuple[int, int], list[dict]] = {}
@@ -387,6 +383,6 @@ __all__ = [
     "witt_dimension", "generate_basis", "structure_table",
     "bracket", "bch",
     "lie_single", "lie_add", "lie_scale", "lie_to_tensor", "tensor_to_lie",
-    "t_scale", "t_mul", "t_bracket", "t_exp", "t_log",
+    "t_mul", "t_bracket", "t_exp", "t_log",
     "word_expansions",
 ]

@@ -243,6 +243,9 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
         raise ValueError("plane tracing needs a rank-2 system")
     F = sys.poly(1, 2)
     x0, x1, y0, y1 = (float(v) for v in window)
+    for name, v in zip(("x_min", "x_max", "y_min", "y_max"), (x0, x1, y0, y1)):
+        if not math.isfinite(v):
+            raise ValueError(f"window {name} is not finite: {v!r}")
     if not (x0 < x1 and y0 < y1):
         raise ValueError("window must satisfy x_min < x_max, y_min < y_max")
     res = check_resolution(resolution)

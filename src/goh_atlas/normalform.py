@@ -28,11 +28,11 @@ from .freelie import (
     StructureTable,
     standard_factorization,
     structure_table,
+    lie_scale,
     lie_to_tensor,
     t_exp,
     t_log,
     t_mul,
-    t_scale,
     tensor_to_lie,
 )
 from .polyfield import (
@@ -40,7 +40,6 @@ from .polyfield import (
     Poly,
     PolyVec,
     exact_flow,
-    lie_bracket_fields,
 )
 
 ONE = Fraction(1)
@@ -136,16 +135,6 @@ def _ad_series(table: StructureTable, signs, y_el: dict) -> list[dict]:
     return cols
 
 
-def first_kind_fields(table: StructureTable, signs=None) -> list[PolyVec]:
-    """All n left-invariant fields in first-kind coordinates (internal chart)."""
-    if signs is None:
-        signs, _ = signed_attachment(table)
-    n = table.basis.dim
-    y_el = {j: Poly.var(n, j) for j in range(n)}
-    return [PolyVec([acc.get(j, Poly.zero(n)) for j in range(n)])
-            for acc in _ad_series(table, signs, y_el)]
-
-
 @dataclass
 class CoordinateMaps:
     """Exact coordinate data attached to a realized frame.
@@ -188,8 +177,8 @@ def realize_frame(basis: LyndonBasis) -> tuple[Frame, CoordinateMaps]:
     # chart product exp(x_n B_n) ... exp(x_1 B_1) in the tensor algebra
     g = {(): one}
     for j in range(n - 1, -1, -1):
-        bj = t_scale(lie_to_tensor({j: Fraction(signs[j])}, basis),
-                     Poly.var(n, j))
+        bj = lie_scale(lie_to_tensor({j: Fraction(signs[j])}, basis),
+                      Poly.var(n, j))
         g = t_mul(g, t_exp(bj, step, one), step)
 
     lie = tensor_to_lie(t_log(g, step, one), basis)
@@ -251,21 +240,6 @@ def realize_frame(basis: LyndonBasis) -> tuple[Frame, CoordinateMaps]:
 
     maps = CoordinateMaps(basis, table, psi, list(inv), fields, signs, trees)
     return frame, maps
-
-
-def stratified_fields(frame: Frame, basis: LyndonBasis) -> list[PolyVec]:
-    """All n bracket fields of a rank-r frame, one per basis word."""
-    if frame.r != basis.rank:
-        raise ValueError("frame rank does not match the basis rank")
-    trees = attachment_trees(basis)
-    fields: list[PolyVec] = []
-    for idx, tree in enumerate(trees):
-        if tree is None:
-            fields.append(frame.fields[basis.words[idx][0] - 1])
-        else:
-            left, right = tree
-            fields.append(lie_bracket_fields(fields[left], fields[right]))
-    return fields
 
 
 def verify_normal_form(frame: Frame) -> dict:
@@ -345,10 +319,8 @@ __all__ = [
     "CoordinateMaps",
     "attachment_trees",
     "bernoulli_numbers",
-    "first_kind_fields",
     "realize_frame",
     "signed_attachment",
-    "stratified_fields",
     "verify_normal_form",
     "verify_second_kind",
 ]

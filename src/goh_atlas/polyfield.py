@@ -26,6 +26,7 @@ from operator import index, or_
 import numpy as np
 
 from .errors import NotNilpotentError
+from .freelie import _accumulate, lie_scale
 from .serialize import check_artifact
 
 ZERO = Fraction(0)
@@ -35,12 +36,8 @@ ONE = Fraction(1)
 def _as_frac(c) -> Fraction:
     if isinstance(c, Fraction):
         return c
-    if isinstance(c, int):
-        return Fraction(c)
-    if isinstance(c, str):
-        return Fraction(c)
-    if isinstance(c, float):
-        return Fraction(c)  # exact binary value
+    if isinstance(c, (int, str, float)):
+        return Fraction(c)  # a float's exact binary value
     raise TypeError(f"cannot coerce {type(c).__name__} to Fraction")
 
 
@@ -187,19 +184,9 @@ class Poly:
     def __add__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(self.n, other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            if s is None:
-                out[e] = c
-            else:
-                s += c
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
         p = Poly.__new__(Poly)
-        p.n, p.terms = self.n, out
+        p.n = self.n
+        p.terms = _accumulate(dict(self.terms), other.terms.items())
         return p
 
     __radd__ = __add__
@@ -220,12 +207,8 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            c = _as_frac(other)
-            if not c:
-                return Poly(self.n)
             p = Poly.__new__(Poly)
-            p.n = self.n
-            p.terms = {e: cc * c for e, cc in self.terms.items()}
+            p.n, p.terms = self.n, lie_scale(self.terms, _as_frac(other))
             return p
         if self.n != other.n:
             raise ValueError("ambient dimension mismatch")
@@ -397,10 +380,6 @@ class PolyVec:
         self.comps = list(comps)
 
     @staticmethod
-    def zero(n: int) -> "PolyVec":
-        return PolyVec([Poly.zero(n) for _ in range(n)])
-
-    @staticmethod
     def coordinate(n: int, j: int) -> "PolyVec":
         comps = [Poly.zero(n) for _ in range(n)]
         comps[j] = Poly.one(n)
@@ -528,12 +507,21 @@ class Frame:
         labels = data.get("labels")
         if labels is not None:
             labels = tuple(tuple(int(c) for c in w) for w in labels)
-        return Frame(
+        frame = Frame(
             fields,
             weights=tuple(data["weights"]) if "weights" in data else None,
             normal_form=bool(data.get("normal_form", False)),
             labels=labels,
         )
+        if frame.normal_form:
+            from .normalform import verify_normal_form  # imports polyfield
+
+            bad = verify_normal_form(frame)["violations"]
+            if bad:
+                raise ValueError(f"field {bad[0]['k']}, component "
+                                 f"{bad[0]['j']}: not the normal form that "
+                                 f"normal_form claims")
+        return frame
 
 
 def heisenberg_frame() -> Frame:
@@ -740,17 +728,10 @@ def compile_polyvec(field: PolyVec):
     return lambda x: ev(x)
 
 
-def compile_jacobian(field: PolyVec):
-    """Evaluator for the n x n Jacobian matrix D field(x)."""
-    n = field.n
-    ev = CompiledPolys([field.comps[j].diff(i) for j in range(n) for i in range(n)])
-    return lambda x: ev(x).reshape(n, n)
-
-
 __all__ = [
     "Poly", "PolyVec", "Frame",
     "lie_bracket_fields",
     "flow_map", "exact_flow", "growth_vector",
     "heisenberg_frame", "martinet_frame",
-    "CompiledPolys", "compile_polyvec", "compile_jacobian",
+    "CompiledPolys", "compile_polyvec",
 ]

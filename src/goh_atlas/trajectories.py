@@ -28,8 +28,8 @@ first use and kept on the frame (see `_compiled`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from itertools import chain, islice
+from dataclasses import dataclass
+from itertools import chain, combinations, islice
 
 import numpy as np
 
@@ -41,6 +41,12 @@ from .serialize import check_artifact
 
 def _float_list(xs):
     return [float(x) for x in xs]
+
+
+def _from_function(cls, f, t0: float, t1: float, n_steps: int):
+    """cls(ts, rows) with f sampled at n_steps + 1 uniform nodes t0..t1."""
+    ts = np.linspace(t0, t1, n_steps + 1)
+    return cls(ts, np.array([_float_list(f(t)) for t in ts]))
 
 
 @dataclass
@@ -73,10 +79,7 @@ class Control:
         return np.array([np.interp(t, self.ts, self.values[:, k])
                          for k in range(self.values.shape[1])])
 
-    @staticmethod
-    def from_function(f, t0: float, t1: float, n_steps: int) -> "Control":
-        ts = np.linspace(t0, t1, n_steps + 1)
-        return Control(ts, np.array([_float_list(f(t)) for t in ts]))
+    from_function = classmethod(_from_function)
 
     def to_json(self) -> dict:
         return {"schema": "goh-atlas/1", "type": "control",
@@ -107,10 +110,7 @@ class SampledCurve:
     def m(self) -> int:
         return self.points.shape[1]
 
-    @staticmethod
-    def from_function(f, t0: float, t1: float, n_steps: int) -> "SampledCurve":
-        ts = np.linspace(t0, t1, n_steps + 1)
-        return SampledCurve(ts, np.array([_float_list(f(t)) for t in ts]))
+    from_function = classmethod(_from_function)
 
     def to_json(self) -> dict:
         return {"schema": "goh-atlas/1", "type": "curve",
@@ -126,12 +126,11 @@ class SampledCurve:
 class JacobianPath:
     ts: np.ndarray
     mats: list  # n x n arrays, mats[0] = identity
-    dets: np.ndarray = field(default=None)
+    dets: np.ndarray
 
     def to_json(self) -> dict:
         return {"schema": "goh-atlas/1", "type": "jacobian_path",
-                "t": self.ts.tolist(),
-                "dets": self.dets.tolist() if self.dets is not None else None,
+                "t": self.ts.tolist(), "dets": self.dets.tolist(),
                 "mats": [m.tolist() for m in self.mats]}
 
 
@@ -478,10 +477,6 @@ def pushforward_identity_residual(frame: Frame, u, x0, substeps: int = 1,
     return worst
 
 
-def _pair_list(r: int) -> list[tuple[int, int]]:
-    return [(h, k) for h in range(1, r + 1) for k in range(h + 1, r + 1)]
-
-
 @dataclass
 class ExtremalReport:
     ts: np.ndarray
@@ -515,7 +510,7 @@ def extremal_residuals(frame: Frame, u, x0, lam, substeps: int = 1,
     lam = np.array(_float_list(lam))
     if len(lam) != frame.n or not np.any(lam):
         raise ValueError("covector must be nonzero with n entries")
-    pairs = _pair_list(frame.r)
+    pairs = list(combinations(range(1, frame.r + 1), 2))
     pairings = [compile_polyvec(f) for f in frame.fields] + [
         compile_polyvec(lie_bracket_fields(frame.fields[h - 1],
                                            frame.fields[k - 1]))
@@ -611,6 +606,10 @@ def polynomial_containment(points, degree: int,
     if len(pts) < 3 * n_mono:
         raise ValueError(
             f"need at least {3 * n_mono} points for degree {degree}")
+    bad = ~np.isfinite(pts).all(axis=1)
+    if bad.any():
+        idx = int(bad.argmax())
+        raise ValueError(f"point {idx} is not finite: {pts[idx].tolist()}")
     cols = []
     x, y = pts[:, 0], pts[:, 1]
     for total in range(degree + 1):

@@ -1,10 +1,15 @@
-"""Constructions only the tests use: random Lie elements and right-nested
-brackets of generators and of frame fields."""
+"""Constructions only the tests use: random Lie elements, right-nested
+brackets of generators and of frame fields, the f23 frame written out, and
+the textbook batched evaluator, the oracle of CompiledPolys and of the
+integrators."""
 
 from fractions import Fraction
 
+import numpy as np
+
+from goh_atlas import polyfield
 from goh_atlas.freelie import LieElement, LyndonBasis, bracket, lie_single
-from goh_atlas.polyfield import Frame, PolyVec, _nested_brackets
+from goh_atlas.polyfield import Frame, Poly, PolyVec, _nested_brackets
 
 
 def random_lie_element(basis: LyndonBasis, rng) -> LieElement:
@@ -39,3 +44,76 @@ def iterated_bracket_fields(frame: Frame, J) -> PolyVec:
     if any(j < 1 or j > frame.r for j in J):
         raise ValueError("multi-index entries must lie in 1..r")
     return _nested_brackets(frame)(J)
+
+
+def f23_frame() -> Frame:
+    # X_1 = d_1, X_2 = d_2 + x1 d_3 + (x1^2/2) d_4 + x1 x2 d_5
+    n = 5
+    x1, x2 = Poly.var(n, 0), Poly.var(n, 1)
+    f1 = PolyVec.coordinate(n, 0)
+    f2 = PolyVec([Poly.zero(n), Poly.one(n), x1,
+                  x1 * x1 * Fraction(1, 2), x1 * x2])
+    return Frame([f1, f2], weights=(1, 1, 2, 3, 3), normal_form=True)
+
+
+class TextbookCompiledPolys:
+    """The batched evaluator as first written: powers of every variable, a
+    (rows, terms, width) gather multiplied out by np.prod, and np.bincount
+    summing each output's terms in term order from 0.0.  The only change is
+    that the block size is read from polyfield.EVAL_ROWS."""
+
+    def __init__(self, polys: list[Poly]):
+        self.count = len(polys)
+        rows, var_cols, exp_cols, coefs = [], [], [], []
+        width = 1
+        for p in polys:
+            for e in p.terms:
+                width = max(width, sum(1 for k in e if k))
+        self.max_exp = 0
+        for idx, p in enumerate(polys):
+            for e, c in p.terms.items():
+                vs = [i for i, k in enumerate(e) if k]
+                ks = [e[i] for i in vs]
+                self.max_exp = max(self.max_exp, max(ks, default=0))
+                vs += [0] * (width - len(vs))
+                ks += [0] * (width - len(ks))
+                rows.append(idx)
+                var_cols.append(vs)
+                exp_cols.append(ks)
+                coefs.append(float(c))
+        if rows:
+            self.rows = np.array(rows, dtype=np.intp)
+            self.vars = np.array(var_cols, dtype=np.intp)
+            self.exps = np.array(exp_cols, dtype=np.intp)
+            self.coefs = np.array(coefs)
+        else:
+            self.rows = np.zeros(0, dtype=np.intp)
+            self.vars = np.zeros((0, 1), dtype=np.intp)
+            self.exps = np.zeros((0, 1), dtype=np.intp)
+            self.coefs = np.zeros(0)
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        rows_per_block = polyfield.EVAL_ROWS
+        if x.ndim == 2 and len(x) > rows_per_block:
+            return np.concatenate([self(x[lo:lo + rows_per_block])
+                                   for lo in range(0, len(x), rows_per_block)])
+        if not len(self.rows):
+            return np.zeros(x.shape[:-1] + (self.count,))
+        pows = np.ones(x.shape + (self.max_exp + 1,))
+        for k in range(1, self.max_exp + 1):
+            pows[..., k] = pows[..., k - 1] * x
+        vals = self.coefs * np.prod(pows[..., self.vars, self.exps], axis=-1)
+        if x.ndim == 1:
+            return np.bincount(self.rows, weights=vals, minlength=self.count)
+        m = len(x)
+        bins = (np.arange(m)[:, None] * self.count + self.rows).ravel()
+        return np.bincount(bins, weights=vals.ravel(),
+                           minlength=m * self.count).reshape(m, self.count)
+
+
+def assert_same_bits(got, want):
+    # the textbook's bincount gave int64 zeros on an empty batch
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.dtype == np.float64 and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()  # signed zeros count

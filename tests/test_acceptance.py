@@ -14,7 +14,6 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from goh_atlas.errors import PreconditionError
 from goh_atlas.freelie import (
     bch,
     bracket,
@@ -37,7 +36,6 @@ from goh_atlas.polyfield import (
     Poly,
     PolyVec,
     _float_evaluator,
-    growth_vector,
     heisenberg_frame,
     martinet_frame,
 )

@@ -288,10 +288,16 @@ class TestExitCodes:
          None, "--lambda is required"),
         (["contain"], None, "--curve FILE is required"),
         (["contain", "--curve", "CURVE3"], None,
-         "containment needs a planar curve")],
+         "containment needs a planar curve"),
+        # a non-finite window, with the trace on stdout and into a CSV file
+        *[(["trace", "--rank", "2", "--step", "3", "--lambda", "0,0,0,1,0",
+            "--window=-2,inf,-2,2", "--res", "8", *out], None,
+           "window x_max is not finite: inf")
+          for out in ([], ["--out", "CSV"])]],
         ids=["lambda-value", "window", "frame-flags", "env-tol",
              "goh-lambda", "lift-curve", "control", "x0",
-             "residuals-lambda", "contain-curve", "planar"])
+             "residuals-lambda", "contain-curve", "planar", "window-inf",
+             "window-inf-csv"])
     def test_usage_errors(self, capsys, tmp_path, monkeypatch, argv, env,
                           msg):
         control = tmp_path / "u.json"
@@ -300,7 +306,8 @@ class TestExitCodes:
         curve3 = tmp_path / "c.json"
         curve3.write_text(serialize.dumps(SampledCurve(
             [0.0, 1.0], [[0.0] * 3, [1.0] * 3]).to_json()))
-        files = {"CONTROL": str(control), "CURVE3": str(curve3)}
+        files = {"CONTROL": str(control), "CURVE3": str(curve3),
+                 "CSV": str(tmp_path / "t.csv")}
         if env is None:
             monkeypatch.delenv("GOH_ATLAS_TOL", raising=False)
         else:

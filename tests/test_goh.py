@@ -1,5 +1,6 @@
 """Tests for Goh polynomials, variety membership, and plane tracing."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -27,13 +28,9 @@ from goh_atlas.polyfield import (
     heisenberg_frame,
     martinet_frame,
 )
+from lie_helpers import f23_frame
 
 F = Fraction
-
-
-def f23_frame():
-    frame, _ = realize_frame(generate_basis(2, 3))
-    return frame
 
 
 def system_of(p: Poly) -> GohSystem:
@@ -137,6 +134,15 @@ class TestVarietyMembership:
             variety_membership(sys, [(0.0, 0.0), (bad, 0.0)])
 
 
+@pytest.fixture
+def no_grid(monkeypatch):
+    """Fail the test if a trace builds its grid."""
+    def fail(*args, **kwargs):
+        raise AssertionError("a grid was allocated")
+
+    monkeypatch.setattr(goh.np, "linspace", fail)
+
+
 class TestTraceVariety:
     def test_line(self):
         sys = system_of(Poly.var(2, 0))
@@ -199,12 +205,18 @@ class TestTraceVariety:
         with pytest.raises(ValueError):
             trace_variety(system_of(Poly.var(2, 0)), window=(1, -1, 0, 1))
 
-    @pytest.mark.parametrize("res", [0, 1, RES_MAX + 1, 7.5, "8", None])
-    def test_resolution_bounds(self, res, monkeypatch):
-        def no_grid(*args, **kwargs):
-            raise AssertionError("a grid was allocated")
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("k, name", enumerate(
+        ["x_min", "x_max", "y_min", "y_max"]))
+    def test_non_finite_window_is_named(self, k, name, bad, no_grid):
+        window = [-2.0, 2.0, -2.0, 2.0]
+        window[k] = bad
+        with pytest.raises(ValueError, match=f"^window {name} is not finite: "
+                           f"{bad!r}$"):
+            trace_variety(system_of(Poly.var(2, 0)), window=window)
 
-        monkeypatch.setattr(goh.np, "linspace", no_grid)
+    @pytest.mark.parametrize("res", [0, 1, RES_MAX + 1, 7.5, "8", None])
+    def test_resolution_bounds(self, res, no_grid):
         with pytest.raises(ValueError, match="resolution"):
             trace_variety(system_of(Poly.var(2, 0)), resolution=res)
 

@@ -9,12 +9,11 @@ import pytest
 
 from goh_atlas.freelie import generate_basis, structure_table
 from goh_atlas.normalform import (
+    _ad_series,
     attachment_trees,
     bernoulli_numbers,
-    first_kind_fields,
     realize_frame,
     signed_attachment,
-    stratified_fields,
     verify_normal_form,
     verify_second_kind,
 )
@@ -24,6 +23,7 @@ from goh_atlas.polyfield import (
     PolyVec,
     growth_vector,
     heisenberg_frame,
+    lie_bracket_fields,
     martinet_frame,
 )
 
@@ -82,6 +82,27 @@ class TestAttachment:
         trees = attachment_trees(basis)
         _, from_table = signed_attachment(structure_table(basis))
         assert trees == from_table
+
+
+def first_kind_fields(table):
+    """All n left-invariant fields in first-kind coordinates."""
+    signs, _ = signed_attachment(table)
+    n = table.basis.dim
+    y_el = {j: Poly.var(n, j) for j in range(n)}
+    return [PolyVec([acc.get(j, Poly.zero(n)) for j in range(n)])
+            for acc in _ad_series(table, signs, y_el)]
+
+
+def stratified_fields(frame, basis):
+    """All n bracket fields of a rank-r frame, one per basis word."""
+    fields = []
+    for idx, tree in enumerate(attachment_trees(basis)):
+        if tree is None:
+            fields.append(frame.fields[basis.words[idx][0] - 1])
+        else:
+            fields.append(lie_bracket_fields(fields[tree[0]],
+                                             fields[tree[1]]))
+    return fields
 
 
 class TestFirstKind:

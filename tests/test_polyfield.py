@@ -18,7 +18,6 @@ from goh_atlas.polyfield import (
     Frame,
     Poly,
     PolyVec,
-    compile_jacobian,
     compile_polyvec,
     exact_flow,
     flow_map,
@@ -28,7 +27,12 @@ from goh_atlas.polyfield import (
     martinet_frame,
 )
 from goh_atlas.trajectories import flow_control, lift_control, spiral_curve
-from lie_helpers import iterated_bracket_fields
+from lie_helpers import (
+    TextbookCompiledPolys,
+    assert_same_bits,
+    f23_frame,
+    iterated_bracket_fields,
+)
 
 F = Fraction
 
@@ -43,17 +47,6 @@ def random_poly(rng, n, deg=2, nterms=4):
 
 def random_field(rng, n, deg=2):
     return PolyVec([random_poly(rng, n, deg) for _ in range(n)])
-
-
-# poly 1 realized on R^5 with the expected normal-form coordinates; the
-# bracket and growth tests below pin its structure by hand.
-def f23_frame() -> Frame:
-    n = 5
-    x1, x2 = Poly.var(n, 0), Poly.var(n, 1)
-    half = F(1, 2)
-    f1 = PolyVec.coordinate(n, 0)
-    f2 = PolyVec([Poly.zero(n), Poly.one(n), x1, x1 * x1 * half, x1 * x2])
-    return Frame([f1, f2], weights=(1, 1, 2, 3, 3), normal_form=True)
 
 
 class TestPoly:
@@ -309,12 +302,12 @@ class TestCompiledEvaluators:
         assert np.allclose(f(x), [0.0, 1.0, 2.0])
 
     def test_compiled_jacobian(self):
-        fr = martinet_frame()
-        jf = compile_jacobian(fr.fields[1])
+        comps = martinet_frame().fields[1].comps
+        jf = CompiledPolys([p.diff(i) for p in comps for i in range(3)])
         x = np.array([3.0, 0.5, 0.0])
         want = np.zeros((3, 3))
         want[2, 0] = 3.0  # d/dx1 of x1^2/2
-        assert np.allclose(jf(x), want)
+        assert np.allclose(jf(x).reshape(3, 3), want)
 
 
 class TestFrameJson:
@@ -340,6 +333,15 @@ class TestFrameJson:
         )
         back = Frame.from_json(fr.to_json())
         assert back.labels == ((1,), (2,))
+
+    def test_false_normal_form_claim_is_rejected(self):
+        data = heisenberg_frame().to_json()
+        data["fields"].reverse()  # X_1 and X_2 swapped
+        with pytest.raises(ValueError, match="^field 1, component 1: not the "
+                           "normal form that normal_form claims$"):
+            Frame.from_json(data)
+        del data["normal_form"]
+        assert not Frame.from_json(data).normal_form
 
 
 # ---------------------------------------------------------------------------
@@ -522,70 +524,6 @@ class TestJsonExponents:
 
 # ---------------------------------------------------------------------------
 # CompiledPolys against the term-by-term evaluator it replaced, bit for bit
-
-
-class TextbookCompiledPolys:
-    """The batched evaluator as first written: powers of every variable, a
-    (rows, terms, width) gather multiplied out by np.prod, and np.bincount
-    summing each output's terms in term order from 0.0.  The only change is
-    that the block size is read from polyfield.EVAL_ROWS."""
-
-    def __init__(self, polys: list[Poly]):
-        self.count = len(polys)
-        rows, var_cols, exp_cols, coefs = [], [], [], []
-        width = 1
-        for p in polys:
-            for e in p.terms:
-                width = max(width, sum(1 for k in e if k))
-        self.max_exp = 0
-        for idx, p in enumerate(polys):
-            for e, c in p.terms.items():
-                vs = [i for i, k in enumerate(e) if k]
-                ks = [e[i] for i in vs]
-                self.max_exp = max(self.max_exp, max(ks, default=0))
-                vs += [0] * (width - len(vs))
-                ks += [0] * (width - len(ks))
-                rows.append(idx)
-                var_cols.append(vs)
-                exp_cols.append(ks)
-                coefs.append(float(c))
-        if rows:
-            self.rows = np.array(rows, dtype=np.intp)
-            self.vars = np.array(var_cols, dtype=np.intp)
-            self.exps = np.array(exp_cols, dtype=np.intp)
-            self.coefs = np.array(coefs)
-        else:
-            self.rows = np.zeros(0, dtype=np.intp)
-            self.vars = np.zeros((0, 1), dtype=np.intp)
-            self.exps = np.zeros((0, 1), dtype=np.intp)
-            self.coefs = np.zeros(0)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x)
-        rows_per_block = polyfield.EVAL_ROWS
-        if x.ndim == 2 and len(x) > rows_per_block:
-            return np.concatenate([self(x[lo:lo + rows_per_block])
-                                   for lo in range(0, len(x), rows_per_block)])
-        if not len(self.rows):
-            return np.zeros(x.shape[:-1] + (self.count,))
-        pows = np.ones(x.shape + (self.max_exp + 1,))
-        for k in range(1, self.max_exp + 1):
-            pows[..., k] = pows[..., k - 1] * x
-        vals = self.coefs * np.prod(pows[..., self.vars, self.exps], axis=-1)
-        if x.ndim == 1:
-            return np.bincount(self.rows, weights=vals, minlength=self.count)
-        m = len(x)
-        bins = (np.arange(m)[:, None] * self.count + self.rows).ravel()
-        return np.bincount(bins, weights=vals.ravel(),
-                           minlength=m * self.count).reshape(m, self.count)
-
-
-def assert_same_bits(got, want):
-    # the textbook's bincount gave int64 zeros on an empty batch
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.dtype == np.float64 and got.shape == want.shape
-    assert got.tobytes() == want.tobytes()  # signed zeros count
-
 
 COORDS = st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, -1.0]))
 EVAL_COEFS = st.one_of(st.fractions(-9, 9, max_denominator=7),

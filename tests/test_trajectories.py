@@ -15,8 +15,6 @@ from goh_atlas.polyfield import (
     Frame,
     Poly,
     PolyVec,
-    compile_jacobian,
-    compile_polyvec,
     exact_flow,
     heisenberg_frame,
     lie_bracket_fields,
@@ -37,16 +35,7 @@ from goh_atlas.trajectories import (
     recover_abnormal_covector,
     spiral_curve,
 )
-
-
-def f23_frame() -> Frame:
-    # X_1 = d_1, X_2 = d_2 + x1 d_3 + (x1^2/2) d_4 + x1 x2 d_5
-    n = 5
-    x1, x2 = Poly.var(n, 0), Poly.var(n, 1)
-    f1 = PolyVec.coordinate(n, 0)
-    f2 = PolyVec([Poly.zero(n), Poly.one(n), x1,
-                  x1 * x1 * Fraction(1, 2), x1 * x2])
-    return Frame([f1, f2], weights=(1, 1, 2, 3, 3), normal_form=True)
+from lie_helpers import TextbookCompiledPolys, assert_same_bits, f23_frame
 
 
 def realized(step: int) -> Frame:
@@ -63,17 +52,20 @@ def reference_rk4(frame, u, grid, x0, m0, product, substeps):
     """Textbook RK4 on xdot = sum u_k X_k(x), Mdot = product(M, sum u_k DX_k(x)).
 
     Returns the (x, M) pair at every grid node; the oracle for the
-    integrators, which must match it bit for bit.
+    integrators, which must match it bit for bit.  Fields and Jacobians are
+    evaluated by TextbookCompiledPolys, not by the evaluator under test.
     """
-    evs = [compile_polyvec(f) for f in frame.fields]
-    jevs = [compile_jacobian(f) for f in frame.fields]
+    n = frame.n
+    evs = [TextbookCompiledPolys(f.comps) for f in frame.fields]
+    jevs = [TextbookCompiledPolys([p.diff(i) for p in f.comps
+                                   for i in range(n)]) for f in frame.fields]
 
     def rhs(t, x, m):
-        dx, a = np.zeros(frame.n), np.zeros((frame.n, frame.n))
+        dx, a = np.zeros(n), np.zeros((n, n))
         for c, ev, jev in zip(map(float, u(t)), evs, jevs):
             if c:
                 dx += c * ev(x)
-                a += c * jev(x)
+                a += c * jev(x).reshape(n, n)
         return dx, product(m, a)
 
     x, m = np.array(x0, dtype=float), np.array(m0, dtype=float)
@@ -90,13 +82,6 @@ def reference_rk4(frame, u, grid, x0, m0, product, substeps):
             t += h
         nodes.append((x, m))
     return nodes
-
-
-def assert_bitwise(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
-    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestControl:
@@ -281,19 +266,18 @@ def assert_integrators_match_textbook(frame, u, x0, lam, substeps, ts=None):
     kwargs = {} if ts is None else {"ts": ts}
     ref = reference_rk4(frame, u, grid, x0, np.eye(n), forward, substeps)
     got = flow_control(frame, u, x0, substeps=substeps, **kwargs)
-    assert_bitwise(got.points, [x for x, _ in ref])
+    assert_same_bits(got.points, [x for x, _ in ref])
     path = jacobian_flow(frame, u, x0, substeps=substeps, **kwargs)
-    assert_bitwise(path.mats, [m for _, m in ref])
+    assert_same_bits(path.mats, [m for _, m in ref])
 
     ref = reference_rk4(frame, u, grid, x0, lam, adjoint, substeps)
     rep = extremal_residuals(frame, u, x0, lam, substeps=substeps, **kwargs)
-    evs = [compile_polyvec(f) for f in frame.fields]
-    bevs = [compile_polyvec(lie_bracket_fields(frame.fields[h - 1],
-                                               frame.fields[k - 1]))
-            for h, k in rep.pairs]
-    assert_bitwise(rep.rho, [[float(row @ ev(x)) for ev in evs]
-                             for x, row in ref])
-    assert_bitwise(rep.sigma, np.reshape(
+    evs = [TextbookCompiledPolys(f.comps) for f in frame.fields]
+    bevs = [TextbookCompiledPolys(lie_bracket_fields(
+        frame.fields[h - 1], frame.fields[k - 1]).comps) for h, k in rep.pairs]
+    assert_same_bits(rep.rho, [[float(row @ ev(x)) for ev in evs]
+                                for x, row in ref])
+    assert_same_bits(rep.sigma, np.reshape(
         [[float(row @ bev(x)) for bev in bevs] for x, row in ref],
         (len(ref), len(bevs))))
 
@@ -303,11 +287,11 @@ def assert_integrators_match_textbook(frame, u, x0, lam, substeps, ts=None):
     res = recover_abnormal_covector(frame, u, x0, substeps=substeps,
                                     threshold=1e-3, **kwargs)
     assert res.stack_rows == len(stack)
-    assert_bitwise(res.singular_values, svals)
+    assert_same_bits(res.singular_values, svals)
     want = [v for s, v in zip(svals, vt)
             if svals[0] == 0.0 or s / svals[0] < 1e-3]
-    assert_bitwise(np.reshape(res.candidates, (-1, n)),
-                   np.reshape(want, (-1, n)))
+    assert_same_bits(np.reshape(res.candidates, (-1, n)),
+                      np.reshape(want, (-1, n)))
 
 
 @pytest.mark.parametrize("substeps", [1, 2, 3])
@@ -355,10 +339,10 @@ def test_single_node_grid():
         return (1.0, 0.0)
 
     curve = flow_control(frame, u, [0.5, 0.0, -0.0], ts=[2.0])
-    assert_bitwise(curve.points, [[0.5, 0.0, -0.0]])
+    assert_same_bits(curve.points, [[0.5, 0.0, -0.0]])
     assert calls == []
     path = jacobian_flow(frame, u, [0.5, 0.0, 0.0], ts=[2.0])
-    assert_bitwise(path.mats, [np.eye(3)])
+    assert_same_bits(path.mats, [np.eye(3)])
 
 
 @st.composite
@@ -489,8 +473,8 @@ def test_evaluators_are_compiled_once_per_frame(monkeypatch, make):
     fresh = run(Frame.from_json(frame.to_json()))
     assert (len(stepping), len(pairing)) == (2 * once, 3 * per_run)
     for a, b, c in zip(first, again, fresh):
-        assert_bitwise(a, b)
-        assert_bitwise(a, c)
+        assert_same_bits(a, b)
+        assert_same_bits(a, c)
 
 
 @pytest.mark.parametrize("integrate", [
@@ -777,3 +761,12 @@ class TestContainment:
             polynomial_containment(pts, 1)
         with pytest.raises(ValueError):
             polynomial_containment(pts, -1)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_point_is_named(self, bad):
+        pts = [(t, 2.0 * t + 1.0) for t in np.linspace(-1.0, 1.0, 20)]
+        pts[7] = (0.5, bad)
+        pts[12] = (bad, 0.5)
+        with pytest.raises(ValueError, match=re.escape(
+                f"point 7 is not finite: [0.5, {bad}]")):
+            polynomial_containment(pts, 1)
