@@ -42,7 +42,9 @@ def _log(msg: str):
     print(msg, file=sys.stderr)
 
 
-def _parse_lambda(text: str) -> list[Fraction]:
+def _parse_lambda(text: str | None) -> list[Fraction]:
+    if not text:
+        raise ValueError("--lambda is required")
     try:
         return [Fraction(part.strip()) for part in text.split(",")]
     except (ValueError, ZeroDivisionError) as exc:
@@ -56,27 +58,38 @@ def _parse_window(text: str):
     return tuple(float(p) for p in parts)
 
 
-def _load_json(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
+# flag -> artifact class, and the report that holds one under the flag name
+_INPUTS = {"frame": (Frame, "realization_report"),
+           "control": (Control, "lift_report"),
+           "curve": (SampledCurve, None)}
+
+
+def _load(args, kind: str):
+    """The artifact in the file --kind names, or in the report holding it."""
+    if not getattr(args, kind):
+        raise ValueError(f"--{kind} FILE is required")
+    with open(getattr(args, kind)) as fh:
+        data = json.load(fh)
+    cls, report = _INPUTS[kind]
+    if isinstance(data, dict) and report and data.get("type") == report:
+        serialize.check_artifact(data, report, kind)
+        data = data[kind]
+    return cls.from_json(data)
 
 
 def _frame_from_args(args) -> Frame:
     if getattr(args, "frame", None):
-        data = _load_json(args.frame)
-        if isinstance(data, dict) and data.get("type") == "realization_report":
-            serialize.check_artifact(data, "realization_report", "frame")
-            data = data["frame"]
-        return Frame.from_json(data)
+        return _load(args, "frame")
     if args.rank is None or args.step is None:
         raise ValueError("need --rank and --step, or --frame FILE")
-    frame, _ = realize_frame(generate_basis(args.rank, args.step))
-    return frame
+    return realize_frame(generate_basis(args.rank, args.step))[0]
 
 
-def _emit(args, data):
-    text = serialize.dumps(data)
-    serialize.write_output(text, args.out)
+def _emit(args, obj, csv=None):
+    """Write obj as JSON to --out (stdout by default), or the text that csv()
+    returns when there is one and --out names a .csv file."""
+    as_csv = csv is not None and (args.out or "").endswith(".csv")
+    serialize.write_output(csv() if as_csv else serialize.dumps(obj), args.out)
 
 
 def _parse_tol(text: str) -> float:
@@ -101,107 +114,62 @@ def _parse_res(text: str) -> int:
             f"got {text!r}") from None
 
 
-def _default_tol(args, fallback: float | None) -> float | None:
-    """--tol, else GOH_ATLAS_TOL, else fallback; a bad value is a usage error."""
-    if getattr(args, "tol", None) is not None:
-        return args.tol
-    env = os.environ.get("GOH_ATLAS_TOL")
-    if env:
-        try:
-            return _parse_tol(env)
-        except argparse.ArgumentTypeError as exc:
-            raise ValueError(f"bad GOH_ATLAS_TOL value: {exc}") from None
-    return fallback
-
-
 def cmd_basis(args) -> int:
     basis = generate_basis(args.rank, args.step)
-    dims = witt_dimension(args.rank, args.step)
     _log(f"basis ({args.rank},{args.step}): dim {basis.dim}")
-    _emit(args, {
-        "schema": "goh-atlas/1",
-        "type": "basis_report",
+    _emit(args, serialize.artifact("basis_report", {
         "dim": basis.dim,
-        "dims_by_length": dims,
-        "basis": basis.to_json(),
-    })
+        "dims_by_length": witt_dimension(args.rank, args.step),
+        "basis": basis}))
     return 0
 
 
 def cmd_realize(args) -> int:
     frame, maps = realize_frame(generate_basis(args.rank, args.step))
     _log(f"realized ({args.rank},{args.step}) on R^{frame.n}")
-    _emit(args, {
-        "schema": "goh-atlas/1",
-        "type": "realization_report",
-        "frame": frame.to_json(),
-        "realization": maps.to_json(),
-    })
+    _emit(args, serialize.artifact("realization_report", {
+        "frame": frame, "realization": maps}))
     return 0
 
 
 def cmd_metabelian(args) -> int:
     frame = _frame_from_args(args)
-    if args.depth is not None:
-        depth = args.depth
-    elif frame.weights:
-        depth = max(4, 2 * max(frame.weights))
-    else:
-        depth = 4
+    depth = args.depth if args.depth is not None else \
+        max(4, 2 * max(frame.weights or (0,)))
     verdict = is_metabelian(frame, depth)
     _log(f"metabelian={verdict.metabelian} (depth {depth})")
-    _emit(args, verdict.to_json())
+    _emit(args, verdict)
     return 0
 
 
 def _goh_system(args):
     frame = _frame_from_args(args)
-    if not args.lam:
-        raise ValueError("--lambda is required")
-    lam = _parse_lambda(args.lam)
-    return goh_polynomials(frame, lam)
+    return goh_polynomials(frame, _parse_lambda(args.lam))
 
 
 def cmd_goh(args) -> int:
-    _emit(args, _goh_system(args).to_json())
+    _emit(args, _goh_system(args))
     return 0
 
 
 def cmd_trace(args) -> int:
     sysm = _goh_system(args)
-    window = _parse_window(args.window) if args.window else (-2.0, 2.0,
-                                                             -2.0, 2.0)
-    res = 512 if args.res is None else args.res
-    trace = trace_variety(sysm, window=window, resolution=res)
+    trace = trace_variety(sysm, window=_parse_window(args.window),
+                          resolution=args.res)
     _log(f"trace: {len(trace.polylines)} polylines, "
          f"{len(trace.singular_candidates)} singular candidates")
-    if args.out and args.out.endswith(".csv"):
-        serialize.write_output(trace.to_csv(), args.out)
-    else:
-        _emit(args, trace.to_json())
+    _emit(args, trace, csv=trace.to_csv)
     return 0
 
 
 def cmd_lift(args) -> int:
     frame = _frame_from_args(args)
-    if not args.curve:
-        raise ValueError("--curve FILE is required")
-    kappa = SampledCurve.from_json(_load_json(args.curve))
+    kappa = _load(args, "curve")
     x0 = list(kappa.points[0]) + [0.0] * (frame.n - frame.r)
     curve, control = horizontal_lift(frame, kappa, x0)
-    _emit(args, {
-        "schema": "goh-atlas/1",
-        "type": "lift_report",
-        "curve": curve.to_json(),
-        "control": control.to_json(),
-    })
+    _emit(args, serialize.artifact("lift_report", {
+        "curve": curve, "control": control}))
     return 0
-
-
-def _control_from_args(args) -> Control:
-    if not args.control:
-        raise ValueError("--control FILE is required")
-    return Control.from_json(_load_json(args.control))
 
 
 def _x0_from_args(args, frame) -> list:
@@ -215,77 +183,64 @@ def _x0_from_args(args, frame) -> list:
 
 def cmd_flow(args) -> int:
     frame = _frame_from_args(args)
-    control = _control_from_args(args)
+    control = _load(args, "control")
     curve = flow_control(frame, control, _x0_from_args(args, frame))
-    _emit(args, curve.to_json())
+    _emit(args, curve)
     return 0
 
 
 def cmd_residuals(args) -> int:
     frame = _frame_from_args(args)
-    control = _control_from_args(args)
-    if not args.lam:
-        raise ValueError("--lambda is required")
+    control = _load(args, "control")
     lam = [float(v) for v in _parse_lambda(args.lam)]
     rep = extremal_residuals(frame, control, _x0_from_args(args, frame), lam)
     _log(f"sup abnormal {rep.sup_abnormal:.3e}, sup bracket {rep.sup_goh:.3e}")
-    _emit(args, rep.to_json())
+    _emit(args, rep)
     return 0
 
 
 def cmd_recover(args) -> int:
-    threshold = _default_tol(args, 1e-6)
     frame = _frame_from_args(args)
-    control = _control_from_args(args)
+    control = _load(args, "control")
     result = recover_abnormal_covector(
-        frame, control, _x0_from_args(args, frame), threshold=threshold)
+        frame, control, _x0_from_args(args, frame), threshold=args.tol)
     _log(f"{len(result.candidates)} candidate(s); "
          f"sigma ratio {result.singular_values[-1] / result.singular_values[0]:.3e}")
-    _emit(args, result.to_json())
+    _emit(args, result)
     return 0
 
 
 def cmd_spiral(args) -> int:
     curve = spiral_curve(args.eps, args.samples)
-    if args.out and args.out.endswith(".csv"):
-        serialize.write_output(
-            serialize.curve_csv(curve.ts, curve.points), args.out)
-    else:
-        _emit(args, curve.to_json())
+    _emit(args, curve,
+          csv=lambda: serialize.curve_csv(curve.ts, curve.points))
     return 0
 
 
 def cmd_contain(args) -> int:
-    threshold = _default_tol(args, 1e-8)
-    if not args.curve:
-        raise ValueError("--curve FILE is required")
-    curve = SampledCurve.from_json(_load_json(args.curve))
+    curve = _load(args, "curve")
     if curve.m != 2:
         raise ValueError("containment needs a planar curve")
     results = []
     for degree in range(1, args.degree + 1):
         out = polynomial_containment(
-            [tuple(p) for p in curve.points], degree, threshold=threshold)
+            [tuple(p) for p in curve.points], degree, threshold=args.tol)
         results.append(out)
         _log(f"degree {degree}: null dim {out['null_space_dim']}")
-    _emit(args, {"schema": "goh-atlas/1", "type": "containment_report",
-                 "results": results})
+    _emit(args, serialize.artifact("containment_report",
+                                   {"results": results}))
     return 0
 
 
 def cmd_demo(args) -> int:
-    tol = _default_tol(args, None)
-    rep = run_scenario(args.scenario, seed=args.seed, tol=tol, eps=args.eps,
-                       samples=args.samples, res=args.res)
+    rep = run_scenario(args.scenario, seed=args.seed, tol=args.tol,
+                       eps=args.eps, samples=args.samples, res=args.res)
     outdir = args.out or os.path.join("goh-atlas-artifacts", args.scenario)
     os.makedirs(outdir, exist_ok=True)
-    for name, obj in rep.artifacts.items():
+    for name, obj in [*rep.artifacts.items(), ("report.json", rep)]:
         path = os.path.join(outdir, name)
         serialize.write_output(serialize.dumps(obj), path)
         _log(f"wrote {path}")
-    report_path = os.path.join(outdir, "report.json")
-    serialize.write_output(serialize.dumps(rep), report_path)
-    _log(f"wrote {report_path}")
     sys.stdout.write(serialize.dumps(rep))
     if not rep.ok:
         _log(f"scenario {args.scenario}: FAILED")
@@ -333,8 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("trace", cmd_trace, help="trace the plane variety")
     _add_frame_flags(p)
     p.add_argument("--lambda", dest="lam")
-    p.add_argument("--window", help="x0,x1,y0,y1")
-    p.add_argument("--res", type=_parse_res)
+    p.add_argument("--window", default="-2,2,-2,2", help="x0,x1,y0,y1")
+    p.add_argument("--res", type=_parse_res, default=512)
 
     p = add("lift", cmd_lift, help="horizontal lift of a base curve")
     _add_frame_flags(p)
@@ -355,7 +310,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_frame_flags(p)
     p.add_argument("--control")
     p.add_argument("--x0")
-    p.add_argument("--tol", type=_parse_tol)
+    p.add_argument("--tol", type=_parse_tol, default=1e-6)
 
     p = add("spiral", cmd_spiral, help="log-phase spiral samples")
     p.add_argument("--eps", type=float, default=1e-2)
@@ -364,7 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("contain", cmd_contain, help="polynomial containment probe")
     p.add_argument("--curve")
     p.add_argument("--degree", type=int, default=6)
-    p.add_argument("--tol", type=_parse_tol)
+    p.add_argument("--tol", type=_parse_tol, default=1e-8)
 
     p = add("demo", cmd_demo, help="run an end-to-end scenario")
     p.add_argument("scenario", choices=SCENARIO_NAMES)
@@ -387,12 +342,8 @@ def main(argv=None) -> int:
         return args.fn(args)
     except (PreconditionError, NumericsError, ConditioningError,
             NotNilpotentError) as exc:
-        serialize.write_output(serialize.dumps({
-            "schema": "goh-atlas/1",
-            "type": "failure_report",
-            "error": type(exc).__name__,
-            "message": str(exc),
-        }), args.out)
+        _emit(args, serialize.artifact("failure_report", {
+            "error": type(exc).__name__, "message": str(exc)}))
         _log(f"{type(exc).__name__}: {exc}")
         return 1
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:

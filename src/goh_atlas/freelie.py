@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .serialize import check_artifact
+from .serialize import _ratio, _words_from_json, _words_to_json, artifact, \
+    check_artifact
 
 Word = tuple[int, ...]
 
@@ -108,19 +109,17 @@ class LyndonBasis:
         return tuple(len(w) for w in self.words)
 
     def to_json(self) -> dict:
-        return {
-            "schema": "goh-atlas/1",
-            "type": "lyndon_basis",
+        return artifact("lyndon_basis", {
             "rank": self.rank,
             "step": self.step,
-            "words": ["".join(map(str, w)) for w in self.words],
+            "words": _words_to_json(self.words),
             "weights": list(self.weights),
-        }
+        })
 
     @staticmethod
     def from_json(data: dict) -> "LyndonBasis":
         check_artifact(data, "lyndon_basis", "words", "rank", "step")
-        words = tuple(tuple(int(c) for c in w) for w in data["words"])
+        words = _words_from_json(data["words"], "word")
         basis = LyndonBasis(data["rank"], data["step"], words)
         if words != generate_basis(basis.rank, basis.step).words:
             raise ValueError("word list does not match rank/step")
@@ -229,10 +228,6 @@ def t_log(g: dict, step: int, one=ONE) -> dict:
 LieElement = dict[int, Fraction]
 
 
-def lie_single(basis: LyndonBasis, word: Word, coeff=ONE) -> LieElement:
-    return {basis.index[tuple(word)]: coeff} if coeff else {}
-
-
 def lie_add(a: LieElement, b: LieElement) -> LieElement:
     return _accumulate(dict(a), b.items())
 
@@ -309,10 +304,6 @@ def bch(a: LieElement, b: LieElement, basis: LyndonBasis) -> LieElement:
 # ---------------------------------------------------------------------------
 # Structure table
 
-def _frac_str(c: Fraction) -> str:
-    return f"{c.numerator}/{c.denominator}"
-
-
 @dataclass(frozen=True)
 class StructureTable:
     basis: LyndonBasis
@@ -336,16 +327,14 @@ class StructureTable:
                 e = self.table[i][j]
                 if e:
                     entries[f"{i + 1},{j + 1}"] = {
-                        str(k + 1): _frac_str(c) for k, c in sorted(e.items())
+                        str(k + 1): _ratio(c) for k, c in sorted(e.items())
                     }
-        return {
-            "schema": "goh-atlas/1",
-            "type": "structure_table",
+        return artifact("structure_table", {
             "rank": self.basis.rank,
             "step": self.basis.step,
             "n": n,
             "brackets": entries,
-        }
+        })
 
     @staticmethod
     def from_json(data: dict) -> "StructureTable":
@@ -382,7 +371,7 @@ __all__ = [
     "lyndon_words", "standard_factorization",
     "witt_dimension", "generate_basis", "structure_table",
     "bracket", "bch",
-    "lie_single", "lie_add", "lie_scale", "lie_to_tensor", "tensor_to_lie",
+    "lie_add", "lie_scale", "lie_to_tensor", "tensor_to_lie",
     "t_mul", "t_bracket", "t_exp", "t_log",
     "word_expansions",
 ]

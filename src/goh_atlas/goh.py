@@ -20,6 +20,7 @@ from .errors import PreconditionError
 from .metabelian import coefficient_dependence
 from .normalform import verify_normal_form
 from .polyfield import Frame, Poly, _float_evaluator
+from .serialize import _ratio, artifact
 
 ZERO = Fraction(0)
 RES_MAX = 4096  # a trace at RES_MAX peaks at about 0.6 GB (33 B per node)
@@ -67,20 +68,13 @@ class GohSystem:
         return -self.polys[(k, h)]
 
     def to_json(self) -> dict:
-        def cstr(c):
-            if isinstance(c, Fraction):
-                return f"{c.numerator}/{c.denominator}"
-            return c
-
-        return {
-            "schema": "goh-atlas/1",
-            "type": "goh_system",
+        return artifact("goh_system", {
             "r": self.r,
-            "lambda": [cstr(c) for c in self.lam],
+            "lambda": [_ratio(c) for c in self.lam],
             "polys": {
                 f"{h},{k}": p.to_json() for (h, k), p in sorted(self.polys.items())
             },
-        }
+        })
 
 
 def goh_polynomials(frame: Frame, lam) -> GohSystem:
@@ -150,9 +144,7 @@ class VarietyTrace:
     f_scale: float = 0.0
 
     def to_json(self) -> dict:
-        return {
-            "schema": "goh-atlas/1",
-            "type": "variety_trace",
+        return artifact("variety_trace", {
             "window": list(self.window),
             "resolution": self.resolution,
             "whole_plane": self.whole_plane,
@@ -161,7 +153,7 @@ class VarietyTrace:
                           for line in self.polylines],
             "singular_candidates": [[p[0], p[1]]
                                     for p in self.singular_candidates],
-        }
+        })
 
     def to_csv(self) -> str:
         lines = ["x1,x2,branch_id"]
@@ -248,6 +240,10 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
             raise ValueError(f"window {name} is not finite: {v!r}")
     if not (x0 < x1 and y0 < y1):
         raise ValueError("window must satisfy x_min < x_max, y_min < y_max")
+    for name, lo, hi in (("x", x0, x1), ("y", y0, y1)):
+        if not math.isfinite(hi - lo):
+            raise ValueError(f"window {name} width is not finite: "
+                             f"{name}_max - {name}_min = {hi - lo!r}")
     res = check_resolution(resolution)
 
     trace = VarietyTrace(window=(x0, x1, y0, y1), resolution=res)
@@ -259,9 +255,14 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
     ys = np.linspace(y0, y1, res + 1)
     feval = _float_evaluator(F)
     # per-axis grid, rows indexed by y; F's values broadcast to every node
-    vals = np.broadcast_to(feval((xs[None, :], ys[:, None])),
-                           (res + 1, res + 1))
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        vals = np.broadcast_to(feval((xs[None, :], ys[:, None])),
+                               (res + 1, res + 1))
     scale = float(np.max(np.abs(vals)))
+    if not math.isfinite(scale):  # np.max passes a NaN on
+        j, i = np.argwhere(~np.isfinite(vals))[0]
+        raise ValueError(f"F is not finite at grid node ({float(xs[i])!r}, "
+                         f"{float(ys[j])!r}): {float(vals[j, i])!r}")
     tol = 1e-9 * (1.0 + scale)
     trace.tolerance = tol
     trace.f_scale = scale

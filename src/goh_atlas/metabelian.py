@@ -17,6 +17,7 @@ from fractions import Fraction
 from .freelie import StructureTable
 from .polyfield import Frame, _nested_brackets, lie_bracket_fields
 from .normalform import verify_normal_form
+from .serialize import artifact
 
 
 @dataclass
@@ -30,12 +31,10 @@ class MetabelianVerdict:
         return self.metabelian
 
     def to_json(self) -> dict:
-        data = {
-            "schema": "goh-atlas/1",
-            "type": "metabelian_verdict",
+        data = artifact("metabelian_verdict", {
             "metabelian": self.metabelian,
             "depth": self.depth,
-        }
+        })
         if self.witness is not None:
             data["witness"] = {
                 "I": list(self.witness[0]),

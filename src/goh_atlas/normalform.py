@@ -41,6 +41,7 @@ from .polyfield import (
     PolyVec,
     exact_flow,
 )
+from .serialize import artifact
 
 ONE = Fraction(1)
 
@@ -141,8 +142,8 @@ class CoordinateMaps:
 
     psi maps second-kind to first-kind coordinates; psi_inv is its exact
     inverse.  fields holds the transported field of every basis element
-    (the frame fields are the first r entries); signs and trees record the
-    bracket attachment of each basis word.
+    (the frame fields are the first r entries); signs records the sign of
+    the bracket attachment of each basis word.
     """
 
     basis: LyndonBasis
@@ -151,25 +152,22 @@ class CoordinateMaps:
     psi_inv: list[Poly]
     fields: list[PolyVec]
     signs: tuple
-    trees: tuple
 
     def to_json(self) -> dict:
-        return {
-            "schema": "goh-atlas/1",
-            "type": "realization",
+        return artifact("realization", {
             "rank": self.basis.rank,
             "step": self.basis.step,
             "signs": list(self.signs),
             "psi": [p.to_json() for p in self.psi],
             "psi_inv": [p.to_json() for p in self.psi_inv],
             "coordinate_fields": [f.to_json() for f in self.fields],
-        }
+        })
 
 
 def realize_frame(basis: LyndonBasis) -> tuple[Frame, CoordinateMaps]:
     """Polynomial frame in second-kind coordinates plus coordinate maps."""
     table = structure_table(basis)
-    signs, trees = signed_attachment(table)
+    signs, _ = signed_attachment(table)
     n = basis.dim
     step = basis.step
     one = Poly.one(n)
@@ -238,7 +236,7 @@ def realize_frame(basis: LyndonBasis) -> tuple[Frame, CoordinateMaps]:
                   for j in range(n)]
         inv[i] = Poly.var(n, i) - p.compose(values)
 
-    maps = CoordinateMaps(basis, table, psi, list(inv), fields, signs, trees)
+    maps = CoordinateMaps(basis, table, psi, list(inv), fields, signs)
     return frame, maps
 
 

@@ -27,7 +27,8 @@ import numpy as np
 
 from .errors import NotNilpotentError
 from .freelie import _accumulate, lie_scale
-from .serialize import check_artifact
+from .serialize import _ratio, _words_from_json, _words_to_json, artifact, \
+    check_artifact
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -341,7 +342,7 @@ class Poly:
 
     # serialization --------------------------------------------------------
     def to_json(self) -> list:
-        return [{"exp": list(e), "coef": f"{c.numerator}/{c.denominator}"}
+        return [{"exp": list(e), "coef": _ratio(c)}
                 for e, c in sorted(self.terms.items())]
 
     @staticmethod
@@ -479,19 +480,17 @@ class Frame:
         return len(self.fields)
 
     def to_json(self) -> dict:
-        data = {
-            "schema": "goh-atlas/1",
-            "type": "frame",
+        data = artifact("frame", {
             "n": self.n,
             "r": self.r,
             "fields": [f.to_json() for f in self.fields],
-        }
+        })
         if self.weights is not None:
             data["weights"] = list(self.weights)
         if self.normal_form:
             data["normal_form"] = True
         if self.labels is not None:
-            data["labels"] = ["".join(map(str, w)) for w in self.labels]
+            data["labels"] = _words_to_json(self.labels)
         return data
 
     @staticmethod
@@ -506,7 +505,7 @@ class Frame:
                 raise ValueError(f"field {k}, {exc}") from None
         labels = data.get("labels")
         if labels is not None:
-            labels = tuple(tuple(int(c) for c in w) for w in labels)
+            labels = _words_from_json(labels, "label")
         frame = Frame(
             fields,
             weights=tuple(data["weights"]) if "weights" in data else None,

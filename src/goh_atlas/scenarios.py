@@ -35,6 +35,7 @@ from .polyfield import (
     heisenberg_frame,
     martinet_frame,
 )
+from .serialize import artifact
 from .trajectories import (
     Control,
     SampledCurve,
@@ -77,14 +78,12 @@ class _Report:
         return all(c["ok"] for c in self.checks if c["ok"] is not None)
 
     def to_json(self) -> dict:
-        return {
-            "schema": "goh-atlas/1",
-            "type": "scenario_report",
+        return artifact("scenario_report", {
             "scenario": self.name,
             "ok": self.ok,
             "checks": self.checks,
             "artifacts": sorted(self.artifacts),
-        }
+        })
 
 
 def _rational_samples(frame, rng, count=8):
@@ -369,8 +368,7 @@ def scenario_f27_spiral(cfg: dict) -> _Report:
                      null_space_dim=out["null_space_dim"],
                      sigma_min_ratio=out["sigma_min_ratio"])
     rep.artifact("containment.json",
-                 {"schema": "goh-atlas/1", "type": "containment_report",
-                  "results": contain})
+                 artifact("containment_report", {"results": contain}))
     line_pts = [(0.0, t) for t in np.linspace(0.0, 1.0, 200)]
     circ_pts = [(math.cos(t), math.sin(t))
                 for t in np.linspace(0.0, 2.0 * math.pi, 200)]

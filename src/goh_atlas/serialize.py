@@ -1,4 +1,6 @@
-"""Deterministic JSON/CSV emission, and the artifact check of the loaders.
+"""The artifact format: deterministic JSON/CSV emission, the header every
+writer puts first and every loader checks, exact rationals as "p/q"
+strings, and words over the letters 1, 2, ... as digit strings or lists.
 
 Floats are rendered with 17 significant digits so that reruns with the
 same flags and seed produce byte-identical artifacts.
@@ -13,6 +15,12 @@ INDENT = "  "  # per nesting level of a JSON object or list
 SCHEMA = "goh-atlas/1"
 
 
+def artifact(kind: str, fields: dict) -> dict:
+    """A SCHEMA JSON object of type kind holding fields (check_artifact's
+    counterpart)."""
+    return {"schema": SCHEMA, "type": kind, **fields}
+
+
 def check_artifact(data, kind: str, *keys: str) -> None:
     """ValueError unless data is a SCHEMA JSON object of type kind that has
     every one of keys (those its loader reads)."""
@@ -24,6 +32,36 @@ def check_artifact(data, kind: str, *keys: str) -> None:
     for key in keys:
         if key not in data:
             raise ValueError(f"{kind!r} artifact is missing key {key!r}")
+
+
+def _ratio(c):
+    """An exact rational as "p/q" (an integer too: "3/1"); other values,
+    such as a float, are returned as they are."""
+    return f"{c.numerator}/{c.denominator}" if isinstance(c, Fraction) else c
+
+
+def _words_to_json(words) -> list:
+    """Words over the letters 1, 2, ...: digit strings ("112") while every
+    letter is below 10, else lists of letters ([10, 2])."""
+    if all(k < 10 for w in words for k in w):
+        return ["".join(map(str, w)) for w in words]
+    return [list(w) for w in words]
+
+
+def _words_from_json(items, what: str) -> tuple:
+    """Inverse of _words_to_json; ValueError naming the first bad entry."""
+    if not isinstance(items, list):
+        raise ValueError(f"{what}s must be a list, got {items!r}")
+    words = []
+    for i, w in enumerate(items, 1):
+        if isinstance(w, str) and w.isascii() and w.isdigit():
+            w = [int(c) for c in w]
+        if not (w and isinstance(w, list)
+                and all(type(k) is int and k > 0 for k in w)):
+            raise ValueError(f"{what} {i}: {items[i - 1]!r} is not a word "
+                             f"over the letters 1, 2, ...")
+        words.append(tuple(w))
+    return tuple(words)
 
 
 def _render_float(x: float) -> str:

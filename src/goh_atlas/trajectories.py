@@ -36,7 +36,7 @@ import numpy as np
 from . import polyfield
 from .errors import ConditioningError, NumericsError
 from .polyfield import CompiledPolys, Frame, compile_polyvec, lie_bracket_fields
-from .serialize import check_artifact
+from .serialize import artifact, check_artifact
 
 
 def _float_list(xs):
@@ -82,8 +82,8 @@ class Control:
     from_function = classmethod(_from_function)
 
     def to_json(self) -> dict:
-        return {"schema": "goh-atlas/1", "type": "control",
-                "t": self.ts.tolist(), "values": self.values.tolist()}
+        return artifact("control", {"t": self.ts.tolist(),
+                                    "values": self.values.tolist()})
 
     @staticmethod
     def from_json(data: dict) -> "Control":
@@ -113,8 +113,8 @@ class SampledCurve:
     from_function = classmethod(_from_function)
 
     def to_json(self) -> dict:
-        return {"schema": "goh-atlas/1", "type": "curve",
-                "t": self.ts.tolist(), "values": self.points.tolist()}
+        return artifact("curve", {"t": self.ts.tolist(),
+                                  "values": self.points.tolist()})
 
     @staticmethod
     def from_json(data: dict) -> "SampledCurve":
@@ -127,11 +127,6 @@ class JacobianPath:
     ts: np.ndarray
     mats: list  # n x n arrays, mats[0] = identity
     dets: np.ndarray
-
-    def to_json(self) -> dict:
-        return {"schema": "goh-atlas/1", "type": "jacobian_path",
-                "t": self.ts.tolist(), "dets": self.dets.tolist(),
-                "mats": [m.tolist() for m in self.mats]}
 
 
 def _check_finite(arr, what: str, node: int, t, error=NumericsError):
@@ -487,16 +482,14 @@ class ExtremalReport:
     sup_goh: float
 
     def to_json(self) -> dict:
-        return {
-            "schema": "goh-atlas/1",
-            "type": "extremal_residuals",
+        return artifact("extremal_residuals", {
             "t": self.ts.tolist(),
             "rho": self.rho.tolist(),
             "sigma": self.sigma.tolist(),
             "pairs": [list(p) for p in self.pairs],
             "sup_abnormal": self.sup_abnormal,
             "sup_goh": self.sup_goh,
-        }
+        })
 
 
 def extremal_residuals(frame: Frame, u, x0, lam, substeps: int = 1,
@@ -539,14 +532,12 @@ class RecoveryResult:
     stack_rows: int
 
     def to_json(self) -> dict:
-        return {
-            "schema": "goh-atlas/1",
-            "type": "covector_recovery",
+        return artifact("covector_recovery", {
             "threshold": self.threshold,
             "stack_rows": self.stack_rows,
             "singular_values": self.singular_values.tolist(),
             "candidates": [c.tolist() for c in self.candidates],
-        }
+        })
 
 
 def recover_abnormal_covector(frame: Frame, u, x0, substeps: int = 1,
@@ -610,13 +601,18 @@ def polynomial_containment(points, degree: int,
     if bad.any():
         idx = int(bad.argmax())
         raise ValueError(f"point {idx} is not finite: {pts[idx].tolist()}")
-    cols = []
+    exps = [(total - i, i) for total in range(degree + 1)
+            for i in range(total + 1)]
     x, y = pts[:, 0], pts[:, 1]
-    for total in range(degree + 1):
-        for i in range(total + 1):
-            cols.append(x ** (total - i) * y ** i)
-    mat = np.stack(cols, axis=1)
-    norms = np.linalg.norm(mat, axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+        mat = np.stack([x ** a * y ** b for a, b in exps], axis=1)
+        norms = np.linalg.norm(mat, axis=0)
+    bad = ~np.isfinite(norms)
+    if bad.any():  # an inf norm would scale its column to zero
+        k = int(bad.argmax())
+        idx = int(np.argmax(np.abs(mat[:, k])))  # first nan, else largest
+        raise ValueError(f"monomial x^{exps[k][0]} y^{exps[k][1]} overflows "
+                         f"at point {idx}: {pts[idx].tolist()}")
     norms[norms == 0.0] = 1.0
     svals = np.linalg.svd(mat / norms, compute_uv=False)
     smax = svals[0]

@@ -1,15 +1,20 @@
-"""Constructions only the tests use: random Lie elements, right-nested
-brackets of generators and of frame fields, the f23 frame written out, and
-the textbook batched evaluator, the oracle of CompiledPolys and of the
-integrators."""
+"""Constructions only the tests use: single basis elements, random Lie
+elements, right-nested brackets of generators and of frame fields, the f23
+frame written out, and the textbook batched evaluator, the oracle of
+CompiledPolys and of the integrators."""
 
 from fractions import Fraction
 
 import numpy as np
 
 from goh_atlas import polyfield
-from goh_atlas.freelie import LieElement, LyndonBasis, bracket, lie_single
+from goh_atlas.freelie import LieElement, LyndonBasis, Word, bracket
 from goh_atlas.polyfield import Frame, Poly, PolyVec, _nested_brackets
+
+
+def lie_single(basis: LyndonBasis, word: Word,
+               coeff=Fraction(1)) -> LieElement:
+    return {basis.index[tuple(word)]: coeff} if coeff else {}
 
 
 def random_lie_element(basis: LyndonBasis, rng) -> LieElement:

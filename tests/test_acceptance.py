@@ -20,7 +20,6 @@ from goh_atlas.freelie import (
     generate_basis,
     lie_add,
     lie_scale,
-    lie_single,
     structure_table,
     witt_dimension,
 )
@@ -53,7 +52,7 @@ from goh_atlas.trajectories import (
     recover_abnormal_covector,
     spiral_curve,
 )
-from lie_helpers import random_lie_element
+from lie_helpers import lie_single, random_lie_element
 
 
 @pytest.fixture(scope="module")

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shlex
 import subprocess
 import sys
 from fractions import Fraction
@@ -268,74 +269,88 @@ class TestExitCodes:
         code, out, err = run(capsys, *argv, flag, str(path))
         assert (code, out, err) == (2, "", f"error: {msg}\n")
 
-    @pytest.mark.parametrize("argv, env, msg", [
-        (["goh", "--rank", "2", "--step", "2", "--lambda", "1,zebra"], None,
+    @pytest.mark.parametrize("argv, msg", [
+        (["goh", "--rank", "2", "--step", "2", "--lambda", "1,zebra"],
          f"bad --lambda value: {fraction_error('zebra')}"),
         (["trace", "--rank", "2", "--step", "2", "--lambda", "0,0,1",
-          "--window", "0,1"], None, "--window needs x0,x1,y0,y1"),
-        (["metabelian"], None, "need --rank and --step, or --frame FILE"),
-        (["recover", "--rank", "2", "--step", "2"], "abc",
-         "bad GOH_ATLAS_TOL value: tolerance must be a finite positive "
-         "number, got 'abc'"),
-        (["goh", "--rank", "2", "--step", "2"], None, "--lambda is required"),
-        (["lift", "--rank", "2", "--step", "2"], None,
-         "--curve FILE is required"),
-        (["flow", "--rank", "2", "--step", "2"], None,
+          "--window", "0,1"], "--window needs x0,x1,y0,y1"),
+        (["metabelian"], "need --rank and --step, or --frame FILE"),
+        (["goh", "--rank", "2", "--step", "2"], "--lambda is required"),
+        (["lift", "--rank", "2", "--step", "2"], "--curve FILE is required"),
+        (["flow", "--rank", "2", "--step", "2"],
          "--control FILE is required"),
         (["flow", "--rank", "2", "--step", "2", "--control", "CONTROL",
-          "--x0", "1,0"], None, "--x0 needs 3 components"),
+          "--x0", "1,0"], "--x0 needs 3 components"),
         (["residuals", "--rank", "2", "--step", "2", "--control", "CONTROL"],
-         None, "--lambda is required"),
-        (["contain"], None, "--curve FILE is required"),
-        (["contain", "--curve", "CURVE3"], None,
-         "containment needs a planar curve"),
+         "--lambda is required"),
+        (["contain"], "--curve FILE is required"),
+        (["contain", "--curve", "CURVE3"], "containment needs a planar curve"),
         # a non-finite window, with the trace on stdout and into a CSV file
         *[(["trace", "--rank", "2", "--step", "3", "--lambda", "0,0,0,1,0",
-            "--window=-2,inf,-2,2", "--res", "8", *out], None,
+            "--window=-2,inf,-2,2", "--res", "8", *out],
            "window x_max is not finite: inf")
-          for out in ([], ["--out", "CSV"])]],
-        ids=["lambda-value", "window", "frame-flags", "env-tol",
-             "goh-lambda", "lift-curve", "control", "x0",
-             "residuals-lambda", "contain-curve", "planar", "window-inf",
-             "window-inf-csv"])
-    def test_usage_errors(self, capsys, tmp_path, monkeypatch, argv, env,
-                          msg):
+          for out in ([], ["--out", "CSV"])],
+        # finite entries whose width, grid value or monomial overflows
+        (["trace", "--rank", "2", "--step", "3", "--lambda", "0,0,0,1,0",
+          "--window=-1e308,1e308,-2,2", "--res", "8"],
+         "window x width is not finite: x_max - x_min = inf"),
+        (["trace", "--rank", "2", "--step", "4", "--lambda",
+          "0,0,0,1,0,1,1,0", "--res", "8", "--window=-1e200,1e200,-2,2"],
+         "F is not finite at grid node (-1e+200, -2.0): inf"),
+        (["contain", "--curve", "CURVEBIG", "--degree", "2"],
+         "monomial x^1 y^0 overflows at point 30: [1e+200, 0.0]")],
+        ids=["lambda-value", "window", "frame-flags", "goh-lambda",
+             "lift-curve", "control", "x0", "residuals-lambda",
+             "contain-curve", "planar", "window-inf", "window-inf-csv",
+             "window-width", "grid-overflow", "contain-overflow"])
+    def test_usage_errors(self, capsys, tmp_path, argv, msg):
         control = tmp_path / "u.json"
         control.write_text(serialize.dumps(Control(
             [0.0, 1.0], [[0.0, 1.0], [0.0, 1.0]]).to_json()))
         curve3 = tmp_path / "c.json"
         curve3.write_text(serialize.dumps(SampledCurve(
             [0.0, 1.0], [[0.0] * 3, [1.0] * 3]).to_json()))
+        big = tmp_path / "big.json"
+        big.write_text(serialize.dumps(SampledCurve(
+            range(31), [(0.0, t) for t in range(30)] + [(1e200, 0.0)])))
         files = {"CONTROL": str(control), "CURVE3": str(curve3),
-                 "CSV": str(tmp_path / "t.csv")}
-        if env is None:
-            monkeypatch.delenv("GOH_ATLAS_TOL", raising=False)
-        else:
-            monkeypatch.setenv("GOH_ATLAS_TOL", env)
+                 "CURVEBIG": str(big), "CSV": str(tmp_path / "t.csv")}
         code, out, err = run(capsys, *[files.get(a, a) for a in argv])
         assert (code, out, err) == (2, "", f"error: {msg}\n")
 
 
 class TestTolerancePlumbing:
-    def test_env_tolerance_overridden_by_flag(self, capsys, tmp_path,
-                                              monkeypatch):
+    def test_tol_flag_sets_the_threshold(self, capsys, tmp_path):
         # circle points are floats, so the degree-2 annihilator sits at
-        # sigma ratio ~1e-16: visible at 1e-8, hidden below 1e-20
-        curve = SampledCurve.from_function(
-            lambda t: (math.cos(t), math.sin(t)), 0.0, 2.0 * math.pi, 200)
-        path = tmp_path / "circle.json"
-        path.write_text(serialize.dumps(curve.to_json()))
-
-        monkeypatch.setenv("GOH_ATLAS_TOL", "1e-20")
-        code, data, _ = run_json(capsys, "contain", "--curve", str(path),
-                                 "--degree", "2")
+        # sigma ratio ~1e-16: visible at the default 1e-8, hidden at 1e-20
+        path = self._circle(tmp_path)
+        code, data, _ = run_json(capsys, "contain", "--curve", path,
+                                 "--degree", "2", "--tol", "1e-20")
         assert code == 0
         assert [r["null_space_dim"] for r in data["results"]] == [0, 0]
-        # flag wins over the environment
-        code, data, _ = run_json(capsys, "contain", "--curve", str(path),
-                                 "--degree", "2", "--tol", "1e-8")
+        code, data, _ = run_json(capsys, "contain", "--curve", path,
+                                 "--degree", "2")
         assert code == 0
         assert [r["null_space_dim"] for r in data["results"]] == [0, 1]
+
+    def test_environment_sets_no_tolerance(self, capsys, tmp_path,
+                                           monkeypatch):
+        # GOH_ATLAS_TOL was a hidden input; output no longer depends on it
+        def outputs(tag):
+            # exit code and stdout of each command, and the demo's files
+            outdir = tmp_path / tag
+            demo = run(capsys, "demo", "heisenberg", "--out", str(outdir))
+            files = {p.name: p.read_bytes() for p in outdir.iterdir()}
+            contain = run(capsys, "contain", "--curve", self._circle(tmp_path),
+                          "--degree", "2")
+            return demo[:2], files, contain[:2]
+
+        monkeypatch.delenv("GOH_ATLAS_TOL", raising=False)
+        unset = outputs("unset")
+        assert unset[0][0] == 0 and unset[2][0] == 0
+        for value in ("abc", "1e-20"):
+            monkeypatch.setenv("GOH_ATLAS_TOL", value)
+            assert outputs(value) == unset
 
     @staticmethod
     def _circle(tmp_path):
@@ -344,26 +359,6 @@ class TestTolerancePlumbing:
         path = tmp_path / "circle.json"
         path.write_text(serialize.dumps(curve.to_json()))
         return str(path)
-
-    @pytest.mark.parametrize("value", ["abc", "nan", "inf", "-1", "0"])
-    def test_bad_env_tolerance_is_a_usage_error(self, capsys, tmp_path,
-                                                monkeypatch, value):
-        # every command that reads the variable rejects the value before
-        # doing any work: no scenario runs, no artifact is written
-        monkeypatch.setenv("GOH_ATLAS_TOL", value)
-        outdir = tmp_path / "art"
-        code, out, err = run(capsys, "demo", "heisenberg", "--out",
-                             str(outdir))
-        assert code == 2
-        assert "bad GOH_ATLAS_TOL value" in err
-        assert not outdir.exists() and out == ""
-        code, out, err = run(capsys, "contain", "--curve",
-                             self._circle(tmp_path), "--degree", "2")
-        assert (code, out) == (2, "")
-        assert "bad GOH_ATLAS_TOL value" in err
-        code, out, err = run(capsys, "recover", "--rank", "2", "--step", "3")
-        assert (code, out) == (2, "")
-        assert "bad GOH_ATLAS_TOL value" in err
 
     @pytest.mark.parametrize("value", ["abc", "nan", "-inf", "-1e-8", "0"])
     def test_bad_tol_flag_is_a_usage_error(self, capsys, tmp_path, value):
@@ -511,6 +506,44 @@ class TestSerialize:
         with pytest.raises(ValueError, match="^field 2, component 3, term "
                            "1: missing key 'exp'$"):
             Frame.from_json(data)
+
+
+class TestReadmePipeline:
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    def test_example_runs_in_an_empty_directory(self, capsys, tmp_path,
+                                                monkeypatch):
+        # every file a step reads is written by an earlier step
+        text = self.README.read_text()
+        block = text.split("Example pipeline", 1)[1] \
+            .split("```sh\n", 1)[1].split("```", 1)[0]
+        monkeypatch.chdir(tmp_path)
+        for line in block.splitlines():
+            prog, *argv = shlex.split(line)
+            assert prog == "goh-atlas"
+            code, _, err = run(capsys, *argv)
+            assert code == 0, (line, err)
+        data = json.loads((tmp_path / "recovery.json").read_text())
+        assert data["type"] == "covector_recovery"
+
+    def test_control_is_read_from_a_lift_report(self, capsys, tmp_path):
+        kappa = SampledCurve.from_function(lambda t: (0.0, t), 0.0, 1.0, 40)
+        files = {name: tmp_path / f"{name}.json"
+                 for name in ("curve", "lifted", "control")}
+        files["curve"].write_text(serialize.dumps(kappa))
+        frame = ["--rank", "2", "--step", "3"]
+        assert run(capsys, "lift", *frame, "--curve", str(files["curve"]),
+                   "--out", str(files["lifted"]))[0] == 0
+        lifted = json.loads(files["lifted"].read_text())
+        files["control"].write_text(serialize.dumps(lifted["control"]))
+        outs = [run(capsys, "recover", *frame, "--control", str(files[name]))
+                for name in ("lifted", "control")]
+        assert outs[0] == outs[1] and outs[0][0] == 0
+        # the lifted curve is not a frame
+        code, out, err = run(capsys, "metabelian", "--frame",
+                             str(files["lifted"]))
+        assert (code, out) == (2, "")
+        assert err.endswith("found schema 'goh-atlas/1', type 'lift_report'\n")
 
 
 class TestFreshProcess:

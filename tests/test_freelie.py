@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goh_atlas import freelie as fl
-from lie_helpers import iterated_bracket_index, random_lie_element
+from lie_helpers import iterated_bracket_index, lie_single, random_lie_element
 
 
 # ---------------------------------------------------------------------------
@@ -166,7 +166,7 @@ def test_invalid_basis_args():
 
 def test_bracket_generators_step2():
     basis = fl.generate_basis(2, 2)
-    x1, x2 = fl.lie_single(basis, (1,)), fl.lie_single(basis, (2,))
+    x1, x2 = lie_single(basis, (1,)), lie_single(basis, (2,))
     assert fl.bracket(x1, x2, basis) == {2: Fraction(1)}  # X_12
     assert fl.bracket(x2, x1, basis) == {2: Fraction(-1)}
     assert fl.bracket(x1, x1, basis) == {}
@@ -174,7 +174,7 @@ def test_bracket_generators_step2():
 
 def test_bracket_step3_pinned_values():
     basis = fl.generate_basis(2, 3)
-    x1, x2 = fl.lie_single(basis, (1,)), fl.lie_single(basis, (2,))
+    x1, x2 = lie_single(basis, (1,)), lie_single(basis, (2,))
     x12 = fl.bracket(x1, x2, basis)
     # standard factorization of 122 is (12)(2), so [X_2, X_12] = -X_122
     assert fl.bracket(x2, x12, basis) == {basis.index[(1, 2, 2)]: Fraction(-1)}
@@ -183,8 +183,8 @@ def test_bracket_step3_pinned_values():
 
 def test_bracket_truncates_at_step():
     basis = fl.generate_basis(2, 2)
-    x1 = fl.lie_single(basis, (1,))
-    x12 = fl.lie_single(basis, (1, 2))
+    x1 = lie_single(basis, (1,))
+    x12 = lie_single(basis, (1, 2))
     assert fl.bracket(x1, x12, basis) == {}  # weight 3 > step
 
 
@@ -262,7 +262,7 @@ def test_structure_table_agrees_with_tensor_bracket():
 
 def test_bch_step2():
     basis = fl.generate_basis(2, 2)
-    x1, x2 = fl.lie_single(basis, (1,)), fl.lie_single(basis, (2,))
+    x1, x2 = lie_single(basis, (1,)), lie_single(basis, (2,))
     z = fl.bch(x1, x2, basis)
     assert z == {0: Fraction(1), 1: Fraction(1), 2: Fraction(1, 2)}
 
@@ -271,7 +271,7 @@ def test_bch_against_dynkin_series():
     # full comparison in tensor form at steps 3 and 4
     for step in (3, 4):
         basis = fl.generate_basis(2, step)
-        x1, x2 = fl.lie_single(basis, (1,)), fl.lie_single(basis, (2,))
+        x1, x2 = lie_single(basis, (1,)), lie_single(basis, (2,))
         z = fl.bch(x1, x2, basis)
         assert lie_as_tensor(z, basis) == dynkin_bch(step)
 
@@ -280,7 +280,7 @@ def test_bch_classical_coefficients():
     # 1/2, 1/12, -1/12, -1/24 on the nested brackets, frozen from the
     # Dynkin oracle; in Lyndon coordinates 122 carries +1/12 and 1122 +1/24.
     basis = fl.generate_basis(2, 4)
-    x1, x2 = fl.lie_single(basis, (1,)), fl.lie_single(basis, (2,))
+    x1, x2 = lie_single(basis, (1,)), lie_single(basis, (2,))
     z = fl.bch(x1, x2, basis)
     idx = basis.index
     assert z[idx[(1, 2)]] == Fraction(1, 2)

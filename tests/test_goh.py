@@ -1,6 +1,8 @@
 """Tests for Goh polynomials, variety membership, and plane tracing."""
 
 import math
+import re
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -214,6 +216,26 @@ class TestTraceVariety:
         with pytest.raises(ValueError, match=f"^window {name} is not finite: "
                            f"{bad!r}$"):
             trace_variety(system_of(Poly.var(2, 0)), window=window)
+
+    @pytest.mark.parametrize("window, name", [
+        ((-1e308, 1e308, -1.0, 1.0), "x"), ((-1.0, 1.0, -1e308, 1e308), "y")])
+    def test_overflowing_window_width_is_named(self, window, name, no_grid):
+        # every entry is finite, but the width is inf: the grid was nan
+        with pytest.raises(ValueError, match=f"^window {name} width is not "
+                           f"finite: {name}_max - {name}_min = inf$"):
+            trace_variety(system_of(Poly.var(2, 0)), window=window)
+
+    def test_overflowing_grid_value_is_named(self):
+        # x1^2 overflows on the first grid node; F = 1/2 x1^2 + x1 x2 + x1
+        # made Newton raise OverflowError
+        x1, x2 = Poly.var(2, 0), Poly.var(2, 1)
+        F = x1 * x1 * Fraction(1, 2) + x1 * x2 + x1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    "F is not finite at grid node (-1e+200, -2.0): inf")):
+                trace_variety(system_of(F), window=(-1e200, 1e200, -2, 2),
+                              resolution=8)
 
     @pytest.mark.parametrize("res", [0, 1, RES_MAX + 1, 7.5, "8", None])
     def test_resolution_bounds(self, res, no_grid):

@@ -762,6 +762,24 @@ class TestContainment:
         with pytest.raises(ValueError):
             polynomial_containment(pts, -1)
 
+    def test_overflowing_monomial_is_named(self):
+        # (1e200, 0) at degree 2: the x column's norm overflows
+        pts = [(0.0, t) for t in np.linspace(0.0, 1.0, 29)] + [(1e200, 0.0)]
+        with pytest.raises(ValueError, match=re.escape(
+                "monomial x^1 y^0 overflows at point 29: [1e+200, 0.0]")):
+            polynomial_containment(pts, 2)
+
+    def test_overflowing_norm_is_not_a_containment(self):
+        # (1e160, 0)'s x column had norm inf, so the column was scaled to
+        # zero and the circle points seemed to lie on a line
+        circle = [(math.cos(t), math.sin(t))
+                  for t in np.linspace(0.0, 2.0 * math.pi, 29)]
+        assert polynomial_containment(circle + [(2.0, 0.0)], 1)[
+            "null_space_dim"] == 0
+        with pytest.raises(ValueError, match=re.escape(
+                "monomial x^1 y^0 overflows at point 29: [1e+160, 0.0]")):
+            polynomial_containment(circle + [(1e160, 0.0)], 1)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_is_named(self, bad):
         pts = [(t, 2.0 * t + 1.0) for t in np.linspace(-1.0, 1.0, 20)]
