@@ -24,6 +24,8 @@ from .serialize import _ratio, artifact
 
 ZERO = Fraction(0)
 RES_MAX = 4096  # a trace at RES_MAX peaks at about 0.6 GB (33 B per node)
+# pre-candidates per block of the singular-candidate scan (bounds temporaries)
+SCAN_ROWS = 4096
 
 
 def check_resolution(resolution) -> int:
@@ -113,9 +115,13 @@ def goh_polynomials(frame: Frame, lam) -> GohSystem:
 
 
 def variety_membership(sys: GohSystem, curve) -> float:
-    """sup over curve samples and pairs (h,k) of |F^{h,k}(point)|."""
+    """sup over curve samples and pairs (h,k) of |F^{h,k}(point)|.
+
+    A point that is not finite, or whose power overflows in some F^{h,k}, is
+    a ValueError naming its index.
+    """
     points = getattr(curve, "points", curve)
-    evaluators = [_float_evaluator(p) for p in sys.polys.values()]
+    evaluators = [(hk, _float_evaluator(p)) for hk, p in sys.polys.items()]
     worst = 0.0
     for idx, pt in enumerate(points):
         if len(pt) != sys.r:
@@ -123,8 +129,12 @@ def variety_membership(sys: GohSystem, curve) -> float:
         x = [float(c) for c in pt]
         if not all(map(math.isfinite, x)):
             raise ValueError(f"curve point {idx} is not finite: {x}")
-        for f in evaluators:
-            v = abs(float(f(x)))
+        for (h, k), f in evaluators:
+            try:
+                v = abs(float(f(x)))
+            except OverflowError:
+                raise ValueError(f"F^({h},{k}) overflows at curve point "
+                                 f"{idx}: {x}") from None
             if v > worst:
                 worst = v
     return worst
@@ -304,80 +314,131 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
         if chain:
             trace.polylines.append([verts[k] for k in chain])
 
-    trace.singular_candidates = _singular_candidates(F, feval, xs, ys, vals,
-                                                     tol)
+    trace.singular_candidates = _singular_candidates(F, xs, ys, vals, tol)
     return trace
 
 
-def _singular_candidates(F: Poly, f, xs, ys, vals, tol) -> list:
+def _singular_candidates(F: Poly, xs, ys, vals, tol) -> list:
+    """Singular points of {F = 0} near the grid, in grid order.
+
+    Every grid node where F and its gradient are small at the node scale is
+    a pre-candidate.  From each, damped Newton solves three 2x2 systems:
+    (F, F_x), (F, F_y) and (F_x, F_y).  A solution counts if |F| <= tol and
+    |grad F| <= gtol there; of those the first with the least |grad F| wins,
+    and a winner within a cell of an earlier one is dropped.  Pre-candidates
+    run in blocks of SCAN_ROWS, each block's solves in lock step as arrays
+    with C ``pow`` powers, so every point gets the bits it gets alone as
+    Python floats; a value that overflows is inf, not an error.
+    """
     fx, fy = F.diff(0), F.diff(1)
-    gradient = _float_evaluator(fx, fy)
     # per-axis grid, so grad broadcasts against vals
-    grad = np.hypot(*gradient((xs[None, :], ys[:, None])))
+    grad = np.hypot(*_float_evaluator(fx, fy)((xs[None, :], ys[:, None])))
     gscale = float(np.max(grad))
     cell = max(xs[1] - xs[0], ys[1] - ys[0])
 
     # grid pre-candidates: both F and its gradient small at the node scale
     mask = (np.abs(vals) <= (1.0 + float(np.max(np.abs(vals)))) * cell) \
         & (grad <= (1.0 + gscale) * cell * 4.0)
-    cand_idx = np.argwhere(mask)
-    if cand_idx.size == 0:
+    nodes = np.flatnonzero(mask)
+    if nodes.size == 0:
         return []
-
-    def newton(pq, jac, x, y):
-        # damped Newton for the 2x2 system pq, its Jacobian rows read from
-        # jac; an accepted step carries its residuals into the next iteration
-        r0, r1 = pq((x, y))
-        for _ in range(60):
-            res = abs(r0) + abs(r1)
-            if res == 0.0:
-                return x, y
-            j00, j01, j10, j11 = jac((x, y))
-            det = j00 * j11 - j01 * j10
-            if det == 0.0 or not math.isfinite(det):
-                return None
-            dx = (r0 * j11 - r1 * j01) / det
-            dy = (j00 * r1 - j10 * r0) / det
-            step = 1.0
-            while step > 1e-6:
-                nx, ny = x - step * dx, y - step * dy
-                n0, n1 = pq((nx, ny))
-                if abs(n0) + abs(n1) < res:
-                    x, y, r0, r1 = nx, ny, n0, n1
-                    break
-                step *= 0.5
-            else:
-                return x, y
-        return x, y
+    del grad, mask
 
     # each system's residual pair and Jacobian come from one evaluator each;
     # fxy and fyx may order their terms differently, so each keeps its own
     fxx, fxy, fyx, fyy = fx.diff(0), fx.diff(1), fy.diff(0), fy.diff(1)
-    systems = [(_float_evaluator(*pq), _float_evaluator(*jac)) for pq, jac in (
+    systems = [(_float_evaluator(*pq, c_pow=True),
+                _float_evaluator(*jac, c_pow=True)) for pq, jac in (
         ((F, fx), (fx, fy, fxx, fxy)),
         ((F, fy), (fx, fy, fyx, fyy)),
         ((fx, fy), (fxx, fxy, fyx, fyy)))]
+    accept = _float_evaluator(F, fx, fy, c_pow=True)
 
     gtol = 1e-7 * (1.0 + gscale)
     found: list = []
-    for j, i in cand_idx:
-        x0, y0 = float(xs[i]), float(ys[j])
-        best = None
-        for pq, jac in systems:
-            got = newton(pq, jac, x0, y0)
-            if got is None:
-                continue
-            x, y = got
-            if abs(f((x, y))) <= tol:
-                score = np.hypot(*gradient((x, y)))
-                if score <= gtol and (best is None or score < best[0]):
-                    best = (score, x, y)
-        if best is None:
-            continue
-        _, x, y = best
-        if all(np.hypot(x - u, y - v) > cell for u, v in found):
-            found.append((x, y))
+    for lo in range(0, len(nodes), SCAN_ROWS):
+        j, i = np.divmod(nodes[lo:lo + SCAN_ROWS], len(xs))
+        x0, y0 = xs[i], ys[j]
+        best = np.full(len(x0), np.inf)
+        has = np.zeros(len(x0), dtype=bool)
+        bx, by = np.empty_like(x0), np.empty_like(x0)
+        with np.errstate(over="ignore", invalid="ignore"):  # inf fails below
+            for pq, jac in systems:
+                x, y, ok = _newton(pq, jac, x0, y0)
+                f, gx, gy = _at(accept, x, y)
+                score = np.hypot(gx, gy)
+                take = ok & (np.abs(f) <= tol) & (score <= gtol) \
+                    & (~has | (score < best))
+                best[take], bx[take], by[take] = score[take], x[take], y[take]
+                has |= take
+            _dedupe(found, bx[has], by[has], cell)
     return found
+
+
+def _dedupe(found: list, x, y, cell) -> None:
+    """Append to found, in order, each point (x[m], y[m]) that lies farther
+    than cell from every point found before it."""
+    for u, v in found:
+        far = np.hypot(x - u, y - v) > cell
+        x, y = x[far], y[far]
+    while x.size:  # the first point left is found; it drops itself (cell > 0)
+        found.append((float(x[0]), float(y[0])))
+        far = np.hypot(x - x[0], y - y[0]) > cell
+        x, y = x[far], y[far]
+
+
+def _at(evaluate, x, y) -> list:
+    """Each value of evaluate at the points (x, y) as an array of their shape
+    (a constant polynomial evaluates to one float)."""
+    return [v if np.shape(v) == x.shape else np.full(x.shape, v)
+            for v in evaluate((x, y))]
+
+
+def _newton(pq, jac, x, y):
+    """(x, y, ok): damped Newton on the 2x2 system pq from every point
+    (x[m], y[m]) at once, the Jacobian rows read from jac.
+
+    Each point runs the scalar rule alone: at most 60 iterations; stop at a
+    zero residual |r0| + |r1|; fail (ok False) on a zero or non-finite
+    determinant; try the steps 1, 1/2, ... down to 1e-6 and take the first
+    that lowers the residual, carrying its residuals on; stop where none
+    does.  An index array holds the points still iterating.
+    """
+    x, y = x.copy(), y.copy()
+    ok = np.ones(len(x), dtype=bool)
+    act = np.arange(len(x))
+    r0, r1 = _at(pq, x, y)
+    for _ in range(60):
+        res = np.abs(r0) + np.abs(r1)
+        live = res != 0.0
+        act, res, r0, r1 = act[live], res[live], r0[live], r1[live]
+        if not act.size:
+            break
+        px, py = x[act], y[act]
+        j00, j01, j10, j11 = _at(jac, px, py)
+        det = j00 * j11 - j01 * j10
+        live = (det != 0.0) & np.isfinite(det)
+        ok[act[~live]] = False
+        act, res, r0, r1, px, py, j00, j01, j10, j11, det = (
+            a[live] for a in (act, res, r0, r1, px, py, j00, j01, j10, j11,
+                              det))
+        dx = (r0 * j11 - r1 * j01) / det
+        dy = (j00 * r1 - j10 * r0) / det
+        # todo indexes the points whose line search goes on
+        todo = np.arange(len(act))
+        step = 1.0
+        while step > 1e-6 and todo.size:
+            nx, ny = px[todo] - step * dx[todo], py[todo] - step * dy[todo]
+            n0, n1 = _at(pq, nx, ny)
+            down = np.abs(n0) + np.abs(n1) < res[todo]
+            hit = todo[down]
+            px[hit], py[hit], r0[hit], r1[hit] = nx[down], ny[down], \
+                n0[down], n1[down]
+            todo = todo[~down]
+            step *= 0.5
+        x[act], y[act] = px, py
+        act, r0, r1 = (np.delete(a, todo) for a in (act, r0, r1))
+    return x, y, ok
 
 
 __all__ = [

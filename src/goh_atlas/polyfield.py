@@ -98,33 +98,50 @@ def _bad_exponent(a: dict, b: dict, exc: Exception) -> Exception:
     return exc
 
 
-def _float_evaluator(*polys: "Poly"):
+def _float_evaluator(*polys: "Poly", c_pow: bool = False):
     """x -> p(x) in float arithmetic for one polynomial, x -> (p1(x), ...,
     pm(x)) for several, as one generated straight-line function.
 
     Each value is summed in dict order from 0.0, one statement per term
     (one long expression overflows the compiler's recursion limit), each
     term its coefficient, converted once, times x[i] ** k for every nonzero
-    exponent k in variable order.  No update is in place, so x may hold
-    arrays that broadcast against each other, such as the per-axis grid
-    (xs[None, :], ys[:, None]) of a plane polynomial; the result then
-    broadcasts to the (len(ys), len(xs)) grid.  Array ``**`` can round
-    differently from scalar ``**``, so a grid node and the same point given
-    as floats need not agree bit for bit.  An exponent that is not an
-    integer is a TypeError, so only int literals enter the source.  Building
-    costs about 0.1 ms, so build once per polynomial, not once per point;
-    the evaluator holds a copy of the terms: rebuild after a change.
+    exponent k in variable order; each distinct power with k >= 2 is
+    computed once, in its own statement before the sums.  No update is in
+    place, so x may hold arrays that broadcast against each other, such as
+    the per-axis grid (xs[None, :], ys[:, None]) of a plane polynomial; the
+    result then broadcasts to the (len(ys), len(xs)) grid.  Array ``**``
+    can round differently from scalar ``**``, so a grid node and the same
+    point given as floats need not agree bit for bit.  With c_pow (the rule
+    of the singular-candidate scan, which evaluates arrays of points) a
+    power is np.float_power(x[i], k) instead, and x[i] itself for k = 1:
+    float_power calls C ``pow`` on every element, as scalar ``**`` does,
+    and pow(x, 1) is x, so each point gets the bits it gets alone as
+    floats, except that an overflow gives inf, not OverflowError.  An
+    exponent that is not an integer is a TypeError, so only int literals
+    enter the source.  Building costs about 0.1 ms, so build once per
+    polynomial, not once per point; the evaluator holds a copy of the terms:
+    rebuild after a change.
     """
-    lines, coefs = [], []
+    power = "pow(x[{}], {})" if c_pow else "x[{}] ** {}"
+    powers: dict = {}  # source of a power with k >= 2 -> the name terms read
+    sums, coefs = [], []
     for out, p in enumerate(polys):
-        lines.append(f"    t{out} = 0.0")
+        sums.append(f"    t{out} = 0.0")
         for e, c in p.terms.items():
-            powers = "".join(f" * x[{i}] ** {index(k)}"
-                             for i, k in enumerate(e) if k)
-            lines.append(f"    t{out} = t{out} + c[{len(coefs)}]{powers}")
+            factors = ""
+            for i, k in enumerate(e):
+                if not k:
+                    continue
+                k = index(k)
+                text = f"x[{i}]" if c_pow and k == 1 else power.format(i, k)
+                if k > 1:
+                    text = powers.setdefault(text, f"p{len(powers)}")
+                factors += " * " + text
+            sums.append(f"    t{out} = t{out} + c[{len(coefs)}]{factors}")
             coefs.append(float(c))
+    lines = [f"    {name} = {text}" for text, name in powers.items()] + sums
     totals = ", ".join(f"t{out}" for out in range(len(polys)))
-    scope = {"c": coefs}
+    scope = {"c": coefs, "pow": np.float_power}
     exec("def evaluate(x):\n" + "\n".join(lines) + f"\n    return {totals}\n",
          scope)
     return scope["evaluate"]

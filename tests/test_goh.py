@@ -128,6 +128,15 @@ class TestVarietyMembership:
         with pytest.raises(ValueError):
             variety_membership(sys, [(1.0, 2.0, 3.0)])
 
+    @pytest.mark.parametrize("x", [1e200, 1e120, -1e200])
+    def test_overflowing_point_is_named(self, x):
+        # x1^3 overflows on the finite point (x, 0): OverflowError escaped
+        x1 = Poly.var(2, 0)
+        sys = system_of(x1 * x1 * x1 - Poly.var(2, 1))
+        with pytest.raises(ValueError, match=re.escape(
+                f"F^(1,2) overflows at curve point 1: [{x!r}, 0.0]")):
+            variety_membership(sys, [(0.0, 0.0), (x, 0.0)])
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_point_is_named(self, bad):
         # a NaN value never beats the sup, so it used to read as on the variety
@@ -678,6 +687,169 @@ def test_random_traces_match_textbook_bitwise():
 
     check()
     assert reached == {5, 10, "loop"}
+
+
+@st.composite
+def singular_curves(draw, kind):
+    """A plane curve with singular points, a window around them and an odd
+    resolution from 5 to 21, so the candidate scan has work to do.
+
+    The kinds: "lines", a product of two or three lines, each through a
+    common point or a point of its own (nodes, and triple points); "cusp"
+    y^2 - x^3 and "tacnode" y^2 - x^4; and "cubic", the benchmark pool's
+    nodal cubic y^2 - x^2 - x^3.  The last three sit at a drawn point,
+    turned or reflected by one of the symmetries of the square.
+    """
+    point = st.builds(F, st.integers(-4, 4), st.just(8))
+    p0, q0 = draw(point), draw(point)
+    if kind == "lines":
+        coef = st.integers(-3, 3)
+        p = Poly.const(2, draw(st.builds(F, st.integers(1, 9),
+                                         st.integers(1, 4))))
+        for _ in range(draw(st.integers(2, 3))):
+            a, b = draw(st.tuples(coef, coef).filter(any))
+            if draw(st.booleans()):
+                px, py = p0, q0
+            else:
+                px, py = draw(point), draw(point)
+            p = p * ((X1 - px) * a + (X2 - py) * b)
+    else:
+        u, v = (X1 - p0) * draw(st.sampled_from([1, -1])), \
+            (X2 - q0) * draw(st.sampled_from([1, -1]))
+        if draw(st.booleans()):
+            u, v = v, u
+        p = {"cusp": v * v - u * u * u,
+             "tacnode": v * v - u * u * u * u,
+             "cubic": v * v - u * u - u * u * u}[kind]
+    cx, cy = (float(c) + draw(st.floats(-0.3, 0.3)) for c in (p0, q0))
+    wx, wy = (draw(st.floats(0.5, 2.0)) for _ in "xy")
+    res = 2 * draw(st.integers(2, 10)) + 1
+    return p, (cx - wx, cx + wx, cy - wy, cy + wy), res
+
+
+@pytest.mark.parametrize("kind", ["lines", "cusp", "tacnode", "cubic"])
+def test_singular_curves_match_textbook_bitwise(kind):
+    found = []
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(case=singular_curves(kind))
+    def check(case):
+        p, window, res = case
+        sys = system_of(p)
+        got = trace_variety(sys, window=window, resolution=res)
+        want = reference_trace(sys, window, res)
+        assert got.to_json() == want.to_json()
+        assert got.to_csv() == want.to_csv()
+        assert (got.f_scale, got.tolerance) == (want.f_scale, want.tolerance)
+        found.append(len(got.singular_candidates))
+
+    check()
+    # the scan had singular points to report in most cases
+    assert sum(map(bool, found)) >= len(found) // 2, found
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_scan_block_size_keeps_the_bits(rows, monkeypatch):
+    cases = [(X2 * X2 - X1 * X1 - X1 * X1 * X1, (-2, 2, -2, 2), 10),
+             (X2 * X2 - X1 * X1 * X1 * X1, (-1, 1.5, -1, 1.2), 5),
+             (X1 * X2 * (X1 + X2 - F(1, 2)), (-1, 1, -1, 1), 10)]
+    want = [trace_variety(system_of(p), window, res).to_json()
+            for p, window, res in cases]
+    assert all(w["singular_candidates"] for w in want)
+    monkeypatch.setattr(goh, "SCAN_ROWS", rows)
+    assert [trace_variety(system_of(p), window, res).to_json()
+            for p, window, res in cases] == want
+
+
+def test_first_system_wins_a_tie(monkeypatch):
+    # the three solves land on three points of F = x1 x2 with the same
+    # |grad F| = t: the first system's point is the one reported
+    t = 1e-9
+    lands = iter([(t, 0.0), (0.0, t), (-t, 0.0)] * 1000)
+
+    def newton(pq, jac, x, y):
+        u, v = next(lands)
+        return np.full(len(x), u), np.full(len(x), v), np.ones(len(x), bool)
+
+    monkeypatch.setattr(goh, "_newton", newton)
+    tr = trace_variety(system_of(X1 * X2), (-1, 1, -1, 1), 8)
+    assert tr.singular_candidates == [(t, 0.0)]
+
+
+def scalar_power(v: float, k: int) -> float:
+    """v ** k as the scalar evaluator gives it; inf where ** overflows."""
+    try:
+        return _float_evaluator(Poly(1, {(k,): 1}))((v,))
+    except OverflowError:
+        return math.copysign(math.inf, v) if k % 2 else math.inf
+
+
+@settings(max_examples=300, deadline=None)
+@given(k=st.integers(1, 8), values=st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308]),
+              st.floats(allow_nan=False, allow_infinity=False)),
+    min_size=1, max_size=40))
+def test_scan_power_on_arrays_is_scalar_pow_bitwise(k, values):
+    # C pow on every element; a vectorized float_power would round apart
+    x = np.array(values)
+    with np.errstate(over="ignore"):
+        got = _float_evaluator(Poly(1, {(k,): 1}), c_pow=True)((x,))
+    want = np.array([scalar_power(v, k) for v in values])
+    assert got.tobytes() == want.tobytes()
+
+
+def test_scan_evaluators_match_scalar_evaluators_bitwise():
+    # many terms and mixed powers: the arrays get the bits of each point
+    rng = np.random.default_rng(11)
+    terms = {e: F(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
+             for e in np.ndindex(7, 7)}
+    p = Poly(2, terms)
+    pts = rng.uniform(-3, 3, (2, 500))
+    pts[:, :4] = [[0.0, -0.0, 5e-324, -1e-310], [-0.0, 0.0, -2.5, 1e-300]]
+    polys = (p, p.diff(0), p.diff(1))
+    got = _float_evaluator(*polys, c_pow=True)((pts[0], pts[1]))
+    scalar = _float_evaluator(*polys)
+    for m, point in enumerate(pts.T.tolist()):
+        assert np.array([g[m] for g in got]).tobytes() == \
+            np.array(scalar(point)).tobytes()
+
+
+class TestScanOverflow:
+    # F = -2 x1 + 3/5 x1 x2^3 + 8/3 x1^2 - 2 x2^4 + 9 x1^4 + 5/6 x2 on
+    # (-w, w)^2: at res 16 a Newton trial step's power overflowed and the
+    # trace raised OverflowError, though the window and grid are finite
+    P = (X1 * -2 + X1 * X2 * X2 * X2 * F(3, 5) + X1 * X1 * F(8, 3)
+         - X2 * X2 * X2 * X2 * 2 + X1 * X1 * X1 * X1 * 9 + X2 * F(5, 6))
+    W = 1.0052913682104352e26
+
+    def window(self):
+        return (-self.W, self.W, -self.W, self.W)
+
+    def test_overflowing_trial_step_is_rejected(self):
+        res = 16
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tr = trace_variety(system_of(self.P), self.window(), res)
+        # every candidate passes the scan's own acceptance tests
+        xs = np.linspace(-self.W, self.W, res + 1)
+        fx, fy = self.P.diff(0), self.P.diff(1)
+        gscale = float(np.max(np.hypot(textbook_grid_eval(fx, xs, xs),
+                                       textbook_grid_eval(fy, xs, xs))))
+        gtol = 1e-7 * (1.0 + gscale)
+        assert tr.singular_candidates
+        for x, y in tr.singular_candidates:
+            assert abs(textbook_eval(self.P, (x, y))) <= tr.tolerance
+            assert np.hypot(textbook_eval(fx, (x, y)),
+                            textbook_eval(fy, (x, y))) <= gtol
+
+    @pytest.mark.parametrize("res", [5, 9])
+    def test_coarser_grids_match_textbook_bitwise(self, res):
+        sys = system_of(self.P)
+        got = trace_variety(sys, self.window(), res)
+        want = reference_trace(sys, self.window(), res)
+        assert got.to_json() == want.to_json()
+        assert got.to_csv() == want.to_csv()
+        assert (got.f_scale, got.tolerance) == (want.f_scale, want.tolerance)
 
 
 @st.composite
