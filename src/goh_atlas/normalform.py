@@ -12,7 +12,9 @@ The realization pipeline:
      with second-kind Bernoulli numbers.
   3. Transport back through DΨ^{-1} (a Neumann sum: DΨ - I is nilpotent
      by the weight grading).
-All arithmetic is exact rational.
+All arithmetic is exact rational.  Steps 1-3 run on polyfield's packed
+integer polynomials; ψ and the fields become Poly once, before ψ^{-1} (by
+back substitution) and the Frame.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from .polyfield import (
     Frame,
     Poly,
     PolyVec,
+    _Ring,
     exact_flow,
 )
 from .serialize import artifact
@@ -115,15 +118,16 @@ def _signed_table(table: StructureTable, signs) -> StructureTable:
         for i, row in enumerate(table.table)))
 
 
-def _ad_series(table: StructureTable, signs, y_el: dict) -> list[dict]:
-    """sum_m (b_m/m!) ad_y^m (B_k) for every k, with Poly coefficients."""
+def _ad_series(table: StructureTable, signs, y_el: dict, one) -> list[dict]:
+    """sum_m (b_m/m!) ad_y^m (B_k) for every k; one is the unit of the
+    coefficient ring (Poly.one(n) or a packed unit)."""
     stb = _signed_table(table, signs)
     n, step = table.basis.dim, table.basis.step
     bern = bernoulli_numbers(max(step, 2))
     cols = []
     for k in range(n):
-        acc = {k: Poly.one(n)}
-        cur = {k: Poly.one(n)}
+        acc = {k: one}
+        cur = {k: one}
         fact = 1
         for m in range(1, step):
             cur = stb.bracket_elements(y_el, cur)
@@ -170,20 +174,27 @@ def realize_frame(basis: LyndonBasis) -> tuple[Frame, CoordinateMaps]:
     signs, _ = signed_attachment(table)
     n = basis.dim
     step = basis.step
-    one = Poly.one(n)
+    # every coefficient below is weight-homogeneous of weight <= step, so
+    # every exponent is <= step; the packed bound is a sum of the factors'
+    # bounds, which the transport's chain of products lifts to about
+    # step^2 / 2, so the fields hold step^2
+    ring = _Ring(n, step * step)
+    one = ring.const(1)
 
     # chart product exp(x_n B_n) ... exp(x_1 B_1) in the tensor algebra
     g = {(): one}
     for j in range(n - 1, -1, -1):
         bj = lie_scale(lie_to_tensor({j: Fraction(signs[j])}, basis),
-                      Poly.var(n, j))
+                       ring.var(j))
         g = t_mul(g, t_exp(bj, step, one), step)
 
     lie = tensor_to_lie(t_log(g, step, one), basis)
-    psi = [lie.get(j, Poly.zero(n)) * signs[j] for j in range(n)]
+    zero = ring.const(0)
+    psi = [lie.get(j, zero) * signs[j] for j in range(n)]
 
     # left-invariant fields evaluated at y = psi(x), still exact
-    cols = _ad_series(table, signs, {j: psi[j] for j in range(n) if psi[j]})
+    cols = _ad_series(table, signs, {j: psi[j] for j in range(n) if psi[j]},
+                      one)
 
     # transport through (D psi)^{-1}.  N = D psi - I couples a coordinate
     # only to coordinates of lower weight, which come first in the basis,
@@ -219,7 +230,9 @@ def realize_frame(basis: LyndonBasis) -> tuple[Frame, CoordinateMaps]:
                 got = -acc if got is None else got - acc
             if got:
                 z[i] = got
-        fields.append(PolyVec([z.get(j, Poly.zero(n)) for j in range(n)]))
+        fields.append(PolyVec([z[j].to_poly() if j in z else Poly.zero(n)
+                               for j in range(n)]))
+    psi = [p.to_poly() for p in psi]
 
     weights = tuple(len(w) for w in basis.words)
     frame = Frame(fields[:basis.rank], weights=weights, normal_form=True,

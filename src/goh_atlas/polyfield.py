@@ -5,8 +5,10 @@ dimension.  A product packs every exponent tuple into one int (a field per
 variable, wide enough that no sum carries), so a monomial product is one
 integer addition, and accumulates integer numerators over a common
 denominator (packed exponent vectors: Monagan & Pearce, CASC 2007).  The
-insertion order of the terms is part of the result: float evaluators sum
-terms in dict order.  PolyVec is one polynomial per coordinate; Frame is r
+realization keeps its polynomials packed from start to end (_Packed, with
+the same product loop), so it packs and unpacks once.  The insertion order
+of the terms is part of the result: float evaluators sum terms in dict
+order.  PolyVec is one polynomial per coordinate; Frame is r
 fields on R^n.  Exact flows come from Picard iteration on the polynomial
 flow map, which stabilizes exactly when the field is nilpotent in the
 iteration sense; everything else raises NotNilpotentError.
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
 from itertools import chain, compress
-from math import lcm
+from math import gcd, lcm
 from operator import index, or_
 
 import numpy as np
@@ -96,6 +98,138 @@ def _bad_exponent(a: dict, b: dict, exc: Exception) -> Exception:
             return ValueError(f"exponent {e!r} has entry {k!r}; exponents "
                               "must be non-negative integers")
     return exc
+
+
+def _product(a, b) -> dict:
+    """The product of two packed polynomials given as (key, integer
+    numerator) pairs; b is iterated once per pair of a, so it must be a list
+    or a view.
+
+    Running integer sums in the order of the pairs, a's outer: a key whose
+    sum hits zero is dropped, so it re-enters at the end if it comes back.
+    This is the one product loop of the package (Poly.__mul__ and _Packed).
+    """
+    out: dict[int, int] = {}
+    get = out.get
+    for k1, c1 in a:
+        for k2, c2 in b:
+            k = k1 + k2
+            s = get(k, 0) + c1 * c2
+            if s:
+                out[k] = s
+            else:
+                del out[k]
+    return out
+
+
+def _unpacked(terms: dict, den: int, conv, nbytes: int) -> dict:
+    """{exponent tuple: Fraction} of packed {key: numerator} over den."""
+    order = sys.byteorder
+    return {tuple(conv(k.to_bytes(nbytes, order))): Fraction(s, den)
+            for k, s in terms.items()}
+
+
+class _Ring:
+    """Packed exponent keys of n variables in fields of the narrowest width
+    that holds top, laid out as _packed_keys lays them out (native byte
+    order)."""
+
+    def __init__(self, n: int, top: int):
+        size, code = next(w for w in _WIDTHS if top < 1 << 8 * w[0])
+        self.n, self.nbytes = n, n * size
+        self.limit = (1 << 8 * size) - 1  # the largest entry a field holds
+        self.conv = bytes if size == 1 else partial(array, code)
+        fields = range(n) if sys.byteorder == "little" else range(n)[::-1]
+        self.shifts = [8 * size * f for f in fields]  # of variables 0..n-1
+
+    def const(self, c) -> "_Packed":
+        c = _as_frac(c)
+        return _Packed({0: c.numerator} if c else {}, c.denominator, 0, self)
+
+    def var(self, i: int) -> "_Packed":
+        return _Packed({1 << self.shifts[i]: 1}, 1, 1, self)
+
+
+class _Packed:
+    """Exact polynomial of the realization pipeline: {packed exponent key:
+    int numerator} over one positive denominator, reduced by a gcd after each
+    operation, with top an upper bound on every exponent entry.
+
+    +, -, unary -, * (by a _Packed or a rational), bool and diff keep the
+    term order of the same Poly operations: sums run on
+    freelie._accumulate, products on _product.  A product whose bound exceeds the
+    ring's field raises OverflowError instead of carrying into the next
+    variable.  to_poly unpacks once, at the end.
+    """
+
+    __slots__ = ("terms", "den", "top", "ring")
+
+    def __init__(self, terms: dict, den: int, top: int, ring: _Ring):
+        if den != 1:
+            g = gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {k: v // g for k, v in terms.items()}
+        self.terms, self.den, self.top, self.ring = terms, den, top, ring
+
+    def __bool__(self):
+        return bool(self.terms)
+
+    def _add(self, other, sign: int) -> "_Packed":
+        if not isinstance(other, _Packed):
+            other = self.ring.const(other)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, sign * (den // other.den)
+        out = _accumulate(
+            {k: v * fa for k, v in self.terms.items()},
+            [(k, v * fb) for k, v in other.terms.items()])
+        return _Packed(out, den, max(self.top, other.top), self.ring)
+
+    def __add__(self, other):
+        return self._add(other, 1)
+
+    def __sub__(self, other):
+        return self._add(other, -1)
+
+    def __neg__(self):
+        return _Packed({k: -v for k, v in self.terms.items()}, self.den,
+                       self.top, self.ring)
+
+    def __mul__(self, other):
+        if type(other) is not _Packed:  # an int or a Fraction
+            if not other:
+                return _Packed({}, 1, 0, self.ring)
+            num = other.numerator
+            return _Packed({k: v * num for k, v in self.terms.items()},
+                           self.den * other.denominator, self.top, self.ring)
+        if not self.terms or not other.terms:
+            return _Packed({}, 1, 0, self.ring)
+        top = self.top + other.top
+        if top > self.ring.limit:
+            raise OverflowError(f"exponent bound {top} does not fit in a "
+                                f"field of {self.ring.limit.bit_length()} "
+                                f"bits")
+        return _Packed(_product(self.terms.items(), other.terms.items()),
+                       self.den * other.den, top, self.ring)
+
+    __rmul__ = __mul__
+
+    def diff(self, i: int) -> "_Packed":
+        shift, limit = self.ring.shifts[i], self.ring.limit
+        unit = 1 << shift
+        out = {}
+        for k, v in self.terms.items():
+            e = k >> shift & limit
+            if e:
+                out[k - unit] = v * e
+        return _Packed(out, self.den, self.top, self.ring)
+
+    def to_poly(self) -> "Poly":
+        ring = self.ring
+        p = Poly.__new__(Poly)
+        p.n = ring.n
+        p.terms = _unpacked(self.terms, self.den, ring.conv, ring.nbytes)
+        return p
 
 
 def _float_evaluator(*polys: "Poly", c_pow: bool = False):
@@ -238,24 +372,12 @@ class Poly:
         conv, nbytes, ka, kb = _packed_keys(a, b, self.n)
         da = lcm(*[c.denominator for c in a.values()])
         db = lcm(*[c.denominator for c in b.values()])
-        ib = [(k, c.numerator * (db // c.denominator))
-              for k, c in zip(kb, b.values())]
-        # running integer sums in the order of the pairs; a key whose sum
-        # hits zero is dropped, so it re-enters at the end if it comes back
-        out: dict[int, int] = {}
-        get = out.get
-        for k1, c in zip(ka, a.values()):
-            c1 = c.numerator * (da // c.denominator)
-            for k2, c2 in ib:
-                k = k1 + k2
-                s = get(k, 0) + c1 * c2
-                if s:
-                    out[k] = s
-                else:
-                    del out[k]
-        d, order = da * db, sys.byteorder
-        p.terms = {tuple(conv(k.to_bytes(nbytes, order))): Fraction(s, d)
-                   for k, s in out.items()}
+        out = _product(
+            [(k, c.numerator * (da // c.denominator))
+             for k, c in zip(ka, a.values())],
+            [(k, c.numerator * (db // c.denominator))
+             for k, c in zip(kb, b.values())])
+        p.terms = _unpacked(out, da * db, conv, nbytes)
         return p
 
     __rmul__ = __mul__

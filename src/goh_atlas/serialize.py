@@ -125,6 +125,15 @@ def _emit(obj, parts: list, pad: str):
         if not seq:
             parts.append("[]")
             return
+        # ints (not bools, which print true) in one join
+        if type(seq[0]) is int and all(type(v) is int for v in seq):
+            if len(seq) <= 16:
+                parts.append("[" + ", ".join(map(str, seq)) + "]")
+            else:
+                inner = pad + INDENT
+                parts.append(f"[\n{inner}" + f",\n{inner}".join(map(str, seq))
+                             + f"\n{pad}]")
+            return
         scalars = all(not isinstance(v, (dict, list, tuple)) for v in seq)
         if scalars and len(seq) <= 16:
             parts.append("[")

@@ -1,14 +1,28 @@
 """Tests for the second-kind realization and its coordinate maps."""
 
+import functools
 import hashlib
 import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from goh_atlas.freelie import generate_basis, structure_table
+from goh_atlas.errors import NumericsError
+from goh_atlas.freelie import (
+    generate_basis,
+    lie_scale,
+    lie_to_tensor,
+    structure_table,
+    t_exp,
+    t_log,
+    t_mul,
+    tensor_to_lie,
+)
 from goh_atlas.normalform import (
+    CoordinateMaps,
     _ad_series,
     attachment_trees,
     bernoulli_numbers,
@@ -90,7 +104,7 @@ def first_kind_fields(table):
     n = table.basis.dim
     y_el = {j: Poly.var(n, j) for j in range(n)}
     return [PolyVec([acc.get(j, Poly.zero(n)) for j in range(n)])
-            for acc in _ad_series(table, signs, y_el)]
+            for acc in _ad_series(table, signs, y_el, Poly.one(n))]
 
 
 def stratified_fields(frame, basis):
@@ -157,7 +171,8 @@ class TestRealizeFrame:
         assert [p.compose(maps.psi_inv) for p in maps.psi] == ident
         assert [p.compose(maps.psi) for p in maps.psi_inv] == ident
 
-    @pytest.mark.parametrize("rank,step", [(2, 2), (2, 3), (2, 4)])
+    @pytest.mark.parametrize("rank,step",
+                             [(2, 2), (2, 3), (2, 4), (2, 5), (3, 3)])
     def test_bracket_homomorphism(self, rank, step):
         # bracketing the frame per each word's attachment tree must land
         # on the transported field of that basis element, exactly
@@ -291,3 +306,129 @@ def test_realization_term_order_is_pinned(shape, digest):
     for p in maps.psi + maps.psi_inv + [q for f in maps.fields for q in f.comps]:
         h.update(repr(list(p.terms.items())).encode())
     assert h.hexdigest()[:16] == digest
+
+
+def reference_realize(basis):
+    """realize_frame on Poly coefficients throughout, as it was before the
+    packed ring: the oracle of the packed path, term for term."""
+    table = structure_table(basis)
+    signs, _ = signed_attachment(table)
+    n = basis.dim
+    step = basis.step
+    one = Poly.one(n)
+
+    g = {(): one}
+    for j in range(n - 1, -1, -1):
+        bj = lie_scale(lie_to_tensor({j: Fraction(signs[j])}, basis),
+                       Poly.var(n, j))
+        g = t_mul(g, t_exp(bj, step, one), step)
+
+    lie = tensor_to_lie(t_log(g, step, one), basis)
+    psi = [lie.get(j, Poly.zero(n)) * signs[j] for j in range(n)]
+    cols = _ad_series(table, signs, {j: psi[j] for j in range(n) if psi[j]},
+                      one)
+
+    nmat: list[dict] = []
+    for i in range(n):
+        row = {}
+        for j in range(n):
+            d = psi[i].diff(j)
+            if i == j:
+                d = d - 1
+            if d:
+                row[j] = d
+        if row and max(row) >= i:
+            raise NumericsError(
+                f"D psi - I is not strictly lower triangular in row {i}")
+        nmat.append(row)
+
+    fields: list[PolyVec] = []
+    for col in cols:
+        z: dict = {}
+        for i, row in enumerate(nmat):
+            acc = None
+            for j, nij in row.items():
+                zj = z.get(j)
+                if zj is None:
+                    continue
+                t = nij * zj
+                if t:
+                    acc = t if acc is None else acc + t
+            got = col.get(i)
+            if acc is not None and acc:
+                got = -acc if got is None else got - acc
+            if got:
+                z[i] = got
+        fields.append(PolyVec([z.get(j, Poly.zero(n)) for j in range(n)]))
+
+    weights = tuple(len(w) for w in basis.words)
+    frame = Frame(fields[:basis.rank], weights=weights, normal_form=True,
+                  labels=basis.words)
+
+    inv: list = [None] * n
+    for i in range(n):
+        p = psi[i] - Poly.var(n, i)
+        if not p:
+            inv[i] = Poly.var(n, i)
+            continue
+        values = [inv[j] if inv[j] is not None else Poly.var(n, j)
+                  for j in range(n)]
+        inv[i] = Poly.var(n, i) - p.compose(values)
+
+    return frame, CoordinateMaps(basis, table, psi, list(inv), fields, signs)
+
+
+def term_lists(maps):
+    """Every polynomial of a realization as its list of terms, in order."""
+    polys = maps.psi + maps.psi_inv + [q for f in maps.fields for q in f.comps]
+    return [list(p.terms.items()) for p in polys]
+
+
+ORACLE_SHAPES = [(2, s) for s in range(2, 8)] + [(3, 3), (3, 4), (3, 5),
+                                                 (4, 3), (4, 4)]
+
+
+def shape_id(shape):
+    return f"r{shape[0]}s{shape[1]}"
+
+
+@pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=shape_id)
+def test_packed_realization_matches_poly_reference(shape):
+    basis = generate_basis(*shape)
+    frame, maps = realize_frame(basis)
+    ref_frame, ref = reference_realize(basis)
+    assert term_lists(maps) == term_lists(ref)
+    assert maps.signs == ref.signs
+    assert frame.fields == ref_frame.fields
+
+
+@pytest.mark.parametrize("shape", [(2, 6), (3, 4), (4, 3)], ids=shape_id)
+def test_realized_exponents_stay_within_the_step(shape):
+    # the weight grading: x_j has weight |w_j| >= 1 and every coefficient
+    # has weight <= step, so no exponent exceeds the step (the packed
+    # ring's fields hold step^2)
+    _, maps = realize_frame(generate_basis(*shape))
+    step = maps.basis.step
+    polys = maps.psi + maps.psi_inv + [q for f in maps.fields for q in f.comps]
+    assert max(k for p in polys for e in p.terms for k in e) <= step
+
+
+@functools.lru_cache(maxsize=None)
+def realized_maps(rank, step):
+    return realize_frame(generate_basis(rank, step))[1]
+
+
+RATIONALS = st.builds(Fraction, st.integers(-7, 7), st.integers(1, 5))
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (2, 6), (3, 3)], ids=shape_id)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_chart_inverse_on_random_rational_points(shape, data):
+    maps = realized_maps(*shape)
+    n = maps.basis.dim
+    x = data.draw(st.lists(RATIONALS, min_size=n, max_size=n))
+    y = [p.eval(x) for p in maps.psi]
+    assert [p.eval(y) for p in maps.psi_inv] == x
+    y = [p.eval(x) for p in maps.psi_inv]
+    assert [p.eval(y) for p in maps.psi] == x

@@ -1,5 +1,6 @@
 """Tests for exact polynomials, vector fields, flows, and growth vectors."""
 
+import math
 import random
 import re
 from fractions import Fraction
@@ -595,3 +596,100 @@ def test_f27_trajectory_evaluators_match_textbook_bitwise(f27_stage_states):
         assert_same_bits(ev(pts), ref(pts))
         for x in pts[::401]:
             assert_same_bits(ev(x), ref(x))
+
+
+# ---------------------------------------------------------------------------
+# the packed coefficient ring of the realization
+
+def packed(ring, p):
+    """The _Packed of a Poly, its terms in the same order."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    return polyfield._Packed(
+        {sum(k << s for k, s in zip(e, ring.shifts)):
+         c.numerator * (den // c.denominator) for e, c in p.terms.items()},
+        den, max((max(e) for e in p.terms), default=0), ring)
+
+
+PACKED_COEFS = st.builds(F, st.integers(-3, 3), st.integers(1, 6))
+PACKED_OPS = ("add", "sub", "neg", "mul", "scale", "rscale", "diff",
+              "minus_one")
+
+
+@st.composite
+def packed_programs(draw):
+    """Two Polys on R^n and a few ring operations on a growing pool; small
+    ones cancel often."""
+    n = draw(st.integers(1, 3))
+    small = draw(st.booleans())
+    exps = st.integers(0, 1) if small else st.integers(0, 3)
+    coefs = st.sampled_from([F(1), F(-1), F(1, 2)]) if small \
+        else PACKED_COEFS
+    terms = st.lists(st.tuples(st.tuples(*[exps] * n), coefs), max_size=5)
+    pool = [Poly(n, dict(draw(terms))) for _ in range(2)]
+    ops = draw(st.lists(st.tuples(st.sampled_from(PACKED_OPS),
+                                  st.integers(0, 99), st.integers(0, 99),
+                                  PACKED_COEFS | st.integers(-2, 2)),
+                        max_size=6))
+    return n, pool, ops
+
+
+@settings(max_examples=300, deadline=None)
+@given(program=packed_programs())
+def test_packed_ring_matches_poly_term_for_term(program):
+    # sums and products against the textbook ones, not Poly's, which share
+    # the product loop with the packed ring
+    n, pool, ops = program
+    ring = polyfield._Ring(n, 255)
+    pairs = [(p, packed(ring, p)) for p in pool]
+    both_ways = [(op, i, 1 - i, 1) for op in ("mul", "add", "sub")
+                 for i in (0, 1)] + [("mul", i, i, 1) for i in (0, 1)]
+    for op, i, j, c in both_ways + ops:
+        (a, pa), (b, pb) = pairs[i % len(pairs)], pairs[j % len(pairs)]
+        got = {"add": lambda: (Poly(n, dict(textbook_add(a, b))), pa + pb),
+               "sub": lambda: (Poly(n, dict(textbook_add(a, -b))), pa - pb),
+               "neg": lambda: (-a, -pa),
+               "mul": lambda: (Poly(n, dict(textbook_mul(a, b))), pa * pb),
+               "scale": lambda: (a * c, pa * c),
+               "rscale": lambda: (c * a, c * pa),
+               "diff": lambda: (a.diff(j % n), pa.diff(j % n)),
+               "minus_one": lambda: (a - 1, pa - 1)}[op]()
+        pairs.append(got)
+    for p, pp in pairs:
+        assert bool(pp) == bool(p)
+        assert list(pp.to_poly().terms.items()) == list(p.terms.items())
+        assert math.gcd(pp.den, *pp.terms.values()) == 1 and pp.den > 0
+        assert all(k <= pp.top for e in p.terms for k in e)
+
+
+def test_packed_product_cancelling_mid_loop_reinserts_at_the_end():
+    # the packed twin of the Poly case above
+    ring = polyfield._Ring(1, 255)
+    p = packed(ring, Poly(1, {(0,): 1, (1,): 1, (2,): 1}))
+    q = packed(ring, Poly(1, {(2,): 1, (1,): -1, (0,): 1}))
+    assert list((p * q).to_poly().terms.items()) == \
+        [((0,), 1), ((4,), 1), ((2,), 1)]
+
+
+def test_packed_product_never_carries_into_the_next_variable():
+    # one-byte fields: x1^200 * x1^100 would carry into x2 as x1^44 * x2
+    ring = polyfield._Ring(2, 255)
+    assert ring.limit == 255
+    x = ring.var(0)
+    big = {}
+    for k in (200, 100):
+        p = x
+        for _ in range(k - 1):
+            p = p * x
+        big[k] = p
+    assert big[200].top == 200 and big[100].top == 100
+    assert list(big[200].to_poly().terms) == [(200, 0)]
+    with pytest.raises(OverflowError, match="exponent bound 300"):
+        big[200] * big[100]
+
+
+def test_ring_field_width_follows_the_bound():
+    assert [polyfield._Ring(3, top).limit for top in (1, 255, 256, 65536)] \
+        == [255, 255, 65535, 2**32 - 1]
+    ring = polyfield._Ring(3, 300)
+    p = ring.var(2) * ring.var(0) * 2 - 1
+    assert list(p.to_poly().terms.items()) == [((1, 0, 1), 2), ((0, 0, 0), -1)]

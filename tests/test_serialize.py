@@ -206,3 +206,98 @@ def test_lyndon_basis_round_trips(rank_step):
 def test_structure_table_round_trips(rank_step):
     table = structure_table(generate_basis(*rank_step))
     assert reloaded(StructureTable.from_json, table) == serialize.dumps(table)
+
+
+# ---------------------------------------------------------------------------
+# the emitter
+
+def reference_emit(obj, parts: list, pad: str):
+    """serialize._emit before lists of ints were joined in one step: every
+    item through the general path."""
+    if obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(str(obj))
+    elif isinstance(obj, float):
+        parts.append(serialize._render_float(obj))
+    elif isinstance(obj, Fraction):
+        parts.append(f'"{obj}"')
+    elif isinstance(obj, str):
+        parts.append(f'"{serialize._escape(obj)}"')
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        parts.append("{\n")
+        inner = pad + serialize.INDENT
+        for i, (k, v) in enumerate(obj.items()):
+            parts.append(f'{inner}"{serialize._escape(k)}": ')
+            reference_emit(v, parts, inner)
+            parts.append(",\n" if i + 1 < len(obj) else "\n")
+        parts.append(pad + "}")
+    elif isinstance(obj, (list, tuple)):
+        seq = list(obj)
+        if not seq:
+            parts.append("[]")
+            return
+        scalars = all(not isinstance(v, (dict, list, tuple)) for v in seq)
+        if scalars and len(seq) <= 16:
+            parts.append("[")
+            for i, v in enumerate(seq):
+                reference_emit(v, parts, pad)
+                if i + 1 < len(seq):
+                    parts.append(", ")
+            parts.append("]")
+            return
+        parts.append("[\n")
+        inner = pad + serialize.INDENT
+        for i, v in enumerate(seq):
+            parts.append(inner)
+            reference_emit(v, parts, inner)
+            parts.append(",\n" if i + 1 < len(seq) else "\n")
+        parts.append(pad + "]")
+    else:
+        raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_dumps(obj) -> str:
+    parts: list = []
+    reference_emit(obj, parts, "")
+    return "".join(parts) + "\n"
+
+
+JSON_SCALARS = st.one_of(
+    st.integers(-10**20, 10**20), st.booleans(), FINITE,
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9)),
+    st.text(max_size=4))
+
+
+def sized_lists(items):
+    """Lists of 0, 1, 16 and 17 items: both sides of the inline rule."""
+    return st.one_of(*[st.lists(items, min_size=k, max_size=k)
+                       for k in (0, 1, 16, 17)])
+
+
+JSON_VALUES = st.recursive(
+    JSON_SCALARS | sized_lists(st.integers(-9, 9))
+    | sized_lists(st.integers(-9, 9) | st.booleans())
+    | sized_lists(JSON_SCALARS),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(value=JSON_VALUES)
+def test_emit_matches_reference_byte_for_byte(value):
+    assert serialize.dumps(value) == reference_dumps(value)
+
+
+def test_int_list_fast_path_keeps_bools_and_layout():
+    assert serialize.dumps([1, True, 0]) == "[1, true, 0]\n"
+    assert serialize.dumps(list(range(17))) == \
+        "[\n" + "".join(f"  {i},\n" for i in range(16)) + "  16\n]\n"
