@@ -12,9 +12,9 @@ The realization pipeline:
      with second-kind Bernoulli numbers.
   3. Transport back through DΨ^{-1} (a Neumann sum: DΨ - I is nilpotent
      by the weight grading).
-All arithmetic is exact rational.  Steps 1-3 run on polyfield's packed
-integer polynomials; ψ and the fields become Poly once, before ψ^{-1} (by
-back substitution) and the Frame.
+All arithmetic is exact rational.  Steps 1-3 and ψ^{-1} (by back
+substitution) run on polyfield's packed integer polynomials; ψ, ψ^{-1} and
+the fields become Poly once, at the end.
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from .polyfield import (
     Poly,
     PolyVec,
     _Ring,
+    _substitute,
     exact_flow,
 )
 from .serialize import artifact
@@ -238,18 +239,16 @@ def realize_frame(basis: LyndonBasis) -> tuple[Frame, CoordinateMaps]:
     frame = Frame(fields[:basis.rank], weights=weights, normal_form=True,
                   labels=basis.words)
 
-    # exact inverse by weight-graded back substitution
-    inv: list[Poly | None] = [None] * n
+    # exact inverse by weight-graded back substitution in the same ring (the
+    # weight |w_i| of a term of psi_i - x_i bounds it after substitution)
+    inv = [ring.var(i) for i in range(n)]
     for i in range(n):
         p = psi[i] - Poly.var(n, i)
-        if not p:
-            inv[i] = Poly.var(n, i)
-            continue
-        values = [inv[j] if inv[j] is not None else Poly.var(n, j)
-                  for j in range(n)]
-        inv[i] = Poly.var(n, i) - p.compose(values)
+        if p:
+            inv[i] = inv[i] - _substitute(p.terms.items(), inv, ring)
 
-    maps = CoordinateMaps(basis, table, psi, list(inv), fields, signs)
+    maps = CoordinateMaps(basis, table, psi, [p.to_poly() for p in inv],
+                          fields, signs)
     return frame, maps
 
 

@@ -1,17 +1,17 @@
 """Exact multivariate polynomials, polynomial vector fields, and frames.
 
 Poly stores a sparse map exponent-tuple -> Fraction over a fixed ambient
-dimension.  A product packs every exponent tuple into one int (a field per
-variable, wide enough that no sum carries), so a monomial product is one
-integer addition, and accumulates integer numerators over a common
-denominator (packed exponent vectors: Monagan & Pearce, CASC 2007).  The
-realization keeps its polynomials packed from start to end (_Packed, with
-the same product loop), so it packs and unpacks once.  The insertion order
-of the terms is part of the result: float evaluators sum terms in dict
-order.  PolyVec is one polynomial per coordinate; Frame is r
-fields on R^n.  Exact flows come from Picard iteration on the polynomial
-flow map, which stabilizes exactly when the field is nilpotent in the
-iteration sense; everything else raises NotNilpotentError.
+dimension.  Products and substitution run packed: _Ring packs every
+exponent tuple into one int (a field per variable, wide enough that no sum
+carries), so a monomial product is one integer addition, and _Packed keeps
+integer numerators over one denominator (packed exponent vectors: Monagan
+& Pearce, CASC 2007).  The realization stays packed from start to end, so
+it packs and unpacks once.  The insertion order of the terms is part of the
+result: float evaluators sum terms in dict order.  PolyVec is one
+polynomial per coordinate; Frame is r fields on R^n.  Exact flows come from
+Picard iteration on the polynomial flow map, which stabilizes exactly when
+the field is nilpotent in the iteration sense; everything else raises
+NotNilpotentError.
 """
 
 from __future__ import annotations
@@ -48,47 +48,10 @@ def _as_frac(c) -> Fraction:
 _WIDTHS = sorted({array(code).itemsize: code for code in "QLIHB"}.items())
 
 
-def _packed_keys(a: dict, b: dict, n: int):
-    """(conv, key bytes, keys of a, keys of b) for the product a * b.
-
-    Each exponent gets a field of the narrowest width that holds
-    max_a + max_b, the largest entry of any product exponent, so the sum of
-    two keys never carries from one field into the next.  conv turns an
-    exponent tuple into the native bytes of its fields, and the bytes of a
-    key back into the tuple (bytes itself for one-byte fields).  One-byte
-    fields are tried first: they hold every sum when no entry has its top
-    bit set, which is cheaper to test than the largest entries.  An entry
-    that is negative or not an integer raises a ValueError naming its
-    exponent tuple; a sum that needs more than 64 bits, OverflowError.
-    """
-    order, from_bytes = sys.byteorder, int.from_bytes
-    try:
-        ka = [from_bytes(bytes(e), order) for e in a]
-        kb = [from_bytes(bytes(e), order) for e in b]
-        top_bits = from_bytes(b"\x80" * n, order)
-        if not (reduce(or_, ka) | reduce(or_, kb)) & top_bits:
-            return bytes, n, ka, kb
-    except ValueError:  # an entry outside 0..255
-        pass
-    except TypeError as exc:
-        raise _bad_exponent(a, b, exc) from None
-    top = max(map(max, a)) + max(map(max, b))
-    for size, code in _WIDTHS:
-        if top < 1 << (8 * size):
-            conv = bytes if size == 1 else partial(array, code)
-            try:
-                return (conv, n * size,
-                        [from_bytes(conv(e), order) for e in a],
-                        [from_bytes(conv(e), order) for e in b])
-            except (ValueError, OverflowError, TypeError) as exc:
-                raise _bad_exponent(a, b, exc) from None
-    raise OverflowError(f"exponent sum {top} does not fit in 64 bits")
-
-
-def _bad_exponent(a: dict, b: dict, exc: Exception) -> Exception:
+def _bad_exponent(terms) -> ValueError | None:
     """ValueError naming the first exponent tuple with an entry that is not
-    a non-negative integer; exc itself if there is none."""
-    for e in chain(a, b):
+    a non-negative integer; None if there is none."""
+    for e in terms:
         for k in e:
             try:
                 if index(k) >= 0:
@@ -97,17 +60,16 @@ def _bad_exponent(a: dict, b: dict, exc: Exception) -> Exception:
                 pass
             return ValueError(f"exponent {e!r} has entry {k!r}; exponents "
                               "must be non-negative integers")
-    return exc
 
 
 def _product(a, b) -> dict:
     """The product of two packed polynomials given as (key, integer
-    numerator) pairs; b is iterated once per pair of a, so it must be a list
-    or a view.
+    numerator) pairs of one _Ring; b is iterated once per pair of a, so it
+    must be a list or a view.
 
     Running integer sums in the order of the pairs, a's outer: a key whose
     sum hits zero is dropped, so it re-enters at the end if it comes back.
-    This is the one product loop of the package (Poly.__mul__ and _Packed).
+    This is the one product loop (Poly.__mul__, _Packed, so compose too).
     """
     out: dict[int, int] = {}
     get = out.get
@@ -122,25 +84,54 @@ def _product(a, b) -> dict:
     return out
 
 
-def _unpacked(terms: dict, den: int, conv, nbytes: int) -> dict:
-    """{exponent tuple: Fraction} of packed {key: numerator} over den."""
-    order = sys.byteorder
-    return {tuple(conv(k.to_bytes(nbytes, order))): Fraction(s, den)
-            for k, s in terms.items()}
-
-
 class _Ring:
-    """Packed exponent keys of n variables in fields of the narrowest width
-    that holds top, laid out as _packed_keys lays them out (native byte
-    order)."""
+    """The one layout of packed exponent keys: each of n variables gets a
+    field of the narrowest width that holds top, in native byte order, and
+    entries up to limit.  A top past 64 bits raises OverflowError.  There is
+    one ring per n and width, which _Ring(n, top) returns.
+    """
 
-    def __init__(self, n: int, top: int):
-        size, code = next(w for w in _WIDTHS if top < 1 << 8 * w[0])
-        self.n, self.nbytes = n, n * size
-        self.limit = (1 << 8 * size) - 1  # the largest entry a field holds
-        self.conv = bytes if size == 1 else partial(array, code)
-        fields = range(n) if sys.byteorder == "little" else range(n)[::-1]
-        self.shifts = [8 * size * f for f in fields]  # of variables 0..n-1
+    _made: dict = {}
+
+    def __new__(cls, n: int, top: int):
+        for size, code in _WIDTHS:
+            if top < 1 << 8 * size:
+                break
+        else:
+            raise OverflowError(f"exponent sum {top} does not fit in 64 bits")
+        ring = cls._made.get((n, size))
+        if ring is None:
+            ring = cls._made[n, size] = super().__new__(cls)
+            ring.n, ring.nbytes = n, n * size
+            ring.limit = (1 << 8 * size) - 1  # the largest entry a field holds
+            ring.conv = bytes if size == 1 else partial(array, code)
+            fields = range(n) if sys.byteorder == "little" else range(n)[::-1]
+            ring.shifts = [8 * size * f for f in fields]  # of variables 0..n-1
+            ring.top_bits = sum(1 << s + 8 * size - 1 for s in ring.shifts)
+        return ring
+
+    def pack(self, poly: "Poly", top: int) -> "_Packed":
+        """poly packed, its terms in the same order; top bounds its entries.
+        An entry that is negative or not an integer raises a ValueError
+        naming its exponent tuple; one above limit, OverflowError."""
+        order, conv, terms = sys.byteorder, self.conv, poly.terms
+        den = lcm(*[c.denominator for c in terms.values()])
+        p = _Packed.__new__(_Packed)  # in lowest terms already: no gcd
+        p.den, p.top, p.ring = den, top, self
+        try:
+            p.terms = {int.from_bytes(conv(e), order):
+                       c.numerator * (den // c.denominator)
+                       for e, c in terms.items()}
+        except (ValueError, OverflowError, TypeError):
+            raise _bad_exponent(terms) or OverflowError(
+                f"an exponent entry exceeds {self.limit}") from None
+        return p
+
+    def unpack(self, terms: dict, den: int) -> "Poly":
+        """The Poly of packed {key: numerator} over den, in the same order."""
+        order, conv, nbytes = sys.byteorder, self.conv, self.nbytes
+        return Poly._wrap(self.n, {tuple(conv(k.to_bytes(nbytes, order))):
+                                   Fraction(s, den) for k, s in terms.items()})
 
     def const(self, c) -> "_Packed":
         c = _as_frac(c)
@@ -151,15 +142,14 @@ class _Ring:
 
 
 class _Packed:
-    """Exact polynomial of the realization pipeline: {packed exponent key:
-    int numerator} over one positive denominator, reduced by a gcd after each
-    operation, with top an upper bound on every exponent entry.
+    """Exact polynomial on a _Ring: {packed exponent key: int numerator}
+    over one positive denominator, reduced by a gcd after each operation,
+    with top an upper bound on every exponent entry.
 
     +, -, unary -, * (by a _Packed or a rational), bool and diff keep the
-    term order of the same Poly operations: sums run on
-    freelie._accumulate, products on _product.  A product whose bound exceeds the
-    ring's field raises OverflowError instead of carrying into the next
-    variable.  to_poly unpacks once, at the end.
+    term order of the same Poly operations: sums run on freelie._accumulate,
+    products on _product.  A product whose bound exceeds the ring's limit
+    raises OverflowError instead of carrying into the next variable.
     """
 
     __slots__ = ("terms", "den", "top", "ring")
@@ -225,11 +215,32 @@ class _Packed:
         return _Packed(out, self.den, self.top, self.ring)
 
     def to_poly(self) -> "Poly":
-        ring = self.ring
-        p = Poly.__new__(Poly)
-        p.n = ring.n
-        p.terms = _unpacked(self.terms, self.den, ring.conv, ring.nbytes)
-        return p
+        return self.ring.unpack(self.terms, self.den)
+
+
+def _substitute(terms, values, ring: _Ring) -> _Packed:
+    """The sum over the (exponent tuple e, c) pairs of terms, in order, of
+    c * values[i]^e[i] * ..., multiplied in variable order, each power made
+    once as values[i]^(k-1) * values[i]: the one substitution loop.  values
+    maps each variable that occurs to a _Packed on ring."""
+    out, one = ring.const(0), ring.const(1)
+    powers: dict[tuple[int, int], _Packed] = {}
+
+    def power(i, k):
+        if k == 0:
+            return one
+        got = powers.get((i, k))
+        if got is None:
+            got = powers[i, k] = power(i, k - 1) * values[i]
+        return got
+
+    for e, c in terms:
+        term = ring.const(c)
+        for i, k in enumerate(e):
+            if k:
+                term = term * power(i, k)
+        out = out + term
+    return out
 
 
 def _float_evaluator(*polys: "Poly", c_pow: bool = False):
@@ -299,6 +310,13 @@ class Poly:
 
     # constructors ---------------------------------------------------------
     @staticmethod
+    def _wrap(n: int, terms: dict) -> "Poly":
+        """The Poly holding terms itself: no check, no copy."""
+        p = Poly.__new__(Poly)
+        p.n, p.terms = n, terms
+        return p
+
+    @staticmethod
     def zero(n: int) -> "Poly":
         return Poly(n)
 
@@ -336,18 +354,13 @@ class Poly:
     def __add__(self, other):
         if not isinstance(other, Poly):
             other = Poly.const(self.n, other)
-        p = Poly.__new__(Poly)
-        p.n = self.n
-        p.terms = _accumulate(dict(self.terms), other.terms.items())
-        return p
+        return Poly._wrap(self.n, _accumulate(dict(self.terms),
+                                              other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        p = Poly.__new__(Poly)
-        p.n = self.n
-        p.terms = {e: -c for e, c in self.terms.items()}
-        return p
+        return Poly._wrap(self.n, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Poly):
@@ -359,26 +372,25 @@ class Poly:
 
     def __mul__(self, other):
         if not isinstance(other, Poly):
-            p = Poly.__new__(Poly)
-            p.n, p.terms = self.n, lie_scale(self.terms, _as_frac(other))
-            return p
+            return Poly._wrap(self.n, lie_scale(self.terms, _as_frac(other)))
         if self.n != other.n:
             raise ValueError("ambient dimension mismatch")
-        p = Poly.__new__(Poly)
-        p.n, p.terms = self.n, {}
-        a, b = self.terms, other.terms
-        if not a or not b:
-            return p
-        conv, nbytes, ka, kb = _packed_keys(a, b, self.n)
-        da = lcm(*[c.denominator for c in a.values()])
-        db = lcm(*[c.denominator for c in b.values()])
-        out = _product(
-            [(k, c.numerator * (da // c.denominator))
-             for k, c in zip(ka, a.values())],
-            [(k, c.numerator * (db // c.denominator))
-             for k, c in zip(kb, b.values())])
-        p.terms = _unpacked(out, da * db, conv, nbytes)
-        return p
+        if not self.terms or not other.terms:
+            return Poly(self.n)
+        # one-byte fields hold every sum when no entry has its top bit set,
+        # which is cheaper to test than the largest entries
+        ring = _Ring(self.n, 255)
+        try:
+            a, b = ring.pack(self, 255), ring.pack(other, 255)
+            wide = ring.top_bits & reduce(or_, chain(a.terms, b.terms))
+        except OverflowError:
+            wide = True
+        if wide:
+            ta, tb = max(map(max, self.terms)), max(map(max, other.terms))
+            ring = _Ring(self.n, ta + tb)
+            a, b = ring.pack(self, ta), ring.pack(other, tb)
+        return ring.unpack(_product(a.terms.items(), b.terms.items()),
+                           a.den * b.den)
 
     __rmul__ = __mul__
 
@@ -390,9 +402,7 @@ class Poly:
                 e2 = list(e)
                 e2[i] -= 1
                 out[tuple(e2)] = c * e[i]
-        p = Poly.__new__(Poly)
-        p.n, p.terms = self.n, out
-        return p
+        return Poly._wrap(self.n, out)
 
     def integrate(self, i: int) -> "Poly":
         out = {}
@@ -400,9 +410,7 @@ class Poly:
             e2 = list(e)
             e2[i] += 1
             out[tuple(e2)] = c / e2[i]
-        p = Poly.__new__(Poly)
-        p.n, p.terms = self.n, out
-        return p
+        return Poly._wrap(self.n, out)
 
     def eval(self, x):
         """Evaluate at a point; exact for Fraction/int inputs."""
@@ -422,29 +430,22 @@ class Poly:
         return _float_evaluator(self)(x)
 
     def compose(self, values: list["Poly"]) -> "Poly":
-        """Substitute values[i] for variable i."""
+        """Substitute values[i] for variable i: the values of the variables
+        that occur, packed into one ring that holds sum_i e[i] * top_i for
+        every exponent e of self, top_i the largest entry of values[i]."""
         if len(values) != self.n:
             raise ValueError("need one replacement per variable")
         m = values[0].n if values else self.n
-        out = Poly.zero(m)
-        powers: dict[tuple[int, int], Poly] = {}
-
-        def power(i, k):
-            if k == 0:
-                return Poly.one(m)
-            got = powers.get((i, k))
-            if got is None:
-                got = power(i, k - 1) * values[i]
-                powers[(i, k)] = got
-            return got
-
-        for e, c in self.terms.items():
-            term = Poly.const(m, c)
-            for i, k in enumerate(e):
-                if k:
-                    term = term * power(i, k)
-            out = out + term
-        return out
+        for i, v in enumerate(values):
+            if v.n != m:
+                raise ValueError(f"value {i} has ambient dimension {v.n}, "
+                                 f"value 0 has {m}")
+        tops = {i: max((k for e in values[i].terms for k in e), default=0)
+                for i in self.variables()}
+        ring = _Ring(m, max((sum(k * tops[i] for i, k in enumerate(e) if k)
+                             for e in self.terms), default=0))
+        packed = {i: ring.pack(values[i], t) for i, t in tops.items()}
+        return _substitute(self.terms.items(), packed, ring).to_poly()
 
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
@@ -737,7 +738,7 @@ def exact_flow(x_field: PolyVec, x0, t):
 # growth vector via exact rank
 
 def _exact_rank(rows: list[list[Fraction]]) -> int:
-    """Rank over Q by fraction-free (Bareiss-style) elimination."""
+    """Rank over Q by Gaussian elimination on Fractions."""
     mat = [row[:] for row in rows if any(row)]
     if not mat:
         return 0

@@ -1,7 +1,9 @@
 """Constructions only the tests use: single basis elements, random Lie
 elements, right-nested brackets of generators and of frame fields, the f23
-frame written out, and the textbook batched evaluator, the oracle of
-CompiledPolys and of the integrators."""
+frame written out, the textbook batched evaluator, the oracle of
+CompiledPolys and of the integrators, and the textbook product, sum and
+substitution on exponent tuples, the oracles of Poly and of the packed
+ring."""
 
 from fractions import Fraction
 
@@ -10,6 +12,53 @@ import numpy as np
 from goh_atlas import polyfield
 from goh_atlas.freelie import LieElement, LyndonBasis, Word, bracket
 from goh_atlas.polyfield import Frame, Poly, PolyVec, _nested_brackets
+
+
+def textbook_mul(p, q):
+    """p * q as a list of terms: pairs in order, p's outer, a sum that hits
+    zero dropped (so its key re-enters at the end if it comes back)."""
+    out = {}
+    for e1, c1 in p.terms.items():
+        for e2, c2 in q.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            s = out.get(e, Fraction(0)) + c1 * c2
+            if s:
+                out[e] = s
+            else:
+                out.pop(e, None)
+    return list(out.items())
+
+
+def textbook_add(p, q):
+    """p + q as a list of terms, q's added to p's in order."""
+    out = dict(p.terms)
+    for e, c in q.terms.items():
+        s = out.get(e, Fraction(0)) + c
+        if s:
+            out[e] = s
+        else:
+            out.pop(e, None)
+    return list(out.items())
+
+
+def textbook_compose(p, values):
+    """p with values[i] substituted for variable i, by textbook_mul and
+    textbook_add: p's terms in order, each its coefficient times
+    values[i]^k in variable order, where values[i]^k is
+    (...(1 * values[i]) * values[i] ...) * values[i], made anew each time."""
+    m = values[0].n if values else p.n
+    one = Poly(m, {(0,) * m: 1})
+    out = Poly(m)
+    for e, c in p.terms.items():
+        term = Poly(m, {(0,) * m: c})
+        for v, k in zip(values, e):
+            if k:
+                power = one
+                for _ in range(k):
+                    power = Poly(m, dict(textbook_mul(power, v)))
+                term = Poly(m, dict(textbook_mul(term, power)))
+        out = Poly(m, dict(textbook_add(out, term)))
+    return out
 
 
 def lie_single(basis: LyndonBasis, word: Word,

@@ -40,6 +40,7 @@ from goh_atlas.polyfield import (
     lie_bracket_fields,
     martinet_frame,
 )
+from lie_helpers import textbook_add, textbook_compose
 
 F = Fraction
 
@@ -310,7 +311,9 @@ def test_realization_term_order_is_pinned(shape, digest):
 
 def reference_realize(basis):
     """realize_frame on Poly coefficients throughout, as it was before the
-    packed ring: the oracle of the packed path, term for term."""
+    packed ring: the oracle of the packed path, term for term.  ψ^{-1}
+    substitutes by textbook_compose, so it shares no code with the
+    substitution loop it checks."""
     table = structure_table(basis)
     signs, _ = signed_attachment(table)
     n = basis.dim
@@ -373,7 +376,8 @@ def reference_realize(basis):
             continue
         values = [inv[j] if inv[j] is not None else Poly.var(n, j)
                   for j in range(n)]
-        inv[i] = Poly.var(n, i) - p.compose(values)
+        inv[i] = Poly(n, dict(textbook_add(Poly.var(n, i),
+                                           -textbook_compose(p, values))))
 
     return frame, CoordinateMaps(basis, table, psi, list(inv), fields, signs)
 

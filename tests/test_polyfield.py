@@ -33,6 +33,9 @@ from lie_helpers import (
     assert_same_bits,
     f23_frame,
     iterated_bracket_fields,
+    textbook_add,
+    textbook_compose,
+    textbook_mul,
 )
 
 F = Fraction
@@ -349,30 +352,6 @@ class TestFrameJson:
 # Poly * and + against the textbook tuple-and-Fraction loops, term order
 # included: float evaluators sum terms in dict order.
 
-def textbook_mul(p, q):
-    out = {}
-    for e1, c1 in p.terms.items():
-        for e2, c2 in q.terms.items():
-            e = tuple(a + b for a, b in zip(e1, e2))
-            s = out.get(e, F(0)) + c1 * c2
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-    return list(out.items())
-
-
-def textbook_add(p, q):
-    out = dict(p.terms)
-    for e, c in q.terms.items():
-        s = out.get(e, F(0)) + c
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return list(out.items())
-
-
 # exponents on both sides of every field width, so a wrong width carries
 WIDE_EXPONENTS = st.one_of(
     st.integers(0, 3), st.integers(100, 160), st.integers(250, 260),
@@ -456,6 +435,119 @@ def test_product_names_a_bad_exponent(bad):
     for product in (lambda: p * x, lambda: x * p):
         with pytest.raises(ValueError, match=re.escape(f"exponent {bad!r}")):
             product()
+
+
+# exponent entries on both sides of the one-byte top bit and field limit
+BYTE_EXPONENTS = st.one_of(st.integers(0, 3), st.integers(62, 66),
+                           st.integers(125, 130), st.integers(253, 258))
+SMALL_COEFS = st.sampled_from([F(1), F(-1), F(1, 2), F(-3, 4)])
+
+
+@st.composite
+def compose_cases(draw):
+    """p on R^n with small exponents and n values on R^m whose entries
+    cross 127/128 and 255/256; values repeat often, so terms cancel."""
+    n, m = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+
+    def poly(k, exps, size):
+        return Poly(k, dict(draw(st.lists(
+            st.tuples(st.tuples(*[exps] * k), SMALL_COEFS), max_size=size))))
+
+    pool = [poly(m, BYTE_EXPONENTS, 3) for _ in range(2)]
+    values = [pool[draw(st.integers(0, 1))] for _ in range(n)]
+    return poly(n, st.integers(0, 3), 4), values
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=compose_cases())
+def test_compose_matches_textbook_term_for_term(case):
+    p, values = case
+    got = p.compose(values)
+    assert list(got.terms.items()) == \
+        list(textbook_compose(p, values).terms.items())
+    assert all(type(k) is int for e in got.terms for k in e)
+
+
+def test_compose_cancels_and_reinserts_like_the_textbook():
+    # x0 - x1 + 3 x0^2 at x0 = x1 = v: the linear terms cancel to an empty
+    # sum, then 3 v^2 enters in the term order of v^2
+    v = Poly(2, {(0, 0): 1, (128, 0): F(1, 2), (0, 255): -1})
+    p = Poly(2, {(1, 0): 1, (0, 1): -1, (2, 0): 3})
+    got = p.compose([v, v])
+    assert got == v * v * 3
+    assert list(got.terms.items()) == \
+        list(textbook_compose(p, [v, v]).terms.items())
+
+
+def test_compose_ring_holds_the_weighted_exponent_sum():
+    # each top is one byte, the substituted exponents are not
+    v = Poly(1, {(200,): 1, (1,): 1})
+    p = Poly(2, {(2, 1): 1})
+    assert p.compose([v, v]) == v * v * v
+    assert Poly(1, {(3,): 2}).compose([Poly(1, {(2**62,): 1})]) == \
+        Poly(1, {(3 * 2**62,): 2})
+    with pytest.raises(OverflowError, match="does not fit in 64 bits"):
+        Poly(1, {(4,): 1}).compose([Poly(1, {(2**62,): 1})])
+    # the value of a variable that does not occur is not packed
+    huge = Poly(1, {(2**70,): 1})
+    assert Poly(2, {(0, 3): 1}).compose([huge, v]) == v * v * v
+
+
+@pytest.mark.parametrize("values,bad", [
+    ([Poly.var(3, 0), Poly.var(2, 1)], "value 1 has ambient dimension 2, "
+     "value 0 has 3"),
+    ([Poly.var(2, 0), Poly.var(3, 1)], "value 1 has ambient dimension 3, "
+     "value 0 has 2"),
+])
+def test_compose_rejects_values_on_different_spaces(values, bad):
+    with pytest.raises(ValueError, match=f"^{bad}$"):
+        Poly(2, {(1, 0): 1}).compose(values)
+    with pytest.raises(ValueError, match="^value 2 has ambient dimension 1"):
+        Poly(3, {(0, 0, 1): 1}).compose(values[:1] * 2 + [Poly.var(1, 0)])
+
+
+# ---------------------------------------------------------------------------
+# ring and derivation laws, as exact values
+
+@st.composite
+def poly_lists(draw, count, exps=BYTE_EXPONENTS):
+    n = draw(st.integers(1, 3))
+    coefs = SMALL_COEFS | st.builds(F, st.integers(-9, 9), st.integers(1, 9))
+    return [Poly(n, dict(draw(st.lists(st.tuples(st.tuples(*[exps] * n),
+                                                 coefs), max_size=4))))
+            for _ in range(count)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys=poly_lists(3))
+def test_poly_ring_laws(polys):
+    p, q, r = polys
+    assert (p * q) * r == p * (q * r)
+    assert p * (q + r) == p * q + p * r
+    assert (p + q) * r == p * r + q * r
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys=poly_lists(2), data=st.data())
+def test_diff_is_a_derivation_and_undoes_integrate(polys, data):
+    p, q = polys
+    i = data.draw(st.integers(0, p.n - 1))
+    assert (p * q).diff(i) == p.diff(i) * q + p * q.diff(i)
+    assert (p + q).diff(i) == p.diff(i) + q.diff(i)
+    assert p.integrate(i).diff(i) == p
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys=poly_lists(4, st.integers(0, 3)))
+def test_compose_chain_rule(polys):
+    # d_j (p o v) = sum_i (d_i p o v) * d_j v_i, with p, v_1 .. v_n on R^n
+    p, values = polys[0], polys[1:1 + polys[0].n]
+    composed = p.compose(values)
+    for j in range(p.n):
+        chain_sum = Poly.zero(p.n)
+        for i, v in enumerate(values):
+            chain_sum = chain_sum + p.diff(i).compose(values) * v.diff(j)
+        assert composed.diff(j) == chain_sum
 
 
 def textbook_bracket_fields(x, y):
@@ -693,3 +785,37 @@ def test_ring_field_width_follows_the_bound():
     ring = polyfield._Ring(3, 300)
     p = ring.var(2) * ring.var(0) * 2 - 1
     assert list(p.to_poly().terms.items()) == [((1, 0, 1), 2), ((0, 0, 0), -1)]
+
+
+def test_rings_are_shared_per_width():
+    assert polyfield._Ring(3, 1) is polyfield._Ring(3, 255)
+    assert polyfield._Ring(3, 256) is not polyfield._Ring(3, 255)
+    assert polyfield._Ring(2, 255) is not polyfield._Ring(3, 255)
+    assert polyfield._Ring(3, 2**64 - 1).limit == 2**64 - 1
+    with pytest.raises(OverflowError, match=f"^exponent sum {2**64} does not "
+                       "fit in 64 bits$"):
+        polyfield._Ring(3, 2**64)
+
+
+@pytest.mark.parametrize("top", [127, 128, 255, 256, 65536, 2**32, 2**63])
+def test_ring_pack_keeps_the_layout_and_the_term_order(top):
+    # the keys are those that var and diff read through the shifts
+    ring = polyfield._Ring(3, top)
+    p = Poly(3, {(0, top, 1): F(1, 6), (top, 0, 0): F(-2, 3), (0, 0, 0): 5})
+    got = ring.pack(p, top)
+    assert list(got.terms.items()) == list(packed(ring, p).terms.items())
+    assert (got.den, got.top, got.ring) == (6, top, ring)
+    assert list(got.to_poly().terms.items()) == list(p.terms.items())
+    assert list(got.diff(1).to_poly().terms.items()) == \
+        list(p.diff(1).terms.items())
+
+
+def test_ring_pack_names_what_it_cannot_pack():
+    ring = polyfield._Ring(2, 255)
+    with pytest.raises(ValueError, match=re.escape("exponent (1, -1) has "
+                                                   "entry -1")):
+        ring.pack(Poly(2, {(0, 0): 1, (1, -1): 1}), 255)
+    with pytest.raises(ValueError, match=re.escape("exponent (0.5, 0)")):
+        polyfield._Ring(2, 2**40).pack(Poly(2, {(0.5, 0): 1}), 1)
+    with pytest.raises(OverflowError, match="exceeds 255"):
+        ring.pack(Poly(2, {(1, 0): 1, (256, 0): 1}), 256)
