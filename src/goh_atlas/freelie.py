@@ -135,11 +135,10 @@ def generate_basis(rank: int, step: int) -> LyndonBasis:
 # ---------------------------------------------------------------------------
 # Truncated tensor algebra.  A tensor element is a dict word -> coefficient.
 # Coefficients may be Fraction or any exact ring element supporting
-# +, -, *, bool() (polynomials in normalform use this with no changes here).
+# +, -, *, bool() (Poly coefficients work with no changes here).
 # Sums accumulate in place; polyfield.Poly adds its terms with _accumulate
-# and scales them with lie_scale.  The insertion order of the keys is part
-# of the result: with Poly coefficients it becomes the term order of
-# realized frames.
+# and scales them with lie_scale, so the insertion order of the keys here
+# is the term order of a Poly sum.
 
 def _accumulate(out: dict, items) -> dict:
     """Add (key, coefficient) pairs into out in place, dropping zero sums."""

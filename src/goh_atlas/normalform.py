@@ -14,7 +14,9 @@ The realization pipeline:
      by the weight grading).
 All arithmetic is exact rational.  Steps 1-3 and ψ^{-1} (by back
 substitution) run on polyfield's packed integer polynomials; ψ, ψ^{-1} and
-the fields become Poly once, at the end.
+the fields become Poly once, at the end, with their terms sorted by
+exponent tuple: the float evaluators sum in that order, so it is set by the
+polynomial, not by the route.
 """
 
 from __future__ import annotations
@@ -169,6 +171,12 @@ class CoordinateMaps:
         })
 
 
+def _sorted(p) -> Poly:
+    """A packed polynomial as a Poly with its terms sorted by exponent."""
+    q = p.to_poly()
+    return Poly._wrap(q.n, dict(sorted(q.terms.items())))
+
+
 def realize_frame(basis: LyndonBasis) -> tuple[Frame, CoordinateMaps]:
     """Polynomial frame in second-kind coordinates plus coordinate maps."""
     table = structure_table(basis)
@@ -231,9 +239,9 @@ def realize_frame(basis: LyndonBasis) -> tuple[Frame, CoordinateMaps]:
                 got = -acc if got is None else got - acc
             if got:
                 z[i] = got
-        fields.append(PolyVec([z[j].to_poly() if j in z else Poly.zero(n)
+        fields.append(PolyVec([_sorted(z[j]) if j in z else Poly.zero(n)
                                for j in range(n)]))
-    psi = [p.to_poly() for p in psi]
+    psi = [_sorted(p) for p in psi]
 
     weights = tuple(len(w) for w in basis.words)
     frame = Frame(fields[:basis.rank], weights=weights, normal_form=True,
@@ -247,7 +255,7 @@ def realize_frame(basis: LyndonBasis) -> tuple[Frame, CoordinateMaps]:
         if p:
             inv[i] = inv[i] - _substitute(p.terms.items(), inv, ring)
 
-    maps = CoordinateMaps(basis, table, psi, [p.to_poly() for p in inv],
+    maps = CoordinateMaps(basis, table, psi, [_sorted(p) for p in inv],
                           fields, signs)
     return frame, maps
 

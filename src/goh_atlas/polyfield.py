@@ -5,12 +5,13 @@ dimension.  Products and substitution run packed: _Ring packs every
 exponent tuple into one int (a field per variable, wide enough that no sum
 carries), so a monomial product is one integer addition, and _Packed keeps
 integer numerators over one denominator (packed exponent vectors: Monagan
-& Pearce, CASC 2007).  The realization stays packed from start to end, so
-it packs and unpacks once.  The insertion order of the terms is part of the
-result: float evaluators sum terms in dict order.  PolyVec is one
-polynomial per coordinate; Frame is r fields on R^n.  Exact flows come from
-Picard iteration on the polynomial flow map, which stabilizes exactly when
-the field is nilpotent in the iteration sense; everything else raises
+& Pearce, CASC 2007); the realization runs on them throughout.  Float
+evaluators sum terms in dict order.  Realized frames come out with their
+terms sorted by exponent tuple, and a frame read from JSON keeps the
+file's order, which to_json writes sorted.  PolyVec is one polynomial per
+coordinate; Frame is r fields on R^n.  Exact flows come from Picard
+iteration on the polynomial flow map, which stabilizes exactly when the
+field is nilpotent in the iteration sense; everything else raises
 NotNilpotentError.
 """
 
@@ -221,24 +222,20 @@ class _Packed:
 def _substitute(terms, values, ring: _Ring) -> _Packed:
     """The sum over the (exponent tuple e, c) pairs of terms, in order, of
     c * values[i]^e[i] * ..., multiplied in variable order, each power made
-    once as values[i]^(k-1) * values[i]: the one substitution loop.  values
-    maps each variable that occurs to a _Packed on ring."""
+    once as values[i]^(k-1) * values[i] from 1: the one substitution loop.
+    values maps each variable that occurs to a _Packed on ring; every
+    exponent entry must be a non-negative integer."""
     out, one = ring.const(0), ring.const(1)
-    powers: dict[tuple[int, int], _Packed] = {}
-
-    def power(i, k):
-        if k == 0:
-            return one
-        got = powers.get((i, k))
-        if got is None:
-            got = powers[i, k] = power(i, k - 1) * values[i]
-        return got
+    powers: dict[int, list[_Packed]] = {}  # variable -> [1, v, v^2, ...]
 
     for e, c in terms:
         term = ring.const(c)
         for i, k in enumerate(e):
             if k:
-                term = term * power(i, k)
+                got = powers.setdefault(i, [one])
+                while len(got) <= k:
+                    got.append(got[-1] * values[i])
+                term = term * got[k]
         out = out + term
     return out
 
@@ -435,6 +432,9 @@ class Poly:
         every exponent e of self, top_i the largest entry of values[i]."""
         if len(values) != self.n:
             raise ValueError("need one replacement per variable")
+        bad = _bad_exponent(self.terms)
+        if bad:
+            raise bad
         m = values[0].n if values else self.n
         for i, v in enumerate(values):
             if v.n != m:

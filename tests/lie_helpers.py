@@ -1,16 +1,31 @@
 """Constructions only the tests use: single basis elements, random Lie
 elements, right-nested brackets of generators and of frame fields, the f23
 frame written out, the textbook batched evaluator, the oracle of
-CompiledPolys and of the integrators, and the textbook product, sum and
+CompiledPolys and of the integrators, the textbook product, sum and
 substitution on exponent tuples, the oracles of Poly and of the packed
-ring."""
+ring, the structure-table route of the realization, the oracle of
+normalform.realize_frame, and the Hypothesis strategy of sparse rational
+Lie elements."""
 
 from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from goh_atlas import polyfield
-from goh_atlas.freelie import LieElement, LyndonBasis, Word, bracket
+from goh_atlas.errors import NumericsError
+from goh_atlas.freelie import (
+    LieElement,
+    LyndonBasis,
+    Word,
+    bracket,
+    structure_table,
+)
+from goh_atlas.normalform import (
+    CoordinateMaps,
+    _signed_table,
+    signed_attachment,
+)
 from goh_atlas.polyfield import Frame, Poly, PolyVec, _nested_brackets
 
 
@@ -75,6 +90,17 @@ def random_lie_element(basis: LyndonBasis, rng) -> LieElement:
         if num:
             out[i] = Fraction(num, rng.randrange(1, 7))
     return out
+
+
+NONZERO_RATIONALS = st.builds(Fraction, st.integers(-4, 4).filter(bool),
+                              st.integers(1, 6))
+
+
+def lie_elements(dim):
+    """Hypothesis strategy: Lie elements on dim basis indices with small
+    nonzero rational coefficients."""
+    return st.dictionaries(st.integers(0, dim - 1), NONZERO_RATIONALS,
+                           max_size=dim)
 
 
 def iterated_bracket_index(basis: LyndonBasis, J) -> LieElement:
@@ -171,3 +197,71 @@ def assert_same_bits(got, want):
     got, want = np.asarray(got), np.asarray(want)
     assert got.dtype == np.float64 and got.shape == want.shape
     assert got.tobytes() == want.tobytes()  # signed zeros count
+
+
+def reference_realize(basis: LyndonBasis):
+    """realize_frame from the structure table alone, on Poly coefficients:
+    the oracle of the tensor chart route, sharing only the structure table
+    and the attachment signs with it, so the two agree as dicts, not in
+    term order.  Column j of M(x) = q^{-1} dq is
+    e^{-x_1 ad B_1} ... e^{-x_{j-1} ad B_{j-1}} B_j, each exponential a
+    finite sum, and the field X_k is M^{-1} e_k.  psi^{-1}(t y) is the
+    time-t flow of sum_i y_i X_i from 0, so E psi^{-1}_k =
+    sum_i y_i X_i^k(psi^{-1}), E the Euler operator: each coordinate is
+    solved in basis order, then each term of degree d is divided by d.
+    psi inverts psi^{-1} by back substitution.  Both substitutions run by
+    textbook_compose."""
+    table = structure_table(basis)
+    signs, _ = signed_attachment(table)
+    stb = _signed_table(table, signs)
+    n = basis.dim
+    x = [Poly.var(n, i) for i in range(n)]
+
+    # M(x) by columns; column j applies e^{-x_{j-1} ad B_{j-1}} first
+    cols = []
+    for j in range(n):
+        col = {j: Poly.one(n)}
+        for i in range(j - 1, -1, -1):
+            cur, col = col, dict(col)
+            for m in range(1, basis.step):
+                cur = stb.bracket_elements({i: x[i] * Fraction(-1, m)}, cur)
+                for k, c in cur.items():
+                    col[k] = col[k] + c if k in col else c
+        col = {k: c for k, c in col.items() if c}
+        if min(col) < j or col[j] != Poly.one(n):
+            raise NumericsError(f"column {j} of M is not unit triangular")
+        cols.append(col)
+
+    # X_k = M^{-1} e_k: z_i = -sum_{j<i} M_ij z_j below z_k = 1
+    fields: list[PolyVec] = []
+    for k in range(n):
+        z = [Poly.zero(n)] * n
+        z[k] = Poly.one(n)
+        for i in range(k + 1, n):
+            for j in range(k, i):
+                if i in cols[j]:
+                    z[i] = z[i] - cols[j][i] * z[j]
+        fields.append(PolyVec(z))
+
+    # psi^{-1}: sum_i y_i X_i^k as one polynomial in (x, y), x replaced by
+    # psi^{-1} (its coordinates before k are solved, X_i^k reads no other)
+    # and y by the variables
+    inv = list(x)
+    for k in range(n):
+        flow = Poly(2 * n, {e + tuple(int(i == a) for a in range(n)): c
+                            for i, f in enumerate(fields)
+                            for e, c in f.comps[k].terms.items()})
+        flow = textbook_compose(flow, inv + x)
+        inv[k] = Poly(n, {e: c / sum(e) for e, c in flow.terms.items()})
+
+    psi = list(x)
+    for i in range(n):
+        p = inv[i] - x[i]
+        if p:
+            psi[i] = Poly(n, dict(textbook_add(x[i],
+                                               -textbook_compose(p, psi))))
+
+    weights = tuple(len(w) for w in basis.words)
+    frame = Frame(fields[:basis.rank], weights=weights, normal_form=True,
+                  labels=basis.words)
+    return frame, CoordinateMaps(basis, table, psi, inv, fields, signs)

@@ -133,6 +133,26 @@ class TestPipelineThroughFiles:
         assert res["sup_abnormal"] < 1e-10
         assert res["sup_goh"] < 1e-10
 
+    def test_realized_and_read_frames_give_the_same_bytes(self, capsys,
+                                                          tmp_path):
+        # the float evaluators sum in term order, so a frame realized in
+        # process and the same frame read from the file realize wrote must
+        # carry one order for flow and recover to give the same bytes
+        frame, curve, lift = (str(tmp_path / name) for name in
+                              ("f27.json", "curve.json", "lift.json"))
+        for argv in (["realize", "--rank", "2", "--step", "7", "--out", frame],
+                     ["spiral", "--eps", "0.05", "--samples", "400",
+                      "--out", curve],
+                     ["lift", "--frame", frame, "--curve", curve,
+                      "--out", lift]):
+            assert run(capsys, *argv)[0] == 0
+        for command in ("flow", "recover"):
+            outs = [run(capsys, command, *source, "--control", lift)[:2]
+                    for source in (["--rank", "2", "--step", "7"],
+                                   ["--frame", frame])]
+            assert outs[0][0] == 0
+            assert outs[0] == outs[1]
+
     def test_flow_with_x0(self, capsys, tmp_path):
         control = {"schema": "goh-atlas/1", "type": "control",
                    "t": [0.0, 1.0], "values": [[0.0, 1.0], [0.0, 1.0]]}

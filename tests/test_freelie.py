@@ -15,7 +15,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goh_atlas import freelie as fl
-from lie_helpers import iterated_bracket_index, lie_single, random_lie_element
+from lie_helpers import (
+    iterated_bracket_index,
+    lie_elements,
+    lie_single,
+    random_lie_element,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -427,14 +432,6 @@ def copying_tensor_to_lie(t, basis):
 SHAPES = [(2, 5), (3, 3)]
 BASES = {shape: fl.generate_basis(*shape) for shape in SHAPES}
 TABLES = {shape: fl.structure_table(BASES[shape]) for shape in SHAPES}
-RATIONALS = st.builds(Fraction, st.integers(-4, 4).filter(bool),
-                      st.integers(1, 6))
-
-
-def lie_elements(dim):
-    return st.dictionaries(st.integers(0, dim - 1), RATIONALS, max_size=dim)
-
-
 @st.composite
 def shaped_pairs(draw):
     shape = draw(st.sampled_from(SHAPES))
@@ -473,3 +470,15 @@ def test_exp_log_and_projections_match_copying_forms(case):
     assert items(fl.tensor_to_lie(log, basis)) == \
         items(copying_tensor_to_lie(log, basis))
     assert fl.tensor_to_lie(fl.t_log(ea, basis.step), basis) == a
+
+
+BASIS_24 = fl.generate_basis(2, 4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(a=lie_elements(BASIS_24.dim), b=lie_elements(BASIS_24.dim),
+       c=lie_elements(BASIS_24.dim))
+def test_bch_is_associative(a, b, c):
+    basis = BASIS_24
+    assert fl.bch(fl.bch(a, b, basis), c, basis) == \
+        fl.bch(a, fl.bch(b, c, basis), basis)

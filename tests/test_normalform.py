@@ -10,20 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goh_atlas.errors import NumericsError
-from goh_atlas.freelie import (
-    generate_basis,
-    lie_scale,
-    lie_to_tensor,
-    structure_table,
-    t_exp,
-    t_log,
-    t_mul,
-    tensor_to_lie,
-)
+from goh_atlas.freelie import generate_basis, structure_table
 from goh_atlas.normalform import (
-    CoordinateMaps,
     _ad_series,
+    _signed_table,
     attachment_trees,
     bernoulli_numbers,
     realize_frame,
@@ -40,7 +30,7 @@ from goh_atlas.polyfield import (
     lie_bracket_fields,
     martinet_frame,
 )
-from lie_helpers import textbook_add, textbook_compose
+from lie_helpers import lie_elements, reference_realize
 
 F = Fraction
 
@@ -291,109 +281,42 @@ class TestVerifySecondKind:
                 verify_second_kind(maps.fields, x, exact=exact)
 
 
-@pytest.mark.parametrize("shape, digest", [
-    ((2, 3), "ff073661936087dc"), ((2, 4), "552b2dc605d8e556"),
-    ((2, 5), "4dec28534b78f0c1"), ((2, 6), "901843e358d7c55f"),
-    ((3, 3), "5490b2f2a2dfc174"), ((3, 4), "94ad216d63af99a2"),
-    ((4, 3), "2c76c916331368f1")])
-def test_realization_term_order_is_pinned(shape, digest):
-    """psi, psi_inv and the coordinate fields, values and term order.
-
-    Float evaluators sum terms in dict order, so the order is part of the
-    result; the digests were taken from the tuple-keyed Fraction kernel.
-    """
-    _, maps = realize_frame(generate_basis(*shape))
-    h = hashlib.sha256()
-    for p in maps.psi + maps.psi_inv + [q for f in maps.fields for q in f.comps]:
-        h.update(repr(list(p.terms.items())).encode())
-    assert h.hexdigest()[:16] == digest
-
-
-def reference_realize(basis):
-    """realize_frame on Poly coefficients throughout, as it was before the
-    packed ring: the oracle of the packed path, term for term.  ψ^{-1}
-    substitutes by textbook_compose, so it shares no code with the
-    substitution loop it checks."""
-    table = structure_table(basis)
-    signs, _ = signed_attachment(table)
-    n = basis.dim
-    step = basis.step
-    one = Poly.one(n)
-
-    g = {(): one}
-    for j in range(n - 1, -1, -1):
-        bj = lie_scale(lie_to_tensor({j: Fraction(signs[j])}, basis),
-                       Poly.var(n, j))
-        g = t_mul(g, t_exp(bj, step, one), step)
-
-    lie = tensor_to_lie(t_log(g, step, one), basis)
-    psi = [lie.get(j, Poly.zero(n)) * signs[j] for j in range(n)]
-    cols = _ad_series(table, signs, {j: psi[j] for j in range(n) if psi[j]},
-                      one)
-
-    nmat: list[dict] = []
-    for i in range(n):
-        row = {}
-        for j in range(n):
-            d = psi[i].diff(j)
-            if i == j:
-                d = d - 1
-            if d:
-                row[j] = d
-        if row and max(row) >= i:
-            raise NumericsError(
-                f"D psi - I is not strictly lower triangular in row {i}")
-        nmat.append(row)
-
-    fields: list[PolyVec] = []
-    for col in cols:
-        z: dict = {}
-        for i, row in enumerate(nmat):
-            acc = None
-            for j, nij in row.items():
-                zj = z.get(j)
-                if zj is None:
-                    continue
-                t = nij * zj
-                if t:
-                    acc = t if acc is None else acc + t
-            got = col.get(i)
-            if acc is not None and acc:
-                got = -acc if got is None else got - acc
-            if got:
-                z[i] = got
-        fields.append(PolyVec([z.get(j, Poly.zero(n)) for j in range(n)]))
-
-    weights = tuple(len(w) for w in basis.words)
-    frame = Frame(fields[:basis.rank], weights=weights, normal_form=True,
-                  labels=basis.words)
-
-    inv: list = [None] * n
-    for i in range(n):
-        p = psi[i] - Poly.var(n, i)
-        if not p:
-            inv[i] = Poly.var(n, i)
-            continue
-        values = [inv[j] if inv[j] is not None else Poly.var(n, j)
-                  for j in range(n)]
-        inv[i] = Poly(n, dict(textbook_add(Poly.var(n, i),
-                                           -textbook_compose(p, values))))
-
-    return frame, CoordinateMaps(basis, table, psi, list(inv), fields, signs)
-
-
-def term_lists(maps):
-    """Every polynomial of a realization as its list of terms, in order."""
-    polys = maps.psi + maps.psi_inv + [q for f in maps.fields for q in f.comps]
-    return [list(p.terms.items()) for p in polys]
-
-
-ORACLE_SHAPES = [(2, s) for s in range(2, 8)] + [(3, 3), (3, 4), (3, 5),
-                                                 (4, 3), (4, 4)]
+def realized_polys(maps):
+    """Every polynomial of a realization: psi, psi_inv, then the fields."""
+    return maps.psi + maps.psi_inv + [q for f in maps.fields for q in f.comps]
 
 
 def shape_id(shape):
     return f"r{shape[0]}s{shape[1]}"
+
+
+# sha256 of the sorted term lists, taken from the tensor chart route
+SORTED_DIGESTS = {
+    (2, 3): "65e44ea750fb0ae7", (2, 4): "43891cbdb0562015",
+    (2, 5): "706ba1d414ba0d37", (2, 6): "c896b38b9be86b2f",
+    (3, 3): "29709465f7ca4d58", (3, 4): "d79cfdac8e0ee873",
+    (4, 3): "19f0bc4c95896066"}
+
+
+@pytest.mark.parametrize("shape", list(SORTED_DIGESTS), ids=shape_id)
+def test_realization_terms_are_sorted(shape):
+    """psi, psi_inv and the coordinate fields: values, and terms sorted by
+    exponent tuple.
+
+    Float evaluators sum terms in dict order, so the order is part of the
+    result; sorting makes it a function of the polynomial.
+    """
+    _, maps = realize_frame(generate_basis(*shape))
+    h = hashlib.sha256()
+    for p in realized_polys(maps):
+        terms = list(p.terms.items())
+        assert terms == sorted(terms)
+        h.update(repr(terms).encode())
+    assert h.hexdigest()[:16] == SORTED_DIGESTS[shape]
+
+
+ORACLE_SHAPES = [(2, s) for s in range(2, 8)] + [(3, 3), (3, 4), (3, 5),
+                                                 (4, 3), (4, 4)]
 
 
 @pytest.mark.parametrize("shape", ORACLE_SHAPES, ids=shape_id)
@@ -401,7 +324,8 @@ def test_packed_realization_matches_poly_reference(shape):
     basis = generate_basis(*shape)
     frame, maps = realize_frame(basis)
     ref_frame, ref = reference_realize(basis)
-    assert term_lists(maps) == term_lists(ref)
+    assert [p.terms for p in realized_polys(maps)] == \
+        [q.terms for q in realized_polys(ref)]
     assert maps.signs == ref.signs
     assert frame.fields == ref_frame.fields
 
@@ -413,8 +337,8 @@ def test_realized_exponents_stay_within_the_step(shape):
     # ring's fields hold step^2)
     _, maps = realize_frame(generate_basis(*shape))
     step = maps.basis.step
-    polys = maps.psi + maps.psi_inv + [q for f in maps.fields for q in f.comps]
-    assert max(k for p in polys for e in p.terms for k in e) <= step
+    assert max(k for p in realized_polys(maps) for e in p.terms
+               for k in e) <= step
 
 
 @functools.lru_cache(maxsize=None)
@@ -436,3 +360,26 @@ def test_chart_inverse_on_random_rational_points(shape, data):
     assert [p.eval(y) for p in maps.psi_inv] == x
     y = [p.eval(x) for p in maps.psi_inv]
     assert [p.eval(y) for p in maps.psi] == x
+
+
+def combination(fields, coefs):
+    """sum_i coefs[i] * fields[i], exactly."""
+    out = PolyVec([Poly.zero(fields[0].n)] * fields[0].n)
+    for i, c in coefs.items():
+        out = out + fields[i] * c
+    return out
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (3, 3), (2, 5)], ids=shape_id)
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_realization_is_a_lie_homomorphism(shape, data):
+    # [sum a_i X_i, sum b_j X_j] = sum c_k X_k, c the bracket of a and b
+    # in the signed attachment basis B that the fields realize
+    maps = realized_maps(*shape)
+    n = maps.basis.dim
+    a, b = data.draw(lie_elements(n)), data.draw(lie_elements(n))
+    c = _signed_table(maps.table, maps.signs).bracket_elements(a, b)
+    got = lie_bracket_fields(combination(maps.fields, a),
+                             combination(maps.fields, b))
+    assert got == combination(maps.fields, c)

@@ -493,6 +493,20 @@ def test_compose_ring_holds_the_weighted_exponent_sum():
     assert Poly(2, {(0, 3): 1}).compose([huge, v]) == v * v * v
 
 
+def test_compose_builds_high_powers_without_recursion():
+    x = Poly.var(1, 0)
+    assert Poly(1, {(1200,): 1}).compose([x]) == Poly(1, {(1200,): 1})
+    assert Poly(2, {(0, 1500): 2}).compose([x, x * 3]) == \
+        Poly(1, {(1500,): 2 * F(3) ** 1500})
+
+
+@pytest.mark.parametrize("e", [(-1,), (0.5,)])
+def test_compose_rejects_a_bad_exponent_of_the_composed_poly(e):
+    with pytest.raises(ValueError, match=rf"^exponent \({e[0]},\) has "
+                       rf"entry {e[0]}; exponents must be non-negative"):
+        Poly(1, {e: 1}).compose([Poly.var(1, 0)])
+
+
 @pytest.mark.parametrize("values,bad", [
     ([Poly.var(3, 0), Poly.var(2, 1)], "value 1 has ambient dimension 2, "
      "value 0 has 3"),
