@@ -114,6 +114,30 @@ def _parse_res(text: str) -> int:
             f"got {text!r}") from None
 
 
+def _parse_samples(text: str) -> int:
+    """A sample count must be an integer of at least 2 (type of --samples)."""
+    try:
+        samples = int(text)
+    except ValueError:
+        samples = 0
+    if samples < 2:
+        raise argparse.ArgumentTypeError(
+            f"samples must be an integer of at least 2, got {text!r}")
+    return samples
+
+
+def _parse_eps(text: str) -> float:
+    """The spiral's inner radius must lie in (0, 1) (type of --eps)."""
+    try:
+        eps = float(text)
+    except ValueError:
+        eps = math.nan
+    if not 0.0 < eps < 1.0:
+        raise argparse.ArgumentTypeError(
+            f"eps must lie strictly between 0 and 1, got {text!r}")
+    return eps
+
+
 def cmd_basis(args) -> int:
     basis = generate_basis(args.rank, args.step)
     _log(f"basis ({args.rank},{args.step}): dim {basis.dim}")
@@ -313,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol", type=_parse_tol, default=1e-6)
 
     p = add("spiral", cmd_spiral, help="log-phase spiral samples")
-    p.add_argument("--eps", type=float, default=1e-2)
-    p.add_argument("--samples", type=int, default=20000)
+    p.add_argument("--eps", type=_parse_eps, default=1e-2)
+    p.add_argument("--samples", type=_parse_samples, default=20000)
 
     p = add("contain", cmd_contain, help="polynomial containment probe")
     p.add_argument("--curve")
@@ -325,8 +349,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("scenario", choices=SCENARIO_NAMES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=_parse_tol)
-    p.add_argument("--eps", type=float)
-    p.add_argument("--samples", type=int)
+    p.add_argument("--eps", type=_parse_eps)
+    p.add_argument("--samples", type=_parse_samples)
     p.add_argument("--res", type=_parse_res)
 
     return parser

@@ -8,10 +8,10 @@ where B_i is a signed bracket attachment of the i-th Lyndon basis element.
 The realization pipeline:
   1. Ψ(x) = log q(x) via the exact word-tensor engine, giving the
      polynomial change to coordinates of the first kind.
-  2. Left-invariant fields in first-kind coordinates from the ad-series
-     with second-kind Bernoulli numbers.
-  3. Transport back through DΨ^{-1} (a Neumann sum: DΨ - I is nilpotent
-     by the weight grading).
+  2. M(x) = q^{-1} dq from the structure table of the B basis: column j is
+     e^{-x_1 ad B_1} ... e^{-x_{j-1} ad B_{j-1}} B_j, a unit lower
+     triangular matrix, since a bracket raises the weight.
+  3. The coordinate fields X_k = M^{-1} e_k by forward substitution.
 All arithmetic is exact rational.  Steps 1-3 and ψ^{-1} (by back
 substitution) run on polyfield's packed integer polynomials; ψ, ψ^{-1} and
 the fields become Poly once, at the end, with their terms sorted by
@@ -23,11 +23,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, copysign, inf
+from math import copysign, inf
 
 from .errors import NumericsError
 from .freelie import (
-    _axpy,
+    _accumulate,
     LyndonBasis,
     StructureTable,
     standard_factorization,
@@ -50,17 +50,6 @@ from .polyfield import (
 from .serialize import artifact
 
 ONE = Fraction(1)
-
-
-def bernoulli_numbers(count: int) -> list[Fraction]:
-    """b_0..b_{count-1} with the b_1 = +1/2 sign convention."""
-    b = [Fraction(1)]
-    for m in range(1, count):
-        s = sum(comb(m + 1, j) * b[j] for j in range(m))
-        b.append(Fraction(-s, m + 1))
-    if count > 1:
-        b[1] = -b[1]
-    return b
 
 
 def attachment_trees(basis: LyndonBasis) -> tuple:
@@ -121,34 +110,12 @@ def _signed_table(table: StructureTable, signs) -> StructureTable:
         for i, row in enumerate(table.table)))
 
 
-def _ad_series(table: StructureTable, signs, y_el: dict, one) -> list[dict]:
-    """sum_m (b_m/m!) ad_y^m (B_k) for every k; one is the unit of the
-    coefficient ring (Poly.one(n) or a packed unit)."""
-    stb = _signed_table(table, signs)
-    n, step = table.basis.dim, table.basis.step
-    bern = bernoulli_numbers(max(step, 2))
-    cols = []
-    for k in range(n):
-        acc = {k: one}
-        cur = {k: one}
-        fact = 1
-        for m in range(1, step):
-            cur = stb.bracket_elements(y_el, cur)
-            if not cur:
-                break
-            fact *= m
-            if bern[m]:
-                _axpy(acc, cur, Fraction(bern[m], fact))
-        cols.append(acc)
-    return cols
-
-
 @dataclass
 class CoordinateMaps:
     """Exact coordinate data attached to a realized frame.
 
     psi maps second-kind to first-kind coordinates; psi_inv is its exact
-    inverse.  fields holds the transported field of every basis element
+    inverse.  fields holds the coordinate field of every basis element
     (the frame fields are the first r entries); signs records the sign of
     the bracket attachment of each basis word.
     """
@@ -183,11 +150,10 @@ def realize_frame(basis: LyndonBasis) -> tuple[Frame, CoordinateMaps]:
     signs, _ = signed_attachment(table)
     n = basis.dim
     step = basis.step
-    # every coefficient below is weight-homogeneous of weight <= step, so
-    # every exponent is <= step; the packed bound is a sum of the factors'
-    # bounds, which the transport's chain of products lifts to about
-    # step^2 / 2, so the fields hold step^2
-    ring = _Ring(n, step * step)
+    # every coefficient below has weight <= step and every variable weight
+    # >= 1, so its degree, every exponent and every packed bound (which
+    # counts the variables multiplied in) are <= step
+    ring = _Ring(n, step)
     one = ring.const(1)
 
     # chart product exp(x_n B_n) ... exp(x_1 B_1) in the tensor algebra
@@ -201,44 +167,39 @@ def realize_frame(basis: LyndonBasis) -> tuple[Frame, CoordinateMaps]:
     zero = ring.const(0)
     psi = [lie.get(j, zero) * signs[j] for j in range(n)]
 
-    # left-invariant fields evaluated at y = psi(x), still exact
-    cols = _ad_series(table, signs, {j: psi[j] for j in range(n) if psi[j]},
-                      one)
+    # column j of M(x) = q^{-1} dq is e^{-x_1 ad B_1} ... e^{-x_{j-1} ad
+    # B_{j-1}} B_j, innermost factor first; each exponential is a finite
+    # sum, since a bracket raises the weight
+    bracket = _signed_table(table, signs).bracket_elements
+    cols = []
+    for j in range(n):
+        col = {j: one}
+        for i in range(j - 1, -1, -1):
+            cur = col
+            for m in range(1, step):
+                cur = bracket({i: ring.var(i) * Fraction(-1, m)}, cur)
+                if not cur:
+                    break
+                _accumulate(col, cur.items())
+        if min(col) != j or col[j] - one:
+            raise NumericsError(f"column {j} of M is not unit lower "
+                                f"triangular")
+        cols.append(col)
 
-    # transport through (D psi)^{-1}.  N = D psi - I couples a coordinate
-    # only to coordinates of lower weight, which come first in the basis,
-    # so z = c - N z is solved by forward substitution, one row at a time.
-    nmat: list[dict] = []
-    for i in range(n):
-        row = {}
-        for j in range(n):
-            d = psi[i].diff(j)
-            if i == j:
-                d = d - 1
-            if d:
-                row[j] = d
-        if row and max(row) >= i:
-            raise NumericsError(
-                f"D psi - I is not strictly lower triangular in row {i}")
-        nmat.append(row)
-
+    # X_k = M^{-1} e_k by forward substitution below z_k = 1:
+    # z_i = -sum_{k <= j < i} M_ij z_j
     fields: list[PolyVec] = []
-    for col in cols:
-        z: dict = {}
-        for i, row in enumerate(nmat):
+    for k in range(n):
+        z = {k: one}
+        for i in range(k + 1, n):
             acc = None
-            for j, nij in row.items():
-                zj = z.get(j)
-                if zj is None:
-                    continue
-                t = nij * zj
-                if t:
+            for j, zj in z.items():
+                mij = cols[j].get(i)
+                if mij is not None:
+                    t = mij * zj
                     acc = t if acc is None else acc + t
-            got = col.get(i)
-            if acc is not None and acc:
-                got = -acc if got is None else got - acc
-            if got:
-                z[i] = got
+            if acc:
+                z[i] = -acc
         fields.append(PolyVec([_sorted(z[j]) if j in z else Poly.zero(n)
                                for j in range(n)]))
     psi = [_sorted(p) for p in psi]
@@ -336,7 +297,6 @@ def verify_second_kind(fields, x, tol: float | None = None,
 __all__ = [
     "CoordinateMaps",
     "attachment_trees",
-    "bernoulli_numbers",
     "realize_frame",
     "signed_attachment",
     "verify_normal_form",

@@ -586,28 +586,29 @@ def lie_bracket_fields(x: PolyVec, y: PolyVec) -> PolyVec:
 
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class Frame:
     """r polynomial vector fields on R^n, optionally weight-graded.
 
-    A frame is not mutated after construction: the trajectory layer
-    compiles its stepping evaluators once per frame and keeps them on it.
+    A frame is frozen, its fields a tuple: the trajectory layer compiles its
+    stepping evaluators once per frame and keeps them on it.
     """
 
-    fields: list[PolyVec]
+    fields: tuple[PolyVec, ...]
     weights: tuple[int, ...] | None = None
     normal_form: bool = False
     labels: tuple | None = None  # e.g. basis words for realized frames
 
     def __post_init__(self):
-        self._evaluators: dict = {}  # see trajectories._compiled
+        object.__setattr__(self, "fields", tuple(self.fields))
+        object.__setattr__(self, "_evaluators", {})  # trajectories._compiled
         if not self.fields:
             raise ValueError("frame needs at least one field")
         n = self.fields[0].n
         if any(f.n != n for f in self.fields):
             raise ValueError("all frame fields must share the ambient space")
         if self.weights is not None:
-            self.weights = tuple(self.weights)
+            object.__setattr__(self, "weights", tuple(self.weights))
             if len(self.weights) != n:
                 raise ValueError("need one weight per coordinate")
 

@@ -120,6 +120,12 @@ def _metabelian_block(rep, frame, basis, depth, rng, expect: bool,
     return verdict
 
 
+def _given(cfg: dict, key: str, default):
+    """cfg[key], or the scenario's default when none was given (a 0 is
+    given, not replaced)."""
+    return default if cfg[key] is None else cfg[key]
+
+
 def _circle(n_steps: int) -> SampledCurve:
     return SampledCurve.from_function(
         lambda t: (math.cos(t), math.sin(t)), 0.0, 2.0 * math.pi, n_steps)
@@ -128,7 +134,7 @@ def _circle(n_steps: int) -> SampledCurve:
 def scenario_heisenberg(cfg: dict) -> _Report:
     rep = _Report("heisenberg")
     rng = np.random.default_rng(cfg["seed"])
-    tol = cfg["tol"] or 1e-8
+    tol = _given(cfg, "tol", 1e-8)
     frame = heisenberg_frame()
     rep.artifact("frame.json", frame)
     rep.check("growth_vector", growth_vector(frame, [0, 0, 0], 2) == [2, 3])
@@ -144,7 +150,7 @@ def scenario_heisenberg(cfg: dict) -> _Report:
               not trace.whole_plane and not trace.polylines,
               polylines=len(trace.polylines))
 
-    kappa = _circle(cfg["samples"] or 2000)
+    kappa = _circle(_given(cfg, "samples", 2000))
     curve, u = horizontal_lift(frame, kappa, [1.0, 0.0, 0.0])
     rep.artifact("lift.json", {"curve": curve, "control": u})
     endpoint = curve.points[-1]
@@ -171,7 +177,7 @@ def _f23_closed_form() -> PolyVec:
 def scenario_f23_line(cfg: dict) -> _Report:
     rep = _Report("f23-line")
     rng = np.random.default_rng(cfg["seed"])
-    tol = cfg["tol"] or 1e-8
+    tol = _given(cfg, "tol", 1e-8)
     basis = generate_basis(2, 3)
     frame, maps = realize_frame(basis)
     rep.artifact("realization.json", maps)
@@ -180,7 +186,7 @@ def scenario_f23_line(cfg: dict) -> _Report:
               (frame.fields[1] - _f23_closed_form()).is_zero())
     _metabelian_block(rep, frame, basis, 6, rng, True)
 
-    n_steps = cfg["samples"] or 400
+    n_steps = _given(cfg, "samples", 400)
     kappa = SampledCurve.from_function(lambda t: (0.0, t), 0.0, 1.0, n_steps)
     curve, u = horizontal_lift(frame, kappa, [0.0] * 5)
     rep.artifact("lift.json", {"curve": curve, "control": u})
@@ -218,7 +224,7 @@ def scenario_f23_line(cfg: dict) -> _Report:
 def scenario_f24(cfg: dict) -> _Report:
     rep = _Report("f24")
     rng = np.random.default_rng(cfg["seed"])
-    tol = cfg["tol"] or 1e-8
+    tol = _given(cfg, "tol", 1e-8)
     basis = generate_basis(2, 4)
     frame, maps = realize_frame(basis)
     rep.artifact("realization.json", maps)
@@ -278,7 +284,7 @@ def scenario_f25(cfg: dict) -> _Report:
 def scenario_martinet(cfg: dict) -> _Report:
     rep = _Report("martinet")
     rng = np.random.default_rng(cfg["seed"])
-    tol = cfg["tol"] or 1e-8
+    tol = _given(cfg, "tol", 1e-8)
     frame = martinet_frame()
     rep.artifact("frame.json", frame)
     rep.check("growth_vector_at_origin",
@@ -299,7 +305,7 @@ def scenario_martinet(cfg: dict) -> _Report:
         for line in trace.polylines for p in line)
     rep.check("trace_is_vertical_line", on_axis)
 
-    n_steps = cfg["samples"] or 400
+    n_steps = _given(cfg, "samples", 400)
     kappa = SampledCurve.from_function(lambda t: (0.0, t), 0.0, 1.0, n_steps)
     curve, u = horizontal_lift(frame, kappa, [0.0] * 3)
     rep.artifact("lift.json", {"curve": curve, "control": u})
@@ -320,9 +326,9 @@ def scenario_martinet(cfg: dict) -> _Report:
 def scenario_f27_spiral(cfg: dict) -> _Report:
     rep = _Report("f27-spiral")
     rng = np.random.default_rng(cfg["seed"])
-    threshold = cfg["tol"] or 1e-6
-    eps = cfg["eps"] or 1e-2
-    n_steps = cfg["samples"] or 20000
+    threshold = _given(cfg, "tol", 1e-6)
+    eps = _given(cfg, "eps", 1e-2)
+    n_steps = _given(cfg, "samples", 20000)
     basis = generate_basis(2, 7)
     frame, maps = realize_frame(basis)
     rep.check("dimension", frame.n == 41, n=frame.n)

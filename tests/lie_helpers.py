@@ -4,10 +4,11 @@ frame written out, the textbook batched evaluator, the oracle of
 CompiledPolys and of the integrators, the textbook product, sum and
 substitution on exponent tuples, the oracles of Poly and of the packed
 ring, the structure-table route of the realization, the oracle of
-normalform.realize_frame, and the Hypothesis strategy of sparse rational
-Lie elements."""
+normalform.realize_frame, the Bernoulli ad-series of the first-kind fields,
+and the Hypothesis strategy of sparse rational Lie elements."""
 
 from fractions import Fraction
+from math import comb
 
 import numpy as np
 from hypothesis import strategies as st
@@ -15,8 +16,10 @@ from hypothesis import strategies as st
 from goh_atlas import polyfield
 from goh_atlas.errors import NumericsError
 from goh_atlas.freelie import (
+    _axpy,
     LieElement,
     LyndonBasis,
+    StructureTable,
     Word,
     bracket,
     structure_table,
@@ -201,9 +204,11 @@ def assert_same_bits(got, want):
 
 def reference_realize(basis: LyndonBasis):
     """realize_frame from the structure table alone, on Poly coefficients:
-    the oracle of the tensor chart route, sharing only the structure table
-    and the attachment signs with it, so the two agree as dicts, not in
-    term order.  Column j of M(x) = q^{-1} dq is
+    the oracle of psi and psi^{-1}, which realize_frame takes from the
+    tensor chart product; its fields take the same route as realize_frame's
+    (ad products and a triangular solve), here on Poly, so their oracle is
+    the first-kind pushforward in test_normalform.  Column j of
+    M(x) = q^{-1} dq is
     e^{-x_1 ad B_1} ... e^{-x_{j-1} ad B_{j-1}} B_j, each exponential a
     finite sum, and the field X_k is M^{-1} e_k.  psi^{-1}(t y) is the
     time-t flow of sum_i y_i X_i from 0, so E psi^{-1}_k =
@@ -265,3 +270,37 @@ def reference_realize(basis: LyndonBasis):
     frame = Frame(fields[:basis.rank], weights=weights, normal_form=True,
                   labels=basis.words)
     return frame, CoordinateMaps(basis, table, psi, inv, fields, signs)
+
+
+def bernoulli_numbers(count: int) -> list[Fraction]:
+    """b_0..b_{count-1} with the b_1 = +1/2 sign convention."""
+    b = [Fraction(1)]
+    for m in range(1, count):
+        s = sum(comb(m + 1, j) * b[j] for j in range(m))
+        b.append(Fraction(-s, m + 1))
+    if count > 1:
+        b[1] = -b[1]
+    return b
+
+
+def _ad_series(table: StructureTable, signs, y_el: dict, one) -> list[dict]:
+    """sum_m (b_m/m!) ad_y^m (B_k) for every k: the left-invariant field of
+    B_k at the point y of first-kind coordinates; one is the unit of the
+    coefficient ring."""
+    stb = _signed_table(table, signs)
+    n, step = table.basis.dim, table.basis.step
+    bern = bernoulli_numbers(max(step, 2))
+    cols = []
+    for k in range(n):
+        acc = {k: one}
+        cur = {k: one}
+        fact = 1
+        for m in range(1, step):
+            cur = stb.bracket_elements(y_el, cur)
+            if not cur:
+                break
+            fact *= m
+            if bern[m]:
+                _axpy(acc, cur, Fraction(bern[m], fact))
+        cols.append(acc)
+    return cols

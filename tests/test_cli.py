@@ -430,6 +430,38 @@ class TestResolution:
             assert code == 0 and data["resolution"] == res
 
 
+class TestSamplesAndEps:
+    @pytest.mark.parametrize("flag,value", [
+        ("--samples", "0"), ("--samples", "1"), ("--samples", "-5"),
+        ("--samples", "2.5"), ("--eps", "0"), ("--eps", "1"),
+        ("--eps", "-0.1"), ("--eps", "nan"), ("--eps", "abc")])
+    def test_bad_value_is_a_usage_error(self, capsys, tmp_path, monkeypatch,
+                                        flag, value):
+        # rejected while the arguments are parsed, not replaced by the
+        # scenario's default: no command runs and no artifact is written
+        def ran(args):
+            raise AssertionError(f"command ran with {flag}={value}")
+
+        monkeypatch.setattr(cli, "cmd_demo", ran)
+        monkeypatch.setattr(cli, "cmd_spiral", ran)
+        outdir = tmp_path / "art"
+        for argv in (["demo", "heisenberg", "--out", str(outdir)],
+                     ["demo", "f27-spiral", "--out", str(outdir)],
+                     ["spiral"]):
+            code, out, err = run(capsys, *argv, f"{flag}={value}")
+            assert (code, out) == (2, "")
+            assert f"argument {flag}" in err and repr(value) in err
+        assert not outdir.exists()
+
+    def test_smallest_values_are_accepted(self, capsys):
+        args = cli.build_parser().parse_args(
+            ["demo", "f27-spiral", "--samples", "2", "--eps", "1e-300"])
+        assert (args.samples, args.eps) == (2, 1e-300)
+        code, data, _ = run_json(capsys, "spiral", "--samples", "2",
+                                 "--eps", "0.5")
+        assert code == 0 and len(data["t"]) == 3
+
+
 class TestDemo:
     def test_heisenberg_demo(self, capsys, tmp_path):
         outdir = tmp_path / "art"

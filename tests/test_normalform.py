@@ -12,10 +12,8 @@ from hypothesis import strategies as st
 
 from goh_atlas.freelie import generate_basis, structure_table
 from goh_atlas.normalform import (
-    _ad_series,
     _signed_table,
     attachment_trees,
-    bernoulli_numbers,
     realize_frame,
     signed_attachment,
     verify_normal_form,
@@ -30,7 +28,12 @@ from goh_atlas.polyfield import (
     lie_bracket_fields,
     martinet_frame,
 )
-from lie_helpers import lie_elements, reference_realize
+from lie_helpers import (
+    _ad_series,
+    bernoulli_numbers,
+    lie_elements,
+    reference_realize,
+)
 
 F = Fraction
 
@@ -127,7 +130,7 @@ class TestFirstKind:
 class TestRealizeFrame:
     def test_rank1_step1(self):
         frame, maps = realize_frame(generate_basis(1, 1))
-        assert frame.fields == [PolyVec([Poly.one(1)])]
+        assert frame.fields == (PolyVec([Poly.one(1)]),)
         assert maps.psi == [Poly.var(1, 0)]
 
     def test_heisenberg_closed_form(self):
@@ -166,7 +169,7 @@ class TestRealizeFrame:
                              [(2, 2), (2, 3), (2, 4), (2, 5), (3, 3)])
     def test_bracket_homomorphism(self, rank, step):
         # bracketing the frame per each word's attachment tree must land
-        # on the transported field of that basis element, exactly
+        # on the coordinate field of that basis element, exactly
         frame, maps = realize_frame(generate_basis(rank, step))
         assert stratified_fields(frame, maps.basis) == maps.fields
 
@@ -330,11 +333,29 @@ def test_packed_realization_matches_poly_reference(shape):
     assert frame.fields == ref_frame.fields
 
 
+PUSHFORWARD_SHAPES = [(2, s) for s in range(2, 7)] + [(3, 3), (3, 4), (4, 3)]
+
+
+@pytest.mark.parametrize("shape", PUSHFORWARD_SHAPES, ids=shape_id)
+def test_psi_pushes_each_field_to_its_first_kind_field(shape):
+    """D psi . X_k = Y_k o psi exactly, Y_k the first-kind field of the
+    Bernoulli ad-series: an oracle that shares neither M(x) nor its
+    triangular solve with realize_frame (reference_realize shares both)."""
+    _, maps = realize_frame(generate_basis(*shape))
+    n = maps.basis.dim
+    jac = [[p.diff(j) for j in range(n)] for p in maps.psi]
+    for x_k, y_k in zip(maps.fields, first_kind_fields(maps.table)):
+        pushed = [sum((row[j] * x_k.comps[j] for j in range(n)
+                       if row[j] and x_k.comps[j]), Poly.zero(n))
+                  for row in jac]
+        assert pushed == [c.compose(maps.psi) for c in y_k.comps]
+
+
 @pytest.mark.parametrize("shape", [(2, 6), (3, 4), (4, 3)], ids=shape_id)
 def test_realized_exponents_stay_within_the_step(shape):
     # the weight grading: x_j has weight |w_j| >= 1 and every coefficient
-    # has weight <= step, so no exponent exceeds the step (the packed
-    # ring's fields hold step^2)
+    # has weight <= step, so no exponent exceeds the step (the bound of the
+    # packed ring)
     _, maps = realize_frame(generate_basis(*shape))
     step = maps.basis.step
     assert max(k for p in realized_polys(maps) for e in p.terms

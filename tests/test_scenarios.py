@@ -21,6 +21,18 @@ def test_f27_spiral_scenario_at_500_samples():
     assert rep.ok, f"failed checks: {failed}"
 
 
+def test_zero_samples_and_eps_are_not_replaced_by_defaults():
+    with pytest.raises(ValueError, match="two samples"):
+        run_scenario("heisenberg", samples=0)
+    with pytest.raises(ValueError, match="eps"):
+        run_scenario("f27-spiral", eps=0.0, samples=2)
+
+
+def test_given_samples_are_used():
+    rep = run_scenario("f23-line", samples=2)
+    assert len(rep.artifacts["lift.json"]["curve"].ts) == 3
+
+
 def test_unknown_scenario():
     with pytest.raises(KeyError):
         run_scenario("nope")

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -475,6 +476,22 @@ def test_evaluators_are_compiled_once_per_frame(monkeypatch, make):
     for a, b, c in zip(first, again, fresh):
         assert_same_bits(a, b)
         assert_same_bits(a, c)
+
+
+def test_a_flowed_frame_cannot_be_changed_under_its_evaluators():
+    # the evaluators compiled by a flow stay on the frame, so a frame whose
+    # fields could be swapped afterwards would step the old fields
+    frame = heisenberg_frame()
+    u = Control(np.linspace(0.0, 1.0, 3), np.full((3, 2), 0.5))
+    flow_control(frame, u, [0.0] * 3)
+    other = martinet_frame().fields
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        frame.fields = other
+    with pytest.raises(TypeError):
+        frame.fields[0] = other[0]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        frame.weights = (1, 1, 2)
+    assert frame.fields == heisenberg_frame().fields
 
 
 @pytest.mark.parametrize("integrate", [
