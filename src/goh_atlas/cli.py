@@ -92,50 +92,31 @@ def _emit(args, obj, csv=None):
     serialize.write_output(csv() if as_csv else serialize.dumps(obj), args.out)
 
 
-def _parse_tol(text: str) -> float:
-    """A tolerance must be a finite, positive number (type of --tol)."""
-    try:
-        tol = float(text)
-    except ValueError:
-        tol = math.nan
-    if not (math.isfinite(tol) and tol > 0.0):
-        raise argparse.ArgumentTypeError(
-            f"tolerance must be a finite positive number, got {text!r}")
-    return tol
+def _arg_type(convert, ok, rule: str):
+    """An argparse type: convert(text), if that is a value v with ok(v)
+    (which may also raise ValueError); other text is a usage error that
+    states rule and quotes the text."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            good = ok(value)
+        except ValueError:
+            good = False
+        if not good:
+            raise argparse.ArgumentTypeError(f"{rule}, got {text!r}")
+        return value
+    return parse
 
 
-def _parse_res(text: str) -> int:
-    """A grid resolution by goh.check_resolution's rule (type of --res)."""
-    try:
-        return check_resolution(int(text))
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"resolution must be an integer from 2 to {RES_MAX}, "
-            f"got {text!r}") from None
-
-
-def _parse_samples(text: str) -> int:
-    """A sample count must be an integer of at least 2 (type of --samples)."""
-    try:
-        samples = int(text)
-    except ValueError:
-        samples = 0
-    if samples < 2:
-        raise argparse.ArgumentTypeError(
-            f"samples must be an integer of at least 2, got {text!r}")
-    return samples
-
-
-def _parse_eps(text: str) -> float:
-    """The spiral's inner radius must lie in (0, 1) (type of --eps)."""
-    try:
-        eps = float(text)
-    except ValueError:
-        eps = math.nan
-    if not 0.0 < eps < 1.0:
-        raise argparse.ArgumentTypeError(
-            f"eps must lie strictly between 0 and 1, got {text!r}")
-    return eps
+# the types of --tol, --res (goh.check_resolution's rule), --samples, --eps
+_parse_tol = _arg_type(float, lambda v: math.isfinite(v) and v > 0.0,
+                       "tolerance must be a finite positive number")
+_parse_res = _arg_type(int, check_resolution,
+                       f"resolution must be an integer from 2 to {RES_MAX}")
+_parse_samples = _arg_type(int, lambda v: v >= 2,
+                           "samples must be an integer of at least 2")
+_parse_eps = _arg_type(float, lambda v: 0.0 < v < 1.0,
+                       "eps must lie strictly between 0 and 1")
 
 
 def cmd_basis(args) -> int:

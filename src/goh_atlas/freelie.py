@@ -23,7 +23,6 @@ from .serialize import _ratio, _words_from_json, _words_to_json, artifact, \
 
 Word = tuple[int, ...]
 
-ZERO = Fraction(0)
 ONE = Fraction(1)
 
 

@@ -4,8 +4,8 @@ For a normal-form frame whose coefficients depend only on x_1..x_r, the
 second-order (Goh) annihilation conditions along a trajectory reduce to
 polynomial constraints on the base projection: F^{h,k}(x) built from the
 lambda-weighted curls of the coefficient matrix.  The rank-2 variety
-{F^{1,2} = 0} is traced by marching squares with bisection-refined
-vertices and a singular-candidate scan.
+{F^{1,2} = 0} is traced by marching squares, its vertices refined by a
+bisection of every crossed edge at once, with a singular-candidate scan.
 """
 
 from __future__ import annotations
@@ -22,9 +22,8 @@ from .normalform import verify_normal_form
 from .polyfield import Frame, Poly, _float_evaluator
 from .serialize import _ratio, artifact
 
-ZERO = Fraction(0)
 RES_MAX = 4096  # a trace at RES_MAX peaks at about 0.6 GB (33 B per node)
-# pre-candidates per block of the singular-candidate scan (bounds temporaries)
+# points per lock-step block of Newton and bisection (bounds temporaries)
 SCAN_ROWS = 4096
 
 
@@ -45,9 +44,7 @@ def check_resolution(resolution) -> int:
 
 
 def _as_exact(c):
-    if isinstance(c, (Fraction, int)):
-        return Fraction(c)
-    if isinstance(c, str):
+    if isinstance(c, (Fraction, int, str)):
         return Fraction(c)
     return c  # float stays float; polynomials then carry float coefficients
 
@@ -173,24 +170,51 @@ class VarietyTrace:
         return "\n".join(lines) + "\n"
 
 
-def _bisect_edge(f, pa, pb, va, vb, tol: float):
-    """Zero of f((x, y)) on [pa, pb] given a sign change, |f| <= tol."""
-    if abs(va) <= tol:
-        return pa
-    if abs(vb) <= tol:
-        return pb
-    ax, ay = pa
-    bx, by = pb
-    for _ in range(200):
-        mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
-        vm = f((mx, my))
-        if abs(vm) <= tol:
-            return (mx, my)
-        if (vm > 0) == (va > 0):
-            ax, ay, va = mx, my, vm
-        else:
-            bx, by = mx, my
-    return (0.5 * (ax + bx), 0.5 * (ay + by))
+def _edge_vertices(F: Poly, xs, ys, vals, edges: list, tol) -> list:
+    """The vertex (x, y) of each crossed edge (k, i, j) in edges, bisected
+    from grid node (i, j), the a end, to (i + 1 - k, j + k), the b end.
+
+    The scalar rule: the a end if |F| <= tol there, else the b end if so;
+    else up to 200 midpoints 0.5 * (a + b), the first with |F| <= tol the
+    vertex, any other replacing a (and F(a)) if F there has the sign of
+    F(a), b if not; after 200, the midpoint of the last a and b.  Blocks of
+    SCAN_ROWS edges run it in lock step, with C ``pow`` powers and an index
+    array of the edges still running, so each vertex gets the bits the rule
+    gives it alone on Python floats.  A midpoint where F is not finite is a
+    ValueError naming its edge.
+    """
+    evaluate = _float_evaluator(F, c_pow=True)
+    out: list = []
+    for lo in range(0, len(edges), SCAN_ROWS):
+        k, i, j = np.array(edges[lo:lo + SCAN_ROWS]).T
+        ends = xs[i], ys[j], xs[i + 1 - k], ys[j + k]
+        va, at_a = vals[j, i], np.abs(vals[j, i]) <= tol
+        vx, vy = np.where(at_a, *ends[::2]), np.where(at_a, *ends[1::2])
+        act = np.flatnonzero(~at_a & (np.abs(vals[j + k, i + 1 - k]) > tol))
+        ax, ay, bx, by, va = (e[act] for e in (*ends, va))
+        for _ in range(200):
+            if not act.size:
+                break
+            mx, my = 0.5 * (ax + bx), 0.5 * (ay + by)
+            with np.errstate(over="ignore", invalid="ignore"):  # checked next
+                vm = np.broadcast_to(evaluate((mx, my)), va.shape)
+            if not np.isfinite(vm).all():
+                c = np.argmin(np.isfinite(vm))
+                u, v, s, t = (e[act[c]].item() for e in ends)
+                raise ValueError(
+                    f"F is not finite at {mx[c].item(), my[c].item()} on the "
+                    f"grid edge from {u, v} to {s, t}: {vm[c].item()!r}")
+            hit = np.abs(vm) <= tol
+            vx[act[hit]], vy[act[hit]] = mx[hit], my[hit]
+            same = (vm > 0) == (va > 0)
+            ax, ay, va = (np.where(same, new, old) for new, old in
+                          ((mx, ax), (my, ay), (vm, va)))
+            bx, by = np.where(same, bx, mx), np.where(same, by, my)
+            act, ax, ay, bx, by, va = (e[~hit] for e in
+                                       (act, ax, ay, bx, by, va))
+        vx[act], vy[act] = 0.5 * (ax + bx), 0.5 * (ay + by)
+        out += zip(vx.tolist(), vy.tolist())
+    return out
 
 
 def _crossed_cells(vals: np.ndarray):
@@ -278,8 +302,8 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
     trace.f_scale = scale
 
     # the segment graph: each crossed edge (kind, i, j) and its neighbours.
-    # Saddle centres and bisections run on Python floats: the same IEEE
-    # operations as on np.float64 scalars, at less cost per operation.
+    # Saddle centres run on Python floats: the same IEEE operations as on
+    # np.float64 scalars, at less cost per operation.
     px, py = xs.tolist(), ys.tolist()
     links: dict[tuple, list] = {}
     for j, i, code in _crossed_cells(vals):
@@ -291,12 +315,8 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
             links.setdefault(a, []).append(b)
             links.setdefault(b, []).append(a)
 
-    # one bisection per crossed edge, from node (i, j) to the edge's far end
-    verts = {(k, i, j): _bisect_edge(feval, (px[i], py[j]),
-                                     (px[i + 1 - k], py[j + k]),
-                                     float(vals[j, i]),
-                                     float(vals[j + k, i + 1 - k]), tol)
-             for k, i, j in links}
+    edges = list(links)
+    verts = dict(zip(edges, _edge_vertices(F, xs, ys, vals, edges, tol)))
 
     # chain the graph into polylines, open paths first, then loops.  An edge
     # has at most two neighbours and the one a walk came from is used, so

@@ -248,20 +248,19 @@ def _float_evaluator(*polys: "Poly", c_pow: bool = False):
     (one long expression overflows the compiler's recursion limit), each
     term its coefficient, converted once, times x[i] ** k for every nonzero
     exponent k in variable order; each distinct power with k >= 2 is
-    computed once, in its own statement before the sums.  No update is in
-    place, so x may hold arrays that broadcast against each other, such as
-    the per-axis grid (xs[None, :], ys[:, None]) of a plane polynomial; the
-    result then broadcasts to the (len(ys), len(xs)) grid.  Array ``**``
-    can round differently from scalar ``**``, so a grid node and the same
-    point given as floats need not agree bit for bit.  With c_pow (the rule
-    of the singular-candidate scan, which evaluates arrays of points) a
-    power is np.float_power(x[i], k) instead, and x[i] itself for k = 1:
-    float_power calls C ``pow`` on every element, as scalar ``**`` does,
-    and pow(x, 1) is x, so each point gets the bits it gets alone as
-    floats, except that an overflow gives inf, not OverflowError.  An
-    exponent that is not an integer is a TypeError, so only int literals
-    enter the source.  Building costs about 0.1 ms, so build once per
-    polynomial, not once per point; the evaluator holds a copy of the terms:
+    computed once, before the sums.  No update is in place, so x may hold
+    arrays that broadcast, such as the per-axis grid (xs[None, :],
+    ys[:, None]) of a plane polynomial, whose result broadcasts to the
+    (len(ys), len(xs)) grid.  Array ``**`` can round apart from scalar
+    ``**``, so a grid node and the same point given as floats need not
+    agree bit for bit.  With c_pow (the rule of the tracer's bisection and
+    singular-candidate scan, which evaluate arrays of points) a power is
+    np.float_power(x[i], k), which calls C ``pow`` on every element as
+    scalar ``**`` does, and x[i] itself for k = 1, so each point gets the
+    bits it gets alone as floats, except that an overflow gives inf, not
+    OverflowError.  An exponent that is not an integer is a TypeError, so
+    only int literals enter the source.  Build once per polynomial (about
+    0.1 ms), not once per point; the evaluator holds a copy of the terms:
     rebuild after a change.
     """
     power = "pow(x[{}], {})" if c_pow else "x[{}] ** {}"

@@ -49,10 +49,6 @@ from .trajectories import (
     spiral_curve,
 )
 
-SCENARIO_NAMES = ("heisenberg", "f23-line", "f24", "f25", "martinet",
-                  "f27-spiral")
-
-
 class _Report:
     def __init__(self, name: str):
         self.name = name
@@ -60,15 +56,11 @@ class _Report:
         self.artifacts: dict[str, object] = {}
 
     def check(self, name: str, ok: bool, **info) -> bool:
-        entry = {"name": name, "ok": bool(ok)}
-        entry.update(info)
-        self.checks.append(entry)
+        self.checks.append({"name": name, "ok": bool(ok), **info})
         return ok
 
     def info(self, name: str, **info):
-        entry = {"name": name, "ok": None}
-        entry.update(info)
-        self.checks.append(entry)
+        self.checks.append({"name": name, "ok": None, **info})
 
     def artifact(self, name: str, obj):
         self.artifacts[name] = obj
@@ -120,12 +112,6 @@ def _metabelian_block(rep, frame, basis, depth, rng, expect: bool,
     return verdict
 
 
-def _given(cfg: dict, key: str, default):
-    """cfg[key], or the scenario's default when none was given (a 0 is
-    given, not replaced)."""
-    return default if cfg[key] is None else cfg[key]
-
-
 def _circle(n_steps: int) -> SampledCurve:
     return SampledCurve.from_function(
         lambda t: (math.cos(t), math.sin(t)), 0.0, 2.0 * math.pi, n_steps)
@@ -134,7 +120,7 @@ def _circle(n_steps: int) -> SampledCurve:
 def scenario_heisenberg(cfg: dict) -> _Report:
     rep = _Report("heisenberg")
     rng = np.random.default_rng(cfg["seed"])
-    tol = _given(cfg, "tol", 1e-8)
+    tol = cfg["tol"]
     frame = heisenberg_frame()
     rep.artifact("frame.json", frame)
     rep.check("growth_vector", growth_vector(frame, [0, 0, 0], 2) == [2, 3])
@@ -150,7 +136,7 @@ def scenario_heisenberg(cfg: dict) -> _Report:
               not trace.whole_plane and not trace.polylines,
               polylines=len(trace.polylines))
 
-    kappa = _circle(_given(cfg, "samples", 2000))
+    kappa = _circle(cfg["samples"])
     curve, u = horizontal_lift(frame, kappa, [1.0, 0.0, 0.0])
     rep.artifact("lift.json", {"curve": curve, "control": u})
     endpoint = curve.points[-1]
@@ -177,7 +163,7 @@ def _f23_closed_form() -> PolyVec:
 def scenario_f23_line(cfg: dict) -> _Report:
     rep = _Report("f23-line")
     rng = np.random.default_rng(cfg["seed"])
-    tol = _given(cfg, "tol", 1e-8)
+    tol = cfg["tol"]
     basis = generate_basis(2, 3)
     frame, maps = realize_frame(basis)
     rep.artifact("realization.json", maps)
@@ -186,7 +172,7 @@ def scenario_f23_line(cfg: dict) -> _Report:
               (frame.fields[1] - _f23_closed_form()).is_zero())
     _metabelian_block(rep, frame, basis, 6, rng, True)
 
-    n_steps = _given(cfg, "samples", 400)
+    n_steps = cfg["samples"]
     kappa = SampledCurve.from_function(lambda t: (0.0, t), 0.0, 1.0, n_steps)
     curve, u = horizontal_lift(frame, kappa, [0.0] * 5)
     rep.artifact("lift.json", {"curve": curve, "control": u})
@@ -224,7 +210,7 @@ def scenario_f23_line(cfg: dict) -> _Report:
 def scenario_f24(cfg: dict) -> _Report:
     rep = _Report("f24")
     rng = np.random.default_rng(cfg["seed"])
-    tol = _given(cfg, "tol", 1e-8)
+    tol = cfg["tol"]
     basis = generate_basis(2, 4)
     frame, maps = realize_frame(basis)
     rep.artifact("realization.json", maps)
@@ -284,7 +270,7 @@ def scenario_f25(cfg: dict) -> _Report:
 def scenario_martinet(cfg: dict) -> _Report:
     rep = _Report("martinet")
     rng = np.random.default_rng(cfg["seed"])
-    tol = _given(cfg, "tol", 1e-8)
+    tol = cfg["tol"]
     frame = martinet_frame()
     rep.artifact("frame.json", frame)
     rep.check("growth_vector_at_origin",
@@ -305,7 +291,7 @@ def scenario_martinet(cfg: dict) -> _Report:
         for line in trace.polylines for p in line)
     rep.check("trace_is_vertical_line", on_axis)
 
-    n_steps = _given(cfg, "samples", 400)
+    n_steps = cfg["samples"]
     kappa = SampledCurve.from_function(lambda t: (0.0, t), 0.0, 1.0, n_steps)
     curve, u = horizontal_lift(frame, kappa, [0.0] * 3)
     rep.artifact("lift.json", {"curve": curve, "control": u})
@@ -326,9 +312,9 @@ def scenario_martinet(cfg: dict) -> _Report:
 def scenario_f27_spiral(cfg: dict) -> _Report:
     rep = _Report("f27-spiral")
     rng = np.random.default_rng(cfg["seed"])
-    threshold = _given(cfg, "tol", 1e-6)
-    eps = _given(cfg, "eps", 1e-2)
-    n_steps = _given(cfg, "samples", 20000)
+    threshold = cfg["tol"]
+    eps = cfg["eps"]
+    n_steps = cfg["samples"]
     basis = generate_basis(2, 7)
     frame, maps = realize_frame(basis)
     rep.check("dimension", frame.n == 41, n=frame.n)
@@ -385,21 +371,36 @@ def scenario_f27_spiral(cfg: dict) -> _Report:
     return rep
 
 
+# each scenario, and the settings it reads besides the seed with their
+# defaults
 _PIPELINES = {
-    "heisenberg": scenario_heisenberg,
-    "f23-line": scenario_f23_line,
-    "f24": scenario_f24,
-    "f25": scenario_f25,
-    "martinet": scenario_martinet,
-    "f27-spiral": scenario_f27_spiral,
+    "heisenberg": (scenario_heisenberg,
+                   {"tol": 1e-8, "samples": 2000, "res": 128}),
+    "f23-line": (scenario_f23_line, {"tol": 1e-8, "samples": 400, "res": 128}),
+    "f24": (scenario_f24, {"tol": 1e-8}),
+    "f25": (scenario_f25, {}),
+    "martinet": (scenario_martinet, {"tol": 1e-8, "samples": 400, "res": 128}),
+    "f27-spiral": (scenario_f27_spiral,
+                   {"tol": 1e-6, "eps": 1e-2, "samples": 20000}),
 }
+SCENARIO_NAMES = tuple(_PIPELINES)
 
 
 def run_scenario(name: str, seed: int = 0, tol: float | None = None,
                  eps: float | None = None, samples: int | None = None,
                  res: int | None = None) -> _Report:
+    """Run scenario name.  A setting left None takes the scenario's
+    default (a 0 is given, not replaced); one it does not read is a
+    ValueError naming it, as is a bad resolution, before any work."""
     if name not in _PIPELINES:
         raise KeyError(name)
-    cfg = {"seed": seed, "tol": tol, "eps": eps, "samples": samples,
-           "res": check_resolution(128 if res is None else res)}
-    return _PIPELINES[name](cfg)
+    pipeline, defaults = _PIPELINES[name]
+    given = {"tol": tol, "eps": eps, "samples": samples, "res": res}
+    for key, value in given.items():
+        if value is not None and key not in defaults:
+            raise ValueError(f"scenario {name} does not read {key}")
+    cfg = {key: default if given[key] is None else given[key]
+           for key, default in defaults.items()}
+    if "res" in cfg:
+        cfg["res"] = check_resolution(cfg["res"])
+    return pipeline({**cfg, "seed": seed})

@@ -462,6 +462,34 @@ class TestSamplesAndEps:
         assert code == 0 and len(data["t"]) == 3
 
 
+class TestUnreadDemoSettings:
+    # each scenario and a value of every flag it does not read
+    UNREAD = [("heisenberg", "--eps", "0.5"), ("f23-line", "--eps", "0.5"),
+              ("martinet", "--eps", "0.5"), ("f24", "--eps", "0.5"),
+              ("f24", "--samples", "5"), ("f24", "--res", "9"),
+              ("f25", "--tol", "1e-3"), ("f25", "--eps", "0.5"),
+              ("f25", "--samples", "5"), ("f25", "--res", "9"),
+              ("f27-spiral", "--res", "9")]
+
+    @pytest.mark.parametrize("scenario,flag,value", UNREAD)
+    def test_unread_setting_is_a_usage_error(self, capsys, tmp_path,
+                                             scenario, flag, value):
+        outdir = tmp_path / "art"
+        code, out, err = run(capsys, "demo", scenario, "--out", str(outdir),
+                             flag, value)
+        assert (code, out) == (2, "")
+        assert f"scenario {scenario} does not read {flag[2:]}" in err
+        assert not outdir.exists()
+
+    def test_all_unread_settings_at_once(self, capsys, tmp_path):
+        outdir = tmp_path / "art"
+        code, out, err = run(capsys, "demo", "f25", "--out", str(outdir),
+                             "--tol", "1e-3", "--res", "9", "--samples", "5",
+                             "--eps", "0.5")
+        assert (code, out) == (2, "") and "does not read" in err
+        assert not outdir.exists()
+
+
 class TestDemo:
     def test_heisenberg_demo(self, capsys, tmp_path):
         outdir = tmp_path / "art"

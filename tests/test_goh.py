@@ -761,6 +761,144 @@ def test_scan_block_size_keeps_the_bits(rows, monkeypatch):
             for p, window, res in cases] == want
 
 
+def lock_step_and_textbook(p: Poly, xs, ys, vals, edges, tol):
+    """Each edge's vertex from the tracer's lock-step bisection, and from
+    textbook_bisect_edge on Python floats, with the number of values of p
+    the textbook run took on that edge."""
+    got = goh._edge_vertices(p, xs, ys, vals, edges, tol)
+    want, calls = [], []
+    for k, i, j in edges:
+        count = []
+
+        def f(x, y):
+            count.append(1)
+            return textbook_eval(p, (x, y))
+
+        i1, j1 = i + 1 - k, j + k
+        want.append(textbook_bisect_edge(
+            f, (float(xs[i]), float(ys[j])), (float(xs[i1]), float(ys[j1])),
+            float(vals[j, i]), float(vals[j1, i1]), tol))
+        calls.append(len(count))
+    return got, want, calls
+
+
+def bits(points) -> bytes:
+    return np.array(points, dtype=float).tobytes()
+
+
+@st.composite
+def grids_and_edges(draw):
+    """A polynomial of degree <= 4 in two variables, short increasing grid
+    axes, node values that are the polynomial's own or drawn apart from it
+    (some within the tolerance, of any sign), a tolerance and a list of
+    edges of the grid, repeats allowed."""
+    coef = st.builds(F, st.integers(-9, 9), st.integers(1, 8))
+    power = st.integers(0, 4)
+    exponent = st.tuples(power, power).filter(lambda e: sum(e) <= 4)
+    p = Poly(2, draw(st.dictionaries(exponent, coef, min_size=1, max_size=6)))
+    axis = st.lists(st.floats(-3, 3), min_size=2, max_size=5, unique=True)
+    xs, ys = (np.array(sorted(draw(axis))) for _ in "xy")
+    tol = draw(st.sampled_from([0.0, 1e-9, 1e-3, 0.25]))
+    vals = textbook_grid_eval(p, xs, ys)
+    if draw(st.booleans()):
+        near = st.sampled_from([0.0, -0.0, tol, -tol, tol / 2, -tol / 3])
+        value = st.one_of(near, st.floats(-5, 5))
+        vals = np.array(draw(st.lists(value, min_size=vals.size,
+                                      max_size=vals.size))).reshape(vals.shape)
+    edge = st.one_of(
+        st.tuples(st.just(0), st.integers(0, len(xs) - 2),
+                  st.integers(0, len(ys) - 1)),
+        st.tuples(st.just(1), st.integers(0, len(xs) - 1),
+                  st.integers(0, len(ys) - 2)))
+    return p, xs, ys, vals, draw(st.lists(edge, min_size=1, max_size=20)), tol
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=grids_and_edges())
+def test_lock_step_bisection_is_the_scalar_rule_edge_by_edge(case):
+    got, want, _ = lock_step_and_textbook(*case)
+    assert bits(got) == bits(want)
+
+
+class TestLockStepBisection:
+    # F = x1 - 1/4 on the grid edge from (0, 0) to (1, 0)
+    P = X1 - F(1, 4)
+    XS, YS = np.array([0.0, 1.0]), np.array([0.0, 1.0])
+
+    def run(self, p, vals, tol, edges=((0, 0, 0),)):
+        got, want, calls = lock_step_and_textbook(
+            p, self.XS, self.YS, np.array(vals), list(edges), tol)
+        assert bits(got) == bits(want)
+        return got, calls
+
+    def test_an_end_within_tol_is_the_vertex(self):
+        # both ends within tol: the a end wins, without a value of F
+        assert self.run(self.P, [[1e-12, -1e-12], [0, 0]], 1e-9) \
+            == ([(0.0, 0.0)], [0])
+        assert self.run(self.P, [[-1.0, 0.0], [0, 0]], 0.0) \
+            == ([(1.0, 0.0)], [0])
+        # on a vertical edge the b end is the node above
+        assert self.run(self.P, [[-1.0, 0.0], [1e-12, 0]], 1e-9,
+                        [(1, 0, 0)]) == ([(0.0, 1.0)], [0])
+
+    def test_a_midpoint_value_of_zero_is_the_vertex(self):
+        # 0.5 has F = 1/4, then 0.25 has F = 0.0 exactly, which tol 0 takes
+        assert self.run(self.P, [[-0.25, 0.75], [0, 0]], 0.0) \
+            == ([(0.25, 0.0)], [2])
+
+    def test_tol_zero_runs_the_cap(self):
+        # x1^2 - 2 is 0.0 at no float: 200 midpoints, then one more
+        p = X1 * X1 - 2
+        xs = np.array([1.0, 2.0])
+        got, want, calls = lock_step_and_textbook(
+            p, xs, self.YS, textbook_grid_eval(p, xs, self.YS), [(0, 0, 0)],
+            0.0)
+        assert bits(got) == bits(want) and calls == [200]
+        assert got[0][0] not in (1.0, 2.0)
+
+    def test_edges_end_at_different_steps(self):
+        # one block of F = 4 x1^2 - 1, tol 0: on [0.25, 1] a midpoint near
+        # the zero 1/2 rounds F to 0.0; node (-1, 1) is set to 0.0, an early
+        # return on two edges; on [-1, 0] the first midpoint is the zero;
+        # [0, 0.25] has no sign change, so it runs the cap
+        p = X1 * X1 * 4 - 1
+        xs = np.array([-1.0, 0.0, 0.25, 1.0])
+        vals = textbook_grid_eval(p, xs, self.YS)
+        vals[1, 0] = 0.0
+        edges = [(0, 2, 0), (0, 0, 1), (0, 0, 0), (1, 0, 0), (0, 1, 0)]
+        got, want, calls = lock_step_and_textbook(p, xs, self.YS, vals,
+                                                  edges, 0.0)
+        assert bits(got) == bits(want)
+        assert calls == [53, 0, 1, 0, 200]
+
+    @pytest.mark.parametrize("p, xs, ys", [
+        (X1 * X1, [1e200, 3e200], [0.0, 1.0]),  # x1^2 overflows in pow
+        (X1 * X2, [1e200, 3e200], [1e200, 3e200]),  # the product overflows
+    ])
+    def test_non_finite_midpoint_is_named(self, p, xs, ys):
+        y = ys[0]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=re.escape(
+                    f"F is not finite at (2e+200, {y!r}) on the grid edge "
+                    f"from (1e+200, {y!r}) to (3e+200, {y!r}): inf")):
+                goh._edge_vertices(p, np.array(xs), np.array(ys),
+                                   np.array([[-1.0, 1.0]] * 2), [(0, 0, 0)],
+                                   1e-9)
+
+
+def test_bisection_blocks_keep_the_bits(monkeypatch):
+    # more crossed edges than one block of 7
+    p, window, res = THROUGH_NODES[1]
+    sys = system_of(p)
+    want = reference_trace(sys, window, res)
+    assert sum(map(len, want.polylines)) > 7
+    monkeypatch.setattr(goh, "SCAN_ROWS", 7)
+    got = trace_variety(sys, window, res)
+    assert got.to_json() == want.to_json()
+    assert got.to_csv() == want.to_csv()
+
+
 def test_first_system_wins_a_tie(monkeypatch):
     # the three solves land on three points of F = x1 x2 with the same
     # |grad F| = t: the first system's point is the one reported

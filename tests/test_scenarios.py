@@ -72,3 +72,46 @@ def test_bad_res_raises_before_any_grid(monkeypatch):
     for res in (0, 7.5):
         with pytest.raises(ValueError, match="resolution must be an integer"):
             run_scenario("f23-line", res=res)
+
+
+# the settings each scenario reads besides the seed
+READS = {"heisenberg": {"tol", "samples", "res"},
+         "f23-line": {"tol", "samples", "res"},
+         "f24": {"tol"},
+         "f25": set(),
+         "martinet": {"tol", "samples", "res"},
+         "f27-spiral": {"tol", "eps", "samples"}}
+GIVEN = {"tol": 1e-3, "eps": 0.5, "samples": 5, "res": 9}
+
+
+@pytest.mark.parametrize("name,key", [
+    (name, key) for name in SCENARIO_NAMES for key in GIVEN
+    if key not in READS[name]])
+def test_a_setting_the_scenario_does_not_read_is_refused(name, key,
+                                                         monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the scenario ran")
+
+    monkeypatch.setattr(scenarios, "realize_frame", no_work)
+    monkeypatch.setattr(scenarios, "goh_polynomials", no_work)
+    with pytest.raises(ValueError, match=f"^scenario {name} does not read "
+                       f"{key}$"):
+        run_scenario(name, **{key: GIVEN[key]})
+    # a zero or a bad resolution is refused as unread too, not checked
+    with pytest.raises(ValueError, match="does not read"):
+        run_scenario(name, **{key: 0})
+
+
+def test_read_settings_are_used(monkeypatch):
+    seen = {}
+
+    def pipeline(cfg):
+        seen.update(cfg)
+        return "report"
+
+    monkeypatch.setitem(scenarios._PIPELINES, "f24",
+                        (pipeline, scenarios._PIPELINES["f24"][1]))
+    assert run_scenario("f24", seed=3, tol=0.25) == "report"
+    assert seen == {"seed": 3, "tol": 0.25}
+    assert run_scenario("f24") == "report"
+    assert seen == {"seed": 0, "tol": 1e-8}
