@@ -114,8 +114,9 @@ def goh_polynomials(frame: Frame, lam) -> GohSystem:
 def variety_membership(sys: GohSystem, curve) -> float:
     """sup over curve samples and pairs (h,k) of |F^{h,k}(point)|.
 
-    A point that is not finite, or whose power overflows in some F^{h,k}, is
-    a ValueError naming its index.
+    A point that is not finite, or where some F^{h,k} overflows (a power
+    raises, a product gives inf, a sum of opposite infinities NaN), is a
+    ValueError naming the pair and the point's index.
     """
     points = getattr(curve, "points", curve)
     evaluators = [(hk, _float_evaluator(p)) for hk, p in sys.polys.items()]
@@ -130,8 +131,10 @@ def variety_membership(sys: GohSystem, curve) -> float:
             try:
                 v = abs(float(f(x)))
             except OverflowError:
+                v = math.inf
+            if not v < math.inf:  # inf or NaN
                 raise ValueError(f"F^({h},{k}) overflows at curve point "
-                                 f"{idx}: {x}") from None
+                                 f"{idx}: {x}")
             if v > worst:
                 worst = v
     return worst

@@ -142,6 +142,9 @@ class _Ring:
         return _Packed({1 << self.shifts[i]: 1}, 1, 1, self)
 
 
+_UNIT = {0: 1}  # the terms of the polynomial 1 over the denominator 1
+
+
 class _Packed:
     """Exact polynomial on a _Ring: {packed exponent key: int numerator}
     over one positive denominator, reduced by a gcd after each operation,
@@ -151,6 +154,11 @@ class _Packed:
     term order of the same Poly operations: sums run on freelie._accumulate,
     products on _product.  A product whose bound exceeds the ring's limit
     raises OverflowError instead of carrying into the next variable.
+
+    Values are immutable: no code changes terms after construction.  So a
+    product by the unit 1 returns the other factor itself, and a sum takes
+    a side scaled by 1 or -1 as it is, copied or negated, instead of
+    multiplying each term.
     """
 
     __slots__ = ("terms", "den", "top", "ring")
@@ -171,9 +179,11 @@ class _Packed:
             other = self.ring.const(other)
         den = lcm(self.den, other.den)
         fa, fb = den // self.den, sign * (den // other.den)
+        a, b = self.terms, other.terms.items()
         out = _accumulate(
-            {k: v * fa for k, v in self.terms.items()},
-            [(k, v * fb) for k, v in other.terms.items()])
+            dict(a) if fa == 1 else {k: v * fa for k, v in a.items()},
+            b if fb == 1 else [(k, -v) for k, v in b] if fb == -1
+            else [(k, v * fb) for k, v in b])
         return _Packed(out, den, max(self.top, other.top), self.ring)
 
     def __add__(self, other):
@@ -200,6 +210,10 @@ class _Packed:
             raise OverflowError(f"exponent bound {top} does not fit in a "
                                 f"field of {self.ring.limit.bit_length()} "
                                 f"bits")
+        if self.terms == _UNIT and self.den == 1 and other.top == top:
+            return other
+        if other.terms == _UNIT and other.den == 1 and self.top == top:
+            return self
         return _Packed(_product(self.terms.items(), other.terms.items()),
                        self.den * other.den, top, self.ring)
 

@@ -3,7 +3,8 @@ writer puts first and every loader checks, exact rationals as "p/q"
 strings, and words over the letters 1, 2, ... as digit strings or lists.
 
 Floats are rendered with 17 significant digits so that reruns with the
-same flags and seed produce byte-identical artifacts.
+same flags and seed produce byte-identical artifacts.  A long all-int row
+(one entry per line) is rendered once per row and indent in a dumps call.
 """
 
 from __future__ import annotations
@@ -92,7 +93,7 @@ def _escape(s: str) -> str:
     return "".join(out)
 
 
-def _emit(obj, parts: list, pad: str):
+def _emit(obj, parts: list, pad: str, rows: dict):
     if obj is None:
         parts.append("null")
     elif obj is True:
@@ -117,7 +118,7 @@ def _emit(obj, parts: list, pad: str):
             if not isinstance(k, str):
                 raise TypeError(f"JSON object keys must be strings, got {k!r}")
             parts.append(f'{inner}"{_escape(k)}": ')
-            _emit(v, parts, inner)
+            _emit(v, parts, inner, rows)
             parts.append(",\n" if i + 1 < len(obj) else "\n")
         parts.append(pad + "}")
     elif isinstance(obj, (list, tuple)):
@@ -125,20 +126,26 @@ def _emit(obj, parts: list, pad: str):
         if not seq:
             parts.append("[]")
             return
-        # ints (not bools, which print true) in one join
+        # ints (not bools, which print true) in one join; a long row, such
+        # as an exponent tuple, recurs across an artifact and is rendered
+        # once per indent (keyed only after the int check: True == 1)
         if type(seq[0]) is int and all(type(v) is int for v in seq):
             if len(seq) <= 16:
                 parts.append("[" + ", ".join(map(str, seq)) + "]")
-            else:
+                return
+            key = (tuple(seq), pad)
+            text = rows.get(key)
+            if text is None:
                 inner = pad + INDENT
-                parts.append(f"[\n{inner}" + f",\n{inner}".join(map(str, seq))
-                             + f"\n{pad}]")
+                text = rows[key] = (f"[\n{inner}" + f",\n{inner}".join(
+                    map(str, seq)) + f"\n{pad}]")
+            parts.append(text)
             return
         scalars = all(not isinstance(v, (dict, list, tuple)) for v in seq)
         if scalars and len(seq) <= 16:
             parts.append("[")
             for i, v in enumerate(seq):
-                _emit(v, parts, pad)
+                _emit(v, parts, pad, rows)
                 if i + 1 < len(seq):
                     parts.append(", ")
             parts.append("]")
@@ -147,20 +154,20 @@ def _emit(obj, parts: list, pad: str):
         inner = pad + INDENT
         for i, v in enumerate(seq):
             parts.append(inner)
-            _emit(v, parts, inner)
+            _emit(v, parts, inner, rows)
             parts.append(",\n" if i + 1 < len(seq) else "\n")
         parts.append(pad + "]")
     elif hasattr(obj, "tolist"):  # numpy scalars and arrays
-        _emit(obj.tolist(), parts, pad)
+        _emit(obj.tolist(), parts, pad, rows)
     elif hasattr(obj, "to_json"):
-        _emit(obj.to_json(), parts, pad)
+        _emit(obj.to_json(), parts, pad, rows)
     else:
         raise TypeError(f"cannot serialize {type(obj).__name__}")
 
 
 def dumps(obj) -> str:
     parts: list = []
-    _emit(obj, parts, "")
+    _emit(obj, parts, "", {})
     parts.append("\n")
     return "".join(parts)
 

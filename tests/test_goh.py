@@ -137,6 +137,29 @@ class TestVarietyMembership:
                 f"F^(1,2) overflows at curve point 1: [{x!r}, 0.0]")):
             variety_membership(sys, [(0.0, 0.0), (x, 0.0)])
 
+    @pytest.mark.parametrize("x, y", [(1e150, 1e150), (1e150, 2e150)])
+    def test_nan_value_at_a_finite_point_is_named(self, x, y):
+        # x1^2 x2 and x1 x2^2 overflow to +inf and -inf, the sum is NaN,
+        # and NaN never beats the sup: it used to read as on the variety
+        x1, x2 = Poly.var(2, 0), Poly.var(2, 1)
+        sys = system_of(x1 * x1 * x2 - x1 * x2 * x2)
+        with pytest.raises(ValueError, match=re.escape(
+                f"F^(1,2) overflows at curve point 1: [{x!r}, {y!r}]")):
+            variety_membership(sys, [(0.0, 0.0), (x, y)])
+
+    @pytest.mark.parametrize("x", [1e150, -1e150])
+    def test_infinite_product_at_a_finite_point_is_named(self, x):
+        # x1^2 x2 overflows to inf in a product, with no power raising
+        x1, x2 = Poly.var(2, 0), Poly.var(2, 1)
+        sys = system_of(x1 * x1 * x2 + x2)
+        with pytest.raises(ValueError, match=re.escape(
+                f"F^(1,2) overflows at curve point 2: [{x!r}, {x!r}]")):
+            variety_membership(sys, [(0.0, 0.0), (1.0, 1.0), (x, x)])
+
+    def test_largest_finite_value_is_the_sup(self):
+        sys = system_of(Poly.var(2, 0) * Poly.var(2, 1))
+        assert variety_membership(sys, [(1e154, 1e154)]) == 1e154 * 1e154
+
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_point_is_named(self, bad):
         # a NaN value never beats the sup, so it used to read as on the variety

@@ -767,6 +767,98 @@ def test_packed_ring_matches_poly_term_for_term(program):
         assert all(k <= pp.top for e in p.terms for k in e)
 
 
+@st.composite
+def packed_den_pairs(draw):
+    """Two Polys on R^n whose packed denominators are equal, one dividing
+    the other, or coprime; each has a term with coefficient 1/den, so den
+    is exactly its packed denominator."""
+    n = draw(st.integers(1, 3))
+    how = draw(st.sampled_from(["equal", "dividing", "coprime"]))
+    if how == "equal":
+        dens = [draw(st.integers(1, 6))] * 2
+    elif how == "dividing":
+        d = draw(st.integers(1, 4))
+        dens = [d, d * draw(st.integers(2, 4))]
+    else:
+        dens = [draw(st.sampled_from([2, 4, 8])),
+                draw(st.sampled_from([1, 3, 5, 9, 15]))]
+    dens = dens[::draw(st.sampled_from([1, -1]))]
+    exps = st.tuples(*[st.integers(0, 2)] * n)
+
+    def poly(den):
+        e = draw(exps)
+        rest = draw(st.dictionaries(exps, st.integers(-3, 3).filter(bool)
+                                    .map(lambda k: F(k, den)), max_size=4))
+        return Poly(n, {e: F(1, den), **{k: c for k, c in rest.items()
+                                         if k != e}})
+
+    return n, poly(dens[0]), poly(dens[1]), dens
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=packed_den_pairs())
+def test_packed_shortcuts_match_textbook_term_for_term(case):
+    # a product by the unit returns the other factor, and a sum reads a
+    # side scaled by 1 unscaled and one scaled by -1 negated
+    n, p, q, dens = case
+    ring = polyfield._Ring(n, 255)
+    one_poly = Poly.one(n)
+    one = ring.const(1)
+    pp, pq = packed(ring, p), packed(ring, q)
+    assert [pp.den, pq.den] == dens
+    for a, pa in ((p, pp), (q, pq)):
+        for got, want in ((one * pa, textbook_mul(one_poly, a)),
+                          (pa * one, textbook_mul(a, one_poly))):
+            assert list(got.to_poly().terms.items()) == want
+            assert (got.den, got.top) == (pa.den, pa.top)
+    for (a, pa), (b, pb) in (((p, pp), (q, pq)), ((q, pq), (p, pp)),
+                             ((p, pp), (p, pp))):
+        for got, want in ((pa + pb, textbook_add(a, b)),
+                          (pa - pb, textbook_add(a, -b))):
+            assert list(got.to_poly().terms.items()) == want
+            assert math.gcd(got.den, *got.terms.values()) == 1
+            assert got.top == max(pa.top, pb.top)
+
+
+def test_packed_unit_with_a_higher_bound_still_multiplies():
+    # x - x + 1 is the unit with bound 1: the product keeps the summed bound
+    ring = polyfield._Ring(2, 255)
+    x = ring.var(0)
+    unit = x - x + 1
+    assert unit.terms == {0: 1} and unit.top == 1
+    for got in (unit * x, x * unit):
+        assert got.top == 2
+        assert list(got.to_poly().terms.items()) == [((1, 0), 1)]
+    big = x
+    for _ in range(254):
+        big = big * x
+    assert ring.const(1) * big is big
+    with pytest.raises(OverflowError, match="exponent bound 256"):
+        unit * big
+
+
+@settings(max_examples=200, deadline=None)
+@given(program=packed_programs())
+def test_packed_operations_leave_every_operand_unchanged(program):
+    # results share terms with their operands (a product by 1, a sum scaled
+    # by 1), so every value is compared before and after each operation
+    n, pool, ops = program
+    ring = polyfield._Ring(n, 255)
+    values = [ring.const(1), ring.const(-1)] + [packed(ring, p) for p in pool]
+    every = [(op, i, j, 1) for op in PACKED_OPS for i in range(4)
+             for j in range(4)]
+    for op, i, j, c in every + ops:
+        a, b = values[i % len(values)], values[j % len(values)]
+        before = [(list(v.terms.items()), v.den, v.top) for v in values]
+        got = {"add": lambda: a + b, "sub": lambda: a - b, "neg": lambda: -a,
+               "mul": lambda: a * b, "scale": lambda: a * c,
+               "rscale": lambda: c * a, "diff": lambda: a.diff(j % n),
+               "minus_one": lambda: a - 1}[op]()
+        assert [(list(v.terms.items()), v.den, v.top)
+                for v in values] == before
+        values.append(got)
+
+
 def test_packed_product_cancelling_mid_loop_reinserts_at_the_end():
     # the packed twin of the Poly case above
     ring = polyfield._Ring(1, 255)

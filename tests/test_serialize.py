@@ -282,10 +282,23 @@ def sized_lists(items):
                        for k in (0, 1, 16, 17)])
 
 
+def repeated_rows(row):
+    """One 17-entry row at two depths of one object, and twice at one."""
+    return {"a": row, "b": [list(row), {"c": row}, row]}
+
+
+# dumps renders each long int row once per indent; [True] * 17 == [1] * 17
+# and the two hash alike, yet print differently
+UNIT_ROWS = st.sampled_from([[[1] * 17, [True] * 17],
+                             [[True] * 17, [1] * 17]])
+
 JSON_VALUES = st.recursive(
     JSON_SCALARS | sized_lists(st.integers(-9, 9))
     | sized_lists(st.integers(-9, 9) | st.booleans())
-    | sized_lists(JSON_SCALARS),
+    | sized_lists(JSON_SCALARS)
+    | st.lists(st.integers(-9, 9), min_size=17, max_size=17).map(
+        repeated_rows)
+    | UNIT_ROWS,
     lambda inner: st.lists(inner, max_size=3)
     | st.dictionaries(st.text(max_size=3), inner, max_size=3),
     max_leaves=8)
