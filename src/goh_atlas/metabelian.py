@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .freelie import StructureTable
-from .polyfield import Frame, _nested_brackets, lie_bracket_fields
+from .polyfield import Frame, _nested_brackets, _right_nested, \
+    lie_bracket_fields
 from .normalform import verify_normal_form
 from .serialize import artifact
 
@@ -60,13 +61,13 @@ def is_metabelian(frame: Frame, depth: int) -> MetabelianVerdict:
     for a in range(2, depth // 2 + 1):
         for b in range(a, depth - a + 1):
             for index_i in itertools.product(range(1, r + 1), repeat=a):
-                fi = nested(index_i)
+                fi = nested(_right_nested(index_i))
                 if fi.is_zero():
                     continue
                 for index_j in itertools.product(range(1, r + 1), repeat=b):
                     if b == a and index_j < index_i:
                         continue
-                    fj = nested(index_j)
+                    fj = nested(_right_nested(index_j))
                     if fj.is_zero():
                         continue
                     g = lie_bracket_fields(fi, fj)

@@ -22,14 +22,16 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial, reduce
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 from math import gcd, lcm
+from numbers import Integral
 from operator import index, or_
 
 import numpy as np
 
 from .errors import NotNilpotentError
-from .freelie import _accumulate, lie_scale
+from .freelie import _accumulate, generate_basis, lie_scale, \
+    standard_factorization
 from .serialize import _ratio, _words_from_json, _words_to_json, artifact, \
     check_artifact
 
@@ -694,24 +696,30 @@ def martinet_frame() -> Frame:
 
 
 def _nested_brackets(frame: Frame):
-    """Memoized J -> [X_{j1}, [X_{j2}, ... X_{jk}]] (1-based entries).
+    """Memoized bracket tree -> frame field.  A tree is a 1-based letter j
+    (the field X_j) or a pair (left, right) (the bracket [X_left, X_right]).
 
     The memo lives as long as the returned function, so each caller keeps
     its own and nothing is stored on the frame.
     """
-    cache: dict[tuple, PolyVec] = {}
+    cache: dict = dict(enumerate(frame.fields, 1))
 
-    def nested(J: tuple) -> PolyVec:
-        got = cache.get(J)
+    def nested(tree) -> PolyVec:
+        got = cache.get(tree)
         if got is None:
-            if len(J) == 1:
-                got = frame.fields[J[0] - 1]
-            else:
-                got = lie_bracket_fields(frame.fields[J[0] - 1], nested(J[1:]))
-            cache[J] = got
+            got = cache[tree] = lie_bracket_fields(nested(tree[0]),
+                                                   nested(tree[1]))
         return got
 
     return nested
+
+
+def _right_nested(J: tuple):
+    """The bracket tree (j1, (j2, ... jk)) of [X_{j1}, [X_{j2}, ... X_{jk}]]."""
+    tree = J[-1]
+    for j in reversed(J[:-1]):
+        tree = (j, tree)
+    return tree
 
 
 # ---------------------------------------------------------------------------
@@ -751,47 +759,52 @@ def exact_flow(x_field: PolyVec, x0, t):
 # ---------------------------------------------------------------------------
 # growth vector via exact rank
 
-def _exact_rank(rows: list[list[Fraction]]) -> int:
-    """Rank over Q by Gaussian elimination on Fractions."""
-    mat = [row[:] for row in rows if any(row)]
-    if not mat:
-        return 0
-    cols = len(mat[0])
-    rank = 0
-    col = 0
-    while rank < len(mat) and col < cols:
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            col += 1
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        inv = 1 / mat[rank][col]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][col]:
-                f = mat[r][col] * inv
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 def growth_vector(frame: Frame, p, depth: int) -> list[int]:
-    """dim span{X_J(p) : |J| <= k} for k = 1..depth."""
+    """dim span{X_J(p) : |J| <= k} for k = 1..depth.
+
+    The Lyndon brackets of length k span the degree-k part of the free Lie
+    algebra, as the right-nested ones do (Reutenauer, Free Lie Algebras,
+    1993, ch. 4-5), so only they are bracketed, each Lyndon word w = uv as
+    [X_u, X_v] of its standard factorization.  Each value at p is reduced
+    against the rows kept so far (one running echelon form over Q) and kept
+    if anything is left; once the rank reaches n nothing more is bracketed.
+    """
+    if isinstance(depth, bool) or not isinstance(depth, Integral):
+        raise TypeError(f"depth must be an integer, got {depth!r}")
+    depth = int(depth)
     if depth < 1:
         raise ValueError("depth must be >= 1")
+    n = frame.n
+    if len(p) != n:
+        raise ValueError(f"point has {len(p)} coordinates; the frame lives "
+                         f"on R^{n}, so it needs n = {n}")
     point = [_as_frac(v) for v in p]
     bracket_field = _nested_brackets(frame)
-    dims = []
-    rows: list[list[Fraction]] = []
-    indices = [()]
-    for k in range(1, depth + 1):
-        indices = [J + (i,) for J in indices for i in range(1, frame.r + 1)]
-        for J in indices:
-            f = bracket_field(J)
-            if not f.is_zero():
-                rows.append([_as_frac(v) for v in f.eval(point)])
-        dims.append(_exact_rank(rows))
-    return dims
+    trees: dict = {}  # Lyndon word -> bracket tree
+    # (column, row): row is 1 at column and 0 at every earlier pivot's one
+    pivots: list[tuple[int, list[Fraction]]] = []
+    ranks = [0] * depth
+    for w in generate_basis(frame.r, depth).words:
+        if len(pivots) == n:
+            break
+        if len(w) == 1:
+            trees[w] = w[0]
+        else:
+            u, v = standard_factorization(w)
+            trees[w] = (trees[u], trees[v])
+        f = bracket_field(trees[w])
+        if not f.is_zero():
+            row = [_as_frac(v) for v in f.eval(point)]
+            for col, pivot in pivots:
+                c = row[col]
+                if c:
+                    row = [a - c * b for a, b in zip(row, pivot)]
+            col = next((j for j, a in enumerate(row) if a), None)
+            if col is not None:
+                inv = 1 / row[col]
+                pivots.append((col, [a * inv for a in row]))
+        ranks[len(w) - 1] = len(pivots)
+    return list(accumulate(ranks, max))
 
 
 # ---------------------------------------------------------------------------

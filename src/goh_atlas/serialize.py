@@ -3,12 +3,17 @@ writer puts first and every loader checks, exact rationals as "p/q"
 strings, and words over the letters 1, 2, ... as digit strings or lists.
 
 Floats are rendered with 17 significant digits so that reruns with the
-same flags and seed produce byte-identical artifacts.  A long all-int row
-(one entry per line) is rendered once per row and indent in a dumps call.
+same flags and seed produce byte-identical artifacts.  The emitter
+dispatches on the exact type and renders an all-int or all-float row in one
+join; a subclass of a JSON type, a numpy value or an object with to_json is
+turned into its plain value first, so every type has one renderer.  Within
+a dumps call each all-int row and each '"key": ' prefix is rendered once
+per indent, and a string with nothing to escape is written as it is.
 """
 
 from __future__ import annotations
 
+import re
 import sys
 from fractions import Fraction
 
@@ -73,96 +78,111 @@ def _render_float(x: float) -> str:
     return format(x, ".17g")
 
 
+_ESCAPED = re.compile(r'["\\\x00-\x1f]')  # every character _escape rewrites
+_SHORT_ESCAPES = {'"': '\\"', "\\": "\\\\", "\n": "\\n", "\t": "\\t",
+                  "\r": "\\r"}
+
+
 def _escape(s: str) -> str:
-    out = []
-    for ch in s:
-        if ch == '"':
-            out.append('\\"')
-        elif ch == "\\":
-            out.append("\\\\")
-        elif ch == "\n":
-            out.append("\\n")
-        elif ch == "\t":
-            out.append("\\t")
-        elif ch == "\r":
-            out.append("\\r")
-        elif ord(ch) < 0x20:
-            out.append(f"\\u{ord(ch):04x}")
-        else:
-            out.append(ch)
-    return "".join(out)
+    """s as the inside of a JSON string; s itself when nothing needs an
+    escape."""
+    return _ESCAPED.sub(lambda m: _SHORT_ESCAPES.get(m[0])
+                        or f"\\u{ord(m[0]):04x}", s)
 
 
-def _emit(obj, parts: list, pad: str, rows: dict):
-    if obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, int):
-        parts.append(str(obj))
-    elif isinstance(obj, float):
-        parts.append(_render_float(obj))
-    elif isinstance(obj, Fraction):
-        parts.append(f'"{obj}"')
-    elif isinstance(obj, str):
+def _plain(obj):
+    """The plain JSON value obj is rendered as: an instance of a subclass of
+    int, float, Fraction, str, dict, list or tuple as that type (bool has
+    none), a numpy scalar or array as its tolist(), else its to_json()."""
+    for kind in (int, float, Fraction, str, dict, list, tuple):
+        if isinstance(obj, kind):
+            return kind(obj)
+    if hasattr(obj, "tolist"):
+        return obj.tolist()
+    if hasattr(obj, "to_json"):
+        return obj.to_json()
+    raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def _row(texts, size: int, pad: str) -> str:
+    """A list of size rendered scalars: inline up to 16, else one a line."""
+    if size <= 16:
+        return "[" + ", ".join(texts) + "]"
+    inner = pad + INDENT
+    return f"[\n{inner}" + f",\n{inner}".join(texts) + f"\n{pad}]"
+
+
+def _emit(obj, parts: list, pad: str, memo: dict):
+    """Render obj into parts.  memo holds, for one dumps call, the text of
+    each all-int row per (row, indent) and of each '"key": ' prefix per
+    (key, indent)."""
+    kind = type(obj)
+    if kind is str:
         parts.append(f'"{_escape(obj)}"')
-    elif isinstance(obj, dict):
+    elif kind is int:
+        parts.append(str(obj))
+    elif kind is float:
+        parts.append(_render_float(obj))
+    elif kind is Fraction:
+        parts.append(f'"{obj}"')
+    elif kind is bool:
+        parts.append("true" if obj else "false")
+    elif obj is None:
+        parts.append("null")
+    elif kind is dict:
         if not obj:
             parts.append("{}")
             return
         parts.append("{\n")
         inner = pad + INDENT
+        last = len(obj) - 1
         for i, (k, v) in enumerate(obj.items()):
-            if not isinstance(k, str):
+            if not isinstance(k, str):  # before the lookup: memo has rows
                 raise TypeError(f"JSON object keys must be strings, got {k!r}")
-            parts.append(f'{inner}"{_escape(k)}": ')
-            _emit(v, parts, inner, rows)
-            parts.append(",\n" if i + 1 < len(obj) else "\n")
+            prefix = memo.get((k, inner))
+            if prefix is None:
+                prefix = memo[k, inner] = f'{inner}"{_escape(k)}": '
+            parts.append(prefix)
+            _emit(v, parts, inner, memo)
+            parts.append(",\n" if i < last else "\n")
         parts.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
+    elif kind is list or kind is tuple:
+        if not obj:
             parts.append("[]")
             return
-        # ints (not bools, which print true) in one join; a long row, such
-        # as an exponent tuple, recurs across an artifact and is rendered
-        # once per indent (keyed only after the int check: True == 1)
-        if type(seq[0]) is int and all(type(v) is int for v in seq):
-            if len(seq) <= 16:
-                parts.append("[" + ", ".join(map(str, seq)) + "]")
-                return
-            key = (tuple(seq), pad)
-            text = rows.get(key)
+        kinds = set(map(type, obj))
+        # ints (not bools, which print true) and floats in one join; an int
+        # row, such as an exponent tuple, recurs across an artifact and is
+        # rendered once per indent (keyed only after the type test: True == 1)
+        if kinds == {int}:
+            key = (tuple(obj), pad)
+            text = memo.get(key)
             if text is None:
-                inner = pad + INDENT
-                text = rows[key] = (f"[\n{inner}" + f",\n{inner}".join(
-                    map(str, seq)) + f"\n{pad}]")
+                text = memo[key] = _row(map(str, obj), len(obj), pad)
             parts.append(text)
             return
-        scalars = all(not isinstance(v, (dict, list, tuple)) for v in seq)
-        if scalars and len(seq) <= 16:
+        if kinds == {float}:
+            parts.append(_row(map(_render_float, obj), len(obj), pad))
+            return
+        if len(obj) <= 16 and not any(issubclass(t, (dict, list, tuple))
+                                      for t in kinds):
             parts.append("[")
-            for i, v in enumerate(seq):
-                _emit(v, parts, pad, rows)
-                if i + 1 < len(seq):
+            for i, v in enumerate(obj):
+                if i:
                     parts.append(", ")
+                _emit(v, parts, pad, memo)
             parts.append("]")
             return
         parts.append("[\n")
         inner = pad + INDENT
-        for i, v in enumerate(seq):
+        last = len(obj) - 1
+        for i, v in enumerate(obj):
             parts.append(inner)
-            _emit(v, parts, inner, rows)
-            parts.append(",\n" if i + 1 < len(seq) else "\n")
+            _emit(v, parts, inner, memo)
+            parts.append(",\n" if i < last else "\n")
         parts.append(pad + "]")
-    elif hasattr(obj, "tolist"):  # numpy scalars and arrays
-        _emit(obj.tolist(), parts, pad, rows)
-    elif hasattr(obj, "to_json"):
-        _emit(obj.to_json(), parts, pad, rows)
     else:
-        raise TypeError(f"cannot serialize {type(obj).__name__}")
+        _emit(_plain(obj), parts, pad, memo)
 
 
 def dumps(obj) -> str:

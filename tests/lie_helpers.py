@@ -5,7 +5,8 @@ CompiledPolys and of the integrators, the textbook product, sum and
 substitution on exponent tuples, the oracles of Poly and of the packed
 ring, the structure-table route of the realization, the oracle of
 normalform.realize_frame, the Bernoulli ad-series of the first-kind fields,
-and the Hypothesis strategy of sparse rational Lie elements."""
+the right-nested growth vector with elimination from scratch, and the
+Hypothesis strategy of sparse rational Lie elements."""
 
 from fractions import Fraction
 from math import comb
@@ -29,7 +30,8 @@ from goh_atlas.normalform import (
     _signed_table,
     signed_attachment,
 )
-from goh_atlas.polyfield import Frame, Poly, PolyVec, _nested_brackets
+from goh_atlas.polyfield import Frame, Poly, PolyVec, _as_frac, \
+    _nested_brackets, _right_nested
 
 
 def textbook_mul(p, q):
@@ -126,7 +128,58 @@ def iterated_bracket_fields(frame: Frame, J) -> PolyVec:
         raise ValueError("multi-index must be nonempty")
     if any(j < 1 or j > frame.r for j in J):
         raise ValueError("multi-index entries must lie in 1..r")
-    return _nested_brackets(frame)(J)
+    return _nested_brackets(frame)(_right_nested(J))
+
+
+def _exact_rank(rows: list[list[Fraction]]) -> int:
+    """Rank over Q by Gaussian elimination on Fractions."""
+    mat = [row[:] for row in rows if any(row)]
+    if not mat:
+        return 0
+    cols = len(mat[0])
+    rank = 0
+    col = 0
+    while rank < len(mat) and col < cols:
+        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
+        if piv is None:
+            col += 1
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        inv = 1 / mat[rank][col]
+        for r in range(rank + 1, len(mat)):
+            if mat[r][col]:
+                f = mat[r][col] * inv
+                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+def reference_growth_vector(frame: Frame, p, depth: int) -> list[int]:
+    """dim span{X_J(p) : |J| <= k} for k = 1..depth.
+
+    polyfield.growth_vector as it was before the Lyndon brackets: every
+    right-nested multi-index J, and the rank of all rows so far from
+    scratch at each depth."""
+    if depth < 1:
+        raise ValueError("depth must be >= 1")
+    point = [_as_frac(v) for v in p]
+    nested = _nested_brackets(frame)
+
+    def bracket_field(J):
+        return nested(_right_nested(J))
+
+    dims = []
+    rows: list[list[Fraction]] = []
+    indices = [()]
+    for k in range(1, depth + 1):
+        indices = [J + (i,) for J in indices for i in range(1, frame.r + 1)]
+        for J in indices:
+            f = bracket_field(J)
+            if not f.is_zero():
+                rows.append([_as_frac(v) for v in f.eval(point)])
+        dims.append(_exact_rank(rows))
+    return dims
 
 
 def f23_frame() -> Frame:

@@ -33,6 +33,7 @@ from lie_helpers import (
     assert_same_bits,
     f23_frame,
     iterated_bracket_fields,
+    reference_growth_vector,
     textbook_add,
     textbook_compose,
     textbook_mul,
@@ -267,6 +268,76 @@ class TestGrowthVector:
         tiny = [F(1, 10**12), 0, 0]
         assert growth_vector(fr, tiny, 2) == [2, 3]
         assert growth_vector(fr, [0, F(5), F(-2)], 2) == [2, 2]
+
+    @pytest.mark.parametrize("point", [[0, 0], [0, 0, 0, 0], []])
+    def test_point_of_the_wrong_length_is_refused(self, point):
+        # a point shorter or longer than n was read where its variables are
+        with pytest.raises(ValueError, match=re.escape(
+                f"point has {len(point)} coordinates; the frame lives on "
+                "R^3, so it needs n = 3")):
+            growth_vector(heisenberg_frame(), point, 2)
+
+    @pytest.mark.parametrize("depth", [True, False, 2.0, "2", None])
+    def test_depth_that_is_not_an_integer_is_refused(self, depth):
+        with pytest.raises(TypeError, match="depth must be an integer"):
+            growth_vector(heisenberg_frame(), [0, 0, 0], depth)
+
+    @pytest.mark.parametrize("depth", [0, -1])
+    def test_depth_below_one_is_refused(self, depth):
+        with pytest.raises(ValueError, match="depth must be >= 1"):
+            growth_vector(heisenberg_frame(), [0, 0, 0], depth)
+
+    def test_numpy_integer_depth_is_an_integer(self):
+        assert growth_vector(heisenberg_frame(), [0, 0, 0], np.int64(3)) == \
+            [2, 3, 3]
+
+    @pytest.mark.parametrize("rank, step", [
+        (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4)])
+    def test_realized_frames_match_the_right_nested_reference(self, rank,
+                                                               step):
+        frame, _ = realize_frame(generate_basis(rank, step))
+        rng = random.Random(f"{rank}/{step}")
+        generic = [F(rng.randint(-9, 9), rng.randint(1, 4))
+                   for _ in range(frame.n)]
+        for point in ([0] * frame.n, generic):
+            want = reference_growth_vector(frame, point, step + 1)
+            assert growth_vector(frame, point, step + 1) == want
+            assert want[-2:] == [frame.n, frame.n]
+
+    @pytest.mark.parametrize("frame", [heisenberg_frame(), martinet_frame()],
+                             ids=["heisenberg", "martinet"])
+    def test_classic_frames_match_the_right_nested_reference(self, frame):
+        for point in ([0, 0, 0], [F(1), 0, 0], [F(-2, 3), F(5), F(1, 7)]):
+            for depth in range(1, 5):
+                assert growth_vector(frame, point, depth) == \
+                    reference_growth_vector(frame, point, depth)
+
+
+@st.composite
+def growth_cases(draw):
+    """A frame of 1 to 3 sparse polynomial fields of degree <= 2 on R^n,
+    n <= 6, a depth 1..5, and the origin or a rational point."""
+    n = draw(st.integers(1, 6))
+    r = draw(st.integers(1, 3))
+    monomials = st.lists(st.integers(0, n - 1), max_size=2).map(
+        lambda vs: tuple(vs.count(i) for i in range(n)))
+    coefs = st.builds(F, st.integers(-3, 3).filter(bool), st.integers(1, 3))
+    fields = [PolyVec([Poly(n, draw(st.dictionaries(monomials, coefs,
+                                                    max_size=2)))
+                       for _ in range(n)]) for _ in range(r)]
+    depth = draw(st.integers(1, 5))
+    point = draw(st.just([0] * n) | st.lists(
+        st.builds(F, st.integers(-3, 3), st.integers(1, 3)),
+        min_size=n, max_size=n))
+    return Frame(fields), point, depth
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=growth_cases())
+def test_growth_vector_matches_the_right_nested_reference(case):
+    frame, point, depth = case
+    assert growth_vector(frame, point, depth) == \
+        reference_growth_vector(frame, point, depth)
 
 
 class TestCompiledEvaluators:

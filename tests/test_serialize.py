@@ -3,6 +3,7 @@ to_json/from_json round-trips on random artifacts."""
 
 import json
 import re
+from collections import OrderedDict, namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -211,9 +212,31 @@ def test_structure_table_round_trips(rank_step):
 # ---------------------------------------------------------------------------
 # the emitter
 
+def reference_escape(s: str) -> str:
+    """serialize._escape as it was before its regex test: every character
+    looked at in turn."""
+    out = []
+    for ch in s:
+        if ch == '"':
+            out.append('\\"')
+        elif ch == "\\":
+            out.append("\\\\")
+        elif ch == "\n":
+            out.append("\\n")
+        elif ch == "\t":
+            out.append("\\t")
+        elif ch == "\r":
+            out.append("\\r")
+        elif ord(ch) < 0x20:
+            out.append(f"\\u{ord(ch):04x}")
+        else:
+            out.append(ch)
+    return "".join(out)
+
+
 def reference_emit(obj, parts: list, pad: str):
     """serialize._emit before lists of ints were joined in one step: every
-    item through the general path."""
+    item through the general path, every string through reference_escape."""
     if obj is None:
         parts.append("null")
     elif obj is True:
@@ -227,7 +250,7 @@ def reference_emit(obj, parts: list, pad: str):
     elif isinstance(obj, Fraction):
         parts.append(f'"{obj}"')
     elif isinstance(obj, str):
-        parts.append(f'"{serialize._escape(obj)}"')
+        parts.append(f'"{reference_escape(obj)}"')
     elif isinstance(obj, dict):
         if not obj:
             parts.append("{}")
@@ -235,7 +258,7 @@ def reference_emit(obj, parts: list, pad: str):
         parts.append("{\n")
         inner = pad + serialize.INDENT
         for i, (k, v) in enumerate(obj.items()):
-            parts.append(f'{inner}"{serialize._escape(k)}": ')
+            parts.append(f'{inner}"{reference_escape(k)}": ')
             reference_emit(v, parts, inner)
             parts.append(",\n" if i + 1 < len(obj) else "\n")
         parts.append(pad + "}")
@@ -270,10 +293,15 @@ def reference_dumps(obj) -> str:
     return "".join(parts) + "\n"
 
 
+# the characters _escape rewrites, or nearly does: \x7f and \u2028 pass as
+# they are
+SPECIALS = '"\\\n\x1f\x7f\u2028'
+TEXTS = st.text(st.sampled_from("aé" + SPECIALS), max_size=4)
+
 JSON_SCALARS = st.one_of(
     st.integers(-10**20, 10**20), st.booleans(), FINITE,
     st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9)),
-    st.text(max_size=4))
+    st.text(max_size=4), TEXTS)
 
 
 def sized_lists(items):
@@ -287,7 +315,13 @@ def repeated_rows(row):
     return {"a": row, "b": [list(row), {"c": row}, row]}
 
 
-# dumps renders each long int row once per indent; [True] * 17 == [1] * 17
+def repeated_keys(key_value):
+    """One key at three depths of one object, and twice at one."""
+    key, value = key_value
+    return {key: value, "m": [{key: value}, {key: {key: value}}]}
+
+
+# dumps renders each int row once per indent; [True] * 17 == [1] * 17
 # and the two hash alike, yet print differently
 UNIT_ROWS = st.sampled_from([[[1] * 17, [True] * 17],
                              [[True] * 17, [1] * 17]])
@@ -295,12 +329,14 @@ UNIT_ROWS = st.sampled_from([[[1] * 17, [True] * 17],
 JSON_VALUES = st.recursive(
     JSON_SCALARS | sized_lists(st.integers(-9, 9))
     | sized_lists(st.integers(-9, 9) | st.booleans())
+    | sized_lists(FINITE) | sized_lists(FINITE | st.integers(-9, 9))
     | sized_lists(JSON_SCALARS)
     | st.lists(st.integers(-9, 9), min_size=17, max_size=17).map(
         repeated_rows)
     | UNIT_ROWS,
     lambda inner: st.lists(inner, max_size=3)
-    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    | st.dictionaries(st.text(max_size=3) | TEXTS, inner, max_size=3)
+    | st.tuples(TEXTS, inner).map(repeated_keys),
     max_leaves=8)
 
 
@@ -310,7 +346,55 @@ def test_emit_matches_reference_byte_for_byte(value):
     assert serialize.dumps(value) == reference_dumps(value)
 
 
+@pytest.mark.parametrize("ch", [*SPECIALS, "\t", "\r", "\x00", "a"])
+def test_each_character_escapes_as_the_reference(ch):
+    for text in (ch, "ab" + ch, ch + ch + "é"):
+        assert serialize.dumps({text: text}) == reference_dumps({text: text})
+
+
 def test_int_list_fast_path_keeps_bools_and_layout():
     assert serialize.dumps([1, True, 0]) == "[1, true, 0]\n"
     assert serialize.dumps(list(range(17))) == \
         "[\n" + "".join(f"  {i},\n" for i in range(16)) + "  16\n]\n"
+
+
+class _Int(int):
+    pass
+
+
+class _Float(float):
+    pass
+
+
+class _Str(str):
+    pass
+
+
+class _Thing:
+    def to_json(self):
+        return {"row": [0.25] * 17}
+
+
+def test_subclasses_numpy_values_and_to_json_render_as_plain_values():
+    point = namedtuple("point", "x y")
+    value = OrderedDict([
+        (_Str('k"ey'), [_Int(3), _Float(0.5), _Str("a\n"), True]),
+        ("np", [np.float64(0.1), np.int64(7), np.bool_(True)]),
+        ("array", np.array([[1, 2], [3, 4]])),
+        ("rows", [[np.float64(0.5)] * 17, np.arange(17), [_Int(1)] * 17]),
+        ("point", point(1, 2.0)), ("thing", _Thing())])
+    plain = {'k"ey': [3, 0.5, "a\n", True],
+             "np": [0.1, 7, True], "array": [[1, 2], [3, 4]],
+             "rows": [[0.5] * 17, list(range(17)), [1] * 17],
+             "point": [1, 2.0], "thing": {"row": [0.25] * 17}}
+    assert serialize.dumps(value) == reference_dumps(plain)
+
+
+@pytest.mark.parametrize("value", [
+    {1: 2},
+    # a key equal to a long row rendered before at the same indent
+    [[[0] * 17], {(0,) * 17: 1}],
+])
+def test_a_key_that_is_not_a_string_is_refused(value):
+    with pytest.raises(TypeError, match="JSON object keys must be strings"):
+        serialize.dumps(value)
