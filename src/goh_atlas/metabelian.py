@@ -11,6 +11,7 @@ with invariance under vertical translations.
 from __future__ import annotations
 
 import itertools
+from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -51,25 +52,28 @@ def is_metabelian(frame: Frame, depth: int) -> MetabelianVerdict:
     Pairs are deduplicated by antisymmetry; the returned witness is the
     first failure in (|I|, |J|, I, J) lexicographic order.  For nilpotent
     frames depth = step is conclusive; otherwise the verdict only covers
-    brackets up to the given depth.
+    brackets up to the given depth.  Each X_J is found once, when the sweep
+    first gets there, and the pairs bracketed are the full sweep's.
     """
     if depth < 4:
         raise ValueError("depth must be at least 4 (shortest candidate pair)")
-    r = frame.r
+    letters = range(1, frame.r + 1)
     nested = _nested_brackets(frame)
+    sweeps: dict = {}  # length -> a tee over its nonzero (J, X_J), J ascending
+
+    def nonzero(length: int, start: int = 0):
+        """The nonzero (J, X_J) with |J| = length from the start-th on: a copy
+        of one tee per length, which finds each X_J once."""
+        if length not in sweeps:
+            sweeps[length] = itertools.tee((
+                (J, f) for J in itertools.product(letters, repeat=length)
+                for f in [nested(_right_nested(J))] if not f.is_zero()), 1)[0]
+        return itertools.islice(copy(sweeps[length]), start, None)
 
     for a in range(2, depth // 2 + 1):
         for b in range(a, depth - a + 1):
-            for index_i in itertools.product(range(1, r + 1), repeat=a):
-                fi = nested(_right_nested(index_i))
-                if fi.is_zero():
-                    continue
-                for index_j in itertools.product(range(1, r + 1), repeat=b):
-                    if b == a and index_j < index_i:
-                        continue
-                    fj = nested(_right_nested(index_j))
-                    if fj.is_zero():
-                        continue
+            for pos, (index_i, fi) in enumerate(nonzero(a)):
+                for index_j, fj in nonzero(b, pos if b == a else 0):
                     g = lie_bracket_fields(fi, fj)
                     if not g.is_zero():
                         comp = next(k for k, p in enumerate(g.comps) if p)

@@ -47,6 +47,12 @@ def _as_frac(c) -> Fraction:
     raise TypeError(f"cannot coerce {type(c).__name__} to Fraction")
 
 
+def _check_length(point, n: int, what: str) -> None:
+    if len(point) != n:
+        raise ValueError(f"point has {len(point)} coordinates; the {what} "
+                         f"lives on R^{n}, so it needs n = {n}")
+
+
 # (field width in bytes, array typecode), narrowest first
 _WIDTHS = sorted({array(code).itemsize: code for code in "QLIHB"}.items())
 
@@ -426,6 +432,7 @@ class Poly:
 
     def eval(self, x):
         """Evaluate at a point; exact for Fraction/int inputs."""
+        _check_length(x, self.n, "polynomial")
         total = None
         for e, c in self.terms.items():
             v = c
@@ -559,6 +566,7 @@ class PolyVec:
         return all(p.is_zero() for p in self.comps)
 
     def eval(self, x):
+        _check_length(x, self.n, "field")
         return [p.eval(x) for p in self.comps]
 
     def __repr__(self):
@@ -751,6 +759,7 @@ def flow_map(x_field: PolyVec) -> list[Poly]:
 
 def exact_flow(x_field: PolyVec, x0, t):
     """Exact time-t flow point from x0 (rational in, rational out)."""
+    _check_length(x0, x_field.n, "field")
     phi = flow_map(x_field)
     pt = [_as_frac(v) for v in x0] + [_as_frac(t)]
     return [p.eval(pt) for p in phi]
@@ -775,9 +784,7 @@ def growth_vector(frame: Frame, p, depth: int) -> list[int]:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     n = frame.n
-    if len(p) != n:
-        raise ValueError(f"point has {len(p)} coordinates; the frame lives "
-                         f"on R^{n}, so it needs n = {n}")
+    _check_length(p, n, "frame")
     point = [_as_frac(v) for v in p]
     bracket_field = _nested_brackets(frame)
     trees: dict = {}  # Lyndon word -> bracket tree

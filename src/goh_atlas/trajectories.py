@@ -16,20 +16,20 @@ the level's four stage derivatives from the known lower-level stage
 states, its node values by np.add.accumulate (the loop's own order of
 additions), then its stage states.  A frame with a cycle steps x through
 the sequential stepper `_rk4` instead, on the control values at the
-stage times.  The matrix states (J, the adjoint row, K) then step through
-`_rk4` on A batch-evaluated at the recorded stage states.  Windows end at
-grid nodes, where the step loop restarts anyway, and bound the memory on
-long grids.  Each integrator checks its state for non-finite values at
-every grid node.  The covector is always propagated by the adjoint
-equation rather than by inverting Jacobians.  A frame's stepping
-evaluators (per level, and on the Jacobian pattern) are compiled on its
-first use and kept on the frame (see `_compiled`).
+stage times.  The matrix states (J, the adjoint row, K) are linear, and
+`_propagate` steps them by one product per stage with A batch-evaluated at
+the recorded stage states.  Windows end at grid nodes, where the step loop
+restarts anyway, and bound the memory on long grids.  Each integrator
+checks its state for non-finite values at every grid node; the adjoint
+row is paired once per window.  The covector is always propagated by the
+adjoint equation rather than by inverting Jacobians.  A frame's
+evaluators are compiled on its first use and kept on it (`_compiled`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, combinations, islice
+from itertools import combinations, groupby, islice
 
 import numpy as np
 
@@ -129,10 +129,9 @@ class JacobianPath:
     dets: np.ndarray
 
 
-def _check_finite(arr, what: str, node: int, t, error=NumericsError):
-    if not np.all(np.isfinite(arr)):
-        raise error(f"{what} produced non-finite values at node {node} "
-                    f"(t = {float(t):.6g})")
+def _non_finite(what: str, node: int, t, error=NumericsError):
+    return error(f"{what} produced non-finite values at node {node} "
+                 f"(t = {float(t):.6g})")
 
 
 WINDOW_STEPS = 512  # RK4 steps integrated together (bounds the stage arrays)
@@ -163,10 +162,13 @@ def _drift(evs, uk, pts):
 
     evs are compiled per field (all on the same component list), so this is
     sum_k u_k X_k, or sum_k u_k DX_k on a Jacobian pattern.  Terms with
-    u_k = 0 are skipped, and the sum starts from zeros.
+    u_k = 0 are skipped, and so are all-zero fields (DX_1 = 0): a sum from
+    zeros is never -0.0, so adding +-0.0 (u_k is finite) changes nothing.
     """
     out = np.zeros((len(pts), evs[0].count))
     for k, ev in enumerate(evs):
+        if not ev.ranks:  # no terms
+            continue
         c = uk[:, k]
         live = c != 0.0
         if live.all():
@@ -209,8 +211,8 @@ def _compiled(frame: Frame, what: str):
     - "levels": (levels, evaluators), with one evaluator per field on each
       level's components, or (None, one evaluator per field) on a cycle;
     - "jacobian": (flat indices into n x n of the union pattern of the
-      fields' Jacobians, one evaluator per field on that pattern).
-    The pairings evaluated at grid nodes are compiled per call.
+      fields' Jacobians, one evaluator per field on that pattern);
+    - "pairings": X_k for each k, then [X_h, X_k] for each h < k.
     """
     got = frame._evaluators.get(what)
     if got is None:
@@ -234,10 +236,18 @@ def _compile_jacobian(frame: Frame):
              for f in frame.fields])
 
 
-_COMPILE = {"levels": _compile_levels, "jacobian": _compile_jacobian}
+def _compile_pairings(frame: Frame):
+    f = frame.fields
+    return [compile_polyvec(v) for v in f] + [
+        compile_polyvec(lie_bracket_fields(f[h], f[k]))
+        for h, k in combinations(range(len(f)), 2)]
 
 
-@dataclass
+_COMPILE = {"levels": _compile_levels, "jacobian": _compile_jacobian,
+            "pairings": _compile_pairings}
+
+
+@dataclass(eq=False)  # windows are told apart by identity
 class _Window:
     """RK4 data of the grid intervals lo..hi-1 (nodes lo..hi)."""
 
@@ -282,6 +292,11 @@ def _stage_controls(u, r: int, grid, substeps: int):
                                  f"t = {t:.6g}, but the frame has r = {r} "
                                  f"fields")
             vals[idx] = row
+        bad = np.argwhere(~np.isfinite(vals))  # the first in call order
+        if len(bad):
+            i, k = tuple(bad[0, :2]), bad[0, 2]
+            raise ValueError(f"control value u_{k + 1} = {vals[i][k]} at "
+                             f"t = {times[i]:.6g} is not finite")
     return np.repeat(h, substeps), vals
 
 
@@ -357,48 +372,55 @@ def _stage_matrices(jevs, flat, n: int, w: _Window):
     """A = sum_k u_k DX_k at every stage of w, in step order.
 
     jevs evaluate the Jacobians on their union nonzero pattern (flat
-    indices into n x n); A is scattered into zeros, a quarter evaluator
-    block at a time.  These dense blocks set the peak RSS, so they are
-    smaller than the evaluator's: 64 rows at EVAL_ROWS = 256, since 128
-    read 5 % more peak RSS on spiral-f27 at n = 41 and gained little.  A
-    smaller EVAL_ROWS (at least 4) makes them smaller too.
+    indices into n x n); A is scattered into one block of whole steps,
+    zeroed once and reused, so no block touches fresh pages.  The block
+    sets the peak RSS: 64 rows at EVAL_ROWS = 256, since 128 read 5 % more
+    on spiral-f27 at n = 41 and gained little.  The matrices are views of
+    it: use a step's four before asking for the next step's.
     """
     pts = w.stages.reshape(-1, n)
     uk = w.controls.reshape(len(pts), -1)
-    rows = polyfield.EVAL_ROWS // 4
+    rows = 4 * max(1, polyfield.EVAL_ROWS // 16)
+    block = np.zeros((min(rows, len(pts)), n * n))
     for lo in range(0, len(pts), rows):
-        amat = np.zeros((len(pts[lo:lo + rows]), n * n))
+        amat = block[:len(pts[lo:lo + rows])]
         amat[:, flat] = _drift(jevs, uk[lo:lo + rows], pts[lo:lo + rows])
         yield from amat.reshape(-1, n, n)
 
 
-def _propagate(frame: Frame, windows, m0, product, what: str, error):
-    """RK4 of Mdot = product(A, M) along the windows.
+def _propagate(frame: Frame, windows, m0, adjoint: bool, what: str, error):
+    """RK4 of Mdot = A M, or of the adjoint Mdot = -M A, along the windows.
 
-    Yields (window, i, M) at each new node i of each window; M is checked
-    there, so propagation stops at the first non-finite one.
+    The textbook step's float operations in its order, the adjoint's
+    negation folded in exactly (-(a*k) is a*(-k), x - y is x + (-y)): a
+    stage state is m - (0.5*h)*(m @ A), the weighted sum (in place in k1)
+    -k1 - 2 k2 - 2 k3 - k4.  Yields (window, i, M) at each new node i; M
+    is checked there, so propagation stops at the first non-finite one.
     """
-    n = frame.n
     flat, jevs = _compiled(frame, "jacobian")
+    add = np.subtract if adjoint else np.add
     m = m0
     for w in windows:
-        amats = _stage_matrices(jevs, flat, n, w)
-        # four consecutive stage matrices per step; a node every substeps
-        ends = (y for _, y in _rk4(product, m, w.h,
-                                   zip(amats, amats, amats, amats)))
-        nodes = islice(ends, w.substeps - 1, None, w.substeps)
-        for i, m in enumerate(chain([m], nodes)):
-            if i >= w.first:
-                _check_finite(m, what, w.lo + i, w.grid[i], error)
-                yield w, i, m
-
-
-def _forward(amat, m):
-    return amat @ m
-
-
-def _adjoint(amat, m):
-    return -(m @ amat)
+        amats = _stage_matrices(jevs, flat, frame.n, w)
+        steps = zip(w.h, amats, amats, amats, amats)  # four A's per step
+        for i in range(w.first, len(w.grid)):
+            for hs, a1, a2, a3, a4 in islice(steps, w.substeps if i else 0):
+                k1 = m @ a1 if adjoint else a1 @ m
+                y = add(m, (0.5 * hs) * k1)
+                k2 = y @ a2 if adjoint else a2 @ y
+                y = add(m, (0.5 * hs) * k2)
+                k3 = y @ a3 if adjoint else a3 @ y
+                y = add(m, hs * k3)
+                k4 = y @ a4 if adjoint else a4 @ y
+                if adjoint:
+                    np.negative(k1, out=k1)
+                add(k1, 2.0 * k2, out=k1)
+                add(k1, 2.0 * k3, out=k1)
+                add(k1, k4, out=k1)
+                m = m + (hs / 6.0) * k1
+            if not np.isfinite(m).all():
+                raise _non_finite(what, w.lo + i, w.grid[i], error)
+            yield w, i, m
 
 
 def flow_control(frame: Frame, u, x0, substeps: int = 1, ts=None) -> SampledCurve:
@@ -409,7 +431,7 @@ def flow_control(frame: Frame, u, x0, substeps: int = 1, ts=None) -> SampledCurv
         bad = ~np.isfinite(w.nodes).all(axis=1)
         if bad.any():
             i = int(bad.argmax())
-            _check_finite(w.nodes[i], "control flow", w.lo + i, w.grid[i])
+            raise _non_finite("control flow", w.lo + i, w.grid[i])
         out.append(w.nodes[w.first:])
     return SampledCurve(grid, np.concatenate(out))
 
@@ -448,7 +470,7 @@ def jacobian_flow(frame: Frame, u, x0, substeps: int = 1,
     """J(t_i) of the flow, by RK4 on Jdot = DX_u(t, gamma(t)) J."""
     grid, windows = _windows(frame, u, x0, substeps, ts)
     mats = [m for _, _, m in _propagate(frame, windows, np.eye(frame.n),
-                                        _forward, "variational flow",
+                                        False, "variational flow",
                                         NumericsError)]
     dets = np.array([np.linalg.det(m) for m in mats])
     return JacobianPath(grid, mats, dets)
@@ -462,14 +484,10 @@ def pushforward_identity_residual(frame: Frame, u, x0, substeps: int = 1,
     N+1 matrices is kept.
     """
     _, windows = _windows(frame, u, x0, substeps, ts)
-    r, n = frame.r, frame.n
-    worst = 0.0
-    eye = np.eye(n)
-    for _, _, m in _propagate(frame, windows, eye, _forward,
-                              "variational flow", NumericsError):
-        d = np.max(np.abs(m[:, r:] - eye[:, r:]))
-        worst = max(worst, float(d))
-    return worst
+    r, eye = frame.r, np.eye(frame.n)
+    return max(float(np.max(np.abs(m[:, r:] - eye[:, r:]))) for _, _, m in
+               _propagate(frame, windows, eye, False, "variational flow",
+                          NumericsError))
 
 
 @dataclass
@@ -504,19 +522,18 @@ def extremal_residuals(frame: Frame, u, x0, lam, substeps: int = 1,
     if len(lam) != frame.n or not np.any(lam):
         raise ValueError("covector must be nonzero with n entries")
     pairs = list(combinations(range(1, frame.r + 1), 2))
-    pairings = [compile_polyvec(f) for f in frame.fields] + [
-        compile_polyvec(lie_bracket_fields(frame.fields[h - 1],
-                                           frame.fields[k - 1]))
-        for h, k in pairs]
-    grid, windows = _windows(frame, u, x0, substeps, ts, pairings)
-    rho_rows, sigma_rows = [], []
-    for w, i, row in _propagate(frame, windows, lam, _adjoint,
-                                "adjoint propagation", ConditioningError):
-        vals = [float(row @ v[i]) for v in w.at_nodes]
-        rho_rows.append(vals[:frame.r])
-        sigma_rows.append(vals[frame.r:])
-    rho = np.array(rho_rows)
-    sigma = np.array(sigma_rows) if pairs else np.zeros((len(grid), 0))
+    grid, windows = _windows(frame, u, x0, substeps, ts,
+                             _compiled(frame, "pairings"))
+    nodes = _propagate(frame, windows, lam, True, "adjoint propagation",
+                       ConditioningError)
+    vals = []
+    for w, group in groupby(nodes, lambda node: node[0]):
+        # one (1, n) @ (n, 1) product per node and pairing: row @ v[i]
+        rows = np.array([row for _, _, row in group])[:, None]
+        vals.append(np.hstack([rows @ v[w.first:, :, None]
+                               for v in w.at_nodes])[:, :, 0])
+    vals = np.concatenate(vals)
+    rho, sigma = vals[:, :frame.r], vals[:, frame.r:]
     return ExtremalReport(
         grid, rho, sigma, pairs,
         float(np.max(np.abs(rho))) if rho.size else 0.0,
@@ -552,21 +569,18 @@ def recover_abnormal_covector(frame: Frame, u, x0, substeps: int = 1,
     """
     n = frame.n
     _, windows = _windows(frame, u, x0, substeps, ts,
-                          [compile_polyvec(f) for f in frame.fields])
+                          _compiled(frame, "pairings")[:frame.r])
     rows = [kmat @ v[i] for w, i, kmat in _propagate(
-        frame, windows, np.eye(n), _adjoint, "inverse-Jacobian propagation",
+        frame, windows, np.eye(n), True, "inverse-Jacobian propagation",
         ConditioningError) for v in w.at_nodes]
 
     stack = np.array(rows)
     if stack.shape[0] < n:
         stack = np.vstack([stack, np.zeros((n - stack.shape[0], n))])
     _, svals, vt = np.linalg.svd(stack, full_matrices=False)
-    smax = svals[0] if len(svals) else 0.0
-    candidates = []
-    for idx in range(vt.shape[0]):
-        s = svals[idx] if idx < len(svals) else 0.0
-        if smax == 0.0 or s / smax < threshold:
-            candidates.append(vt[idx])
+    smax = svals[0]  # the stack has at least n >= 1 rows
+    candidates = [v for s, v in zip(svals, vt)
+                  if smax == 0.0 or s / smax < threshold]
     return RecoveryResult(candidates, svals, threshold, stack.shape[0])
 
 

@@ -5,9 +5,11 @@ CompiledPolys and of the integrators, the textbook product, sum and
 substitution on exponent tuples, the oracles of Poly and of the packed
 ring, the structure-table route of the realization, the oracle of
 normalform.realize_frame, the Bernoulli ad-series of the first-kind fields,
-the right-nested growth vector with elimination from scratch, and the
+the right-nested growth vector with elimination from scratch, the
+metabelian sweep over every multi-index pair, and the
 Hypothesis strategy of sparse rational Lie elements."""
 
+import itertools
 from fractions import Fraction
 from math import comb
 
@@ -30,8 +32,9 @@ from goh_atlas.normalform import (
     _signed_table,
     signed_attachment,
 )
+from goh_atlas.metabelian import MetabelianVerdict
 from goh_atlas.polyfield import Frame, Poly, PolyVec, _as_frac, \
-    _nested_brackets, _right_nested
+    _nested_brackets, _right_nested, lie_bracket_fields
 
 
 def textbook_mul(p, q):
@@ -180,6 +183,38 @@ def reference_growth_vector(frame: Frame, p, depth: int) -> list[int]:
                 rows.append([_as_frac(v) for v in f.eval(point)])
         dims.append(_exact_rank(rows))
     return dims
+
+
+def reference_is_metabelian(frame: Frame, depth: int):
+    """metabelian.is_metabelian as it was before the nonzero fields of each
+    length were listed once: every index_j is turned into its bracket tree
+    and looked up again for each nonzero index_i.  Returns the verdict and
+    the (X_I, X_J) pairs it bracketed, in order."""
+    if depth < 4:
+        raise ValueError("depth must be at least 4 (shortest candidate pair)")
+    r = frame.r
+    nested = _nested_brackets(frame)
+    bracketed = []
+    for a in range(2, depth // 2 + 1):
+        for b in range(a, depth - a + 1):
+            for index_i in itertools.product(range(1, r + 1), repeat=a):
+                fi = nested(_right_nested(index_i))
+                if fi.is_zero():
+                    continue
+                for index_j in itertools.product(range(1, r + 1), repeat=b):
+                    if b == a and index_j < index_i:
+                        continue
+                    fj = nested(_right_nested(index_j))
+                    if fj.is_zero():
+                        continue
+                    bracketed.append((fi, fj))
+                    g = lie_bracket_fields(fi, fj)
+                    if not g.is_zero():
+                        comp = next(k for k, p in enumerate(g.comps) if p)
+                        return MetabelianVerdict(
+                            False, depth, (index_i, index_j),
+                            comp + 1), bracketed
+    return MetabelianVerdict(True, depth), bracketed
 
 
 def f23_frame() -> Frame:

@@ -4,7 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from goh_atlas import metabelian
 from goh_atlas.freelie import generate_basis, structure_table
 from goh_atlas.metabelian import (
     coefficient_dependence,
@@ -14,6 +17,8 @@ from goh_atlas.metabelian import (
 )
 from goh_atlas.normalform import realize_frame
 from goh_atlas.polyfield import Frame, Poly, PolyVec, heisenberg_frame, martinet_frame
+from goh_atlas.polyfield import lie_bracket_fields
+from lie_helpers import f23_frame, reference_is_metabelian
 
 F = Fraction
 
@@ -151,3 +156,63 @@ def test_route_equivalence(step):
                for _ in range(frame.n - 2)]
         samples.append((x, tau))
     assert (translation_invariance(frame, samples) == 0.0) is expected
+
+
+def assert_sweep_matches_reference(frame, depth):
+    """Same verdict, witness and component as the sweep over every
+    multi-index pair, and the same field pairs bracketed, in order."""
+    want, want_pairs = reference_is_metabelian(frame, depth)
+    got_pairs = []
+
+    def recording(x, y):
+        got_pairs.append((x, y))
+        return lie_bracket_fields(x, y)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metabelian, "lie_bracket_fields", recording)
+        got = is_metabelian(frame, depth)
+    assert got == want
+    assert got_pairs == want_pairs
+    return got
+
+
+@pytest.mark.parametrize("make, depth, expected", [
+    (heisenberg_frame, 9, True),
+    (martinet_frame, 9, True),
+    (f23_frame, 8, True),
+    (lambda: realized(2, 4)[0], 6, True),
+    (lambda: realized(2, 5)[0], 6, False),
+    (lambda: realized(2, 6)[0], 6, False),
+    (lambda: realized(3, 3)[0], 5, True),
+    (lambda: realized(3, 4)[0], 4, False),
+], ids=["heisenberg", "martinet", "f23", "f24", "f25", "f26", "f33", "f34"])
+def test_sweep_matches_the_reference_on_classic_frames(make, depth, expected):
+    assert assert_sweep_matches_reference(make(), depth).metabelian \
+        is expected
+
+
+@st.composite
+def nilpotent_frames(draw):
+    """Random triangular polynomial frames: coordinate j reads only
+    coordinates below it, so every bracket sweep ends."""
+    n = draw(st.integers(2, 5))
+    r = draw(st.integers(1, 3))
+    coefs = st.fractions(-2, 2, max_denominator=3).filter(bool)
+    fields = []
+    for _ in range(r):
+        comps = []
+        for j in range(n):
+            terms = {}
+            for _ in range(draw(st.integers(0, 2))):
+                e = [draw(st.integers(0, 2)) if i < j else 0
+                     for i in range(n)]
+                terms[tuple(e)] = draw(coefs)
+            comps.append(Poly(n, terms))
+        fields.append(PolyVec(comps))
+    return Frame(fields)
+
+
+@settings(max_examples=60, deadline=None)
+@given(frame=nilpotent_frames(), depth=st.integers(4, 7))
+def test_sweep_matches_the_reference_on_random_frames(frame, depth):
+    assert_sweep_matches_reference(frame, depth)

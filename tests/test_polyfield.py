@@ -150,6 +150,21 @@ class TestPolyAsTensorCoefficient:
         assert set(a) <= set(back) or all(bool(c) for c in a.values())
 
 
+@pytest.mark.parametrize("point", [[F(1)], [F(1), F(2), F(3)], ()])
+def test_poly_and_field_eval_refuse_a_point_of_the_wrong_length(point):
+    # variables that do not occur were never read, so a short or long point
+    # gave a value
+    x = Poly.var(2, 0)
+    with pytest.raises(ValueError, match=re.escape(
+            f"point has {len(point)} coordinates; the polynomial lives on "
+            "R^2, so it needs n = 2")):
+        (x * x).eval(point)
+    with pytest.raises(ValueError, match=re.escape(
+            f"point has {len(point)} coordinates; the field lives on "
+            "R^2, so it needs n = 2")):
+        PolyVec([x, Poly.one(2)]).eval(point)
+
+
 class TestPolyVecAndBracket:
     def test_coordinate_and_arithmetic(self):
         v = PolyVec.coordinate(3, 1)
@@ -234,6 +249,14 @@ class TestExactFlow:
         f = PolyVec([Poly.var(1, 0)])  # xdot = x
         with pytest.raises(NotNilpotentError):
             exact_flow(f, [F(1)], F(1))
+
+    @pytest.mark.parametrize("start", [[0, 0, 0, 5], [0, 0], []])
+    def test_start_of_the_wrong_length_is_refused(self, start):
+        # [0, 0, 0, 5] gave [0, 5, 0]: the extra entry was read as the time
+        with pytest.raises(ValueError, match=re.escape(
+                f"point has {len(start)} coordinates; the field lives on "
+                "R^3, so it needs n = 3")):
+            exact_flow(heisenberg_frame().fields[1], start, F(1))
 
     def test_rk4_matches_exact(self):
         fr = martinet_frame()

@@ -244,6 +244,8 @@ def weightless(frame: Frame) -> Frame:
 
 
 ORACLE_FRAMES = {
+    "constant": lambda: Frame([PolyVec.coordinate(3, 0),
+                               PolyVec.coordinate(3, 2)]),
     "heisenberg": heisenberg_frame,
     "martinet": martinet_frame,
     "f24": lambda: realized(4),
@@ -284,6 +286,8 @@ def assert_integrators_match_textbook(frame, u, x0, lam, substeps, ts=None):
 
     ref = reference_rk4(frame, u, grid, x0, np.eye(n), adjoint, substeps)
     stack = np.array([kmat @ ev(x) for x, kmat in ref for ev in evs])
+    if len(stack) < n:  # recovery pads a short stack with zero rows
+        stack = np.vstack([stack, np.zeros((n - len(stack), n))])
     _, svals, vt = np.linalg.svd(stack, full_matrices=False)
     res = recover_abnormal_covector(frame, u, x0, substeps=substeps,
                                     threshold=1e-3, **kwargs)
@@ -316,9 +320,9 @@ def test_integrators_match_textbook_rk4_bitwise(name, substeps):
 
 @pytest.mark.parametrize("name", ["heisenberg", "f25", "cyclic"])
 def test_windows_chunks_and_blocks_keep_the_bits(monkeypatch, name):
-    # tiny windows and evaluation blocks (stage matrices are built in
-    # half blocks), so the 12-interval grid crosses every boundary, none of
-    # them aligned, and blocks end inside an RK4 step
+    # tiny windows and evaluation blocks (stage matrices are built one
+    # step per block), so the 12-interval grid crosses every boundary, none
+    # of them aligned, and evaluation blocks end inside an RK4 step
     monkeypatch.setattr(trajectories, "WINDOW_STEPS", 5)
     monkeypatch.setattr(polyfield, "EVAL_ROWS", 7)
     frame = ORACLE_FRAMES[name]()
@@ -329,6 +333,20 @@ def test_windows_chunks_and_blocks_keep_the_bits(monkeypatch, name):
     lam = rng.uniform(-1.0, 1.0, size=frame.n)
     for substeps in (1, 2, 3):
         assert_integrators_match_textbook(frame, u, x0, lam, substeps)
+
+
+@pytest.mark.parametrize("substeps", [1, 2])
+def test_f27_integrators_match_textbook_rk4_bitwise(monkeypatch, substeps):
+    # the benchmark's frame (n = 41) on a 6-node grid, in windows of four
+    # steps, so both substep counts cross a window boundary
+    monkeypatch.setattr(trajectories, "WINDOW_STEPS", 4)
+    frame = realized(7)
+    assert frame.n == 41
+    rng = np.random.default_rng(37)
+    u = random_pl_control(rng, n_steps=5)
+    x0 = rng.uniform(-0.5, 0.5, size=frame.n)
+    lam = rng.uniform(-1.0, 1.0, size=frame.n)
+    assert_integrators_match_textbook(frame, u, x0, lam, substeps)
 
 
 def test_single_node_grid():
@@ -434,11 +452,10 @@ def test_level_scheme_selection(monkeypatch, make, leveled):
 @pytest.mark.parametrize("make", [lambda: realized(5), cyclic_frame],
                          ids=["f25", "cyclic"])
 def test_evaluators_are_compiled_once_per_frame(monkeypatch, make):
-    # three integrators, twice, on one frame build each stepping evaluator
-    # once: per level and field (per field on a cycle) and the Jacobian
-    # pattern per field; the pairings (each field, each bracket) are
-    # compiled per call; a freshly loaded copy of the frame builds its own
-    # and gives the same bits
+    # three integrators, twice, on one frame build each evaluator once: per
+    # level and field (per field on a cycle), the Jacobian pattern per
+    # field, and the pairings (each field, each bracket); a freshly loaded
+    # copy of the frame builds its own and gives the same bits
     stepping, pairing = [], []
 
     def counting(built):
@@ -466,16 +483,43 @@ def test_evaluators_are_compiled_once_per_frame(monkeypatch, make):
     levels = _levels(_dependencies(frame))
     r, pairs = frame.r, frame.r * (frame.r - 1) // 2
     once = (len(levels) if levels else 1) * r + r
-    per_run = r + r + pairs
     first = run(frame)
-    assert (len(stepping), len(pairing)) == (once, per_run)
+    assert (len(stepping), len(pairing)) == (once, r + pairs)
     again = run(frame)
-    assert (len(stepping), len(pairing)) == (once, 2 * per_run)
+    assert (len(stepping), len(pairing)) == (once, r + pairs)
     fresh = run(Frame.from_json(frame.to_json()))
-    assert (len(stepping), len(pairing)) == (2 * once, 3 * per_run)
+    assert (len(stepping), len(pairing)) == (2 * once, 2 * (r + pairs))
     for a, b, c in zip(first, again, fresh):
         assert_same_bits(a, b)
         assert_same_bits(a, c)
+
+
+@pytest.mark.parametrize("make", [heisenberg_frame, lambda: realized(4)],
+                         ids=["heisenberg", "f24"])
+def test_all_zero_evaluators_are_skipped(monkeypatch, make):
+    # X_1 = d_1 has a zero Jacobian and zero components above level 0: the
+    # drift leaves those evaluators out, and evaluates every other one
+    frame = make()
+    called = set()
+    evaluate = polyfield.CompiledPolys.__call__
+
+    def spy(self, x):
+        called.add(id(self))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(polyfield.CompiledPolys, "__call__", spy)
+    rng = np.random.default_rng(47)
+    u = random_pl_control(rng, n_steps=6)
+    x0 = rng.uniform(-0.5, 0.5, size=frame.n)
+    lam = rng.uniform(-1.0, 1.0, size=frame.n)
+    assert_integrators_match_textbook(frame, u, x0, lam, 2)
+    _, jevs = trajectories._compiled(frame, "jacobian")
+    _, levels = trajectories._compiled(frame, "levels")
+    stepping = jevs + [ev for level in levels for ev in level]
+    zero = [ev for ev in stepping if not any(ev.coefs)]
+    assert jevs[0] in zero and levels[1][0] in zero
+    for ev in stepping:
+        assert (id(ev) in called) == (ev not in zero)
 
 
 def test_a_flowed_frame_cannot_be_changed_under_its_evaluators():
@@ -508,6 +552,24 @@ def test_control_width_must_match_the_frame(integrate, width):
         integrate(frame, u)
     with pytest.raises(ValueError, match=f"control returned {width} values"):
         integrate(frame, lambda t: (1.0,) * width, ts=[0.0, 1.0])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("integrate", [
+    lambda fr, u, **kw: flow_control(fr, u, [0.0] * 3, **kw),
+    lambda fr, u, **kw: jacobian_flow(fr, u, [0.0] * 3, **kw),
+    lambda fr, u, **kw: extremal_residuals(fr, u, [0.0] * 3, [0, 0, 1], **kw),
+    lambda fr, u, **kw: recover_abnormal_covector(fr, u, [0.0] * 3, **kw),
+], ids=["flow", "jacobian", "adjoint", "inverse"])
+def test_non_finite_callable_control_is_refused(integrate, bad):
+    # u_2 is non-finite from t = 0.5 on, the last stage time of the second
+    # step; inf used to reach the drift (inf * 0 warns), NaN the next node
+    def u(t):
+        return (1.0, bad if t >= 0.5 else 0.0)
+
+    with pytest.raises(ValueError, match=re.escape(
+            f"control value u_2 = {bad} at t = 0.5 is not finite")):
+        integrate(heisenberg_frame(), u, ts=np.linspace(0.0, 1.0, 5))
 
 
 @pytest.mark.parametrize("integrate", [
