@@ -8,7 +8,10 @@ dispatches on the exact type and renders an all-int or all-float row in one
 join; a subclass of a JSON type, a numpy value or an object with to_json is
 turned into its plain value first, so every type has one renderer.  Within
 a dumps call each all-int row and each '"key": ' prefix is rendered once
-per indent, and a string with nothing to escape is written as it is.
+per indent, and a string with nothing to escape is written as it is.  The
+floats of an all-float row are rendered by one "%.17g" format call, and
+those of a list of all-float rows by one call per FLOAT_BATCH floats, with
+_render_float's texts.
 """
 
 from __future__ import annotations
@@ -16,6 +19,7 @@ from __future__ import annotations
 import re
 import sys
 from fractions import Fraction
+from itertools import chain, compress, count
 
 INDENT = "  "  # per nesting level of a JSON object or list
 SCHEMA = "goh-atlas/1"
@@ -76,6 +80,41 @@ def _render_float(x: float) -> str:
     if x == int(x) and abs(x) < 1e16:
         return f"{x:.1f}"
     return format(x, ".17g")
+
+
+def _float_texts(xs: list) -> list:
+    """[_render_float(x) for x in xs] from one "%.17g" format of all of xs;
+    each integral x below 1e16 is then rendered again, as .1f."""
+    text = ("%.17g\0" * len(xs) % tuple(xs))[:-1]
+    if "n" in text:  # inf, nan
+        raise ValueError("non-finite float has no JSON rendering")
+    texts = text.split("\0")
+    for i in compress(count(), map(float.is_integer, xs)):
+        if abs(xs[i]) < 1e16:
+            texts[i] = f"{xs[i]:.1f}"
+    return texts
+
+
+FLOAT_BATCH = 512  # floats per format call of _float_rows
+
+
+def _float_rows(rows, pad: str) -> list | None:
+    """Each of rows (curve points, pairings, candidates; rows[0] is not
+    empty) rendered by _row at pad, about FLOAT_BATCH floats from one format
+    call; None unless every entry is a float.  The batch bounds the
+    temporary texts."""
+    out = []
+    step = max(1, FLOAT_BATCH // len(rows[0]))
+    for lo in range(0, len(rows), step):
+        batch = rows[lo:lo + step]
+        flat = list(chain.from_iterable(batch))
+        if set(map(type, flat)) != {float}:
+            return None
+        texts, at = _float_texts(flat), 0
+        for row in batch:
+            out.append(_row(texts[at:at + len(row)], len(row), pad))
+            at += len(row)
+    return out
 
 
 _ESCAPED = re.compile(r'["\\\x00-\x1f]')  # every character _escape rewrites
@@ -162,8 +201,15 @@ def _emit(obj, parts: list, pad: str, memo: dict):
             parts.append(text)
             return
         if kinds == {float}:
-            parts.append(_row(map(_render_float, obj), len(obj), pad))
+            parts.append(_row(_float_texts(obj), len(obj), pad))
             return
+        if kinds <= {list, tuple} and obj[0] and type(obj[0][0]) is float:
+            inner = pad + INDENT
+            rows = _float_rows(obj, inner)
+            if rows is not None:
+                parts.append(f"[\n{inner}" + f",\n{inner}".join(rows)
+                             + f"\n{pad}]")
+                return
         if len(obj) <= 16 and not any(issubclass(t, (dict, list, tuple))
                                       for t in kinds):
             parts.append("[")

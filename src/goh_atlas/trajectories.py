@@ -24,6 +24,16 @@ checks its state for non-finite values at every grid node; the adjoint
 row is paired once per window.  The covector is always propagated by the
 adjoint equation rather than by inverting Jacobians.  A frame's
 evaluators are compiled on its first use and kept on it (`_compiled`).
+
+A frame also keeps the x path of its latest trajectory under a Control
+whose grid fits one window (WINDOW_STEPS // substeps steps), keyed by the
+exact bytes of the control's ts and values, of x0 and of substeps: step
+sizes, node and stage states, stage controls and, once a matrix state has
+needed them, A's pattern values at the stages.  The integrators along one
+curve thus integrate x and evaluate A once, each with a cold call's bits
+(the same arrays meet the same operations).  A frame holds one window at
+most (2.4 MB at n = 41); callable controls, longer grids and paths that
+blow up are not kept.
 """
 
 from __future__ import annotations
@@ -134,6 +144,15 @@ def _non_finite(what: str, node: int, t, error=NumericsError):
                  f"(t = {float(t):.6g})")
 
 
+def _finite(values, name: str) -> np.ndarray:
+    """values as a float array; ValueError naming the first non-finite one."""
+    out = np.array(_float_list(values), dtype=float)
+    bad = np.flatnonzero(~np.isfinite(out))
+    if len(bad):
+        raise ValueError(f"{name}[{bad[0]}] = {out[bad[0]]} is not finite")
+    return out
+
+
 WINDOW_STEPS = 512  # RK4 steps integrated together (bounds the stage arrays)
 
 
@@ -213,6 +232,8 @@ def _compiled(frame: Frame, what: str):
     - "jacobian": (flat indices into n x n of the union pattern of the
       fields' Jacobians, one evaluator per field on that pattern);
     - "pairings": X_k for each k, then [X_h, X_k] for each h < k.
+
+    `_windows` keeps its one-window x path there too, under "path".
     """
     got = frame._evaluators.get(what)
     if got is None:
@@ -249,7 +270,11 @@ _COMPILE = {"levels": _compile_levels, "jacobian": _compile_jacobian,
 
 @dataclass(eq=False)  # windows are told apart by identity
 class _Window:
-    """RK4 data of the grid intervals lo..hi-1 (nodes lo..hi)."""
+    """RK4 data of the grid intervals lo..hi-1 (nodes lo..hi).
+
+    A kept window is shared by every call that finds it on its frame, so
+    no caller writes into its arrays.
+    """
 
     lo: int
     grid: np.ndarray      # the grid nodes lo..hi
@@ -258,7 +283,7 @@ class _Window:
     nodes: np.ndarray     # (hi - lo + 1, n) states at those nodes
     stages: np.ndarray    # (S, 4, n) stage states of the window's S steps
     controls: np.ndarray  # (S, 4, r) control values at the stage times
-    at_nodes: list        # the at_nodes evaluators' values at the nodes
+    drift: np.ndarray | None = None  # (4S, pattern) A, once first needed
 
     @property
     def first(self) -> int:
@@ -300,7 +325,7 @@ def _stage_controls(u, r: int, grid, substeps: int):
     return np.repeat(h, substeps), vals
 
 
-def _windows(frame: Frame, u, x0, substeps: int, ts, at_nodes=()):
+def _windows(frame: Frame, u, x0, substeps: int, ts):
     """(grid, iterator of _Window): RK4 of xdot = sum_k u_k X_k(x).
 
     The grid is cut into windows of about WINDOW_STEPS steps; a window
@@ -308,10 +333,10 @@ def _windows(frame: Frame, u, x0, substeps: int, ts, at_nodes=()):
     every grid node.  When the frame's coordinates have dependency levels,
     each level is integrated over the window's steps at once (see the
     module docstring); a frame with a dependency cycle steps through
-    _rk4 instead.  Both give the bits of the plain loop.  Each
-    at_nodes evaluator is batch-evaluated at every window's nodes.
+    _rk4 instead.  Both give the bits of the plain loop.  A finite path
+    under a Control that fits one window is kept (module docstring).
     """
-    x0 = np.array(_float_list(x0), dtype=float)
+    x0 = _finite(x0, "x0")
     n, r = frame.n, frame.r
     if len(x0) != n:
         raise ValueError(f"x0 has {len(x0)} entries, but the frame lives in "
@@ -331,11 +356,18 @@ def _windows(frame: Frame, u, x0, substeps: int, ts, at_nodes=()):
         raise TypeError("control must be a Control or a callable t -> values")
     levels, evs = _compiled(frame, "levels")
     span = max(1, WINDOW_STEPS // substeps)
+    key = None
+    if isinstance(u, Control) and len(grid) - 1 <= span:
+        key = (u.ts.tobytes(), u.values.tobytes(), x0.tobytes(), substeps)
+        kept = frame._evaluators.get("path")
+        if kept is not None and kept[0] == key:
+            return grid, iter([kept[1]])
+        frame._evaluators.pop("path", None)  # never two windows on a frame
 
     def windows():
         x = x0
         for lo in range(0, max(len(grid) - 1, 1), span):
-            g = grid[lo:lo + span + 1]
+            g = grid[lo:lo + span + 1].copy()  # a kept window outlives u
             h, controls = _stage_controls(u, r, g, substeps)
             uk = controls.reshape(-1, r)
             if levels is None:
@@ -361,8 +393,10 @@ def _windows(frame: Frame, u, x0, substeps: int, ts, at_nodes=()):
                     stages[:, 2, cols] = start + half * k[:, 1]
                     stages[:, 3, cols] = start + h[:, None] * k[:, 2]
                 nodes = states[::substeps]
-            yield _Window(lo, g, substeps, h, nodes, stages, controls,
-                          [ev(nodes) for ev in at_nodes])
+            w = _Window(lo, g, substeps, h, nodes, stages, controls)
+            if key is not None and np.isfinite(nodes).all():
+                frame._evaluators["path"] = (key, w)
+            yield w
             x = nodes[-1]
 
     return grid, windows()
@@ -372,19 +406,27 @@ def _stage_matrices(jevs, flat, n: int, w: _Window):
     """A = sum_k u_k DX_k at every stage of w, in step order.
 
     jevs evaluate the Jacobians on their union nonzero pattern (flat
-    indices into n x n); A is scattered into one block of whole steps,
-    zeroed once and reused, so no block touches fresh pages.  The block
-    sets the peak RSS: 64 rows at EVAL_ROWS = 256, since 128 read 5 % more
-    on spiral-f27 at n = 41 and gained little.  The matrices are views of
-    it: use a step's four before asking for the next step's.
+    indices into n x n), for a window's stages once, block by block, and
+    the values stay on the window (a kept one serves later calls; the rows
+    of a drift do not depend on the batch they are in).  A is scattered
+    into one block of whole steps, zeroed once and reused, so no block
+    touches fresh pages: 64 rows at EVAL_ROWS = 256, since 128 read 5 %
+    more peak RSS on spiral-f27 at n = 41 and gained little.  The matrices
+    are views of it: use a step's four before asking for the next step's.
     """
     pts = w.stages.reshape(-1, n)
     uk = w.controls.reshape(len(pts), -1)
     rows = 4 * max(1, polyfield.EVAL_ROWS // 16)
+    if w.drift is None:
+        drift = np.empty((len(pts), len(flat)))
+        for lo in range(0, len(pts), rows):
+            drift[lo:lo + rows] = _drift(jevs, uk[lo:lo + rows],
+                                         pts[lo:lo + rows])
+        w.drift = drift  # only once complete: a drift may raise
     block = np.zeros((min(rows, len(pts)), n * n))
     for lo in range(0, len(pts), rows):
         amat = block[:len(pts[lo:lo + rows])]
-        amat[:, flat] = _drift(jevs, uk[lo:lo + rows], pts[lo:lo + rows])
+        amat[:, flat] = w.drift[lo:lo + rows]
         yield from amat.reshape(-1, n, n)
 
 
@@ -518,20 +560,20 @@ def extremal_residuals(frame: Frame, u, x0, lam, substeps: int = 1,
     pairs it with [X_h, X_k](gamma(t)).  The covector row is propagated by
     the adjoint equation, so no Jacobian is ever inverted.
     """
-    lam = np.array(_float_list(lam))
+    lam = _finite(lam, "lam")
     if len(lam) != frame.n or not np.any(lam):
         raise ValueError("covector must be nonzero with n entries")
     pairs = list(combinations(range(1, frame.r + 1), 2))
-    grid, windows = _windows(frame, u, x0, substeps, ts,
-                             _compiled(frame, "pairings"))
+    pairings = _compiled(frame, "pairings")
+    grid, windows = _windows(frame, u, x0, substeps, ts)
     nodes = _propagate(frame, windows, lam, True, "adjoint propagation",
                        ConditioningError)
     vals = []
     for w, group in groupby(nodes, lambda node: node[0]):
         # one (1, n) @ (n, 1) product per node and pairing: row @ v[i]
         rows = np.array([row for _, _, row in group])[:, None]
-        vals.append(np.hstack([rows @ v[w.first:, :, None]
-                               for v in w.at_nodes])[:, :, 0])
+        vals.append(np.hstack([rows @ ev(w.nodes)[w.first:, :, None]
+                               for ev in pairings])[:, :, 0])
     vals = np.concatenate(vals)
     rho, sigma = vals[:, :frame.r], vals[:, frame.r:]
     return ExtremalReport(
@@ -567,12 +609,18 @@ def recover_abnormal_covector(frame: Frame, u, x0, substeps: int = 1,
     singular vectors below the sigma ratio threshold; an empty list means
     no abnormal covector is visible at this grid resolution.
     """
+    if not (np.isfinite(threshold) and threshold > 0.0):
+        raise ValueError(f"threshold must be a finite positive number, got "
+                         f"{threshold}")
     n = frame.n
-    _, windows = _windows(frame, u, x0, substeps, ts,
-                          _compiled(frame, "pairings")[:frame.r])
-    rows = [kmat @ v[i] for w, i, kmat in _propagate(
-        frame, windows, np.eye(n), True, "inverse-Jacobian propagation",
-        ConditioningError) for v in w.at_nodes]
+    fields = _compiled(frame, "pairings")[:frame.r]
+    _, windows = _windows(frame, u, x0, substeps, ts)
+    rows = []
+    for w, group in groupby(_propagate(
+            frame, windows, np.eye(n), True, "inverse-Jacobian propagation",
+            ConditioningError), lambda node: node[0]):
+        at_nodes = [ev(w.nodes) for ev in fields]
+        rows += [kmat @ v[i] for _, i, kmat in group for v in at_nodes]
 
     stack = np.array(rows)
     if stack.shape[0] < n:

@@ -326,10 +326,22 @@ def repeated_keys(key_value):
 UNIT_ROWS = st.sampled_from([[[1] * 17, [True] * 17],
                              [[True] * 17, [1] * 17]])
 
+# floats at the edges of the one-format float path: a signed zero, the
+# least subnormal, a shortest repr shorter than 17 digits, the first
+# integral value rendered by %.17g, an odd integer that rounds to an
+# integral float below 1e16, and a large negative value
+EDGE_FLOATS = [-0.0, 5e-324, 0.1, 1e16, 9007199254740993.0, -1e308]
+FLOATS = FINITE | st.sampled_from(EDGE_FLOATS)
+
+# rows of floats (curves, pairings, candidates), the rows inline or not
+FLOAT_MATRICES = st.lists(sized_lists(FLOATS) | sized_lists(FLOATS).map(tuple),
+                          min_size=1, max_size=3)
+
 JSON_VALUES = st.recursive(
     JSON_SCALARS | sized_lists(st.integers(-9, 9))
     | sized_lists(st.integers(-9, 9) | st.booleans())
-    | sized_lists(FINITE) | sized_lists(FINITE | st.integers(-9, 9))
+    | sized_lists(FLOATS) | sized_lists(FLOATS | st.integers(-9, 9))
+    | FLOAT_MATRICES
     | sized_lists(JSON_SCALARS)
     | st.lists(st.integers(-9, 9), min_size=17, max_size=17).map(
         repeated_rows)
@@ -350,6 +362,34 @@ def test_emit_matches_reference_byte_for_byte(value):
 def test_each_character_escapes_as_the_reference(ch):
     for text in (ch, "ab" + ch, ch + ch + "é"):
         assert serialize.dumps({text: text}) == reference_dumps({text: text})
+
+
+@pytest.mark.parametrize("value", [
+    EDGE_FLOATS, EDGE_FLOATS * 3, [EDGE_FLOATS, EDGE_FLOATS * 3, [], [2.0]],
+    [[x] for x in EDGE_FLOATS], [[-1e16, 1e16], (-9999999999999998.0,)]])
+def test_float_rows_render_as_the_reference(value):
+    assert serialize.dumps(value) == reference_dumps(value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(value=FLOAT_MATRICES
+       | FLOAT_MATRICES.map(lambda rows: rows + [[1, 2.5]]),
+       batch=st.integers(1, 40))
+def test_float_rows_in_batches_render_as_the_reference(value, batch):
+    # rows of floats are formatted about FLOAT_BATCH floats at a time; an
+    # int found in a later batch sends the whole list down the general path
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(serialize, "FLOAT_BATCH", batch)
+        assert serialize.dumps(value) == reference_dumps(value)
+
+
+@pytest.mark.parametrize("bad", [float("inf"), float("-inf"), float("nan")])
+@pytest.mark.parametrize("where", ["scalar", "row", "long row", "matrix"])
+def test_a_non_finite_float_is_refused_on_every_path(bad, where):
+    value = {"scalar": bad, "row": [0.5, bad], "long row": [0.5] * 16 + [bad],
+             "matrix": [[0.5, 1.0], [2.0, bad]]}[where]
+    with pytest.raises(ValueError, match="non-finite float has no JSON"):
+        serialize.dumps(value)
 
 
 def test_int_list_fast_path_keeps_bools_and_layout():

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -349,6 +350,23 @@ def test_f27_integrators_match_textbook_rk4_bitwise(monkeypatch, substeps):
     assert_integrators_match_textbook(frame, u, x0, lam, substeps)
 
 
+@pytest.mark.parametrize("substeps", [1, 2])
+@pytest.mark.parametrize("rank, step, n", [(2, 6, 23), (3, 4, 32)])
+def test_blas_split_shapes_match_textbook_rk4_bitwise(monkeypatch, rank,
+                                                      step, n, substeps):
+    # the widths at which OpenBLAS picks other kernels for other output
+    # shapes: a product by A's nonzero columns only, the same sum in exact
+    # arithmetic, changes the J and K bits here; windows of four steps
+    monkeypatch.setattr(trajectories, "WINDOW_STEPS", 4)
+    frame, _ = realize_frame(generate_basis(rank, step))
+    assert frame.n == n
+    rng = np.random.default_rng(41)
+    u = random_pl_control(rng, n_steps=5, r=rank)
+    x0 = rng.uniform(-0.5, 0.5, size=frame.n)
+    lam = rng.uniform(-1.0, 1.0, size=frame.n)
+    assert_integrators_match_textbook(frame, u, x0, lam, substeps)
+
+
 def test_single_node_grid():
     frame = heisenberg_frame()
     calls = []
@@ -581,6 +599,245 @@ def test_x0_length_is_checked(integrate):
     u = Control(np.array([0.0, 1.0]), np.ones((2, 2)))
     with pytest.raises(ValueError, match="x0 has 2 entries"):
         integrate(heisenberg_frame(), u)
+
+
+INTEGRATORS = {
+    "flow": lambda fr, u, x0, **kw: flow_control(fr, u, x0, **kw),
+    "jacobian": lambda fr, u, x0, **kw: jacobian_flow(fr, u, x0, **kw),
+    "pushforward": lambda fr, u, x0, **kw: pushforward_identity_residual(
+        fr, u, x0, **kw),
+    "adjoint": lambda fr, u, x0, **kw: extremal_residuals(
+        fr, u, x0, np.linspace(-1.0, 1.0, fr.n) + 0.25, **kw),
+    "inverse": lambda fr, u, x0, **kw: recover_abnormal_covector(
+        fr, u, x0, threshold=1e-3, **kw),
+}
+
+
+def result_bytes(result) -> list:
+    """The bytes of every float array an integrator returned."""
+    if isinstance(result, float):
+        return [np.float64(result).tobytes()]
+    arrays = {
+        "SampledCurve": lambda c: [c.ts, c.points],
+        "JacobianPath": lambda p: [p.ts, np.array(p.mats), p.dets],
+        "ExtremalReport": lambda e: [e.ts, e.rho, e.sigma,
+                                     np.array([e.sup_abnormal, e.sup_goh])],
+        "RecoveryResult": lambda r: [r.singular_values,
+                                     np.array(r.candidates, dtype=float)],
+    }[type(result).__name__](result)
+    return [np.asarray(a, dtype=float).tobytes() for a in arrays]
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("name", sorted(INTEGRATORS))
+def test_non_finite_x0_is_refused(name, bad):
+    # [inf, 0, 0] gave Jacobian determinants [1, 1]
+    u = Control([0.0, 1.0], [[1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match=re.escape(
+            f"x0[1] = {bad} is not finite")):
+        INTEGRATORS[name](heisenberg_frame(), u, [0.0, bad, 0.0])
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_non_finite_covector_is_refused(bad):
+    # NaN was a ConditioningError "at node 0"
+    u = Control([0.0, 1.0], [[1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match=re.escape(
+            f"lam[2] = {bad} is not finite")):
+        extremal_residuals(heisenberg_frame(), u, [0.0] * 3, [1.0, 0.0, bad])
+
+
+@pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0, math.inf])
+def test_recovery_threshold_must_be_finite_and_positive(threshold):
+    # NaN and -1 gave no candidates, inf every right singular vector
+    u = Control([0.0, 1.0], [[1.0, 0.0], [1.0, 0.0]])
+    with pytest.raises(ValueError, match=re.escape(
+            f"threshold must be a finite positive number, got {threshold}")):
+        recover_abnormal_covector(heisenberg_frame(), u, [0.0] * 3,
+                                  threshold=threshold)
+
+
+def stepping_calls(monkeypatch, frame) -> set:
+    """The ids of frame's stepping evaluators (x levels, Jacobian pattern)
+    that are called from now on."""
+    _, levels = trajectories._compiled(frame, "levels")
+    _, jevs = trajectories._compiled(frame, "jacobian")
+    stepping = {id(ev) for ev in jevs + [
+        ev for level in levels for ev in
+        (level if isinstance(level, list) else [level])]}
+    called = set()
+    evaluate = polyfield.CompiledPolys.__call__
+
+    def spy(self, x):
+        if id(self) in stepping:
+            called.add(id(self))
+        return evaluate(self, x)
+
+    monkeypatch.setattr(polyfield.CompiledPolys, "__call__", spy)
+    return called
+
+
+@pytest.mark.parametrize("substeps", [1, 2])
+@pytest.mark.parametrize("make", [heisenberg_frame, lambda: realized(5),
+                                  cyclic_frame],
+                         ids=["heisenberg", "f25", "cyclic"])
+def test_a_kept_path_gives_the_bits_of_a_cold_call(monkeypatch, make,
+                                                   substeps):
+    # each integrator on a frame that keeps the trajectory's x path and A
+    # (all five ran on it) against a fresh copy of the frame (nothing kept)
+    frame = make()
+    rng = np.random.default_rng(53)
+    u = random_pl_control(rng, n_steps=11, r=frame.r)
+    u.values[3] = 0.0
+    x0 = rng.uniform(-0.5, 0.5, size=frame.n)
+    for integrate in INTEGRATORS.values():
+        integrate(frame, u, x0, substeps=substeps)
+    called = stepping_calls(monkeypatch, frame)
+    for name, integrate in INTEGRATORS.items():
+        warm = integrate(frame, u, x0, substeps=substeps)
+        cold = integrate(Frame.from_json(frame.to_json()), u, x0,
+                         substeps=substeps)
+        assert result_bytes(warm) == result_bytes(cold), name
+    assert not called  # the warm calls integrated no x and evaluated no A
+
+
+def kept(frame):
+    return frame._evaluators.get("path")
+
+
+def cold_flow(frame, u, x0, **kw):
+    return flow_control(Frame.from_json(frame.to_json()), u, x0, **kw)
+
+
+@pytest.mark.parametrize("name", sorted(INTEGRATORS))
+def test_writing_into_the_control_recomputes(name):
+    frame = realized(5)  # at step 4 the pushforward residual is 0.0
+    rng = np.random.default_rng(59)
+    u = random_pl_control(rng, n_steps=8)
+    x0 = rng.uniform(-0.5, 0.5, size=frame.n)
+    integrate = INTEGRATORS[name]
+    before = result_bytes(integrate(frame, u, x0))
+    u.values[5, 1] += 0.25
+    got = result_bytes(integrate(frame, u, x0))
+    assert got != before
+    assert got == result_bytes(integrate(Frame.from_json(frame.to_json()),
+                                         u, x0))
+    u.ts *= 2.0  # still uniform
+    got = result_bytes(integrate(frame, u, x0))
+    assert got == result_bytes(integrate(Frame.from_json(frame.to_json()),
+                                         u, x0))
+
+
+def test_signed_zeros_and_substeps_are_part_of_the_key():
+    frame = heisenberg_frame()
+    u = Control(np.linspace(0.0, 1.0, 5), np.full((5, 2), 0.5))
+    flow_control(frame, u, [0.0, 0.0, 0.0])
+    curve = flow_control(frame, u, [-0.0, 0.0, 0.0])
+    assert np.signbit(curve.points[0, 0])
+    assert_same_bits(curve.points, cold_flow(frame, u, [-0.0, 0.0, 0.0]).points)
+    rng = np.random.default_rng(61)
+    u = random_pl_control(rng, n_steps=6)
+    once = flow_control(frame, u, [0.1, 0.2, 0.3])
+    twice = flow_control(frame, u, [0.1, 0.2, 0.3], substeps=2)
+    assert once.points.tobytes() != twice.points.tobytes()
+    assert_same_bits(twice.points,
+                     cold_flow(frame, u, [0.1, 0.2, 0.3], substeps=2).points)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_what_is_never_kept(monkeypatch):
+    monkeypatch.setattr(trajectories, "WINDOW_STEPS", 8)
+    frame = heisenberg_frame()
+    rng = np.random.default_rng(67)
+    x0 = [0.1, 0.2, 0.3]
+    # four steps of two substeps fill one window of eight; five do not
+    fits = random_pl_control(rng, n_steps=4)
+    flow_control(frame, fits, x0, substeps=2)
+    assert kept(frame) is not None
+    for steps, substeps in [(5, 2), (9, 1)]:
+        frame = heisenberg_frame()
+        u = random_pl_control(rng, n_steps=steps)
+        curve = flow_control(frame, u, x0, substeps=substeps)
+        assert kept(frame) is None
+        assert_same_bits(curve.points, flow_control(frame, u, x0,
+                                                    substeps=substeps).points)
+    flow_control(frame, lambda t: (1.0, t), x0, ts=fits.ts)
+    assert kept(frame) is None
+    x = Poly.var(1, 0)
+    blowup = Frame([PolyVec([x * x])])  # x' = x^2 from 1 escapes at t = 1
+    u = Control(np.linspace(0.0, 3.0, 7), np.ones((7, 1)))
+    with pytest.raises(NumericsError):
+        flow_control(blowup, u, [1.0])
+    assert kept(blowup) is None
+
+
+def test_a_miss_drops_the_kept_path_before_it_integrates(monkeypatch):
+    # so a frame never holds two windows, not even while integrating
+    frame = heisenberg_frame()
+    rng = np.random.default_rng(71)
+    u, v = random_pl_control(rng), random_pl_control(rng)
+    flow_control(frame, u, [0.0] * 3)
+    first = weakref.ref(kept(frame)[1])
+    alive = []
+    stage_controls = trajectories._stage_controls
+
+    def spy(*args):
+        alive.append(first() is not None)
+        return stage_controls(*args)
+
+    monkeypatch.setattr(trajectories, "_stage_controls", spy)
+    flow_control(frame, v, [0.0] * 3)
+    assert alive == [False]
+    assert kept(frame) is not None
+
+
+def test_a_drift_that_raises_keeps_no_values(monkeypatch):
+    # blocks of four stage rows; the second block's drift raises, and the
+    # next call computes every block again, with a cold call's bits
+    monkeypatch.setattr(polyfield, "EVAL_ROWS", 16)
+    frame = realized(4)
+    rng = np.random.default_rng(79)
+    u = random_pl_control(rng, n_steps=6)
+    x0 = rng.uniform(-0.5, 0.5, size=frame.n)
+    flow_control(frame, u, x0)
+    drift, calls = trajectories._drift, []
+
+    def failing(evs, uk, pts):
+        calls.append(len(pts))
+        if len(calls) == 2:
+            raise FloatingPointError("overflow")
+        return drift(evs, uk, pts)
+
+    monkeypatch.setattr(trajectories, "_drift", failing)
+    with pytest.raises(FloatingPointError):
+        jacobian_flow(frame, u, x0)
+    assert kept(frame)[1].drift is None
+    monkeypatch.setattr(trajectories, "_drift", drift)
+    assert result_bytes(jacobian_flow(frame, u, x0)) == result_bytes(
+        jacobian_flow(Frame.from_json(frame.to_json()), u, x0))
+
+
+def test_writing_into_results_does_not_reach_the_kept_path():
+    frame = realized(4)
+    rng = np.random.default_rng(73)
+    u = random_pl_control(rng, n_steps=7)
+    x0 = rng.uniform(-0.5, 0.5, size=frame.n)
+    curve = flow_control(frame, u, x0)
+    want = curve.points.copy()
+    curve.points[:] = 7.0
+    path = jacobian_flow(frame, u, x0)
+    want_mats = np.array(path.mats)
+    for m in path.mats:
+        m[:] = 3.0
+    path.dets[:] = 0.0
+    assert_same_bits(flow_control(frame, u, x0).points, want)
+    assert_same_bits(jacobian_flow(frame, u, x0).mats, want_mats)
+    rep = extremal_residuals(frame, u, x0, np.ones(frame.n))
+    rep.rho[:] = 0.0
+    again = extremal_residuals(frame, u, x0, np.ones(frame.n))
+    cold = extremal_residuals(Frame.from_json(frame.to_json()), u, x0,
+                              np.ones(frame.n))
+    assert result_bytes(again) == result_bytes(cold)
 
 
 class TestCircleLift:
