@@ -6,6 +6,8 @@ polynomial constraints on the base projection: F^{h,k}(x) built from the
 lambda-weighted curls of the coefficient matrix.  The rank-2 variety
 {F^{1,2} = 0} is traced by marching squares, its vertices refined by a
 bisection of every crossed edge at once, with a singular-candidate scan.
+The grid passes run one block of rows at a time, so the only grid-sized
+float array of a trace is F's values.
 """
 
 from __future__ import annotations
@@ -19,10 +21,12 @@ import numpy as np
 from .errors import PreconditionError
 from .metabelian import coefficient_dependence
 from .normalform import verify_normal_form
-from .polyfield import Frame, Poly, _float_evaluator
+from .polyfield import Frame, Poly, _float_evaluator, _float_rows
 from .serialize import _ratio, artifact
 
-RES_MAX = 4096  # a trace at RES_MAX peaks at about 0.6 GB (33 B per node)
+# a trace adds about 12 B per grid node to the peak (tracemalloc and
+# ru_maxrss at res 1024 and 2048), about 0.2 GB at RES_MAX
+RES_MAX = 4096
 # points per lock-step block of Newton and bisection (bounds temporaries)
 SCAN_ROWS = 4096
 
@@ -114,30 +118,36 @@ def goh_polynomials(frame: Frame, lam) -> GohSystem:
 def variety_membership(sys: GohSystem, curve) -> float:
     """sup over curve samples and pairs (h,k) of |F^{h,k}(point)|.
 
-    A point that is not finite, or where some F^{h,k} overflows (a power
-    raises, a product gives inf, a sum of opposite infinities NaN), is a
-    ValueError naming the pair and the point's index.
+    A point whose length is not r is a ValueError; so is a point that is not
+    finite, or where some F^{h,k} overflows (a power overflows, a product
+    gives inf, a sum of opposite infinities NaN), naming the pair and the
+    point's index.  The points are converted once and each F^{h,k} is
+    evaluated at all of them as float64 arrays with C ``pow`` powers, so
+    every value has the bits a scalar loop gives it on Python floats; the
+    error raised is the one that loop meets first, points outermost, then
+    the pairs in order, and at one point a wrong length before a non-finite
+    entry before an overflow.
     """
-    points = getattr(curve, "points", curve)
-    evaluators = [(hk, _float_evaluator(p)) for hk, p in sys.polys.items()]
-    worst = 0.0
-    for idx, pt in enumerate(points):
-        if len(pt) != sys.r:
-            raise ValueError("curve points must live in R^r")
-        x = [float(c) for c in pt]
-        if not all(map(math.isfinite, x)):
-            raise ValueError(f"curve point {idx} is not finite: {x}")
-        for (h, k), f in evaluators:
-            try:
-                v = abs(float(f(x)))
-            except OverflowError:
-                v = math.inf
-            if not v < math.inf:  # inf or NaN
-                raise ValueError(f"F^({h},{k}) overflows at curve point "
-                                 f"{idx}: {x}")
-            if v > worst:
-                worst = v
-    return worst
+    x, bad = _float_rows(getattr(curve, "points", curve), sys.r)
+    cols = x.T.copy()  # one contiguous array per coordinate
+    pairs = list(sys.polys)
+    with np.errstate(over="ignore", invalid="ignore"):  # checked next
+        values = [np.abs(np.broadcast_to(_float_evaluator(p, c_pow=True)(cols),
+                                         len(x))) for p in sys.polys.values()]
+    # row 0: the point is not finite; row 1 + m: F of pair m is not
+    faults = np.vstack([~np.isfinite(x).all(axis=1)]
+                       + [~np.isfinite(v) for v in values])
+    hit = np.flatnonzero(faults.any(axis=0))
+    if hit.size:
+        idx = int(hit[0])
+        pt = x[idx].tolist()
+        if faults[0, idx]:
+            raise ValueError(f"curve point {idx} is not finite: {pt}")
+        h, k = pairs[int(np.argmax(faults[1:, idx]))]
+        raise ValueError(f"F^({h},{k}) overflows at curve point {idx}: {pt}")
+    if bad is not None:
+        raise ValueError("curve points must live in R^r")
+    return max((float(np.max(v)) for v in values if v.size), default=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -220,19 +230,30 @@ def _edge_vertices(F: Poly, xs, ys, vals, edges: list, tol) -> list:
     return out
 
 
+def _row_blocks(shape) -> list:
+    """Slices of the rows of a grid of this shape, each of about
+    8 * SCAN_ROWS nodes (256 KB of float64), so a pass over the grid block
+    by block keeps its temporaries in cache."""
+    rows, cols = shape
+    step = max(1, 8 * SCAN_ROWS // cols)
+    return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
+
+
 def _crossed_cells(vals: np.ndarray):
     """(j, i, code) of every cell the zero set crosses, in row-major order.
 
     Bits of the marching-squares code mark the corners with F >= 0 (zeros
     count as positive): 1 bottom-left, 2 bottom-right, 4 top-right, 8 top-left.
-    Codes 0 and 15 are left out.  The grids of codes die with the call, so
-    they are gone before the singular-candidate scan allocates its own.
+    Codes 0 and 15 are left out.  The codes, one byte per cell, are computed
+    for the whole grid at once and die with the call; the crossed cells are
+    found by flat index (a 2-D np.nonzero costs about ten times as much).
     """
     pos = (vals >= 0.0).view(np.uint8)
     codes = pos[:-1, :-1] | pos[:-1, 1:] << 1 | pos[1:, 1:] << 2 \
         | pos[1:, :-1] << 3
-    rows, cols = np.nonzero((codes != 0) & (codes != 15))
-    return zip(rows.tolist(), cols.tolist(), codes[rows, cols].tolist())
+    cells = np.flatnonzero((codes != 0) & (codes != 15))
+    rows, cols = np.divmod(cells, codes.shape[1])
+    return zip(rows.tolist(), cols.tolist(), codes.ravel()[cells].tolist())
 
 
 # The segments of a crossed cell, by its code, as pairs of edges (kind, di,
@@ -266,7 +287,9 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
 
     Every emitted vertex is driven by bisection to |F| <= 1e-9 (1 + max|F|
     over the grid).  Zero corner values count as positive so curves through
-    grid nodes are kept.  F identically zero reports the whole plane.
+    grid nodes are kept.  F identically zero reports the whole plane.  F is
+    evaluated into one grid array, one block of rows at a time (_row_blocks),
+    with the same elementwise operations at every node as on the whole grid.
     """
     if sys.r != 2:
         raise ValueError("plane tracing needs a rank-2 system")
@@ -291,11 +314,15 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
     xs = np.linspace(x0, x1, res + 1)
     ys = np.linspace(y0, y1, res + 1)
     feval = _float_evaluator(F)
-    # per-axis grid, rows indexed by y; F's values broadcast to every node
+    # per-axis grid, rows indexed by y, one block of rows at a time; F's
+    # values broadcast to every node of the block
+    vals = np.empty((res + 1, res + 1))
+    tops = []
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        vals = np.broadcast_to(feval((xs[None, :], ys[:, None])),
-                               (res + 1, res + 1))
-    scale = float(np.max(np.abs(vals)))
+        for rows in _row_blocks(vals.shape):
+            vals[rows] = feval((xs[None, :], ys[rows, None]))
+            tops.append(np.max(np.abs(vals[rows])))
+    scale = float(np.max(tops))
     if not math.isfinite(scale):  # np.max passes a NaN on
         j, i = np.argwhere(~np.isfinite(vals))[0]
         raise ValueError(f"F is not finite at grid node ({float(xs[i])!r}, "
@@ -337,15 +364,58 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
         if chain:
             trace.polylines.append([verts[k] for k in chain])
 
-    trace.singular_candidates = _singular_candidates(F, xs, ys, vals, tol)
+    trace.singular_candidates = _singular_candidates(F, xs, ys, vals, scale,
+                                                     tol)
     return trace
 
 
-def _singular_candidates(F: Poly, xs, ys, vals, tol) -> list:
+def _pre_candidates(fx: Poly, fy: Poly, xs, ys, vals, scale: float,
+                    cell) -> tuple:
+    """(nodes, gscale): the flat row-major indices of the grid nodes where
+    |F| <= (1 + scale) cell and |grad F| <= (1 + gscale) cell 4, in order,
+    and gscale, the largest |grad F| = hypot(F_x, F_y) over the grid, for
+    the gradient (fx, fy) of F.
+
+    scale is max |F| over the grid.  The gradient is evaluated one block of
+    rows at a time, and hypot runs only where its value is needed: on the
+    nodes of the |F| band, and on a block's nodes whose s = F_x^2 + F_y^2
+    is within a factor 1 - 2^-40 of the block's largest s.  hypot and
+    fl(s) each lie within a few ulp of the exact |grad F| and its square,
+    so the node where hypot is largest is among those.  Where the block's
+    largest s is not finite (an overflow, a NaN) or near the underflow
+    range, where fl(s) is no such bound, hypot runs on the whole block.
+    gscale is the np.max of the block maxima, so a NaN passes on as it does
+    on the whole grid.
+    """
+    grad = _float_evaluator(fx, fy)
+    small = (1.0 + scale) * cell
+    tops, band, norms = [], [], []
+    for rows in _row_blocks(vals.shape):
+        block = vals[rows]
+        gx, gy = (np.broadcast_to(g, block.shape)
+                  for g in grad((xs[None, :], ys[rows, None])))
+        with np.errstate(over="ignore"):  # an inf square takes the whole block
+            s = gx * gx + gy * gy
+        top = np.max(s)
+        if 2.0 ** -800 < top < math.inf:  # False for a NaN
+            near = s >= top * (1.0 - 2.0 ** -40)
+            tops.append(np.max(np.hypot(gx[near], gy[near])))
+        else:
+            tops.append(np.max(np.hypot(gx, gy)))
+        inband = np.abs(block) <= small
+        band.append(np.flatnonzero(inband) + rows.start * vals.shape[1])
+        norms.append(np.hypot(gx[inband], gy[inband]))
+    gscale = float(np.max(tops))
+    nodes = np.concatenate(band)
+    return nodes[np.concatenate(norms) <= (1.0 + gscale) * cell * 4.0], gscale
+
+
+def _singular_candidates(F: Poly, xs, ys, vals, scale: float, tol) -> list:
     """Singular points of {F = 0} near the grid, in grid order.
 
     Every grid node where F and its gradient are small at the node scale is
-    a pre-candidate.  From each, damped Newton solves three 2x2 systems:
+    a pre-candidate (_pre_candidates; scale is max |F| over the grid).  From
+    each, damped Newton solves three 2x2 systems:
     (F, F_x), (F, F_y) and (F_x, F_y).  A solution counts if |F| <= tol and
     |grad F| <= gtol there; of those the first with the least |grad F| wins,
     and a winner within a cell of an earlier one is dropped.  Pre-candidates
@@ -354,18 +424,10 @@ def _singular_candidates(F: Poly, xs, ys, vals, tol) -> list:
     Python floats; a value that overflows is inf, not an error.
     """
     fx, fy = F.diff(0), F.diff(1)
-    # per-axis grid, so grad broadcasts against vals
-    grad = np.hypot(*_float_evaluator(fx, fy)((xs[None, :], ys[:, None])))
-    gscale = float(np.max(grad))
     cell = max(xs[1] - xs[0], ys[1] - ys[0])
-
-    # grid pre-candidates: both F and its gradient small at the node scale
-    mask = (np.abs(vals) <= (1.0 + float(np.max(np.abs(vals)))) * cell) \
-        & (grad <= (1.0 + gscale) * cell * 4.0)
-    nodes = np.flatnonzero(mask)
+    nodes, gscale = _pre_candidates(fx, fy, xs, ys, vals, scale, cell)
     if nodes.size == 0:
         return []
-    del grad, mask
 
     # each system's residual pair and Jacobian come from one evaluator each;
     # fxy and fyx may order their terms differently, so each keeps its own

@@ -276,14 +276,14 @@ def _float_evaluator(*polys: "Poly", c_pow: bool = False):
     (len(ys), len(xs)) grid.  Array ``**`` can round apart from scalar
     ``**``, so a grid node and the same point given as floats need not
     agree bit for bit.  With c_pow (the rule of the tracer's bisection and
-    singular-candidate scan, which evaluate arrays of points) a power is
-    np.float_power(x[i], k), which calls C ``pow`` on every element as
-    scalar ``**`` does, and x[i] itself for k = 1, so each point gets the
-    bits it gets alone as floats, except that an overflow gives inf, not
-    OverflowError.  An exponent that is not an integer is a TypeError, so
-    only int literals enter the source.  Build once per polynomial (about
-    0.1 ms), not once per point; the evaluator holds a copy of the terms:
-    rebuild after a change.
+    singular-candidate scan and of variety_membership, which evaluate
+    arrays of points) a power is np.float_power(x[i], k), which calls C
+    ``pow`` on every element as scalar ``**`` does, and x[i] itself for
+    k = 1, so each point gets the bits it gets alone as floats, except that
+    an overflow gives inf, not OverflowError.  An exponent that is not an
+    integer is a TypeError, so only int literals enter the source.  Build
+    once per polynomial (about 0.1 ms), not once per point; the evaluator
+    holds a copy of the terms: rebuild after a change.
     """
     power = "pow(x[{}], {})" if c_pow else "x[{}] ** {}"
     powers: dict = {}  # source of a power with k >= 2 -> the name terms read
@@ -308,6 +308,30 @@ def _float_evaluator(*polys: "Poly", c_pow: bool = False):
     exec("def evaluate(x):\n" + "\n".join(lines) + f"\n    return {totals}\n",
          scope)
     return scope["evaluate"]
+
+
+def _float_rows(points, width: int):
+    """(rows, bad): the points as a float array of shape (k, width).
+
+    bad is None and k = len(points) when every point has width entries;
+    otherwise bad is the index of the first point that does not, and rows
+    holds the k = bad points before it.  A regular input is converted by one
+    np.array call; any other is walked point by point with float() on each
+    entry, as a scalar loop converts them, so an entry that is not a number
+    raises as float() does.
+    """
+    try:
+        rows = np.array(points, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        rows = None
+    if rows is not None and rows.shape == (len(points), width):
+        return rows, None
+    good: list = []
+    for k, point in enumerate(points):
+        if len(point) != width:
+            return np.array(good).reshape(-1, width), k
+        good.append([float(c) for c in point])
+    return np.array(good).reshape(-1, width), None
 
 
 class Poly:

@@ -344,14 +344,14 @@ def _windows(frame: Frame, u, x0, substeps: int, ts):
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     if isinstance(u, Control):
-        grid = u.ts
+        grid = u.ts.copy()  # a result's grid is its own, not the control's
         if u.r != r:
             raise ValueError(f"control has {u.r} columns, but the frame has "
                              f"r = {r} fields")
     elif callable(u):
         if ts is None:
             raise ValueError("callable controls need an explicit time grid")
-        grid = np.asarray(ts, dtype=float)
+        grid = np.array(ts, dtype=float)
     else:
         raise TypeError("control must be a Control or a callable t -> values")
     levels, evs = _compiled(frame, "levels")
@@ -650,9 +650,17 @@ def polynomial_containment(points, degree: int,
 
     Columns of the evaluation matrix are the monomials of total degree at
     most `degree`, unit-normalized; the null-space dimension counts the
-    singular values below threshold * sigma_max.
+    singular values below threshold * sigma_max.  A point that is not a
+    pair, or a threshold that is not finite and positive, is a ValueError
+    naming it.
     """
-    pts = np.asarray([[float(a), float(b)] for a, b in points])
+    if not (np.isfinite(threshold) and threshold > 0.0):
+        raise ValueError(f"threshold must be a finite positive number, got "
+                         f"{threshold}")
+    pts, bad = polyfield._float_rows(points, 2)
+    if bad is not None:
+        raise ValueError(f"point {bad} has {len(points[bad])} coordinates, "
+                         f"not 2")
     if degree < 0:
         raise ValueError("degree must be nonnegative")
     n_mono = (degree + 1) * (degree + 2) // 2

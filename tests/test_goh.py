@@ -784,6 +784,195 @@ def test_scan_block_size_keeps_the_bits(rows, monkeypatch):
             for p, window, res in cases] == want
 
 
+def assert_pre_candidates_match_full_grid(p: Poly, window, res) -> dict:
+    """The blocked, screened pre-candidate scan against reference_singular's
+    (np.hypot of the whole grid's gradient, then one mask): the same nodes
+    in the same order and the same bits of gscale.  Returns what the case
+    reached: the largest fl(gx^2 + gy^2) overflowing, below 2^-800, or in
+    between, and a last block shorter than the others."""
+    xs = np.linspace(window[0], window[1], res + 1)
+    ys = np.linspace(window[2], window[3], res + 1)
+    vals = textbook_grid_eval(p, xs, ys)
+    scale = float(np.max(np.abs(vals)))
+    cell = max(xs[1] - xs[0], ys[1] - ys[0])
+    fx, fy = p.diff(0), p.diff(1)
+    gx, gy = textbook_grid_eval(fx, xs, ys), textbook_grid_eval(fy, xs, ys)
+    grad = np.hypot(gx, gy)
+    gscale = float(np.max(grad))
+    mask = (np.abs(vals) <= (1.0 + scale) * cell) \
+        & (grad <= (1.0 + gscale) * cell * 4.0)
+    nodes, got = goh._pre_candidates(fx, fy, xs, ys, vals, scale, cell)
+    assert nodes.tolist() == np.flatnonzero(mask).tolist()
+    assert np.float64(got).tobytes() == np.float64(gscale).tobytes()
+    with np.errstate(over="ignore"):
+        top = float(np.max(gx * gx + gy * gy))
+    blocks = goh._row_blocks(vals.shape)
+    return {"overflow": top == math.inf, "underflow": top <= 2.0 ** -800,
+            "screened": 2.0 ** -800 < top < math.inf,
+            "uneven": len({b.stop - b.start for b in blocks}) > 1}
+
+
+@st.composite
+def gradient_grids(draw):
+    """A polynomial of degree <= 3 whose coefficients share one power of ten
+    from 1e-170 (the squares of its gradient underflow) to 1e200 (they
+    overflow): arbitrary, in x1 or x2 alone (a gradient of broadcast
+    shape), or linear (a constant gradient); a window, a resolution, and a
+    SCAN_ROWS whose block height need not divide the grid's rows."""
+    kind = draw(st.sampled_from(["any", "x1", "x2", "linear"]))
+    power = st.integers(0, 3)
+    exponent = {"any": st.tuples(power, power),
+                "x1": st.tuples(power, st.just(0)),
+                "x2": st.tuples(st.just(0), power),
+                "linear": st.sampled_from([(0, 0), (1, 0), (0, 1)])}[kind]
+    ten = F(10) ** draw(st.sampled_from([-170, -160, -100, 0, 100, 200]))
+    coef = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 8))
+    terms = draw(st.dictionaries(exponent.filter(lambda e: sum(e) <= 3),
+                                 coef.map(lambda c: c * ten), min_size=1,
+                                 max_size=6))
+    x, y = (draw(st.floats(-0.5, 0.5)) for _ in "xy")
+    wx, wy = (draw(st.floats(0.5, 2.5)) for _ in "xy")
+    window = (x - wx, x + wx, y - wy, y + wy)
+    return (Poly(2, terms), window, draw(st.integers(2, 24)),
+            draw(st.integers(1, 6)))
+
+
+def test_screened_scan_matches_full_grid_hypot(monkeypatch):
+    reached = set()
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(case=gradient_grids())
+    def check(case):
+        p, window, res, rows = case
+        monkeypatch.setattr(goh, "SCAN_ROWS", rows)
+        got = assert_pre_candidates_match_full_grid(p, window, res)
+        reached.update(k for k, v in got.items() if v)
+
+    check()
+    assert reached == {"overflow", "underflow", "screened", "uneven"}
+
+
+# F = p x1^2 / 2 + q x1 x2 - p x2^2 / 2 has gradient (p x1 + q x2,
+# q x1 - p x2), of length sqrt(p^2 + q^2) |(x1, x2)|: the two top corners of
+# each window are equally far from the origin, and their rounded gradients
+# rank them apart, one by fl(gx^2 + gy^2) and the other by hypot.  In the
+# second the squares are subnormal, so fl(s) is off by far more than 2^-40.
+SCREEN_CASES = [
+    (X1 * X1 * F(1, 4) + X1 * X2 * F(1, 5) - X2 * X2 * F(1, 4),
+     (-1.0606715208034516, 1.0606715208034516, -0.25896684928807223,
+      1.3812250634783885)),
+    ((X1 * X1 * F(3, 2) + X1 * X2 - X2 * X2 * F(3, 2)) * F(1, 2 ** 531),
+     (-1.1265339874378337, 1.1265339874378337, -0.19507487236734883,
+      1.7658806561792535)),
+]
+
+
+@pytest.mark.parametrize("p, window", SCREEN_CASES)
+def test_largest_square_and_largest_hypot_on_different_nodes(p, window):
+    xs = np.linspace(window[0], window[1], 3)
+    ys = np.linspace(window[2], window[3], 3)
+    gx = textbook_grid_eval(p.diff(0), xs, ys)
+    gy = textbook_grid_eval(p.diff(1), xs, ys)
+    s, h = gx * gx + gy * gy, np.hypot(gx, gy)
+    # the nodes of the largest s miss the largest hypot; in the subnormal
+    # case so do all within 2^-40 of it, which only the fallback catches
+    assert np.max(h[s == np.max(s)]) < np.max(h)
+    if np.max(s) <= 2.0 ** -800:
+        assert np.max(h[s >= np.max(s) * (1.0 - 2.0 ** -40)]) < np.max(h)
+    assert_pre_candidates_match_full_grid(p, window, 2)
+
+
+def scalar_variety_membership(sys: GohSystem, curve) -> float:
+    """variety_membership as one loop over the points and, inside it, the
+    pairs, on Python floats with scalar ``**``: the array version's oracle."""
+    points = getattr(curve, "points", curve)
+    evaluators = [(hk, _float_evaluator(p)) for hk, p in sys.polys.items()]
+    worst = 0.0
+    for idx, pt in enumerate(points):
+        if len(pt) != sys.r:
+            raise ValueError("curve points must live in R^r")
+        x = [float(c) for c in pt]
+        if not all(map(math.isfinite, x)):
+            raise ValueError(f"curve point {idx} is not finite: {x}")
+        for (h, k), f in evaluators:
+            try:
+                v = abs(float(f(x)))
+            except OverflowError:
+                v = math.inf
+            if not v < math.inf:  # inf or NaN
+                raise ValueError(f"F^({h},{k}) overflows at curve point "
+                                 f"{idx}: {x}")
+            if v > worst:
+                worst = v
+    return worst
+
+
+def membership_outcome(membership, sys, points):
+    """The bits of the sup, or the type and message of the error."""
+    try:
+        return np.float64(membership(sys, points)).tobytes()
+    except ValueError as err:
+        return type(err), str(err)
+
+
+@st.composite
+def systems_and_curves(draw):
+    """A system of rank 2 or 3 (one or three pairs) whose polynomials have
+    degree <= 5, and up to 30 points, with faults placed at random indices:
+    a NaN or infinite entry, an entry of 1e80 whose powers overflow, or a
+    point of another length; as a list of tuples, or an array if regular."""
+    r = draw(st.integers(2, 3))
+    power = st.integers(0, 5)
+    exponent = st.tuples(*[power] * r).filter(lambda e: sum(e) <= 5)
+    coef = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 8))
+    polys = {(h, k): Poly(r, draw(st.dictionaries(exponent, coef,
+                                                  max_size=6)))
+             for h in range(1, r + 1) for k in range(h + 1, r + 1)}
+    entry = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3, 3))
+    points = draw(st.lists(st.lists(entry, min_size=r, max_size=r),
+                           max_size=30))
+    for _ in range(draw(st.integers(0, 3)) if points else 0):
+        idx = draw(st.integers(0, len(points) - 1))
+        fault = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1e80,
+                                      "short", "long"]))
+        if fault == "short":
+            points[idx] = points[idx][:-1]
+        elif fault == "long":
+            points[idx] = points[idx] + [1.0]
+        elif points[idx]:
+            points[idx][draw(st.integers(0, len(points[idx]) - 1))] = fault
+    if draw(st.booleans()) and all(len(pt) == r for pt in points):
+        return GohSystem(r, [], polys), np.array(points).reshape(-1, r)
+    return GohSystem(r, [], polys), [tuple(pt) for pt in points]
+
+
+def test_array_membership_is_the_scalar_loop():
+    reached = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(case=systems_and_curves())
+    def check(case):
+        sys, points = case
+        want = membership_outcome(scalar_variety_membership, sys, points)
+        assert membership_outcome(variety_membership, sys, points) == want
+        reached.add(want[1].split()[1] if isinstance(want, tuple)
+                    else "value")
+
+    check()
+    # a value, a length, a non-finite point and an overflow were all reached
+    assert reached == {"value", "points", "point", "overflows"}, reached
+
+
+def test_membership_value_at_each_point_is_the_scalar_loops():
+    # array ** rounds apart from scalar ** at some points; C pow does not
+    rng = np.random.default_rng(7)
+    sys = system_of(Poly(2, {(3, 0): F(1), (0, 5): F(-2, 3), (2, 2): F(1, 7),
+                             (4, 1): F(5, 9), (0, 0): F(1)}))
+    for pt in rng.uniform(-3, 3, (300, 2)).tolist():
+        assert membership_outcome(variety_membership, sys, [pt]) \
+            == membership_outcome(scalar_variety_membership, sys, [pt])
+
+
 def lock_step_and_textbook(p: Poly, xs, ys, vals, edges, tol):
     """Each edge's vertex from the tracer's lock-step bisection, and from
     textbook_bisect_edge on Python floats, with the number of values of p

@@ -647,6 +647,28 @@ def test_non_finite_covector_is_refused(bad):
         extremal_residuals(heisenberg_frame(), u, [0.0] * 3, [1.0, 0.0, bad])
 
 
+def test_results_do_not_share_the_controls_grid():
+    # each result's ts was the control's own array, so writing into it
+    # rewrote the control's grid past Control's uniformity check
+    frame = heisenberg_frame()
+    u = Control([0.0, 0.5, 1.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+    kappa = SampledCurve([0.0, 0.5, 1.0], [[0.0, 0.0], [0.5, 0.0], [0.5, 0.5]])
+    curve, lifted = horizontal_lift(frame, kappa, [0.0] * 3)
+    grid = np.array([0.0, 0.25, 1.0])
+    results = [(flow_control(frame, u, [0.0] * 3), u.ts),
+               (flow_control(frame, u, [0.0] * 3), u.ts),  # a kept path
+               (jacobian_flow(frame, u, [0.0] * 3), u.ts),
+               (extremal_residuals(frame, u, [0.0] * 3, [0.0, 0.0, 1.0]),
+                u.ts),
+               (curve, lifted.ts),
+               (flow_control(frame, lambda t: [1.0, 0.0], [0.0] * 3,
+                             ts=grid), grid)]
+    for result, ts in results:
+        want = ts.copy()
+        result.ts[1] = 0.75
+        assert ts.tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0, math.inf])
 def test_recovery_threshold_must_be_finite_and_positive(threshold):
     # NaN and -1 gave no candidates, inf every right singular vector
@@ -1115,6 +1137,42 @@ class TestContainment:
         with pytest.raises(ValueError, match=re.escape(
                 "monomial x^1 y^0 overflows at point 29: [1e+160, 0.0]")):
             polynomial_containment(circle + [(1e160, 0.0)], 1)
+
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, 0.0, math.inf])
+    def test_threshold_must_be_finite_and_positive(self, threshold):
+        # NaN and -1 answered null_space_dim 0 for a parabola, whose null
+        # space at degree 2 has dimension 1
+        pts = [(t, t * t) for t in np.linspace(-1.0, 1.0, 30)]
+        assert polynomial_containment(pts, 2)["null_space_dim"] == 1
+        with pytest.raises(ValueError, match=re.escape(
+                f"threshold must be a finite positive number, got "
+                f"{threshold}")):
+            polynomial_containment(pts, 2, threshold=threshold)
+
+    @pytest.mark.parametrize("bad", [(1.0,), (1.0, 2.0, 3.0), ()])
+    def test_a_point_that_is_not_a_pair_is_named(self, bad):
+        # a bare "too many values to unpack" or "not enough values" before
+        pts = [(t, 2.0 * t) for t in np.linspace(-1.0, 1.0, 20)]
+        pts[5] = pts[9] = bad
+        pts[12] = (math.nan, 0.0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"point 5 has {len(bad)} coordinates, not 2")):
+            polynomial_containment(pts, 1)
+        with pytest.raises(ValueError, match=re.escape(
+                "point 0 has 3 coordinates, not 2")):
+            polynomial_containment(np.ones((20, 3)), 1)
+
+    def test_points_convert_as_float_pairs(self):
+        # one array conversion of ints (rounded: above 2^53), Fractions,
+        # numpy and Python floats gives the bits of float() on each entry
+        ts = np.linspace(-1.0, 1.0, 40)
+        pts = [(k * 2 ** 57 + 1, Fraction(k, 3)) for k in range(-20, 20)]
+        pts += [(np.float64(t), float(t) ** 2) for t in ts]
+        want = polynomial_containment(
+            [(float(a), float(b)) for a, b in pts], 2)
+        got = polynomial_containment(pts, 2)
+        assert np.array(got["singular_values"]).tobytes() == \
+            np.array(want["singular_values"]).tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_is_named(self, bad):
