@@ -62,10 +62,9 @@ def main():
           f"{rep.sup_goh:.1e}. The spiral is abnormal.")
 
     probe = spiral_curve(1e-3, 5000)
-    pts = [tuple(p) for p in probe.points]
     print("Does any low-degree algebraic curve contain the spiral?")
     for degree in range(1, 7):
-        out = polynomial_containment(pts, degree)
+        out = polynomial_containment(probe.points, degree)
         note = ""
         if degree >= 5:
             note = ("  <- float-level fit of the short outer arc, "

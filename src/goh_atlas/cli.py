@@ -228,8 +228,7 @@ def cmd_contain(args) -> int:
         raise ValueError("containment needs a planar curve")
     results = []
     for degree in range(1, args.degree + 1):
-        out = polynomial_containment(
-            [tuple(p) for p in curve.points], degree, threshold=args.tol)
+        out = polynomial_containment(curve.points, degree, threshold=args.tol)
         results.append(out)
         _log(f"degree {degree}: null dim {out['null_space_dim']}")
     _emit(args, serialize.artifact("containment_report",

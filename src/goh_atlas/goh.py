@@ -118,17 +118,19 @@ def goh_polynomials(frame: Frame, lam) -> GohSystem:
 def variety_membership(sys: GohSystem, curve) -> float:
     """sup over curve samples and pairs (h,k) of |F^{h,k}(point)|.
 
-    A point whose length is not r is a ValueError; so is a point that is not
-    finite, or where some F^{h,k} overflows (a power overflows, a product
-    gives inf, a sum of opposite infinities NaN), naming the pair and the
-    point's index.  The points are converted once and each F^{h,k} is
-    evaluated at all of them as float64 arrays with C ``pow`` powers, so
-    every value has the bits a scalar loop gives it on Python floats; the
-    error raised is the one that loop meets first, points outermost, then
-    the pairs in order, and at one point a wrong length before a non-finite
-    entry before an overflow.
+    A point whose length is not r is a ValueError naming its index and
+    length; so is a point that is not finite, or where some F^{h,k}
+    overflows (a power overflows, a product gives inf, a sum of opposite
+    infinities NaN), naming the point's index and the pair.  The points
+    are converted once and each F^{h,k} is evaluated at all of them as
+    float64 arrays with C ``pow`` powers, so every value has the bits a
+    scalar loop gives it on Python floats; the error raised is the one
+    that loop meets first, points outermost, then the pairs in order, and
+    at one point a wrong length before a non-finite entry before an
+    overflow.
     """
-    x, bad = _float_rows(getattr(curve, "points", curve), sys.r)
+    points = getattr(curve, "points", curve)
+    x, bad = _float_rows(points, sys.r)
     cols = x.T.copy()  # one contiguous array per coordinate
     pairs = list(sys.polys)
     with np.errstate(over="ignore", invalid="ignore"):  # checked next
@@ -146,7 +148,8 @@ def variety_membership(sys: GohSystem, curve) -> float:
         h, k = pairs[int(np.argmax(faults[1:, idx]))]
         raise ValueError(f"F^({h},{k}) overflows at curve point {idx}: {pt}")
     if bad is not None:
-        raise ValueError("curve points must live in R^r")
+        raise ValueError(f"curve point {bad} has {len(points[bad])} "
+                         f"coordinates, not {sys.r}")
     return max((float(np.max(v)) for v in values if v.size), default=0.0)
 
 

@@ -344,10 +344,9 @@ def scenario_f27_spiral(cfg: dict) -> _Report:
                   sup_abnormal=res.sup_abnormal, sup_goh=res.sup_goh)
 
     probe = spiral_curve(1e-3, 5000)
-    pts = [tuple(p) for p in probe.points]
     contain = []
     for degree in range(1, 7):
-        out = polynomial_containment(pts, degree)
+        out = polynomial_containment(probe.points, degree)
         contain.append(out)
         if degree <= 4:
             rep.check(f"containment_degree_{degree}",

@@ -4,7 +4,8 @@ log-phase spiral, and the polynomial non-containment probe.
 
 Controls are piecewise linear on a uniform grid (callables are accepted
 wherever a control is, for convergence studies with exact derivatives).
-The four integrators share one classical RK4 scheme (configurable
+The five integrators (flow, Jacobians, pushforward residual, extremal
+residuals, recovery) share one classical RK4 scheme (configurable
 sub-stepping) on the drift sum_k u_k X_k and its Jacobian
 A = sum_k u_k DX_k, and give the bits of the plain step loop.
 
@@ -14,10 +15,10 @@ the coordinates split into levels that read only lower ones, and x is
 integrated one level at a time over all steps of a window of the grid:
 the level's four stage derivatives from the known lower-level stage
 states, its node values by np.add.accumulate (the loop's own order of
-additions), then its stage states.  A frame with a cycle steps x through
-the sequential stepper `_rk4` instead, on the control values at the
-stage times.  The matrix states (J, the adjoint row, K) are linear, and
-`_propagate` steps them by one product per stage with A batch-evaluated at
+additions), then its stage states.  All else steps through the one
+sequential stepper `_rk4`: x of a frame with a cycle, on the control
+values at the stage times, and in `_propagate` the linear matrix states
+(J, the adjoint row, K), one product per stage with A batch-evaluated at
 the recorded stage states.  Windows end at grid nodes, where the step loop
 restarts anyway, and bound the memory on long grids.  Each integrator
 checks its state for non-finite values at every grid node; the adjoint
@@ -156,23 +157,31 @@ def _finite(values, name: str) -> np.ndarray:
 WINDOW_STEPS = 512  # RK4 steps integrated together (bounds the stage arrays)
 
 
-def _rk4(deriv, y, h, inputs):
-    """Classical RK4 of ydot = deriv(a, y), one step per entry of h.
+def _rk4(deriv, y, h, inputs, negate=False):
+    """Classical RK4 of ydot = deriv(a, y), or of -deriv(a, y) if negate.
 
-    inputs gives each step's four stage inputs a, in stage order.  Yields
-    each step's four stage states and its end state.  No array is
-    modified in place, so callers may keep the yielded arrays.
+    One step per entry of h, on its four stage inputs a from inputs.  The
+    stage states are y + c*k, and k1 + 2 k2 + 2 k3 + k4 is summed in place
+    in k1, so deriv returns a new array; negate folds the sign in exactly
+    (c*(-k) is -(c*k), y + (-z) is y - z).  Yields each step's four stage
+    states and its end state, never written again: callers may keep them.
     """
+    add = np.subtract if negate else np.add
     for hs, (a1, a2, a3, a4) in zip(h, inputs):
         k1 = deriv(a1, y)
-        y2 = y + 0.5 * hs * k1
+        y2 = add(y, (0.5 * hs) * k1)
         k2 = deriv(a2, y2)
-        y3 = y + 0.5 * hs * k2
+        y3 = add(y, (0.5 * hs) * k2)
         k3 = deriv(a3, y3)
-        y4 = y + hs * k3
+        y4 = add(y, hs * k3)
         k4 = deriv(a4, y4)
         stages = (y, y2, y3, y4)
-        y = y + (hs / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if negate:
+            np.negative(k1, out=k1)
+        add(k1, 2.0 * k2, out=k1)
+        add(k1, 2.0 * k3, out=k1)
+        add(k1, k4, out=k1)
+        y = y + (hs / 6.0) * k1
         yield stages, y
 
 
@@ -403,7 +412,7 @@ def _windows(frame: Frame, u, x0, substeps: int, ts):
 
 
 def _stage_matrices(jevs, flat, n: int, w: _Window):
-    """A = sum_k u_k DX_k at every stage of w, in step order.
+    """A = sum_k u_k DX_k at the four stages of each step of w, in order.
 
     jevs evaluate the Jacobians on their union nonzero pattern (flat
     indices into n x n), for a window's stages once, block by block, and
@@ -411,8 +420,8 @@ def _stage_matrices(jevs, flat, n: int, w: _Window):
     of a drift do not depend on the batch they are in).  A is scattered
     into one block of whole steps, zeroed once and reused, so no block
     touches fresh pages: 64 rows at EVAL_ROWS = 256, since 128 read 5 %
-    more peak RSS on spiral-f27 at n = 41 and gained little.  The matrices
-    are views of it: use a step's four before asking for the next step's.
+    more peak RSS on spiral-f27 at n = 41 and gained little.  A step's four
+    matrices are a (4, n, n) view of it, valid until the next step's.
     """
     pts = w.stages.reshape(-1, n)
     uk = w.controls.reshape(len(pts), -1)
@@ -427,39 +436,25 @@ def _stage_matrices(jevs, flat, n: int, w: _Window):
     for lo in range(0, len(pts), rows):
         amat = block[:len(pts[lo:lo + rows])]
         amat[:, flat] = w.drift[lo:lo + rows]
-        yield from amat.reshape(-1, n, n)
+        yield from amat.reshape(-1, 4, n, n)
 
 
-def _propagate(frame: Frame, windows, m0, adjoint: bool, what: str, error):
-    """RK4 of Mdot = A M, or of the adjoint Mdot = -M A, along the windows.
+def _propagate(frame: Frame, windows, m, adjoint: bool, what: str,
+               error=NumericsError):
+    """RK4 of Mdot = A M, or of the adjoint Mdot = -M A, from M = m.
 
-    The textbook step's float operations in its order, the adjoint's
-    negation folded in exactly (-(a*k) is a*(-k), x - y is x + (-y)): a
-    stage state is m - (0.5*h)*(m @ A), the weighted sum (in place in k1)
-    -k1 - 2 k2 - 2 k3 - k4.  Yields (window, i, M) at each new node i; M
-    is checked there, so propagation stops at the first non-finite one.
+    `_rk4` steps M, one product per stage on each window's stage matrices.
+    Yields (window, i, M) at each new node i; M is checked there, so
+    propagation stops at the first non-finite one.
     """
     flat, jevs = _compiled(frame, "jacobian")
-    add = np.subtract if adjoint else np.add
-    m = m0
+    product = (lambda a, y: y @ a) if adjoint else np.matmul
     for w in windows:
-        amats = _stage_matrices(jevs, flat, frame.n, w)
-        steps = zip(w.h, amats, amats, amats, amats)  # four A's per step
+        steps = _rk4(product, m, w.h, _stage_matrices(jevs, flat, frame.n, w),
+                     adjoint)
         for i in range(w.first, len(w.grid)):
-            for hs, a1, a2, a3, a4 in islice(steps, w.substeps if i else 0):
-                k1 = m @ a1 if adjoint else a1 @ m
-                y = add(m, (0.5 * hs) * k1)
-                k2 = y @ a2 if adjoint else a2 @ y
-                y = add(m, (0.5 * hs) * k2)
-                k3 = y @ a3 if adjoint else a3 @ y
-                y = add(m, hs * k3)
-                k4 = y @ a4 if adjoint else a4 @ y
-                if adjoint:
-                    np.negative(k1, out=k1)
-                add(k1, 2.0 * k2, out=k1)
-                add(k1, 2.0 * k3, out=k1)
-                add(k1, k4, out=k1)
-                m = m + (hs / 6.0) * k1
+            for _, m in islice(steps, w.substeps if i else 0):
+                pass
             if not np.isfinite(m).all():
                 raise _non_finite(what, w.lo + i, w.grid[i], error)
             yield w, i, m
@@ -480,15 +475,13 @@ def flow_control(frame: Frame, u, x0, substeps: int = 1, ts=None) -> SampledCurv
 
 def lift_control(kappa: SampledCurve) -> Control:
     """Difference-quotient control of a base curve (symmetric inside)."""
-    ts = kappa.ts
-    pts = kappa.points
-    n_nodes = len(ts)
-    if n_nodes < 2:
+    ts, pts = kappa.ts, kappa.points
+    if len(ts) < 2:
         raise ValueError("need at least two samples")
     vals = np.empty_like(pts)
     vals[0] = (pts[1] - pts[0]) / (ts[1] - ts[0])
     vals[-1] = (pts[-1] - pts[-2]) / (ts[-1] - ts[-2])
-    if n_nodes > 2:
+    if len(ts) > 2:
         vals[1:-1] = (pts[2:] - pts[:-2]) / (ts[2:] - ts[:-2])[:, None]
     return Control(ts, vals)
 
@@ -512,8 +505,7 @@ def jacobian_flow(frame: Frame, u, x0, substeps: int = 1,
     """J(t_i) of the flow, by RK4 on Jdot = DX_u(t, gamma(t)) J."""
     grid, windows = _windows(frame, u, x0, substeps, ts)
     mats = [m for _, _, m in _propagate(frame, windows, np.eye(frame.n),
-                                        False, "variational flow",
-                                        NumericsError)]
+                                        False, "variational flow")]
     dets = np.array([np.linalg.det(m) for m in mats])
     return JacobianPath(grid, mats, dets)
 
@@ -528,8 +520,7 @@ def pushforward_identity_residual(frame: Frame, u, x0, substeps: int = 1,
     _, windows = _windows(frame, u, x0, substeps, ts)
     r, eye = frame.r, np.eye(frame.n)
     return max(float(np.max(np.abs(m[:, r:] - eye[:, r:]))) for _, _, m in
-               _propagate(frame, windows, eye, False, "variational flow",
-                          NumericsError))
+               _propagate(frame, windows, eye, False, "variational flow"))
 
 
 @dataclass

@@ -128,6 +128,13 @@ class TestVarietyMembership:
         with pytest.raises(ValueError):
             variety_membership(sys, [(1.0, 2.0, 3.0)])
 
+    @pytest.mark.parametrize("bad", [(1.0,), (1.0, 2.0, 3.0)])
+    def test_point_of_the_wrong_length_is_named(self, bad):
+        sys = goh_polynomials(f23_frame(), [0, 0, 0, 1, 0])
+        with pytest.raises(ValueError, match=re.escape(
+                f"curve point 2 has {len(bad)} coordinates, not 2")):
+            variety_membership(sys, [(0.0, 0.0), (0.0, 1.0), bad])
+
     @pytest.mark.parametrize("x", [1e200, 1e120, -1e200])
     def test_overflowing_point_is_named(self, x):
         # x1^3 overflows on the finite point (x, 0): OverflowError escaped
@@ -890,7 +897,8 @@ def scalar_variety_membership(sys: GohSystem, curve) -> float:
     worst = 0.0
     for idx, pt in enumerate(points):
         if len(pt) != sys.r:
-            raise ValueError("curve points must live in R^r")
+            raise ValueError(f"curve point {idx} has {len(pt)} coordinates, "
+                             f"not {sys.r}")
         x = [float(c) for c in pt]
         if not all(map(math.isfinite, x)):
             raise ValueError(f"curve point {idx} is not finite: {x}")
@@ -946,6 +954,15 @@ def systems_and_curves(draw):
     return GohSystem(r, [], polys), [tuple(pt) for pt in points]
 
 
+def fault_kind(outcome) -> str:
+    """The outcome's kind: "value", or the word of its error that tells the
+    fault."""
+    if not isinstance(outcome, tuple):
+        return "value"
+    return next((word for word in ("coordinates", "finite", "overflows")
+                 if word in outcome[1]), outcome[1])
+
+
 def test_array_membership_is_the_scalar_loop():
     reached = set()
 
@@ -955,12 +972,11 @@ def test_array_membership_is_the_scalar_loop():
         sys, points = case
         want = membership_outcome(scalar_variety_membership, sys, points)
         assert membership_outcome(variety_membership, sys, points) == want
-        reached.add(want[1].split()[1] if isinstance(want, tuple)
-                    else "value")
+        reached.add(fault_kind(want))
 
     check()
     # a value, a length, a non-finite point and an overflow were all reached
-    assert reached == {"value", "points", "point", "overflows"}, reached
+    assert reached == {"value", "coordinates", "finite", "overflows"}, reached
 
 
 def test_membership_value_at_each_point_is_the_scalar_loops():
