@@ -3,7 +3,9 @@ Goh varieties, and numeric abnormal-extremal diagnostics.
 
 Submodules load on first attribute access (PEP 562), so importing the exact
 kernel pulls in neither numpy nor the CLI, and ``python -m goh_atlas.cli``
-runs the CLI module once.
+runs the CLI module once.  Only floateval, goh, trajectories and scenarios
+import numpy, so the commands basis, realize and metabelian, --help and
+every usage error run without it.
 """
 
 import importlib
@@ -11,10 +13,12 @@ import importlib
 __all__ = [
     "cli",
     "errors",
+    "floateval",
     "freelie",
     "goh",
     "metabelian",
     "normalform",
+    "options",
     "polyfield",
     "scenarios",
     "serialize",

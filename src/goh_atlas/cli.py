@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 failed checks or numeric/domain errors,
 2 usage errors.  Logs go to stderr, data to --out (stdout by default).
+A command imports goh, trajectories or scenarios (numpy) only when it uses
+them; basis, realize, metabelian, --help and usage errors load no numpy.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from importlib import import_module
 
 from . import serialize
 from .errors import (
@@ -21,47 +24,47 @@ from .errors import (
     PreconditionError,
 )
 from .freelie import generate_basis, witt_dimension
-from .goh import RES_MAX, check_resolution, goh_polynomials, trace_variety
 from .metabelian import is_metabelian
 from .normalform import realize_frame
+from .options import RES_MAX, SCENARIO_NAMES, check_resolution
 from .polyfield import Frame
-from .scenarios import SCENARIO_NAMES, run_scenario
-from .trajectories import (
-    Control,
-    SampledCurve,
-    extremal_residuals,
-    flow_control,
-    horizontal_lift,
-    polynomial_containment,
-    recover_abnormal_covector,
-    spiral_curve,
-)
 
 
 def _log(msg: str):
     print(msg, file=sys.stderr)
 
 
-def _parse_lambda(text: str | None) -> list[Fraction]:
+def _parse_values(text: str, flag: str, kind=Fraction) -> list:
+    """The comma-separated rationals of text, each as kind (Fraction or
+    float); one that is not a rational, or too large for a float, is a
+    ValueError naming flag."""
+    try:
+        return [kind(Fraction(part.strip())) for part in text.split(",")]
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
+        raise ValueError(f"bad {flag} value: {exc}") from None
+
+
+def _parse_lambda(text: str | None, kind=Fraction) -> list:
     if not text:
         raise ValueError("--lambda is required")
-    try:
-        return [Fraction(part.strip()) for part in text.split(",")]
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad --lambda value: {exc}") from None
+    return _parse_values(text, "--lambda", kind)
 
 
 def _parse_window(text: str):
     parts = text.split(",")
     if len(parts) != 4:
         raise ValueError("--window needs x0,x1,y0,y1")
-    return tuple(float(p) for p in parts)
+    try:
+        return tuple(float(p) for p in parts)
+    except ValueError as exc:
+        raise ValueError(f"bad --window value: {exc}") from None
 
 
-# flag -> artifact class, and the report that holds one under the flag name
-_INPUTS = {"frame": (Frame, "realization_report"),
-           "control": (Control, "lift_report"),
-           "curve": (SampledCurve, None)}
+# flag -> the module and name of its artifact class, and the report that
+# holds one under the flag name
+_INPUTS = {"frame": ("polyfield", "Frame", "realization_report"),
+           "control": ("trajectories", "Control", "lift_report"),
+           "curve": ("trajectories", "SampledCurve", None)}
 
 
 def _load(args, kind: str):
@@ -70,10 +73,11 @@ def _load(args, kind: str):
         raise ValueError(f"--{kind} FILE is required")
     with open(getattr(args, kind)) as fh:
         data = json.load(fh)
-    cls, report = _INPUTS[kind]
+    module, name, report = _INPUTS[kind]
     if isinstance(data, dict) and report and data.get("type") == report:
         serialize.check_artifact(data, report, kind)
         data = data[kind]
+    cls = getattr(import_module(f".{module}", __package__), name)
     return cls.from_json(data)
 
 
@@ -108,7 +112,7 @@ def _arg_type(convert, ok, rule: str):
     return parse
 
 
-# the types of --tol, --res (goh.check_resolution's rule), --samples, --eps
+# the types of --tol, --res (options.check_resolution's rule), --samples, --eps
 _parse_tol = _arg_type(float, lambda v: math.isfinite(v) and v > 0.0,
                        "tolerance must be a finite positive number")
 _parse_res = _arg_type(int, check_resolution,
@@ -148,6 +152,7 @@ def cmd_metabelian(args) -> int:
 
 
 def _goh_system(args):
+    from .goh import goh_polynomials
     frame = _frame_from_args(args)
     return goh_polynomials(frame, _parse_lambda(args.lam))
 
@@ -158,8 +163,9 @@ def cmd_goh(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    sysm = _goh_system(args)
-    trace = trace_variety(sysm, window=_parse_window(args.window),
+    from .goh import trace_variety
+    window = _parse_window(args.window)
+    trace = trace_variety(_goh_system(args), window=window,
                           resolution=args.res)
     _log(f"trace: {len(trace.polylines)} polylines, "
          f"{len(trace.singular_candidates)} singular candidates")
@@ -168,6 +174,7 @@ def cmd_trace(args) -> int:
 
 
 def cmd_lift(args) -> int:
+    from .trajectories import horizontal_lift
     frame = _frame_from_args(args)
     kappa = _load(args, "curve")
     x0 = list(kappa.points[0]) + [0.0] * (frame.n - frame.r)
@@ -179,7 +186,7 @@ def cmd_lift(args) -> int:
 
 def _x0_from_args(args, frame) -> list:
     if args.x0:
-        vals = [float(Fraction(p)) for p in args.x0.split(",")]
+        vals = _parse_values(args.x0, "--x0", float)
         if len(vals) != frame.n:
             raise ValueError(f"--x0 needs {frame.n} components")
         return vals
@@ -187,6 +194,7 @@ def _x0_from_args(args, frame) -> list:
 
 
 def cmd_flow(args) -> int:
+    from .trajectories import flow_control
     frame = _frame_from_args(args)
     control = _load(args, "control")
     curve = flow_control(frame, control, _x0_from_args(args, frame))
@@ -195,9 +203,10 @@ def cmd_flow(args) -> int:
 
 
 def cmd_residuals(args) -> int:
+    from .trajectories import extremal_residuals
     frame = _frame_from_args(args)
     control = _load(args, "control")
-    lam = [float(v) for v in _parse_lambda(args.lam)]
+    lam = _parse_lambda(args.lam, float)
     rep = extremal_residuals(frame, control, _x0_from_args(args, frame), lam)
     _log(f"sup abnormal {rep.sup_abnormal:.3e}, sup bracket {rep.sup_goh:.3e}")
     _emit(args, rep)
@@ -205,6 +214,7 @@ def cmd_residuals(args) -> int:
 
 
 def cmd_recover(args) -> int:
+    from .trajectories import recover_abnormal_covector
     frame = _frame_from_args(args)
     control = _load(args, "control")
     result = recover_abnormal_covector(
@@ -216,6 +226,7 @@ def cmd_recover(args) -> int:
 
 
 def cmd_spiral(args) -> int:
+    from .trajectories import spiral_curve
     curve = spiral_curve(args.eps, args.samples)
     _emit(args, curve,
           csv=lambda: serialize.curve_csv(curve.ts, curve.points))
@@ -223,6 +234,7 @@ def cmd_spiral(args) -> int:
 
 
 def cmd_contain(args) -> int:
+    from .trajectories import polynomial_containment
     curve = _load(args, "curve")
     if curve.m != 2:
         raise ValueError("containment needs a planar curve")
@@ -237,6 +249,7 @@ def cmd_contain(args) -> int:
 
 
 def cmd_demo(args) -> int:
+    from .scenarios import run_scenario
     rep = run_scenario(args.scenario, seed=args.seed, tol=args.tol,
                        eps=args.eps, samples=args.samples, res=args.res)
     outdir = args.out or os.path.join("goh-atlas-artifacts", args.scenario)

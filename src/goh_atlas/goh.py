@@ -20,31 +20,14 @@ import numpy as np
 
 from .errors import PreconditionError
 from .metabelian import coefficient_dependence
+from .floateval import _float_evaluator, _float_rows
 from .normalform import verify_normal_form
-from .polyfield import Frame, Poly, _float_evaluator, _float_rows
+from .options import RES_MAX, check_resolution
+from .polyfield import Frame, Poly
 from .serialize import _ratio, artifact
 
-# a trace adds about 12 B per grid node to the peak (tracemalloc and
-# ru_maxrss at res 1024 and 2048), about 0.2 GB at RES_MAX
-RES_MAX = 4096
 # points per lock-step block of Newton and bisection (bounds temporaries)
 SCAN_ROWS = 4096
-
-
-def check_resolution(resolution) -> int:
-    """resolution as an int, if it is an integer from 2 to RES_MAX.
-
-    The one rule for a trace's grid resolution (`trace_variety`, the CLI's
-    --res, `run_scenario`); any other value is a ValueError naming it.
-    """
-    try:
-        res = int(resolution)
-    except (TypeError, ValueError, OverflowError):
-        res = None
-    if res is None or res != resolution or not 2 <= res <= RES_MAX:
-        raise ValueError(f"resolution must be an integer from 2 to "
-                         f"{RES_MAX}, got {resolution!r}")
-    return res
 
 
 def _as_exact(c):

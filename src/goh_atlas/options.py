@@ -1,0 +1,26 @@
+"""Values the CLI's options accept, defined once without numpy so the parser
+loads no numeric layer: the trace resolution (re-exported by goh) and the
+demo scenario names (re-exported by scenarios, in its pipeline order)."""
+
+# a trace adds about 12 B per grid node to the peak (tracemalloc and
+# ru_maxrss at res 1024 and 2048), about 0.2 GB at RES_MAX
+RES_MAX = 4096
+
+SCENARIO_NAMES = ("heisenberg", "f23-line", "f24", "f25", "martinet",
+                  "f27-spiral")
+
+
+def check_resolution(resolution) -> int:
+    """resolution as an int, if it is an integer from 2 to RES_MAX.
+
+    The one rule for a trace's grid resolution (`trace_variety`, the CLI's
+    --res, `run_scenario`); any other value is a ValueError naming it.
+    """
+    try:
+        res = int(resolution)
+    except (TypeError, ValueError, OverflowError):
+        res = None
+    if res is None or res != resolution or not 2 <= res <= RES_MAX:
+        raise ValueError(f"resolution must be an integer from 2 to "
+                         f"{RES_MAX}, got {resolution!r}")
+    return res

@@ -13,13 +13,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import PreconditionError
+from .floateval import _float_evaluator
 from .freelie import generate_basis, structure_table
-from .goh import (
-    check_resolution,
-    goh_polynomials,
-    trace_variety,
-    variety_membership,
-)
+from .goh import goh_polynomials, trace_variety, variety_membership
 from .metabelian import (
     coefficient_dependence,
     is_metabelian,
@@ -27,10 +23,10 @@ from .metabelian import (
     translation_invariance,
 )
 from .normalform import realize_frame, verify_normal_form
+from .options import SCENARIO_NAMES, check_resolution
 from .polyfield import (
     Poly,
     PolyVec,
-    _float_evaluator,
     growth_vector,
     heisenberg_frame,
     martinet_frame,
@@ -370,8 +366,8 @@ def scenario_f27_spiral(cfg: dict) -> _Report:
     return rep
 
 
-# each scenario, and the settings it reads besides the seed with their
-# defaults
+# each scenario, in SCENARIO_NAMES order, and the settings it reads besides
+# the seed with their defaults
 _PIPELINES = {
     "heisenberg": (scenario_heisenberg,
                    {"tol": 1e-8, "samples": 2000, "res": 128}),
@@ -382,7 +378,6 @@ _PIPELINES = {
     "f27-spiral": (scenario_f27_spiral,
                    {"tol": 1e-6, "eps": 1e-2, "samples": 20000}),
 }
-SCENARIO_NAMES = tuple(_PIPELINES)
 
 
 def run_scenario(name: str, seed: int = 0, tol: float | None = None,

@@ -44,9 +44,10 @@ from itertools import combinations, groupby, islice
 
 import numpy as np
 
-from . import polyfield
+from . import floateval
 from .errors import ConditioningError, NumericsError
-from .polyfield import CompiledPolys, Frame, compile_polyvec, lie_bracket_fields
+from .floateval import CompiledPolys
+from .polyfield import Frame, compile_polyvec, lie_bracket_fields
 from .serialize import artifact, check_artifact
 
 
@@ -425,7 +426,7 @@ def _stage_matrices(jevs, flat, n: int, w: _Window):
     """
     pts = w.stages.reshape(-1, n)
     uk = w.controls.reshape(len(pts), -1)
-    rows = 4 * max(1, polyfield.EVAL_ROWS // 16)
+    rows = 4 * max(1, floateval.EVAL_ROWS // 16)
     if w.drift is None:
         drift = np.empty((len(pts), len(flat)))
         for lo in range(0, len(pts), rows):
@@ -648,7 +649,7 @@ def polynomial_containment(points, degree: int,
     if not (np.isfinite(threshold) and threshold > 0.0):
         raise ValueError(f"threshold must be a finite positive number, got "
                          f"{threshold}")
-    pts, bad = polyfield._float_rows(points, 2)
+    pts, bad = floateval._float_rows(points, 2)
     if bad is not None:
         raise ValueError(f"point {bad} has {len(points[bad])} coordinates, "
                          f"not 2")

@@ -16,7 +16,7 @@ from math import comb
 import numpy as np
 from hypothesis import strategies as st
 
-from goh_atlas import polyfield
+from goh_atlas import floateval
 from goh_atlas.errors import NumericsError
 from goh_atlas.freelie import (
     _axpy,
@@ -231,7 +231,7 @@ class TextbookCompiledPolys:
     """The batched evaluator as first written: powers of every variable, a
     (rows, terms, width) gather multiplied out by np.prod, and np.bincount
     summing each output's terms in term order from 0.0.  The only change is
-    that the block size is read from polyfield.EVAL_ROWS."""
+    that the block size is read from floateval.EVAL_ROWS."""
 
     def __init__(self, polys: list[Poly]):
         self.count = len(polys)
@@ -265,7 +265,7 @@ class TextbookCompiledPolys:
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
-        rows_per_block = polyfield.EVAL_ROWS
+        rows_per_block = floateval.EVAL_ROWS
         if x.ndim == 2 and len(x) > rows_per_block:
             return np.concatenate([self(x[lo:lo + rows_per_block])
                                    for lo in range(0, len(x), rows_per_block)])

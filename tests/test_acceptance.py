@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from goh_atlas.floateval import _float_evaluator
 from goh_atlas.freelie import (
     bch,
     bracket,
@@ -34,7 +35,6 @@ from goh_atlas.normalform import realize_frame, verify_second_kind
 from goh_atlas.polyfield import (
     Poly,
     PolyVec,
-    _float_evaluator,
     heisenberg_frame,
     martinet_frame,
 )

@@ -167,10 +167,12 @@ class TestPipelineThroughFiles:
         assert abs(end[2] - 1.0) < 1e-12
 
 
-def fraction_error(text: str) -> str:
+def fraction_error(text: str, kind=Fraction) -> str:
+    # the message of the error that reading text as kind(Fraction(text))
+    # raises
     try:
-        Fraction(text)
-    except ValueError as exc:
+        kind(Fraction(text))
+    except (ValueError, ZeroDivisionError, OverflowError) as exc:
         return str(exc)
     raise AssertionError(f"{text!r} is a fraction")
 
@@ -213,6 +215,20 @@ class TestExitCodes:
 
     def test_missing_frame_args(self, capsys):
         assert run(capsys, "metabelian")[0] == 2
+
+    @pytest.mark.parametrize("window, msg", [
+        ("a,2,3,4", "bad --window value: could not convert string to "
+                    "float: 'a'"),
+        ("0,1", "--window needs x0,x1,y0,y1")], ids=["value", "count"])
+    def test_bad_window_is_rejected_before_any_work(self, capsys,
+                                                    monkeypatch, window, msg):
+        def ran(*args):
+            raise AssertionError("the frame was realized")
+
+        monkeypatch.setattr(cli, "realize_frame", ran)
+        code, out, err = run(capsys, "trace", "--rank", "2", "--step", "3",
+                             "--lambda", "0,0,0,1,0", f"--window={window}")
+        assert (code, out, err) == (2, "", f"error: {msg}\n")
 
     def test_precondition_failure_reports_json(self, capsys):
         lam = ",".join(["0"] * 13 + ["1"])
@@ -301,8 +317,18 @@ class TestExitCodes:
          "--control FILE is required"),
         (["flow", "--rank", "2", "--step", "2", "--control", "CONTROL",
           "--x0", "1,0"], "--x0 needs 3 components"),
+        (["flow", "--rank", "2", "--step", "2", "--control", "CONTROL",
+          "--x0", "1/0,0,0"], f"bad --x0 value: {fraction_error('1/0')}"),
+        (["recover", "--rank", "2", "--step", "2", "--control", "CONTROL",
+          "--x0", "a,0,0"], f"bad --x0 value: {fraction_error('a')}"),
+        (["residuals", "--rank", "2", "--step", "2", "--control", "CONTROL",
+          "--lambda", "0,0,1", "--x0", "1e400,0,0"],
+         f"bad --x0 value: {fraction_error('1e400', float)}"),
         (["residuals", "--rank", "2", "--step", "2", "--control", "CONTROL"],
          "--lambda is required"),
+        (["residuals", "--rank", "2", "--step", "2", "--control", "CONTROL",
+          "--lambda", "0,0,1e400"],
+         f"bad --lambda value: {fraction_error('1e400', float)}"),
         (["contain"], "--curve FILE is required"),
         (["contain", "--curve", "CURVE3"], "containment needs a planar curve"),
         # a non-finite window, with the trace on stdout and into a CSV file
@@ -320,7 +346,9 @@ class TestExitCodes:
         (["contain", "--curve", "CURVEBIG", "--degree", "2"],
          "monomial x^1 y^0 overflows at point 30: [1e+200, 0.0]")],
         ids=["lambda-value", "window", "frame-flags", "goh-lambda",
-             "lift-curve", "control", "x0", "residuals-lambda",
+             "lift-curve", "control", "x0", "x0-zero-denominator",
+             "x0-value", "x0-overflow", "residuals-lambda",
+             "residuals-lambda-overflow",
              "contain-curve", "planar", "window-inf", "window-inf-csv",
              "window-width", "grid-overflow", "contain-overflow"])
     def test_usage_errors(self, capsys, tmp_path, argv, msg):
@@ -420,6 +448,17 @@ class TestResolution:
             assert (code, out) == (2, "")
             assert "argument --res" in err and repr(value) in err
         assert not outdir.exists()
+
+    def test_parser_reads_the_layers_own_constants(self):
+        # one definition each, whichever module the parser reads it from
+        from goh_atlas import goh, scenarios
+        assert cli.RES_MAX is goh.RES_MAX
+        assert cli.check_resolution is goh.check_resolution
+        sub = next(a for a in cli.build_parser()._actions
+                   if a.dest == "command")
+        demo = next(a for a in sub.choices["demo"]._actions
+                    if a.dest == "scenario")
+        assert tuple(demo.choices) == tuple(scenarios._PIPELINES)
 
     def test_res_bounds_and_default(self, capsys):
         base = ["trace", "--rank", "2", "--step", "3", "--lambda", "0,0,0,1,0"]
@@ -648,6 +687,34 @@ class TestFreshProcess:
         proc = self.python("-c", "import sys, goh_atlas.freelie; "
                            "print('numpy' in sys.modules)")
         assert (proc.returncode, proc.stdout.strip()) == (0, "False")
+
+    def test_exact_layers_import_without_numpy(self):
+        proc = self.python("-c", "import sys, goh_atlas.polyfield, "
+                           "goh_atlas.normalform, goh_atlas.metabelian; "
+                           "print('numpy' in sys.modules)")
+        assert (proc.returncode, proc.stdout.strip()) == (0, "False")
+
+    # runs the module as ``python -m goh_atlas.cli`` does, then reports
+    # whether numpy was imported on the way out
+    NUMPY_AT_EXIT = (
+        "import runpy, sys\n"
+        "try:\n"
+        "    runpy.run_module('goh_atlas.cli', run_name='__main__',\n"
+        "                     alter_sys=True)\n"
+        "finally:\n"
+        "    print('numpy' in sys.modules, file=sys.stderr)\n")
+
+    @pytest.mark.parametrize("argv, code", [
+        (["basis", "--rank", "2", "--step", "3"], 0),
+        (["realize", "--rank", "2", "--step", "3"], 0),
+        (["metabelian", "--rank", "2", "--step", "3"], 0),
+        (["--help"], 0),
+        (["trace", "--rank", "2", "--step", "3", "--res=1"], 2)],
+        ids=["basis", "realize", "metabelian", "help", "res-usage-error"])
+    def test_exact_commands_run_without_numpy(self, argv, code):
+        proc = self.python("-c", self.NUMPY_AT_EXIT, *argv)
+        assert proc.returncode == code, proc.stderr
+        assert proc.stderr.splitlines()[-1] == "False"
 
     def test_submodules_load_on_attribute_access(self):
         proc = self.python("-c", "import goh_atlas; "

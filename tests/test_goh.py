@@ -21,12 +21,12 @@ from goh_atlas.goh import (
     trace_variety,
     variety_membership,
 )
+from goh_atlas.floateval import _float_evaluator
 from goh_atlas.normalform import realize_frame
 from goh_atlas.polyfield import (
     Frame,
     Poly,
     PolyVec,
-    _float_evaluator,
     heisenberg_frame,
     martinet_frame,
 )

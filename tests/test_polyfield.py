@@ -10,12 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goh_atlas import polyfield, trajectories
+from goh_atlas import floateval, polyfield, trajectories
 from goh_atlas.errors import NotNilpotentError
 from goh_atlas.freelie import generate_basis, t_exp, t_log, t_mul
 from goh_atlas.normalform import realize_frame
+from goh_atlas.floateval import CompiledPolys
 from goh_atlas.polyfield import (
-    CompiledPolys,
     Frame,
     Poly,
     PolyVec,
@@ -753,7 +753,7 @@ def evaluator_cases(draw):
 def test_compiled_polys_match_textbook_bitwise(case):
     polys, pts = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(polyfield, "EVAL_ROWS", 7)  # a 20-row batch is 3 blocks
+        mp.setattr(floateval, "EVAL_ROWS", 7)  # a 20-row batch is 3 blocks
         assert_same_bits(CompiledPolys(polys)(pts),
                          TextbookCompiledPolys(polys)(pts))
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goh_atlas import polyfield, trajectories
+from goh_atlas import floateval, trajectories
 from goh_atlas.errors import NumericsError
 from goh_atlas.freelie import generate_basis
 from goh_atlas.normalform import realize_frame
@@ -325,7 +325,7 @@ def test_windows_chunks_and_blocks_keep_the_bits(monkeypatch, name):
     # step per block), so the 12-interval grid crosses every boundary, none
     # of them aligned, and evaluation blocks end inside an RK4 step
     monkeypatch.setattr(trajectories, "WINDOW_STEPS", 5)
-    monkeypatch.setattr(polyfield, "EVAL_ROWS", 7)
+    monkeypatch.setattr(floateval, "EVAL_ROWS", 7)
     frame = ORACLE_FRAMES[name]()
     rng = np.random.default_rng(31)
     u = random_pl_control(rng, n_steps=12)
@@ -477,14 +477,14 @@ def test_evaluators_are_compiled_once_per_frame(monkeypatch, make):
     stepping, pairing = [], []
 
     def counting(built):
-        class Counting(polyfield.CompiledPolys):
+        class Counting(floateval.CompiledPolys):
             def __init__(self, polys):
                 built.append(len(polys))
                 super().__init__(polys)
         return Counting
 
     monkeypatch.setattr(trajectories, "CompiledPolys", counting(stepping))
-    monkeypatch.setattr(polyfield, "CompiledPolys", counting(pairing))
+    monkeypatch.setattr(floateval, "CompiledPolys", counting(pairing))
 
     def run(frame):
         rng = np.random.default_rng(43)
@@ -519,13 +519,13 @@ def test_all_zero_evaluators_are_skipped(monkeypatch, make):
     # drift leaves those evaluators out, and evaluates every other one
     frame = make()
     called = set()
-    evaluate = polyfield.CompiledPolys.__call__
+    evaluate = floateval.CompiledPolys.__call__
 
     def spy(self, x):
         called.add(id(self))
         return evaluate(self, x)
 
-    monkeypatch.setattr(polyfield.CompiledPolys, "__call__", spy)
+    monkeypatch.setattr(floateval.CompiledPolys, "__call__", spy)
     rng = np.random.default_rng(47)
     u = random_pl_control(rng, n_steps=6)
     x0 = rng.uniform(-0.5, 0.5, size=frame.n)
@@ -688,14 +688,14 @@ def stepping_calls(monkeypatch, frame) -> set:
         ev for level in levels for ev in
         (level if isinstance(level, list) else [level])]}
     called = set()
-    evaluate = polyfield.CompiledPolys.__call__
+    evaluate = floateval.CompiledPolys.__call__
 
     def spy(self, x):
         if id(self) in stepping:
             called.add(id(self))
         return evaluate(self, x)
 
-    monkeypatch.setattr(polyfield.CompiledPolys, "__call__", spy)
+    monkeypatch.setattr(floateval.CompiledPolys, "__call__", spy)
     return called
 
 
@@ -816,7 +816,7 @@ def test_a_miss_drops_the_kept_path_before_it_integrates(monkeypatch):
 def test_a_drift_that_raises_keeps_no_values(monkeypatch):
     # blocks of four stage rows; the second block's drift raises, and the
     # next call computes every block again, with a cold call's bits
-    monkeypatch.setattr(polyfield, "EVAL_ROWS", 16)
+    monkeypatch.setattr(floateval, "EVAL_ROWS", 16)
     frame = realized(4)
     rng = np.random.default_rng(79)
     u = random_pl_control(rng, n_steps=6)
