@@ -81,12 +81,21 @@ def _load(args, kind: str):
     return cls.from_json(data)
 
 
+def _basis(args):
+    """The Lyndon basis of --rank and --step; a refusal names both flags."""
+    try:
+        return generate_basis(args.rank, args.step)
+    except ValueError as exc:
+        raise ValueError(f"--rank {args.rank} --step {args.step}: {exc}") \
+            from None
+
+
 def _frame_from_args(args) -> Frame:
     if getattr(args, "frame", None):
         return _load(args, "frame")
     if args.rank is None or args.step is None:
         raise ValueError("need --rank and --step, or --frame FILE")
-    return realize_frame(generate_basis(args.rank, args.step))[0]
+    return realize_frame(_basis(args))[0]
 
 
 def _emit(args, obj, csv=None):
@@ -124,7 +133,7 @@ _parse_eps = _arg_type(float, lambda v: 0.0 < v < 1.0,
 
 
 def cmd_basis(args) -> int:
-    basis = generate_basis(args.rank, args.step)
+    basis = _basis(args)
     _log(f"basis ({args.rank},{args.step}): dim {basis.dim}")
     _emit(args, serialize.artifact("basis_report", {
         "dim": basis.dim,
@@ -134,7 +143,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    frame, maps = realize_frame(generate_basis(args.rank, args.step))
+    frame, maps = realize_frame(_basis(args))
     _log(f"realized ({args.rank},{args.step}) on R^{frame.n}")
     _emit(args, serialize.artifact("realization_report", {
         "frame": frame, "realization": maps}))

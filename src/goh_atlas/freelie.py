@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
+from .options import BASIS_MAX, STEP_MAX
 from .serialize import _ratio, _words_from_json, _words_to_json, artifact, \
     check_artifact
 
@@ -71,16 +72,19 @@ def _mobius(n: int) -> int:
     return mu
 
 
-def witt_dimension(rank: int, step: int) -> list[int]:
-    """Dimensions of the graded layers 1..step (necklace/Moebius formula)."""
+def _layer_dims(rank: int, step: int):
+    """The dimension of each graded layer 1..step in turn (necklace/Moebius
+    formula): O(ell) for layer ell."""
     if rank < 1 or step < 1:
         raise ValueError("rank and step must be >= 1")
-    dims = []
     for ell in range(1, step + 1):
-        total = sum(_mobius(d) * rank ** (ell // d)
-                    for d in range(1, ell + 1) if ell % d == 0)
-        dims.append(total // ell)
-    return dims
+        yield sum(_mobius(d) * rank ** (ell // d)
+                  for d in range(1, ell + 1) if ell % d == 0) // ell
+
+
+def witt_dimension(rank: int, step: int) -> list[int]:
+    """Dimensions of the graded layers 1..step (necklace/Moebius formula)."""
+    return list(_layer_dims(rank, step))
 
 
 # ---------------------------------------------------------------------------
@@ -126,7 +130,22 @@ class LyndonBasis:
 
 
 def generate_basis(rank: int, step: int) -> LyndonBasis:
-    """Lyndon words of length <= step over {1..rank}, sorted by (length, lex)."""
+    """Lyndon words of length <= step over {1..rank}, sorted by (length, lex).
+
+    Before it builds a word it refuses, by a ValueError, a rank or step
+    below 1, a step above STEP_MAX and a basis of more than BASIS_MAX words
+    (options.py gives the memory behind both bounds).  The layer sizes are
+    summed one at a time and the sum stops past BASIS_MAX, so the check
+    costs O(step^2) only while the layers stay small.
+    """
+    if step > STEP_MAX:
+        raise ValueError(f"step must be at most {STEP_MAX}, got {step}")
+    total = 0
+    for dim in _layer_dims(rank, step):
+        total += dim
+        if total > BASIS_MAX:
+            raise ValueError(f"rank {rank} and step {step} give more than "
+                             f"{BASIS_MAX} basis words")
     words = sorted(lyndon_words(rank, step), key=lambda w: (len(w), w))
     return LyndonBasis(rank, step, tuple(words))
 
@@ -137,7 +156,10 @@ def generate_basis(rank: int, step: int) -> LyndonBasis:
 # +, -, *, bool() (Poly coefficients work with no changes here).
 # Sums accumulate in place; polyfield.Poly adds its terms with _accumulate
 # and scales them with lie_scale, so the insertion order of the keys here
-# is the term order of a Poly sum.
+# is the term order of a Poly sum.  _accumulate, _axpy, lie_scale, t_mul,
+# t_exp and lie_to_tensor keep the order of the sum or series they compute;
+# t_log's order is Horner's, not the series', and no caller reads it
+# (tensor_to_lie walks the basis).
 
 def _accumulate(out: dict, items) -> dict:
     """Add (key, coefficient) pairs into out in place, dropping zero sums."""
@@ -205,19 +227,27 @@ def t_exp(a: dict, step: int, one=ONE) -> dict:
 
 
 def t_log(g: dict, step: int, one=ONE) -> dict:
-    """log of a group-like element (constant term 1)."""
+    """log of a group-like element (constant term 1), by Horner's rule.
+
+    With x = g - 1, log g = x P_1, where P_step = 1/step and
+    P_k = 1/k - x P_{k+1}.  P_k is multiplied on the left by k more
+    factors of x, each of word length >= 1, so it is needed only up to
+    word length step - k: each product is t_mul(x, P_{k+1}, step - k).
+    The loop carries Q_k = (-1)^(k+1) P_k = (-1)^(k+1)/k + x Q_{k+1},
+    which needs no negation, and Q_1 = P_1.  The result is the series
+    sum_k (-1)^(k+1) x^k / k, with its keys in Horner's order.
+    """
     x = dict(g)
     const = x.pop((), None)
     if const is None or (const - one):
         raise ValueError("log needs constant term 1")
-    out: dict = {}
-    term = {(): one}
-    for k in range(1, step + 1):
-        term = t_mul(term, x, step)
-        if not term:
-            break
-        _axpy(out, term, Fraction((-1) ** (k + 1), k))
-    return out
+    if step < 1:
+        return {}
+    p = {(): one * Fraction((-1) ** (step + 1), step)}
+    for k in range(step - 1, 0, -1):
+        p = t_mul(x, p, step - k)
+        p[()] = one * Fraction((-1) ** (k + 1), k)
+    return t_mul(x, p, step)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,120 @@
+"""The mutation register: hand-made faults that named tests must catch.
+
+Each entry gives a file, its exact old text, the new text, and the pytest
+arguments (test ids, or a file and -k) whose tests must fail once the new
+text replaces the old.  Run it from the repository root:
+
+    python tests/mutants.py [NAME ...]
+
+For each entry (or each one named) the runner copies src, tests and
+pyproject.toml into a temporary directory, applies the entry there and
+runs its tests with -x.  It prints one line per entry: killed, SURVIVED,
+or ERROR when the old text does not occur exactly once in its file or
+pytest could not run the tests.  The exit status is 1 if any entry
+survived or erred.  The file has no test_ prefix, so the test suite does
+not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+
+class Mutant(NamedTuple):
+    file: str
+    old: str
+    new: str
+    tests: tuple[str, ...]
+
+
+REGISTER = {
+    # t_log's Horner coefficient (-1)^(k+1)/k over k + 1
+    "horner-coefficient": Mutant(
+        "src/goh_atlas/freelie.py",
+        "p[()] = one * Fraction((-1) ** (k + 1), k)",
+        "p[()] = one * Fraction((-1) ** (k + 1), k + 1)",
+        ("tests/test_freelie.py::test_horner_log_matches_the_series_on_packed_coefficients",
+         "tests/test_freelie.py::test_horner_log_matches_the_series_on_fractions")),
+    # t_log truncating each Horner product one word length too short
+    "horner-depth": Mutant(
+        "src/goh_atlas/freelie.py",
+        "p = t_mul(x, p, step - k)",
+        "p = t_mul(x, p, step - k - 1)",
+        ("tests/test_freelie.py::test_horner_log_matches_the_series_on_packed_coefficients",
+         "tests/test_freelie.py::test_horner_log_matches_the_series_on_fractions")),
+    # ψ of a realization left in its summation order, not sorted
+    "psi-unsorted": Mutant(
+        "src/goh_atlas/normalform.py",
+        "psi = [_sorted(p) for p in psi]",
+        "psi = [p.to_poly() for p in psi]",
+        ("tests/test_normalform.py::test_outputs_do_not_read_the_order_of_t_log",)),
+    # RK4 with the weight 2 of the second stage dropped
+    "rk4-weight": Mutant(
+        "src/goh_atlas/trajectories.py",
+        "add(k1, 2.0 * k2, out=k1)",
+        "add(k1, k2, out=k1)",
+        ("tests/test_trajectories.py", "-k", "textbook")),
+    # _substitute multiplying a term's powers in reverse variable order
+    "substitute-order": Mutant(
+        "src/goh_atlas/polyfield.py",
+        "term = ring.const(c)\n        for i, k in enumerate(e):",
+        "term = ring.const(c)\n        for i, k in reversed(list(enumerate(e))):",
+        ("tests/test_polyfield.py::test_compose_multiplies_a_terms_powers_in_variable_order",
+         "tests/test_polyfield.py::test_compose_matches_textbook_term_for_term")),
+}
+
+
+def run_mutant(mutant: Mutant, root: Path) -> str:
+    """'killed', 'SURVIVED' or 'ERROR: why' for one entry."""
+    with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
+        tmp = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(root / part, tmp / part, ignore=shutil.ignore_patterns(
+                "__pycache__", ".hypothesis", ".pytest_cache"))
+        shutil.copy(root / "pyproject.toml", tmp)
+        path = tmp / mutant.file
+        text = path.read_text()
+        count = text.count(mutant.old)
+        if count != 1:
+            return f"ERROR: old text found {count} times in {mutant.file}"
+        path.write_text(text.replace(mutant.old, mutant.new))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             *mutant.tests],
+            cwd=tmp, env={**os.environ, "PYTHONPATH": str(tmp / "src")},
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
+    if proc.returncode == 1:
+        return "killed"
+    if proc.returncode == 0:
+        return "SURVIVED"
+    tail = proc.stdout.strip().splitlines()[-1:] or [""]
+    return f"ERROR: pytest exit {proc.returncode}: {tail[0]}"
+
+
+def main(argv: list[str]) -> int:
+    root = Path(__file__).resolve().parent.parent
+    names = argv or list(REGISTER)
+    unknown = [name for name in names if name not in REGISTER]
+    if unknown:
+        print(f"unknown entries: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    bad = 0
+    for name in names:
+        start = time.perf_counter()
+        verdict = run_mutant(REGISTER[name], root)
+        bad += verdict != "killed"
+        print(f"{verdict:8s} {name} ({time.perf_counter() - start:.1f} s)",
+              flush=True)
+    print(f"{len(names)} mutants, {len(names) - bad} killed, {bad} not")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

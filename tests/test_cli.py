@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 import goh_atlas
-from goh_atlas import cli, serialize
+from goh_atlas import cli, freelie, serialize
 from goh_atlas.cli import main
 from goh_atlas.freelie import LyndonBasis, StructureTable, generate_basis, \
     structure_table
+from goh_atlas.options import BASIS_MAX, STEP_MAX
 from goh_atlas.polyfield import Frame, heisenberg_frame
 from goh_atlas.trajectories import Control, SampledCurve
 
@@ -229,6 +230,23 @@ class TestExitCodes:
         code, out, err = run(capsys, "trace", "--rank", "2", "--step", "3",
                              "--lambda", "0,0,0,1,0", f"--window={window}")
         assert (code, out, err) == (2, "", f"error: {msg}\n")
+
+    @pytest.mark.parametrize("command", ["basis", "realize", "metabelian"])
+    @pytest.mark.parametrize("rank, step, msg", [
+        ("2", "28", f"rank 2 and step 28 give more than {BASIS_MAX} basis "
+                    f"words"),
+        ("1", "300000000", f"step must be at most {STEP_MAX}, got 300000000"),
+        ("0", "3", "rank and step must be >= 1")],
+        ids=["words", "step", "rank"])
+    def test_oversized_basis_is_refused_before_any_word(
+            self, capsys, monkeypatch, command, rank, step, msg):
+        def built(*args):
+            raise AssertionError("a Lyndon word was built")
+
+        monkeypatch.setattr(freelie, "lyndon_words", built)
+        code, out, err = run(capsys, command, "--rank", rank, "--step", step)
+        assert (code, out, err) == \
+            (2, "", f"error: --rank {rank} --step {step}: {msg}\n")
 
     def test_precondition_failure_reports_json(self, capsys):
         lam = ",".join(["0"] * 13 + ["1"])

@@ -14,8 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goh_atlas import freelie as fl
+from goh_atlas import freelie as fl, normalform
+from goh_atlas.options import STEP_MAX
 from lie_helpers import (
+    NONZERO_RATIONALS,
     iterated_bracket_index,
     lie_elements,
     lie_single,
@@ -115,6 +117,20 @@ def lie_as_tensor(elem, basis):
 
 # ---------------------------------------------------------------------------
 # words and dimensions
+
+def test_basis_bounds_hold_at_their_limits(monkeypatch):
+    assert fl.generate_basis(1, STEP_MAX).words == ((1,),)
+    with pytest.raises(ValueError, match=f"step must be at most {STEP_MAX}"):
+        fl.generate_basis(1, STEP_MAX + 1)
+    monkeypatch.setattr(fl, "BASIS_MAX", 8)
+    assert fl.generate_basis(2, 4).dim == 8
+    with pytest.raises(ValueError, match="rank 2 and step 5 give more than "
+                                         "8 basis words"):
+        fl.generate_basis(2, 5)
+    for rank, step in [(0, 2), (2, 0)]:
+        with pytest.raises(ValueError, match="rank and step must be >= 1"):
+            fl.generate_basis(rank, step)
+
 
 def test_witt_profiles():
     assert fl.witt_dimension(2, 3) == [2, 1, 2]
@@ -352,7 +368,9 @@ def test_tensor_to_lie_rejects_non_lie():
 # In-place sums against the dict-copying forms they replace.  Key order is
 # compared too: with Poly coefficients it becomes the term order of
 # realized frames.  Unlike o_add above, these drop a key as soon as its sum
-# is zero, so a key that comes back re-enters at the end.
+# is zero, so a key that comes back re-enters at the end.  t_log is the
+# exception: it runs Horner's rule, not the series below, so it is compared
+# as an exact dict (no caller reads its key order).
 
 def copying_add(a, b):
     out = dict(a)
@@ -399,10 +417,10 @@ def copying_exp(a, step):
     return out
 
 
-def copying_log(g, step):
+def copying_log(g, step, one=Fraction(1)):
     x = dict(g)
     x.pop(())
-    out, term = {}, {(): Fraction(1)}
+    out, term = {}, {(): one}
     for k in range(1, step + 1):
         term = textbook_t_mul(term, x, step)
         if not term:
@@ -466,10 +484,62 @@ def test_exp_log_and_projections_match_copying_forms(case):
     g = fl.t_mul(ea, eb, basis.step)
     assert items(g) == items(textbook_t_mul(ea, eb, basis.step))
     log = fl.t_log(g, basis.step)
-    assert items(log) == items(copying_log(g, basis.step))
+    assert log == copying_log(g, basis.step)
     assert items(fl.tensor_to_lie(log, basis)) == \
         items(copying_tensor_to_lie(log, basis))
     assert fl.tensor_to_lie(fl.t_log(ea, basis.step), basis) == a
+
+
+@st.composite
+def unit_plus_tensors(draw):
+    """(1 + x, step): step in 0..6, x on words over {1, 2} of length 1 to
+    step + 1, so some words lie past the truncation."""
+    step = draw(st.integers(0, 6))
+    words = st.lists(st.integers(1, 2), min_size=1, max_size=step + 1)
+    x = draw(st.dictionaries(words.map(tuple), NONZERO_RATIONALS,
+                             max_size=8))
+    return {(): Fraction(1), **x}, step
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=unit_plus_tensors())
+def test_horner_log_matches_the_series_on_fractions(case):
+    g, step = case
+    assert fl.t_log(g, step) == copying_log(g, step)
+
+
+@pytest.mark.parametrize("step", range(7))
+def test_horner_log_of_one_and_at_step_zero(step):
+    assert fl.t_log({(): Fraction(1)}, step) == {}
+    one_plus_x = {(): Fraction(1), (1,): Fraction(3), (2, 1): Fraction(1)}
+    assert fl.t_log(one_plus_x, 0) == {}
+    with pytest.raises(ValueError, match="constant term 1"):
+        fl.t_log({**one_plus_x, (): Fraction(2)}, step)
+
+
+def packed(t):
+    return {w: c.to_poly() for w, c in t.items()}
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (3, 3)], ids=str)
+def test_horner_log_matches_the_series_on_packed_coefficients(shape,
+                                                              monkeypatch):
+    """On the realization's own chart product g, with coefficients on its
+    packed ring: log g truncated at every step from 0 up, and log 1."""
+    seen = []
+
+    def spy(g, step, one):
+        seen.append((g, one))
+        return fl.t_log(g, step, one)
+
+    monkeypatch.setattr(normalform, "t_log", spy)
+    normalform.realize_frame(fl.generate_basis(*shape))
+    (g, one), = seen
+    assert len(g) > 1
+    for step in range(shape[1] + 1):
+        assert packed(fl.t_log(g, step, one)) == \
+            packed(copying_log(g, step, one))
+        assert fl.t_log({(): one}, step, one) == {}
 
 
 BASIS_24 = fl.generate_basis(2, 4)

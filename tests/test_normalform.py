@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goh_atlas.freelie import generate_basis, structure_table
+from goh_atlas import freelie, normalform
+from goh_atlas.freelie import bch, generate_basis, structure_table
 from goh_atlas.normalform import (
     _signed_table,
     attachment_trees,
@@ -23,11 +24,13 @@ from goh_atlas.polyfield import (
     Frame,
     Poly,
     PolyVec,
+    _Packed,
     growth_vector,
     heisenberg_frame,
     lie_bracket_fields,
     martinet_frame,
 )
+from goh_atlas.serialize import artifact, dumps
 from lie_helpers import (
     _ad_series,
     bernoulli_numbers,
@@ -316,6 +319,39 @@ def test_realization_terms_are_sorted(shape):
         assert terms == sorted(terms)
         h.update(repr(terms).encode())
     assert h.hexdigest()[:16] == SORTED_DIGESTS[shape]
+
+
+def reversed_log(t_log):
+    """t_log with its keys, and the terms of each packed coefficient, in
+    reverse order: the same tensor summed in another order."""
+    def log(g, step, one=F(1)):
+        return {w: _Packed(dict(reversed(c.terms.items())), c.den, c.top,
+                           c.ring) if isinstance(c, _Packed) else c
+                for w, c in reversed(t_log(g, step, one).items())}
+    return log
+
+
+def test_outputs_do_not_read_the_order_of_t_log(monkeypatch):
+    """Horner's rule and the power series sum log g in different orders.
+    Realization reports, the in-process term order of realized polynomials
+    and bch results must not depend on that order."""
+    basis = generate_basis(2, 4)
+    a, b = {0: F(1, 2), 3: F(-2, 3), 4: F(5)}, {1: F(3), 2: F(1, 5)}
+
+    def outputs():
+        out = [repr(list(bch(a, b, basis).items()))]
+        for shape in [(2, 4), (3, 3)]:
+            frame, maps = realize_frame(generate_basis(*shape))
+            out.append(dumps(artifact("realization_report", {
+                "frame": frame, "realization": maps})))
+            out.append(repr([list(p.terms.items())
+                             for p in realized_polys(maps)]))
+        return out
+
+    want = outputs()
+    monkeypatch.setattr(freelie, "t_log", reversed_log(freelie.t_log))
+    monkeypatch.setattr(normalform, "t_log", reversed_log(normalform.t_log))
+    assert outputs() == want
 
 
 ORACLE_SHAPES = [(2, s) for s in range(2, 8)] + [(3, 3), (3, 4), (3, 5),

@@ -573,6 +573,15 @@ def test_compose_cancels_and_reinserts_like_the_textbook():
         list(textbook_compose(p, [v, v]).terms.items())
 
 
+def test_compose_multiplies_a_terms_powers_in_variable_order():
+    # u v and v u have the same terms in different orders
+    u, v = Poly(1, {(0,): 1, (1,): 1}), Poly(1, {(0,): 1, (2,): 1})
+    p = Poly(2, {(1, 1): 1})
+    got = list(p.compose([u, v]).terms.items())
+    assert got == list(textbook_compose(p, [u, v]).terms.items())
+    assert got != list((v * u).terms.items())
+
+
 def test_compose_ring_holds_the_weighted_exponent_sum():
     # each top is one byte, the substituted exponents are not
     v = Poly(1, {(200,): 1, (1,): 1})
