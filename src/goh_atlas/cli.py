@@ -26,7 +26,8 @@ from .errors import (
 from .freelie import generate_basis, witt_dimension
 from .metabelian import is_metabelian
 from .normalform import realize_frame
-from .options import RES_MAX, SCENARIO_NAMES, check_resolution
+from .options import RES_MAX, SCENARIO_NAMES, check_resolution, \
+    check_table_size
 from .polyfield import Frame
 
 
@@ -81,13 +82,18 @@ def _load(args, kind: str):
     return cls.from_json(data)
 
 
-def _basis(args):
-    """The Lyndon basis of --rank and --step; a refusal names both flags."""
+def _basis(args, table=False):
+    """The Lyndon basis of --rank and --step; a refusal names both flags.
+    With table (for a frame to be realized), a basis too large for its
+    structure table is refused too, before the table is allocated."""
     try:
-        return generate_basis(args.rank, args.step)
+        basis = generate_basis(args.rank, args.step)
+        if table:
+            check_table_size(basis.dim)
     except ValueError as exc:
         raise ValueError(f"--rank {args.rank} --step {args.step}: {exc}") \
             from None
+    return basis
 
 
 def _frame_from_args(args) -> Frame:
@@ -95,7 +101,7 @@ def _frame_from_args(args) -> Frame:
         return _load(args, "frame")
     if args.rank is None or args.step is None:
         raise ValueError("need --rank and --step, or --frame FILE")
-    return realize_frame(_basis(args))[0]
+    return realize_frame(_basis(args, table=True))[0]
 
 
 def _emit(args, obj, csv=None):
@@ -143,7 +149,7 @@ def cmd_basis(args) -> int:
 
 
 def cmd_realize(args) -> int:
-    frame, maps = realize_frame(_basis(args))
+    frame, maps = realize_frame(_basis(args, table=True))
     _log(f"realized ({args.rank},{args.step}) on R^{frame.n}")
     _emit(args, serialize.artifact("realization_report", {
         "frame": frame, "realization": maps}))

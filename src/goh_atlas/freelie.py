@@ -5,20 +5,24 @@ ordered by (length, lex).  The bracketing of a Lyndon word follows its
 standard factorization w = u v (v the lexicographically least proper
 suffix): E_w = [E_u, E_v].
 
-All exact computations (brackets, BCH) run inside the truncated tensor
-algebra: a basis word is expanded to its tensor form, the operation is
-performed there, and the result is projected back onto the Lyndon basis by
-triangular elimination on lexicographically minimal words.  Coefficients
-are fractions.Fraction throughout; anything of word length > s is dropped
-silently (that is the truncation).
+The structure table is built by rewriting brackets of Lyndon words on
+their standard factorizations, and BCH runs on that table by Varadarajan's
+recursion; neither touches a tensor.  The truncated tensor algebra below
+(a basis word expanded to its tensor form, and a Lie tensor projected back
+onto the Lyndon basis by triangular elimination on lexicographically
+minimal words) serves the chart product and log of
+normalform.realize_frame.  Coefficients are fractions.Fraction throughout;
+anything of weight (word length) > s is dropped silently (that is the
+truncation).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb, factorial
 
-from .options import BASIS_MAX, STEP_MAX
+from .options import BASIS_MAX, STEP_MAX, check_table_size
 from .serialize import _ratio, _words_from_json, _words_to_json, artifact, \
     check_artifact
 
@@ -316,19 +320,6 @@ def tensor_to_lie(t: dict, basis: LyndonBasis) -> dict:
 # basis.words is sorted that way; subtraction only touches >= lex words.
 
 
-def bracket(a: LieElement, b: LieElement, basis: LyndonBasis) -> LieElement:
-    """[a, b] via tensor expansion, projected back to the basis."""
-    ta, tb = lie_to_tensor(a, basis), lie_to_tensor(b, basis)
-    return tensor_to_lie(t_bracket(ta, tb, basis.step), basis)
-
-
-def bch(a: LieElement, b: LieElement, basis: LyndonBasis) -> LieElement:
-    """log(exp(a) exp(b)) truncated at the basis step, exact."""
-    ta, tb = lie_to_tensor(a, basis), lie_to_tensor(b, basis)
-    g = t_mul(t_exp(ta, basis.step), t_exp(tb, basis.step), basis.step)
-    return tensor_to_lie(t_log(g, basis.step), basis)
-
-
 # ---------------------------------------------------------------------------
 # Structure table
 
@@ -379,26 +370,114 @@ class StructureTable:
 
 
 def structure_table(basis: LyndonBasis) -> StructureTable:
-    """Brackets of all basis pairs ([E_i, E_j] in basis coordinates)."""
-    exps = word_expansions(basis)
-    n = basis.dim
+    """Brackets of all basis pairs ([E_i, E_j] in basis coordinates), by
+    rewriting on standard factorizations (Reutenauer, Free Lie Algebras,
+    1993, ch. 4-5).
+
+    For Lyndon words u < v (lex), [E_u, E_v] = E_uv when u is a letter or
+    u's right standard factor is >= v.  Otherwise u = u1 u2 and, by Jacobi,
+    [E_u, E_v] = [E_u1, [E_u2, E_v]] - [E_u2, [E_u1, E_v]].  Each bracket is
+    memoized for this table, and one of weight above the step is 0.  The
+    constants are integers; an entry holds them as Fractions keyed by
+    ascending index.  A basis of more than options.TABLE_MAX words is
+    refused before the n x n table is allocated.
+    """
+    n, step = basis.dim, basis.step
+    check_table_size(n)
+    words, index = basis.words, basis.index
+    factors = [None if len(w) == 1 else
+               tuple(index[f] for f in standard_factorization(w))
+               for w in words]
+    memo: dict[tuple[int, int], dict[int, int]] = {}
+
+    def br(i: int, j: int) -> dict[int, int]:
+        if i == j or len(words[i]) + len(words[j]) > step:
+            return {}
+        e = memo.get((i, j))
+        if e is not None:
+            return e
+        if words[i] > words[j]:
+            e = {k: -c for k, c in br(j, i).items()}
+        elif factors[i] is None or words[factors[i][1]] >= words[j]:
+            e = {index[words[i] + words[j]]: 1}
+        else:
+            u1, u2 = factors[i]
+            e = {}
+            for k, c in br(u2, j).items():
+                for m, d in br(u1, k).items():
+                    e[m] = e.get(m, 0) + c * d
+            for k, c in br(u1, j).items():
+                for m, d in br(u2, k).items():
+                    e[m] = e.get(m, 0) - c * d
+            e = {k: c for k, c in e.items() if c}
+        memo[i, j] = e
+        return e
+
     table: list[list[LieElement]] = [[{} for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        wi = basis.weight(i)
         for j in range(i + 1, n):
-            if wi + basis.weight(j) > basis.step:
-                continue  # graded truncation
-            e = tensor_to_lie(t_bracket(exps[i], exps[j], basis.step), basis)
-            table[i][j] = e
-            table[j][i] = {k: -c for k, c in e.items()}
+            e = br(i, j)
+            if e:
+                e = {k: Fraction(c) for k, c in sorted(e.items())}
+                table[i][j] = e
+                table[j][i] = {k: -c for k, c in e.items()}
     return StructureTable(basis, tuple(tuple(row) for row in table))
+
+
+def bernoulli_numbers(count: int) -> list[Fraction]:
+    """b_0..b_{count-1} with the b_1 = +1/2 sign convention."""
+    b = [ONE]
+    for m in range(1, count):
+        s = sum(comb(m + 1, j) * b[j] for j in range(m))
+        b.append(Fraction(-s, m + 1))
+    if count > 1:
+        b[1] = -b[1]
+    return b
+
+
+def bch(a: LieElement, b: LieElement, basis: LyndonBasis) -> LieElement:
+    """log(exp(a) exp(b)) truncated at the basis step, exact, keyed by
+    ascending index: Z_1 + ... + Z_step by Varadarajan's recursion on the
+    structure table, with Z_n the part of degree n in (a, b):
+
+        Z_1 = a + b,
+        (n+1) Z_{n+1} = 1/2 [a - b, Z_n]
+                        + sum_{p >= 1, 2p <= n} B_2p / (2p)! S(2p, n),
+
+    where S(m, d), the sum over k_1 + ... + k_m = d (each k >= 1) of
+    [Z_k1, [... [Z_km, a + b]]], is kept in a table: S(0, 0) = a + b and
+    S(m, d) = sum_k [Z_k, S(m - 1, d - k)].  Z_n has weight >= n, so the
+    terms stop at the step.
+    """
+    bracket = structure_table(basis).bracket_elements
+    bern = bernoulli_numbers(basis.step)
+    s = lie_add(a, b)
+    half_diff = _axpy(lie_scale(a, Fraction(1, 2)), b, Fraction(-1, 2))
+    z = [{}, s]
+    sums = {(0, 0): s}
+    total = dict(s)
+    for n in range(1, basis.step):
+        for m in range(1, n + 1):
+            acc: LieElement = {}
+            for k in range(1, n - m + 2):
+                inner = sums.get((m - 1, n - k))
+                if inner:
+                    _accumulate(acc, bracket(z[k], inner).items())
+            sums[m, n] = acc
+        nxt = bracket(half_diff, z[n])
+        for p in range(1, n // 2 + 1):
+            _axpy(nxt, sums[2 * p, n], bern[2 * p] / factorial(2 * p))
+        nxt = lie_scale(nxt, Fraction(1, n + 1))
+        z.append(nxt)
+        _accumulate(total, nxt.items())
+    return dict(sorted(total.items()))
 
 
 __all__ = [
     "Word", "LyndonBasis", "StructureTable", "LieElement",
     "lyndon_words", "standard_factorization",
     "witt_dimension", "generate_basis", "structure_table",
-    "bracket", "bch",
+    "bernoulli_numbers", "bch",
     "lie_add", "lie_scale", "lie_to_tensor", "tensor_to_lie",
     "t_mul", "t_bracket", "t_exp", "t_log",
     "word_expansions",

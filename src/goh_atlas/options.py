@@ -1,6 +1,7 @@
 """Values the CLI's options accept, defined once without numpy so the parser
 loads no numeric layer: the trace resolution (re-exported by goh), the
-bounds on a Lyndon basis (read by freelie.generate_basis) and the demo
+bounds on a Lyndon basis (read by freelie.generate_basis) and on a
+structure table (freelie.structure_table and the CLI) and the demo
 scenario names (re-exported by scenarios, in its pipeline order)."""
 
 # a trace adds about 12 B per grid node to the peak (tracemalloc and
@@ -15,6 +16,13 @@ RES_MAX = 4096
 # 1000), so the step has its own bound.
 BASIS_MAX = 250_000
 STEP_MAX = 256
+
+# a structure table of an n-word basis holds n x n dicts, almost all of
+# them empty: about 82 B per cell of ru_maxrss over the basis (77 at (2,10),
+# 83 at (2,12), 82 at (4,6), (3,8) and (2,13), n = 1377: 149 MB), about
+# 0.18 GB at TABLE_MAX, so a realization past it is refused before the
+# table is allocated
+TABLE_MAX = 1_500
 
 SCENARIO_NAMES = ("heisenberg", "f23-line", "f24", "f25", "martinet",
                   "f27-spiral")
@@ -34,3 +42,12 @@ def check_resolution(resolution) -> int:
         raise ValueError(f"resolution must be an integer from 2 to "
                          f"{RES_MAX}, got {resolution!r}")
     return res
+
+
+def check_table_size(n: int) -> None:
+    """The one rule for the size of a structure table (`freelie.
+    structure_table`, every command that realizes a frame): a basis of more
+    than TABLE_MAX words is a ValueError naming it."""
+    if n > TABLE_MAX:
+        raise ValueError(f"{n} basis words are more than the {TABLE_MAX} "
+                         f"a structure table takes")

@@ -1,4 +1,6 @@
-"""Constructions only the tests use: single basis elements, random Lie
+"""Constructions only the tests use: the tensor route of brackets, of the
+structure table and of BCH (the oracles of freelie's table rewriting and
+Varadarajan recursion), single basis elements, random Lie
 elements, right-nested brackets of generators and of frame fields, the f23
 frame written out, the textbook batched evaluator, the oracle of
 CompiledPolys and of the integrators, the textbook product, sum and
@@ -11,7 +13,6 @@ Hypothesis strategy of sparse rational Lie elements."""
 
 import itertools
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 from hypothesis import strategies as st
@@ -24,8 +25,15 @@ from goh_atlas.freelie import (
     LyndonBasis,
     StructureTable,
     Word,
-    bracket,
+    bernoulli_numbers,
+    lie_to_tensor,
     structure_table,
+    t_bracket,
+    t_exp,
+    t_log,
+    t_mul,
+    tensor_to_lie,
+    word_expansions,
 )
 from goh_atlas.normalform import (
     CoordinateMaps,
@@ -35,6 +43,38 @@ from goh_atlas.normalform import (
 from goh_atlas.metabelian import MetabelianVerdict
 from goh_atlas.polyfield import Frame, Poly, PolyVec, _as_frac, \
     _nested_brackets, _right_nested, lie_bracket_fields
+
+
+def bracket(a: LieElement, b: LieElement, basis: LyndonBasis) -> LieElement:
+    """[a, b] via tensor expansion, projected back to the basis."""
+    ta, tb = lie_to_tensor(a, basis), lie_to_tensor(b, basis)
+    return tensor_to_lie(t_bracket(ta, tb, basis.step), basis)
+
+
+def tensor_bch(a: LieElement, b: LieElement,
+               basis: LyndonBasis) -> LieElement:
+    """log(exp(a) exp(b)) in the truncated tensor algebra, projected back
+    to the basis: the oracle of freelie.bch."""
+    ta, tb = lie_to_tensor(a, basis), lie_to_tensor(b, basis)
+    g = t_mul(t_exp(ta, basis.step), t_exp(tb, basis.step), basis.step)
+    return tensor_to_lie(t_log(g, basis.step), basis)
+
+
+def tensor_structure_table(basis: LyndonBasis) -> StructureTable:
+    """[E_i, E_j] for every basis pair, from the tensor expansions of the
+    two words: the oracle of freelie.structure_table."""
+    exps = word_expansions(basis)
+    n = basis.dim
+    table: list[list[LieElement]] = [[{} for _ in range(n)] for _ in range(n)]
+    for i in range(n):
+        wi = basis.weight(i)
+        for j in range(i + 1, n):
+            if wi + basis.weight(j) > basis.step:
+                continue  # graded truncation
+            e = tensor_to_lie(t_bracket(exps[i], exps[j], basis.step), basis)
+            table[i][j] = e
+            table[j][i] = {k: -c for k, c in e.items()}
+    return StructureTable(basis, tuple(tuple(row) for row in table))
 
 
 def textbook_mul(p, q):
@@ -104,11 +144,12 @@ NONZERO_RATIONALS = st.builds(Fraction, st.integers(-4, 4).filter(bool),
                               st.integers(1, 6))
 
 
-def lie_elements(dim):
-    """Hypothesis strategy: Lie elements on dim basis indices with small
-    nonzero rational coefficients."""
+def lie_elements(dim, max_size=None):
+    """Hypothesis strategy: Lie elements on dim basis indices (at most
+    max_size of them, dim by default) with small nonzero rational
+    coefficients."""
     return st.dictionaries(st.integers(0, dim - 1), NONZERO_RATIONALS,
-                           max_size=dim)
+                           max_size=dim if max_size is None else max_size)
 
 
 def iterated_bracket_index(basis: LyndonBasis, J) -> LieElement:
@@ -358,17 +399,6 @@ def reference_realize(basis: LyndonBasis):
     frame = Frame(fields[:basis.rank], weights=weights, normal_form=True,
                   labels=basis.words)
     return frame, CoordinateMaps(basis, table, psi, inv, fields, signs)
-
-
-def bernoulli_numbers(count: int) -> list[Fraction]:
-    """b_0..b_{count-1} with the b_1 = +1/2 sign convention."""
-    b = [Fraction(1)]
-    for m in range(1, count):
-        s = sum(comb(m + 1, j) * b[j] for j in range(m))
-        b.append(Fraction(-s, m + 1))
-    if count > 1:
-        b[1] = -b[1]
-    return b
 
 
 def _ad_series(table: StructureTable, signs, y_el: dict, one) -> list[dict]:

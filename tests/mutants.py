@@ -49,6 +49,25 @@ REGISTER = {
         "p = t_mul(x, p, step - k - 1)",
         ("tests/test_freelie.py::test_horner_log_matches_the_series_on_packed_coefficients",
          "tests/test_freelie.py::test_horner_log_matches_the_series_on_fractions")),
+    # the rewriting taking [E_u, E_v] = E_uv only when u's right standard
+    # factor is > v, not >=: [E_12, E_2] then rewrites into itself
+    "factor-test": Mutant(
+        "src/goh_atlas/freelie.py",
+        "words[factors[i][1]] >= words[j]",
+        "words[factors[i][1]] > words[j]",
+        ("tests/test_freelie.py::test_structure_table_matches_the_tensor_route[(2, 3)]",)),
+    # the Jacobi rewriting adding its second term, not subtracting it
+    "jacobi-sign": Mutant(
+        "src/goh_atlas/freelie.py",
+        "e[m] = e.get(m, 0) - c * d",
+        "e[m] = e.get(m, 0) + c * d",
+        ("tests/test_freelie.py::test_structure_table_matches_the_tensor_route[(3, 3)]",)),
+    # bch's Bernoulli terms B_2p / (2p)! with the wrong sign
+    "bernoulli-sign": Mutant(
+        "src/goh_atlas/freelie.py",
+        "bern[2 * p] / factorial(2 * p)",
+        "-bern[2 * p] / factorial(2 * p)",
+        ("tests/test_freelie.py::test_bch_against_dynkin_series",)),
     # ψ of a realization left in its summation order, not sorted
     "psi-unsorted": Mutant(
         "src/goh_atlas/normalform.py",

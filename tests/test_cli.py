@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import goh_atlas
-from goh_atlas import cli, freelie, serialize
+from goh_atlas import cli, freelie, options, serialize
 from goh_atlas.cli import main
 from goh_atlas.freelie import LyndonBasis, StructureTable, generate_basis, \
     structure_table
@@ -247,6 +247,21 @@ class TestExitCodes:
         code, out, err = run(capsys, command, "--rank", rank, "--step", step)
         assert (code, out, err) == \
             (2, "", f"error: --rank {rank} --step {step}: {msg}\n")
+
+    @pytest.mark.parametrize("command", ["realize", "metabelian", "goh",
+                                         "trace", "lift", "flow", "residuals",
+                                         "recover"])
+    def test_oversized_table_is_refused_before_realizing(
+            self, capsys, monkeypatch, command):
+        def ran(*args):
+            raise AssertionError("the frame was realized")
+
+        monkeypatch.setattr(options, "TABLE_MAX", 13)
+        monkeypatch.setattr(cli, "realize_frame", ran)
+        code, out, err = run(capsys, command, "--rank", "2", "--step", "5")
+        assert (code, out, err) == \
+            (2, "", "error: --rank 2 --step 5: 14 basis words are more than "
+                    "the 13 a structure table takes\n")
 
     def test_precondition_failure_reports_json(self, capsys):
         lam = ",".join(["0"] * 13 + ["1"])

@@ -2,10 +2,12 @@
 
 The oracles here are deliberately independent of the package internals:
 Lyndon words are re-enumerated by a brute-force rotation test, layer sizes
-are counted by necklace enumeration, and BCH is recomputed from Dynkin's
-explicit series using a local mini tensor arithmetic.
+are counted by necklace enumeration, BCH is recomputed from Dynkin's
+explicit series using a local mini tensor arithmetic, and the structure
+table and BCH are compared with their tensor route (lie_helpers).
 """
 
+import functools
 import random
 from fractions import Fraction
 from itertools import product
@@ -14,14 +16,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goh_atlas import freelie as fl, normalform
+from goh_atlas import freelie as fl, normalform, options
 from goh_atlas.options import STEP_MAX
 from lie_helpers import (
     NONZERO_RATIONALS,
+    bracket,
     iterated_bracket_index,
     lie_elements,
     lie_single,
     random_lie_element,
+    tensor_bch,
+    tensor_structure_table,
 )
 
 
@@ -188,25 +193,25 @@ def test_invalid_basis_args():
 def test_bracket_generators_step2():
     basis = fl.generate_basis(2, 2)
     x1, x2 = lie_single(basis, (1,)), lie_single(basis, (2,))
-    assert fl.bracket(x1, x2, basis) == {2: Fraction(1)}  # X_12
-    assert fl.bracket(x2, x1, basis) == {2: Fraction(-1)}
-    assert fl.bracket(x1, x1, basis) == {}
+    assert bracket(x1, x2, basis) == {2: Fraction(1)}  # X_12
+    assert bracket(x2, x1, basis) == {2: Fraction(-1)}
+    assert bracket(x1, x1, basis) == {}
 
 
 def test_bracket_step3_pinned_values():
     basis = fl.generate_basis(2, 3)
     x1, x2 = lie_single(basis, (1,)), lie_single(basis, (2,))
-    x12 = fl.bracket(x1, x2, basis)
+    x12 = bracket(x1, x2, basis)
     # standard factorization of 122 is (12)(2), so [X_2, X_12] = -X_122
-    assert fl.bracket(x2, x12, basis) == {basis.index[(1, 2, 2)]: Fraction(-1)}
-    assert fl.bracket(x1, x12, basis) == {basis.index[(1, 1, 2)]: Fraction(1)}
+    assert bracket(x2, x12, basis) == {basis.index[(1, 2, 2)]: Fraction(-1)}
+    assert bracket(x1, x12, basis) == {basis.index[(1, 1, 2)]: Fraction(1)}
 
 
 def test_bracket_truncates_at_step():
     basis = fl.generate_basis(2, 2)
     x1 = lie_single(basis, (1,))
     x12 = lie_single(basis, (1, 2))
-    assert fl.bracket(x1, x12, basis) == {}  # weight 3 > step
+    assert bracket(x1, x12, basis) == {}  # weight 3 > step
 
 
 def test_bracket_matches_local_tensor_oracle():
@@ -215,7 +220,7 @@ def test_bracket_matches_local_tensor_oracle():
     for _ in range(25):
         a = random_lie_element(basis, rng)
         b = random_lie_element(basis, rng)
-        got = fl.bracket(a, b, basis)
+        got = bracket(a, b, basis)
         want = o_bracket(lie_as_tensor(a, basis), lie_as_tensor(b, basis), basis.step)
         assert lie_as_tensor(got, basis) == want
 
@@ -268,6 +273,50 @@ def test_structure_table_antisymmetry_and_grading():
                 assert basis.weight(k) == basis.weight(i) + basis.weight(j)
 
 
+TABLE_SHAPES = [(2, s) for s in range(2, 10)] + [(3, 3), (3, 4), (3, 5),
+                                                (4, 3), (4, 4)]
+
+
+@pytest.mark.parametrize("shape", TABLE_SHAPES, ids=str)
+def test_structure_table_matches_the_tensor_route(shape):
+    """Entry for entry: the same values, all Fractions, in the same key
+    order (ascending basis index)."""
+    basis = fl.generate_basis(*shape)
+    got = fl.structure_table(basis).table
+    want = tensor_structure_table(basis).table
+    for got_row, want_row in zip(got, want, strict=True):
+        for e, f in zip(got_row, want_row, strict=True):
+            assert list(e.items()) == list(f.items())
+            assert all(type(c) is Fraction for c in e.values())
+
+
+def test_structure_table_refuses_a_basis_past_its_bound(monkeypatch):
+    monkeypatch.setattr(options, "TABLE_MAX", 14)
+    assert fl.structure_table(fl.generate_basis(2, 5)).basis.dim == 14
+
+    def allocated(*args):
+        raise AssertionError("a table entry was built")
+
+    monkeypatch.setattr(options, "TABLE_MAX", 13)
+    monkeypatch.setattr(fl, "standard_factorization", allocated)
+    with pytest.raises(ValueError, match="14 basis words are more than the "
+                                         "13 a structure table takes"):
+        fl.structure_table(fl.generate_basis(2, 5))
+
+
+def test_table_and_bch_do_no_tensor_work(monkeypatch):
+    def tensor(*args):
+        raise AssertionError("a tensor function was called")
+
+    for name in ("t_mul", "t_bracket", "t_exp", "t_log", "lie_to_tensor",
+                 "tensor_to_lie", "word_expansions"):
+        monkeypatch.setattr(fl, name, tensor)
+    basis = fl.generate_basis(2, 5)
+    fl.structure_table(basis)
+    x1, x2 = lie_single(basis, (1,)), lie_single(basis, (2,))
+    assert fl.bch(x1, x2, basis)[basis.index[(1, 2)]] == Fraction(1, 2)
+
+
 def test_structure_table_agrees_with_tensor_bracket():
     basis = fl.generate_basis(2, 4)
     table = fl.structure_table(basis)
@@ -275,7 +324,7 @@ def test_structure_table_agrees_with_tensor_bracket():
     for _ in range(20):
         a = random_lie_element(basis, rng)
         b = random_lie_element(basis, rng)
-        assert table.bracket_elements(a, b) == fl.bracket(a, b, basis)
+        assert table.bracket_elements(a, b) == bracket(a, b, basis)
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +498,15 @@ def copying_tensor_to_lie(t, basis):
 
 SHAPES = [(2, 5), (3, 3)]
 BASES = {shape: fl.generate_basis(*shape) for shape in SHAPES}
-TABLES = {shape: fl.structure_table(BASES[shape]) for shape in SHAPES}
+
+
+@functools.cache
+def table_of(shape):
+    """The structure table of a shape, built on first use, so that a fault
+    in structure_table fails tests, not the collection of this file."""
+    return fl.structure_table(BASES[shape])
+
+
 @st.composite
 def shaped_pairs(draw):
     shape = draw(st.sampled_from(SHAPES))
@@ -465,10 +522,10 @@ def items(d):
 @given(case=shaped_pairs())
 def test_bracket_elements_match_copying_loop_and_tensor_bracket(case):
     shape, a, b = case
-    basis, table = BASES[shape], TABLES[shape]
+    basis, table = BASES[shape], table_of(shape)
     got = table.bracket_elements(a, b)
     assert items(got) == items(copying_bracket_elements(table, a, b))
-    assert got == fl.bracket(a, b, basis)
+    assert got == bracket(a, b, basis)
 
 
 @settings(max_examples=60, deadline=None)
@@ -543,6 +600,25 @@ def test_horner_log_matches_the_series_on_packed_coefficients(shape,
 
 
 BASIS_24 = fl.generate_basis(2, 4)
+
+
+BCH_BASES = [fl.generate_basis(rank, step)
+             for rank in (2, 3) for step in range(2, 7)]
+
+
+@st.composite
+def bch_cases(draw):
+    basis = draw(st.sampled_from(BCH_BASES))
+    elements = lie_elements(basis.dim, max_size=8)
+    return basis, draw(elements), draw(elements)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=bch_cases())
+def test_bch_matches_the_tensor_route(case):
+    """Exactly: the same values in the same key order (ascending index)."""
+    basis, a, b = case
+    assert items(fl.bch(a, b, basis)) == items(tensor_bch(a, b, basis))
 
 
 @settings(max_examples=30, deadline=None)

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goh_atlas import freelie, normalform
-from goh_atlas.freelie import bch, generate_basis, structure_table
+from goh_atlas.freelie import bch, bernoulli_numbers, generate_basis, \
+    structure_table
 from goh_atlas.normalform import (
     _signed_table,
     attachment_trees,
@@ -33,7 +34,6 @@ from goh_atlas.polyfield import (
 from goh_atlas.serialize import artifact, dumps
 from lie_helpers import (
     _ad_series,
-    bernoulli_numbers,
     lie_elements,
     reference_realize,
 )
