@@ -311,7 +311,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("metabelian", cmd_metabelian, help="commuting-bracket verdict")
     _add_frame_flags(p)
-    p.add_argument("--depth", type=int)
+    p.add_argument("--depth", type=int,
+                   help="longest |I| + |J| swept (default twice the top "
+                        "weight, at least 4); the cost is bounded by the "
+                        "nonzero brackets, not by the depth")
 
     p = add("goh", cmd_goh, help="variety polynomials for a covector")
     _add_frame_flags(p)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import comb, factorial
 
 from .options import BASIS_MAX, STEP_MAX, check_table_size
@@ -103,6 +104,14 @@ class LyndonBasis:
 
     def __post_init__(self):
         self.index.update({w: i for i, w in enumerate(self.words)})
+
+    @cached_property
+    def factors(self) -> tuple:
+        """(index of u, index of v) of each word's standard factorization
+        w = u v, None for a letter: found once, on first use."""
+        return tuple(None if len(w) == 1 else
+                     tuple(self.index[f] for f in standard_factorization(w))
+                     for w in self.words)
 
     @property
     def dim(self) -> int:
@@ -274,15 +283,9 @@ def word_expansions(basis: LyndonBasis) -> list[dict]:
     if cached is not None:
         return cached
     exps: list[dict] = []
-    by_word: dict[Word, dict] = {}
-    for w in basis.words:
-        if len(w) == 1:
-            e = {w: ONE}
-        else:
-            u, v = standard_factorization(w)
-            e = t_bracket(by_word[u], by_word[v], basis.step)
-        by_word[w] = e
-        exps.append(e)
+    for w, uv in zip(basis.words, basis.factors):
+        exps.append({w: ONE} if uv is None else
+                    t_bracket(exps[uv[0]], exps[uv[1]], basis.step))
     _EXPANSION_CACHE[key] = exps
     return exps
 
@@ -384,10 +387,7 @@ def structure_table(basis: LyndonBasis) -> StructureTable:
     """
     n, step = basis.dim, basis.step
     check_table_size(n)
-    words, index = basis.words, basis.index
-    factors = [None if len(w) == 1 else
-               tuple(index[f] for f in standard_factorization(w))
-               for w in words]
+    words, index, factors = basis.words, basis.index, basis.factors
     memo: dict[tuple[int, int], dict[int, int]] = {}
 
     def br(i: int, j: int) -> dict[int, int]:

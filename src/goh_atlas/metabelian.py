@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .freelie import StructureTable
-from .polyfield import Frame, _nested_brackets, _right_nested, \
-    lie_bracket_fields
+from .polyfield import Frame, _nested_brackets, lie_bracket_fields
 from .normalform import verify_normal_form
 from .serialize import artifact
 
@@ -52,28 +51,37 @@ def is_metabelian(frame: Frame, depth: int) -> MetabelianVerdict:
     Pairs are deduplicated by antisymmetry; the returned witness is the
     first failure in (|I|, |J|, I, J) lexicographic order.  For nilpotent
     frames depth = step is conclusive; otherwise the verdict only covers
-    brackets up to the given depth.  Each X_J is found once, when the sweep
-    first gets there, and the pairs bracketed are the full sweep's.
+    brackets up to the given depth.  X_J = [X_j, X_K] for J = (j, *K) is
+    zero wherever X_K is, so the sweep stops at the first length with no
+    nonzero X_J: its cost is bounded by the nonzero brackets, not by the
+    depth.  Each X_J is found once, when the sweep first gets there, and
+    the pairs bracketed are the full sweep's.
     """
     if depth < 4:
         raise ValueError("depth must be at least 4 (shortest candidate pair)")
     letters = range(1, frame.r + 1)
     nested = _nested_brackets(frame)
-    sweeps: dict = {}  # length -> a tee over its nonzero (J, X_J), J ascending
+    sweeps: dict = {}  # length -> a tee over its nonzero X_J, J ascending
 
     def nonzero(length: int, start: int = 0):
-        """The nonzero (J, X_J) with |J| = length from the start-th on: a copy
-        of one tee per length, which finds each X_J once."""
+        """The nonzero (J, tree, X_J) with |J| = length from the start-th on:
+        a copy of one tee per length, which finds each X_J once."""
         if length not in sweeps:
+            candidates = (((j,), j) for j in letters) if length == 1 else (
+                ((j, *K), (j, tree))
+                for j in letters for K, tree, _ in nonzero(length - 1))
             sweeps[length] = itertools.tee((
-                (J, f) for J in itertools.product(letters, repeat=length)
-                for f in [nested(_right_nested(J))] if not f.is_zero()), 1)[0]
+                (J, tree, f) for J, tree in candidates
+                for f in [nested(tree)] if not f.is_zero()), 1)[0]
         return itertools.islice(copy(sweeps[length]), start, None)
 
-    for a in range(2, depth // 2 + 1):
-        for b in range(a, depth - a + 1):
-            for pos, (index_i, fi) in enumerate(nonzero(a)):
-                for index_j, fj in nonzero(b, pos if b == a else 0):
+    def any_nonzero(length: int) -> bool:
+        return next(nonzero(length), None) is not None
+
+    for a in itertools.takewhile(any_nonzero, range(2, depth // 2 + 1)):
+        for b in itertools.takewhile(any_nonzero, range(a, depth - a + 1)):
+            for pos, (index_i, _, fi) in enumerate(nonzero(a)):
+                for index_j, _, fj in nonzero(b, pos if b == a else 0):
                     g = lie_bracket_fields(fi, fj)
                     if not g.is_zero():
                         comp = next(k for k, p in enumerate(g.comps) if p)

@@ -30,7 +30,6 @@ from .freelie import (
     _accumulate,
     LyndonBasis,
     StructureTable,
-    standard_factorization,
     structure_table,
     lie_scale,
     lie_to_tensor,
@@ -55,22 +54,14 @@ ONE = Fraction(1)
 def attachment_trees(basis: LyndonBasis) -> tuple:
     """Bracket tree (left, right) per basis word; None for generators.
 
-    A word w = uv (standard factorization) is attached as [B_u, B_v],
-    except that a single-letter right factor moves to the left slot so the
-    attachment stays letter-first, matching the right-nested X_J forms.
+    A word w = uv (its factor pair in basis.factors) is attached as
+    [B_u, B_v], except that a single-letter right factor moves to the left
+    slot so the attachment stays letter-first, matching the right-nested
+    X_J forms.
     """
-    trees: list = []
-    for w in basis.words:
-        if len(w) == 1:
-            trees.append(None)
-            continue
-        u, v = standard_factorization(w)
-        iu, iv = basis.index[u], basis.index[v]
-        if len(v) == 1 and len(w) > 2:
-            trees.append((iv, iu))
-        else:
-            trees.append((iu, iv))
-    return tuple(trees)
+    words = basis.words
+    return tuple(uv[::-1] if uv and len(words[uv[1]]) == 1 and len(w) > 2
+                 else uv for w, uv in zip(words, basis.factors))
 
 
 def signed_attachment(table: StructureTable):

@@ -673,14 +673,6 @@ def _nested_brackets(frame: Frame):
     return nested
 
 
-def _right_nested(J: tuple):
-    """The bracket tree (j1, (j2, ... jk)) of [X_{j1}, [X_{j2}, ... X_{jk}]]."""
-    tree = J[-1]
-    for j in reversed(J[:-1]):
-        tree = (j, tree)
-    return tree
-
-
 # ---------------------------------------------------------------------------
 # exact flows
 

@@ -84,7 +84,7 @@ def _rational_samples(frame, rng, count=8):
     return out
 
 
-def _metabelian_block(rep, frame, basis, depth, rng, expect: bool,
+def _metabelian_block(rep, frame, table, depth, rng, expect: bool,
                       witness=None):
     verdict = is_metabelian(frame, depth)
     rep.artifact("metabelian.json", verdict)
@@ -95,8 +95,8 @@ def _metabelian_block(rep, frame, basis, depth, rng, expect: bool,
     if witness is not None:
         rep.check("metabelian_witness", verdict.witness == witness,
                   expected=[list(w) for w in witness])
-    if basis is not None:
-        alg = is_metabelian_algebra(structure_table(basis))
+    if table is not None:
+        alg = is_metabelian_algebra(table)
         rep.check("metabelian_algebra_level", alg == expect, value=alg)
     dep = coefficient_dependence(frame)
     rep.check("coefficient_dependence", dep == expect, value=dep)
@@ -120,7 +120,8 @@ def scenario_heisenberg(cfg: dict) -> _Report:
     frame = heisenberg_frame()
     rep.artifact("frame.json", frame)
     rep.check("growth_vector", growth_vector(frame, [0, 0, 0], 2) == [2, 3])
-    _metabelian_block(rep, frame, generate_basis(2, 2), 4, rng, True)
+    _metabelian_block(rep, frame, structure_table(generate_basis(2, 2)), 4,
+                      rng, True)
 
     lam = [0.0, 0.0, 1.0]
     sysm = goh_polynomials(frame, lam)
@@ -160,13 +161,12 @@ def scenario_f23_line(cfg: dict) -> _Report:
     rep = _Report("f23-line")
     rng = np.random.default_rng(cfg["seed"])
     tol = cfg["tol"]
-    basis = generate_basis(2, 3)
-    frame, maps = realize_frame(basis)
+    frame, maps = realize_frame(generate_basis(2, 3))
     rep.artifact("realization.json", maps)
     rep.check("normal_form", verify_normal_form(frame)["ok"])
     rep.check("closed_form_second_field",
               (frame.fields[1] - _f23_closed_form()).is_zero())
-    _metabelian_block(rep, frame, basis, 6, rng, True)
+    _metabelian_block(rep, frame, maps.table, 6, rng, True)
 
     n_steps = cfg["samples"]
     kappa = SampledCurve.from_function(lambda t: (0.0, t), 0.0, 1.0, n_steps)
@@ -207,13 +207,12 @@ def scenario_f24(cfg: dict) -> _Report:
     rep = _Report("f24")
     rng = np.random.default_rng(cfg["seed"])
     tol = cfg["tol"]
-    basis = generate_basis(2, 4)
-    frame, maps = realize_frame(basis)
+    frame, maps = realize_frame(generate_basis(2, 4))
     rep.artifact("realization.json", maps)
     rep.check("normal_form", verify_normal_form(frame)["ok"])
     rep.check("growth_vector",
               growth_vector(frame, [0] * frame.n, 4) == [2, 3, 5, 8])
-    _metabelian_block(rep, frame, basis, 8, rng, True)
+    _metabelian_block(rep, frame, maps.table, 8, rng, True)
 
     worst_push = 0.0
     worst_dyn = 0.0
@@ -242,11 +241,10 @@ def scenario_f24(cfg: dict) -> _Report:
 def scenario_f25(cfg: dict) -> _Report:
     rep = _Report("f25")
     rng = np.random.default_rng(cfg["seed"])
-    basis = generate_basis(2, 5)
-    frame, maps = realize_frame(basis)
+    frame, maps = realize_frame(generate_basis(2, 5))
     rep.artifact("realization.json", maps)
     rep.check("normal_form", verify_normal_form(frame)["ok"])
-    _metabelian_block(rep, frame, basis, 10, rng, False,
+    _metabelian_block(rep, frame, maps.table, 10, rng, False,
                       witness=((1, 2), (1, 1, 2)))
 
     try:
@@ -311,11 +309,10 @@ def scenario_f27_spiral(cfg: dict) -> _Report:
     threshold = cfg["tol"]
     eps = cfg["eps"]
     n_steps = cfg["samples"]
-    basis = generate_basis(2, 7)
-    frame, maps = realize_frame(basis)
+    frame, maps = realize_frame(generate_basis(2, 7))
     rep.check("dimension", frame.n == 41, n=frame.n)
     rep.check("normal_form", verify_normal_form(frame)["ok"])
-    _metabelian_block(rep, frame, basis, 14, rng, False,
+    _metabelian_block(rep, frame, maps.table, 14, rng, False,
                       witness=((1, 2), (1, 1, 2)))
 
     spiral = spiral_curve(eps, n_steps)

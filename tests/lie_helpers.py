@@ -42,7 +42,7 @@ from goh_atlas.normalform import (
 )
 from goh_atlas.metabelian import MetabelianVerdict
 from goh_atlas.polyfield import Frame, Poly, PolyVec, _as_frac, \
-    _nested_brackets, _right_nested, lie_bracket_fields
+    _nested_brackets, lie_bracket_fields
 
 
 def bracket(a: LieElement, b: LieElement, basis: LyndonBasis) -> LieElement:
@@ -163,6 +163,14 @@ def iterated_bracket_index(basis: LyndonBasis, J) -> LieElement:
     for j in reversed(J[:-1]):
         out = bracket(lie_single(basis, (j,)), out, basis)
     return out
+
+
+def _right_nested(J: tuple):
+    """The bracket tree (j1, (j2, ... jk)) of [X_{j1}, [X_{j2}, ... X_{jk}]]."""
+    tree = J[-1]
+    for j in reversed(J[:-1]):
+        tree = (j, tree)
+    return tree
 
 
 def iterated_bracket_fields(frame: Frame, J) -> PolyVec:

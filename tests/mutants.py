@@ -56,6 +56,24 @@ REGISTER = {
         "words[factors[i][1]] >= words[j]",
         "words[factors[i][1]] > words[j]",
         ("tests/test_freelie.py::test_structure_table_matches_the_tensor_route[(2, 3)]",)),
+    # the basis's factor pair stored as (v, u), not (u, v)
+    "factor-pair-reversed": Mutant(
+        "src/goh_atlas/freelie.py",
+        "tuple(self.index[f] for f in standard_factorization(w))",
+        "tuple(self.index[f] for f in reversed(standard_factorization(w)))",
+        ("tests/test_freelie.py::test_basis_factors_are_the_standard_factorizations[(2, 3)]",)),
+    # attachment_trees moving every right factor but a letter to the left
+    "letter-first-swap": Mutant(
+        "src/goh_atlas/normalform.py",
+        "len(words[uv[1]]) == 1 and len(w) > 2",
+        "len(words[uv[1]]) != 1 and len(w) > 2",
+        ("tests/test_normalform.py::TestAttachment::test_f23_trees_and_signs",)),
+    # the metabelian sweep extending zero brackets too: r^b trees a length
+    "sweep-nonzero-filter": Mutant(
+        "src/goh_atlas/metabelian.py",
+        "for f in [nested(tree)] if not f.is_zero()), 1)[0]",
+        "for f in [nested(tree)]), 1)[0]",
+        ("tests/test_metabelian.py::test_deep_sweep_of_heisenberg_stops_at_its_last_bracket",)),
     # the Jacobi rewriting adding its second term, not subtracting it
     "jacobi-sign": Mutant(
         "src/goh_atlas/freelie.py",

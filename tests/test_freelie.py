@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goh_atlas import freelie as fl, normalform, options
+from goh_atlas import cli, freelie as fl, normalform, options
 from goh_atlas.options import STEP_MAX
 from lie_helpers import (
     NONZERO_RATIONALS,
@@ -288,6 +288,38 @@ def test_structure_table_matches_the_tensor_route(shape):
         for e, f in zip(got_row, want_row, strict=True):
             assert list(e.items()) == list(f.items())
             assert all(type(c) is Fraction for c in e.values())
+
+
+@pytest.mark.parametrize("shape", TABLE_SHAPES, ids=str)
+def test_basis_factors_are_the_standard_factorizations(shape, monkeypatch):
+    """Each word's (u, v) index pair, found on first use and kept."""
+    basis = fl.generate_basis(*shape)
+    factors = basis.factors
+    assert len(factors) == basis.dim
+    for w, uv in zip(basis.words, factors):
+        if len(w) == 1:
+            assert uv is None
+        else:
+            assert tuple(basis.words[i] for i in uv) \
+                == fl.standard_factorization(w)
+
+    def factored(w):
+        raise AssertionError("a word was factored again")
+
+    monkeypatch.setattr(fl, "standard_factorization", factored)
+    assert basis.factors is factors
+    fl.structure_table(basis)
+    fl.word_expansions(basis)
+    normalform.attachment_trees(basis)
+
+
+def test_basis_command_forms_no_factorization(monkeypatch, capsys):
+    def factored(w):
+        raise AssertionError("a word was factored")
+
+    monkeypatch.setattr(fl, "standard_factorization", factored)
+    assert cli.main(["basis", "--rank", "2", "--step", "9"]) == 0
+    assert '"type": "basis_report"' in capsys.readouterr().out
 
 
 def test_structure_table_refuses_a_basis_past_its_bound(monkeypatch):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goh_atlas import metabelian
+from goh_atlas import cli, metabelian, polyfield
 from goh_atlas.freelie import generate_basis, structure_table
 from goh_atlas.metabelian import (
     coefficient_dependence,
@@ -185,10 +185,59 @@ def assert_sweep_matches_reference(frame, depth):
     (lambda: realized(2, 6)[0], 6, False),
     (lambda: realized(3, 3)[0], 5, True),
     (lambda: realized(3, 4)[0], 4, False),
-], ids=["heisenberg", "martinet", "f23", "f24", "f25", "f26", "f33", "f34"])
+    (heisenberg_frame, 12, True),
+    (lambda: realized(3, 3)[0], 8, True),
+], ids=["heisenberg", "martinet", "f23", "f24", "f25", "f26", "f33", "f34",
+        "heisenberg-12", "f33-8"])
 def test_sweep_matches_the_reference_on_classic_frames(make, depth, expected):
     assert assert_sweep_matches_reference(make(), depth).metabelian \
         is expected
+
+
+MEMO_BRACKETS = 200
+
+
+@pytest.fixture
+def memo_brackets(monkeypatch):
+    """The brackets _nested_brackets forms from here on; one past
+    MEMO_BRACKETS fails the test at once."""
+    formed = []
+
+    def counting(x, y):
+        formed.append((x, y))
+        if len(formed) > MEMO_BRACKETS:
+            raise AssertionError(f"more than {MEMO_BRACKETS} brackets formed")
+        return lie_bracket_fields(x, y)
+
+    monkeypatch.setattr(polyfield, "lie_bracket_fields", counting)
+    return formed
+
+
+@pytest.mark.parametrize("depth", [400, 10**6])
+def test_deep_sweep_of_heisenberg_stops_at_its_last_bracket(memo_brackets,
+                                                             depth):
+    # X_J of length 3 all vanish, so nothing past length 3 is bracketed
+    assert is_metabelian(heisenberg_frame(), depth) \
+        == metabelian.MetabelianVerdict(True, depth)
+    assert len(memo_brackets) == 8
+
+
+def test_deep_sweep_of_f33_forms_few_brackets(memo_brackets):
+    frame, _ = realized(3, 3)  # realizing brackets no fields
+    assert not memo_brackets
+    assert is_metabelian(frame, 14).metabelian
+    # 9 of length 2 (6 nonzero), 18 of length 3 (all nonzero) and 54 of
+    # length 4, all zero
+    assert len(memo_brackets) == 81
+
+
+def test_deep_metabelian_command_exits_0(memo_brackets, capsys):
+    code = cli.main(["metabelian", "--rank", "3", "--step", "3",
+                     "--depth", "14"])
+    out = capsys.readouterr()
+    assert code == 0, out.err
+    assert '"metabelian": true' in out.out
+    assert out.err == "metabelian=True (depth 14)\n"
 
 
 @st.composite
