@@ -17,17 +17,12 @@ from fractions import Fraction
 from importlib import import_module
 
 from . import serialize
-from .errors import (
-    ConditioningError,
-    NotNilpotentError,
-    NumericsError,
-    PreconditionError,
-)
+from .errors import NumericsError, PreconditionError
 from .freelie import generate_basis, witt_dimension
 from .metabelian import is_metabelian
 from .normalform import realize_frame
-from .options import RES_MAX, SCENARIO_NAMES, check_resolution, \
-    check_table_size
+from .options import RES_MAX, SAMPLES_MAX, SCENARIO_NAMES, \
+    check_resolution, check_table_size
 from .polyfield import Frame
 
 
@@ -127,15 +122,19 @@ def _arg_type(convert, ok, rule: str):
     return parse
 
 
-# the types of --tol, --res (options.check_resolution's rule), --samples, --eps
+# the types of --tol, --res, --samples, --eps, --degree and --seed
 _parse_tol = _arg_type(float, lambda v: math.isfinite(v) and v > 0.0,
                        "tolerance must be a finite positive number")
 _parse_res = _arg_type(int, check_resolution,
                        f"resolution must be an integer from 2 to {RES_MAX}")
-_parse_samples = _arg_type(int, lambda v: v >= 2,
-                           "samples must be an integer of at least 2")
+_parse_samples = _arg_type(int, lambda v: 2 <= v <= SAMPLES_MAX, f"samples "
+                           f"must be an integer from 2 to {SAMPLES_MAX}")
 _parse_eps = _arg_type(float, lambda v: 0.0 < v < 1.0,
                        "eps must lie strictly between 0 and 1")
+_parse_degree = _arg_type(int, lambda v: v >= 1,
+                          "degree must be an integer of at least 1")
+_parse_seed = _arg_type(int, lambda v: v >= 0,
+                        "seed must be a non-negative integer")
 
 
 def cmd_basis(args) -> int:
@@ -353,12 +352,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("contain", cmd_contain, help="polynomial containment probe")
     p.add_argument("--curve")
-    p.add_argument("--degree", type=int, default=6)
+    p.add_argument("--degree", type=_parse_degree, default=6)
     p.add_argument("--tol", type=_parse_tol, default=1e-8)
 
     p = add("demo", cmd_demo, help="run an end-to-end scenario")
     p.add_argument("scenario", choices=SCENARIO_NAMES)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_parse_seed, default=0)
     p.add_argument("--tol", type=_parse_tol)
     p.add_argument("--eps", type=_parse_eps)
     p.add_argument("--samples", type=_parse_samples)
@@ -375,8 +374,7 @@ def main(argv=None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (PreconditionError, NumericsError, ConditioningError,
-            NotNilpotentError) as exc:
+    except (PreconditionError, NumericsError) as exc:
         _emit(args, serialize.artifact("failure_report", {
             "error": type(exc).__name__, "message": str(exc)}))
         _log(f"{type(exc).__name__}: {exc}")

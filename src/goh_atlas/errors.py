@@ -1,12 +1,5 @@
-"""Error types shared across the package.
-
-ValueError is used directly for malformed arguments; the classes below mark
-failure modes that callers may want to catch separately.
-"""
-
-
-class NotNilpotentError(RuntimeError):
-    """Picard iteration on a flow failed to stabilize within the bound."""
+"""Error types shared across the package.  ValueError is used directly for
+malformed arguments; these mark failures a caller may catch separately."""
 
 
 class PreconditionError(ValueError):

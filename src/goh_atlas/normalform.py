@@ -23,7 +23,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import copysign, inf
 
 from .errors import NumericsError
 from .freelie import (
@@ -44,7 +43,6 @@ from .polyfield import (
     PolyVec,
     _Ring,
     _substitute,
-    exact_flow,
 )
 from .serialize import artifact
 
@@ -235,61 +233,10 @@ def verify_normal_form(frame: Frame) -> dict:
     return {"ok": not violations, "violations": violations}
 
 
-def verify_second_kind(fields, x, tol: float | None = None,
-                       steps: int = 128, exact: bool = False) -> float:
-    """Residual of the chart identity: composing the n coordinate flows
-    from 0 (highest index first) must land on x.
-
-    fields: all n stratified fields, basis order (a Frame with r = n works).
-    The float path flows each field by `trajectories.flow_control` in
-    `steps` RK4 steps.  Returns |endpoint - x|_inf; raises if a tolerance
-    is given and missed.
-    """
-    if isinstance(fields, Frame):
-        fields = fields.fields
-    n = fields[0].n
-    if len(fields) != n:
-        raise ValueError("need all n stratified fields (one per coordinate)")
-    if len(x) != n:
-        raise ValueError("point dimension mismatch")
-    for i, xi in enumerate(x):
-        if xi != xi or xi in (inf, -inf):
-            raise ValueError(f"point coordinate {i} is not finite: {xi!r}")
-
-    if exact:
-        cur = [Fraction(0)] * n
-        for i in range(n - 1, -1, -1):
-            ti = Fraction(x[i])
-            if ti:
-                cur = exact_flow(fields[i], cur, ti)
-        residual = max(abs(float(c - Fraction(xi)))
-                       for c, xi in zip(cur, x))
-    else:
-        from .trajectories import Control, flow_control
-
-        cur = [0.0] * n
-        for i in range(n - 1, -1, -1):
-            ti = float(x[i])
-            if ti == 0.0:
-                continue
-            # the time-t_i flow of X_i is the time-|t_i| flow of sign(t_i) X_i
-            sign = [copysign(1.0, ti)]
-            cur = flow_control(Frame([fields[i]]),
-                               Control((0.0, abs(ti)), [sign, sign]), cur,
-                               substeps=steps).points[-1]
-        residual = float(max(abs(c - float(xi)) for c, xi in zip(cur, x)))
-
-    if tol is not None and residual > tol:
-        raise NumericsError(
-            f"second-kind chart residual {residual:.3e} exceeds {tol:.3e}")
-    return residual
-
-
 __all__ = [
     "CoordinateMaps",
     "attachment_trees",
     "realize_frame",
     "signed_attachment",
     "verify_normal_form",
-    "verify_second_kind",
 ]

@@ -1,12 +1,16 @@
 """Values the CLI's options accept, defined once without numpy so the parser
 loads no numeric layer: the trace resolution (re-exported by goh), the
-bounds on a Lyndon basis (read by freelie.generate_basis) and on a
-structure table (freelie.structure_table and the CLI) and the demo
-scenario names (re-exported by scenarios, in its pipeline order)."""
+spiral sample count, the bounds on a Lyndon basis (read by
+freelie.generate_basis) and on a structure table (freelie.structure_table
+and the CLI) and the demo scenario names (re-exported by scenarios)."""
 
 # a trace adds about 12 B per grid node to the peak (tracemalloc and
 # ru_maxrss at res 1024 and 2048), about 0.2 GB at RES_MAX
 RES_MAX = 4096
+
+# a sample adds about 3.5 kB to the peak of `demo f27-spiral` (ru_maxrss 221
+# MB at SAMPLES_MAX) and 0.42 kB to that of `spiral` (157 MB at 300 000)
+SAMPLES_MAX = 50_000
 
 # a Lyndon basis adds about 0.6 kB per word to the peak of `goh-atlas basis`
 # (ru_maxrss 78 MB at (2,20), 111 013 words; 136 MB at (2,21), 210 871; 442

@@ -8,11 +8,9 @@ integer numerators over one denominator (packed exponent vectors: Monagan
 & Pearce, CASC 2007); the realization runs on them throughout.  Realized
 frames come out with their terms sorted by exponent tuple, and a frame
 read from JSON keeps the file's order, which to_json writes sorted.
-PolyVec is one polynomial per coordinate; Frame is r fields on R^n.  Exact
-flows come from Picard iteration on the polynomial flow map, which
-stabilizes exactly when the field is nilpotent in the iteration sense;
-everything else raises NotNilpotentError.  No numpy: float evaluation is
-in floateval, which Poly.eval_float and compile_polyvec load when called.
+PolyVec is one polynomial per coordinate; Frame is r fields on R^n.  No
+numpy: float evaluation is in floateval, which Poly.eval_float and
+compile_polyvec load when called.
 """
 
 from __future__ import annotations
@@ -27,7 +25,6 @@ from math import gcd, lcm
 from numbers import Integral
 from operator import index, or_
 
-from .errors import NotNilpotentError
 from .freelie import _accumulate, generate_basis, lie_scale, \
     standard_factorization
 from .serialize import _ratio, _words_from_json, _words_to_json, artifact, \
@@ -156,8 +153,8 @@ class _Packed:
     over one positive denominator, reduced by a gcd after each operation,
     with top an upper bound on every exponent entry.
 
-    +, -, unary -, * (by a _Packed or a rational), bool and diff keep the
-    term order of the same Poly operations: sums run on freelie._accumulate,
+    +, -, unary -, * (by a _Packed or a rational) and bool keep the term
+    order of the same Poly operations: sums run on freelie._accumulate,
     products on _product.  A product whose bound exceeds the ring's limit
     raises OverflowError instead of carrying into the next variable.
 
@@ -224,16 +221,6 @@ class _Packed:
                        self.den * other.den, top, self.ring)
 
     __rmul__ = __mul__
-
-    def diff(self, i: int) -> "_Packed":
-        shift, limit = self.ring.shifts[i], self.ring.limit
-        unit = 1 << shift
-        out = {}
-        for k, v in self.terms.items():
-            e = k >> shift & limit
-            if e:
-                out[k - unit] = v * e
-        return _Packed(out, self.den, self.top, self.ring)
 
     def to_poly(self) -> "Poly":
         return self.ring.unpack(self.terms, self.den)
@@ -584,7 +571,7 @@ class Frame:
         if self.weights is not None:
             object.__setattr__(self, "weights", tuple(self.weights))
             if len(self.weights) != n:
-                raise ValueError("need one weight per coordinate")
+                raise ValueError(f"weights must have n = {n} entries")
 
     @property
     def n(self) -> int:
@@ -618,12 +605,21 @@ class Frame:
                 fields.append(PolyVec.from_json(n, f))
             except ValueError as exc:
                 raise ValueError(f"field {k}, {exc}") from None
+        r, weights = data.get("r", len(fields)), data.get("weights")
+        if type(r) is not int or r != len(fields):
+            raise ValueError(f"r is {r!r}; the frame has {len(fields)} fields")
+        if "weights" in data and not isinstance(weights, list):
+            raise ValueError(f"weights must be a list, got {weights!r}")
+        for i, w in enumerate(weights or (), 1):
+            if type(w) is not int or w < 1:
+                raise ValueError(f"weights entry {i}: {w!r} is not a "
+                                 f"positive integer")
         labels = data.get("labels")
         if labels is not None:
             labels = _words_from_json(labels, "label")
         frame = Frame(
             fields,
-            weights=tuple(data["weights"]) if "weights" in data else None,
+            weights=weights,
             normal_form=bool(data.get("normal_form", False)),
             labels=labels,
         )
@@ -671,41 +667,6 @@ def _nested_brackets(frame: Frame):
         return got
 
     return nested
-
-
-# ---------------------------------------------------------------------------
-# exact flows
-
-PICARD_ROUNDS = 10
-
-
-def flow_map(x_field: PolyVec) -> list[Poly]:
-    """Polynomial flow map Phi(x, t) of an exactly-integrable field.
-
-    Returned as n polynomials in n+1 variables (time last).  Picard
-    iteration from the identity; raises NotNilpotentError if it has not
-    stabilized after PICARD_ROUNDS rounds.
-    """
-    n = x_field.n
-    m = n + 1
-    lifted = [p.extend(m) for p in x_field.comps]
-    phi = [Poly.var(m, j) for j in range(n)]
-    for _ in range(PICARD_ROUNDS + 1):
-        nxt = [Poly.var(m, j) + lifted[j].compose(phi + [Poly.var(m, n)]).integrate(n)
-               for j in range(n)]
-        if nxt == phi:
-            return phi
-        phi = nxt
-    raise NotNilpotentError(
-        f"flow did not stabilize within {PICARD_ROUNDS} Picard iterations")
-
-
-def exact_flow(x_field: PolyVec, x0, t):
-    """Exact time-t flow point from x0 (rational in, rational out)."""
-    _check_length(x0, x_field.n, "field")
-    phi = flow_map(x_field)
-    pt = [_as_frac(v) for v in x0] + [_as_frac(t)]
-    return [p.eval(pt) for p in phi]
 
 
 # ---------------------------------------------------------------------------
@@ -766,7 +727,7 @@ def compile_polyvec(field: PolyVec):
 __all__ = [
     "Poly", "PolyVec", "Frame",
     "lie_bracket_fields",
-    "flow_map", "exact_flow", "growth_vector",
+    "growth_vector",
     "heisenberg_frame", "martinet_frame",
     "compile_polyvec",
 ]

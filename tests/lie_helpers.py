@@ -8,11 +8,13 @@ substitution on exponent tuples, the oracles of Poly and of the packed
 ring, the structure-table route of the realization, the oracle of
 normalform.realize_frame, the Bernoulli ad-series of the first-kind fields,
 the right-nested growth vector with elimination from scratch, the
-metabelian sweep over every multi-index pair, and the
-Hypothesis strategy of sparse rational Lie elements."""
+metabelian sweep over every multi-index pair, exact flows of nilpotent
+polynomial fields by Picard iteration, the second-kind chart check, and
+the Hypothesis strategy of sparse rational Lie elements."""
 
 import itertools
 from fractions import Fraction
+from math import copysign, inf
 
 import numpy as np
 from hypothesis import strategies as st
@@ -42,7 +44,8 @@ from goh_atlas.normalform import (
 )
 from goh_atlas.metabelian import MetabelianVerdict
 from goh_atlas.polyfield import Frame, Poly, PolyVec, _as_frac, \
-    _nested_brackets, lie_bracket_fields
+    _check_length, _nested_brackets, lie_bracket_fields
+from goh_atlas.trajectories import Control, flow_control
 
 
 def bracket(a: LieElement, b: LieElement, basis: LyndonBasis) -> LieElement:
@@ -430,3 +433,88 @@ def _ad_series(table: StructureTable, signs, y_el: dict, one) -> list[dict]:
                 _axpy(acc, cur, Fraction(bern[m], fact))
         cols.append(acc)
     return cols
+
+
+class NotNilpotentError(RuntimeError):
+    """Picard iteration on a flow failed to stabilize within the bound."""
+
+
+PICARD_ROUNDS = 10
+
+
+def flow_map(x_field: PolyVec) -> list[Poly]:
+    """Polynomial flow map Phi(x, t) of an exactly-integrable field.
+
+    Returned as n polynomials in n+1 variables (time last).  Picard
+    iteration from the identity, which stabilizes exactly when the field is
+    nilpotent in the iteration sense; raises NotNilpotentError if it has
+    not stabilized after PICARD_ROUNDS rounds.
+    """
+    n = x_field.n
+    m = n + 1
+    lifted = [p.extend(m) for p in x_field.comps]
+    phi = [Poly.var(m, j) for j in range(n)]
+    for _ in range(PICARD_ROUNDS + 1):
+        nxt = [Poly.var(m, j) + lifted[j].compose(phi + [Poly.var(m, n)]).integrate(n)
+               for j in range(n)]
+        if nxt == phi:
+            return phi
+        phi = nxt
+    raise NotNilpotentError(
+        f"flow did not stabilize within {PICARD_ROUNDS} Picard iterations")
+
+
+def exact_flow(x_field: PolyVec, x0, t):
+    """Exact time-t flow point from x0 (rational in, rational out)."""
+    _check_length(x0, x_field.n, "field")
+    phi = flow_map(x_field)
+    pt = [_as_frac(v) for v in x0] + [_as_frac(t)]
+    return [p.eval(pt) for p in phi]
+
+
+def verify_second_kind(fields, x, tol: float | None = None,
+                       steps: int = 128, exact: bool = False) -> float:
+    """Residual of the chart identity: composing the n coordinate flows
+    from 0 (highest index first) must land on x.
+
+    fields: all n stratified fields, basis order (a Frame with r = n works).
+    The exact path flows each field by exact_flow; the float path by
+    `trajectories.flow_control` in `steps` RK4 steps.  Returns
+    |endpoint - x|_inf; raises if a tolerance is given and missed.
+    """
+    if isinstance(fields, Frame):
+        fields = fields.fields
+    n = fields[0].n
+    if len(fields) != n:
+        raise ValueError("need all n stratified fields (one per coordinate)")
+    if len(x) != n:
+        raise ValueError("point dimension mismatch")
+    for i, xi in enumerate(x):
+        if xi != xi or xi in (inf, -inf):
+            raise ValueError(f"point coordinate {i} is not finite: {xi!r}")
+
+    if exact:
+        cur = [Fraction(0)] * n
+        for i in range(n - 1, -1, -1):
+            ti = Fraction(x[i])
+            if ti:
+                cur = exact_flow(fields[i], cur, ti)
+        residual = max(abs(float(c - Fraction(xi)))
+                       for c, xi in zip(cur, x))
+    else:
+        cur = [0.0] * n
+        for i in range(n - 1, -1, -1):
+            ti = float(x[i])
+            if ti == 0.0:
+                continue
+            # the time-t_i flow of X_i is the time-|t_i| flow of sign(t_i) X_i
+            sign = [copysign(1.0, ti)]
+            cur = flow_control(Frame([fields[i]]),
+                               Control((0.0, abs(ti)), [sign, sign]), cur,
+                               substeps=steps).points[-1]
+        residual = float(max(abs(c - float(xi)) for c, xi in zip(cur, x)))
+
+    if tol is not None and residual > tol:
+        raise NumericsError(
+            f"second-kind chart residual {residual:.3e} exceeds {tol:.3e}")
+    return residual

@@ -98,6 +98,19 @@ REGISTER = {
         "add(k1, 2.0 * k2, out=k1)",
         "add(k1, k2, out=k1)",
         ("tests/test_trajectories.py", "-k", "textbook")),
+    # Frame.from_json's weights check letting a string past its type test,
+    # to fail on < with a TypeError
+    "weights-string": Mutant(
+        "src/goh_atlas/polyfield.py",
+        "if type(w) is not int or w < 1:",
+        "if type(w) not in (int, str) or w < 1:",
+        ("tests/test_cli.py::TestExitCodes::test_frame_with_bad_weights_or_r[str]",)),
+    # --samples parsed without its upper bound
+    "samples-bound": Mutant(
+        "src/goh_atlas/cli.py",
+        "lambda v: 2 <= v <= SAMPLES_MAX",
+        "lambda v: v >= 2",
+        ("tests/test_cli.py::TestSamplesAndEps::test_samples_past_the_bound_are_refused_before_any_allocation",)),
     # _substitute multiplying a term's powers in reverse variable order
     "substitute-order": Mutant(
         "src/goh_atlas/polyfield.py",

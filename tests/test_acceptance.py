@@ -30,7 +30,7 @@ from goh_atlas.metabelian import (
     is_metabelian_algebra,
     translation_invariance,
 )
-from goh_atlas.normalform import realize_frame, verify_second_kind
+from goh_atlas.normalform import realize_frame
 from goh_atlas.polyfield import (
     Poly,
     PolyVec,
@@ -51,7 +51,8 @@ from goh_atlas.trajectories import (
     recover_abnormal_covector,
     spiral_curve,
 )
-from lie_helpers import bracket, lie_single, random_lie_element
+from lie_helpers import bracket, lie_single, random_lie_element, \
+    verify_second_kind
 
 
 @pytest.fixture(scope="module")

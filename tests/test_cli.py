@@ -11,11 +11,13 @@ import numpy as np
 import pytest
 
 import goh_atlas
-from goh_atlas import cli, freelie, options, serialize
+from goh_atlas import cli, freelie, options, scenarios, serialize, \
+    trajectories
 from goh_atlas.cli import main
 from goh_atlas.freelie import LyndonBasis, StructureTable, generate_basis, \
     structure_table
-from goh_atlas.options import BASIS_MAX, STEP_MAX
+from goh_atlas.normalform import realize_frame
+from goh_atlas.options import BASIS_MAX, SAMPLES_MAX, STEP_MAX
 from goh_atlas.polyfield import Frame, heisenberg_frame
 from goh_atlas.trajectories import Control, SampledCurve
 
@@ -289,6 +291,57 @@ class TestExitCodes:
         assert (code, out) == (2, "")
         assert f"field 1, component 2, term 1: {what}" in err
 
+    @pytest.mark.parametrize("key, value, msg", [
+        ("weights", ["a", "b", "c"], "weights entry 1: 'a' is not a positive "
+                                     "integer"),
+        ("weights", [1, 1, 2.5], "weights entry 3: 2.5 is not a positive "
+                                 "integer"),
+        ("weights", [1, 1, -7], "weights entry 3: -7 is not a positive "
+                                "integer"),
+        ("weights", [1, True, 2], "weights entry 2: True is not a positive "
+                                  "integer"),
+        ("weights", None, "weights must be a list, got None"),
+        ("weights", "112", "weights must be a list, got '112'"),
+        ("weights", [1, 1], "weights must have n = 3 entries"),
+        ("r", 7, "r is 7; the frame has 2 fields")],
+        ids=["str", "float", "negative", "bool", "null", "text", "short", "r"])
+    def test_frame_with_bad_weights_or_r(self, capsys, tmp_path, key, value,
+                                         msg):
+        # strings and floats were a TypeError with a traceback, null one in
+        # from_json; -7 and an r that was never read were accepted
+        frame = realize_frame(generate_basis(2, 2))[0].to_json()
+        frame[key] = value
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(frame))
+        code, out, err = run(capsys, "metabelian", "--frame", str(path))
+        assert (code, out, err) == (2, "", f"error: {msg}\n")
+
+    @pytest.mark.parametrize("argv, flag, value, rule", [
+        (["contain", "--curve", "c.json"], "--degree", "0",
+         "degree must be an integer of at least 1"),
+        (["contain", "--curve", "c.json"], "--degree", "-3",
+         "degree must be an integer of at least 1"),
+        (["contain", "--curve", "c.json"], "--degree", "2.5",
+         "degree must be an integer of at least 1"),
+        (["demo", "f25"], "--seed", "-1", "seed must be a non-negative "
+                                          "integer"),
+        (["demo", "f25"], "--seed", "x", "seed must be a non-negative "
+                                         "integer")],
+        ids=["degree-0", "degree-negative", "degree-float", "seed-negative",
+             "seed-text"])
+    def test_bad_degree_or_seed_is_refused_by_the_parser(
+            self, capsys, monkeypatch, argv, flag, value, rule):
+        # --degree 0 and -3 exited 0 with no results; --seed -1 reached
+        # numpy, whose error named no flag
+        def ran(args):
+            raise AssertionError(f"command ran with {flag} {value}")
+
+        monkeypatch.setattr(cli, "cmd_contain", ran)
+        monkeypatch.setattr(cli, "cmd_demo", ran)
+        code, out, err = run(capsys, *argv, f"{flag}={value}")
+        assert (code, out) == (2, "")
+        assert f"error: argument {flag}: {rule}, got {value!r}\n" in err
+
     @pytest.mark.parametrize("argv, flag, want, found", [
         (["metabelian"], "--frame", "frame", "curve"),
         (["lift", "--rank", "2", "--step", "2"], "--curve", "curve",
@@ -524,6 +577,26 @@ class TestSamplesAndEps:
             assert (code, out) == (2, "")
             assert f"argument {flag}" in err and repr(value) in err
         assert not outdir.exists()
+
+    def test_samples_past_the_bound_are_refused_before_any_allocation(
+            self, capsys, monkeypatch):
+        # a billion samples died in np.linspace with an uncaught
+        # _ArrayMemoryError under a 600 MB address-space limit
+        def sampled(*args):
+            raise AssertionError(f"spiral_curve{args} ran")
+
+        monkeypatch.setattr(trajectories, "spiral_curve", sampled)
+        monkeypatch.setattr(scenarios, "spiral_curve", sampled)
+        for argv in (["spiral"], ["demo", "f27-spiral"]):
+            for value in (SAMPLES_MAX + 1, 10 ** 9):
+                code, out, err = run(capsys, *argv, "--samples", str(value))
+                assert (code, out) == (2, "")
+                assert (f"error: argument --samples: samples must be an "
+                        f"integer from 2 to {SAMPLES_MAX}, got '{value}'\n"
+                        in err)
+        args = cli.build_parser().parse_args(
+            ["spiral", "--samples", str(SAMPLES_MAX)])
+        assert args.samples == SAMPLES_MAX == options.SAMPLES_MAX
 
     def test_smallest_values_are_accepted(self, capsys):
         args = cli.build_parser().parse_args(

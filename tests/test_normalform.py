@@ -19,7 +19,6 @@ from goh_atlas.normalform import (
     realize_frame,
     signed_attachment,
     verify_normal_form,
-    verify_second_kind,
 )
 from goh_atlas.polyfield import (
     Frame,
@@ -36,6 +35,7 @@ from lie_helpers import (
     _ad_series,
     lie_elements,
     reference_realize,
+    verify_second_kind,
 )
 
 F = Fraction

@@ -17,7 +17,6 @@ from goh_atlas.polyfield import (
     Frame,
     Poly,
     PolyVec,
-    exact_flow,
     heisenberg_frame,
     lie_bracket_fields,
     martinet_frame,
@@ -37,7 +36,8 @@ from goh_atlas.trajectories import (
     recover_abnormal_covector,
     spiral_curve,
 )
-from lie_helpers import TextbookCompiledPolys, assert_same_bits, f23_frame
+from lie_helpers import TextbookCompiledPolys, assert_same_bits, \
+    exact_flow, f23_frame
 
 
 def realized(step: int) -> Frame:
