@@ -21,7 +21,7 @@ from .errors import NumericsError, PreconditionError
 from .freelie import generate_basis, witt_dimension
 from .metabelian import is_metabelian
 from .normalform import realize_frame
-from .options import RES_MAX, SAMPLES_MAX, SCENARIO_NAMES, \
+from .options import DEGREE_MAX, RES_MAX, SAMPLES_MAX, SCENARIO_NAMES, \
     check_resolution, check_table_size
 from .polyfield import Frame
 
@@ -131,8 +131,8 @@ _parse_samples = _arg_type(int, lambda v: 2 <= v <= SAMPLES_MAX, f"samples "
                            f"must be an integer from 2 to {SAMPLES_MAX}")
 _parse_eps = _arg_type(float, lambda v: 0.0 < v < 1.0,
                        "eps must lie strictly between 0 and 1")
-_parse_degree = _arg_type(int, lambda v: v >= 1,
-                          "degree must be an integer of at least 1")
+_parse_degree = _arg_type(int, lambda v: 1 <= v <= DEGREE_MAX, f"degree "
+                          f"must be an integer from 1 to {DEGREE_MAX}")
 _parse_seed = _arg_type(int, lambda v: v >= 0,
                         "seed must be a non-negative integer")
 

@@ -11,9 +11,9 @@ recursion; neither touches a tensor.  The truncated tensor algebra below
 (a basis word expanded to its tensor form, and a Lie tensor projected back
 onto the Lyndon basis by triangular elimination on lexicographically
 minimal words) serves the chart product and log of
-normalform.realize_frame.  Coefficients are fractions.Fraction throughout;
-anything of weight (word length) > s is dropped silently (that is the
-truncation).
+normalform.realize_frame.  Structure constants are ints and other
+coefficients fractions.Fraction; anything of weight (word length) > s is
+dropped silently (that is the truncation).
 """
 
 from __future__ import annotations
@@ -21,10 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from math import comb, factorial
+from math import comb, factorial, lcm
 
 from .options import BASIS_MAX, STEP_MAX, check_table_size
-from .serialize import _ratio, _words_from_json, _words_to_json, artifact, \
+from .serialize import _words_from_json, _words_to_json, artifact, \
     check_artifact
 
 Word = tuple[int, ...]
@@ -326,19 +326,60 @@ def tensor_to_lie(t: dict, basis: LyndonBasis) -> dict:
 # ---------------------------------------------------------------------------
 # Structure table
 
+def _common_denominator(a: LieElement) -> int:
+    """The lcm of the denominators of a's coefficients (1 for no
+    coefficient), or 0 if one is neither an int nor a Fraction."""
+    if all(type(c) is int or type(c) is Fraction for c in a.values()):
+        return lcm(*(c.denominator for c in a.values()))
+    return 0
+
+
+def _numerators(a: LieElement, d: int) -> dict[int, int]:
+    """The integer numerators of a's coefficients over d."""
+    return {k: c.numerator * (d // c.denominator) for k, c in a.items()}
+
+
+def _integer_constant(c, key: str, k: str) -> int:
+    """A structure constant read from JSON, refused unless an integer."""
+    try:
+        f = Fraction(c)
+    except (TypeError, ValueError):
+        f = None
+    if f is None or f.denominator != 1:
+        raise ValueError(f"bracket {key}: constant {c!r} of word {k} is "
+                         f"not an integer")
+    return f.numerator
+
+
 @dataclass(frozen=True)
 class StructureTable:
     basis: LyndonBasis
     table: tuple[tuple[LieElement, ...], ...]  # table[i][j] = [E_i, E_j]
 
     def bracket_elements(self, a: LieElement, b: LieElement) -> LieElement:
-        """Bilinear bracket through the table (no tensor work)."""
+        """Bilinear bracket through the table (no tensor work).
+
+        When every coefficient of a and b is rational (an int or a
+        Fraction), each element is written as integer numerators over the
+        lcm of its denominators, the loop runs on ints and each sum is
+        divided once, so the result holds Fractions.  A sum is zero exactly
+        when its rational value is, so the keys and their order are those
+        of the loop on Fractions.  Other coefficients, such as the packed
+        polynomials of normalform.realize_frame, run through the same loop
+        times the integer constants.
+        """
+        da, db = _common_denominator(a), _common_denominator(b)
+        if da and db:
+            a, b = _numerators(a, da), _numerators(b, db)
         out: LieElement = {}
         for i, ci in a.items():
             row = self.table[i]
             for j, cj in b.items():
                 if row[j]:
                     _axpy(out, row[j], ci * cj)
+        if da and db:
+            d = da * db
+            return {k: Fraction(s, d) for k, s in out.items()}
         return out
 
     def to_json(self) -> dict:
@@ -349,7 +390,7 @@ class StructureTable:
                 e = self.table[i][j]
                 if e:
                     entries[f"{i + 1},{j + 1}"] = {
-                        str(k + 1): _ratio(c) for k, c in sorted(e.items())
+                        str(k + 1): f"{c}/1" for k, c in sorted(e.items())
                     }
         return artifact("structure_table", {
             "rank": self.basis.rank,
@@ -366,7 +407,8 @@ class StructureTable:
         table = [[{} for _ in range(n)] for _ in range(n)]
         for key, entry in data["brackets"].items():
             i, j = (int(p) - 1 for p in key.split(","))
-            e = {int(k) - 1: Fraction(c) for k, c in entry.items()}
+            e = {int(k) - 1: _integer_constant(c, key, k)
+                 for k, c in entry.items()}
             table[i][j] = e
             table[j][i] = {k: -c for k, c in e.items()}
         return StructureTable(basis, tuple(tuple(row) for row in table))
@@ -381,7 +423,7 @@ def structure_table(basis: LyndonBasis) -> StructureTable:
     u's right standard factor is >= v.  Otherwise u = u1 u2 and, by Jacobi,
     [E_u, E_v] = [E_u1, [E_u2, E_v]] - [E_u2, [E_u1, E_v]].  Each bracket is
     memoized for this table, and one of weight above the step is 0.  The
-    constants are integers; an entry holds them as Fractions keyed by
+    constants are integers, and an entry holds them as ints keyed by
     ascending index.  A basis of more than options.TABLE_MAX words is
     refused before the n x n table is allocated.
     """
@@ -418,7 +460,7 @@ def structure_table(basis: LyndonBasis) -> StructureTable:
         for j in range(i + 1, n):
             e = br(i, j)
             if e:
-                e = {k: Fraction(c) for k, c in sorted(e.items())}
+                e = dict(sorted(e.items()))
                 table[i][j] = e
                 table[j][i] = {k: -c for k, c in e.items()}
     return StructureTable(basis, tuple(tuple(row) for row in table))

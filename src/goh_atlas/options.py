@@ -1,8 +1,9 @@
 """Values the CLI's options accept, defined once without numpy so the parser
 loads no numeric layer: the trace resolution (re-exported by goh), the
-spiral sample count, the bounds on a Lyndon basis (read by
-freelie.generate_basis) and on a structure table (freelie.structure_table
-and the CLI) and the demo scenario names (re-exported by scenarios)."""
+spiral sample count, the containment degree, the bounds on a Lyndon basis
+(read by freelie.generate_basis) and on a structure table
+(freelie.structure_table and the CLI) and the demo scenario names
+(re-exported by scenarios)."""
 
 # a trace adds about 12 B per grid node to the peak (tracemalloc and
 # ru_maxrss at res 1024 and 2048), about 0.2 GB at RES_MAX
@@ -11,6 +12,13 @@ RES_MAX = 4096
 # a sample adds about 3.5 kB to the peak of `demo f27-spiral` (ru_maxrss 221
 # MB at SAMPLES_MAX) and 0.42 kB to that of `spiral` (157 MB at 300 000)
 SAMPLES_MAX = 50_000
+
+# a containment probe of degree d stacks (d + 1)(d + 2)/2 monomial columns
+# over the curve's points, about 25 B per point and monomial at the peak of
+# `contain` (ru_maxrss 174 MB at degree 14 and 331 MB at DEGREE_MAX, 231
+# monomials, on the 50 001 points of `spiral --samples 50000`); a curve file
+# has no point bound of its own, so the degree bounds the columns
+DEGREE_MAX = 20
 
 # a Lyndon basis adds about 0.6 kB per word to the peak of `goh-atlas basis`
 # (ru_maxrss 78 MB at (2,20), 111 013 words; 136 MB at (2,21), 210 871; 442
@@ -22,10 +30,10 @@ BASIS_MAX = 250_000
 STEP_MAX = 256
 
 # a structure table of an n-word basis holds n x n dicts, almost all of
-# them empty: about 82 B per cell of ru_maxrss over the basis (77 at (2,10),
-# 83 at (2,12), 82 at (4,6), (3,8) and (2,13), n = 1377: 149 MB), about
-# 0.18 GB at TABLE_MAX, so a realization past it is refused before the
-# table is allocated
+# them empty, with int constants: about 82 B per cell of ru_maxrss over the
+# basis (74 at (2,10), 82 at (2,12), (4,6), (3,8) and (2,13), n = 1377: 164
+# MB in all), about 0.18 GB at TABLE_MAX, so a realization past it is
+# refused before the table is allocated
 TABLE_MAX = 1_500
 
 SCENARIO_NAMES = ("heisenberg", "f23-line", "f24", "f25", "martinet",

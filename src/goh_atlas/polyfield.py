@@ -447,6 +447,8 @@ class Poly:
 
     @staticmethod
     def from_json(n: int, data: list) -> "Poly":
+        if not isinstance(data, list):
+            raise ValueError(f"terms {data!r} are not a list")
         terms = {}
         for t, term in enumerate(data, 1):
             for key in ("exp", "coef"):
@@ -515,6 +517,8 @@ class PolyVec:
 
     @staticmethod
     def from_json(n: int, data: list) -> "PolyVec":
+        if not isinstance(data, list):
+            raise ValueError(f"components {data!r} are not a list")
         comps = []
         for j, comp in enumerate(data, 1):
             try:
@@ -599,6 +603,10 @@ class Frame:
     def from_json(data: dict) -> "Frame":
         check_artifact(data, "frame", "n", "fields")
         n = data["n"]
+        if type(n) is not int or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        if not isinstance(data["fields"], list):
+            raise ValueError(f"fields must be a list, got {data['fields']!r}")
         fields = []
         for k, f in enumerate(data["fields"], 1):
             try:

@@ -47,6 +47,7 @@ import numpy as np
 from . import floateval
 from .errors import ConditioningError, NumericsError
 from .floateval import CompiledPolys
+from .options import DEGREE_MAX
 from .polyfield import Frame, compile_polyvec, lie_bracket_fields
 from .serialize import artifact, check_artifact
 
@@ -642,10 +643,14 @@ def polynomial_containment(points, degree: int,
 
     Columns of the evaluation matrix are the monomials of total degree at
     most `degree`, unit-normalized; the null-space dimension counts the
-    singular values below threshold * sigma_max.  A point that is not a
-    pair, or a threshold that is not finite and positive, is a ValueError
-    naming it.
+    singular values below threshold * sigma_max.  A degree outside 0 to
+    options.DEGREE_MAX (refused before the points are read), a point that
+    is not a pair, or a threshold that is not finite and positive, is a
+    ValueError naming it.
     """
+    if not 0 <= degree <= DEGREE_MAX:
+        raise ValueError(f"degree must be from 0 to {DEGREE_MAX}, got "
+                         f"{degree}")
     if not (np.isfinite(threshold) and threshold > 0.0):
         raise ValueError(f"threshold must be a finite positive number, got "
                          f"{threshold}")
@@ -653,8 +658,6 @@ def polynomial_containment(points, degree: int,
     if bad is not None:
         raise ValueError(f"point {bad} has {len(points[bad])} coordinates, "
                          f"not 2")
-    if degree < 0:
-        raise ValueError("degree must be nonnegative")
     n_mono = (degree + 1) * (degree + 2) // 2
     if len(pts) < 3 * n_mono:
         raise ValueError(

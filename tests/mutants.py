@@ -80,6 +80,26 @@ REGISTER = {
         "e[m] = e.get(m, 0) - c * d",
         "e[m] = e.get(m, 0) + c * d",
         ("tests/test_freelie.py::test_structure_table_matches_the_tensor_route[(3, 3)]",)),
+    # the bracket dividing its integer sums by da + db, not da * db
+    "bracket-denominator-sum": Mutant(
+        "src/goh_atlas/freelie.py",
+        "d = da * db",
+        "d = da + db",
+        ("tests/test_freelie.py::test_dense_bracket_at_2_7_with_coprime_denominators",
+         "tests/test_freelie.py::test_int_coefficients_still_give_fractions")),
+    # a sum that reaches zero kept in place instead of dropped
+    "zero-sum-kept": Mutant(
+        "src/goh_atlas/freelie.py",
+        "        if s:\n            out[w] = s\n        else:\n"
+        "            out.pop(w, None)\n    return out",
+        "        out[w] = s\n    return out",
+        ("tests/test_freelie.py::test_a_sum_that_cancels_is_dropped_and_its_key_reenters_at_the_end",)),
+    # a's numerators taken over b's denominator
+    "bracket-numerator-scale": Mutant(
+        "src/goh_atlas/freelie.py",
+        "a, b = _numerators(a, da), _numerators(b, db)",
+        "a, b = _numerators(a, db), _numerators(b, db)",
+        ("tests/test_freelie.py::test_dense_bracket_at_2_7_with_coprime_denominators",)),
     # bch's Bernoulli terms B_2p / (2p)! with the wrong sign
     "bernoulli-sign": Mutant(
         "src/goh_atlas/freelie.py",

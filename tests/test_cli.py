@@ -17,7 +17,7 @@ from goh_atlas.cli import main
 from goh_atlas.freelie import LyndonBasis, StructureTable, generate_basis, \
     structure_table
 from goh_atlas.normalform import realize_frame
-from goh_atlas.options import BASIS_MAX, SAMPLES_MAX, STEP_MAX
+from goh_atlas.options import BASIS_MAX, DEGREE_MAX, SAMPLES_MAX, STEP_MAX
 from goh_atlas.polyfield import Frame, heisenberg_frame
 from goh_atlas.trajectories import Control, SampledCurve
 
@@ -316,13 +316,36 @@ class TestExitCodes:
         code, out, err = run(capsys, "metabelian", "--frame", str(path))
         assert (code, out, err) == (2, "", f"error: {msg}\n")
 
+    @pytest.mark.parametrize("key, value, msg", [
+        ("n", 3.0, "n must be a positive integer, got 3.0"),
+        ("n", True, "n must be a positive integer, got True"),
+        ("n", 0, "n must be a positive integer, got 0"),
+        ("n", "3", "n must be a positive integer, got '3'"),
+        ("fields", None, "fields must be a list, got None"),
+        ("fields", {}, "fields must be a list, got {}"),
+        ("fields", [None, None], "field 1, components None are not a list"),
+        ("fields", [[None, [], []], [[], [], []]],
+         "field 1, component 1, terms None are not a list")],
+        ids=["n-float", "n-bool", "n-zero", "n-str", "fields-null",
+             "fields-dict", "field-null", "component-null"])
+    def test_frame_with_bad_n_or_fields(self, capsys, tmp_path, key, value,
+                                        msg):
+        # n = 3.0 was accepted, true misread as an exponent length, and a
+        # null fields, field or component was a TypeError with a traceback
+        frame = realize_frame(generate_basis(2, 2))[0].to_json()
+        frame[key] = value
+        path = tmp_path / "frame.json"
+        path.write_text(json.dumps(frame))
+        code, out, err = run(capsys, "metabelian", "--frame", str(path))
+        assert (code, out, err) == (2, "", f"error: {msg}\n")
+
     @pytest.mark.parametrize("argv, flag, value, rule", [
         (["contain", "--curve", "c.json"], "--degree", "0",
-         "degree must be an integer of at least 1"),
+         f"degree must be an integer from 1 to {DEGREE_MAX}"),
         (["contain", "--curve", "c.json"], "--degree", "-3",
-         "degree must be an integer of at least 1"),
+         f"degree must be an integer from 1 to {DEGREE_MAX}"),
         (["contain", "--curve", "c.json"], "--degree", "2.5",
-         "degree must be an integer of at least 1"),
+         f"degree must be an integer from 1 to {DEGREE_MAX}"),
         (["demo", "f25"], "--seed", "-1", "seed must be a non-negative "
                                           "integer"),
         (["demo", "f25"], "--seed", "x", "seed must be a non-negative "
@@ -597,6 +620,28 @@ class TestSamplesAndEps:
         args = cli.build_parser().parse_args(
             ["spiral", "--samples", str(SAMPLES_MAX)])
         assert args.samples == SAMPLES_MAX == options.SAMPLES_MAX
+
+    def test_degree_past_the_bound_is_refused_before_any_probe(
+            self, capsys, monkeypatch, tmp_path):
+        # the degree was bounded only by the curve's point count, which a
+        # 50 001-point spiral passes up to degree 180 (whose probe would
+        # stack a 6.6 GB matrix)
+        def probed(*args, **kwargs):
+            raise AssertionError(f"polynomial_containment{args} ran")
+
+        monkeypatch.setattr(trajectories, "polynomial_containment", probed)
+        path = tmp_path / "curve.json"
+        path.write_text(serialize.dumps(SampledCurve.from_function(
+            lambda t: (t, t), 0.0, 1.0, 4).to_json()))
+        for value in (DEGREE_MAX + 1, 10 ** 9):
+            code, out, err = run(capsys, "contain", "--curve", str(path),
+                                 "--degree", str(value))
+            assert (code, out) == (2, "")
+            assert (f"error: argument --degree: degree must be an integer "
+                    f"from 1 to {DEGREE_MAX}, got '{value}'\n" in err)
+        args = cli.build_parser().parse_args(
+            ["contain", "--curve", str(path), "--degree", str(DEGREE_MAX)])
+        assert args.degree == DEGREE_MAX == options.DEGREE_MAX
 
     def test_smallest_values_are_accepted(self, capsys):
         args = cli.build_parser().parse_args(

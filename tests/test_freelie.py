@@ -9,6 +9,7 @@ table and BCH are compared with their tensor route (lie_helpers).
 
 import functools
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -16,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from goh_atlas import cli, freelie as fl, normalform, options
+from goh_atlas import cli, freelie as fl, normalform, options, polyfield
 from goh_atlas.options import STEP_MAX
 from lie_helpers import (
     NONZERO_RATIONALS,
@@ -279,15 +280,15 @@ TABLE_SHAPES = [(2, s) for s in range(2, 10)] + [(3, 3), (3, 4), (3, 5),
 
 @pytest.mark.parametrize("shape", TABLE_SHAPES, ids=str)
 def test_structure_table_matches_the_tensor_route(shape):
-    """Entry for entry: the same values, all Fractions, in the same key
-    order (ascending basis index)."""
+    """Entry for entry: the same values, all ints (the tensor route's are
+    Fractions), in the same key order (ascending basis index)."""
     basis = fl.generate_basis(*shape)
     got = fl.structure_table(basis).table
     want = tensor_structure_table(basis).table
     for got_row, want_row in zip(got, want, strict=True):
         for e, f in zip(got_row, want_row, strict=True):
             assert list(e.items()) == list(f.items())
-            assert all(type(c) is Fraction for c in e.values())
+            assert all(type(c) is int for c in e.values())
 
 
 @pytest.mark.parametrize("shape", TABLE_SHAPES, ids=str)
@@ -437,6 +438,8 @@ def test_structure_table_json_roundtrip():
     assert data["brackets"]["2,3"] == {"5": "-1/1"}  # [X_2, X_12] = -X_122
     back = fl.StructureTable.from_json(data)
     assert back.table == table.table
+    assert all(type(c) is int for row in back.table for e in row
+               for c in e.values())
 
 
 def test_tensor_to_lie_rejects_non_lie():
@@ -558,6 +561,124 @@ def test_bracket_elements_match_copying_loop_and_tensor_bracket(case):
     got = table.bracket_elements(a, b)
     assert items(got) == items(copying_bracket_elements(table, a, b))
     assert got == bracket(a, b, basis)
+
+
+# ---------------------------------------------------------------------------
+# The bracket on integer numerators, case by case: a rational element is
+# bracketed over the lcm of its denominators and each sum divided once.
+
+BASIS_27 = fl.generate_basis(2, 7)
+
+
+@functools.cache
+def table_27():
+    return fl.structure_table(BASIS_27)
+
+
+def dense_27(dens, sign):
+    """A coefficient on every one of the 41 words of (2,7), with
+    denominators cycling through dens."""
+    return {k: Fraction(sign * (-1) ** k * (2 * k + 1), dens[k % len(dens)])
+            for k in range(BASIS_27.dim)}
+
+
+def assert_rational_bracket(table, a, b, basis):
+    got = table.bracket_elements(a, b)
+    assert items(got) == items(copying_bracket_elements(table, a, b))
+    assert got == bracket(a, b, basis)
+    assert all(type(c) is Fraction for c in got.values())
+    return got
+
+
+def test_dense_bracket_at_2_7_with_coprime_denominators():
+    # a over 3, 7 and 11, b over 2, 5 and 13: the two lcms (231 and 130)
+    # are coprime, so their product and their sum give different sums
+    a, b = dense_27((3, 7, 11), 1), dense_27((2, 5, 13), -1)
+    got = assert_rational_bracket(table_27(), a, b, BASIS_27)
+    assert len(got) > 30
+    assert any(c.denominator > 1 for c in got.values())
+
+
+def test_a_sum_that_cancels_is_dropped_and_its_key_reenters_at_the_end():
+    # (3,3): [E_3, E_12] = -E_123 - E_132, so the E_123 of [E_1, E_23]
+    # (the first pair) is cancelled by the fifth pair, and the last pair,
+    # [E_23, E_1] = -E_123, brings the key back after E_112, E_233, E_132
+    # and E_13
+    basis = BASES[(3, 3)]
+    ix = basis.index
+    a = {ix[(1,)]: Fraction(1, 2), ix[(3,)]: Fraction(3, 4),
+         ix[(2, 3)]: Fraction(1, 3)}
+    b = {ix[(2, 3)]: Fraction(3, 5), ix[(1, 2)]: Fraction(2, 5), ix[(1,)]: 7}
+    got = assert_rational_bracket(table_of((3, 3)), a, b, basis)
+    assert [(basis.words[k], c) for k, c in got.items()] == [
+        ((1, 1, 2), Fraction(1, 5)), ((2, 3, 3), Fraction(-9, 20)),
+        ((1, 3, 2), Fraction(-3, 10)), ((1, 3), Fraction(-21, 4)),
+        ((1, 2, 3), Fraction(-7, 3))]
+
+
+def test_int_coefficients_still_give_fractions():
+    basis = BASES[(2, 5)]
+    a = {0: 1, 2: -2, 3: 3}
+    b = {1: 2, 0: -1, 4: 1}
+    assert len(assert_rational_bracket(table_of((2, 5)), a, b, basis)) > 3
+
+
+def test_empty_elements_bracket_to_empty():
+    table = table_of((2, 5))
+    ring = polyfield._Ring(BASES[(2, 5)].dim, 5)
+    for a, b in [({}, {}), ({0: Fraction(1, 2)}, {}), ({}, {1: 3}),
+                 ({}, {1: ring.var(0)}), ({0: ring.var(1)}, {})]:
+        assert table.bracket_elements(a, b) == {}
+
+
+def packed_items(d):
+    return [(k, list(c.terms.items()), c.den) for k, c in d.items()]
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=str)
+def test_packed_coefficients_match_the_loop_on_fraction_constants(shape):
+    """Ring coefficients run through the same loop times the int constants:
+    term for term what the loop gave with the constants as Fractions (the
+    tensor route's table), alone and with a rational partner."""
+    basis = BASES[shape]
+    n, step = basis.dim, basis.step
+    ring = polyfield._Ring(n, step)
+    fraction_table = tensor_structure_table(basis)
+    a = {i: ring.var(i) * Fraction(-1, i + 2) + ring.const(Fraction(1, 3))
+         for i in range(0, n, 2)}
+    b = {j: ring.var(j) * ring.var(0) + ring.const(j - 4)
+         for j in range(n - 1, -1, -3)}
+    rational = {k: Fraction(k - 5, 7) for k in range(n) if k != 5}
+    for x, y in [(a, b), (b, a), (a, rational), (rational, b)]:
+        got = table_of(shape).bracket_elements(x, y)
+        assert got
+        assert packed_items(got) == packed_items(
+            copying_bracket_elements(fraction_table, x, y))
+
+
+def test_jacobi_and_bch_inverse_are_exactly_zero_at_2_7():
+    br = table_27().bracket_elements
+    a, b = dense_27((3, 7, 11), 1), dense_27((2, 5, 13), -1)
+    c = {k: Fraction(k % 5 - 2, 4) for k in range(BASIS_27.dim) if k % 5 != 2}
+    assert fl.lie_add(fl.lie_add(br(a, br(b, c)), br(b, br(c, a))),
+                      br(c, br(a, b))) == {}
+    neg = Fraction(-1)
+    assert fl.lie_add(fl.bch(a, b, BASIS_27),
+                      fl.bch(fl.lie_scale(b, neg), fl.lie_scale(a, neg),
+                             BASIS_27)) == {}
+
+
+@pytest.mark.parametrize("constant", ["-1/2", "1/3", 0.5, "x", None, [1]],
+                         ids=["half", "third", "float", "text", "null",
+                              "list"])
+def test_structure_table_json_refuses_a_constant_that_is_not_an_integer(
+        constant):
+    data = fl.structure_table(BASES[(2, 5)]).to_json()
+    data["brackets"]["2,3"] = {"5": constant}
+    with pytest.raises(ValueError, match=f"^bracket 2,3: constant "
+                       f"{re.escape(repr(constant))} of word 5 is not an "
+                       f"integer$"):
+        fl.StructureTable.from_json(data)
 
 
 @settings(max_examples=60, deadline=None)

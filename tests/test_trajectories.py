@@ -13,6 +13,7 @@ from goh_atlas import floateval, trajectories
 from goh_atlas.errors import NumericsError
 from goh_atlas.freelie import generate_basis
 from goh_atlas.normalform import realize_frame
+from goh_atlas.options import DEGREE_MAX
 from goh_atlas.polyfield import (
     Frame,
     Poly,
@@ -1119,6 +1120,14 @@ class TestContainment:
             polynomial_containment(pts, 1)
         with pytest.raises(ValueError):
             polynomial_containment(pts, -1)
+
+    @pytest.mark.parametrize("degree", [DEGREE_MAX + 1, 10 ** 9])
+    def test_degree_past_the_bound_is_refused_before_the_points(self, degree):
+        # only the point count bounded the degree: degree 180 passes it on
+        # 50 001 points, where its probe would stack a 6.6 GB matrix
+        with pytest.raises(ValueError, match=f"^degree must be from 0 to "
+                                             f"{DEGREE_MAX}, got {degree}$"):
+            polynomial_containment([(0.0, 0.0), (1.0, 1.0)], degree)
 
     def test_overflowing_monomial_is_named(self):
         # (1e200, 0) at degree 2: the x column's norm overflows
