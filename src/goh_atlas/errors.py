@@ -8,7 +8,3 @@ class PreconditionError(ValueError):
 
 class NumericsError(RuntimeError):
     """A numeric computation produced NaN/Inf or otherwise lost meaning."""
-
-
-class ConditioningError(NumericsError):
-    """A linear-algebra step is too ill-conditioned to trust."""

@@ -24,8 +24,7 @@ from functools import cached_property
 from math import comb, factorial, lcm
 
 from .options import BASIS_MAX, STEP_MAX, check_table_size
-from .serialize import _words_from_json, _words_to_json, artifact, \
-    check_artifact
+from .serialize import _words_to_json, artifact
 
 Word = tuple[int, ...]
 
@@ -131,15 +130,6 @@ class LyndonBasis:
             "words": _words_to_json(self.words),
             "weights": list(self.weights),
         })
-
-    @staticmethod
-    def from_json(data: dict) -> "LyndonBasis":
-        check_artifact(data, "lyndon_basis", "words", "rank", "step")
-        words = _words_from_json(data["words"], "word")
-        basis = LyndonBasis(data["rank"], data["step"], words)
-        if words != generate_basis(basis.rank, basis.step).words:
-            raise ValueError("word list does not match rank/step")
-        return basis
 
 
 def generate_basis(rank: int, step: int) -> LyndonBasis:
@@ -339,18 +329,6 @@ def _numerators(a: LieElement, d: int) -> dict[int, int]:
     return {k: c.numerator * (d // c.denominator) for k, c in a.items()}
 
 
-def _integer_constant(c, key: str, k: str) -> int:
-    """A structure constant read from JSON, refused unless an integer."""
-    try:
-        f = Fraction(c)
-    except (TypeError, ValueError):
-        f = None
-    if f is None or f.denominator != 1:
-        raise ValueError(f"bracket {key}: constant {c!r} of word {k} is "
-                         f"not an integer")
-    return f.numerator
-
-
 @dataclass(frozen=True)
 class StructureTable:
     basis: LyndonBasis
@@ -381,37 +359,6 @@ class StructureTable:
             d = da * db
             return {k: Fraction(s, d) for k, s in out.items()}
         return out
-
-    def to_json(self) -> dict:
-        entries = {}
-        n = self.basis.dim
-        for i in range(n):
-            for j in range(i + 1, n):
-                e = self.table[i][j]
-                if e:
-                    entries[f"{i + 1},{j + 1}"] = {
-                        str(k + 1): f"{c}/1" for k, c in sorted(e.items())
-                    }
-        return artifact("structure_table", {
-            "rank": self.basis.rank,
-            "step": self.basis.step,
-            "n": n,
-            "brackets": entries,
-        })
-
-    @staticmethod
-    def from_json(data: dict) -> "StructureTable":
-        check_artifact(data, "structure_table", "rank", "step", "brackets")
-        basis = generate_basis(data["rank"], data["step"])
-        n = basis.dim
-        table = [[{} for _ in range(n)] for _ in range(n)]
-        for key, entry in data["brackets"].items():
-            i, j = (int(p) - 1 for p in key.split(","))
-            e = {int(k) - 1: _integer_constant(c, key, k)
-                 for k, c in entry.items()}
-            table[i][j] = e
-            table[j][i] = {k: -c for k, c in e.items()}
-        return StructureTable(basis, tuple(tuple(row) for row in table))
 
 
 def structure_table(basis: LyndonBasis) -> StructureTable:

@@ -147,7 +147,6 @@ class VarietyTrace:
     singular_candidates: list = field(default_factory=list)
     whole_plane: bool = False
     tolerance: float = 0.0
-    f_scale: float = 0.0
 
     def to_json(self) -> dict:
         return artifact("variety_trace", {
@@ -315,7 +314,6 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
                          f"{float(ys[j])!r}): {float(vals[j, i])!r}")
     tol = 1e-9 * (1.0 + scale)
     trace.tolerance = tol
-    trace.f_scale = scale
 
     # the segment graph: each crossed edge (kind, i, j) and its neighbours.
     # Saddle centres run on Python floats: the same IEEE operations as on

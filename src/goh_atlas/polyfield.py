@@ -73,7 +73,7 @@ def _product(a, b) -> dict:
 
     Running integer sums in the order of the pairs, a's outer: a key whose
     sum hits zero is dropped, so it re-enters at the end if it comes back.
-    This is the one product loop (Poly.__mul__, _Packed, so compose too).
+    This is the one product loop (Poly.__mul__, _Packed, so _substitute too).
     """
     out: dict[int, int] = {}
     get = out.get
@@ -359,14 +359,6 @@ class Poly:
                 out[tuple(e2)] = c * e[i]
         return Poly._wrap(self.n, out)
 
-    def integrate(self, i: int) -> "Poly":
-        out = {}
-        for e, c in self.terms.items():
-            e2 = list(e)
-            e2[i] += 1
-            out[tuple(e2)] = c / e2[i]
-        return Poly._wrap(self.n, out)
-
     def eval(self, x):
         """Evaluate at a point; exact for Fraction/int inputs."""
         _check_length(x, self.n, "polynomial")
@@ -386,27 +378,6 @@ class Poly:
         from .floateval import _float_evaluator
         return _float_evaluator(self)(x)
 
-    def compose(self, values: list["Poly"]) -> "Poly":
-        """Substitute values[i] for variable i: the values of the variables
-        that occur, packed into one ring that holds sum_i e[i] * top_i for
-        every exponent e of self, top_i the largest entry of values[i]."""
-        if len(values) != self.n:
-            raise ValueError("need one replacement per variable")
-        bad = _bad_exponent(self.terms)
-        if bad:
-            raise bad
-        m = values[0].n if values else self.n
-        for i, v in enumerate(values):
-            if v.n != m:
-                raise ValueError(f"value {i} has ambient dimension {v.n}, "
-                                 f"value 0 has {m}")
-        tops = {i: max((k for e in values[i].terms for k in e), default=0)
-                for i in self.variables()}
-        ring = _Ring(m, max((sum(k * tops[i] for i, k in enumerate(e) if k)
-                             for e in self.terms), default=0))
-        packed = {i: ring.pack(values[i], t) for i, t in tops.items()}
-        return _substitute(self.terms.items(), packed, ring).to_poly()
-
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
@@ -422,12 +393,6 @@ class Poly:
                 raise ValueError("polynomial involves discarded variables")
             out[e[:m]] = c
         return Poly(m, out)
-
-    def extend(self, m: int) -> "Poly":
-        if m < self.n:
-            raise ValueError("cannot shrink by extend")
-        pad = (0,) * (m - self.n)
-        return Poly(m, {e + pad: c for e, c in self.terms.items()})
 
     def __repr__(self):
         if not self.terms:

@@ -45,7 +45,7 @@ from itertools import combinations, groupby, islice
 import numpy as np
 
 from . import floateval
-from .errors import ConditioningError, NumericsError
+from .errors import NumericsError
 from .floateval import CompiledPolys
 from .options import DEGREE_MAX
 from .polyfield import Frame, compile_polyvec, lie_bracket_fields
@@ -142,9 +142,9 @@ class JacobianPath:
     dets: np.ndarray
 
 
-def _non_finite(what: str, node: int, t, error=NumericsError):
-    return error(f"{what} produced non-finite values at node {node} "
-                 f"(t = {float(t):.6g})")
+def _non_finite(what: str, node: int, t):
+    return NumericsError(f"{what} produced non-finite values at node {node} "
+                         f"(t = {float(t):.6g})")
 
 
 def _finite(values, name: str) -> np.ndarray:
@@ -441,8 +441,7 @@ def _stage_matrices(jevs, flat, n: int, w: _Window):
         yield from amat.reshape(-1, 4, n, n)
 
 
-def _propagate(frame: Frame, windows, m, adjoint: bool, what: str,
-               error=NumericsError):
+def _propagate(frame: Frame, windows, m, adjoint: bool, what: str):
     """RK4 of Mdot = A M, or of the adjoint Mdot = -M A, from M = m.
 
     `_rk4` steps M, one product per stage on each window's stage matrices.
@@ -458,7 +457,7 @@ def _propagate(frame: Frame, windows, m, adjoint: bool, what: str,
             for _, m in islice(steps, w.substeps if i else 0):
                 pass
             if not np.isfinite(m).all():
-                raise _non_finite(what, w.lo + i, w.grid[i], error)
+                raise _non_finite(what, w.lo + i, w.grid[i])
             yield w, i, m
 
 
@@ -559,8 +558,7 @@ def extremal_residuals(frame: Frame, u, x0, lam, substeps: int = 1,
     pairs = list(combinations(range(1, frame.r + 1), 2))
     pairings = _compiled(frame, "pairings")
     grid, windows = _windows(frame, u, x0, substeps, ts)
-    nodes = _propagate(frame, windows, lam, True, "adjoint propagation",
-                       ConditioningError)
+    nodes = _propagate(frame, windows, lam, True, "adjoint propagation")
     vals = []
     for w, group in groupby(nodes, lambda node: node[0]):
         # one (1, n) @ (n, 1) product per node and pairing: row @ v[i]
@@ -610,8 +608,8 @@ def recover_abnormal_covector(frame: Frame, u, x0, substeps: int = 1,
     _, windows = _windows(frame, u, x0, substeps, ts)
     rows = []
     for w, group in groupby(_propagate(
-            frame, windows, np.eye(n), True, "inverse-Jacobian propagation",
-            ConditioningError), lambda node: node[0]):
+            frame, windows, np.eye(n), True, "inverse-Jacobian propagation"),
+            lambda node: node[0]):
         at_nodes = [ev(w.nodes) for ev in fields]
         rows += [kmat @ v[i] for _, i, kmat in group for v in at_nodes]
 

@@ -8,9 +8,10 @@ substitution on exponent tuples, the oracles of Poly and of the packed
 ring, the structure-table route of the realization, the oracle of
 normalform.realize_frame, the Bernoulli ad-series of the first-kind fields,
 the right-nested growth vector with elimination from scratch, the
-metabelian sweep over every multi-index pair, exact flows of nilpotent
-polynomial fields by Picard iteration, the second-kind chart check, and
-the Hypothesis strategy of sparse rational Lie elements."""
+metabelian sweep over every multi-index pair, the substitution, integral
+and padding of Poly, exact flows of nilpotent polynomial fields by Picard
+iteration, the second-kind chart check, and the Hypothesis strategy of
+sparse rational Lie elements."""
 
 import itertools
 from fractions import Fraction
@@ -43,8 +44,9 @@ from goh_atlas.normalform import (
     signed_attachment,
 )
 from goh_atlas.metabelian import MetabelianVerdict
-from goh_atlas.polyfield import Frame, Poly, PolyVec, _as_frac, \
-    _check_length, _nested_brackets, lie_bracket_fields
+from goh_atlas.polyfield import Frame, Poly, PolyVec, _Ring, _as_frac, \
+    _bad_exponent, _check_length, _nested_brackets, _substitute, \
+    lie_bracket_fields
 from goh_atlas.trajectories import Control, flow_control
 
 
@@ -435,6 +437,46 @@ def _ad_series(table: StructureTable, signs, y_el: dict, one) -> list[dict]:
     return cols
 
 
+def integrate(p: Poly, i: int) -> Poly:
+    """The antiderivative of p in variable i with no constant term."""
+    out = {}
+    for e, c in p.terms.items():
+        e2 = list(e)
+        e2[i] += 1
+        out[tuple(e2)] = c / e2[i]
+    return Poly._wrap(p.n, out)
+
+
+def compose(p: Poly, values: list[Poly]) -> Poly:
+    """Substitute values[i] for variable i: the values of the variables
+    that occur, packed into one ring that holds sum_i e[i] * top_i for
+    every exponent e of p, top_i the largest entry of values[i]."""
+    if len(values) != p.n:
+        raise ValueError("need one replacement per variable")
+    bad = _bad_exponent(p.terms)
+    if bad:
+        raise bad
+    m = values[0].n if values else p.n
+    for i, v in enumerate(values):
+        if v.n != m:
+            raise ValueError(f"value {i} has ambient dimension {v.n}, "
+                             f"value 0 has {m}")
+    tops = {i: max((k for e in values[i].terms for k in e), default=0)
+            for i in p.variables()}
+    ring = _Ring(m, max((sum(k * tops[i] for i, k in enumerate(e) if k)
+                         for e in p.terms), default=0))
+    packed = {i: ring.pack(values[i], t) for i, t in tops.items()}
+    return _substitute(p.terms.items(), packed, ring).to_poly()
+
+
+def extend(p: Poly, m: int) -> Poly:
+    """p in m >= p.n variables, the new ones last and unused."""
+    if m < p.n:
+        raise ValueError("cannot shrink by extend")
+    pad = (0,) * (m - p.n)
+    return Poly(m, {e + pad: c for e, c in p.terms.items()})
+
+
 class NotNilpotentError(RuntimeError):
     """Picard iteration on a flow failed to stabilize within the bound."""
 
@@ -452,10 +494,11 @@ def flow_map(x_field: PolyVec) -> list[Poly]:
     """
     n = x_field.n
     m = n + 1
-    lifted = [p.extend(m) for p in x_field.comps]
+    lifted = [extend(p, m) for p in x_field.comps]
     phi = [Poly.var(m, j) for j in range(n)]
     for _ in range(PICARD_ROUNDS + 1):
-        nxt = [Poly.var(m, j) + lifted[j].compose(phi + [Poly.var(m, n)]).integrate(n)
+        nxt = [Poly.var(m, j)
+               + integrate(compose(lifted[j], phi + [Poly.var(m, n)]), n)
                for j in range(n)]
         if nxt == phi:
             return phi

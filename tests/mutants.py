@@ -138,6 +138,26 @@ REGISTER = {
         "term = ring.const(c)\n        for i, k in reversed(list(enumerate(e))):",
         ("tests/test_polyfield.py::test_compose_multiplies_a_terms_powers_in_variable_order",
          "tests/test_polyfield.py::test_compose_matches_textbook_term_for_term")),
+    # the adjoint stage's sign fold dropped: the negated RK4 sums
+    # k1 - 2 k2 - 2 k3 - k4, not -(k1 + 2 k2 + 2 k3 + k4)
+    "adjoint-sign-fold": Mutant(
+        "src/goh_atlas/trajectories.py",
+        "np.negative(k1, out=k1)",
+        "pass",
+        ("tests/test_trajectories.py::test_integrators_match_textbook_rk4_bitwise",
+         "tests/test_trajectories.py::TestExtremalResiduals::test_vertical_line_closed_forms")),
+    # the kept x path keyed without the substep count
+    "kept-path-substeps": Mutant(
+        "src/goh_atlas/trajectories.py",
+        "x0.tobytes(), substeps)",
+        "x0.tobytes())",
+        ("tests/test_trajectories.py::test_signed_zeros_and_substeps_are_part_of_the_key",)),
+    # variety_membership raising its arrays by array ** instead of C pow
+    "membership-c-pow": Mutant(
+        "src/goh_atlas/goh.py",
+        "_float_evaluator(p, c_pow=True)(cols)",
+        "_float_evaluator(p)(cols)",
+        ("tests/test_goh.py::test_membership_value_at_each_point_is_the_scalar_loops",)),
 }
 
 

@@ -415,7 +415,7 @@ def test_criterion_10_numerical_hygiene():
         for x, y in line:
             worst_vertex = max(worst_vertex, abs(plane((x, y))))
     assert trace.polylines
-    assert worst_vertex <= 1e-9 * (1.0 + trace.f_scale)
+    assert worst_vertex <= trace.tolerance  # 1e-9 * (1 + max |F| on the grid)
     print(f"criterion 10: RK4 ratios {[f'{q:.1f}' for q in ratios]}, "
           f"Jacobian-vs-FD {worst_fd:.2e}, trace vertex sup "
           f"{worst_vertex:.2e}")

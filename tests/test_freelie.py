@@ -9,7 +9,6 @@ table and BCH are compared with their tensor route (lie_helpers).
 
 import functools
 import random
-import re
 from fractions import Fraction
 from itertools import product
 
@@ -419,29 +418,6 @@ def test_bch_group_laws():
         assert left == right
 
 
-# ---------------------------------------------------------------------------
-# serialization
-
-def test_basis_json_roundtrip():
-    basis = fl.generate_basis(2, 3)
-    data = basis.to_json()
-    assert data["schema"] == "goh-atlas/1"
-    assert data["words"] == ["1", "2", "12", "112", "122"]
-    back = fl.LyndonBasis.from_json(data)
-    assert back.words == basis.words
-
-
-def test_structure_table_json_roundtrip():
-    basis = fl.generate_basis(2, 3)
-    table = fl.structure_table(basis)
-    data = table.to_json()
-    assert data["brackets"]["2,3"] == {"5": "-1/1"}  # [X_2, X_12] = -X_122
-    back = fl.StructureTable.from_json(data)
-    assert back.table == table.table
-    assert all(type(c) is int for row in back.table for e in row
-               for c in e.values())
-
-
 def test_tensor_to_lie_rejects_non_lie():
     basis = fl.generate_basis(2, 2)
     with pytest.raises(ValueError):
@@ -666,19 +642,6 @@ def test_jacobi_and_bch_inverse_are_exactly_zero_at_2_7():
     assert fl.lie_add(fl.bch(a, b, BASIS_27),
                       fl.bch(fl.lie_scale(b, neg), fl.lie_scale(a, neg),
                              BASIS_27)) == {}
-
-
-@pytest.mark.parametrize("constant", ["-1/2", "1/3", 0.5, "x", None, [1]],
-                         ids=["half", "third", "float", "text", "null",
-                              "list"])
-def test_structure_table_json_refuses_a_constant_that_is_not_an_integer(
-        constant):
-    data = fl.structure_table(BASES[(2, 5)]).to_json()
-    data["brackets"]["2,3"] = {"5": constant}
-    with pytest.raises(ValueError, match=f"^bracket 2,3: constant "
-                       f"{re.escape(repr(constant))} of word 5 is not an "
-                       f"integer$"):
-        fl.StructureTable.from_json(data)
 
 
 @settings(max_examples=60, deadline=None)

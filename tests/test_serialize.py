@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goh_atlas import scenarios, serialize
-from goh_atlas.freelie import LyndonBasis, StructureTable, generate_basis, \
-    structure_table, witt_dimension
+from goh_atlas.freelie import generate_basis
 from goh_atlas.goh import goh_polynomials, trace_variety
 from goh_atlas.metabelian import is_metabelian
 from goh_atlas.normalform import realize_frame
@@ -43,8 +42,8 @@ class TestWords:
         basis = generate_basis(10, 2)
         data = basis.to_json()
         assert data["words"][9:11] == [[10], [1, 2]]
-        assert LyndonBasis.from_json(json.loads(serialize.dumps(data))) \
-            .words == basis.words
+        assert serialize._words_from_json(
+            json.loads(serialize.dumps(data))["words"], "word") == basis.words
 
     def test_rank_10_realized_labels_round_trip(self):
         frame, _ = realize_frame(generate_basis(10, 2))
@@ -55,11 +54,11 @@ class TestWords:
     @pytest.mark.parametrize("bad", ["10", "", "1a", [0], [], [1, 2.0], 12])
     def test_bad_word_is_located(self, bad):
         # "10" was read as the letters 1 and 0
-        data = generate_basis(2, 2).to_json()
-        data["words"][1] = bad
+        words = generate_basis(2, 2).to_json()["words"]
+        words[1] = bad
         with pytest.raises(ValueError, match=re.escape(
                 f"word 2: {bad!r} is not a word over the letters 1, 2, ...")):
-            LyndonBasis.from_json(data)
+            serialize._words_from_json(words, "word")
 
     def test_bad_label_is_located(self):
         frame = Frame([PolyVec.coordinate(2, 0), PolyVec.coordinate(2, 1)],
@@ -85,7 +84,6 @@ def _artifacts():
     system = goh_polynomials(realized, [0, 0, 0, 1, 0])
     return [
         (basis, "lyndon_basis"),
-        (structure_table(basis), "structure_table"),
         (frame, "frame"),
         (maps, "realization"),
         (is_metabelian(realized, 4), "metabelian_verdict"),
@@ -159,16 +157,6 @@ def grids(draw):
     return np.linspace(t0, t1, size + 1), rows
 
 
-@st.composite
-def rank_steps(draw, max_dim):
-    """(rank, step) with rank up to 11 and a basis of at most max_dim."""
-    rank = draw(st.integers(1, 11))
-    step = draw(st.integers(1, 5))
-    while step > 1 and sum(witt_dimension(rank, step)) > max_dim:
-        step -= 1
-    return rank, step
-
-
 @settings(max_examples=60, deadline=None)
 @given(frame=frames())
 def test_frame_round_trips(frame):
@@ -193,20 +181,6 @@ def test_curve_round_trips(grid, ts):
     rows = grid[1]
     curve = SampledCurve(sorted(ts)[:len(rows)], rows)
     assert reloaded(SampledCurve.from_json, curve) == serialize.dumps(curve)
-
-
-@settings(max_examples=40, deadline=None)
-@given(rank_step=rank_steps(600))
-def test_lyndon_basis_round_trips(rank_step):
-    basis = generate_basis(*rank_step)
-    assert reloaded(LyndonBasis.from_json, basis) == serialize.dumps(basis)
-
-
-@settings(max_examples=25, deadline=None)
-@given(rank_step=rank_steps(70))
-def test_structure_table_round_trips(rank_step):
-    table = structure_table(generate_basis(*rank_step))
-    assert reloaded(StructureTable.from_json, table) == serialize.dumps(table)
 
 
 # ---------------------------------------------------------------------------

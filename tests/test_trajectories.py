@@ -641,7 +641,7 @@ def test_non_finite_x0_is_refused(name, bad):
 
 @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
 def test_non_finite_covector_is_refused(bad):
-    # NaN was a ConditioningError "at node 0"
+    # NaN was a NumericsError "at node 0"
     u = Control([0.0, 1.0], [[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match=re.escape(
             f"lam[2] = {bad} is not finite")):
