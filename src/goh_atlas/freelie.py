@@ -18,6 +18,7 @@ dropped silently (that is the truncation).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -112,6 +113,14 @@ class LyndonBasis:
                      tuple(self.index[f] for f in standard_factorization(w))
                      for w in self.words)
 
+    @cached_property
+    def table(self) -> StructureTable:
+        """The structure table, built by structure_table on first use and
+        kept, so that every later bracket on this basis shares it: read it,
+        never change it.  The table refers back to the basis, so a dropped
+        basis and its table are freed by the cyclic collector."""
+        return _rewrite_table(self)
+
     @property
     def dim(self) -> int:
         return len(self.words)
@@ -119,7 +128,7 @@ class LyndonBasis:
     def weight(self, i: int) -> int:
         return len(self.words[i])
 
-    @property
+    @cached_property
     def weights(self) -> tuple[int, ...]:
         return tuple(len(w) for w in self.words)
 
@@ -337,6 +346,14 @@ class StructureTable:
     def bracket_elements(self, a: LieElement, b: LieElement) -> LieElement:
         """Bilinear bracket through the table (no tensor work).
 
+        Every table the package builds, normalform._signed_table's
+        included, is zero past the step: [E_i, E_j] = 0 once
+        |w_i| + |w_j| > step.  So for each i of a only the j of b with
+        |w_j| <= step - |w_i| are visited, b's items filtered once per
+        weight room and kept in b's order, as t_mul does.  The loop reaches
+        the nonempty entries in the order of the loop over every pair and
+        adds each into the result in place.
+
         When every coefficient of a and b is rational (an int or a
         Fraction), each element is written as integer numerators over the
         lcm of its denominators, the loop runs on ints and each sum is
@@ -344,17 +361,38 @@ class StructureTable:
         when its rational value is, so the keys and their order are those
         of the loop on Fractions.  Other coefficients, such as the packed
         polynomials of normalform.realize_frame, run through the same loop
-        times the integer constants.
+        times the integer constants; b's coefficients are not inspected
+        when a's are not rational.
         """
-        da, db = _common_denominator(a), _common_denominator(b)
+        da = _common_denominator(a)
+        db = da and _common_denominator(b)
         if da and db:
             a, b = _numerators(a, da), _numerators(b, db)
+        weights, step = self.basis.weights, self.basis.step
         out: LieElement = {}
+        fits: dict[int, list] = {}  # room -> the items of b that fit, in order
         for i, ci in a.items():
+            room = step - weights[i]
+            bs = fits.get(room)
+            if bs is None:
+                bs = fits[room] = [(j, cj) for j, cj in b.items()
+                                   if weights[j] <= room]
             row = self.table[i]
-            for j, cj in b.items():
-                if row[j]:
-                    _axpy(out, row[j], ci * cj)
+            for j, cj in bs:
+                e = row[j]
+                if not e:
+                    continue
+                c = ci * cj
+                if not c:
+                    continue
+                for k, t in e.items():
+                    t = t * c
+                    s = out.get(k)
+                    s = t if s is None else s + t
+                    if s:
+                        out[k] = s
+                    else:
+                        out.pop(k, None)
         if da and db:
             d = da * db
             return {k: Fraction(s, d) for k, s in out.items()}
@@ -369,11 +407,21 @@ def structure_table(basis: LyndonBasis) -> StructureTable:
     For Lyndon words u < v (lex), [E_u, E_v] = E_uv when u is a letter or
     u's right standard factor is >= v.  Otherwise u = u1 u2 and, by Jacobi,
     [E_u, E_v] = [E_u1, [E_u2, E_v]] - [E_u2, [E_u1, E_v]].  Each bracket is
-    memoized for this table, and one of weight above the step is 0.  The
+    memoized for this table, and one of weight above the step is 0: the
+    table's entries past the step are left empty without a call.  The
     constants are integers, and an entry holds them as ints keyed by
     ascending index.  A basis of more than options.TABLE_MAX words is
     refused before the n x n table is allocated.
+
+    The table is built once per basis object and kept on it (basis.table):
+    a second call, bch's included, returns the same table, which is shared
+    and read-only.  A new basis from generate_basis builds its own.
     """
+    return basis.table
+
+
+def _rewrite_table(basis: LyndonBasis) -> StructureTable:
+    """structure_table's build, run once per basis (see there)."""
     n, step = basis.dim, basis.step
     check_table_size(n)
     words, index, factors = basis.words, basis.index, basis.factors
@@ -403,8 +451,9 @@ def structure_table(basis: LyndonBasis) -> StructureTable:
         return e
 
     table: list[list[LieElement]] = [[{} for _ in range(n)] for _ in range(n)]
+    weights = basis.weights  # ascending, so the j that fit i are a prefix
     for i in range(n):
-        for j in range(i + 1, n):
+        for j in range(i + 1, bisect_right(weights, step - weights[i])):
             e = br(i, j)
             if e:
                 e = dict(sorted(e.items()))

@@ -14,6 +14,7 @@ import itertools
 from copy import copy
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Integral
 
 from .freelie import StructureTable
 from .polyfield import Frame, _nested_brackets, lie_bracket_fields
@@ -48,15 +49,20 @@ class MetabelianVerdict:
 def is_metabelian(frame: Frame, depth: int) -> MetabelianVerdict:
     """Sweep [X_I, X_J] = 0 for 2 <= |I| <= |J|, |I| + |J| <= depth.
 
-    Pairs are deduplicated by antisymmetry; the returned witness is the
-    first failure in (|I|, |J|, I, J) lexicographic order.  For nilpotent
-    frames depth = step is conclusive; otherwise the verdict only covers
-    brackets up to the given depth.  X_J = [X_j, X_K] for J = (j, *K) is
-    zero wherever X_K is, so the sweep stops at the first length with no
-    nonzero X_J: its cost is bounded by the nonzero brackets, not by the
-    depth.  Each X_J is found once, when the sweep first gets there, and
-    the pairs bracketed are the full sweep's.
+    Pairs are deduplicated by antisymmetry, and [X_I, X_I] = 0 is not
+    formed; the returned witness is the first failure in (|I|, |J|, I, J)
+    lexicographic order.  For nilpotent frames depth = step is conclusive;
+    otherwise the verdict only covers brackets up to the given depth.
+    X_J = [X_j, X_K] for J = (j, *K) is zero wherever X_K is, so the sweep
+    stops at the first length with no nonzero X_J: its cost is bounded by
+    the nonzero brackets, not by the depth.  Each X_J is found once, when
+    the sweep first gets there, and the pairs bracketed are the full
+    sweep's but for each X_I with itself.
+    A depth that is not an integer (a bool included) raises a TypeError.
     """
+    if isinstance(depth, bool) or not isinstance(depth, Integral):
+        raise TypeError(f"depth must be an integer, got {depth!r}")
+    depth = int(depth)
     if depth < 4:
         raise ValueError("depth must be at least 4 (shortest candidate pair)")
     letters = range(1, frame.r + 1)
@@ -81,7 +87,7 @@ def is_metabelian(frame: Frame, depth: int) -> MetabelianVerdict:
     for a in itertools.takewhile(any_nonzero, range(2, depth // 2 + 1)):
         for b in itertools.takewhile(any_nonzero, range(a, depth - a + 1)):
             for pos, (index_i, _, fi) in enumerate(nonzero(a)):
-                for index_j, _, fj in nonzero(b, pos if b == a else 0):
+                for index_j, _, fj in nonzero(b, pos + 1 if b == a else 0):
                     g = lie_bracket_fields(fi, fj)
                     if not g.is_zero():
                         comp = next(k for k, p in enumerate(g.comps) if p)

@@ -74,6 +74,18 @@ REGISTER = {
         "for f in [nested(tree)] if not f.is_zero()), 1)[0]",
         "for f in [nested(tree)]), 1)[0]",
         ("tests/test_metabelian.py::test_deep_sweep_of_heisenberg_stops_at_its_last_bracket",)),
+    # the table's graded loop one weight short: the top layer left empty
+    "table-room-short": Mutant(
+        "src/goh_atlas/freelie.py",
+        "bisect_right(weights, step - weights[i])",
+        "bisect_right(weights, step - weights[i] - 1)",
+        ("tests/test_freelie.py::test_structure_table_matches_the_tensor_route[(2, 3)]",)),
+    # the metabelian sweep skipping the X_J right after X_I as well as X_I
+    "sweep-skips-two": Mutant(
+        "src/goh_atlas/metabelian.py",
+        "nonzero(b, pos + 1 if b == a else 0)",
+        "nonzero(b, pos + 2 if b == a else 0)",
+        ("tests/test_metabelian.py::test_sweep_matches_the_reference_on_classic_frames[f25]",)),
     # the Jacobi rewriting adding its second term, not subtracting it
     "jacobi-sign": Mutant(
         "src/goh_atlas/freelie.py",
@@ -87,13 +99,27 @@ REGISTER = {
         "d = da + db",
         ("tests/test_freelie.py::test_dense_bracket_at_2_7_with_coprime_denominators",
          "tests/test_freelie.py::test_int_coefficients_still_give_fractions")),
-    # a sum that reaches zero kept in place instead of dropped
+    # _accumulate keeping a sum that reaches zero instead of dropping it
     "zero-sum-kept": Mutant(
         "src/goh_atlas/freelie.py",
         "        if s:\n            out[w] = s\n        else:\n"
         "            out.pop(w, None)\n    return out",
         "        out[w] = s\n    return out",
+        ("tests/test_freelie.py::test_lie_add_drops_a_sum_that_cancels_and_its_key_reenters_at_the_end",)),
+    # bracket_elements' inline sum keeping a sum that reaches zero
+    "bracket-zero-sum-kept": Mutant(
+        "src/goh_atlas/freelie.py",
+        "                    if s:\n                        out[k] = s\n"
+        "                    else:\n                        out.pop(k, None)\n",
+        "                    out[k] = s\n",
         ("tests/test_freelie.py::test_a_sum_that_cancels_is_dropped_and_its_key_reenters_at_the_end",)),
+    # bracket_elements' weight room one short: the pairs with
+    # |w_i| + |w_j| = step dropped
+    "bracket-room-short": Mutant(
+        "src/goh_atlas/freelie.py",
+        "room = step - weights[i]\n",
+        "room = step - weights[i] - 1\n",
+        ("tests/test_freelie.py::test_bracket_of_a_pair_whose_weights_add_up_to_the_step",)),
     # a's numerators taken over b's denominator
     "bracket-numerator-scale": Mutant(
         "src/goh_atlas/freelie.py",

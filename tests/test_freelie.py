@@ -349,6 +349,38 @@ def test_table_and_bch_do_no_tensor_work(monkeypatch):
     assert fl.bch(x1, x2, basis)[basis.index[(1, 2)]] == Fraction(1, 2)
 
 
+def test_a_basis_builds_its_table_once(monkeypatch):
+    """structure_table and bch share one table per basis object; a new
+    basis builds its own."""
+    built = []
+    rewrite = fl._rewrite_table
+
+    def counting(basis):
+        built.append(basis)
+        return rewrite(basis)
+
+    monkeypatch.setattr(fl, "_rewrite_table", counting)
+    basis = fl.generate_basis(2, 5)
+    x1, x2 = lie_single(basis, (1,)), lie_single(basis, (2,))
+    z = fl.bch(x1, x2, basis)
+    assert fl.bch(x1, x2, basis) == z
+    assert built == [basis]
+    assert fl.structure_table(basis) is fl.structure_table(basis)
+    assert built == [basis]
+    other = fl.generate_basis(2, 5)
+    assert fl.structure_table(other) is not fl.structure_table(basis)
+    assert len(built) == 2
+
+
+def test_lie_add_drops_a_sum_that_cancels_and_its_key_reenters_at_the_end():
+    half = Fraction(1, 2)
+    got = fl.lie_add({0: half, 1: Fraction(2)}, {0: -half, 2: Fraction(3)})
+    assert items(got) == [(1, Fraction(2)), (2, Fraction(3))]
+    got = fl._accumulate({0: half, 1: half}, [(0, -half), (2, half),
+                                              (0, Fraction(5))])
+    assert items(got) == [(1, half), (2, half), (0, Fraction(5))]
+
+
 def test_structure_table_agrees_with_tensor_bracket():
     basis = fl.generate_basis(2, 4)
     table = fl.structure_table(basis)
@@ -642,6 +674,60 @@ def test_jacobi_and_bch_inverse_are_exactly_zero_at_2_7():
     assert fl.lie_add(fl.bch(a, b, BASIS_27),
                       fl.bch(fl.lie_scale(b, neg), fl.lie_scale(a, neg),
                              BASIS_27)) == {}
+
+
+def test_bracket_with_b_in_the_order_a_bracket_left_it():
+    # br(b, c) holds its keys in the order the loop reached them, not
+    # ascending, and the graded filter must keep that order
+    br = table_27().bracket_elements
+    a = {k: Fraction(k - 3, 4) for k in range(BASIS_27.dim) if k % 3 != 1}
+    inner = br(dense_27((2, 5, 13), -1),
+               {k: Fraction(2 * k - 7, 3) for k in range(9)})
+    assert list(inner) != sorted(inner)
+    for x, y in [(a, inner), (inner, a)]:
+        assert assert_rational_bracket(table_27(), x, y, BASIS_27)
+
+
+def test_bracket_of_a_pair_whose_weights_add_up_to_the_step():
+    """The pairs with |w_i| + |w_j| = step are the last inside the room."""
+    table, weight = table_27(), BASIS_27.weight
+    pairs = [(i, j) for i in range(BASIS_27.dim)
+             for j in range(BASIS_27.dim)
+             if weight(i) + weight(j) == 7 and table.table[i][j]]
+    for i, j in pairs[:: len(pairs) // 8]:
+        a = {i: Fraction(2, 3)}
+        b = {j: Fraction(-5, 7), 0: Fraction(1, 2)}
+        got = assert_rational_bracket(table, a, b, BASIS_27)
+        assert 7 in {weight(k) for k in got}
+    dense = dense_27((3, 7, 11), 1)
+    top = {k: c for k, c in dense.items() if weight(k) >= 3}
+    low = {k: c for k, c in dense.items() if weight(k) <= 4}
+    got = assert_rational_bracket(table, top, low, BASIS_27)
+    assert 7 in {weight(k) for k in got}
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (3, 4)], ids=str)
+def test_bracket_on_the_packed_coefficients_of_the_m_columns(shape,
+                                                             monkeypatch):
+    """Every bracket realize_frame forms on packed polynomials, term for
+    term the copying loop's on the same (signed) table."""
+    calls = []
+    bracket = fl.StructureTable.bracket_elements
+
+    def recording(table, a, b):
+        # copies: realize_frame adds into the first b of each column
+        got = bracket(table, a, b)
+        calls.append((table, dict(a), dict(b), dict(got)))
+        return got
+
+    monkeypatch.setattr(fl.StructureTable, "bracket_elements", recording)
+    normalform.realize_frame(fl.generate_basis(*shape))
+    packed_calls = [call for call in calls
+                    if fl._common_denominator(call[2]) == 0]
+    assert len(packed_calls) > 20
+    for table, a, b, got in packed_calls:
+        assert packed_items(got) == packed_items(
+            copying_bracket_elements(table, a, b))
 
 
 @settings(max_examples=60, deadline=None)

@@ -1,8 +1,10 @@
 """Tests for the four metabelian decision routes."""
 
 import random
+import re
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -53,6 +55,17 @@ class TestFrameLevel:
     def test_depth_validation(self):
         with pytest.raises(ValueError):
             is_metabelian(heisenberg_frame(), 3)
+
+    @pytest.mark.parametrize("depth", [4.5, "6", True, None, F(6)])
+    def test_depth_of_another_type_is_refused(self, depth):
+        with pytest.raises(TypeError, match="depth must be an integer, got "
+                                            + re.escape(repr(depth))):
+            is_metabelian(heisenberg_frame(), depth)
+
+    def test_an_integral_depth_is_read_as_an_int(self):
+        v = is_metabelian(heisenberg_frame(), np.int64(5))
+        assert type(v.depth) is int and v == is_metabelian(
+            heisenberg_frame(), 5)
 
     def test_reorder_invariance(self):
         frame, _ = realized(2, 5)
@@ -160,8 +173,12 @@ def test_route_equivalence(step):
 
 def assert_sweep_matches_reference(frame, depth):
     """Same verdict, witness and component as the sweep over every
-    multi-index pair, and the same field pairs bracketed, in order."""
+    multi-index pair, and the same field pairs bracketed, in order, but for
+    each X_I with itself, which is zero."""
     want, want_pairs = reference_is_metabelian(frame, depth)
+    # the reference's fields are memoized, so X_I with itself is one object
+    self_pairs = [x for x, y in want_pairs if x is y]
+    assert all(lie_bracket_fields(x, x).is_zero() for x in self_pairs)
     got_pairs = []
 
     def recording(x, y):
@@ -172,7 +189,7 @@ def assert_sweep_matches_reference(frame, depth):
         mp.setattr(metabelian, "lie_bracket_fields", recording)
         got = is_metabelian(frame, depth)
     assert got == want
-    assert got_pairs == want_pairs
+    assert got_pairs == [(x, y) for x, y in want_pairs if x is not y]
     return got
 
 
