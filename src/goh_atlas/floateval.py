@@ -12,30 +12,26 @@ import numpy as np
 from .polyfield import Poly
 
 
-def _float_evaluator(*polys: "Poly", c_pow: bool = False):
+def _float_evaluator(*polys: "Poly"):
     """x -> p(x) in float arithmetic for one polynomial, x -> (p1(x), ...,
     pm(x)) for several, as one generated straight-line function.
 
     Each value is summed in dict order from 0.0, one statement per term
     (one long expression overflows the compiler's recursion limit), each
-    term its coefficient, converted once, times x[i] ** k for every nonzero
-    exponent k in variable order; each distinct power with k >= 2 is
-    computed once, before the sums.  No update is in place, so x may hold
-    arrays that broadcast, such as the per-axis grid (xs[None, :],
-    ys[:, None]) of a plane polynomial, whose result broadcasts to the
-    (len(ys), len(xs)) grid.  Array ``**`` can round apart from scalar
-    ``**``, so a grid node and the same point given as floats need not
-    agree bit for bit.  With c_pow (the rule of the tracer's bisection and
-    singular-candidate scan and of variety_membership, which evaluate
-    arrays of points) a power is np.float_power(x[i], k), which calls C
-    ``pow`` on every element as scalar ``**`` does, and x[i] itself for
-    k = 1, so each point gets the bits it gets alone as floats, except that
-    an overflow gives inf, not OverflowError.  An exponent that is not an
-    integer is a TypeError, so only int literals enter the source.  Build
-    once per polynomial (about 0.1 ms), not once per point; the evaluator
-    holds a copy of the terms: rebuild after a change.
+    term its coefficient, converted once, times the power of x[i] for every
+    nonzero exponent k in variable order: x[i] itself for k = 1, else
+    np.float_power(x[i], k), computed once per distinct power before the
+    sums.  np.float_power calls C ``pow`` on every element as scalar ``**``
+    does, so a point in an array, or a node of the per-axis grid
+    (xs[None, :], ys[:, None]) whose result broadcasts to the
+    (len(ys), len(xs)) grid, gets the bits it gets alone on Python floats
+    (as np.float64 once a power enters); an overflowing power is inf, not
+    OverflowError.  No update is in place, so x may hold arrays that
+    broadcast.  An exponent that is not an integer is a TypeError, so only
+    int literals enter the source.  Build once per polynomial (about
+    0.1 ms), not once per point; the evaluator holds a copy of the terms:
+    rebuild after a change.
     """
-    power = "pow(x[{}], {})" if c_pow else "x[{}] ** {}"
     powers: dict = {}  # source of a power with k >= 2 -> the name terms read
     sums, coefs = [], []
     for out, p in enumerate(polys):
@@ -46,9 +42,8 @@ def _float_evaluator(*polys: "Poly", c_pow: bool = False):
                 if not k:
                     continue
                 k = index(k)
-                text = f"x[{i}]" if c_pow and k == 1 else power.format(i, k)
-                if k > 1:
-                    text = powers.setdefault(text, f"p{len(powers)}")
+                text = f"x[{i}]" if k == 1 else powers.setdefault(
+                    f"pow(x[{i}], {k})", f"p{len(powers)}")
                 factors += " * " + text
             sums.append(f"    t{out} = t{out} + c[{len(coefs)}]{factors}")
             coefs.append(float(c))

@@ -106,19 +106,18 @@ def variety_membership(sys: GohSystem, curve) -> float:
     overflows (a power overflows, a product gives inf, a sum of opposite
     infinities NaN), naming the point's index and the pair.  The points
     are converted once and each F^{h,k} is evaluated at all of them as
-    float64 arrays with C ``pow`` powers, so every value has the bits a
-    scalar loop gives it on Python floats; the error raised is the one
-    that loop meets first, points outermost, then the pairs in order, and
-    at one point a wrong length before a non-finite entry before an
-    overflow.
+    float64 arrays, so every value has the bits a scalar loop gives it on
+    Python floats; the error raised is the one that loop meets first,
+    points outermost, then the pairs in order, and at one point a wrong
+    length before a non-finite entry before an overflow.
     """
     points = getattr(curve, "points", curve)
     x, bad = _float_rows(points, sys.r)
     cols = x.T.copy()  # one contiguous array per coordinate
     pairs = list(sys.polys)
     with np.errstate(over="ignore", invalid="ignore"):  # checked next
-        values = [np.abs(np.broadcast_to(_float_evaluator(p, c_pow=True)(cols),
-                                         len(x))) for p in sys.polys.values()]
+        values = [np.abs(np.broadcast_to(_float_evaluator(p)(cols), len(x)))
+                  for p in sys.polys.values()]
     # row 0: the point is not finite; row 1 + m: F of pair m is not
     faults = np.vstack([~np.isfinite(x).all(axis=1)]
                        + [~np.isfinite(v) for v in values])
@@ -168,20 +167,20 @@ class VarietyTrace:
         return "\n".join(lines) + "\n"
 
 
-def _edge_vertices(F: Poly, xs, ys, vals, edges: list, tol) -> list:
+def _edge_vertices(evaluate, xs, ys, vals, edges: list, tol) -> list:
     """The vertex (x, y) of each crossed edge (k, i, j) in edges, bisected
-    from grid node (i, j), the a end, to (i + 1 - k, j + k), the b end.
+    on evaluate, the evaluator of F, from grid node (i, j), the a end, to
+    (i + 1 - k, j + k), the b end.
 
     The scalar rule: the a end if |F| <= tol there, else the b end if so;
     else up to 200 midpoints 0.5 * (a + b), the first with |F| <= tol the
     vertex, any other replacing a (and F(a)) if F there has the sign of
     F(a), b if not; after 200, the midpoint of the last a and b.  Blocks of
-    SCAN_ROWS edges run it in lock step, with C ``pow`` powers and an index
-    array of the edges still running, so each vertex gets the bits the rule
-    gives it alone on Python floats.  A midpoint where F is not finite is a
-    ValueError naming its edge.
+    SCAN_ROWS edges run it in lock step, with an index array of the edges
+    still running, so each vertex gets the bits the rule gives it alone on
+    Python floats.  A midpoint where F is not finite is a ValueError naming
+    its edge.
     """
-    evaluate = _float_evaluator(F, c_pow=True)
     out: list = []
     for lo in range(0, len(edges), SCAN_ROWS):
         k, i, j = np.array(edges[lo:lo + SCAN_ROWS]).T
@@ -274,7 +273,9 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
     over the grid).  Zero corner values count as positive so curves through
     grid nodes are kept.  F identically zero reports the whole plane.  F is
     evaluated into one grid array, one block of rows at a time (_row_blocks),
-    with the same elementwise operations at every node as on the whole grid.
+    with the same elementwise operations at every node as on the whole grid;
+    the one evaluator of F serves the grid, the saddle centres and the
+    bisection.
     """
     if sys.r != 2:
         raise ValueError("plane tracing needs a rank-2 system")
@@ -303,34 +304,35 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
     # values broadcast to every node of the block
     vals = np.empty((res + 1, res + 1))
     tops = []
-    with np.errstate(over="ignore", invalid="ignore"):  # checked below
+    with np.errstate(over="ignore", invalid="ignore"):  # grid checked next
         for rows in _row_blocks(vals.shape):
             vals[rows] = feval((xs[None, :], ys[rows, None]))
             tops.append(np.max(np.abs(vals[rows])))
-    scale = float(np.max(tops))
-    if not math.isfinite(scale):  # np.max passes a NaN on
-        j, i = np.argwhere(~np.isfinite(vals))[0]
-        raise ValueError(f"F is not finite at grid node ({float(xs[i])!r}, "
-                         f"{float(ys[j])!r}): {float(vals[j, i])!r}")
+        scale = float(np.max(tops))
+        if not math.isfinite(scale):  # np.max passes a NaN on
+            j, i = np.argwhere(~np.isfinite(vals))[0]
+            raise ValueError(f"F is not finite at grid node "
+                             f"({float(xs[i])!r}, {float(ys[j])!r}): "
+                             f"{float(vals[j, i])!r}")
+
+        # the segment graph: each crossed edge (kind, i, j) and its
+        # neighbours.  Saddle centres run on Python floats: the same IEEE
+        # operations as on np.float64 scalars, at less cost per operation.
+        px, py = xs.tolist(), ys.tolist()
+        links: dict[tuple, list] = {}
+        for j, i, code in _crossed_cells(vals):
+            if code in (5, 10):
+                centre = 0.5 * (px[i] + px[i + 1]), 0.5 * (py[j] + py[j + 1])
+                code = (code, feval(centre) >= 0.0)
+            for (ka, da, ea), (kb, db, eb) in _SEGMENTS[code]:
+                a, b = (ka, i + da, j + ea), (kb, i + db, j + eb)
+                links.setdefault(a, []).append(b)
+                links.setdefault(b, []).append(a)
     tol = 1e-9 * (1.0 + scale)
     trace.tolerance = tol
 
-    # the segment graph: each crossed edge (kind, i, j) and its neighbours.
-    # Saddle centres run on Python floats: the same IEEE operations as on
-    # np.float64 scalars, at less cost per operation.
-    px, py = xs.tolist(), ys.tolist()
-    links: dict[tuple, list] = {}
-    for j, i, code in _crossed_cells(vals):
-        if code in (5, 10):
-            centre = (0.5 * (px[i] + px[i + 1]), 0.5 * (py[j] + py[j + 1]))
-            code = (code, feval(centre) >= 0.0)
-        for (ka, da, ea), (kb, db, eb) in _SEGMENTS[code]:
-            a, b = (ka, i + da, j + ea), (kb, i + db, j + eb)
-            links.setdefault(a, []).append(b)
-            links.setdefault(b, []).append(a)
-
     edges = list(links)
-    verts = dict(zip(edges, _edge_vertices(F, xs, ys, vals, edges, tol)))
+    verts = dict(zip(edges, _edge_vertices(feval, xs, ys, vals, edges, tol)))
 
     # chain the graph into polylines, open paths first, then loops.  An edge
     # has at most two neighbours and the one a walk came from is used, so
@@ -353,12 +355,11 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
     return trace
 
 
-def _pre_candidates(fx: Poly, fy: Poly, xs, ys, vals, scale: float,
-                    cell) -> tuple:
+def _pre_candidates(grad, xs, ys, vals, scale: float, cell) -> tuple:
     """(nodes, gscale): the flat row-major indices of the grid nodes where
     |F| <= (1 + scale) cell and |grad F| <= (1 + gscale) cell 4, in order,
     and gscale, the largest |grad F| = hypot(F_x, F_y) over the grid, for
-    the gradient (fx, fy) of F.
+    the evaluator grad of (F_x, F_y).
 
     scale is max |F| over the grid.  The gradient is evaluated one block of
     rows at a time, and hypot runs only where its value is needed: on the
@@ -371,7 +372,6 @@ def _pre_candidates(fx: Poly, fy: Poly, xs, ys, vals, scale: float,
     gscale is the np.max of the block maxima, so a NaN passes on as it does
     on the whole grid.
     """
-    grad = _float_evaluator(fx, fy)
     small = (1.0 + scale) * cell
     tops, band, norms = [], [], []
     for rows in _row_blocks(vals.shape):
@@ -403,25 +403,25 @@ def _singular_candidates(F: Poly, xs, ys, vals, scale: float, tol) -> list:
     (F, F_x), (F, F_y) and (F_x, F_y).  A solution counts if |F| <= tol and
     |grad F| <= gtol there; of those the first with the least |grad F| wins,
     and a winner within a cell of an earlier one is dropped.  Pre-candidates
-    run in blocks of SCAN_ROWS, each block's solves in lock step as arrays
-    with C ``pow`` powers, so every point gets the bits it gets alone as
-    Python floats; a value that overflows is inf, not an error.
+    run in blocks of SCAN_ROWS, each block's solves in lock step as arrays,
+    so every point gets the bits it gets alone as Python floats; a value
+    that overflows is inf, not an error.
     """
     fx, fy = F.diff(0), F.diff(1)
+    grad = _float_evaluator(fx, fy)
     cell = max(xs[1] - xs[0], ys[1] - ys[0])
-    nodes, gscale = _pre_candidates(fx, fy, xs, ys, vals, scale, cell)
+    nodes, gscale = _pre_candidates(grad, xs, ys, vals, scale, cell)
     if nodes.size == 0:
         return []
 
-    # each system's residual pair and Jacobian come from one evaluator each;
-    # fxy and fyx may order their terms differently, so each keeps its own
+    # each system's residual pair and Jacobian come from one evaluator each
+    # (the third's pair is the gradient's); fxy and fyx may order their
+    # terms differently, so each keeps its own
     fxx, fxy, fyx, fyy = fx.diff(0), fx.diff(1), fy.diff(0), fy.diff(1)
-    systems = [(_float_evaluator(*pq, c_pow=True),
-                _float_evaluator(*jac, c_pow=True)) for pq, jac in (
-        ((F, fx), (fx, fy, fxx, fxy)),
-        ((F, fy), (fx, fy, fyx, fyy)),
-        ((fx, fy), (fxx, fxy, fyx, fyy)))]
-    accept = _float_evaluator(F, fx, fy, c_pow=True)
+    systems = [(_float_evaluator(F, fx), _float_evaluator(fx, fy, fxx, fxy)),
+               (_float_evaluator(F, fy), _float_evaluator(fx, fy, fyx, fyy)),
+               (grad, _float_evaluator(fxx, fxy, fyx, fyy))]
+    accept = _float_evaluator(F, fx, fy)
 
     gtol = 1e-7 * (1.0 + gscale)
     found: list = []

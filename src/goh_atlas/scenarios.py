@@ -227,10 +227,9 @@ def scenario_f24(cfg: dict) -> _Report:
         sysm = goh_polynomials(frame, lam)
         res = extremal_residuals(frame, u, x0, lam)
         curve = flow_control(frame, u, x0)
-        plane = _float_evaluator(sysm.poly(1, 2))
-        fvals = [plane(p[:2]) for p in curve.points]
+        fvals = _float_evaluator(sysm.poly(1, 2))(curve.points.T[:2])
         worst_dyn = max(worst_dyn, float(np.max(np.abs(
-            res.sigma[:, 0] - np.array(fvals)))))
+            res.sigma[:, 0] - fvals))))
     rep.check("pushforward_identity", worst_push <= tol, sup=worst_push,
               trials=trials)
     rep.check("goh_residual_matches_variety_values", worst_dyn <= tol,

@@ -39,6 +39,7 @@ blow up are not kept.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import combinations, groupby, islice
 
@@ -59,7 +60,56 @@ def _float_list(xs):
 def _from_function(cls, f, t0: float, t1: float, n_steps: int):
     """cls(ts, rows) with f sampled at n_steps + 1 uniform nodes t0..t1."""
     ts = np.linspace(t0, t1, n_steps + 1)
-    return cls(ts, np.array([_float_list(f(t)) for t in ts]))
+    return cls(ts, [_float_list(f(t)) for t in ts])
+
+
+def _first_fault(name: str, data, depth: int) -> None:
+    """Raise a ValueError naming the first entry, by index, that keeps data
+    from being depth nested lists of finite numbers in rows of one length;
+    return if there is none."""
+    if not depth:
+        try:
+            value = float(data)
+        except (TypeError, ValueError):
+            raise ValueError(f"{name} is not a number: {data!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{name} is not finite: {value!r}")
+    elif not isinstance(data, (list, tuple)) and np.ndim(data) == 0:
+        raise ValueError(f"{name} is not a list: {data!r}")
+    else:
+        for i, item in enumerate(data):
+            _first_fault(f"{name}[{i}]", item, depth - 1)
+            if depth == 2 and len(item) != len(data[0]):
+                raise ValueError(f"{name}[{i}] has length {len(item)}, not "
+                                 f"{len(data[0])}")
+
+
+def _sampled(kind: str, ts, rows, least: int) -> tuple:
+    """(ts, rows) as float arrays if ts is a grid of finite, strictly
+    increasing nodes, at least least of them, and rows one row of finite
+    numbers per node; otherwise a ValueError naming the first bad entry by
+    field, row and column, as in "curve values[3][1]"."""
+    try:
+        t, values = np.asarray(ts, dtype=float), np.asarray(rows, dtype=float)
+    except (TypeError, ValueError):
+        t = values = None
+    if t is None or t.ndim != 1 or values.ndim != 2 \
+            or not (np.isfinite(t).all() and np.isfinite(values).all()):
+        _first_fault(f"{kind} t", ts, 1)
+        _first_fault(f"{kind} values", rows, 2)
+        if t is None or values.size:  # an empty list fails the count below
+            raise ValueError(f"{kind} values is not a list of rows")
+    if len(t) < least:
+        raise ValueError(f"{kind} t needs at least {least} nodes, got {len(t)}")
+    down = np.flatnonzero(t[1:] <= t[:-1])
+    if down.size:
+        i = int(down[0])
+        raise ValueError(f"{kind} t is not strictly increasing: t[{i + 1}] = "
+                         f"{t[i + 1].item()!r} after t[{i}] = {t[i].item()!r}")
+    if len(values) != len(t):
+        raise ValueError(f"{kind} values has {len(values)} rows, not one per "
+                         f"node of t ({len(t)})")
+    return t, values
 
 
 @dataclass
@@ -70,19 +120,10 @@ class Control:
     values: np.ndarray  # shape (N+1, r)
 
     def __post_init__(self):
-        self.ts = np.asarray(self.ts, dtype=float)
-        self.values = np.asarray(self.values, dtype=float)
-        if self.ts.ndim != 1 or len(self.ts) < 2:
-            raise ValueError("control grid needs at least two nodes")
-        if self.values.ndim != 2 or len(self.values) != len(self.ts):
-            raise ValueError("one value row per grid node required")
-        if not np.all(np.isfinite(self.ts)) or not np.all(np.isfinite(self.values)):
-            raise ValueError("control data must be finite")
+        self.ts, self.values = _sampled("control", self.ts, self.values, 2)
         d = np.diff(self.ts)
-        if np.any(d <= 0):
-            raise ValueError("grid must be strictly increasing")
         if np.max(np.abs(d - d[0])) > 1e-9 * (self.ts[-1] - self.ts[0]):
-            raise ValueError("grid must be uniform")
+            raise ValueError("control t must be uniform")
 
     @property
     def r(self) -> int:
@@ -101,7 +142,7 @@ class Control:
     @staticmethod
     def from_json(data: dict) -> "Control":
         check_artifact(data, "control", "t", "values")
-        return Control(np.array(data["t"]), np.array(data["values"]))
+        return Control(data["t"], data["values"])
 
 
 @dataclass
@@ -110,14 +151,7 @@ class SampledCurve:
     points: np.ndarray  # shape (N+1, m)
 
     def __post_init__(self):
-        self.ts = np.asarray(self.ts, dtype=float)
-        self.points = np.asarray(self.points, dtype=float)
-        if self.points.ndim != 2 or len(self.points) != len(self.ts):
-            raise ValueError("one point per grid node required")
-        if not np.all(np.isfinite(self.ts)) or not np.all(np.isfinite(self.points)):
-            raise ValueError("curve data must be finite")
-        if np.any(np.diff(self.ts) <= 0):
-            raise ValueError("grid must be strictly increasing")
+        self.ts, self.points = _sampled("curve", self.ts, self.points, 1)
 
     @property
     def m(self) -> int:
@@ -132,7 +166,8 @@ class SampledCurve:
     @staticmethod
     def from_json(data: dict) -> "SampledCurve":
         check_artifact(data, "curve", "t", "values")
-        return SampledCurve(np.array(data["t"]), np.array(data["values"]))
+        # a flow may end on one node, but lift and contain read two or more
+        return SampledCurve(*_sampled("curve", data["t"], data["values"], 2))
 
 
 @dataclass

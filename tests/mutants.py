@@ -178,12 +178,13 @@ REGISTER = {
         "x0.tobytes(), substeps)",
         "x0.tobytes())",
         ("tests/test_trajectories.py::test_signed_zeros_and_substeps_are_part_of_the_key",)),
-    # variety_membership raising its arrays by array ** instead of C pow
-    "membership-c-pow": Mutant(
-        "src/goh_atlas/goh.py",
-        "_float_evaluator(p, c_pow=True)(cols)",
-        "_float_evaluator(p)(cols)",
-        ("tests/test_goh.py::test_membership_value_at_each_point_is_the_scalar_loops",)),
+    # the float evaluator raising by array ** instead of C pow
+    "array-power": Mutant(
+        "src/goh_atlas/floateval.py",
+        'f"pow(x[{i}], {k})"',
+        'f"x[{i}] ** {k}"',
+        ("tests/test_goh.py::test_grid_nodes_have_the_bits_of_the_point_alone",
+         "tests/test_goh.py::test_membership_value_at_each_point_is_the_scalar_loops")),
 }
 
 

@@ -355,11 +355,12 @@ def _hausdorff_distance(points_a, points_b) -> float:
 
 
 def textbook_grid_eval(p: Poly, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """Values on the grid (len(ys), len(xs)), rows indexed by y."""
+    """Values on the grid (len(ys), len(xs)), rows indexed by y, with C
+    ``pow`` powers (array ``**`` can round apart from it)."""
     gx, gy = np.meshgrid(xs, ys)
     out = np.zeros_like(gx)
     for e, c in p.terms.items():
-        out += float(c) * gx ** e[0] * gy ** e[1]
+        out += float(c) * np.float_power(gx, e[0]) * np.float_power(gy, e[1])
     return out
 
 
@@ -823,7 +824,8 @@ def assert_pre_candidates_match_full_grid(p: Poly, window, res) -> dict:
     gscale = float(np.max(grad))
     mask = (np.abs(vals) <= (1.0 + scale) * cell) \
         & (grad <= (1.0 + gscale) * cell * 4.0)
-    nodes, got = goh._pre_candidates(fx, fy, xs, ys, vals, scale, cell)
+    nodes, got = goh._pre_candidates(_float_evaluator(fx, fy), xs, ys, vals,
+                                     scale, cell)
     assert nodes.tolist() == np.flatnonzero(mask).tolist()
     assert np.float64(got).tobytes() == np.float64(gscale).tobytes()
     with np.errstate(over="ignore"):
@@ -906,9 +908,9 @@ def test_largest_square_and_largest_hypot_on_different_nodes(p, window):
 
 def scalar_variety_membership(sys: GohSystem, curve) -> float:
     """variety_membership as one loop over the points and, inside it, the
-    pairs, on Python floats with scalar ``**``: the array version's oracle."""
+    pairs, on Python floats with scalar ``**`` (textbook_eval; a power that
+    overflows gives inf): the array version's oracle."""
     points = getattr(curve, "points", curve)
-    evaluators = [(hk, _float_evaluator(p)) for hk, p in sys.polys.items()]
     worst = 0.0
     for idx, pt in enumerate(points):
         if len(pt) != sys.r:
@@ -917,9 +919,9 @@ def scalar_variety_membership(sys: GohSystem, curve) -> float:
         x = [float(c) for c in pt]
         if not all(map(math.isfinite, x)):
             raise ValueError(f"curve point {idx} is not finite: {x}")
-        for (h, k), f in evaluators:
+        for (h, k), p in sys.polys.items():
             try:
-                v = abs(float(f(x)))
+                v = abs(textbook_eval(p, x))
             except OverflowError:
                 v = math.inf
             if not v < math.inf:  # inf or NaN
@@ -1008,7 +1010,7 @@ def lock_step_and_textbook(p: Poly, xs, ys, vals, edges, tol):
     """Each edge's vertex from the tracer's lock-step bisection, and from
     textbook_bisect_edge on Python floats, with the number of values of p
     the textbook run took on that edge."""
-    got = goh._edge_vertices(p, xs, ys, vals, edges, tol)
+    got = goh._edge_vertices(_float_evaluator(p), xs, ys, vals, edges, tol)
     want, calls = [], []
     for k, i, j in edges:
         count = []
@@ -1125,9 +1127,9 @@ class TestLockStepBisection:
             with pytest.raises(ValueError, match=re.escape(
                     f"F is not finite at (2e+200, {y!r}) on the grid edge "
                     f"from (1e+200, {y!r}) to (3e+200, {y!r}): inf")):
-                goh._edge_vertices(p, np.array(xs), np.array(ys),
-                                   np.array([[-1.0, 1.0]] * 2), [(0, 0, 0)],
-                                   1e-9)
+                goh._edge_vertices(_float_evaluator(p), np.array(xs),
+                                   np.array(ys), np.array([[-1.0, 1.0]] * 2),
+                                   [(0, 0, 0)], 1e-9)
 
 
 def test_bisection_blocks_keep_the_bits(monkeypatch):
@@ -1158,9 +1160,10 @@ def test_first_system_wins_a_tie(monkeypatch):
 
 
 def scalar_power(v: float, k: int) -> float:
-    """v ** k as the scalar evaluator gives it; inf where ** overflows."""
+    """The evaluator's sum for x^k, 0.0 + 1.0 * v ** k, on Python floats;
+    inf where ** overflows."""
     try:
-        return _float_evaluator(Poly(1, {(k,): 1}))((v,))
+        return 0.0 + 1.0 * v ** k
     except OverflowError:
         return math.copysign(math.inf, v) if k % 2 else math.inf
 
@@ -1171,16 +1174,17 @@ def scalar_power(v: float, k: int) -> float:
               st.floats(allow_nan=False, allow_infinity=False)),
     min_size=1, max_size=40))
 def test_scan_power_on_arrays_is_scalar_pow_bitwise(k, values):
-    # C pow on every element; a vectorized float_power would round apart
+    # C pow on every element; a vectorized power would round apart
     x = np.array(values)
     with np.errstate(over="ignore"):
-        got = _float_evaluator(Poly(1, {(k,): 1}), c_pow=True)((x,))
+        got = _float_evaluator(Poly(1, {(k,): 1}))((x,))
     want = np.array([scalar_power(v, k) for v in values])
     assert got.tobytes() == want.tobytes()
 
 
 def test_scan_evaluators_match_scalar_evaluators_bitwise():
-    # many terms and mixed powers: the arrays get the bits of each point
+    # many terms and mixed powers: the arrays get the bits scalar ** gives
+    # each point on Python floats
     rng = np.random.default_rng(11)
     terms = {e: F(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
              for e in np.ndindex(7, 7)}
@@ -1188,11 +1192,10 @@ def test_scan_evaluators_match_scalar_evaluators_bitwise():
     pts = rng.uniform(-3, 3, (2, 500))
     pts[:, :4] = [[0.0, -0.0, 5e-324, -1e-310], [-0.0, 0.0, -2.5, 1e-300]]
     polys = (p, p.diff(0), p.diff(1))
-    got = _float_evaluator(*polys, c_pow=True)((pts[0], pts[1]))
-    scalar = _float_evaluator(*polys)
+    got = _float_evaluator(*polys)((pts[0], pts[1]))
     for m, point in enumerate(pts.T.tolist()):
         assert np.array([g[m] for g in got]).tobytes() == \
-            np.array(scalar(point)).tobytes()
+            np.array([textbook_eval(q, point) for q in polys]).tobytes()
 
 
 class TestScanOverflow:
@@ -1262,10 +1265,12 @@ def polys_and_points(draw):
 def test_float_evaluator_matches_textbook_bitwise(case):
     p, x, axes = case
     evaluate = _float_evaluator(p)
+    # a power k >= 2 is np.float_power's np.float64, even on Python floats
+    powered = any(k > 1 for e in p.terms for k in e)
     for point in (tuple(x), [np.float64(v) for v in x]):
         want = textbook_eval(p, point)
         for got in (evaluate(point), p.eval_float(point)):
-            assert type(got) is type(want)
+            assert type(got) is (np.float64 if powered else type(want))
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
     if axes is not None:
         # per-axis grid: the result broadcasts to the meshgrid's values
@@ -1275,6 +1280,41 @@ def test_float_evaluator_matches_textbook_bitwise(case):
                               want.shape)
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("degree", [3, 4])
+def test_grid_nodes_have_the_bits_of_the_point_alone(degree):
+    # array ** rounds apart from scalar ** on some of these nodes; the
+    # evaluator's C pow gives each node the bits of its point on floats
+    rng = np.random.default_rng(degree)
+    p = Poly(2, {(a, b): F(int(rng.integers(-9, 10)), int(rng.integers(1, 9)))
+                 for a in range(degree + 1) for b in range(degree + 1 - a)})
+    xs, ys = np.sort(rng.uniform(-3, 3, (2, 64)), axis=1)
+    evaluate = _float_evaluator(p)
+    grid = evaluate((xs[None, :], ys[:, None]))
+    assert grid.shape == (len(ys), len(xs))
+    want = [[evaluate((x, y)) for x in xs.tolist()] for y in ys.tolist()]
+    assert grid.tobytes() == np.array(want).tobytes()
+
+
+def test_one_evaluator_serves_a_trace(monkeypatch):
+    # the grid, the saddle centres and the bisection share F's evaluator,
+    # and the gradient scan and the third Newton system share (F_x, F_y)'s
+    builds = []
+
+    def counted(*polys):
+        builds.append(polys)
+        return _float_evaluator(*polys)
+
+    monkeypatch.setattr(goh, "_float_evaluator", counted)
+    p, window, res = NODAL_CUBIC[0]
+    assert trace_variety(system_of(p), window, res).singular_candidates
+    assert len(builds) == 8
+    builds.clear()
+    conic = X1 * X1 * F(5, 4) + X1 * X2 * F(1, 4) + X2 * X2 - F(5, 4)
+    assert not trace_variety(system_of(conic), resolution=512) \
+        .singular_candidates
+    assert len(builds) == 2
 
 
 def test_long_polynomial_evaluator_matches_textbook_bitwise():
@@ -1290,7 +1330,7 @@ def test_long_polynomial_evaluator_matches_textbook_bitwise():
     for point in ((0.9, -1.1, 0.75), [np.float64(v) for v in (-0.3, 1.2, 0.5)]):
         want = textbook_eval(p, point)
         got = evaluate(point)
-        assert type(got) is type(want)
+        assert type(got) is np.float64  # np.float_power's, on floats too
         assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 

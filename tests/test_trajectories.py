@@ -142,6 +142,35 @@ class TestSampledCurve:
         assert c.to_json()["type"] == "curve"
 
 
+# a fault in a control's or curve's JSON, and the message that names it
+SAMPLED_FAULTS = [
+    ("curve", {"t": [0.0], "values": [[1.0, 2.0]]},
+     "curve t needs at least 2 nodes, got 1"),
+    ("control", {"t": [], "values": []}, "control t needs at least 2 nodes, got 0"),
+    ("control", {"t": [[0], [1]]}, "control t[0] is not a number: [0]"),
+    ("control", {"values": [[1.0], ["x"]]},
+     "control values[1][0] is not a number: 'x'"),
+    ("curve", {"t": [0.0, 1.0, 2.0], "values": [[1.0, 2.0], [3.0], [4.0, 5.0]]},
+     "curve values[1] has length 1, not 2"),
+    ("control", {"values": [[1.0, 0.0], [0.0, math.inf]]},
+     "control values[1][1] is not finite: inf"),
+    ("curve", {"t": [0.0, math.nan]}, "curve t[1] is not finite: nan"),
+    ("curve", {"t": [0.0, 1.0, 1.0], "values": [[0.0]] * 3},
+     "curve t is not strictly increasing: t[2] = 1.0 after t[1] = 1.0"),
+    ("control", {"values": [[1.0]] * 3},
+     "control values has 3 rows, not one per node of t (2)"),
+    ("curve", {"values": [1.0, 2.0]}, "curve values[0] is not a list: 1.0"),
+]
+
+
+@pytest.mark.parametrize("kind, change, message", SAMPLED_FAULTS)
+def test_sampled_grid_faults_are_located(kind, change, message):
+    cls = {"control": Control, "curve": SampledCurve}[kind]
+    data = {**cls([0.0, 1.0], [[1.0], [2.0]]).to_json(), **change}
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        cls.from_json(data)
+
+
 class TestFlowControl:
     def test_square_loop_leaves_vertical_area(self):
         # Unit square traversed counterclockwise: base returns to the
