@@ -319,7 +319,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_frame_flags(p)
     p.add_argument("--lambda", dest="lam", help="comma-separated covector")
 
-    p = add("trace", cmd_trace, help="trace the plane variety")
+    p = add("trace", cmd_trace, help="trace the plane variety and report "
+            "its exact singular points in the window")
     _add_frame_flags(p)
     p.add_argument("--lambda", dest="lam")
     p.add_argument("--window", default="-2,2,-2,2", help="x0,x1,y0,y1")

@@ -5,14 +5,17 @@ second-order (Goh) annihilation conditions along a trajectory reduce to
 polynomial constraints on the base projection: F^{h,k}(x) built from the
 lambda-weighted curls of the coefficient matrix.  The rank-2 variety
 {F^{1,2} = 0} is traced by marching squares, its vertices refined by a
-bisection of every crossed edge at once, with a singular-candidate scan.
-The grid passes run one block of rows at a time, so the only grid-sized
-float array of a trace is F's values.
+bisection of every crossed edge at once, and its singular points are found
+exactly, from F's rational coefficients, by gcds, resultants and Sturm
+sequences on integers.  The grid passes run one block of rows at a time,
+so the only grid-sized float array of a trace is F's values.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import count, zip_longest
+from operator import floordiv, mul, sub
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -26,7 +29,7 @@ from .options import RES_MAX, check_resolution
 from .polyfield import Frame, Poly
 from .serialize import _ratio, artifact
 
-# points per lock-step block of Newton and bisection (bounds temporaries)
+# points per lock-step block of bisection (bounds temporaries)
 SCAN_ROWS = 4096
 
 
@@ -267,15 +270,23 @@ _SEGMENTS = {
 
 def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
                   resolution: int = 512) -> VarietyTrace:
-    """Marching-squares trace of {F^{1,2} = 0} with refined vertices.
+    """Marching-squares trace of {F^{1,2} = 0} with refined vertices, and
+    the singular points of F in the closed window.
 
-    Every emitted vertex is driven by bisection to |F| <= 1e-9 (1 + max|F|
-    over the grid).  Zero corner values count as positive so curves through
-    grid nodes are kept.  F identically zero reports the whole plane.  F is
-    evaluated into one grid array, one block of rows at a time (_row_blocks),
-    with the same elementwise operations at every node as on the whole grid;
-    the one evaluator of F serves the grid, the saddle centres and the
-    bisection.
+    g = gcd(F, F_x1, F_x2) from F's exact coefficients (a float converts
+    exactly).  For a square-free F (g constant), every emitted vertex is
+    driven by bisection to |F| <= 1e-9 (1 + max|F| over the grid), zero
+    corner values count as positive so curves through grid nodes are kept,
+    and singular_candidates are F's singular points (_singular_points).
+    Otherwise the trace is that of q = F / g, whose zero set is F's and
+    which changes sign across it, with its tolerance times 1 + a bound of
+    |F / q| over the window, so that it bounds |F| at every vertex; and the
+    candidates are q's singular points, then the vertices of the trace of
+    gcd(q, g), whose zero set is the curve of F's singular points.  F
+    identically zero reports the whole plane.  F is evaluated into one grid
+    array, one block of rows at a time (_row_blocks), with the same
+    elementwise operations at every node as on the whole grid; the one
+    evaluator of F serves the grid, the saddle centres and the bisection.
     """
     if sys.r != 2:
         raise ValueError("plane tracing needs a rank-2 system")
@@ -295,6 +306,24 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
     trace = VarietyTrace(window=(x0, x1, y0, y1), resolution=res)
     if F.is_zero():
         trace.whole_plane = True
+        return trace
+    exact, den = _integer_rows(F)
+    g = _bgcd(_bgcd(exact, _dx(exact)), _dy(exact))
+    if len(g) > 1 or len(g[0]) > 1:
+        q = _quo(exact, g, _ZY)
+        trace = trace_variety(_plane(_poly(q)), trace.window, res)
+        edge = Fraction(max(map(abs, trace.window)))
+        trace.tolerance *= 1.0 + float(sum(
+            abs(c) * edge ** (a + b) for a, r in enumerate(g)
+            for b, c in enumerate(r)) / den)
+        # coprime integers, the last positive: the curve's trace does not
+        # depend on the sign and scale the gcd came out with
+        r = _bgcd(q, g)
+        k = math.gcd(*(c for row in r for c in row)) * (-1) ** (r[-1][-1] < 0)
+        curve = trace_variety(_plane(_poly([[c // k for c in row]
+                                            for row in r])), trace.window, res)
+        trace.singular_candidates += [v for line in curve.polylines
+                                      for v in line]
         return trace
 
     xs = np.linspace(x0, x1, res + 1)
@@ -350,164 +379,329 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
         if chain:
             trace.polylines.append([verts[k] for k in chain])
 
-    trace.singular_candidates = _singular_candidates(F, xs, ys, vals, scale,
-                                                     tol)
+    trace.singular_candidates = _singular_points(exact, trace.window)
     return trace
 
 
-def _pre_candidates(grad, xs, ys, vals, scale: float, cell) -> tuple:
-    """(nodes, gscale): the flat row-major indices of the grid nodes where
-    |F| <= (1 + scale) cell and |grad F| <= (1 + gscale) cell 4, in order,
-    and gscale, the largest |grad F| = hypot(F_x, F_y) over the grid, for
-    the evaluator grad of (F_x, F_y).
+def _plane(p: Poly) -> GohSystem:
+    return GohSystem(2, [], {(1, 2): p})
 
-    scale is max |F| over the grid.  The gradient is evaluated one block of
-    rows at a time, and hypot runs only where its value is needed: on the
-    nodes of the |F| band, and on a block's nodes whose s = F_x^2 + F_y^2
-    is within a factor 1 - 2^-40 of the block's largest s.  hypot and
-    fl(s) each lie within a few ulp of the exact |grad F| and its square,
-    so the node where hypot is largest is among those.  Where the block's
-    largest s is not finite (an overflow, a NaN) or near the underflow
-    range, where fl(s) is no such bound, hypot runs on the whole block.
-    gscale is the np.max of the block maxima, so a NaN passes on as it does
-    on the whole grid.
+
+# ---------------------------------------------------------------------------
+# exact singular points.  A polynomial in one variable over Z is the list of
+# its coefficients, lowest degree first, with no zero at the end ([] is 0);
+# one in x and y ("rows") is the list, by power of x, of its coefficients in
+# y.  Zero sets ignore constant factors, so gcds and quotients are taken up
+# to one.
+
+def _trim(p: list) -> list:
+    while p and not p[-1]:
+        p.pop()
+    return p
+
+
+def _add(p, q) -> list:
+    return _trim([a + b for a, b in zip_longest(p, q, fillvalue=0)])
+
+
+def _neg(p) -> list:
+    return [-c for c in p]
+
+
+def _sub(p, q) -> list:
+    return _add(p, _neg(q))
+
+
+def _mul(p, q) -> list:
+    out = [0] * (len(p) + len(q) - 1) if p and q else []
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return out
+
+
+def _deriv(p) -> list:
+    return [i * c for i, c in enumerate(p)][1:]
+
+
+def _value(p, v):
+    acc = 0
+    for c in reversed(p):
+        acc = acc * v + c
+    return acc
+
+
+def _prim(p) -> list:
+    """p over the gcd of its coefficients (so its sign is kept)."""
+    k = math.gcd(*p)
+    return [c // k for c in p] if k > 1 else list(p)
+
+
+def _prem(a, b, ring=(mul, sub)) -> list:
+    """lc(b)^(deg a - deg b + 1) a mod b, with coefficients in Z, or in
+    Z[y] for ring = (_mul, _sub)."""
+    times, minus = ring
+    for k in reversed(range(len(a) - len(b) + 1)):
+        c = a[k + len(b) - 1]
+        a = [minus(times(x, b[-1]), times(c, b[i - k]))
+             if 0 <= i - k < len(b) else times(x, b[-1])
+             for i, x in enumerate(a)]
+    return _trim(list(a))
+
+
+def _quo(a, b, ring=(mul, sub, floordiv)) -> list:
+    """a / b, where b divides a, likewise."""
+    times, minus, over = ring
+    a, q = list(a), [0] * (len(a) - len(b) + 1)
+    for k in reversed(range(len(q))):
+        q[k] = over(a[k + len(b) - 1], b[-1])
+        for i, c in enumerate(b):
+            a[k + i] = minus(a[k + i], times(q[k], c))
+    return _trim(q)
+
+
+_ZY = (_mul, _sub, _quo)  # the ring ops of _prem and _quo on Z[y]
+
+
+def _ugcd(a, b) -> list:
+    """gcd(a, b) by the primitive remainder sequence ([] if both are 0)."""
+    a, b = _prim(a), _prim(b)
+    while b:
+        a, b = b, _prim(_prem(a, b))
+    return a
+
+
+def _squarefree(p) -> list:
+    return _quo(p, _ugcd(p, _deriv(p)))
+
+
+def _integer_rows(F: Poly) -> tuple:
+    """(rows, den): den F as rows, den the lcm of F's denominators."""
+    terms = {e: Fraction(c) for e, c in F.terms.items()}
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return _rows({e: int(c * den) for e, c in terms.items()}), den
+
+
+def _rows(terms: dict) -> list:
+    rows = [[] for _ in range(1 + max(a for a, _ in terms))]
+    for (a, b), c in terms.items():
+        rows[a] += [0] * (b + 1 - len(rows[a]))
+        rows[a][b] += c
+    return _trim([_trim(r) for r in rows])
+
+
+def _poly(rows) -> Poly:
+    return Poly(2, {(a, b): c for a, r in enumerate(rows)
+                    for b, c in enumerate(r) if c})
+
+
+def _dx(p) -> list:
+    return [[c * a for c in r] for a, r in enumerate(p)][1:]
+
+
+def _dy(p) -> list:
+    return _trim([_deriv(r) for r in p])
+
+
+def _bgcd(a, b) -> list:
+    """gcd(a, b): the gcd of their contents in Z[y] times that of their
+    primitive parts, by the primitive remainder sequence in x."""
+    def split(p):  # (content in Z[y], primitive part)
+        c = []
+        for r in p:
+            c = _ugcd(c, r)
+        p = [_quo(r, c) for r in p]
+        k = math.gcd(*(v for r in p for v in r))
+        return c, [[v // k for v in r] for r in p]
+
+    (ca, a), (cb, b) = split(a), split(b)
+    while b:
+        a, b = b, split(_prem(a, b, _ZY[:2]))[1]
+    return [_mul(_ugcd(ca, cb), r) for r in a]
+
+
+def _det(m: list) -> list:
+    """The determinant of a square matrix over Z[y], by Bareiss."""
+    sign, prev = 1, [1]
+    for k in range(len(m) - 1):
+        p = next((i for i in range(k, len(m)) if m[i][k]), None)
+        if p is None:
+            return []
+        if p != k:
+            m[k], m[p], sign = m[p], m[k], -sign
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
+                m[i][j] = _quo(_sub(_mul(m[i][j], m[k][k]),
+                                    _mul(m[i][k], m[k][j])), prev)
+        prev = m[k][k]
+    return [sign * c for c in m[-1][-1]] if m else [1]
+
+
+def _subresultant(a, b, k: int = 0, j: int = 0) -> list:
+    """The coefficient of x^j in the k-th subresultant in x of a and b,
+    with their formal degrees len - 1: a determinant over Z[y]; the
+    resultant for k = j = 0."""
+    m, n = len(a) - 1, len(b) - 1
+    rows = [[[]] * i + a[::-1] + [[]] * (n - k - 1 - i) for i in range(n - k)]
+    rows += [[[]] * i + b[::-1] + [[]] * (m - k - 1 - i) for i in range(m - k)]
+    keep = [*range(m + n - 2 * k - 1), m + n - k - 1 - j]
+    return _det([[r[c] for c in keep] for r in rows])
+
+
+def _hvalue(p, v: Fraction) -> int:
+    """d^deg(p) p(n / d) for v = n / d, in integers by Horner."""
+    acc, dp = 0, 1
+    for c in reversed(p):
+        acc, dp = acc * v.numerator + c * dp, dp * v.denominator
+    return acc
+
+
+def _sturm(p) -> list:
+    """The Sturm sequence of the square-free p, each member primitive."""
+    seq = [p, _deriv(p)]
+    while len(seq[-1]) > 1:
+        a, b = seq[-2:]
+        r = _prem(a, b)  # lc(b)^(deg a - deg b + 1) times the remainder
+        seq.append(_prim(r if b[-1] < 0 and (len(a) - len(b)) % 2 == 0
+                         else _neg(r)))
+    return seq
+
+
+def _changes(seq, v: Fraction) -> int:
+    """Sign changes of the Sturm sequence at v, zeros left out:
+    _changes(seq, a) - _changes(seq, b) roots of seq[0] lie in (a, b]."""
+    signs = [s > 0 for s in map(_hvalue, seq, [v] * len(seq)) if s]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _real_roots(p, lo: Fraction, hi: Fraction) -> list:
+    """The real roots of the square-free p in [lo, hi], in increasing
+    order: each rational one as a Fraction, each other as (seq, a, b), seq
+    the Sturm sequence and (a, b] an interval holding only that root.
+
+    An interval holding more than one root is halved; one holding one, until
+    it is shorter than 1 / L for L = |lc(p)| or ends at the root.  The
+    denominator of a rational root of the integer p divides L, so the root
+    is then the one multiple of 1 / L in (a, b].
     """
-    small = (1.0 + scale) * cell
-    tops, band, norms = [], [], []
-    for rows in _row_blocks(vals.shape):
-        block = vals[rows]
-        gx, gy = (np.broadcast_to(g, block.shape)
-                  for g in grad((xs[None, :], ys[rows, None])))
-        with np.errstate(over="ignore"):  # an inf square takes the whole block
-            s = gx * gx + gy * gy
-        top = np.max(s)
-        if 2.0 ** -800 < top < math.inf:  # False for a NaN
-            near = s >= top * (1.0 - 2.0 ** -40)
-            tops.append(np.max(np.hypot(gx[near], gy[near])))
-        else:
-            tops.append(np.max(np.hypot(gx, gy)))
-        inband = np.abs(block) <= small
-        band.append(np.flatnonzero(inband) + rows.start * vals.shape[1])
-        norms.append(np.hypot(gx[inband], gy[inband]))
-    gscale = float(np.max(tops))
-    nodes = np.concatenate(band)
-    return nodes[np.concatenate(norms) <= (1.0 + gscale) * cell * 4.0], gscale
+    seq, big = _sturm(p), abs(p[-1])
+    out, todo = [lo] if not _hvalue(p, lo) else [], [(lo, hi)]
+    while todo:
+        a, b = todo.pop()
+        k = _changes(seq, a) - _changes(seq, b)
+        if k > 1:
+            todo += [((a + b) / 2, b), (a, (a + b) / 2)]
+        elif k:
+            while _hvalue(p, b) and (b - a) * big >= 1:
+                m = (a + b) / 2
+                a, b = (a, m) if _changes(seq, a) > _changes(seq, m) \
+                    else (m, b)
+            c = Fraction(math.floor(a * big) + 1, big)
+            out.append(b if not _hvalue(p, b) else c
+                       if c <= b and not _hvalue(p, c) else (seq, a, b))
+    return out
 
 
-def _singular_candidates(F: Poly, xs, ys, vals, scale: float, tol) -> list:
-    """Singular points of {F = 0} near the grid, in grid order.
+def _zero_at(u, root) -> bool:
+    """Whether u is 0 at the root (seq, a, b) of _real_roots."""
+    seq, a, b = root
+    g = _ugcd(u, seq[0])
+    return len(g) > 1 and _changes(seq := _sturm(g), a) > _changes(seq, b)
 
-    Every grid node where F and its gradient are small at the node scale is
-    a pre-candidate (_pre_candidates; scale is max |F| over the grid).  From
-    each, damped Newton solves three 2x2 systems:
-    (F, F_x), (F, F_y) and (F_x, F_y).  A solution counts if |F| <= tol and
-    |grad F| <= gtol there; of those the first with the least |grad F| wins,
-    and a winner within a cell of an earlier one is dropped.  Pre-candidates
-    run in blocks of SCAN_ROWS, each block's solves in lock step as arrays,
-    so every point gets the bits it gets alone as Python floats; a value
-    that overflows is inf, not an error.
+
+def _rounded(root, at) -> tuple:
+    """The floats of the Fractions at(root); for root = (seq, a, b), those
+    of at(a) once they are those of at(b), bisecting (a, b] until then."""
+    if isinstance(root, Fraction):
+        return tuple(map(float, at(root)))
+    seq, a, b = root
+    while True:
+        try:
+            if tuple(map(float, at(a))) == tuple(map(float, at(b))):
+                return tuple(map(float, at(a)))
+        except ZeroDivisionError:  # at is a quotient with a pole near root
+            pass
+        m = (a + b) / 2
+        a, b = (a, m) if _changes(seq, a) > _changes(seq, m) else (m, b)
+
+
+def _singular_points(p, window) -> list:
+    """The points where p = p_x = p_y = 0 in the closed window, for a
+    square-free p, each coordinate rounded to float once, in order of y
+    then x.
+
+    In the sheared coordinates (x, s = y + t x), t = 0, 1, ..., with
+    A(x, s) = p(x, s - t x): h is the gcd of the nonzero resultants in x
+    of (A_x, A_s), (A, A_x) and (A, A_s), so every singular point has an s
+    among h's real roots (isolated by Sturm sequences in the window's
+    s-range), and there is none when h is constant.  Above a rational root
+    s they are the real roots of gcd(A, A_x, A_s)(x, s), over Q.  Above any
+    other, if A's leading coefficient in x and s11 of the first
+    subresultant of A and A_x are nonzero there (else the next t), the one
+    common zero of A and A_x is x = -s10(s) / s11(s), singular where
+    N(s) = s11^deg A_s(x, s) is 0, which gcd(N, h) tells exactly; so does
+    the gcd for a coordinate that is 0.  A rational coordinate is rounded
+    from its value, any other from both ends of an interval (_rounded); a
+    point counts when its rounded coordinates lie in the window.
     """
-    fx, fy = F.diff(0), F.diff(1)
-    grad = _float_evaluator(fx, fy)
-    cell = max(xs[1] - xs[0], ys[1] - ys[0])
-    nodes, gscale = _pre_candidates(grad, xs, ys, vals, scale, cell)
-    if nodes.size == 0:
+    if not _dx(p) or not _dy(p):  # then the square-free p has none
         return []
+    x0, x1, y0, y1 = map(Fraction, window)
+    for t in count():
+        A = _shear(p, t) if t else p
+        A, Ax, As = system = A, _dx(A), _dy(A)
+        h: list = []
+        for a, b in ((Ax, As), (A, Ax), (A, As)):
+            if a and b:
+                h = _ugcd(h, _subresultant(a, b))
+                if len(h) == 1:
+                    return []
+        roots = _real_roots(_squarefree(h), y0 + t * x0, y1 + t * x1)
+        others = [s for s in roots if not isinstance(s, Fraction)]
+        if others and len(A) < 3:  # A linear in x: its leading coefficient
+            continue               # vanishes at every root
+        if others:
+            s10, s11 = (_subresultant(A, Ax, 1, j) for j in (0, 1))
+            if any(_zero_at(_mul(A[-1], s11), s) for s in others):
+                continue
+            N, power = [], [1]  # sum of As's c_a (-s10)^a s11^(deg - a)
+            for c in reversed(As):
+                N, power = _add(_mul(N, _neg(s10)), _mul(c, power)), \
+                    _mul(power, s11)
+        points = []
+        for s in roots:
+            if isinstance(s, Fraction):
+                g: list = []
+                for P in system:
+                    g = _ugcd(g, _trim([_hvalue(r, s) * s.denominator ** (
+                        max(map(len, P)) - len(r)) for r in P]))
+                lo, hi = (x0, x1) if not t else (
+                    max(x0, (s - y1) / t), min(x1, (s - y0) / t))
+                if len(g) > 1 and lo <= hi:
+                    points += [_rounded(x, lambda v, s=s: (v, s - t * v))
+                               for x in _real_roots(_squarefree(g), lo, hi)]
+            elif _zero_at(N, s):
+                zx, zy = (_zero_at(u, s) for u in
+                          (s10, _add([0] + s11, [t * v for v in s10])))
 
-    # each system's residual pair and Jacobian come from one evaluator each
-    # (the third's pair is the gradient's); fxy and fyx may order their
-    # terms differently, so each keeps its own
-    fxx, fxy, fyx, fyy = fx.diff(0), fx.diff(1), fy.diff(0), fy.diff(1)
-    systems = [(_float_evaluator(F, fx), _float_evaluator(fx, fy, fxx, fxy)),
-               (_float_evaluator(F, fy), _float_evaluator(fx, fy, fyx, fyy)),
-               (grad, _float_evaluator(fxx, fxy, fyx, fyy))]
-    accept = _float_evaluator(F, fx, fy)
-
-    gtol = 1e-7 * (1.0 + gscale)
-    found: list = []
-    for lo in range(0, len(nodes), SCAN_ROWS):
-        j, i = np.divmod(nodes[lo:lo + SCAN_ROWS], len(xs))
-        x0, y0 = xs[i], ys[j]
-        best = np.full(len(x0), np.inf)
-        has = np.zeros(len(x0), dtype=bool)
-        bx, by = np.empty_like(x0), np.empty_like(x0)
-        with np.errstate(over="ignore", invalid="ignore"):  # inf fails below
-            for pq, jac in systems:
-                x, y, ok = _newton(pq, jac, x0, y0)
-                f, gx, gy = _at(accept, x, y)
-                score = np.hypot(gx, gy)
-                take = ok & (np.abs(f) <= tol) & (score <= gtol) \
-                    & (~has | (score < best))
-                best[take], bx[take], by[take] = score[take], x[take], y[take]
-                has |= take
-            _dedupe(found, bx[has], by[has], cell)
-    return found
-
-
-def _dedupe(found: list, x, y, cell) -> None:
-    """Append to found, in order, each point (x[m], y[m]) that lies farther
-    than cell from every point found before it."""
-    for u, v in found:
-        far = np.hypot(x - u, y - v) > cell
-        x, y = x[far], y[far]
-    while x.size:  # the first point left is found; it drops itself (cell > 0)
-        found.append((float(x[0]), float(y[0])))
-        far = np.hypot(x - x[0], y - y[0]) > cell
-        x, y = x[far], y[far]
-
-
-def _at(evaluate, x, y) -> list:
-    """Each value of evaluate at the points (x, y) as an array of their shape
-    (a constant polynomial evaluates to one float)."""
-    return [v if np.shape(v) == x.shape else np.full(x.shape, v)
-            for v in evaluate((x, y))]
+                def at(v):
+                    x = -_value(s10, v) / _value(s11, v)
+                    return 0 if zx else x, 0 if zy else v - t * x
+                points.append(_rounded(s, at))
+        return sorted((pt for pt in points
+                       if x0 <= pt[0] <= x1 and y0 <= pt[1] <= y1),
+                      key=lambda pt: (pt[1], pt[0]))
 
 
-def _newton(pq, jac, x, y):
-    """(x, y, ok): damped Newton on the 2x2 system pq from every point
-    (x[m], y[m]) at once, the Jacobian rows read from jac.
-
-    Each point runs the scalar rule alone: at most 60 iterations; stop at a
-    zero residual |r0| + |r1|; fail (ok False) on a zero or non-finite
-    determinant; try the steps 1, 1/2, ... down to 1e-6 and take the first
-    that lowers the residual, carrying its residuals on; stop where none
-    does.  An index array holds the points still iterating.
-    """
-    x, y = x.copy(), y.copy()
-    ok = np.ones(len(x), dtype=bool)
-    act = np.arange(len(x))
-    r0, r1 = _at(pq, x, y)
-    for _ in range(60):
-        res = np.abs(r0) + np.abs(r1)
-        live = res != 0.0
-        act, res, r0, r1 = act[live], res[live], r0[live], r1[live]
-        if not act.size:
-            break
-        px, py = x[act], y[act]
-        j00, j01, j10, j11 = _at(jac, px, py)
-        det = j00 * j11 - j01 * j10
-        live = (det != 0.0) & np.isfinite(det)
-        ok[act[~live]] = False
-        act, res, r0, r1, px, py, j00, j01, j10, j11, det = (
-            a[live] for a in (act, res, r0, r1, px, py, j00, j01, j10, j11,
-                              det))
-        dx = (r0 * j11 - r1 * j01) / det
-        dy = (j00 * r1 - j10 * r0) / det
-        # todo indexes the points whose line search goes on
-        todo = np.arange(len(act))
-        step = 1.0
-        while step > 1e-6 and todo.size:
-            nx, ny = px[todo] - step * dx[todo], py[todo] - step * dy[todo]
-            n0, n1 = _at(pq, nx, ny)
-            down = np.abs(n0) + np.abs(n1) < res[todo]
-            hit = todo[down]
-            px[hit], py[hit], r0[hit], r1[hit] = nx[down], ny[down], \
-                n0[down], n1[down]
-            todo = todo[~down]
-            step *= 0.5
-        x[act], y[act] = px, py
-        act, r0, r1 = (np.delete(a, todo) for a in (act, r0, r1))
-    return x, y, ok
+def _shear(p, t: int) -> list:
+    """p(x, s - t x) as rows in x and s."""
+    terms: dict = {}
+    for a, r in enumerate(p):
+        for b, c in enumerate(r):
+            for k in range(b + 1):
+                terms[a + k, b - k] = terms.get((a + k, b - k), 0) \
+                    + c * math.comb(b, k) * (-t) ** k
+    return _rows(terms)
 
 
 __all__ = [

@@ -185,9 +185,8 @@ def _non_finite(what: str, node: int, t):
 def _finite(values, name: str) -> np.ndarray:
     """values as a float array; ValueError naming the first non-finite one."""
     out = np.array(_float_list(values), dtype=float)
-    bad = np.flatnonzero(~np.isfinite(out))
-    if len(bad):
-        raise ValueError(f"{name}[{bad[0]}] = {out[bad[0]]} is not finite")
+    if not np.isfinite(out).all():
+        _first_fault(name, out.tolist(), 1)
     return out
 
 
@@ -695,10 +694,8 @@ def polynomial_containment(points, degree: int,
     if len(pts) < 3 * n_mono:
         raise ValueError(
             f"need at least {3 * n_mono} points for degree {degree}")
-    bad = ~np.isfinite(pts).all(axis=1)
-    if bad.any():
-        idx = int(bad.argmax())
-        raise ValueError(f"point {idx} is not finite: {pts[idx].tolist()}")
+    if not np.isfinite(pts).all():
+        _first_fault("points", pts.tolist(), 2)
     exps = [(total - i, i) for total in range(degree + 1)
             for i in range(total + 1)]
     x, y = pts[:, 0], pts[:, 1]

@@ -10,8 +10,8 @@ normalform.realize_frame, the Bernoulli ad-series of the first-kind fields,
 the right-nested growth vector with elimination from scratch, the
 metabelian sweep over every multi-index pair, the substitution, integral
 and padding of Poly, exact flows of nilpotent polynomial fields by Picard
-iteration, the second-kind chart check, and the Hypothesis strategy of
-sparse rational Lie elements."""
+iteration, the second-kind chart check, and the Hypothesis strategies of
+sparse rational Lie elements and of random frames of the paper's class."""
 
 import itertools
 from fractions import Fraction
@@ -155,6 +155,25 @@ def lie_elements(dim, max_size=None):
     coefficients."""
     return st.dictionaries(st.integers(0, dim - 1), NONZERO_RATIONALS,
                            max_size=dim if max_size is None else max_size)
+
+
+@st.composite
+def paper_frames(draw, n_max: int = 6, degree: int = 4):
+    """(frame, a): a frame of the paper's class on R^n, n from 3 to n_max,
+    X1 = d1 and X2 = d2 + sum_{j >= 3} a_j(x1, x2) d_j, with a the a_j,
+    random rational polynomials in two variables of degree <= degree.
+    Every such frame is metabelian and nilpotent; martinet is one."""
+    n = draw(st.integers(3, n_max))
+    power = st.integers(0, degree)
+    exponent = st.tuples(power, power).filter(lambda e: sum(e) <= degree)
+    a = [Poly(2, draw(st.dictionaries(exponent, NONZERO_RATIONALS,
+                                      min_size=1, max_size=5)))
+         for _ in range(n - 2)]
+    lift = [Poly(n, {e + (0,) * (n - 2): c for e, c in p.terms.items()})
+            for p in a]
+    x1 = PolyVec.coordinate(n, 0)
+    x2 = PolyVec([Poly.zero(n), Poly.one(n)] + lift)
+    return Frame([x1, x2], normal_form=True), a
 
 
 def iterated_bracket_index(basis: LyndonBasis, J) -> LieElement:

@@ -185,6 +185,44 @@ REGISTER = {
         'f"x[{i}] ** {k}"',
         ("tests/test_goh.py::test_grid_nodes_have_the_bits_of_the_point_alone",
          "tests/test_goh.py::test_membership_value_at_each_point_is_the_scalar_loops")),
+    # trace_variety tracing F itself where g = gcd(F, F_x1, F_x2) is not
+    # constant, not F / g
+    "square-free-skipped": Mutant(
+        "src/goh_atlas/goh.py",
+        "if len(g) > 1 or len(g[0]) > 1:",
+        "if False:",
+        ("tests/test_goh.py::test_non_square_free_traces_its_square_free_part[quartic-261]",)),
+    # the Sturm sign changes counting a zero member as a negative sign
+    "sturm-zero-counted": Mutant(
+        "src/goh_atlas/goh.py",
+        "signs = [s > 0 for s in map(_hvalue, seq, [v] * len(seq)) if s]",
+        "signs = [s > 0 for s in map(_hvalue, seq, [v] * len(seq))]",
+        ("tests/test_goh.py::test_real_roots_are_exact_or_isolated",)),
+    # the window's edges left out of it
+    "window-open": Mutant(
+        "src/goh_atlas/goh.py",
+        "if x0 <= pt[0] <= x1 and y0 <= pt[1] <= y1),",
+        "if x0 < pt[0] < x1 and y0 < pt[1] < y1),",
+        ("tests/test_goh.py::test_singular_point_on_the_window_edge_counts",)),
+    # a root at the low end of the s-range left out
+    "root-range-open": Mutant(
+        "src/goh_atlas/goh.py",
+        "out, todo = [lo] if not _hvalue(p, lo) else [], [(lo, hi)]",
+        "out, todo = [], [(lo, hi)]",
+        ("tests/test_goh.py::test_singular_point_on_the_window_edge_counts",
+         "tests/test_goh.py::test_real_roots_are_exact_or_isolated")),
+    # sigma paired with [X_k, X_h], not [X_h, X_k]
+    "sigma-pairing-sign": Mutant(
+        "src/goh_atlas/trajectories.py",
+        "compile_polyvec(lie_bracket_fields(f[h], f[k]))",
+        "compile_polyvec(lie_bracket_fields(f[k], f[h]))",
+        ("tests/test_goh.py::test_sigma_is_F_along_random_frames_of_the_paper",)),
+    # F built without the term of the first vertical coordinate
+    "goh-term-dropped": Mutant(
+        "src/goh_atlas/goh.py",
+        "for j in range(r, n):",
+        "for j in range(r + 1, n):",
+        ("tests/test_goh.py::test_sigma_is_F_along_random_frames_of_the_paper",)),
 }
 
 

@@ -2,12 +2,14 @@
 
 import math
 import re
+import sys
 import warnings
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from goh_atlas import goh
@@ -30,7 +32,8 @@ from goh_atlas.polyfield import (
     heisenberg_frame,
     martinet_frame,
 )
-from lie_helpers import f23_frame
+from goh_atlas.trajectories import Control, extremal_residuals
+from lie_helpers import f23_frame, paper_frames
 
 F = Fraction
 
@@ -227,10 +230,6 @@ class TestTraceVariety:
         sx, sy = tr.singular_candidates[0]
         assert abs(sx) < 1e-7 and abs(sy) < 1e-7
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "the candidate scan misses a line of singular points: x1^4 does not "
-        "depend on x2, so every Newton system's Jacobian is singular and "
-        "each solve gives up"))
     def test_singular_line_of_quartic_has_candidates(self):
         # F and its gradient vanish on all of {x1 = 0}
         x1 = Poly.var(2, 0)
@@ -238,10 +237,6 @@ class TestTraceVariety:
         cell = 4.0 / 261
         assert any(abs(x) <= cell for x, _ in tr.singular_candidates)
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=(
-        "ROADMAP item 6: on a window of width 2e60 the pre-candidate mask "
-        "overflows to inf, and the scan reports 25 singular candidates on "
-        "a smooth curve"))
     def test_wide_window_hyperbola_has_no_singular_candidates(self):
         # x1^2 x2^2 = 1 is smooth: its gradient vanishes only on the axes,
         # where F = -1
@@ -412,7 +407,10 @@ TEXTBOOK_SEGMENT_TABLE = {
 # cases 5 and 10 are saddles, resolved by the cell-center sign
 
 
-def reference_trace(sys, window, resolution) -> VarietyTrace:
+def reference_trace(sys, window, resolution, singular=()) -> VarietyTrace:
+    """The textbook trace; its singular candidates are the exact points
+    singular, known from the construction, that round into the window,
+    each coordinate rounded once, in order of y then x."""
     F = sys.poly(1, 2)
     x0, x1, y0, y1 = (float(v) for v in window)
     res = int(resolution)
@@ -532,8 +530,31 @@ def reference_trace(sys, window, resolution) -> VarietyTrace:
             chains.append(walk(k))
 
     trace.polylines = [[verts[k] for k in chain] for chain in chains]
-    trace.singular_candidates = reference_singular(F, xs, ys, vals, tol)
+    points = [(float(u), float(v)) for u, v in singular]
+    trace.singular_candidates = sorted(
+        (pt for pt in points if x0 <= pt[0] <= x1 and y0 <= pt[1] <= y1),
+        key=lambda pt: (pt[1], pt[0]))
     return trace
+
+
+def square_free(p: Poly) -> bool:
+    """Whether gcd(p, p_x1, p_x2) is constant, by the tracer's gcd."""
+    rows = goh._integer_rows(p)[0]
+    g = goh._bgcd(goh._bgcd(rows, goh._dx(rows)), goh._dy(rows))
+    return len(g) == 1 and len(g[0]) == 1
+
+
+def assert_candidates_are_singular(p: Poly, trace) -> None:
+    """Every candidate is a zero of p, p_x1 and p_x2: exactly where its
+    rounded coordinates are one, else within 1e-9 of the scale of p."""
+    polys = (p, p.diff(0), p.diff(1))
+    for x, y in trace.singular_candidates:
+        exact = [q.eval((F(x), F(y))) for q in polys]
+        if any(exact):
+            scale = 1.0 + sum(abs(float(c)) * max(1.0, abs(x)) ** e[0]
+                              * max(1.0, abs(y)) ** e[1]
+                              for e, c in p.terms.items())
+            assert max(abs(float(v)) for v in exact) <= 1e-9 * scale
 
 
 def reference_singular(F: Poly, xs, ys, vals, tol) -> list:
@@ -642,9 +663,11 @@ class TestTraceMatchesTextbook:
                              SADDLES + THROUGH_NODES + NODAL_CUBIC
                              + [(Poly.zero(2), (-2, 2, -2, 2), 16)])
     def test_bitwise_equal(self, p, window, res):
+        # the nodal cubic's one singular point is the origin
         sys = system_of(p)
         got = trace_variety(sys, window=window, resolution=res)
-        want = reference_trace(sys, window, res)
+        want = reference_trace(sys, window, res, [(0, 0)] * (
+            (p, window, res) == NODAL_CUBIC[0]))
         assert got.to_json() == want.to_json()
         assert got.to_csv() == want.to_csv()
         assert got.tolerance == want.tolerance
@@ -720,12 +743,14 @@ def test_random_traces_match_textbook_bitwise():
     @given(case=plane_traces())
     def check(case):
         p, window, res = case
+        assume(square_free(p))  # else the trace is that of p / g
         sys = system_of(p)
         got = trace_variety(sys, window=window, resolution=res)
-        want = reference_trace(sys, window, res)
+        want = reference_trace(sys, window, res, got.singular_candidates)
         assert got.to_json() == want.to_json()
         assert got.to_csv() == want.to_csv()
         assert got.tolerance == want.tolerance
+        assert_candidates_are_singular(p, got)
         reached.update(cell_codes(p, window, res) & {5, 10})
         if any(len(line) > 2 and line[0] == line[-1]
                for line in got.polylines):
@@ -737,28 +762,42 @@ def test_random_traces_match_textbook_bitwise():
 
 @st.composite
 def singular_curves(draw, kind):
-    """A plane curve with singular points, a window around them and an odd
-    resolution from 5 to 21, so the candidate scan has work to do.
+    """A plane curve with singular points, a window around them, an odd
+    resolution from 5 to 21, and its singular points, exact.
 
-    The kinds: "lines", a product of two or three lines, each through a
-    common point or a point of its own (nodes, and triple points); "cusp"
-    y^2 - x^3 and "tacnode" y^2 - x^4; and "cubic", the benchmark pool's
-    nodal cubic y^2 - x^2 - x^3.  The last three sit at a drawn point,
-    turned or reflected by one of the symmetries of the square.
+    The kinds: "lines", a product of two or three distinct lines, each
+    through a common point or a point of its own (nodes, and triple
+    points), singular where two meet; "cusp" y^2 - x^3 and "tacnode"
+    y^2 - x^4; and "cubic", the benchmark pool's nodal cubic
+    y^2 - x^2 - x^3.  The last three sit at a drawn point, turned or
+    reflected by one of the symmetries of the square, singular there only.
     """
     point = st.builds(F, st.integers(-4, 4), st.just(8))
     p0, q0 = draw(point), draw(point)
+    singular = {(p0, q0)}
     if kind == "lines":
         coef = st.integers(-3, 3)
         p = Poly.const(2, draw(st.builds(F, st.integers(1, 9),
                                          st.integers(1, 4))))
+        lines: list = []  # (a, b, c): a x + b y = c
         for _ in range(draw(st.integers(2, 3))):
             a, b = draw(st.tuples(coef, coef).filter(any))
             if draw(st.booleans()):
                 px, py = p0, q0
             else:
                 px, py = draw(point), draw(point)
+            line = (a, b, a * px + b * py)
+            if any(a * v == b * u and a * w == c * u and b * w == c * v
+                   for u, v, w in lines):
+                continue  # the same line twice: not square-free
+            lines.append(line)
             p = p * ((X1 - px) * a + (X2 - py) * b)
+        singular = set()
+        for i, (a, b, c) in enumerate(lines):
+            for u, v, w in lines[:i]:
+                det = a * v - b * u
+                if det:
+                    singular.add((F(c * v - b * w, det), F(a * w - c * u, det)))
     else:
         u, v = (X1 - p0) * draw(st.sampled_from([1, -1])), \
             (X2 - q0) * draw(st.sampled_from([1, -1]))
@@ -770,140 +809,29 @@ def singular_curves(draw, kind):
     cx, cy = (float(c) + draw(st.floats(-0.3, 0.3)) for c in (p0, q0))
     wx, wy = (draw(st.floats(0.5, 2.0)) for _ in "xy")
     res = 2 * draw(st.integers(2, 10)) + 1
-    return p, (cx - wx, cx + wx, cy - wy, cy + wy), res
+    return p, (cx - wx, cx + wx, cy - wy, cy + wy), res, singular
 
 
 @pytest.mark.parametrize("kind", ["lines", "cusp", "tacnode", "cubic"])
 def test_singular_curves_match_textbook_bitwise(kind):
+    # the exact route reports the known singular points, each rounded once
     found = []
 
     @settings(max_examples=8, deadline=None, derandomize=True)
     @given(case=singular_curves(kind))
     def check(case):
-        p, window, res = case
+        p, window, res, singular = case
         sys = system_of(p)
         got = trace_variety(sys, window=window, resolution=res)
-        want = reference_trace(sys, window, res)
+        want = reference_trace(sys, window, res, singular)
         assert got.to_json() == want.to_json()
         assert got.to_csv() == want.to_csv()
         assert got.tolerance == want.tolerance
         found.append(len(got.singular_candidates))
 
     check()
-    # the scan had singular points to report in most cases
+    # there were singular points to report in most cases
     assert sum(map(bool, found)) >= len(found) // 2, found
-
-
-@pytest.mark.parametrize("rows", [1, 7])
-def test_scan_block_size_keeps_the_bits(rows, monkeypatch):
-    cases = [(X2 * X2 - X1 * X1 - X1 * X1 * X1, (-2, 2, -2, 2), 10),
-             (X2 * X2 - X1 * X1 * X1 * X1, (-1, 1.5, -1, 1.2), 5),
-             (X1 * X2 * (X1 + X2 - F(1, 2)), (-1, 1, -1, 1), 10)]
-    want = [trace_variety(system_of(p), window, res).to_json()
-            for p, window, res in cases]
-    assert all(w["singular_candidates"] for w in want)
-    monkeypatch.setattr(goh, "SCAN_ROWS", rows)
-    assert [trace_variety(system_of(p), window, res).to_json()
-            for p, window, res in cases] == want
-
-
-def assert_pre_candidates_match_full_grid(p: Poly, window, res) -> dict:
-    """The blocked, screened pre-candidate scan against reference_singular's
-    (np.hypot of the whole grid's gradient, then one mask): the same nodes
-    in the same order and the same bits of gscale.  Returns what the case
-    reached: the largest fl(gx^2 + gy^2) overflowing, below 2^-800, or in
-    between, and a last block shorter than the others."""
-    xs = np.linspace(window[0], window[1], res + 1)
-    ys = np.linspace(window[2], window[3], res + 1)
-    vals = textbook_grid_eval(p, xs, ys)
-    scale = float(np.max(np.abs(vals)))
-    cell = max(xs[1] - xs[0], ys[1] - ys[0])
-    fx, fy = p.diff(0), p.diff(1)
-    gx, gy = textbook_grid_eval(fx, xs, ys), textbook_grid_eval(fy, xs, ys)
-    grad = np.hypot(gx, gy)
-    gscale = float(np.max(grad))
-    mask = (np.abs(vals) <= (1.0 + scale) * cell) \
-        & (grad <= (1.0 + gscale) * cell * 4.0)
-    nodes, got = goh._pre_candidates(_float_evaluator(fx, fy), xs, ys, vals,
-                                     scale, cell)
-    assert nodes.tolist() == np.flatnonzero(mask).tolist()
-    assert np.float64(got).tobytes() == np.float64(gscale).tobytes()
-    with np.errstate(over="ignore"):
-        top = float(np.max(gx * gx + gy * gy))
-    blocks = goh._row_blocks(vals.shape)
-    return {"overflow": top == math.inf, "underflow": top <= 2.0 ** -800,
-            "screened": 2.0 ** -800 < top < math.inf,
-            "uneven": len({b.stop - b.start for b in blocks}) > 1}
-
-
-@st.composite
-def gradient_grids(draw):
-    """A polynomial of degree <= 3 whose coefficients share one power of ten
-    from 1e-170 (the squares of its gradient underflow) to 1e200 (they
-    overflow): arbitrary, in x1 or x2 alone (a gradient of broadcast
-    shape), or linear (a constant gradient); a window, a resolution, and a
-    SCAN_ROWS whose block height need not divide the grid's rows."""
-    kind = draw(st.sampled_from(["any", "x1", "x2", "linear"]))
-    power = st.integers(0, 3)
-    exponent = {"any": st.tuples(power, power),
-                "x1": st.tuples(power, st.just(0)),
-                "x2": st.tuples(st.just(0), power),
-                "linear": st.sampled_from([(0, 0), (1, 0), (0, 1)])}[kind]
-    ten = F(10) ** draw(st.sampled_from([-170, -160, -100, 0, 100, 200]))
-    coef = st.builds(F, st.integers(-9, 9).filter(bool), st.integers(1, 8))
-    terms = draw(st.dictionaries(exponent.filter(lambda e: sum(e) <= 3),
-                                 coef.map(lambda c: c * ten), min_size=1,
-                                 max_size=6))
-    x, y = (draw(st.floats(-0.5, 0.5)) for _ in "xy")
-    wx, wy = (draw(st.floats(0.5, 2.5)) for _ in "xy")
-    window = (x - wx, x + wx, y - wy, y + wy)
-    return (Poly(2, terms), window, draw(st.integers(2, 24)),
-            draw(st.integers(1, 6)))
-
-
-def test_screened_scan_matches_full_grid_hypot(monkeypatch):
-    reached = set()
-
-    @settings(max_examples=200, deadline=None, derandomize=True)
-    @given(case=gradient_grids())
-    def check(case):
-        p, window, res, rows = case
-        monkeypatch.setattr(goh, "SCAN_ROWS", rows)
-        got = assert_pre_candidates_match_full_grid(p, window, res)
-        reached.update(k for k, v in got.items() if v)
-
-    check()
-    assert reached == {"overflow", "underflow", "screened", "uneven"}
-
-
-# F = p x1^2 / 2 + q x1 x2 - p x2^2 / 2 has gradient (p x1 + q x2,
-# q x1 - p x2), of length sqrt(p^2 + q^2) |(x1, x2)|: the two top corners of
-# each window are equally far from the origin, and their rounded gradients
-# rank them apart, one by fl(gx^2 + gy^2) and the other by hypot.  In the
-# second the squares are subnormal, so fl(s) is off by far more than 2^-40.
-SCREEN_CASES = [
-    (X1 * X1 * F(1, 4) + X1 * X2 * F(1, 5) - X2 * X2 * F(1, 4),
-     (-1.0606715208034516, 1.0606715208034516, -0.25896684928807223,
-      1.3812250634783885)),
-    ((X1 * X1 * F(3, 2) + X1 * X2 - X2 * X2 * F(3, 2)) * F(1, 2 ** 531),
-     (-1.1265339874378337, 1.1265339874378337, -0.19507487236734883,
-      1.7658806561792535)),
-]
-
-
-@pytest.mark.parametrize("p, window", SCREEN_CASES)
-def test_largest_square_and_largest_hypot_on_different_nodes(p, window):
-    xs = np.linspace(window[0], window[1], 3)
-    ys = np.linspace(window[2], window[3], 3)
-    gx = textbook_grid_eval(p.diff(0), xs, ys)
-    gy = textbook_grid_eval(p.diff(1), xs, ys)
-    s, h = gx * gx + gy * gy, np.hypot(gx, gy)
-    # the nodes of the largest s miss the largest hypot; in the subnormal
-    # case so do all within 2^-40 of it, which only the fallback catches
-    assert np.max(h[s == np.max(s)]) < np.max(h)
-    if np.max(s) <= 2.0 ** -800:
-        assert np.max(h[s >= np.max(s) * (1.0 - 2.0 ** -40)]) < np.max(h)
-    assert_pre_candidates_match_full_grid(p, window, 2)
 
 
 def scalar_variety_membership(sys: GohSystem, curve) -> float:
@@ -1144,21 +1072,6 @@ def test_bisection_blocks_keep_the_bits(monkeypatch):
     assert got.to_csv() == want.to_csv()
 
 
-def test_first_system_wins_a_tie(monkeypatch):
-    # the three solves land on three points of F = x1 x2 with the same
-    # |grad F| = t: the first system's point is the one reported
-    t = 1e-9
-    lands = iter([(t, 0.0), (0.0, t), (-t, 0.0)] * 1000)
-
-    def newton(pq, jac, x, y):
-        u, v = next(lands)
-        return np.full(len(x), u), np.full(len(x), v), np.ones(len(x), bool)
-
-    monkeypatch.setattr(goh, "_newton", newton)
-    tr = trace_variety(system_of(X1 * X2), (-1, 1, -1, 1), 8)
-    assert tr.singular_candidates == [(t, 0.0)]
-
-
 def scalar_power(v: float, k: int) -> float:
     """The evaluator's sum for x^k, 0.0 + 1.0 * v ** k, on Python floats;
     inf where ** overflows."""
@@ -1201,7 +1114,8 @@ def test_scan_evaluators_match_scalar_evaluators_bitwise():
 class TestScanOverflow:
     # F = -2 x1 + 3/5 x1 x2^3 + 8/3 x1^2 - 2 x2^4 + 9 x1^4 + 5/6 x2 on
     # (-w, w)^2: at res 16 a Newton trial step's power overflowed and the
-    # trace raised OverflowError, though the window and grid are finite
+    # trace raised OverflowError, though the window and grid are finite;
+    # the exact route evaluates no power of a float
     P = (X1 * -2 + X1 * X2 * X2 * X2 * F(3, 5) + X1 * X1 * F(8, 3)
          - X2 * X2 * X2 * X2 * 2 + X1 * X1 * X1 * X1 * 9 + X2 * F(5, 6))
     W = 1.0052913682104352e26
@@ -1210,30 +1124,22 @@ class TestScanOverflow:
         return (-self.W, self.W, -self.W, self.W)
 
     def test_overflowing_trial_step_is_rejected(self):
-        res = 16
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            tr = trace_variety(system_of(self.P), self.window(), res)
-        # every candidate passes the scan's own acceptance tests
-        xs = np.linspace(-self.W, self.W, res + 1)
-        fx, fy = self.P.diff(0), self.P.diff(1)
-        gscale = float(np.max(np.hypot(textbook_grid_eval(fx, xs, xs),
-                                       textbook_grid_eval(fy, xs, xs))))
-        gtol = 1e-7 * (1.0 + gscale)
-        assert tr.singular_candidates
-        for x, y in tr.singular_candidates:
-            assert abs(textbook_eval(self.P, (x, y))) <= tr.tolerance
-            assert np.hypot(textbook_eval(fx, (x, y)),
-                            textbook_eval(fy, (x, y))) <= gtol
+            tr = trace_variety(system_of(self.P), self.window(), 16)
+        assert tr.polylines
+        assert_candidates_are_singular(self.P, tr)
 
     @pytest.mark.parametrize("res", [5, 9])
     def test_coarser_grids_match_textbook_bitwise(self, res):
         sys = system_of(self.P)
         got = trace_variety(sys, self.window(), res)
-        want = reference_trace(sys, self.window(), res)
+        want = reference_trace(sys, self.window(), res,
+                               got.singular_candidates)
         assert got.to_json() == want.to_json()
         assert got.to_csv() == want.to_csv()
         assert got.tolerance == want.tolerance
+        assert_candidates_are_singular(self.P, got)
 
 
 @st.composite
@@ -1299,7 +1205,7 @@ def test_grid_nodes_have_the_bits_of_the_point_alone(degree):
 
 def test_one_evaluator_serves_a_trace(monkeypatch):
     # the grid, the saddle centres and the bisection share F's evaluator,
-    # and the gradient scan and the third Newton system share (F_x, F_y)'s
+    # and the singular points take none
     builds = []
 
     def counted(*polys):
@@ -1309,12 +1215,12 @@ def test_one_evaluator_serves_a_trace(monkeypatch):
     monkeypatch.setattr(goh, "_float_evaluator", counted)
     p, window, res = NODAL_CUBIC[0]
     assert trace_variety(system_of(p), window, res).singular_candidates
-    assert len(builds) == 8
+    assert len(builds) == 1
     builds.clear()
     conic = X1 * X1 * F(5, 4) + X1 * X2 * F(1, 4) + X2 * X2 - F(5, 4)
     assert not trace_variety(system_of(conic), resolution=512) \
         .singular_candidates
-    assert len(builds) == 2
+    assert len(builds) == 1
 
 
 def test_long_polynomial_evaluator_matches_textbook_bitwise():
@@ -1351,3 +1257,160 @@ def test_several_polynomials_evaluate_as_each_alone(case):
     for q, v in zip(polys, got):
         want = _float_evaluator(q)(tuple(x))
         assert np.float64(v).tobytes() == np.float64(want).tobytes()
+
+
+# ---------------------------------------------------------------------------
+# the exact singular points
+
+R = math.sqrt(0.5)
+# F, the curve of its singular points (gcd(F / g, g), sign and scale as the
+# tracer takes it), and F's other singular points, rounded
+NON_SQUARE_FREE = {
+    "quartic": (X1 * X1 * X1 * X1, X1, []),
+    "double circle, line": (
+        (X1 * X1 + X2 * X2 - 1) * (X1 * X1 + X2 * X2 - 1) * (X1 - X2),
+        X1 * X1 + X2 * X2 - 1, [(-R, -R), (R, R)]),
+    "x1^2 x2": (X1 * X1 * X2, X1, [(0.0, 0.0)]),
+}
+
+
+@pytest.mark.parametrize("res", [261, 1024])  # no grid node on x1 = 0, and
+@pytest.mark.parametrize("name", sorted(NON_SQUARE_FREE))  # a column of them
+def test_non_square_free_traces_its_square_free_part(name, res):
+    # x1^4 used to trace nothing (F >= 0) and report 0 candidates at res 261
+    # and 513 at 1024
+    p, curve, isolated = NON_SQUARE_FREE[name]
+    tr = trace_variety(system_of(p), resolution=res)
+    assert tr.polylines
+    assert all(abs(textbook_eval(p, v)) <= tr.tolerance
+               for line in tr.polylines for v in line)
+    # the curve is reported at both parities as the vertices of its trace
+    assert tr.singular_candidates[:len(isolated)] == isolated
+    points = tr.singular_candidates[len(isolated):]
+    want = trace_variety(system_of(curve), resolution=res)
+    assert points == [v for line in want.polylines for v in line]
+    assert all(abs(textbook_eval(curve, v)) <= want.tolerance for v in points)
+    if curve == X1:  # one vertex on each grid row
+        assert sorted(y for _, y in points) == np.linspace(-2, 2, res + 1) \
+            .tolist()
+
+
+@pytest.mark.parametrize("window", [(0, 1, 0, 1), (-1, 0, 0, 1), (0, 1, -1, 0),
+                                    (-1, 0, -1, 0)])
+@pytest.mark.parametrize("p", [X1 * X2, NODAL_CUBIC[0][0]])
+def test_singular_point_on_the_window_edge_counts(p, window):
+    # the node at the origin is a corner of each closed window
+    tr = trace_variety(system_of(p), window, 8)
+    assert tr.singular_candidates == [(0.0, 0.0)]
+
+
+def test_irrational_points_above_one_y_are_found_after_a_shear():
+    # above x2 = -sqrt 2 and sqrt 2 lie two singular points each, so the
+    # first subresultant vanishes there until a shear sets them apart
+    r2 = math.sqrt(2)
+    tr = trace_variety(system_of((X1 * X1 - 1) * (X2 * X2 - 2)), resolution=8)
+    assert tr.singular_candidates == [(-1.0, -r2), (1.0, -r2), (-1.0, r2),
+                                      (1.0, r2)]
+
+
+def test_real_roots_are_exact_or_isolated():
+    # (2y - 1)(y - 1)(y + 2)(y^2 - 2) on [-2, 1]: the ends are roots, 1/2 the
+    # first midpoint, -sqrt 2 irrational
+    p = [1]
+    for factor in ([-1, 2], [-1, 1], [2, 1], [-2, 0, 1]):
+        p = goh._mul(p, factor)
+    got = goh._real_roots(p, F(-2), F(1))
+    assert [r for r in got if isinstance(r, F)] == [F(-2), F(1, 2), F(1)]
+    (seq, a, b), = [r for r in got if not isinstance(r, F)]
+    assert got[1] == (seq, a, b) and b * b <= 2 < a * a and a < b <= 0
+    assert goh._rounded((seq, a, b), lambda v: (v,)) == (-math.sqrt(2),)
+
+
+def pool_polynomials() -> list:
+    """(F, resolution) of every variety pool entry of the benchmark: the 32
+    conics of f24 and the 16 cubics read from frame JSON."""
+    sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+    import workloads
+    f24, _ = realize_frame(generate_basis(2, 4))
+    out = [(goh_polynomials(f24, [F(v) for v in workloads.conic_lambda(k)])
+            .poly(1, 2), workloads.CONIC_RES)
+           for k in range(workloads.CONIC_POOL_SIZE)]
+    for k in range(workloads.CUBIC_POOL_SIZE):
+        data = workloads.cubic_frame(k)
+        out.append((goh_polynomials(Frame.from_json(data["frame"]), [
+            F(v) for v in data["lambda"]]).poly(1, 2), workloads.CUBIC_RES))
+    return out
+
+
+def test_pool_singular_points_against_the_scalar_scan():
+    # the damped Newton scan the exact route replaced, as a cross-check:
+    # as many points, each within one cell; on the pool the route reports
+    # exactly the origin for every cubic and nothing for every conic
+    scans: dict = {}
+    for p, res in pool_polynomials():
+        tr = trace_variety(system_of(p), resolution=res)
+        assert tr.singular_candidates == ([(0.0, 0.0)] if p.degree() == 3
+                                          else [])
+        xs = np.linspace(-2, 2, res + 1)
+        if (p, res) not in scans:
+            vals = textbook_grid_eval(p, xs, xs)
+            scans[p, res] = reference_singular(p, xs, xs, vals, tr.tolerance)
+        scan = scans[p, res]
+        assert len(scan) == len(tr.singular_candidates)
+        assert all(math.hypot(u - x, v - y) <= xs[1] - xs[0]
+                   for (u, v), (x, y) in zip(scan, tr.singular_candidates))
+
+
+def test_sigma_is_F_along_random_frames_of_the_paper():
+    # On X1 = d1, X2 = d2 + sum a_j d_j, [X1, X2] = sum d1 a_j d_j and the
+    # covector's entries j >= 3 stay constant, so sigma = F(x1, x2) along
+    # every trajectory, with F = sum lambda_j d1 a_j.  A piecewise-linear
+    # control with rational values moves x1 and x2 by the trapezoid rule,
+    # exact at the nodes, and RK4's Simpson weights integrate it exactly too:
+    # the float path differs from the exact one by rounding alone, a few
+    # eps per step in x, which moves F by at most its gradient's bound.
+    eps = np.finfo(float).eps
+    ts = np.linspace(0.0, 1.0, 41)
+    dts = [F(b) - F(a) for a, b in zip(ts.tolist(), ts.tolist()[1:])]
+    eighths = st.builds(F, st.integers(-8, 8), st.just(8))
+
+    # no shrinking: a failing frame is reported as drawn, at once
+    @settings(max_examples=12, deadline=None, derandomize=True,
+              phases=[Phase.generate])
+    @given(case=paper_frames(n_max=5), data=st.data())
+    def check(case, data):
+        frame, a = case
+        n = frame.n
+        lam = [0, 0] + data.draw(st.lists(eighths, min_size=n - 2,
+                                          max_size=n - 2).filter(any))
+        want = Poly.zero(2)
+        for lam_j, a_j in zip(lam[2:], a):
+            want = want + a_j.diff(0) * lam_j
+        sys = goh_polynomials(frame, lam)
+        assert sys.poly(1, 2) == want
+        values = data.draw(st.lists(st.tuples(eighths, eighths),
+                                    min_size=41, max_size=41))
+        x = [data.draw(eighths), data.draw(eighths)]
+        path = [tuple(x)]
+        for dt, u, v in zip(dts, values, values[1:]):
+            x = [x[k] + dt * (u[k] + v[k]) / 2 for k in range(2)]
+            path.append(tuple(x))
+        rep = extremal_residuals(frame, Control(ts, values), path[0] + (0,) * (
+            n - 2), lam, substeps=4)
+        exact = np.array([float(want.eval(pt)) for pt in path])
+        top = 1 + max(abs(float(c)) for pt in path for c in pt)
+        bound = 16 * 4 * 40 * eps * top * sum(
+            abs(float(c)) * sum(e) * top ** sum(e) for e, c in want.terms.items())
+        assert np.max(np.abs(rep.sigma[:, 0] - exact)) <= bound + 4 * eps * (
+            1 + np.max(np.abs(exact)))
+        # F has degree <= 3; every point its trace reports is singular
+        assert_candidates_are_singular(
+            want, trace_variety(sys, resolution=16))
+
+    check()
+    # outside the class (a coefficient reads x3) the reduction is refused
+    x3 = Poly.var(3, 2)
+    frame = Frame([PolyVec.coordinate(3, 0), PolyVec([
+        Poly.zero(3), Poly.one(3), x3])], normal_form=True)
+    with pytest.raises(PreconditionError):
+        goh_polynomials(frame, [0, 0, 1])

@@ -664,7 +664,7 @@ def test_non_finite_x0_is_refused(name, bad):
     # [inf, 0, 0] gave Jacobian determinants [1, 1]
     u = Control([0.0, 1.0], [[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match=re.escape(
-            f"x0[1] = {bad} is not finite")):
+            f"x0[1] is not finite: {bad}")):
         INTEGRATORS[name](heisenberg_frame(), u, [0.0, bad, 0.0])
 
 
@@ -673,7 +673,7 @@ def test_non_finite_covector_is_refused(bad):
     # NaN was a NumericsError "at node 0"
     u = Control([0.0, 1.0], [[1.0, 0.0], [1.0, 0.0]])
     with pytest.raises(ValueError, match=re.escape(
-            f"lam[2] = {bad} is not finite")):
+            f"lam[2] is not finite: {bad}")):
         extremal_residuals(heisenberg_frame(), u, [0.0] * 3, [1.0, 0.0, bad])
 
 
@@ -1218,5 +1218,5 @@ class TestContainment:
         pts[7] = (0.5, bad)
         pts[12] = (bad, 0.5)
         with pytest.raises(ValueError, match=re.escape(
-                f"point 7 is not finite: [0.5, {bad}]")):
+                f"points[7][1] is not finite: {bad}")):
             polynomial_containment(pts, 1)
