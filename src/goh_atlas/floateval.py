@@ -1,10 +1,12 @@
 """Float evaluation of exact polynomials: generated straight-line functions
-(_float_evaluator), the batched CompiledPolys, and _float_rows.  The one
-module of polyfield's layer that imports numpy; the exact layers never do.
+(_float_evaluator) and the batched CompiledPolys; and _first_fault, the one
+check of every float input.  The one module of polyfield's layer that
+imports numpy; the exact layers never do.
 """
 
 from __future__ import annotations
 
+import math
 from operator import index
 
 import numpy as np
@@ -55,28 +57,44 @@ def _float_evaluator(*polys: "Poly"):
     return scope["evaluate"]
 
 
-def _float_rows(points, width: int):
-    """(rows, bad): the points as a float array of shape (k, width).
+def _first_fault(name: str, data, depth: int, width: int | None = None):
+    """data as a float array of depth (1 or 2) nested lists of finite
+    numbers, the innermost of length width (at depth 2, of one length if
+    width is None); at depth 0, data as a finite float.
 
-    bad is None and k = len(points) when every point has width entries;
-    otherwise bad is the index of the first point that does not, and rows
-    holds the k = bad points before it.  A regular input is converted by one
-    np.array call; any other is walked point by point with float() on each
-    entry, as a scalar loop converts them, so an entry that is not a number
-    raises as float() does.
+    One np.array call converts data.  Only when it raises, or gives another
+    shape or a non-finite entry, is data walked in order, to raise the
+    ValueError that names the first fault by index, in one of the shapes
+    points[2] is not a list: 1.0, points[2] has length 3, not 2,
+    points[2][0] is not a number: 'x', points[2][0] is too large for a float
+    and points[2][0] is not finite: nan; a row's length before its entries.
     """
+    if not depth:
+        try:
+            value = float(data)
+        except OverflowError:
+            raise ValueError(f"{name} is too large for a float") from None
+        except (TypeError, ValueError):
+            raise ValueError(f"{name} is not a number: {data!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{name} is not finite: {value!r}")
+        return value
     try:
-        rows = np.array(points, dtype=float)
+        out = np.array(data, dtype=float)
     except (TypeError, ValueError, OverflowError):
-        rows = None
-    if rows is not None and rows.shape == (len(points), width):
-        return rows, None
-    good: list = []
-    for k, point in enumerate(points):
-        if len(point) != width:
-            return np.array(good).reshape(-1, width), k
-        good.append([float(c) for c in point])
-    return np.array(good).reshape(-1, width), None
+        out = None
+    if out is not None and out.ndim == depth and width in (None, out.shape[-1]) \
+            and np.isfinite(out).all():
+        return out
+    if not isinstance(data, (list, tuple)) and np.ndim(data) == 0:
+        raise ValueError(f"{name} is not a list: {data!r}")
+    if depth == 1 and width is not None and len(data) != width:
+        raise ValueError(f"{name} has length {len(data)}, not {width}")
+    for i, item in enumerate(data):
+        row = _first_fault(f"{name}[{i}]", item, depth - 1, width)
+        if depth == 2:  # later rows take the first one's length
+            width = len(row)
+    return out.reshape(0, width or 0)  # only an empty list of rows gets here
 
 
 EVAL_ROWS = 256  # points per block of a batched evaluation (bounds temporaries)

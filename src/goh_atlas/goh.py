@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import PreconditionError
 from .metabelian import coefficient_dependence
-from .floateval import _float_evaluator, _float_rows
+from .floateval import _first_fault, _float_evaluator
 from .normalform import verify_normal_form
 from .options import RES_MAX, check_resolution
 from .polyfield import Frame, Poly
@@ -104,37 +104,28 @@ def goh_polynomials(frame: Frame, lam) -> GohSystem:
 def variety_membership(sys: GohSystem, curve) -> float:
     """sup over curve samples and pairs (h,k) of |F^{h,k}(point)|.
 
-    A point whose length is not r is a ValueError naming its index and
-    length; so is a point that is not finite, or where some F^{h,k}
-    overflows (a power overflows, a product gives inf, a sum of opposite
-    infinities NaN), naming the point's index and the pair.  The points
-    are converted once and each F^{h,k} is evaluated at all of them as
-    float64 arrays, so every value has the bits a scalar loop gives it on
-    Python floats; the error raised is the one that loop meets first,
-    points outermost, then the pairs in order, and at one point a wrong
-    length before a non-finite entry before an overflow.
+    The points are checked in full first: one that is not r finite
+    numbers is a ValueError naming it (_first_fault).  Then a point where
+    some F^{h,k} overflows (a power overflows, a product gives inf, a sum
+    of opposite infinities NaN) is one naming the point's index and the
+    pair.  Each F^{h,k} is evaluated at all points as float64 arrays, so
+    every value has the bits a scalar loop gives it on Python floats; the
+    overflow raised is the one that loop meets first, points outermost,
+    then the pairs in order.
     """
-    points = getattr(curve, "points", curve)
-    x, bad = _float_rows(points, sys.r)
+    x = _first_fault("points", getattr(curve, "points", curve), 2, sys.r)
     cols = x.T.copy()  # one contiguous array per coordinate
     pairs = list(sys.polys)
     with np.errstate(over="ignore", invalid="ignore"):  # checked next
         values = [np.abs(np.broadcast_to(_float_evaluator(p)(cols), len(x)))
                   for p in sys.polys.values()]
-    # row 0: the point is not finite; row 1 + m: F of pair m is not
-    faults = np.vstack([~np.isfinite(x).all(axis=1)]
-                       + [~np.isfinite(v) for v in values])
+    faults = ~np.isfinite(np.reshape(values, (len(pairs), len(x))))
     hit = np.flatnonzero(faults.any(axis=0))
     if hit.size:
         idx = int(hit[0])
-        pt = x[idx].tolist()
-        if faults[0, idx]:
-            raise ValueError(f"curve point {idx} is not finite: {pt}")
-        h, k = pairs[int(np.argmax(faults[1:, idx]))]
-        raise ValueError(f"F^({h},{k}) overflows at curve point {idx}: {pt}")
-    if bad is not None:
-        raise ValueError(f"curve point {bad} has {len(points[bad])} "
-                         f"coordinates, not {sys.r}")
+        h, k = pairs[int(np.argmax(faults[:, idx]))]
+        raise ValueError(f"F^({h},{k}) overflows at curve point {idx}: "
+                         f"{x[idx].tolist()}")
     return max((float(np.max(v)) for v in values if v.size), default=0.0)
 
 
@@ -281,12 +272,9 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
     Otherwise the trace is that of q = F / g, whose zero set is F's and
     which changes sign across it, with its tolerance times 1 + a bound of
     |F / q| over the window, so that it bounds |F| at every vertex; and the
-    candidates are q's singular points, then the vertices of the trace of
-    gcd(q, g), whose zero set is the curve of F's singular points.  F
-    identically zero reports the whole plane.  F is evaluated into one grid
-    array, one block of rows at a time (_row_blocks), with the same
-    elementwise operations at every node as on the whole grid; the one
-    evaluator of F serves the grid, the saddle centres and the bisection.
+    candidates are q's singular points, then the vertices of the grid trace
+    of gcd(q, g), whose zero set is the curve of F's singular points.  F
+    identically zero reports the whole plane.
     """
     if sys.r != 2:
         raise ValueError("plane tracing needs a rank-2 system")
@@ -311,21 +299,35 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
     g = _bgcd(_bgcd(exact, _dx(exact)), _dy(exact))
     if len(g) > 1 or len(g[0]) > 1:
         q = _quo(exact, g, _ZY)
-        trace = trace_variety(_plane(_poly(q)), trace.window, res)
+        trace.polylines, tol = _grid_trace(_poly(q), trace.window, res)
         edge = Fraction(max(map(abs, trace.window)))
-        trace.tolerance *= 1.0 + float(sum(
+        trace.tolerance = tol * (1.0 + float(sum(
             abs(c) * edge ** (a + b) for a, r in enumerate(g)
-            for b, c in enumerate(r)) / den)
+            for b, c in enumerate(r)) / den))
         # coprime integers, the last positive: the curve's trace does not
         # depend on the sign and scale the gcd came out with
         r = _bgcd(q, g)
         k = math.gcd(*(c for row in r for c in row)) * (-1) ** (r[-1][-1] < 0)
-        curve = trace_variety(_plane(_poly([[c // k for c in row]
-                                            for row in r])), trace.window, res)
-        trace.singular_candidates += [v for line in curve.polylines
-                                      for v in line]
+        curve, _ = _grid_trace(_poly([[c // k for c in row] for row in r]),
+                               trace.window, res)
+        trace.singular_candidates = _singular_points(q, trace.window) + [
+            v for line in curve for v in line]
         return trace
+    trace.polylines, trace.tolerance = _grid_trace(F, trace.window, res)
+    trace.singular_candidates = _singular_points(exact, trace.window)
+    return trace
 
+
+def _grid_trace(F: Poly, window: tuple, res: int) -> tuple:
+    """(polylines, tolerance): the marching-squares trace of {F = 0} on the
+    (res + 1)^2 grid of window, as trace_variety describes it.
+
+    F is evaluated into one grid array, one block of rows at a time
+    (_row_blocks), with the same elementwise operations at every node as
+    on the whole grid; the one evaluator of F serves the grid, the saddle
+    centres and the bisection.
+    """
+    x0, x1, y0, y1 = window
     xs = np.linspace(x0, x1, res + 1)
     ys = np.linspace(y0, y1, res + 1)
     feval = _float_evaluator(F)
@@ -358,7 +360,6 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
                 links.setdefault(a, []).append(b)
                 links.setdefault(b, []).append(a)
     tol = 1e-9 * (1.0 + scale)
-    trace.tolerance = tol
 
     edges = list(links)
     verts = dict(zip(edges, _edge_vertices(feval, xs, ys, vals, edges, tol)))
@@ -367,7 +368,7 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
     # has at most two neighbours and the one a walk came from is used, so
     # the walk goes on to the unused one.
     ends = [k for k, adj in links.items() if len(adj) == 1]
-    used = set()
+    used, polylines = set(), []
     for start in ends + list(links):
         chain, key = [], start
         while key not in used:
@@ -377,14 +378,8 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
         if len(chain) > 2 and start in links[key]:
             chain.append(start)
         if chain:
-            trace.polylines.append([verts[k] for k in chain])
-
-    trace.singular_candidates = _singular_points(exact, trace.window)
-    return trace
-
-
-def _plane(p: Poly) -> GohSystem:
-    return GohSystem(2, [], {(1, 2): p})
+            polylines.append([verts[k] for k in chain])
+    return polylines, tol
 
 
 # ---------------------------------------------------------------------------

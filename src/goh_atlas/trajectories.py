@@ -39,7 +39,6 @@ blow up are not kept.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import combinations, groupby, islice
 
@@ -47,58 +46,25 @@ import numpy as np
 
 from . import floateval
 from .errors import NumericsError
-from .floateval import CompiledPolys
+from .floateval import CompiledPolys, _first_fault
 from .options import DEGREE_MAX
 from .polyfield import Frame, compile_polyvec, lie_bracket_fields
 from .serialize import artifact, check_artifact
 
 
-def _float_list(xs):
-    return [float(x) for x in xs]
-
-
 def _from_function(cls, f, t0: float, t1: float, n_steps: int):
     """cls(ts, rows) with f sampled at n_steps + 1 uniform nodes t0..t1."""
     ts = np.linspace(t0, t1, n_steps + 1)
-    return cls(ts, [_float_list(f(t)) for t in ts])
-
-
-def _first_fault(name: str, data, depth: int) -> None:
-    """Raise a ValueError naming the first entry, by index, that keeps data
-    from being depth nested lists of finite numbers in rows of one length;
-    return if there is none."""
-    if not depth:
-        try:
-            value = float(data)
-        except (TypeError, ValueError):
-            raise ValueError(f"{name} is not a number: {data!r}") from None
-        if not math.isfinite(value):
-            raise ValueError(f"{name} is not finite: {value!r}")
-    elif not isinstance(data, (list, tuple)) and np.ndim(data) == 0:
-        raise ValueError(f"{name} is not a list: {data!r}")
-    else:
-        for i, item in enumerate(data):
-            _first_fault(f"{name}[{i}]", item, depth - 1)
-            if depth == 2 and len(item) != len(data[0]):
-                raise ValueError(f"{name}[{i}] has length {len(item)}, not "
-                                 f"{len(data[0])}")
+    return cls(ts, [f(t) for t in ts])
 
 
 def _sampled(kind: str, ts, rows, least: int) -> tuple:
     """(ts, rows) as float arrays if ts is a grid of finite, strictly
     increasing nodes, at least least of them, and rows one row of finite
     numbers per node; otherwise a ValueError naming the first bad entry by
-    field, row and column, as in "curve values[3][1]"."""
-    try:
-        t, values = np.asarray(ts, dtype=float), np.asarray(rows, dtype=float)
-    except (TypeError, ValueError):
-        t = values = None
-    if t is None or t.ndim != 1 or values.ndim != 2 \
-            or not (np.isfinite(t).all() and np.isfinite(values).all()):
-        _first_fault(f"{kind} t", ts, 1)
-        _first_fault(f"{kind} values", rows, 2)
-        if t is None or values.size:  # an empty list fails the count below
-            raise ValueError(f"{kind} values is not a list of rows")
+    field, row and column, as in "curve values[3][1]" (_first_fault)."""
+    t = _first_fault(f"{kind} t", ts, 1)
+    values = _first_fault(f"{kind} values", rows, 2)
     if len(t) < least:
         raise ValueError(f"{kind} t needs at least {least} nodes, got {len(t)}")
     down = np.flatnonzero(t[1:] <= t[:-1])
@@ -180,14 +146,6 @@ class JacobianPath:
 def _non_finite(what: str, node: int, t):
     return NumericsError(f"{what} produced non-finite values at node {node} "
                          f"(t = {float(t):.6g})")
-
-
-def _finite(values, name: str) -> np.ndarray:
-    """values as a float array; ValueError naming the first non-finite one."""
-    out = np.array(_float_list(values), dtype=float)
-    if not np.isfinite(out).all():
-        _first_fault(name, out.tolist(), 1)
-    return out
 
 
 WINDOW_STEPS = 512  # RK4 steps integrated together (bounds the stage arrays)
@@ -342,7 +300,8 @@ def _stage_controls(u, r: int, grid, substeps: int):
     Stage times are those of the step loop: t += h per step (summed in
     that order by np.add.accumulate), and t + 0.5*h, t + h inside a step.
     A Control is interpolated once per column over all of them; a callable
-    is called once per stage, in order.
+    is called once per stage, in order, and each row it returns is checked
+    as it comes, as control(t).
     """
     h = (grid[1:] - grid[:-1]) / substeps
     t = np.add.accumulate(np.column_stack(
@@ -356,17 +315,7 @@ def _stage_controls(u, r: int, grid, substeps: int):
     else:
         vals = np.empty(times.shape + (r,))
         for idx, t in np.ndenumerate(times):
-            row = _float_list(u(t))
-            if len(row) != r:
-                raise ValueError(f"control returned {len(row)} values at "
-                                 f"t = {t:.6g}, but the frame has r = {r} "
-                                 f"fields")
-            vals[idx] = row
-        bad = np.argwhere(~np.isfinite(vals))  # the first in call order
-        if len(bad):
-            i, k = tuple(bad[0, :2]), bad[0, 2]
-            raise ValueError(f"control value u_{k + 1} = {vals[i][k]} at "
-                             f"t = {times[i]:.6g} is not finite")
+            vals[idx] = _first_fault(f"control({float(t)!r})", u(t), 1, r)
     return np.repeat(h, substeps), vals
 
 
@@ -381,11 +330,8 @@ def _windows(frame: Frame, u, x0, substeps: int, ts):
     _rk4 instead.  Both give the bits of the plain loop.  A finite path
     under a Control that fits one window is kept (module docstring).
     """
-    x0 = _finite(x0, "x0")
+    x0 = _first_fault("x0", x0, 1, frame.n)
     n, r = frame.n, frame.r
-    if len(x0) != n:
-        raise ValueError(f"x0 has {len(x0)} entries, but the frame lives in "
-                         f"R^{n}")
     if substeps < 1:
         raise ValueError("substeps must be >= 1")
     if isinstance(u, Control):
@@ -526,7 +472,7 @@ def horizontal_lift(frame: Frame, kappa: SampledCurve,
     """Unique frame trajectory over a base curve, via its derivative control."""
     if kappa.m != frame.r:
         raise ValueError("base curve must live in R^r")
-    x0 = _float_list(x0)
+    x0 = _first_fault("x0", x0, 1, frame.n)
     start = kappa.points[0]
     if max(abs(a - b) for a, b in zip(x0[:frame.r], start)) \
             > 1e-9 * (1.0 + float(np.max(np.abs(start)))):
@@ -586,9 +532,9 @@ def extremal_residuals(frame: Frame, u, x0, lam, substeps: int = 1,
     pairs it with [X_h, X_k](gamma(t)).  The covector row is propagated by
     the adjoint equation, so no Jacobian is ever inverted.
     """
-    lam = _finite(lam, "lam")
-    if len(lam) != frame.n or not np.any(lam):
-        raise ValueError("covector must be nonzero with n entries")
+    lam = _first_fault("lam", lam, 1, frame.n)
+    if not np.any(lam):
+        raise ValueError("covector must be nonzero")
     pairs = list(combinations(range(1, frame.r + 1), 2))
     pairings = _compiled(frame, "pairings")
     grid, windows = _windows(frame, u, x0, substeps, ts)
@@ -677,8 +623,10 @@ def polynomial_containment(points, degree: int,
     most `degree`, unit-normalized; the null-space dimension counts the
     singular values below threshold * sigma_max.  A degree outside 0 to
     options.DEGREE_MAX (refused before the points are read), a point that
-    is not a pair, or a threshold that is not finite and positive, is a
-    ValueError naming it.
+    is not a pair of finite numbers (_first_fault), or a threshold that is
+    not finite and positive, is a ValueError naming it.  Column x^a y^b is
+    x^a * y^b, a power x itself for k = 1 and np.float_power(x, k) for
+    k >= 2, as _float_evaluator raises them.
     """
     if not 0 <= degree <= DEGREE_MAX:
         raise ValueError(f"degree must be from 0 to {DEGREE_MAX}, got "
@@ -686,21 +634,19 @@ def polynomial_containment(points, degree: int,
     if not (np.isfinite(threshold) and threshold > 0.0):
         raise ValueError(f"threshold must be a finite positive number, got "
                          f"{threshold}")
-    pts, bad = floateval._float_rows(points, 2)
-    if bad is not None:
-        raise ValueError(f"point {bad} has {len(points[bad])} coordinates, "
-                         f"not 2")
+    pts = _first_fault("points", points, 2, 2)
     n_mono = (degree + 1) * (degree + 2) // 2
     if len(pts) < 3 * n_mono:
         raise ValueError(
             f"need at least {3 * n_mono} points for degree {degree}")
-    if not np.isfinite(pts).all():
-        _first_fault("points", pts.tolist(), 2)
     exps = [(total - i, i) for total in range(degree + 1)
             for i in range(total + 1)]
-    x, y = pts[:, 0], pts[:, 1]
     with np.errstate(over="ignore", invalid="ignore"):  # checked below
-        mat = np.stack([x ** a * y ** b for a, b in exps], axis=1)
+        # powers[i][k] is coordinate i to the k
+        powers = [[np.ones(len(pts)), c] + [np.float_power(c, k) for k in
+                                            range(2, degree + 1)]
+                  for c in pts.T]
+        mat = np.stack([powers[0][a] * powers[1][b] for a, b in exps], axis=1)
         norms = np.linalg.norm(mat, axis=0)
     bad = ~np.isfinite(norms)
     if bad.any():  # an inf norm would scale its column to zero

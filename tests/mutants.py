@@ -217,6 +217,28 @@ REGISTER = {
         "compile_polyvec(lie_bracket_fields(f[h], f[k]))",
         "compile_polyvec(lie_bracket_fields(f[k], f[h]))",
         ("tests/test_goh.py::test_sigma_is_F_along_random_frames_of_the_paper",)),
+    # the containment columns raised by array **, not as the float
+    # evaluator raises them
+    "containment-array-power": Mutant(
+        "src/goh_atlas/trajectories.py",
+        "powers[0][a] * powers[1][b] for a, b in exps",
+        "pts[:, 0] ** a * pts[:, 1] ** b for a, b in exps",
+        ("tests/test_trajectories.py::TestContainment::test_columns_are_the_float_evaluators_monomials[3]",)),
+    # the float-input check letting an int too large for a float escape
+    # its conversion as a bare OverflowError
+    "check-overflow-uncaught": Mutant(
+        "src/goh_atlas/floateval.py",
+        "except (TypeError, ValueError, OverflowError):",
+        "except (TypeError, ValueError):",
+        ("tests/test_trajectories.py::test_every_float_input_names_its_fault_in_one_shape[curve-json-values-huge-int]",
+         "tests/test_cli.py::TestExitCodes::test_bad_number_in_an_input_file_is_located[contain-huge-int]")),
+    # the float-input check's fast path taking a non-finite entry
+    "check-finite-skipped": Mutant(
+        "src/goh_atlas/floateval.py",
+        "and np.isfinite(out).all():",
+        "and True:",
+        ("tests/test_trajectories.py::test_every_float_input_names_its_fault_in_one_shape[control-json-values-nan]",
+         "tests/test_goh.py::TestVarietyMembership::test_non_finite_point_is_named[nan]")),
     # F built without the term of the first vertical coordinate
     "goh-term-dropped": Mutant(
         "src/goh_atlas/goh.py",

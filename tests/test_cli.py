@@ -495,6 +495,23 @@ class TestExitCodes:
         code, out, err = run(capsys, *[files.get(a, a) for a in argv])
         assert (code, out, err) == (2, "", f"error: {msg}\n")
 
+    @pytest.mark.parametrize("bad, fault", [
+        (math.nan, "is not finite: nan"),
+        (10 ** 400, "is too large for a float")], ids=["nan", "huge-int"])
+    @pytest.mark.parametrize("argv, kind", [
+        (["contain"], "curve"), (["flow", "--rank", "2", "--step", "2"],
+                                 "control")], ids=["contain", "flow"])
+    def test_bad_number_in_an_input_file_is_located(self, capsys, tmp_path,
+                                                    argv, kind, bad, fault):
+        # 10**400 was an OverflowError traceback and exit 1
+        cls = {"curve": SampledCurve, "control": Control}[kind]
+        data = cls([0.0, 1.0, 2.0], [[1.0, 0.0]] * 3).to_json()
+        data["values"][1][0] = bad
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+        assert run(capsys, *argv, f"--{kind}", str(path)) == (
+            2, "", f"error: {kind} values[1][0] {fault}\n")
+
 
 class TestTolerancePlumbing:
     def test_tol_flag_sets_the_threshold(self, capsys, tmp_path):

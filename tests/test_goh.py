@@ -135,7 +135,7 @@ class TestVarietyMembership:
     def test_point_of_the_wrong_length_is_named(self, bad):
         sys = goh_polynomials(f23_frame(), [0, 0, 0, 1, 0])
         with pytest.raises(ValueError, match=re.escape(
-                f"curve point 2 has {len(bad)} coordinates, not 2")):
+                f"points[2] has length {len(bad)}, not 2")):
             variety_membership(sys, [(0.0, 0.0), (0.0, 1.0), bad])
 
     @pytest.mark.parametrize("x", [1e200, 1e120, -1e200])
@@ -174,7 +174,8 @@ class TestVarietyMembership:
     def test_non_finite_point_is_named(self, bad):
         # a NaN value never beats the sup, so it used to read as on the variety
         sys = goh_polynomials(martinet_frame(), [0, 0, 1])  # F = x_1
-        with pytest.raises(ValueError, match="point 1 is not finite"):
+        with pytest.raises(ValueError, match=re.escape(
+                f"points[1][0] is not finite: {bad}")):
             variety_membership(sys, [(0.0, 0.0), (bad, 0.0)])
 
 
@@ -835,18 +836,27 @@ def test_singular_curves_match_textbook_bitwise(kind):
 
 
 def scalar_variety_membership(sys: GohSystem, curve) -> float:
-    """variety_membership as one loop over the points and, inside it, the
-    pairs, on Python floats with scalar ``**`` (textbook_eval; a power that
-    overflows gives inf): the array version's oracle."""
-    points = getattr(curve, "points", curve)
-    worst = 0.0
+    """variety_membership as one loop that checks every point, then one
+    over the points and, inside it, the pairs, on Python floats with scalar
+    ``**`` (textbook_eval; a power that overflows gives inf): the array
+    version's oracle."""
+    points, xs = getattr(curve, "points", curve), []
     for idx, pt in enumerate(points):
         if len(pt) != sys.r:
-            raise ValueError(f"curve point {idx} has {len(pt)} coordinates, "
-                             f"not {sys.r}")
-        x = [float(c) for c in pt]
-        if not all(map(math.isfinite, x)):
-            raise ValueError(f"curve point {idx} is not finite: {x}")
+            raise ValueError(f"points[{idx}] has length {len(pt)}, not "
+                             f"{sys.r}")
+        xs.append([])
+        for i, c in enumerate(pt):
+            try:
+                xs[-1].append(float(c))
+            except OverflowError:
+                raise ValueError(f"points[{idx}][{i}] is too large for a "
+                                 f"float") from None
+            if not math.isfinite(xs[-1][-1]):
+                raise ValueError(f"points[{idx}][{i}] is not finite: "
+                                 f"{xs[-1][-1]!r}")
+    worst = 0.0
+    for idx, x in enumerate(xs):
         for (h, k), p in sys.polys.items():
             try:
                 v = abs(textbook_eval(p, x))
@@ -872,8 +882,9 @@ def membership_outcome(membership, sys, points):
 def systems_and_curves(draw):
     """A system of rank 2 or 3 (one or three pairs) whose polynomials have
     degree <= 5, and up to 30 points, with faults placed at random indices:
-    a NaN or infinite entry, an entry of 1e80 whose powers overflow, or a
-    point of another length; as a list of tuples, or an array if regular."""
+    a NaN or infinite entry, an entry of 1e80 whose powers overflow, an
+    int too large for a float, or a point of another length; as a list of
+    tuples, or an array if regular and every entry a float."""
     r = draw(st.integers(2, 3))
     power = st.integers(0, 5)
     exponent = st.tuples(*[power] * r).filter(lambda e: sum(e) <= 5)
@@ -884,17 +895,21 @@ def systems_and_curves(draw):
     entry = st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-3, 3))
     points = draw(st.lists(st.lists(entry, min_size=r, max_size=r),
                            max_size=30))
+    # a fault of the input comes before any overflow, so half the cases
+    # hold overflowing entries alone
+    faults = draw(st.sampled_from([[1e80], [math.nan, math.inf, -math.inf,
+                                            1e80, 10 ** 400, "short", "long"]]))
     for _ in range(draw(st.integers(0, 3)) if points else 0):
         idx = draw(st.integers(0, len(points) - 1))
-        fault = draw(st.sampled_from([math.nan, math.inf, -math.inf, 1e80,
-                                      "short", "long"]))
+        fault = draw(st.sampled_from(faults))
         if fault == "short":
             points[idx] = points[idx][:-1]
         elif fault == "long":
             points[idx] = points[idx] + [1.0]
         elif points[idx]:
             points[idx][draw(st.integers(0, len(points[idx]) - 1))] = fault
-    if draw(st.booleans()) and all(len(pt) == r for pt in points):
+    if draw(st.booleans()) and all(len(pt) == r and 10 ** 400 not in pt
+                                   for pt in points):
         return GohSystem(r, [], polys), np.array(points).reshape(-1, r)
     return GohSystem(r, [], polys), [tuple(pt) for pt in points]
 
@@ -904,7 +919,7 @@ def fault_kind(outcome) -> str:
     fault."""
     if not isinstance(outcome, tuple):
         return "value"
-    return next((word for word in ("coordinates", "finite", "overflows")
+    return next((word for word in ("length", "large", "finite", "overflows")
                  if word in outcome[1]), outcome[1])
 
 
@@ -920,8 +935,10 @@ def test_array_membership_is_the_scalar_loop():
         reached.add(fault_kind(want))
 
     check()
-    # a value, a length, a non-finite point and an overflow were all reached
-    assert reached == {"value", "coordinates", "finite", "overflows"}, reached
+    # a value, a length, an int too large, a non-finite point and an
+    # overflow were all reached
+    assert reached == {"value", "length", "large", "finite", "overflows"}, \
+        reached
 
 
 def test_membership_value_at_each_point_is_the_scalar_loops():
@@ -1293,6 +1310,18 @@ def test_non_square_free_traces_its_square_free_part(name, res):
     if curve == X1:  # one vertex on each grid row
         assert sorted(y for _, y in points) == np.linspace(-2, 2, res + 1) \
             .tolist()
+
+
+def test_non_square_free_runs_the_singular_points_once(monkeypatch):
+    # the trace of gcd(q, g) was a whole trace_variety call, which found
+    # that curve's singular points too and dropped them
+    calls = []
+    singular = goh._singular_points
+    monkeypatch.setattr(goh, "_singular_points",
+                        lambda *args: calls.append(args) or singular(*args))
+    p = NON_SQUARE_FREE["double circle, line"][0]
+    assert trace_variety(system_of(p), resolution=48).singular_candidates
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("window", [(0, 1, 0, 1), (-1, 0, 0, 1), (0, 1, -1, 0),

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from goh_atlas import floateval, trajectories
 from goh_atlas.errors import NumericsError
 from goh_atlas.freelie import generate_basis
+from goh_atlas.goh import GohSystem, variety_membership
 from goh_atlas.normalform import realize_frame
 from goh_atlas.options import DEGREE_MAX
 from goh_atlas.polyfield import (
@@ -169,6 +170,68 @@ def test_sampled_grid_faults_are_located(kind, change, message):
     data = {**cls([0.0, 1.0], [[1.0], [2.0]]).to_json(), **change}
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         cls.from_json(data)
+
+
+def _unit_control():
+    return Control([0.0, 1.0], [[1.0, 0.0], [1.0, 0.0]])
+
+
+# every float input: its name in a fault, a call that passes data to it,
+# data it accepts, and the index of the entry a fault replaces
+FLOAT_INPUTS = {
+    "control-json-t": ("control t", lambda d: Control.from_json(
+        {**Control([0, 1, 2], [[0.0]] * 3).to_json(), "t": d}),
+        [0.0, 1.0, 2.0], (1,)),
+    "control-json-values": ("control values", lambda d: Control.from_json(
+        {**Control([0, 1, 2], [[0.0]] * 3).to_json(), "values": d}),
+        [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], (1, 1)),
+    "curve-json-values": ("curve values", lambda d: SampledCurve.from_json(
+        {**SampledCurve([0, 1, 2], [[0.0]] * 3).to_json(), "values": d}),
+        [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], (2, 0)),
+    "flow-x0": ("x0", lambda d: flow_control(
+        heisenberg_frame(), _unit_control(), d), [0.0, 0.0, 0.0], (1,)),
+    "residuals-lam": ("lam", lambda d: extremal_residuals(
+        heisenberg_frame(), _unit_control(), [0.0] * 3, d),
+        [0.0, 0.0, 1.0], (2,)),
+    "callable-control": ("control(0.5)", lambda d: flow_control(
+        heisenberg_frame(), lambda t: d if t == 0.5 else (1.0, 0.0),
+        [0.0] * 3, ts=[0.0, 0.5, 1.0]), [1.0, 0.0], (1,)),
+    "membership-points": ("points", lambda d: variety_membership(
+        GohSystem(2, [], {(1, 2): Poly.var(2, 0)}), d),
+        [[0.0, 0.0], [0.5, 1.0], [1.0, 2.0]], (1, 0)),
+    "containment-points": ("points", lambda d: polynomial_containment(d, 1),
+                           [[t, 2.0 * t + 1.0]
+                            for t in np.linspace(-1.0, 1.0, 20).tolist()],
+                           (7, 1)),
+}
+
+# each fault, and how its message ends
+ENTRY_FAULTS = {"nan": (math.nan, "is not finite: nan"),
+                "inf": (math.inf, "is not finite: inf"),
+                "huge-int": (10 ** 400, "is too large for a float"),
+                "string": ("x", "is not a number: 'x'")}
+
+
+@pytest.mark.parametrize("entry, fault", [
+    pytest.param(entry, fault, id=f"{entry}-{fault}")
+    for entry in FLOAT_INPUTS for fault in [*ENTRY_FAULTS, "short"]
+    if (entry, fault) != ("control-json-t", "short")])  # a grid has no length
+def test_every_float_input_names_its_fault_in_one_shape(entry, fault):
+    # 10**400 was a bare OverflowError from each of them
+    name, call, good, where = FLOAT_INPUTS[entry]
+    call(good)
+    data = [list(row) if isinstance(row, list) else row for row in good]
+    *path, last = where
+    inner = data[path[0]] if path else data
+    name += "".join(f"[{i}]" for i in path)
+    if fault == "short":
+        del inner[-1]
+        message = f"{name} has length {len(inner)}, not {len(inner) + 1}"
+    else:
+        inner[last], end = ENTRY_FAULTS[fault]
+        message = f"{name}[{last}] {end}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(data)
 
 
 class TestFlowControl:
@@ -598,7 +661,8 @@ def test_control_width_must_match_the_frame(integrate, width):
     u = Control(np.array([0.0, 1.0]), np.ones((2, width)))
     with pytest.raises(ValueError, match=f"control has {width} columns"):
         integrate(frame, u)
-    with pytest.raises(ValueError, match=f"control returned {width} values"):
+    with pytest.raises(ValueError, match=re.escape(
+            f"control(0.0) has length {width}, not 2")):
         integrate(frame, lambda t: (1.0,) * width, ts=[0.0, 1.0])
 
 
@@ -616,7 +680,7 @@ def test_non_finite_callable_control_is_refused(integrate, bad):
         return (1.0, bad if t >= 0.5 else 0.0)
 
     with pytest.raises(ValueError, match=re.escape(
-            f"control value u_2 = {bad} at t = 0.5 is not finite")):
+            f"control(0.5)[1] is not finite: {bad}")):
         integrate(heisenberg_frame(), u, ts=np.linspace(0.0, 1.0, 5))
 
 
@@ -627,7 +691,8 @@ def test_non_finite_callable_control_is_refused(integrate, bad):
 ], ids=["jacobian", "adjoint", "inverse"])
 def test_x0_length_is_checked(integrate):
     u = Control(np.array([0.0, 1.0]), np.ones((2, 2)))
-    with pytest.raises(ValueError, match="x0 has 2 entries"):
+    with pytest.raises(ValueError, match=re.escape(
+            "x0 has length 2, not 3")):
         integrate(heisenberg_frame(), u)
 
 
@@ -1194,10 +1259,10 @@ class TestContainment:
         pts[5] = pts[9] = bad
         pts[12] = (math.nan, 0.0)
         with pytest.raises(ValueError, match=re.escape(
-                f"point 5 has {len(bad)} coordinates, not 2")):
+                f"points[5] has length {len(bad)}, not 2")):
             polynomial_containment(pts, 1)
         with pytest.raises(ValueError, match=re.escape(
-                "point 0 has 3 coordinates, not 2")):
+                "points[0] has length 3, not 2")):
             polynomial_containment(np.ones((20, 3)), 1)
 
     def test_points_convert_as_float_pairs(self):
@@ -1211,6 +1276,24 @@ class TestContainment:
         got = polynomial_containment(pts, 2)
         assert np.array(got["singular_values"]).tobytes() == \
             np.array(want["singular_values"]).tobytes()
+
+    @pytest.mark.parametrize("degree", [3, 6])
+    def test_columns_are_the_float_evaluators_monomials(self, monkeypatch,
+                                                        degree):
+        # array ** rounded 482 entries of this spiral's degree-3 columns
+        # apart from C pow, 4542 at degree 6
+        pts = spiral_curve(1e-3, 5000).points
+        svd, seen = np.linalg.svd, []
+        monkeypatch.setattr(np.linalg, "svd",
+                            lambda a, **kw: seen.append(a) or svd(a, **kw))
+        polynomial_containment(pts, degree)
+        cols = np.stack([np.broadcast_to(floateval._float_evaluator(
+            Poly(2, {(total - i, i): 1}))(pts.T), len(pts))
+            for total in range(degree + 1) for i in range(total + 1)], axis=1)
+        # the evaluator sums from 0.0, so the spiral's last point (1.0, -0.0)
+        # reads +0.0 there; adding 0.0 drops the sign of a zero, nothing else
+        assert (seen[0] + 0.0).tobytes() == (
+            cols / np.linalg.norm(cols, axis=0)).tobytes()
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_point_is_named(self, bad):
