@@ -1,7 +1,8 @@
 """Float evaluation of exact polynomials: generated straight-line functions
-(_float_evaluator) and the batched CompiledPolys; and _first_fault, the one
-check of every float input.  The one module of polyfield's layer that
-imports numpy; the exact layers never do.
+(_float_evaluator) and the batched CompiledPolys, whose coefficients both
+convert by _float_coef; and _first_fault, the one check of every float
+input.  The one module of polyfield's layer that imports numpy; the exact
+layers never do.
 """
 
 from __future__ import annotations
@@ -12,6 +13,15 @@ from operator import index
 import numpy as np
 
 from .polyfield import Poly
+
+
+def _float_coef(e: tuple, c) -> float:
+    """c as a float; one too large is a ValueError naming its term e."""
+    try:
+        return float(c)
+    except OverflowError:
+        raise ValueError(f"the coefficient of the term {e} is too large for "
+                         f"a float") from None
 
 
 def _float_evaluator(*polys: "Poly"):
@@ -48,7 +58,7 @@ def _float_evaluator(*polys: "Poly"):
                     f"pow(x[{i}], {k})", f"p{len(powers)}")
                 factors += " * " + text
             sums.append(f"    t{out} = t{out} + c[{len(coefs)}]{factors}")
-            coefs.append(float(c))
+            coefs.append(_float_coef(e, c))
     lines = [f"    {name} = {text}" for text, name in powers.items()] + sums
     totals = ", ".join(f"t{out}" for out in range(len(polys)))
     scope = {"c": coefs, "pow": np.float_power}
@@ -116,7 +126,7 @@ class CompiledPolys:
     def __init__(self, polys: list[Poly]):
         self.count = len(polys)
         monos: dict = {}  # exponent tuple -> index, first seen first
-        terms = [[(monos.setdefault(e, len(monos)), float(c))
+        terms = [[(monos.setdefault(e, len(monos)), _float_coef(e, c))
                   for e, c in p.terms.items()] for p in polys]
         self.used = sorted({i for e in monos for i, k in enumerate(e) if k})
         self.top = max((k for e in monos for k in e), default=0)

@@ -117,16 +117,13 @@ class LyndonBasis:
     def table(self) -> StructureTable:
         """The structure table, built by structure_table on first use and
         kept, so that every later bracket on this basis shares it: read it,
-        never change it.  The table refers back to the basis, so a dropped
-        basis and its table are freed by the cyclic collector."""
+        never change it.  The table holds no reference to the basis, so a
+        dropped basis frees its table at once."""
         return _rewrite_table(self)
 
     @property
     def dim(self) -> int:
         return len(self.words)
-
-    def weight(self, i: int) -> int:
-        return len(self.words[i])
 
     @cached_property
     def weights(self) -> tuple[int, ...]:
@@ -340,14 +337,14 @@ def _numerators(a: LieElement, d: int) -> dict[int, int]:
 
 @dataclass(frozen=True)
 class StructureTable:
-    basis: LyndonBasis
+    weights: tuple[int, ...]  # of the basis elements, ascending
+    step: int
     table: tuple[tuple[LieElement, ...], ...]  # table[i][j] = [E_i, E_j]
 
     def bracket_elements(self, a: LieElement, b: LieElement) -> LieElement:
         """Bilinear bracket through the table (no tensor work).
 
-        Every table the package builds, normalform._signed_table's
-        included, is zero past the step: [E_i, E_j] = 0 once
+        The table is zero past the step: [E_i, E_j] = 0 once
         |w_i| + |w_j| > step.  So for each i of a only the j of b with
         |w_j| <= step - |w_i| are visited, b's items filtered once per
         weight room and kept in b's order, as t_mul does.  The loop reaches
@@ -368,7 +365,7 @@ class StructureTable:
         db = da and _common_denominator(b)
         if da and db:
             a, b = _numerators(a, da), _numerators(b, db)
-        weights, step = self.basis.weights, self.basis.step
+        weights, step = self.weights, self.step
         out: LieElement = {}
         fits: dict[int, list] = {}  # room -> the items of b that fit, in order
         for i, ci in a.items():
@@ -459,7 +456,7 @@ def _rewrite_table(basis: LyndonBasis) -> StructureTable:
                 e = dict(sorted(e.items()))
                 table[i][j] = e
                 table[j][i] = {k: -c for k, c in e.items()}
-    return StructureTable(basis, tuple(tuple(row) for row in table))
+    return StructureTable(weights, step, tuple(tuple(row) for row in table))
 
 
 def bernoulli_numbers(count: int) -> list[Fraction]:

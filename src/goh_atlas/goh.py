@@ -33,12 +33,6 @@ from .serialize import _ratio, artifact
 SCAN_ROWS = 4096
 
 
-def _as_exact(c):
-    if isinstance(c, (Fraction, int, str)):
-        return Fraction(c)
-    return c  # float stays float; polynomials then carry float coefficients
-
-
 @dataclass
 class GohSystem:
     """Antisymmetric family F[h][k] on R^r, stored upper-triangular."""
@@ -71,12 +65,21 @@ def goh_polynomials(frame: Frame, lam) -> GohSystem:
 
     Requires the metabelian normal-form shape: triangular frame whose
     coefficients live on x_1..x_r (otherwise the reduction to base
-    polynomials is not valid) and a nonzero covector.
+    polynomials is not valid) and a nonzero covector of n exact entries or
+    finite floats, each fault a ValueError in _first_fault's shapes.
     """
     n, r = frame.n, frame.r
-    lam = [_as_exact(c) for c in lam]
+    lam = list(lam)
     if len(lam) != n:
-        raise ValueError(f"covector needs {n} entries")
+        raise ValueError(f"lam has length {len(lam)}, not {n}")
+    for i, c in enumerate(lam):
+        if isinstance(c, float):
+            _first_fault(f"lam[{i}]", c, 0)  # finite, or a located error
+            continue
+        try:
+            lam[i] = Fraction(c)
+        except (TypeError, ValueError, ZeroDivisionError):
+            raise ValueError(f"lam[{i}] is not a number: {c!r}") from None
     if not any(lam):
         raise ValueError("covector must be nonzero")
     if not verify_normal_form(frame)["ok"]:
@@ -279,10 +282,9 @@ def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
     if sys.r != 2:
         raise ValueError("plane tracing needs a rank-2 system")
     F = sys.poly(1, 2)
-    x0, x1, y0, y1 = (float(v) for v in window)
-    for name, v in zip(("x_min", "x_max", "y_min", "y_max"), (x0, x1, y0, y1)):
-        if not math.isfinite(v):
-            raise ValueError(f"window {name} is not finite: {v!r}")
+    x0, x1, y0, y1 = window
+    x0, x1, y0, y1 = (_first_fault(f"window {k}", v, 0) for k, v in zip(
+        ("x_min", "x_max", "y_min", "y_max"), (x0, x1, y0, y1)))
     if not (x0 < x1 and y0 < y1):
         raise ValueError("window must satisfy x_min < x_max, y_min < y_max")
     for name, lo, hi in (("x", x0, x1), ("y", y0, y1)):
@@ -366,7 +368,8 @@ def _grid_trace(F: Poly, window: tuple, res: int) -> tuple:
 
     # chain the graph into polylines, open paths first, then loops.  An edge
     # has at most two neighbours and the one a walk came from is used, so
-    # the walk goes on to the unused one.
+    # the walk goes on to the unused one.  A vertex equal to the one before
+    # it (a grid node the curve passes diagonally) is left out.
     ends = [k for k, adj in links.items() if len(adj) == 1]
     used, polylines = set(), []
     for start in ends + list(links):
@@ -378,7 +381,8 @@ def _grid_trace(F: Poly, window: tuple, res: int) -> tuple:
         if len(chain) > 2 and start in links[key]:
             chain.append(start)
         if chain:
-            polylines.append([verts[k] for k in chain])
+            line = [verts[k] for k in chain]
+            polylines.append([v for v, u in zip(line, [None] + line) if v != u])
     return polylines, tol
 
 

@@ -98,14 +98,8 @@ def is_metabelian(frame: Frame, depth: int) -> MetabelianVerdict:
 
 def is_metabelian_algebra(table: StructureTable) -> bool:
     """True iff brackets of weight >= 2 basis elements all vanish."""
-    basis = table.basis
-    n = basis.dim
-    heavy = [i for i in range(n) if basis.weight(i) >= 2]
-    for i in heavy:
-        for j in heavy:
-            if j > i and table.table[i][j]:
-                return False
-    return True
+    heavy = [i for i, w in enumerate(table.weights) if w >= 2]
+    return not any(table.table[i][j] for i in heavy for j in heavy if j > i)
 
 
 def coefficient_dependence(frame: Frame) -> bool:

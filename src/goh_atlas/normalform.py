@@ -8,9 +8,9 @@ where B_i is a signed bracket attachment of the i-th Lyndon basis element.
 The realization pipeline:
   1. Ψ(x) = log q(x) via the exact word-tensor engine, giving the
      polynomial change to coordinates of the first kind.
-  2. M(x) = q^{-1} dq from the structure table of the B basis: column j is
-     e^{-x_1 ad B_1} ... e^{-x_{j-1} ad B_{j-1}} B_j, a unit lower
-     triangular matrix, since a bracket raises the weight.
+  2. M(x) = q^{-1} dq from the structure table, B_i = s_i E_i folded in:
+     column j is e^{-x_1 ad B_1} ... e^{-x_{j-1} ad B_{j-1}} B_j, a unit
+     lower triangular matrix, since a bracket raises the weight.
   3. The coordinate fields X_k = M^{-1} e_k by forward substitution.
 All arithmetic is exact rational.  Steps 1-3 and ψ^{-1} (by back
 substitution) run on polyfield's packed integer polynomials; ψ, ψ^{-1} and
@@ -28,7 +28,6 @@ from .errors import NumericsError
 from .freelie import (
     _accumulate,
     LyndonBasis,
-    StructureTable,
     structure_table,
     lie_scale,
     lie_to_tensor,
@@ -62,23 +61,19 @@ def attachment_trees(basis: LyndonBasis) -> tuple:
                  else uv for w, uv in zip(words, basis.factors))
 
 
-def signed_attachment(table: StructureTable):
-    """(signs, trees): B_i = sign_i * E_i built by bracketing per the trees.
+def signed_attachment(basis: LyndonBasis):
+    """(signs, trees): B_i = sign_i * E_i built by bracketing per the trees
+    on the basis's structure table.
 
     Each attachment bracket must land on a single basis element with
     coefficient +/-1; anything else means the table is inconsistent.
     """
-    basis = table.basis
-    trees = attachment_trees(basis)
+    table, trees = basis.table, attachment_trees(basis)
     signs: list[int] = []
     elements: list[dict] = []
     for idx, tree in enumerate(trees):
-        if tree is None:
-            signs.append(1)
-            elements.append({idx: ONE})
-            continue
-        left, right = tree
-        el = table.bracket_elements(elements[left], elements[right])
+        el = {idx: ONE} if tree is None else table.bracket_elements(
+            elements[tree[0]], elements[tree[1]])
         if set(el) != {idx} or el[idx] * el[idx] != 1:
             raise NumericsError(
                 f"attachment bracket for word {basis.words[idx]} is not a "
@@ -86,17 +81,6 @@ def signed_attachment(table: StructureTable):
         signs.append(int(el[idx]))
         elements.append(el)
     return tuple(signs), trees
-
-
-def _signed_table(table: StructureTable, signs) -> StructureTable:
-    """The structure table of the B basis: [B_i, B_j] in B coordinates.
-
-    Empty entries stay the given table's own dicts, not n^2 new ones.
-    """
-    return StructureTable(table.basis, tuple(
-        tuple({k: signs[i] * signs[j] * signs[k] * c for k, c in e.items()}
-              if e else e for j, e in enumerate(row))
-        for i, row in enumerate(table.table)))
 
 
 @dataclass
@@ -110,7 +94,6 @@ class CoordinateMaps:
     """
 
     basis: LyndonBasis
-    table: StructureTable
     psi: list[Poly]
     psi_inv: list[Poly]
     fields: list[PolyVec]
@@ -135,8 +118,8 @@ def _sorted(p) -> Poly:
 
 def realize_frame(basis: LyndonBasis) -> tuple[Frame, CoordinateMaps]:
     """Polynomial frame in second-kind coordinates plus coordinate maps."""
-    table = structure_table(basis)
-    signs, _ = signed_attachment(table)
+    bracket = structure_table(basis).bracket_elements
+    signs, _ = signed_attachment(basis)
     n = basis.dim
     step = basis.step
     # every coefficient below has weight <= step and every variable weight
@@ -158,19 +141,20 @@ def realize_frame(basis: LyndonBasis) -> tuple[Frame, CoordinateMaps]:
 
     # column j of M(x) = q^{-1} dq is e^{-x_1 ad B_1} ... e^{-x_{j-1} ad
     # B_{j-1}} B_j, innermost factor first; each exponential is a finite
-    # sum, since a bracket raises the weight
-    bracket = _signed_table(table, signs).bracket_elements
+    # sum, since a bracket raises the weight.  The brackets run in E
+    # coordinates, B_i = s_i E_i, and the column is mapped back to B's
     cols = []
     for j in range(n):
-        col = {j: one}
+        col = {j: signs[j]}
         for i in range(j - 1, -1, -1):
             cur = col
             for m in range(1, step):
-                cur = bracket({i: ring.var(i) * Fraction(-1, m)}, cur)
+                cur = bracket({i: ring.var(i) * Fraction(-signs[i], m)}, cur)
                 if not cur:
                     break
                 _accumulate(col, cur.items())
-        if min(col) != j or col[j] - one:
+        col = {k: -c if signs[k] < 0 else c for k, c in col.items()}
+        if min(col) != j or col[j] != 1:
             raise NumericsError(f"column {j} of M is not unit lower "
                                 f"triangular")
         cols.append(col)
@@ -193,9 +177,8 @@ def realize_frame(basis: LyndonBasis) -> tuple[Frame, CoordinateMaps]:
                                for j in range(n)]))
     psi = [_sorted(p) for p in psi]
 
-    weights = tuple(len(w) for w in basis.words)
-    frame = Frame(fields[:basis.rank], weights=weights, normal_form=True,
-                  labels=basis.words)
+    frame = Frame(fields[:basis.rank], weights=basis.weights,
+                  normal_form=True, labels=basis.words)
 
     # exact inverse by weight-graded back substitution in the same ring (the
     # weight |w_i| of a term of psi_i - x_i bounds it after substitution)
@@ -205,8 +188,8 @@ def realize_frame(basis: LyndonBasis) -> tuple[Frame, CoordinateMaps]:
         if p:
             inv[i] = inv[i] - _substitute(p.terms.items(), inv, ring)
 
-    maps = CoordinateMaps(basis, table, psi, [_sorted(p) for p in inv],
-                          fields, signs)
+    maps = CoordinateMaps(basis, psi, [_sorted(p) for p in inv], fields,
+                          signs)
     return frame, maps
 
 

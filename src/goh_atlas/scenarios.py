@@ -166,7 +166,7 @@ def scenario_f23_line(cfg: dict) -> _Report:
     rep.check("normal_form", verify_normal_form(frame)["ok"])
     rep.check("closed_form_second_field",
               (frame.fields[1] - _f23_closed_form()).is_zero())
-    _metabelian_block(rep, frame, maps.table, 6, rng, True)
+    _metabelian_block(rep, frame, maps.basis.table, 6, rng, True)
 
     n_steps = cfg["samples"]
     kappa = SampledCurve.from_function(lambda t: (0.0, t), 0.0, 1.0, n_steps)
@@ -212,7 +212,7 @@ def scenario_f24(cfg: dict) -> _Report:
     rep.check("normal_form", verify_normal_form(frame)["ok"])
     rep.check("growth_vector",
               growth_vector(frame, [0] * frame.n, 4) == [2, 3, 5, 8])
-    _metabelian_block(rep, frame, maps.table, 8, rng, True)
+    _metabelian_block(rep, frame, maps.basis.table, 8, rng, True)
 
     worst_push = 0.0
     worst_dyn = 0.0
@@ -243,7 +243,7 @@ def scenario_f25(cfg: dict) -> _Report:
     frame, maps = realize_frame(generate_basis(2, 5))
     rep.artifact("realization.json", maps)
     rep.check("normal_form", verify_normal_form(frame)["ok"])
-    _metabelian_block(rep, frame, maps.table, 10, rng, False,
+    _metabelian_block(rep, frame, maps.basis.table, 10, rng, False,
                       witness=((1, 2), (1, 1, 2)))
 
     try:
@@ -311,7 +311,7 @@ def scenario_f27_spiral(cfg: dict) -> _Report:
     frame, maps = realize_frame(generate_basis(2, 7))
     rep.check("dimension", frame.n == 41, n=frame.n)
     rep.check("normal_form", verify_normal_form(frame)["ok"])
-    _metabelian_block(rep, frame, maps.table, 14, rng, False,
+    _metabelian_block(rep, frame, maps.basis.table, 14, rng, False,
                       witness=((1, 2), (1, 1, 2)))
 
     spiral = spiral_curve(eps, n_steps)

@@ -38,11 +38,7 @@ from goh_atlas.freelie import (
     tensor_to_lie,
     word_expansions,
 )
-from goh_atlas.normalform import (
-    CoordinateMaps,
-    _signed_table,
-    signed_attachment,
-)
+from goh_atlas.normalform import CoordinateMaps, signed_attachment
 from goh_atlas.metabelian import MetabelianVerdict
 from goh_atlas.polyfield import Frame, Poly, PolyVec, _Ring, _as_frac, \
     _bad_exponent, _check_length, _nested_brackets, _substitute, \
@@ -72,14 +68,26 @@ def tensor_structure_table(basis: LyndonBasis) -> StructureTable:
     n = basis.dim
     table: list[list[LieElement]] = [[{} for _ in range(n)] for _ in range(n)]
     for i in range(n):
-        wi = basis.weight(i)
+        wi = basis.weights[i]
         for j in range(i + 1, n):
-            if wi + basis.weight(j) > basis.step:
+            if wi + basis.weights[j] > basis.step:
                 continue  # graded truncation
             e = tensor_to_lie(t_bracket(exps[i], exps[j], basis.step), basis)
             table[i][j] = e
             table[j][i] = {k: -c for k, c in e.items()}
-    return StructureTable(basis, tuple(tuple(row) for row in table))
+    return StructureTable(basis.weights, basis.step,
+                          tuple(tuple(row) for row in table))
+
+
+def signed_table(table: StructureTable, signs) -> StructureTable:
+    """The structure table of the B basis, B_i = signs[i] E_i: [B_i, B_j]
+    in B coordinates, each constant s_i s_j s_k c.  realize_frame folds the
+    signs into its brackets on the table itself; this copy is the oracle
+    of the B coordinates."""
+    return StructureTable(table.weights, table.step, tuple(
+        tuple({k: signs[i] * signs[j] * signs[k] * c for k, c in e.items()}
+              for j, e in enumerate(row))
+        for i, row in enumerate(table.table)))
 
 
 def textbook_mul(p, q):
@@ -377,9 +385,8 @@ def reference_realize(basis: LyndonBasis):
     solved in basis order, then each term of degree d is divided by d.
     psi inverts psi^{-1} by back substitution.  Both substitutions run by
     textbook_compose."""
-    table = structure_table(basis)
-    signs, _ = signed_attachment(table)
-    stb = _signed_table(table, signs)
+    signs, _ = signed_attachment(basis)
+    stb = signed_table(structure_table(basis), signs)
     n = basis.dim
     x = [Poly.var(n, i) for i in range(n)]
 
@@ -430,15 +437,15 @@ def reference_realize(basis: LyndonBasis):
     weights = tuple(len(w) for w in basis.words)
     frame = Frame(fields[:basis.rank], weights=weights, normal_form=True,
                   labels=basis.words)
-    return frame, CoordinateMaps(basis, table, psi, inv, fields, signs)
+    return frame, CoordinateMaps(basis, psi, inv, fields, signs)
 
 
 def _ad_series(table: StructureTable, signs, y_el: dict, one) -> list[dict]:
     """sum_m (b_m/m!) ad_y^m (B_k) for every k: the left-invariant field of
     B_k at the point y of first-kind coordinates; one is the unit of the
     coefficient ring."""
-    stb = _signed_table(table, signs)
-    n, step = table.basis.dim, table.basis.step
+    stb = signed_table(table, signs)
+    n, step = len(table.table), table.step
     bern = bernoulli_numbers(max(step, 2))
     cols = []
     for k in range(n):

@@ -132,6 +132,20 @@ REGISTER = {
         "bern[2 * p] / factorial(2 * p)",
         "-bern[2 * p] / factorial(2 * p)",
         ("tests/test_freelie.py::test_bch_against_dynkin_series",)),
+    # the ad factor of B_i = s_i E_i bracketing as E_i: the sign dropped.
+    # The first negative sign is on 122, of weight 3, and an i with s_i = -1
+    # brackets into a later column within the step only from (2, 7) on
+    "ad-factor-unsigned": Mutant(
+        "src/goh_atlas/normalform.py",
+        "ring.var(i) * Fraction(-signs[i], m)",
+        "ring.var(i) * Fraction(-1, m)",
+        ("tests/test_normalform.py::test_packed_realization_matches_poly_reference[r2s7]",)),
+    # each M column left in E coordinates, not mapped back to B's
+    "column-not-mapped-back": Mutant(
+        "src/goh_atlas/normalform.py",
+        "col = {k: -c if signs[k] < 0 else c for k, c in col.items()}",
+        "col = dict(col)",
+        ("tests/test_normalform.py::test_packed_realization_matches_poly_reference[r2s3]",)),
     # ψ of a realization left in its summation order, not sorted
     "psi-unsorted": Mutant(
         "src/goh_atlas/normalform.py",
@@ -211,6 +225,15 @@ REGISTER = {
         "out, todo = [], [(lo, hi)]",
         ("tests/test_goh.py::test_singular_point_on_the_window_edge_counts",
          "tests/test_goh.py::test_real_roots_are_exact_or_isolated")),
+    # _rounded re-raising where the quotient it rounds has a pole at an
+    # end of the isolating interval, instead of bisecting on
+    "rounded-pole-reraises": Mutant(
+        "src/goh_atlas/goh.py",
+        "except ZeroDivisionError:  # at is a quotient with a pole near root\n"
+        "            pass",
+        "except ZeroDivisionError:  # at is a quotient with a pole near root\n"
+        "            raise",
+        ("tests/test_goh.py::test_irrational_points_above_one_y_are_found_after_a_shear",)),
     # sigma paired with [X_k, X_h], not [X_h, X_k]
     "sigma-pairing-sign": Mutant(
         "src/goh_atlas/trajectories.py",

@@ -512,6 +512,31 @@ class TestExitCodes:
         assert run(capsys, *argv, f"--{kind}", str(path)) == (
             2, "", f"error: {kind} values[1][0] {fault}\n")
 
+    @pytest.mark.parametrize("argv, term", [
+        (["flow", "--frame", "FRAME", "--control", "CONTROL"], (2, 0, 0, 0, 0)),
+        (["recover", "--frame", "FRAME", "--control", "CONTROL"],
+         (2, 0, 0, 0, 0)),
+        (["residuals", "--frame", "FRAME", "--control", "CONTROL",
+          "--lambda", "0,0,0,1,0"], (2, 0, 0, 0, 0)),
+        (["trace", "--frame", "FRAME", "--lambda", "0,0,0,1,0", "--res", "8"],
+         (1, 0)),
+        (["trace", "--rank", "2", "--step", "3", "--lambda", "0,0,0,1e400,0",
+          "--res", "8"], (1, 0))],
+        ids=["flow", "recover", "residuals", "trace", "trace-lambda"])
+    def test_coefficient_too_large_for_a_float_is_located(
+            self, capsys, tmp_path, argv, term):
+        # a 400-digit coefficient was an OverflowError traceback and exit 1
+        frame = realize_frame(generate_basis(2, 3))[0].to_json()
+        frame["fields"][1][3][0]["coef"] = f"{10 ** 400}/2"  # x1^2 / 2 in X2
+        files = {"FRAME": tmp_path / "frame.json",
+                 "CONTROL": tmp_path / "control.json"}
+        files["FRAME"].write_text(json.dumps(frame))
+        files["CONTROL"].write_text(serialize.dumps(Control(
+            [0.0, 1.0, 2.0], [[1.0, 0.0]] * 3).to_json()))
+        assert run(capsys, *[str(files.get(a, a)) for a in argv]) == (
+            2, "", f"error: the coefficient of the term {term} is too large "
+                   f"for a float\n")
+
 
 class TestTolerancePlumbing:
     def test_tol_flag_sets_the_threshold(self, capsys, tmp_path):

@@ -8,7 +8,9 @@ table and BCH are compared with their tensor route (lie_helpers).
 """
 
 import functools
+import gc
 import random
+import weakref
 from fractions import Fraction
 from itertools import product
 
@@ -270,7 +272,7 @@ def test_structure_table_antisymmetry_and_grading():
             neg = {k: -c for k, c in table.table[j][i].items()}
             assert table.table[i][j] == neg
             for k in table.table[i][j]:
-                assert basis.weight(k) == basis.weight(i) + basis.weight(j)
+                assert basis.weights[k] == basis.weights[i] + basis.weights[j]
 
 
 TABLE_SHAPES = [(2, s) for s in range(2, 10)] + [(3, 3), (3, 4), (3, 5),
@@ -324,7 +326,7 @@ def test_basis_command_forms_no_factorization(monkeypatch, capsys):
 
 def test_structure_table_refuses_a_basis_past_its_bound(monkeypatch):
     monkeypatch.setattr(options, "TABLE_MAX", 14)
-    assert fl.structure_table(fl.generate_basis(2, 5)).basis.dim == 14
+    assert len(fl.structure_table(fl.generate_basis(2, 5)).table) == 14
 
     def allocated(*args):
         raise AssertionError("a table entry was built")
@@ -370,6 +372,22 @@ def test_a_basis_builds_its_table_once(monkeypatch):
     other = fl.generate_basis(2, 5)
     assert fl.structure_table(other) is not fl.structure_table(basis)
     assert len(built) == 2
+
+
+def test_a_dropped_basis_frees_its_table_without_the_cyclic_collector():
+    """The table holds the weights and step it brackets with, not the
+    basis, so no cycle keeps a dropped basis's table alive."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        basis = fl.generate_basis(2, 5)
+        table = weakref.ref(fl.structure_table(basis))
+        assert table() is not None
+        del basis
+        assert table() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_lie_add_drops_a_sum_that_cancels_and_its_key_reenters_at_the_end():
@@ -690,7 +708,7 @@ def test_bracket_with_b_in_the_order_a_bracket_left_it():
 
 def test_bracket_of_a_pair_whose_weights_add_up_to_the_step():
     """The pairs with |w_i| + |w_j| = step are the last inside the room."""
-    table, weight = table_27(), BASIS_27.weight
+    table, weight = table_27(), BASIS_27.weights.__getitem__
     pairs = [(i, j) for i in range(BASIS_27.dim)
              for j in range(BASIS_27.dim)
              if weight(i) + weight(j) == 7 and table.table[i][j]]
@@ -710,7 +728,8 @@ def test_bracket_of_a_pair_whose_weights_add_up_to_the_step():
 def test_bracket_on_the_packed_coefficients_of_the_m_columns(shape,
                                                              monkeypatch):
     """Every bracket realize_frame forms on packed polynomials, term for
-    term the copying loop's on the same (signed) table."""
+    term the copying loop's on the same table (the ad factor is packed;
+    a column starts at the int sign of its element)."""
     calls = []
     bracket = fl.StructureTable.bracket_elements
 
@@ -723,7 +742,7 @@ def test_bracket_on_the_packed_coefficients_of_the_m_columns(shape,
     monkeypatch.setattr(fl.StructureTable, "bracket_elements", recording)
     normalform.realize_frame(fl.generate_basis(*shape))
     packed_calls = [call for call in calls
-                    if fl._common_denominator(call[2]) == 0]
+                    if fl._common_denominator(call[1]) == 0]
     assert len(packed_calls) > 20
     for table, a, b, got in packed_calls:
         assert packed_items(got) == packed_items(

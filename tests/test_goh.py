@@ -36,6 +36,7 @@ from goh_atlas.trajectories import Control, extremal_residuals
 from lie_helpers import f23_frame, paper_frames
 
 F = Fraction
+X1, X2 = Poly.var(2, 0), Poly.var(2, 1)
 
 
 def system_of(p: Poly) -> GohSystem:
@@ -90,6 +91,27 @@ class TestGohPolynomials:
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
             goh_polynomials(heisenberg_frame(), [0, 1])
+
+    @pytest.mark.parametrize("lam, msg", [
+        ([0, 1], "lam has length 2, not 3"),
+        ([0, 0, math.nan], "lam[2] is not finite: nan"),
+        ([0, 0, -math.inf], "lam[2] is not finite: -inf"),
+        ([0, 0, "x"], "lam[2] is not a number: 'x'"),
+        ([0, None, 1], "lam[1] is not a number: None")],
+        ids=["length", "nan", "inf", "text", "none"])
+    def test_bad_covector_is_named(self, lam, msg):
+        # nan and inf were Fraction's ratio errors, or nothing in lam[0..r)
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
+            goh_polynomials(heisenberg_frame(), lam)
+
+    def test_covector_entries_stay_exact(self):
+        sys = goh_polynomials(heisenberg_frame(), [0, 0, "1/3"])
+        assert sys.lam == [0, 0, F(1, 3)]
+        assert all(type(c) is F for c in sys.lam)
+        assert sys.poly(1, 2) == Poly.const(2, F(1, 3))
+        big = goh_polynomials(heisenberg_frame(), [0, 0, F(10 ** 400, 3)])
+        assert big.poly(1, 2) == Poly.const(2, F(10 ** 400, 3))
+        assert goh_polynomials(heisenberg_frame(), [0, 0, 0.5]).lam[2] == 0.5
 
     def test_f25_fails_precondition(self):
         frame, _ = realize_frame(generate_basis(2, 5))
@@ -211,6 +233,28 @@ class TestTraceVariety:
         loop = max(tr.polylines, key=len)
         assert loop[0] == loop[-1]
 
+    @pytest.mark.parametrize("p", [X1 - X2, X1 * X1 + X2 * X2 - 2],
+                             ids=["diagonal", "circle"])
+    def test_a_node_passed_diagonally_is_one_vertex(self, p):
+        # both grid edges that meet at such a node bisect to it, and the
+        # chain listed it twice in a row: 8 times on the diagonal, 4 on the
+        # circle through (+-1, +-1)
+        tr = trace_variety(system_of(p), resolution=8)
+        line, = tr.polylines
+        assert all(u != v for u, v in zip(line, line[1:]))
+        if p == X1 - X2:
+            assert line == [(t, t) for t in np.linspace(-2, 2, 9).tolist()]
+        else:  # a closed loop still ends on its first vertex
+            assert line[0] == line[-1] == (-1.0, -1.0) and len(line) == 17
+            assert (1.0, 1.0) in line
+
+    def test_a_curve_of_singular_points_lists_each_node_once(self):
+        # 34 candidates were 19 distinct points: the anti-diagonal's 17
+        # nodes and the two points where it meets the circle
+        p = (X1 + X2) * (X1 + X2) * (X1 * X1 + X2 * X2 - 3)
+        got = trace_variety(system_of(p), resolution=16).singular_candidates
+        assert len(got) == len(set(got)) == 19
+
     def test_positive_polynomial_empty(self):
         x1, x2 = Poly.var(2, 0), Poly.var(2, 1)
         tr = trace_variety(system_of(x1 * x1 + x2 * x2 + 1),
@@ -266,6 +310,17 @@ class TestTraceVariety:
         window[k] = bad
         with pytest.raises(ValueError, match=f"^window {name} is not finite: "
                            f"{bad!r}$"):
+            trace_variety(system_of(Poly.var(2, 0)), window=window)
+
+    @pytest.mark.parametrize("window, msg", [
+        ((-2, 2, "x", 2), "window y_min is not a number: 'x'"),
+        ((-2, 10 ** 400, -2, 2), "window x_max is too large for a float"),
+        ((-2, 2, -2), "not enough values to unpack (expected 4, got 3)")],
+        ids=["text", "huge-int", "short"])
+    def test_window_entry_fault_is_named(self, window, msg, no_grid):
+        # text was float()'s message without the entry's name, and 10**400
+        # an OverflowError
+        with pytest.raises(ValueError, match=f"^{re.escape(msg)}$"):
             trace_variety(system_of(Poly.var(2, 0)), window=window)
 
     @pytest.mark.parametrize("window, name", [
@@ -530,7 +585,13 @@ def reference_trace(sys, window, resolution, singular=()) -> VarietyTrace:
         if k not in used:
             chains.append(walk(k))
 
-    trace.polylines = [[verts[k] for k in chain] for chain in chains]
+    trace.polylines = []
+    for chain in chains:  # a vertex equal to the one before it left out
+        line = []
+        for k in chain:
+            if not line or verts[k] != line[-1]:
+                line.append(verts[k])
+        trace.polylines.append(line)
     points = [(float(u), float(v)) for u, v in singular]
     trace.singular_candidates = sorted(
         (pt for pt in points if x0 <= pt[0] <= x1 and y0 <= pt[1] <= y1),
@@ -645,7 +706,6 @@ def cell_codes(p: Poly, window, res) -> set:
             for j in range(res) for i in range(res)}
 
 
-X1, X2 = Poly.var(2, 0), Poly.var(2, 1)
 # The mixed second difference of a conic over a cell is B h^2 for its x1 x2
 # coefficient B, and a saddle cell of code 5 needs it positive, of code 10
 # negative: no one conic has both.  So saddles come from x1 x2 -+ delta and
@@ -1335,11 +1395,20 @@ def test_singular_point_on_the_window_edge_counts(p, window):
 
 def test_irrational_points_above_one_y_are_found_after_a_shear():
     # above x2 = -sqrt 2 and sqrt 2 lie two singular points each, so the
-    # first subresultant vanishes there until a shear sets them apart
+    # first subresultant vanishes there until a shear sets them apart.
+    # x1 (x2^2 - 2) is linear in x1, so its leading coefficient vanishes at
+    # both roots until a shear.  For (x2 - 1) x1^2 + (x2^2 - 2)^2, sqrt 2's
+    # isolating interval ends at x2 = 1, where s11 = 0: rounding x there
+    # divides by zero, and _rounded bisects on
     r2 = math.sqrt(2)
-    tr = trace_variety(system_of((X1 * X1 - 1) * (X2 * X2 - 2)), resolution=8)
-    assert tr.singular_candidates == [(-1.0, -r2), (1.0, -r2), (-1.0, r2),
-                                      (1.0, r2)]
+    for p, want in [
+            ((X1 * X1 - 1) * (X2 * X2 - 2),
+             [(-1.0, -r2), (1.0, -r2), (-1.0, r2), (1.0, r2)]),
+            (X1 * (X2 * X2 - 2), [(0.0, -r2), (0.0, r2)]),
+            ((X2 - 1) * X1 * X1 + (X2 * X2 - 2) * (X2 * X2 - 2),
+             [(0.0, -r2), (0.0, r2)])]:
+        assert trace_variety(system_of(p), resolution=8) \
+            .singular_candidates == want
 
 
 def test_real_roots_are_exact_or_isolated():

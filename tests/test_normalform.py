@@ -14,7 +14,6 @@ from goh_atlas import freelie, normalform
 from goh_atlas.freelie import bch, bernoulli_numbers, generate_basis, \
     structure_table
 from goh_atlas.normalform import (
-    _signed_table,
     attachment_trees,
     realize_frame,
     signed_attachment,
@@ -36,6 +35,7 @@ from lie_helpers import (
     compose,
     lie_elements,
     reference_realize,
+    signed_table,
     verify_second_kind,
 )
 
@@ -69,15 +69,14 @@ def test_bernoulli_numbers():
 class TestAttachment:
     def test_f23_trees_and_signs(self):
         basis = generate_basis(2, 3)
-        table = structure_table(basis)
-        signs, trees = signed_attachment(table)
+        signs, trees = signed_attachment(basis)
         assert signs == (1, 1, 1, 1, -1)
         # words 1,2,12,112,122: 12=[B1,B2], 112=[B1,B12], 122=[B2,B12]
         assert trees == (None, None, (0, 1), (0, 2), (1, 2))
 
     def test_f24_signs(self):
         basis = generate_basis(2, 4)
-        signs, _ = signed_attachment(structure_table(basis))
+        signs, _ = signed_attachment(basis)
         by_word = dict(zip(basis.words, signs))
         assert by_word[(1, 1, 2, 2)] == -1
         assert by_word[(1, 2, 2, 2)] == 1
@@ -86,23 +85,24 @@ class TestAttachment:
     @pytest.mark.parametrize("rank,step", [(2, 5), (3, 3)])
     def test_signs_match_recursion_oracle(self, rank, step):
         basis = generate_basis(rank, step)
-        signs, _ = signed_attachment(structure_table(basis))
+        signs, _ = signed_attachment(basis)
         assert signs == sign_oracle(basis)
 
     def test_trees_need_no_table(self):
         basis = generate_basis(2, 4)
         trees = attachment_trees(basis)
-        _, from_table = signed_attachment(structure_table(basis))
+        _, from_table = signed_attachment(basis)
         assert trees == from_table
 
 
-def first_kind_fields(table):
+def first_kind_fields(basis):
     """All n left-invariant fields in first-kind coordinates."""
-    signs, _ = signed_attachment(table)
-    n = table.basis.dim
+    signs, _ = signed_attachment(basis)
+    n = basis.dim
     y_el = {j: Poly.var(n, j) for j in range(n)}
     return [PolyVec([acc.get(j, Poly.zero(n)) for j in range(n)])
-            for acc in _ad_series(table, signs, y_el, Poly.one(n))]
+            for acc in _ad_series(structure_table(basis), signs, y_el,
+                                  Poly.one(n))]
 
 
 def stratified_fields(frame, basis):
@@ -119,8 +119,7 @@ def stratified_fields(frame, basis):
 
 class TestFirstKind:
     def test_heisenberg_symmetric_model(self):
-        table = structure_table(generate_basis(2, 2))
-        fields = first_kind_fields(table)
+        fields = first_kind_fields(generate_basis(2, 2))
         y1 = Poly.var(3, 0)
         y2 = Poly.var(3, 1)
         half = F(1, 2)
@@ -381,7 +380,7 @@ def test_psi_pushes_each_field_to_its_first_kind_field(shape):
     _, maps = realize_frame(generate_basis(*shape))
     n = maps.basis.dim
     jac = [[p.diff(j) for j in range(n)] for p in maps.psi]
-    for x_k, y_k in zip(maps.fields, first_kind_fields(maps.table)):
+    for x_k, y_k in zip(maps.fields, first_kind_fields(maps.basis)):
         pushed = [sum((row[j] * x_k.comps[j] for j in range(n)
                        if row[j] and x_k.comps[j]), Poly.zero(n))
                   for row in jac]
@@ -437,7 +436,7 @@ def test_realization_is_a_lie_homomorphism(shape, data):
     maps = realized_maps(*shape)
     n = maps.basis.dim
     a, b = data.draw(lie_elements(n)), data.draw(lie_elements(n))
-    c = _signed_table(maps.table, maps.signs).bracket_elements(a, b)
+    c = signed_table(maps.basis.table, maps.signs).bracket_elements(a, b)
     got = lie_bracket_fields(combination(maps.fields, a),
                              combination(maps.fields, b))
     assert got == combination(maps.fields, c)

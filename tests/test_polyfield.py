@@ -391,6 +391,19 @@ class TestCompiledEvaluators:
         assert np.array_equal(np.signbit(got), np.signbit(want))
         assert ev(pts[:0]).shape == (0, count)
 
+    @pytest.mark.parametrize("build", [CompiledPolys,
+                                       lambda ps: floateval._float_evaluator(*ps)],
+                             ids=["compiled", "generated"])
+    def test_coefficient_too_large_for_a_float_names_its_term(self, build):
+        # float(c) was a bare OverflowError; a tiny one still rounds to 0.0
+        huge = Poly(3, {(0, 0, 0): 1, (1, 0, 2): F(10 ** 400, 3)})
+        with pytest.raises(ValueError, match=re.escape(
+                "the coefficient of the term (1, 0, 2) is too large for a "
+                "float")):
+            build([Poly.var(3, 0), huge])
+        tiny = Poly(3, {(1, 0, 0): F(1, 10 ** 400)})
+        assert build([tiny, tiny])(np.ones(3))[0] == 0.0
+
     def test_constants_and_zero(self):
         ev = CompiledPolys([Poly.const(3, F(7, 2)), Poly.zero(3)])
         out = ev(np.zeros(3))
