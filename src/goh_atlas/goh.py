@@ -6,7 +6,7 @@ polynomial constraints on the base projection: F^{h,k}(x) built from the
 lambda-weighted curls of the coefficient matrix.  The rank-2 variety
 {F^{1,2} = 0} is traced by marching squares, its vertices refined by a
 bisection of every crossed edge at once, and its singular points are found
-exactly, from F's rational coefficients, by gcds, resultants and Sturm
+exactly, from F's rational coefficients, by gcds, subresultants and Sturm
 sequences on integers.  The grid passes run one block of rows at a time,
 so the only grid-sized float array of a trace is F's values.
 """
@@ -18,13 +18,13 @@ from itertools import count, zip_longest
 from operator import floordiv, mul, sub
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cache
 
 import numpy as np
 
 from .errors import PreconditionError
 from .metabelian import coefficient_dependence
 from .floateval import _first_fault, _float_evaluator
-from .normalform import verify_normal_form
 from .options import RES_MAX, check_resolution
 from .polyfield import Frame, Poly
 from .serialize import _ratio, artifact
@@ -82,9 +82,7 @@ def goh_polynomials(frame: Frame, lam) -> GohSystem:
             raise ValueError(f"lam[{i}] is not a number: {c!r}") from None
     if not any(lam):
         raise ValueError("covector must be nonzero")
-    if not verify_normal_form(frame)["ok"]:
-        raise PreconditionError("frame is not in normal form")
-    if not coefficient_dependence(frame):
+    if not coefficient_dependence(frame):  # PreconditionError if not normal
         raise PreconditionError(
             "normal-form coefficients depend on vertical coordinates; "
             "the variety reduction needs the metabelian shape")
@@ -423,13 +421,6 @@ def _deriv(p) -> list:
     return [i * c for i, c in enumerate(p)][1:]
 
 
-def _value(p, v):
-    acc = 0
-    for c in reversed(p):
-        acc = acc * v + c
-    return acc
-
-
 def _prim(p) -> list:
     """p over the gcd of its coefficients (so its sign is kept)."""
     k = math.gcd(*p)
@@ -602,7 +593,9 @@ def _real_roots(p, lo: Fraction, hi: Fraction) -> list:
 
 
 def _zero_at(u, root) -> bool:
-    """Whether u is 0 at the root (seq, a, b) of _real_roots."""
+    """Whether u is 0 at the root of _real_roots, a Fraction or (seq, a, b)."""
+    if isinstance(root, Fraction):
+        return not _hvalue(u, root)
     seq, a, b = root
     g = _ugcd(u, seq[0])
     return len(g) > 1 and _changes(seq := _sturm(g), a) > _changes(seq, b)
@@ -633,63 +626,63 @@ def _singular_points(p, window) -> list:
     A(x, s) = p(x, s - t x): h is the gcd of the nonzero resultants in x
     of (A_x, A_s), (A, A_x) and (A, A_s), so every singular point has an s
     among h's real roots (isolated by Sturm sequences in the window's
-    s-range), and there is none when h is constant.  Above a rational root
-    s they are the real roots of gcd(A, A_x, A_s)(x, s), over Q.  Above any
-    other, if A's leading coefficient in x and s11 of the first
-    subresultant of A and A_x are nonzero there (else the next t), the one
-    common zero of A and A_x is x = -s10(s) / s11(s), singular where
-    N(s) = s11^deg A_s(x, s) is 0, which gcd(N, h) tells exactly; so does
-    the gcd for a coordinate that is 0.  A rational coordinate is rounded
-    from its value, any other from both ends of an interval (_rounded); a
-    point counts when its rounded coordinates lie in the window.
+    s-range), and there is none when h is constant.  Above each root s
+    where A's leading coefficient in x is not 0, the first subresultant
+    S_k in x of A and A_x whose leading coefficient S_kk is not 0 at s is
+    their gcd at s.  If it is S_kk (x - x0)^k there, x0 = P / Q with
+    P = -S_k,k-1 and Q = k S_kk is the one common zero of A and A_x in the
+    fibre, singular where N(s) = Q^deg A_s(x0, s) is 0.  If S_k is not
+    that power, or the leading coefficient is 0, the fibre is not in
+    generic position (Gonzalez-Vega and Necula, CAGD 2002) and the loop
+    takes the next t.  Each test is exact at s (_zero_at).
+    A coordinate that is 0 is exactly 0, the other then exactly s or s / t;
+    each is rounded from its value at a rational s, else from both ends of
+    an interval (_rounded).  A point counts when its rounded coordinates
+    lie in the window.
     """
     if not _dx(p) or not _dy(p):  # then the square-free p has none
         return []
     x0, x1, y0, y1 = map(Fraction, window)
     for t in count():
         A = _shear(p, t) if t else p
-        A, Ax, As = system = A, _dx(A), _dy(A)
+        Ax, As = _dx(A), _dy(A)
         h: list = []
         for a, b in ((Ax, As), (A, Ax), (A, As)):
             if a and b:
                 h = _ugcd(h, _subresultant(a, b))
                 if len(h) == 1:
                     return []
-        roots = _real_roots(_squarefree(h), y0 + t * x0, y1 + t * x1)
-        others = [s for s in roots if not isinstance(s, Fraction)]
-        if others and len(A) < 3:  # A linear in x: its leading coefficient
-            continue               # vanishes at every root
-        if others:
-            s10, s11 = (_subresultant(A, Ax, 1, j) for j in (0, 1))
-            if any(_zero_at(_mul(A[-1], s11), s) for s in others):
-                continue
-            N, power = [], [1]  # sum of As's c_a (-s10)^a s11^(deg - a)
-            for c in reversed(As):
-                N, power = _add(_mul(N, _neg(s10)), _mul(c, power)), \
-                    _mul(power, s11)
+        sub = cache(lambda k, j: _subresultant(A, Ax, k, j))  # S_kj
         points = []
-        for s in roots:
-            if isinstance(s, Fraction):
-                g: list = []
-                for P in system:
-                    g = _ugcd(g, _trim([_hvalue(r, s) * s.denominator ** (
-                        max(map(len, P)) - len(r)) for r in P]))
-                lo, hi = (x0, x1) if not t else (
-                    max(x0, (s - y1) / t), min(x1, (s - y0) / t))
-                if len(g) > 1 and lo <= hi:
-                    points += [_rounded(x, lambda v, s=s: (v, s - t * v))
-                               for x in _real_roots(_squarefree(g), lo, hi)]
-            elif _zero_at(N, s):
-                zx, zy = (_zero_at(u, s) for u in
-                          (s10, _add([0] + s11, [t * v for v in s10])))
+        for s in _real_roots(_squarefree(h), y0 + t * x0, y1 + t * x1):
+            if _zero_at(A[-1], s):
+                break
+            k = next(k for k in count(1) if not _zero_at(sub(k, k), s))
+            P, Q = _neg(sub(k, k - 1)), [k * c for c in sub(k, k)]
+            # S_k = S_kk (x - P / Q)^k iff S_k' (Q x - P) = k Q S_k
+            if not all(_zero_at(_add(
+                    _mul(Q, [(k - j) * c for c in sub(k, j)]),
+                    _mul(P, [(j + 1) * c for c in sub(k, j + 1)])), s)
+                    for j in range(k - 1)):
+                break
+            N, power = [], [1]  # sum of As's c_a P^a Q^(deg - a)
+            for c in reversed(As):
+                N, power = _add(_mul(N, P), _mul(c, power)), _mul(power, Q)
+            if not _zero_at(N, s):
+                continue
+            zx, zy = (_zero_at(u, s)  # x = 0, y = s - t x = 0
+                      for u in (P, _sub([0] + Q, [t * c for c in P])))
 
-                def at(v):
-                    x = -_value(s10, v) / _value(s11, v)
-                    return 0 if zx else x, 0 if zy else v - t * x
-                points.append(_rounded(s, at))
-        return sorted((pt for pt in points
-                       if x0 <= pt[0] <= x1 and y0 <= pt[1] <= y1),
-                      key=lambda pt: (pt[1], pt[0]))
+            def at(v):
+                n = max(len(P), len(Q))
+                x = 0 if zx else v / t if zy and t else Fraction(*(
+                    _hvalue(u + [0] * (n - len(u)), v) for u in (P, Q)))
+                return x, v - t * x
+            points.append(_rounded(s, at))
+        else:
+            return sorted((pt for pt in points
+                           if x0 <= pt[0] <= x1 and y0 <= pt[1] <= y1),
+                          key=lambda pt: (pt[1], pt[0]))
 
 
 def _shear(p, t: int) -> list:

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from numbers import Integral
 
+from .errors import PreconditionError
 from .freelie import StructureTable
 from .polyfield import Frame, _nested_brackets, lie_bracket_fields
 from .normalform import verify_normal_form
@@ -103,9 +104,10 @@ def is_metabelian_algebra(table: StructureTable) -> bool:
 
 
 def coefficient_dependence(frame: Frame) -> bool:
-    """True iff every normal-form coefficient uses only x_1..x_r."""
+    """True iff every normal-form coefficient uses only x_1..x_r; a frame
+    not in normal form is a PreconditionError."""
     if not verify_normal_form(frame)["ok"]:
-        raise ValueError("frame is not in normal form")
+        raise PreconditionError("frame is not in normal form")
     r = frame.r
     for field in frame.fields:
         for comp in field.comps:
@@ -119,9 +121,10 @@ def translation_invariance(frame: Frame, samples) -> float:
 
     Each sample is (x, tau) with x in R^n and tau in R^{n-r}.  Exactly zero
     for rational samples iff the coefficients ignore the vertical block.
+    A frame not in normal form is a PreconditionError.
     """
     if not verify_normal_form(frame)["ok"]:
-        raise ValueError("frame is not in normal form")
+        raise PreconditionError("frame is not in normal form")
     n, r = frame.n, frame.r
     worst = Fraction(0)
     for x, tau in samples:

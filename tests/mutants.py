@@ -139,7 +139,7 @@ REGISTER = {
         "src/goh_atlas/normalform.py",
         "ring.var(i) * Fraction(-signs[i], m)",
         "ring.var(i) * Fraction(-1, m)",
-        ("tests/test_normalform.py::test_packed_realization_matches_poly_reference[r2s7]",)),
+        ("tests/test_normalform.py::test_realization_is_a_lie_homomorphism[r2s7]",)),
     # each M column left in E coordinates, not mapped back to B's
     "column-not-mapped-back": Mutant(
         "src/goh_atlas/normalform.py",
@@ -233,7 +233,25 @@ REGISTER = {
         "            pass",
         "except ZeroDivisionError:  # at is a quotient with a pole near root\n"
         "            raise",
-        ("tests/test_goh.py::test_irrational_points_above_one_y_are_found_after_a_shear",)),
+        ("tests/test_goh.py::test_a_pole_at_an_interval_end_is_bisected_past",)),
+    # x0 = -S_k,k-1 / (k S_kk) taken without the test that S_k is
+    # S_kk (x - x0)^k: two points of a fibre become their mean
+    "fibre-position-unchecked": Mutant(
+        "src/goh_atlas/goh.py",
+        "for j in range(k - 1)):",
+        "for j in range(0)):",
+        ("tests/test_goh.py::test_points_sharing_a_fibre_are_set_apart_by_a_shear",)),
+    # x reported as 0 where it is exactly 0, but y still computed from x(v)
+    # at the ends of the isolating interval
+    "zero-coordinate-inexact": Mutant(
+        "src/goh_atlas/goh.py",
+        "x = 0 if zx else v / t if zy and t else Fraction(*(\n"
+        "                    _hvalue(u + [0] * (n - len(u)), v) for u in (P, Q)))\n"
+        "                return x, v - t * x",
+        "x = v / t if zy and t else Fraction(*(\n"
+        "                    _hvalue(u + [0] * (n - len(u)), v) for u in (P, Q)))\n"
+        "                return 0 if zx else x, v - t * x",
+        ("tests/test_goh.py::test_a_zero_coordinate_enters_the_other_exactly",)),
     # sigma paired with [X_k, X_h], not [X_h, X_k]
     "sigma-pairing-sign": Mutant(
         "src/goh_atlas/trajectories.py",

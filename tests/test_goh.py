@@ -1,7 +1,11 @@
 """Tests for Goh polynomials, variety membership, and plane tracing."""
 
+import decimal
+import json
 import math
+import os
 import re
+import subprocess
 import sys
 import warnings
 from fractions import Fraction
@@ -9,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import Phase, assume, given, settings
+from hypothesis import Phase, assume, example, given, settings
 from hypothesis import strategies as st
 
 from goh_atlas import goh
@@ -1422,6 +1426,127 @@ def test_real_roots_are_exact_or_isolated():
     (seq, a, b), = [r for r in got if not isinstance(r, F)]
     assert got[1] == (seq, a, b) and b * b <= 2 < a * a and a < b <= 0
     assert goh._rounded((seq, a, b), lambda v: (v,)) == (-math.sqrt(2),)
+
+
+def rounded(c: Fraction, sign: int, d: int) -> float:
+    """c + sign sqrt(d), rounded to float once from 60 decimal digits."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        return float(decimal.Decimal(c.numerator) / c.denominator
+                     + sign * decimal.Decimal(d).sqrt())
+
+
+def shifted_square(v: Poly, c: Fraction, d: int) -> Poly:
+    return (v - c) * (v - c) - d
+
+
+# the families of the exact-coordinate property, by name: (F, its singular
+# points as ((c, sign, d) of x, (c, sign, d) of y)) for halves a, b and
+# positive integers d, e, the cusps' e not a square
+SINGULAR_FAMILIES = {
+    "cusp": lambda a, b, d, e: (
+        shifted_square(X2, b, e) * shifted_square(X2, b, e)
+        - (X1 - a) * (X1 - a) * (X1 - a),
+        [((a, 0, 0), (b, s, e)) for s in (-1, 1)]),
+    "transposed cusp": lambda a, b, d, e: (
+        shifted_square(X1, a, e) * shifted_square(X1, a, e)
+        - (X2 - b) * (X2 - b) * (X2 - b),
+        [((a, s, e), (b, 0, 0)) for s in (-1, 1)]),
+    "node": lambda a, b, d, e: (
+        shifted_square(X1, a, d) * (X2 - b),
+        [((a, s, d), (b, 0, 0)) for s in (-1, 1)]),
+    "four nodes": lambda a, b, d, e: (
+        shifted_square(X1, a, d) * shifted_square(X2, b, e),
+        [((a, s, d), (b, u, e)) for s in (-1, 1) for u in (-1, 1)]),
+    "transposed node": lambda a, b, d, e: (
+        (X1 - a) * shifted_square(X2, b, e),
+        [((a, 0, 0), (b, s, e)) for s in (-1, 1)]),
+}
+
+
+def check_singular_family(name, a, b, d, e, window) -> None:
+    p, exact = SINGULAR_FAMILIES[name](a, b, d, e)
+    x0, x1, y0, y1 = window
+    want = sorted((pt for pt in ((rounded(*u), rounded(*v)) for u, v in exact)
+                   if x0 <= pt[0] <= x1 and y0 <= pt[1] <= y1),
+                  key=lambda pt: (pt[1], pt[0]))
+    assert trace_variety(system_of(p), window, 8).singular_candidates == want
+
+
+def test_a_zero_coordinate_enters_the_other_exactly():
+    # above an irrational root where x = 0, y is s itself: s - t x(s) at
+    # the ends of an isolating interval has a critical point at the root,
+    # so both ends rounded alike, up to 5 ulps off.  y = 0 after a shear
+    # gives x = s / t likewise
+    r2 = math.sqrt(2)
+    q = X2 * X2 - 2
+    assert trace_variety(system_of(q * q - X1 * X1 * X1), resolution=8) \
+        .singular_candidates == [(0.0, -r2), (0.0, r2)]
+    c = (X1 - 1) * (X1 - 1) * (X1 - 1)
+    assert trace_variety(system_of(q * q - X1 * X1 * X1 * c), resolution=8) \
+        .singular_candidates == [(0.0, -r2), (1.0, -r2), (0.0, r2), (1.0, r2)]
+    check_singular_family("cusp", F(0), F(-3, 2), 0, 6, (-2, 2, -2, 2))
+    assert rounded(F(-3, 2), 1, 6) == 0.9494897427831781
+    check_singular_family("transposed cusp", F(0), F(0), 0, 7, (-6, 6, -6, 6))
+    assert rounded(F(0), 1, 7) == 2.6457513110645907
+
+
+halves = st.integers(-6, 6).map(lambda k: F(k, 2))
+
+
+@settings(max_examples=100, deadline=None)
+@example(name="cusp", a=F(0), b=F(-3, 2), d=1, e=6)
+@example(name="transposed cusp", a=F(0), b=F(0), d=1, e=7)
+@given(name=st.sampled_from(sorted(SINGULAR_FAMILIES)), a=halves, b=halves,
+       d=st.integers(1, 8), e=st.sampled_from([2, 3, 5, 6, 7, 8]))
+def test_singular_points_are_the_decimal_coordinates_rounded_once(
+        name, a, b, d, e):
+    check_singular_family(name, a, b, d, e, (-6, 6, -6, 6))
+
+
+@pytest.mark.parametrize("p, want", [
+    # three branches through (0, -sqrt 2) and (0, sqrt 2): the first
+    # subresultant vanishes there in every shear
+    ("x1 * (x1 * x1 - q * q * 3)",
+     [[0.0, -math.sqrt(2)], [0.0, math.sqrt(2)]]),
+    ("x1 * x1 * x1 - x1 * x2 * x2 * 3", [[0.0, 0.0]])])
+def test_a_triple_point_is_one_fibre_point(p, want):
+    # a fresh process under a time bound, so a route that shears on
+    # forever fails the test instead of hanging it
+    code = ("import json\n"
+            "from goh_atlas.goh import GohSystem, trace_variety\n"
+            "from goh_atlas.polyfield import Poly\n"
+            "x1, x2 = Poly.var(2, 0), Poly.var(2, 1)\n"
+            "q = x2 * x2 - 2\n"
+            f"sys = GohSystem(2, [0, 0, 1], {{(1, 2): {p}}})\n"
+            "print(json.dumps(trace_variety(sys, resolution=16)"
+            ".singular_candidates))\n")
+    env = dict(os.environ)
+    src = str(Path(goh.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [v for v in env.get("PYTHONPATH", "").split(os.pathsep) if v])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == want
+
+
+def test_points_sharing_a_fibre_are_set_apart_by_a_shear():
+    # above x2 = -sqrt 2 and sqrt 2 the gcd of F and F_x1 is x1^2 - 1: its
+    # mean, x1 = 0, is no point of the curve
+    r2 = math.sqrt(2)
+    p = (X1 * X1 - 1) * (X1 * X1 - 1) + (X2 * X2 - 2) * (X2 * X2 - 2)
+    assert trace_variety(system_of(p), resolution=8).singular_candidates \
+        == [(-1.0, -r2), (1.0, -r2), (-1.0, r2), (1.0, r2)]
+
+
+def test_a_pole_at_an_interval_end_is_bisected_past():
+    # sqrt 2's isolating interval ends at x2 = 1, where the quotient that
+    # gives x1 has a pole: _rounded bisects on
+    r2 = math.sqrt(2)
+    p = (X2 - 1) * (X1 - 1) * (X1 - 1) + (X2 * X2 - 2) * (X2 * X2 - 2)
+    assert trace_variety(system_of(p), resolution=8).singular_candidates \
+        == [(1.0, -r2), (1.0, r2)]
 
 
 def pool_polynomials() -> list:

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from goh_atlas import cli, metabelian, polyfield
+from goh_atlas.errors import PreconditionError
 from goh_atlas.freelie import generate_basis, structure_table
 from goh_atlas.metabelian import (
     coefficient_dependence,
@@ -149,6 +150,17 @@ class TestTranslationInvariance:
             tau = [F(rng.randrange(1, 3)) for _ in range(frame.n - 2)]
             samples.append((x, tau))
         assert translation_invariance(frame, samples) > 0.0
+
+
+@pytest.mark.parametrize("check", [
+    coefficient_dependence, lambda frame: translation_invariance(frame, [])])
+def test_a_frame_not_in_normal_form_is_a_precondition_error(check):
+    # the error goh_polynomials passes on, so it checks the form once
+    bad = Frame([PolyVec([Poly.one(2), Poly.one(2)]),
+                 PolyVec.coordinate(2, 1)])
+    with pytest.raises(PreconditionError,
+                       match="^frame is not in normal form$"):
+        check(bad)
 
 
 @pytest.mark.parametrize("step", [2, 3, 4, 5])

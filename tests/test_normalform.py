@@ -427,16 +427,27 @@ def combination(fields, coefs):
     return out
 
 
-@pytest.mark.parametrize("shape", [(2, 4), (3, 3), (2, 5)], ids=shape_id)
+# the pairs (i, j), i < j, of basis indices with s_i = -1 and |w_i| + |w_j|
+# <= step at (2, 7), the first shape with any: B_4 (the word 122) and the
+# three of weight 4.  Below (2, 7) no sign of the ad factor acts
+SIGNED_PAIRS = {(2, 7): [(4, 5), (4, 6), (4, 7)]}
+
+
+@pytest.mark.parametrize("shape", [(2, 4), (3, 3), (2, 5), (2, 7)],
+                         ids=shape_id)
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_realization_is_a_lie_homomorphism(shape, data):
     # [sum a_i X_i, sum b_j X_j] = sum c_k X_k, c the bracket of a and b
-    # in the signed attachment basis B that the fields realize
+    # in the signed attachment basis B that the fields realize; at (2, 7)
+    # on every fixed pair where a sign acts, not on random elements
     maps = realized_maps(*shape)
     n = maps.basis.dim
-    a, b = data.draw(lie_elements(n)), data.draw(lie_elements(n))
-    c = signed_table(maps.basis.table, maps.signs).bracket_elements(a, b)
-    got = lie_bracket_fields(combination(maps.fields, a),
-                             combination(maps.fields, b))
-    assert got == combination(maps.fields, c)
+    table = signed_table(maps.basis.table, maps.signs)
+    pairs = [({i: 1}, {j: 1}) for i, j in SIGNED_PAIRS[shape]] \
+        if shape in SIGNED_PAIRS else [
+            (data.draw(lie_elements(n)), data.draw(lie_elements(n)))]
+    for a, b in pairs:
+        got = lie_bracket_fields(combination(maps.fields, a),
+                                 combination(maps.fields, b))
+        assert got == combination(maps.fields, table.bracket_elements(a, b))
