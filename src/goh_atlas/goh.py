@@ -4,11 +4,13 @@ For a normal-form frame whose coefficients depend only on x_1..x_r, the
 second-order (Goh) annihilation conditions along a trajectory reduce to
 polynomial constraints on the base projection: F^{h,k}(x) built from the
 lambda-weighted curls of the coefficient matrix.  The rank-2 variety
-{F^{1,2} = 0} is traced by marching squares, its vertices refined by a
-bisection of every crossed edge at once, and its singular points are found
-exactly, from F's rational coefficients, by gcds, subresultants and Sturm
-sequences on integers.  The grid passes run one block of rows at a time,
-so the only grid-sized float array of a trace is F's values.
+{F^{1,2} = 0} is traced by marching squares: the segment graph of the
+crossed cells is built with integer arrays from one code-to-segments table,
+its vertices refined by a bisection of every crossed edge at once, and it
+is chained into polylines on Python int lists.  Its singular points are
+found exactly, from F's rational coefficients, by gcds, subresultants and
+Sturm sequences on integers.  The grid is evaluated one block of rows at a
+time, so the only grid-sized float array of a trace is F's values.
 """
 
 from __future__ import annotations
@@ -162,7 +164,7 @@ class VarietyTrace:
         return "\n".join(lines) + "\n"
 
 
-def _edge_vertices(evaluate, xs, ys, vals, edges: list, tol) -> list:
+def _edge_vertices(evaluate, xs, ys, vals, edges, tol) -> list:
     """The vertex (x, y) of each crossed edge (k, i, j) in edges, bisected
     on evaluate, the evaluator of F, from grid node (i, j), the a end, to
     (i + 1 - k, j + k), the b end.
@@ -218,46 +220,18 @@ def _row_blocks(shape) -> list:
     return [slice(lo, min(lo + step, rows)) for lo in range(0, rows, step)]
 
 
-def _crossed_cells(vals: np.ndarray):
-    """(j, i, code) of every cell the zero set crosses, in row-major order.
-
-    Bits of the marching-squares code mark the corners with F >= 0 (zeros
-    count as positive): 1 bottom-left, 2 bottom-right, 4 top-right, 8 top-left.
-    Codes 0 and 15 are left out.  The codes, one byte per cell, are computed
-    for the whole grid at once and die with the call; the crossed cells are
-    found by flat index (a 2-D np.nonzero costs about ten times as much).
-    """
-    pos = (vals >= 0.0).view(np.uint8)
-    codes = pos[:-1, :-1] | pos[:-1, 1:] << 1 | pos[1:, 1:] << 2 \
-        | pos[1:, :-1] << 3
-    cells = np.flatnonzero((codes != 0) & (codes != 15))
-    rows, cols = np.divmod(cells, codes.shape[1])
-    return zip(rows.tolist(), cols.tolist(), codes.ravel()[cells].tolist())
-
-
-# The segments of a crossed cell, by its code, as pairs of edges (kind, di,
-# dj) of the cell whose lower-left node is (i, j): kind 0 runs from node
-# (i + di, j + dj) to the right, kind 1 upwards.  So bottom is (0, 0, 0),
-# top (0, 0, 1), left (1, 0, 0) and right (1, 1, 0).  The saddle codes 5
-# and 10 are keyed with F(centre) >= 0.
-_SEGMENTS = {
-    1: (((1, 0, 0), (0, 0, 0)),),
-    2: (((0, 0, 0), (1, 1, 0)),),
-    3: (((1, 0, 0), (1, 1, 0)),),
-    4: (((0, 0, 1), (1, 1, 0)),),
-    6: (((0, 0, 0), (0, 0, 1)),),
-    7: (((1, 0, 0), (0, 0, 1)),),
-    8: (((1, 0, 0), (0, 0, 1)),),
-    9: (((0, 0, 0), (0, 0, 1)),),
-    11: (((0, 0, 1), (1, 1, 0)),),
-    12: (((1, 0, 0), (1, 1, 0)),),
-    13: (((0, 0, 0), (1, 1, 0)),),
-    14: (((1, 0, 0), (0, 0, 0)),),
-    (5, True): (((1, 0, 0), (0, 0, 1)), ((0, 0, 0), (1, 1, 0))),
-    (5, False): (((1, 0, 0), (0, 0, 0)), ((0, 0, 1), (1, 1, 0))),
-    (10, True): (((1, 0, 0), (0, 0, 0)), ((0, 0, 1), (1, 1, 0))),
-    (10, False): (((1, 0, 0), (0, 0, 1)), ((0, 0, 0), (1, 1, 0))),
-}
+# A crossed cell's segments by its code, as edge slots a0 b0 a1 b1 (-1 for
+# no second segment).  Slot 0 bottom, 1 top, 2 left, 3 right of the cell
+# at node (i, j) is the edge (kind, i + di, j + dj) in _SLOT_EDGES, kind 0
+# running right from its node, 1 up.  Rows 5 and 10 are saddles with
+# F(centre) >= 0; a saddle below 0 takes the row of code ^ 15, which pairs
+# its edges the other way (any other code has its complement's segments).
+_SEGMENTS = np.array([
+    [-1, -1, -1, -1], [2, 0, -1, -1], [0, 3, -1, -1], [2, 3, -1, -1],
+    [1, 3, -1, -1], [2, 1, 0, 3], [0, 1, -1, -1], [2, 1, -1, -1],
+    [2, 1, -1, -1], [0, 1, -1, -1], [2, 0, 1, 3], [1, 3, -1, -1],
+    [2, 3, -1, -1], [0, 3, -1, -1], [2, 0, -1, -1], [-1, -1, -1, -1]])
+_SLOT_EDGES = np.array([[0, 0, 0], [0, 0, 1], [1, 0, 0], [1, 1, 0]])
 
 
 def trace_variety(sys: GohSystem, window=(-2.0, 2.0, -2.0, 2.0),
@@ -325,7 +299,10 @@ def _grid_trace(F: Poly, window: tuple, res: int) -> tuple:
     F is evaluated into one grid array, one block of rows at a time
     (_row_blocks), with the same elementwise operations at every node as
     on the whole grid; the one evaluator of F serves the grid, the saddle
-    centres and the bisection.
+    centres and the bisection.  Crossed cells take their segments from
+    _SEGMENTS; crossed edges get integer ids, in the order first met, and
+    neighbours as arrays, and are chained into polylines on Python int
+    lists, open paths first, then loops, each closed on its start.
     """
     x0, x1, y0, y1 = window
     xs = np.linspace(x0, x1, res + 1)
@@ -346,41 +323,72 @@ def _grid_trace(F: Poly, window: tuple, res: int) -> tuple:
                              f"({float(xs[i])!r}, {float(ys[j])!r}): "
                              f"{float(vals[j, i])!r}")
 
-        # the segment graph: each crossed edge (kind, i, j) and its
-        # neighbours.  Saddle centres run on Python floats: the same IEEE
-        # operations as on np.float64 scalars, at less cost per operation.
+        # a cell is crossed when its bottom, top or left edge changes sign
+        # (zeros count as positive); its code has bit 1 bottom-left, 2
+        # bottom-right, 4 top-right, 8 top-left set where F >= 0.  Saddle
+        # centres run on Python floats: the same IEEE operations as on
+        # np.float64 scalars, at less cost per operation.
+        pos = vals >= 0.0
+        across = pos[:, :-1] != pos[:, 1:]
+        crossed = across[:-1] | across[1:]
+        crossed |= pos[:-1, :-1] != pos[1:, :-1]
+        cells = np.flatnonzero(crossed)
+        row, col = np.divmod(cells, res)
+        node, pos = cells + row, pos.ravel().view(np.uint8)
+        code = pos[node] | pos[node + 1] << 1 | pos[node + res + 2] << 2 \
+            | pos[node + res + 1] << 3
         px, py = xs.tolist(), ys.tolist()
-        links: dict[tuple, list] = {}
-        for j, i, code in _crossed_cells(vals):
-            if code in (5, 10):
-                centre = 0.5 * (px[i] + px[i + 1]), 0.5 * (py[j] + py[j + 1])
-                code = (code, feval(centre) >= 0.0)
-            for (ka, da, ea), (kb, db, eb) in _SEGMENTS[code]:
-                a, b = (ka, i + da, j + ea), (kb, i + db, j + eb)
-                links.setdefault(a, []).append(b)
-                links.setdefault(b, []).append(a)
+        for c in np.flatnonzero((code == 5) | (code == 10)).tolist():
+            i, j = int(col[c]), int(row[c])
+            if not feval((0.5 * (px[i] + px[i + 1]),
+                          0.5 * (py[j] + py[j + 1]))) >= 0.0:
+                code[c] ^= 15
     tol = 1e-9 * (1.0 + scale)
 
-    edges = list(links)
-    verts = dict(zip(edges, _edge_vertices(feval, xs, ys, vals, edges, tol)))
+    # the segment graph.  Edges are seen in segments a0 b0 a1 b1 ..., cells
+    # in row-major order; an edge's id is the rank of its first sighting.
+    # A left (bottom) edge off the border is seen second, as the right (top)
+    # edge of the cell beside (below) it, which the same order lists k-th
+    # among those off the border when the left (bottom) one is k-th: so the
+    # sightings pair without a sort.
+    slots = _SEGMENTS[code].ravel()
+    seen = np.flatnonzero(slots >= 0)
+    cell, slot = seen >> 2, slots[seen]
+    ci, cj = col[cell], row[cell]
+    left, bottom = (slot == 2) & (ci > 0), (slot == 0) & (cj > 0)
+    first = ~(left | bottom)
+    eid = np.cumsum(first) - 1
+    eid[left] = eid[(slot == 3) & (ci < res - 1)]
+    eid[bottom] = eid[(slot == 1) & (cj < res - 1)]
+    edges = _SLOT_EDGES[slot[first]]
+    edges[:, 1:] += np.column_stack((ci, cj))[first]
+    near = np.full((2, len(edges)), -1)
+    other = eid[np.arange(len(seen)) ^ 1]
+    near[0, eid[first]], near[1, eid[~first]] = other[first], other[~first]
+    verts = _edge_vertices(feval, xs, ys, vals, edges, tol)
 
-    # chain the graph into polylines, open paths first, then loops.  An edge
-    # has at most two neighbours and the one a walk came from is used, so
-    # the walk goes on to the unused one.  A vertex equal to the one before
-    # it (a grid node the curve passes diagonally) is left out.
-    ends = [k for k, adj in links.items() if len(adj) == 1]
-    used, polylines = set(), []
-    for start in ends + list(links):
-        chain, key = [], start
-        while key not in used:
-            used.add(key)
+    # chain the graph, from the edges with one neighbour first.  A walk goes
+    # on to an edge's first unused neighbour (a missing one, -1, reads as
+    # used).  A vertex equal to the one before it (a grid node the curve
+    # passes diagonally) is left out.
+    (n0, n1), polylines = near.tolist(), []
+    used = bytearray(len(n0)) + b"\x01"
+    for start in np.flatnonzero(near[1] < 0).tolist() + list(range(len(n0))):
+        if used[start]:
+            continue
+        used[start], chain, key = 1, [start], start
+        while True:
+            nxt = n0[key]
+            if used[nxt]:
+                nxt = n1[key]
+                if used[nxt]:
+                    break
+            used[nxt], key = 1, nxt
             chain.append(key)
-            key = next((k for k in links[key] if k not in used), key)
-        if len(chain) > 2 and start in links[key]:
+        if len(chain) > 2 and start in (n0[key], n1[key]):
             chain.append(start)
-        if chain:
-            line = [verts[k] for k in chain]
-            polylines.append([v for v, u in zip(line, [None] + line) if v != u])
+        line = [verts[k] for k in chain]
+        polylines.append([v for v, u in zip(line, [None] + line) if v != u])
     return polylines, tol
 
 
@@ -601,18 +609,38 @@ def _zero_at(u, root) -> bool:
     return len(g) > 1 and _changes(seq := _sturm(g), a) > _changes(seq, b)
 
 
-def _rounded(root, at) -> tuple:
-    """The floats of the Fractions at(root); for root = (seq, a, b), those
-    of at(a) once they are those of at(b), bisecting (a, b] until then."""
+def _rounded(root, coords) -> tuple:
+    """The floats of the coordinates N(s) / D(s), (N, D) in coords, at the
+    root s of _real_roots: rounded once at a rational s; for (seq, a, b),
+    those at a once they are those at b, bisecting (a, b] until then.  A
+    coordinate whose ends round to two neighbouring floats is first tested
+    for their mean exactly (N - mean D is 0 at s), as no bisection sets the
+    two apart, and is then that mean rounded once, ties to even."""
+    n = max(len(u) for c in coords for u in c)
+
+    def at(v):
+        return [float(Fraction(*(_hvalue(u + [0] * (n - len(u)), v)
+                                 for u in c))) for c in coords]
+
     if isinstance(root, Fraction):
-        return tuple(map(float, at(root)))
+        return tuple(at(root))
     seq, a, b = root
+    ties: dict = {}  # coordinate -> the float of the mean it equals
     while True:
         try:
-            if tuple(map(float, at(a))) == tuple(map(float, at(b))):
-                return tuple(map(float, at(a)))
+            ends = at(a), at(b)
         except ZeroDivisionError:  # at is a quotient with a pole near root
             pass
+        else:
+            for k, (u, w) in enumerate(zip(*ends)):
+                half, (N, D) = (Fraction(u) + Fraction(w)) / 2, coords[k]
+                if k not in ties and u != w and math.nextafter(u, w) == w \
+                        and _zero_at(_sub(_mul(N, [half.denominator]),
+                                          _mul(D, [half.numerator])), root):
+                    ties[k] = float(half)
+            lo, hi = ([ties.get(k, u) for k, u in enumerate(e)] for e in ends)
+            if lo == hi:
+                return tuple(lo)
         m = (a + b) / 2
         a, b = (a, m) if _changes(seq, a) > _changes(seq, m) else (m, b)
 
@@ -670,15 +698,12 @@ def _singular_points(p, window) -> list:
                 N, power = _add(_mul(N, P), _mul(c, power)), _mul(power, Q)
             if not _zero_at(N, s):
                 continue
-            zx, zy = (_zero_at(u, s)  # x = 0, y = s - t x = 0
-                      for u in (P, _sub([0] + Q, [t * c for c in P])))
-
-            def at(v):
-                n = max(len(P), len(Q))
-                x = 0 if zx else v / t if zy and t else Fraction(*(
-                    _hvalue(u + [0] * (n - len(u)), v) for u in (P, Q)))
-                return x, v - t * x
-            points.append(_rounded(s, at))
+            Y = _sub([0] + Q, [t * c for c in P])  # y = s - t x = Y / Q
+            zx, zy = _zero_at(P, s), _zero_at(Y, s)
+            # a coordinate that is 0 is exactly 0, the other s or s / t
+            points.append(_rounded(s, (([], [1]), ([0, 1], [1])) if zx else
+                                   (([0, 1], [t]), ([], [1])) if zy and t
+                                   else ((P, Q), (Y, Q))))
         else:
             return sorted((pt for pt in points
                            if x0 <= pt[0] <= x1 and y0 <= pt[1] <= y1),

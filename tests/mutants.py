@@ -241,17 +241,48 @@ REGISTER = {
         "for j in range(k - 1)):",
         "for j in range(0)):",
         ("tests/test_goh.py::test_points_sharing_a_fibre_are_set_apart_by_a_shear",)),
-    # x reported as 0 where it is exactly 0, but y still computed from x(v)
-    # at the ends of the isolating interval
+    # x reported as 0 where it is exactly 0, but y still computed as
+    # s - t x(s) at the ends of the isolating interval
     "zero-coordinate-inexact": Mutant(
         "src/goh_atlas/goh.py",
-        "x = 0 if zx else v / t if zy and t else Fraction(*(\n"
-        "                    _hvalue(u + [0] * (n - len(u)), v) for u in (P, Q)))\n"
-        "                return x, v - t * x",
-        "x = v / t if zy and t else Fraction(*(\n"
-        "                    _hvalue(u + [0] * (n - len(u)), v) for u in (P, Q)))\n"
-        "                return 0 if zx else x, v - t * x",
+        "(([], [1]), ([0, 1], [1])) if zx else",
+        "(([], [1]), (Y, Q)) if zx else",
         ("tests/test_goh.py::test_a_zero_coordinate_enters_the_other_exactly",)),
+    # a coordinate halfway between two floats never tested for that mean:
+    # the ends of its isolating interval round apart for ever
+    "midpoint-tie-untested": Mutant(
+        "src/goh_atlas/goh.py",
+        "ties[k] = float(half)",
+        "pass",
+        ("tests/test_goh.py::test_a_coordinate_halfway_between_two_floats_is_rounded_once",)),
+    # a saddle cell resolved by the opposite sign of F at its centre
+    "saddle-centre-inverted": Mutant(
+        "src/goh_atlas/goh.py",
+        "            if not feval((0.5 * (px[i] + px[i + 1]),",
+        "            if feval((0.5 * (px[i] + px[i + 1]),",
+        ("tests/test_goh.py::test_a_graph_of_several_components_matches_textbook_bitwise",)),
+    # the chaining walk trying an edge's second neighbour first: every loop
+    # runs the other way round
+    "walk-second-neighbour-first": Mutant(
+        "src/goh_atlas/goh.py",
+        "            nxt = n0[key]\n            if used[nxt]:\n"
+        "                nxt = n1[key]",
+        "            nxt = n1[key]\n            if used[nxt]:\n"
+        "                nxt = n0[key]",
+        ("tests/test_goh.py::test_a_graph_of_several_components_matches_textbook_bitwise",)),
+    # a loop left open: its start not repeated at its end
+    "loop-unclosed": Mutant(
+        "src/goh_atlas/goh.py",
+        "if len(chain) > 2 and start in (n0[key], n1[key]):",
+        "if len(chain) > 2 and start in ():",
+        ("tests/test_goh.py::test_a_graph_of_several_components_matches_textbook_bitwise",)),
+    # the top edges of the last row paired with bottom edges too, as if
+    # another row of cells lay above the window
+    "top-row-paired": Mutant(
+        "src/goh_atlas/goh.py",
+        "eid[(slot == 1) & (cj < res - 1)]",
+        "eid[(slot == 1) & (cj < res)]",
+        ("tests/test_goh.py::test_a_graph_of_several_components_matches_textbook_bitwise",)),
     # sigma paired with [X_k, X_h], not [X_h, X_k]
     "sigma-pairing-sign": Mutant(
         "src/goh_atlas/trajectories.py",

@@ -825,6 +825,54 @@ def test_random_traces_match_textbook_bitwise():
     assert reached == {5, 10, "loop"}
 
 
+# Fixed traces at res >= 64 whose segment graphs hold several components,
+# by name: (F, window, res, loops, open paths, saddle codes, whether F is
+# 0.0 at grid nodes).  Three loops around x1 = -1, 0 and 1, with a diagonal
+# through grid nodes from border to border; and the two branches of a
+# hyperbola, with a saddle cell centred on the origin (code 5 or 10, its
+# centre value of either sign), and a loop
+LOOPS = (X1 * X1 * X1 - X1) * (X1 * X1 * X1 - X1) + X2 * X2 * 4 - F(1, 16)
+DISC = (X1 + F(6, 5)) * (X1 + F(6, 5)) + (X2 + F(6, 5)) * (X2 + F(6, 5)) \
+    - F(1, 4)
+SEVERAL_COMPONENTS = {
+    "three loops and a path through nodes": (
+        LOOPS * (X2 - X1 - F(3, 2)), (-2, 2, -2, 2), 64, 3, 1, set(), True),
+    **{f"saddle {5 if s > 0 else 10}, centre {'+-'[d < 0]}": (
+        (X1 * X2 * s + d) * DISC, (-2, 2, -2, 2), 65, 1, 2,
+        {5 if s > 0 else 10}, False)
+       for s in (1, -1) for d in (DELTA, -DELTA)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(SEVERAL_COMPONENTS))
+def test_a_graph_of_several_components_matches_textbook_bitwise(name):
+    p, window, res, loops, paths, saddles, nodes = SEVERAL_COMPONENTS[name]
+    got = trace_variety(system_of(p), window, res)
+    want = reference_trace(system_of(p), window, res)
+    assert got.to_json() == want.to_json()
+    assert got.tolerance == want.tolerance
+    closed = [line for line in got.polylines
+              if len(line) > 2 and line[0] == line[-1]]
+    assert (len(closed), len(got.polylines) - len(closed)) == (loops, paths)
+    for line in got.polylines:  # an open path ends on the border
+        if line not in closed:
+            assert all(x in window[:2] or y in window[2:]
+                       for x, y in (line[0], line[-1]))
+    assert cell_codes(p, window, res) & {5, 10} == saddles
+    xs = np.linspace(window[0], window[1], res + 1)
+    ys = np.linspace(window[2], window[3], res + 1)
+    assert (textbook_grid_eval(p, xs, ys) == 0.0).any() == nodes
+
+
+def test_a_pool_conic_at_its_resolution_matches_textbook_bitwise():
+    p, res = pool_polynomials()[0]
+    got = trace_variety(system_of(p), resolution=res)
+    want = reference_trace(system_of(p), (-2, 2, -2, 2), res)
+    assert res == 512 and len(got.polylines[0]) > 1000
+    assert got.to_json() == want.to_json()
+    assert got.tolerance == want.tolerance
+
+
 @st.composite
 def singular_curves(draw, kind):
     """A plane curve with singular points, a window around them, an odd
@@ -1425,7 +1473,7 @@ def test_real_roots_are_exact_or_isolated():
     assert [r for r in got if isinstance(r, F)] == [F(-2), F(1, 2), F(1)]
     (seq, a, b), = [r for r in got if not isinstance(r, F)]
     assert got[1] == (seq, a, b) and b * b <= 2 < a * a and a < b <= 0
-    assert goh._rounded((seq, a, b), lambda v: (v,)) == (-math.sqrt(2),)
+    assert goh._rounded((seq, a, b), [([0, 1], [1])]) == (-math.sqrt(2),)
 
 
 def rounded(c: Fraction, sign: int, d: int) -> float:
@@ -1511,13 +1559,20 @@ def test_singular_points_are_the_decimal_coordinates_rounded_once(
      [[0.0, -math.sqrt(2)], [0.0, math.sqrt(2)]]),
     ("x1 * x1 * x1 - x1 * x2 * x2 * 3", [[0.0, 0.0]])])
 def test_a_triple_point_is_one_fibre_point(p, want):
-    # a fresh process under a time bound, so a route that shears on
-    # forever fails the test instead of hanging it
+    assert fresh_candidates(p) == want
+
+
+def fresh_candidates(p: str) -> list:
+    """The singular candidates of the trace at res 16 of F = p, Python
+    source in x1, x2, q = x2^2 - 2 and e = 2^-53, from a fresh process
+    under a time bound, so a route that never ends fails the test instead
+    of hanging it."""
     code = ("import json\n"
+            "from fractions import Fraction\n"
             "from goh_atlas.goh import GohSystem, trace_variety\n"
             "from goh_atlas.polyfield import Poly\n"
             "x1, x2 = Poly.var(2, 0), Poly.var(2, 1)\n"
-            "q = x2 * x2 - 2\n"
+            "q, e = x2 * x2 - 2, Fraction(1, 2 ** 53)\n"
             f"sys = GohSystem(2, [0, 0, 1], {{(1, 2): {p}}})\n"
             "print(json.dumps(trace_variety(sys, resolution=16)"
             ".singular_candidates))\n")
@@ -1528,7 +1583,23 @@ def test_a_triple_point_is_one_fibre_point(p, want):
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, timeout=30)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == want
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("p, want", [
+    # x1 = 1 + 2^-53 and x2 = 1 + 2^-53, each found above an irrational root
+    # after a shear, lie halfway between 1.0 and the next float: the ends of
+    # an isolating interval round to those two for ever.  Ties go to even,
+    # 1.0; -1 + 2^-53 is a float
+    ("((x1 - e) * (x1 - e) - 1) * q",
+     [[-0.9999999999999999, -math.sqrt(2)], [1.0, -math.sqrt(2)],
+      [-0.9999999999999999, math.sqrt(2)], [1.0, math.sqrt(2)]]),
+    ("((x2 - e) * (x2 - e) - 1) * (x1 * x1 - 2)",
+     [[-math.sqrt(2), -0.9999999999999999],
+      [math.sqrt(2), -0.9999999999999999],
+      [-math.sqrt(2), 1.0], [math.sqrt(2), 1.0]])])
+def test_a_coordinate_halfway_between_two_floats_is_rounded_once(p, want):
+    assert fresh_candidates(p) == want
 
 
 def test_points_sharing_a_fibre_are_set_apart_by_a_shear():
