@@ -1,6 +1,6 @@
-"""Float evaluation of exact polynomials: generated straight-line functions
-(_float_evaluator) and the batched CompiledPolys, whose coefficients both
-convert by _float_coef; and _first_fault, the one check of every float
+"""Float evaluation of exact polynomials: one polynomial from its list of
+terms (_float_evaluator) and the batched CompiledPolys, whose coefficients
+both convert by _float_coef; and _first_fault, the one check of every float
 input.  The one module of polyfield's layer that imports numpy; the exact
 layers never do.
 """
@@ -24,47 +24,37 @@ def _float_coef(e: tuple, c) -> float:
                          f"a float") from None
 
 
-def _float_evaluator(*polys: "Poly"):
-    """x -> p(x) in float arithmetic for one polynomial, x -> (p1(x), ...,
-    pm(x)) for several, as one generated straight-line function.
-
-    Each value is summed in dict order from 0.0, one statement per term
-    (one long expression overflows the compiler's recursion limit), each
-    term its coefficient, converted once, times the power of x[i] for every
-    nonzero exponent k in variable order: x[i] itself for k = 1, else
-    np.float_power(x[i], k), computed once per distinct power before the
-    sums.  np.float_power calls C ``pow`` on every element as scalar ``**``
-    does, so a point in an array, or a node of the per-axis grid
-    (xs[None, :], ys[:, None]) whose result broadcasts to the
-    (len(ys), len(xs)) grid, gets the bits it gets alone on Python floats
-    (as np.float64 once a power enters); an overflowing power is inf, not
-    OverflowError.  No update is in place, so x may hold arrays that
-    broadcast.  An exponent that is not an integer is a TypeError, so only
-    int literals enter the source.  Build once per polynomial (about
-    0.1 ms), not once per point; the evaluator holds a copy of the terms:
-    rebuild after a change.
+def _float_evaluator(p: "Poly"):
+    """x -> p(x) in float arithmetic, from p's list of terms: each its
+    coefficient, converted once, and its factors in variable order, x[i]
+    for k = 1, else np.float_power(x[i], k), made once per call for each
+    distinct power.  A call multiplies each term out left to right and sums
+    the terms in dict order from 0.0.  C ``pow`` on every element, as
+    scalar ``**`` does, gives a point in an array, or a node of the
+    per-axis grid (xs[None, :], ys[:, None]) that broadcasts to the
+    (len(ys), len(xs)) grid, the bits it gets alone on Python floats (an
+    np.float64 once a power enters); an overflowing power is inf.  No update
+    is in place, so x may hold arrays that broadcast.  An exponent that is
+    not an integer is a TypeError.  Rebuild after a change of p.
     """
-    powers: dict = {}  # source of a power with k >= 2 -> the name terms read
-    sums, coefs = [], []
-    for out, p in enumerate(polys):
-        sums.append(f"    t{out} = 0.0")
-        for e, c in p.terms.items():
-            factors = ""
-            for i, k in enumerate(e):
-                if not k:
-                    continue
-                k = index(k)
-                text = f"x[{i}]" if k == 1 else powers.setdefault(
-                    f"pow(x[{i}], {k})", f"p{len(powers)}")
-                factors += " * " + text
-            sums.append(f"    t{out} = t{out} + c[{len(coefs)}]{factors}")
-            coefs.append(_float_coef(e, c))
-    lines = [f"    {name} = {text}" for text, name in powers.items()] + sums
-    totals = ", ".join(f"t{out}" for out in range(len(polys)))
-    scope = {"c": coefs, "pow": np.float_power}
-    exec("def evaluate(x):\n" + "\n".join(lines) + f"\n    return {totals}\n",
-         scope)
-    return scope["evaluate"]
+    powers: dict = {}  # (i, k) with k >= 2 -> its slot in a call's powers
+    terms = []  # (coefficient, [(i, -1 for x[i] itself, else x[i]^k's slot)])
+    for e, c in p.terms.items():
+        ks = [(i, index(k)) for i, k in enumerate(e) if k]
+        terms.append((_float_coef(e, c), [
+            (i, -1 if k == 1 else powers.setdefault((i, k), len(powers)))
+            for i, k in ks]))
+
+    def evaluate(x):
+        made = [np.float_power(x[i], k) for i, k in powers]
+        total = 0.0
+        for value, factors in terms:
+            for i, s in factors:
+                value = value * (x[i] if s < 0 else made[s])
+            total = total + value
+        return total
+
+    return evaluate
 
 
 def _first_fault(name: str, data, depth: int, width: int | None = None):

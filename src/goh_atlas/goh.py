@@ -325,9 +325,9 @@ def _grid_trace(F: Poly, window: tuple, res: int) -> tuple:
 
         # a cell is crossed when its bottom, top or left edge changes sign
         # (zeros count as positive); its code has bit 1 bottom-left, 2
-        # bottom-right, 4 top-right, 8 top-left set where F >= 0.  Saddle
-        # centres run on Python floats: the same IEEE operations as on
-        # np.float64 scalars, at less cost per operation.
+        # bottom-right, 4 top-right, 8 top-left set where F >= 0.  A saddle
+        # whose centre value is not >= 0 (NaN too) takes the complement;
+        # one array call gives each centre the bits it gets alone.
         pos = vals >= 0.0
         across = pos[:, :-1] != pos[:, 1:]
         crossed = across[:-1] | across[1:]
@@ -337,12 +337,11 @@ def _grid_trace(F: Poly, window: tuple, res: int) -> tuple:
         node, pos = cells + row, pos.ravel().view(np.uint8)
         code = pos[node] | pos[node + 1] << 1 | pos[node + res + 2] << 2 \
             | pos[node + res + 1] << 3
-        px, py = xs.tolist(), ys.tolist()
-        for c in np.flatnonzero((code == 5) | (code == 10)).tolist():
-            i, j = int(col[c]), int(row[c])
-            if not feval((0.5 * (px[i] + px[i + 1]),
-                          0.5 * (py[j] + py[j + 1]))) >= 0.0:
-                code[c] ^= 15
+        sad = np.flatnonzero((code == 5) | (code == 10))
+        i, j = col[sad], row[sad]
+        mid = np.broadcast_to(feval((0.5 * (xs[i] + xs[i + 1]),
+                                     0.5 * (ys[j] + ys[j + 1]))), sad.shape)
+        code[sad[~(mid >= 0.0)]] ^= 15
     tol = 1e-9 * (1.0 + scale)
 
     # the segment graph.  Edges are seen in segments a0 b0 a1 b1 ..., cells

@@ -4,10 +4,10 @@ log-phase spiral, and the polynomial non-containment probe.
 
 Controls are piecewise linear on a uniform grid (callables are accepted
 wherever a control is, for convergence studies with exact derivatives).
-The five integrators (flow, Jacobians, pushforward residual, extremal
-residuals, recovery) share one classical RK4 scheme (configurable
-sub-stepping) on the drift sum_k u_k X_k and its Jacobian
-A = sum_k u_k DX_k, and give the bits of the plain step loop.
+The four integrators (flow, pushforward residual, extremal residuals,
+recovery) share one classical RK4 scheme (configurable sub-stepping) on
+the drift sum_k u_k X_k and its Jacobian A = sum_k u_k DX_k, and give the
+bits of the plain step loop.
 
 Component j of a field reads some coordinates.  When that graph has no
 cycle (realized and normal-form frames are triangular, weights or not),
@@ -134,13 +134,6 @@ class SampledCurve:
         check_artifact(data, "curve", "t", "values")
         # a flow may end on one node, but lift and contain read two or more
         return SampledCurve(*_sampled("curve", data["t"], data["values"], 2))
-
-
-@dataclass
-class JacobianPath:
-    ts: np.ndarray
-    mats: list  # n x n arrays, mats[0] = identity
-    dets: np.ndarray
 
 
 def _non_finite(what: str, node: int, t):
@@ -481,16 +474,6 @@ def horizontal_lift(frame: Frame, kappa: SampledCurve,
     return flow_control(frame, u, x0), u
 
 
-def jacobian_flow(frame: Frame, u, x0, substeps: int = 1,
-                  ts=None) -> JacobianPath:
-    """J(t_i) of the flow, by RK4 on Jdot = DX_u(t, gamma(t)) J."""
-    grid, windows = _windows(frame, u, x0, substeps, ts)
-    mats = [m for _, _, m in _propagate(frame, windows, np.eye(frame.n),
-                                        False, "variational flow")]
-    dets = np.array([np.linalg.det(m) for m in mats])
-    return JacobianPath(grid, mats, dets)
-
-
 def pushforward_identity_residual(frame: Frame, u, x0, substeps: int = 1,
                                   ts=None) -> float:
     """sup_t max_{i>r} |J(t) e_i - e_i|_inf (exact zero iff metabelian shape).
@@ -670,13 +653,11 @@ def polynomial_containment(points, degree: int,
 __all__ = [
     "Control",
     "ExtremalReport",
-    "JacobianPath",
     "RecoveryResult",
     "SampledCurve",
     "extremal_residuals",
     "flow_control",
     "horizontal_lift",
-    "jacobian_flow",
     "lift_control",
     "polynomial_containment",
     "pushforward_identity_residual",

@@ -10,10 +10,12 @@ normalform.realize_frame, the Bernoulli ad-series of the first-kind fields,
 the right-nested growth vector with elimination from scratch, the
 metabelian sweep over every multi-index pair, the substitution, integral
 and padding of Poly, exact flows of nilpotent polynomial fields by Picard
-iteration, the second-kind chart check, and the Hypothesis strategies of
-sparse rational Lie elements and of random frames of the paper's class."""
+iteration, the second-kind chart check, the Hypothesis strategies of
+sparse rational Lie elements and of random frames of the paper's class,
+and the flow's Jacobians along a trajectory (jacobian_flow)."""
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import copysign, inf
 
@@ -43,7 +45,8 @@ from goh_atlas.metabelian import MetabelianVerdict
 from goh_atlas.polyfield import Frame, Poly, PolyVec, _Ring, _as_frac, \
     _bad_exponent, _check_length, _nested_brackets, _substitute, \
     lie_bracket_fields
-from goh_atlas.trajectories import Control, flow_control
+from goh_atlas.trajectories import Control, _propagate, _windows, \
+    flow_control
 
 
 def bracket(a: LieElement, b: LieElement, basis: LyndonBasis) -> LieElement:
@@ -587,3 +590,22 @@ def verify_second_kind(fields, x, tol: float | None = None,
         raise NumericsError(
             f"second-kind chart residual {residual:.3e} exceeds {tol:.3e}")
     return residual
+
+
+@dataclass
+class JacobianPath:
+    ts: np.ndarray
+    mats: list  # n x n arrays, mats[0] = identity
+    dets: np.ndarray
+
+
+def jacobian_flow(frame: Frame, u, x0, substeps: int = 1,
+                  ts=None) -> JacobianPath:
+    """J(t_i) of the flow, by RK4 on Jdot = DX_u(t, gamma(t)) J, through the
+    integrators' own windows and matrix propagation: the J that an exact
+    trajectory oracle is checked against."""
+    grid, windows = _windows(frame, u, x0, substeps, ts)
+    mats = [m for _, _, m in _propagate(frame, windows, np.eye(frame.n),
+                                        False, "variational flow")]
+    dets = np.array([np.linalg.det(m) for m in mats])
+    return JacobianPath(grid, mats, dets)

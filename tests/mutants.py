@@ -6,10 +6,12 @@ text replaces the old.  Run it from the repository root:
 
     python tests/mutants.py [NAME ...]
 
-For each entry (or each one named) the runner copies src, tests and
-pyproject.toml into a temporary directory, applies the entry there and
-runs its tests with -x.  It prints one line per entry: killed, SURVIVED,
-or ERROR when the old text does not occur exactly once in its file or
+The runner copies src, tests and pyproject.toml into a temporary template
+and compiles them there once.  For each entry (or each one named) it
+copies the template, applies the entry in the copy and runs its tests
+with -x; JOBS entries run at once, each in its own copy.
+It prints one line per entry, in register order: killed, SURVIVED, or
+ERROR when the old text does not occur exactly once in its file or
 pytest could not run the tests.  The exit status is 1 if any entry
 survived or erred.  The file has no test_ prefix, so the test suite does
 not collect it.
@@ -23,8 +25,12 @@ import subprocess
 import sys
 import tempfile
 import time
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import NamedTuple
+
+
+JOBS = 2  # entries run at once
 
 
 class Mutant(NamedTuple):
@@ -195,10 +201,45 @@ REGISTER = {
     # the float evaluator raising by array ** instead of C pow
     "array-power": Mutant(
         "src/goh_atlas/floateval.py",
-        'f"pow(x[{i}], {k})"',
-        'f"x[{i}] ** {k}"',
+        "made = [np.float_power(x[i], k) for i, k in powers]",
+        "made = [x[i] ** k for i, k in powers]",
         ("tests/test_goh.py::test_grid_nodes_have_the_bits_of_the_point_alone",
          "tests/test_goh.py::test_membership_value_at_each_point_is_the_scalar_loops")),
+    # the float evaluator's sum starting at its first term, not 0.0: a zero
+    # sum keeps the sign of -0.0
+    "evaluator-sum-from-first-term": Mutant(
+        "src/goh_atlas/floateval.py",
+        "        total = 0.0\n        for value, factors in terms:\n"
+        "            for i, s in factors:\n"
+        "                value = value * (x[i] if s < 0 else made[s])\n"
+        "            total = total + value\n        return total\n",
+        "        total = None\n        for value, factors in terms:\n"
+        "            for i, s in factors:\n"
+        "                value = value * (x[i] if s < 0 else made[s])\n"
+        "            total = value if total is None else total + value\n"
+        "        return 0.0 if total is None else total\n",
+        ("tests/test_goh.py::test_a_zero_sum_is_plus_zero",)),
+    # the float evaluator multiplying a term's factors right to left
+    "evaluator-factors-reversed": Mutant(
+        "src/goh_atlas/floateval.py",
+        "for i, s in factors:",
+        "for i, s in reversed(factors):",
+        ("tests/test_goh.py::test_scan_evaluators_match_scalar_evaluators_bitwise",)),
+    # the float evaluator summing the terms last to first
+    "evaluator-terms-reversed": Mutant(
+        "src/goh_atlas/floateval.py",
+        "for value, factors in terms:",
+        "for value, factors in reversed(terms):",
+        ("tests/test_goh.py::test_scan_evaluators_match_scalar_evaluators_bitwise",)),
+    # the float evaluator keying its powers by variable alone: x1^3 reads
+    # the slot of the x1^2 made before it
+    "evaluator-power-keyed-by-variable": Mutant(
+        "src/goh_atlas/floateval.py",
+        "powers.setdefault((i, k), len(powers))",
+        "powers.setdefault(next((key for key in powers if key[0] == i), "
+        "(i, k)), len(powers))",
+        ("tests/test_goh.py::test_long_polynomial_evaluator_matches_textbook_bitwise",
+         "tests/test_goh.py::test_scan_evaluators_match_scalar_evaluators_bitwise")),
     # trace_variety tracing F itself where g = gcd(F, F_x1, F_x2) is not
     # constant, not F / g
     "square-free-skipped": Mutant(
@@ -258,8 +299,8 @@ REGISTER = {
     # a saddle cell resolved by the opposite sign of F at its centre
     "saddle-centre-inverted": Mutant(
         "src/goh_atlas/goh.py",
-        "            if not feval((0.5 * (px[i] + px[i + 1]),",
-        "            if feval((0.5 * (px[i] + px[i + 1]),",
+        "code[sad[~(mid >= 0.0)]] ^= 15",
+        "code[sad[(mid >= 0.0)]] ^= 15",
         ("tests/test_goh.py::test_a_graph_of_several_components_matches_textbook_bitwise",)),
     # the chaining walk trying an edge's second neighbour first: every loop
     # runs the other way round
@@ -320,20 +361,36 @@ REGISTER = {
 }
 
 
-def run_mutant(mutant: Mutant, root: Path) -> str:
-    """'killed', 'SURVIVED' or 'ERROR: why' for one entry."""
+def prepare(root: Path, dest: Path) -> None:
+    """Copy src, tests and pyproject.toml from root into dest and compile
+    them there once: a collection run writes the bytecode of every module
+    the tests import, so an entry's copy of dest recompiles only the file
+    it changes."""
+    for part in ("src", "tests"):
+        shutil.copytree(root / part, dest / part, ignore=shutil.ignore_patterns(
+            "__pycache__", ".hypothesis", ".pytest_cache"))
+    shutil.copy2(root / "pyproject.toml", dest)
+    env = {**os.environ, "PYTHONPATH": str(dest / "src")}
+    env.pop("PYTHONDONTWRITEBYTECODE", None)
+    subprocess.run([sys.executable, "-m", "pytest", "--collect-only", "-q",
+                    "-p", "no:cacheprovider"], cwd=dest, env=env,
+                   stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+
+def run_mutant(mutant: Mutant, template: Path) -> str:
+    """'killed', 'SURVIVED' or 'ERROR: why' for one entry, run in a copy of
+    the prepared template."""
     with tempfile.TemporaryDirectory(prefix="mutant-") as tmp:
         tmp = Path(tmp)
-        for part in ("src", "tests"):
-            shutil.copytree(root / part, tmp / part, ignore=shutil.ignore_patterns(
-                "__pycache__", ".hypothesis", ".pytest_cache"))
-        shutil.copy(root / "pyproject.toml", tmp)
+        shutil.copytree(template, tmp, dirs_exist_ok=True)
         path = tmp / mutant.file
         text = path.read_text()
         count = text.count(mutant.old)
         if count != 1:
             return f"ERROR: old text found {count} times in {mutant.file}"
         path.write_text(text.replace(mutant.old, mutant.new))
+        for stale in (path.parent / "__pycache__").glob(f"{path.stem}.*"):
+            stale.unlink()
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
              *mutant.tests],
@@ -355,12 +412,18 @@ def main(argv: list[str]) -> int:
         print(f"unknown entries: {', '.join(unknown)}", file=sys.stderr)
         return 2
     bad = 0
-    for name in names:
-        start = time.perf_counter()
-        verdict = run_mutant(REGISTER[name], root)
-        bad += verdict != "killed"
-        print(f"{verdict:8s} {name} ({time.perf_counter() - start:.1f} s)",
-              flush=True)
+    with tempfile.TemporaryDirectory(prefix="mutant-template-") as template, \
+            ThreadPoolExecutor(JOBS) as pool:
+        prepare(root, Path(template))
+
+        def timed(name: str) -> tuple[str, float]:
+            start = time.perf_counter()
+            verdict = run_mutant(REGISTER[name], Path(template))
+            return verdict, time.perf_counter() - start
+
+        for name, (verdict, took) in zip(names, pool.map(timed, names)):
+            bad += verdict != "killed"
+            print(f"{verdict:8s} {name} ({took:.1f} s)", flush=True)
     print(f"{len(names)} mutants, {len(names) - bad} killed, {bad} not")
     return 1 if bad else 0
 

@@ -44,15 +44,14 @@ from goh_atlas.trajectories import (
     extremal_residuals,
     flow_control,
     horizontal_lift,
-    jacobian_flow,
     lift_control,
     polynomial_containment,
     pushforward_identity_residual,
     recover_abnormal_covector,
     spiral_curve,
 )
-from lie_helpers import bracket, lie_single, random_lie_element, \
-    verify_second_kind
+from lie_helpers import bracket, jacobian_flow, lie_single, \
+    random_lie_element, verify_second_kind
 
 
 @pytest.fixture(scope="module")

@@ -419,15 +419,26 @@ def textbook_grid_eval(p: Poly, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     return out
 
 
-def textbook_eval(p: Poly, x) -> float:
-    total = 0.0
-    for e, c in p.terms.items():
-        v = float(c)
-        for i, k in enumerate(e):
-            if k:
+def textbook_evaluator(p: Poly):
+    """x -> p(x) on floats with scalar ``**``: each coefficient converted
+    once, each term multiplied out in variable order, the terms summed in
+    dict order from 0.0."""
+    terms = [(float(c), [(i, k) for i, k in enumerate(e) if k])
+             for e, c in p.terms.items()]
+
+    def evaluate(x) -> float:
+        total = 0.0
+        for v, factors in terms:
+            for i, k in factors:
                 v *= x[i] ** k
-        total += v
-    return total
+            total += v
+        return total
+
+    return evaluate
+
+
+def textbook_eval(p: Poly, x) -> float:
+    return textbook_evaluator(p)(x)
 
 
 def textbook_bisect_edge(f, pa, pb, va, vb, tol: float):
@@ -487,8 +498,10 @@ def reference_trace(sys, window, resolution, singular=()) -> VarietyTrace:
     tol = 1e-9 * (1.0 + scale)
     trace.tolerance = tol
 
+    evaluate = textbook_evaluator(F)
+
     def f(px, py):
-        return textbook_eval(F, (px, py))
+        return evaluate((px, py))
 
     # sign matrix with zeros counted positive
     pos = vals >= 0.0
@@ -638,19 +651,21 @@ def reference_singular(F: Poly, xs, ys, vals, tol) -> list:
     if cand_idx.size == 0:
         return []
 
-    fxx, fxy = fx.diff(0), fx.diff(1)
-    fyx, fyy = fy.diff(0), fy.diff(1)
+    # each polynomial's coefficients are converted once
+    fxx, fxy = textbook_evaluator(fx.diff(0)), textbook_evaluator(fx.diff(1))
+    fyx, fyy = textbook_evaluator(fy.diff(0)), textbook_evaluator(fy.diff(1))
+    F, fx, fy = (textbook_evaluator(q) for q in (F, fx, fy))
 
     def newton(p, q, jac_rows, x, y):
         # damped Newton for the 2x2 system (p, q)
         for _ in range(60):
-            r0, r1 = textbook_eval(p, (x, y)), textbook_eval(q, (x, y))
+            r0, r1 = p((x, y)), q((x, y))
             res = abs(r0) + abs(r1)
             if res == 0.0:
                 return x, y
             (a, b), (c, d) = jac_rows
-            j00, j01 = textbook_eval(a, (x, y)), textbook_eval(b, (x, y))
-            j10, j11 = textbook_eval(c, (x, y)), textbook_eval(d, (x, y))
+            j00, j01 = a((x, y)), b((x, y))
+            j10, j11 = c((x, y)), d((x, y))
             det = j00 * j11 - j01 * j10
             if det == 0.0 or not np.isfinite(det):
                 return None
@@ -659,8 +674,7 @@ def reference_singular(F: Poly, xs, ys, vals, tol) -> list:
             step = 1.0
             while step > 1e-6:
                 nx, ny = x - step * dx, y - step * dy
-                nres = (abs(textbook_eval(p, (nx, ny)))
-                        + abs(textbook_eval(q, (nx, ny))))
+                nres = abs(p((nx, ny))) + abs(q((nx, ny)))
                 if nres < res:
                     x, y = nx, ny
                     break
@@ -685,11 +699,9 @@ def reference_singular(F: Poly, xs, ys, vals, tol) -> list:
             if got is None:
                 continue
             x, y = got
-            if abs(textbook_eval(F, (x, y))) <= tol \
-                    and np.hypot(textbook_eval(fx, (x, y)),
-                                 textbook_eval(fy, (x, y))) <= gtol:
-                score = np.hypot(textbook_eval(fx, (x, y)),
-                                 textbook_eval(fy, (x, y)))
+            if abs(F((x, y))) <= tol \
+                    and np.hypot(fx((x, y)), fy((x, y))) <= gtol:
+                score = np.hypot(fx((x, y)), fy((x, y)))
                 if best is None or score < best[0]:
                     best = (score, x, y)
         if best is None:
@@ -804,8 +816,12 @@ def plane_traces(draw):
 def test_random_traces_match_textbook_bitwise():
     reached = set()
 
+    # fixed cases reach codes 5 and 10 and a loop whatever is drawn
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(case=plane_traces())
+    @example(case=SADDLES[0])
+    @example(case=SADDLES[2])
+    @example(case=(X1 * X1 + X2 * X2 - 1, (-2.0, 2.0, -2.0, 2.0), 15))
     def check(case):
         p, window, res = case
         assume(square_free(p))  # else the trace is that of p / g
@@ -1035,11 +1051,29 @@ def fault_kind(outcome) -> str:
                  if word in outcome[1]), outcome[1])
 
 
+# a fixed case of each kind of outcome, by kind
+MEMBERSHIP_KINDS = {
+    "value": (system_of(X1 * X1 * X2 - X2 * F(1, 3)),
+              np.array([(0.5, -1.5), (2.0, 0.25)])),
+    "length": (system_of(X1 + X2), [(0.5, -1.5), (1.0,)]),
+    "large": (system_of(X1 + X2), [(0.5, 10 ** 400)]),
+    "finite": (system_of(X1 + X2), [(0.5, -1.5), (math.nan, 0.0)]),
+    "overflows": (system_of(X1 * X1 * X1 * X1 * X1 + 1),
+                  [(0.5, -1.5), (1e80, 0.0)]),
+}
+
+
 def test_array_membership_is_the_scalar_loop():
     reached = set()
 
+    # fixed cases reach every kind whatever is drawn
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(case=systems_and_curves())
+    @example(case=MEMBERSHIP_KINDS["value"])
+    @example(case=MEMBERSHIP_KINDS["length"])
+    @example(case=MEMBERSHIP_KINDS["large"])
+    @example(case=MEMBERSHIP_KINDS["finite"])
+    @example(case=MEMBERSHIP_KINDS["overflows"])
     def check(case):
         sys, points = case
         want = membership_outcome(scalar_variety_membership, sys, points)
@@ -1234,7 +1268,7 @@ def test_scan_evaluators_match_scalar_evaluators_bitwise():
     pts = rng.uniform(-3, 3, (2, 500))
     pts[:, :4] = [[0.0, -0.0, 5e-324, -1e-310], [-0.0, 0.0, -2.5, 1e-300]]
     polys = (p, p.diff(0), p.diff(1))
-    got = _float_evaluator(*polys)((pts[0], pts[1]))
+    got = [_float_evaluator(q)((pts[0], pts[1])) for q in polys]
     for m, point in enumerate(pts.T.tolist()):
         assert np.array([g[m] for g in got]).tobytes() == \
             np.array([textbook_eval(q, point) for q in polys]).tobytes()
@@ -1353,8 +1387,7 @@ def test_one_evaluator_serves_a_trace(monkeypatch):
 
 
 def test_long_polynomial_evaluator_matches_textbook_bitwise():
-    # one statement per term: a single sum of this many terms would exceed
-    # the compiler's recursion limit
+    # more than 5 000 terms, each of three variables
     rng = np.random.default_rng(5)
     terms = {e: F(int(rng.integers(1, 10)) * int(rng.choice([-1, 1])),
                   int(rng.integers(1, 9)))
@@ -1371,21 +1404,20 @@ def test_long_polynomial_evaluator_matches_textbook_bitwise():
 
 @pytest.mark.parametrize("k", ["2", 1.5, "1\nimport os"])
 def test_evaluator_rejects_a_non_integer_exponent(k):
-    # exponents become literals of the generated source
+    # an exponent is an integer, or the build fails
     with pytest.raises(TypeError):
         _float_evaluator(Poly(2, {(k, 0): 1}))
 
 
-@settings(max_examples=100, deadline=None)
-@given(case=polys_and_points())
-def test_several_polynomials_evaluate_as_each_alone(case):
-    p, x, axes = case
-    polys = (p, p.diff(0), Poly.const(p.n, F(-3, 7)), p)
-    got = _float_evaluator(*polys)(tuple(x))
-    assert type(got) is tuple and len(got) == len(polys)
-    for q, v in zip(polys, got):
-        want = _float_evaluator(q)(tuple(x))
-        assert np.float64(v).tobytes() == np.float64(want).tobytes()
+def test_a_zero_sum_is_plus_zero():
+    # the sum starts from 0.0, so F = x1 at x1 = -0.0 reads +0.0, on Python
+    # floats and on arrays, as textbook_eval gives it
+    evaluate = _float_evaluator(X1)
+    want = textbook_eval(X1, (-0.0, 1.0))
+    assert math.copysign(1.0, want) == 1.0
+    for point in ((-0.0, 1.0), (np.full(3, -0.0), np.ones(3))):
+        got = np.asarray(evaluate(point), dtype=float)
+        assert got.tobytes() == np.full(got.shape, want).tobytes()
 
 
 # ---------------------------------------------------------------------------

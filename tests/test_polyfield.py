@@ -366,6 +366,12 @@ def test_growth_vector_matches_the_right_nested_reference(case):
         reference_growth_vector(frame, point, depth)
 
 
+def each_alone(polys):
+    """x -> [p(x) for p in polys], each p by its own float evaluator."""
+    evaluators = [floateval._float_evaluator(p) for p in polys]
+    return lambda x: [evaluate(x) for evaluate in evaluators]
+
+
 class TestCompiledEvaluators:
     def test_matches_eval_float(self):
         rng = random.Random(23)
@@ -391,8 +397,7 @@ class TestCompiledEvaluators:
         assert np.array_equal(np.signbit(got), np.signbit(want))
         assert ev(pts[:0]).shape == (0, count)
 
-    @pytest.mark.parametrize("build", [CompiledPolys,
-                                       lambda ps: floateval._float_evaluator(*ps)],
+    @pytest.mark.parametrize("build", [CompiledPolys, each_alone],
                              ids=["compiled", "generated"])
     def test_coefficient_too_large_for_a_float_names_its_term(self, build):
         # float(c) was a bare OverflowError; a tiny one still rounds to 0.0

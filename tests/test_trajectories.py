@@ -31,7 +31,6 @@ from goh_atlas.trajectories import (
     extremal_residuals,
     flow_control,
     horizontal_lift,
-    jacobian_flow,
     lift_control,
     polynomial_containment,
     pushforward_identity_residual,
@@ -39,7 +38,7 @@ from goh_atlas.trajectories import (
     spiral_curve,
 )
 from lie_helpers import TextbookCompiledPolys, assert_same_bits, \
-    exact_flow, f23_frame
+    exact_flow, f23_frame, jacobian_flow
 
 
 def realized(step: int) -> Frame:
